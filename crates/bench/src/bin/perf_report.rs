@@ -66,6 +66,10 @@
 //! unstratifiable programs (`PlanError::Unstratifiable`) are recorded
 //! as skipped cells with the typed reason, exactly like the counting
 //! safety pre-check below.
+//! PR 14 (`BENCH_PR14.json`) adds no scenario: it re-measures the same
+//! matrix after the engine hot-path rebuild (tail-anchored delta slicing,
+//! prepared join contexts, the compact dedup table and the finalized
+//! hash), with every counter-carrying cell bit-identical to PR 10's.
 //! The pre-existing scenarios' probe counts must not move
 //! between snapshots, and — the scheduler's determinism contract —
 //! every counter of a parallel cell must be bit-identical to its
@@ -73,7 +77,7 @@
 //!
 //! ```text
 //! cargo run --release -p magic-bench --bin perf_report -- \
-//!     [--out BENCH_PR10.json] [--baseline BENCH_PR9.json] [--quick] \
+//!     [--out BENCH_PR14.json] [--baseline BENCH_PR10.json] [--quick] \
 //!     [--threads N] [--filter <scenario-substring>] \
 //!     [--strategy <short-name>]...
 //! ```
@@ -1550,7 +1554,7 @@ fn assert_counters_pinned(scenario: &str, single: &Outcome, parallel: &Outcome) 
 fn render(scenarios: &[(String, Vec<Cell>)], baseline: Option<&str>, engine: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"pr\": 10,");
+    let _ = writeln!(out, "  \"pr\": 14,");
     let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(engine));
     let _ = writeln!(
         out,
@@ -1773,7 +1777,7 @@ fn assert_oracle(scenario: &Scenario, expected: &BTreeSet<Vec<Value>>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_PR10.json".to_string();
+    let mut out_path = "BENCH_PR14.json".to_string();
     let mut baseline_path: Option<String> = None;
     let mut quick = false;
     let mut engine =

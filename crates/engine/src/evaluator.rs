@@ -59,7 +59,9 @@
 //! the thread count.
 
 use crate::error::EvalError;
-use crate::join::{evaluate_rule_windows, lead_enumeration_range, DeltaWindow, JoinCounters};
+use crate::join::{
+    evaluate_rule_scratch, lead_enumeration_range, DeltaWindow, JoinCounters, JoinScratch,
+};
 use crate::limits::Limits;
 use crate::metrics::EvalStats;
 use crate::plan::RulePlan;
@@ -106,6 +108,11 @@ pub enum WindowDiscipline {
 /// maintain per-row derivation-support counts; `plan_idx` indexes
 /// [`FixpointRunner::plans`].
 pub type FiringObserver<'a> = &'a mut dyn FnMut(usize, &[ValId], bool);
+
+/// A reborrow of an installed [`FiringObserver`]: the borrow is shorter
+/// than the closure's own lifetime, so the loop can lend the observer out
+/// once per insert batch.
+type ObserverRef<'b, 'o> = &'b mut (dyn FnMut(usize, &[ValId], bool) + 'o);
 
 /// The result of an evaluation: the final database (base facts plus all
 /// derived facts) and the collected metrics.
@@ -164,8 +171,9 @@ pub struct FixpointRunner {
 /// One unit of evaluation work within an iteration: a rule plan (or its
 /// delta-driven variant), the delta windows to apply, and — when the task
 /// was sharded — an extra occurrence-0 window carrying the shard's slice
-/// of the outermost enumeration.  Tasks own their flat output shard;
-/// buffers are recycled across iterations.
+/// of the outermost enumeration.  Tasks own their flat output shard and
+/// the join's buffers; both are recycled across iterations.
+#[derive(Default)]
 struct EvalTask {
     plan_idx: usize,
     /// `Some(nth)` selects `delta_plans[plan_idx][nth]` (seeded resume
@@ -173,6 +181,7 @@ struct EvalTask {
     variant: Option<usize>,
     windows: Vec<DeltaWindow>,
     out: Vec<ValId>,
+    scratch: JoinScratch,
     counters: JoinCounters,
     error: Option<EvalError>,
 }
@@ -281,6 +290,43 @@ fn delta_variant(
         plan: RulePlan::compile(&reordered, rule_idx, derived),
         pos_of_orig,
     }
+}
+
+/// Insert the head rows one plan fired in one iteration — `outputs` are its
+/// flat `arity`-chunked buffers in merge order, `matches` its body-match
+/// count — showing each row to `observer` (when installed) with whether it
+/// was new.  Returns the number of new facts.
+fn insert_fired_rows<'r>(
+    relation: &mut Relation,
+    plan_idx: usize,
+    arity: usize,
+    matches: usize,
+    outputs: impl Iterator<Item = &'r [ValId]>,
+    mut observer: Option<ObserverRef<'_, '_>>,
+) -> usize {
+    if arity == 0 {
+        // A zero-arity head (fully bound magic/answer predicate) leaves
+        // the flat buffers empty; every match fires the empty row, of
+        // which at most the first is new.
+        let new = matches > 0 && relation.insert_ids(&[]);
+        if let Some(observer) = observer {
+            for nth in 0..matches {
+                observer(plan_idx, &[], new && nth == 0);
+            }
+        }
+        return usize::from(new);
+    }
+    let mut new = 0;
+    for rows in outputs {
+        for row in rows.chunks_exact(arity) {
+            let is_new = relation.insert_ids(row);
+            if let Some(observer) = observer.as_deref_mut() {
+                observer(plan_idx, row, is_new);
+            }
+            new += usize::from(is_new);
+        }
+    }
+    new
 }
 
 impl FixpointRunner {
@@ -457,10 +503,19 @@ impl FixpointRunner {
     /// quantity: tombstoned removals leave them in place, so rows inserted
     /// after a mark always have ids `>=` it.
     pub fn marks(&self, db: &Database) -> Vec<usize> {
-        self.tracked
-            .iter()
-            .map(|p| db.relation(p).map_or(0, Relation::watermark))
-            .collect()
+        let mut marks = Vec::new();
+        self.marks_into(db, &mut marks);
+        marks
+    }
+
+    /// [`FixpointRunner::marks`] into a recycled vector.
+    fn marks_into(&self, db: &Database, marks: &mut Vec<usize>) {
+        marks.clear();
+        marks.extend(
+            self.tracked
+                .iter()
+                .map(|p| db.relation(p).map_or(0, Relation::watermark)),
+        );
     }
 
     /// Create relations for every predicate of the program (so missing base
@@ -569,14 +624,7 @@ impl FixpointRunner {
             1
         };
         for shard in 0..shards {
-            let mut task = spare.pop().unwrap_or_else(|| EvalTask {
-                plan_idx: 0,
-                variant: None,
-                windows: Vec::new(),
-                out: Vec::new(),
-                counters: JoinCounters::default(),
-                error: None,
-            });
+            let mut task = spare.pop().unwrap_or_default();
             debug_assert!(task.windows.is_empty() && task.out.is_empty());
             task.plan_idx = plan_idx;
             task.variant = variant;
@@ -619,11 +667,14 @@ impl FixpointRunner {
     }
 
     /// Insert one plan's merged shard outputs into its head relation, in
-    /// task order, returning the number of new facts.  This is the body of
+    /// task order, returning the number of new facts; every row is also
+    /// shown to `observer`, when one is installed.  This is the body of
     /// the per-relation merge — identical work whether it runs on the
     /// caller's thread or fanned out (relations are disjoint across merge
     /// tasks, and a relation's rows always land in plan-then-task order,
     /// so row ids and dedup outcomes cannot depend on the thread count).
+    /// The caller folds the counts into the stats once per plan
+    /// ([`EvalStats::record_firings`]).
     fn merge_plan_outputs(
         &self,
         relation: &mut Relation,
@@ -631,23 +682,11 @@ impl FixpointRunner {
         matches: usize,
         tasks: &[EvalTask],
         tasks_by_plan: &[Vec<usize>],
+        observer: Option<ObserverRef<'_, '_>>,
     ) -> usize {
         let arity = self.plans[plan_idx].head_terms.len();
-        if arity == 0 {
-            // A zero-arity head (fully bound magic/answer predicate)
-            // leaves the flat buffers empty; every match fires the empty
-            // row, of which at most the first is new.
-            return usize::from(matches > 0 && relation.insert_ids(&[]));
-        }
-        let mut new = 0;
-        for &t in &tasks_by_plan[plan_idx] {
-            for row in tasks[t].out.chunks_exact(arity) {
-                if relation.insert_ids(row) {
-                    new += 1;
-                }
-            }
-        }
-        new
+        let outputs = tasks_by_plan[plan_idx].iter().map(|&t| &tasks[t].out[..]);
+        insert_fired_rows(relation, plan_idx, arity, matches, outputs, observer)
     }
 
     /// Evaluate one task against the (read-only) database.
@@ -656,7 +695,14 @@ impl FixpointRunner {
             Some(nth) => &self.delta_plans[task.plan_idx][nth].plan,
             None => &self.plans[task.plan_idx],
         };
-        match evaluate_rule_windows(plan, db, &task.windows, &self.limits, &mut task.out) {
+        match evaluate_rule_scratch(
+            plan,
+            db,
+            &task.windows,
+            &self.limits,
+            &mut task.scratch,
+            &mut task.out,
+        ) {
             Ok(counters) => task.counters = counters,
             Err(e) => task.error = Some(e),
         }
@@ -686,7 +732,6 @@ impl FixpointRunner {
             }
             return self.fixpoint_stratified(db, stats, observer);
         }
-        let base_facts = db.total_facts();
         let started = std::time::Instant::now();
         let seeded = seed_marks.is_some();
         let first_iteration_at = stats.iterations + 1;
@@ -696,6 +741,13 @@ impl FixpointRunner {
             Some(marks) => marks,
             None => self.marks(db),
         };
+        // The current extents (recycled; swapped into `prev_marks` at the
+        // end of every iteration).
+        let mut cur_marks: Vec<usize> = Vec::with_capacity(prev_marks.len());
+        // Facts this call has derived.  Nothing else writes `db` while the
+        // loop runs, so this is `db.total_facts()` minus its value on
+        // entry — without walking every relation once per iteration.
+        let mut derived = 0usize;
         let threads = self.limits.resolved_threads();
         // The worker pool is spawned lazily, on the first iteration whose
         // batch is actually worth dispatching, and lives until the run
@@ -720,6 +772,9 @@ impl FixpointRunner {
         let mut match_counts: Vec<usize> = vec![0; self.plans.len()];
         // Reusable window scratch.
         let mut windows: Vec<DeltaWindow> = Vec::new();
+        // (plan_idx, body-match count) of every plan with work this
+        // iteration, in plan order (recycled).
+        let mut work: Vec<(usize, usize)> = Vec::new();
 
         loop {
             stats.iterations += 1;
@@ -736,7 +791,7 @@ impl FixpointRunner {
             // Snapshot the current extents: rows in [prev_mark, cur_mark)
             // form the delta of the previous iteration (or the seeds, on
             // the first iteration of a resume).
-            let cur_marks: Vec<usize> = self.marks(db);
+            self.marks_into(db, &mut cur_marks);
 
             let full_first = !seeded && stats.iterations == first_iteration_at;
             let use_delta = self.scheme == IterationScheme::SemiNaive && !full_first;
@@ -874,9 +929,7 @@ impl FixpointRunner {
             // observer needs the per-row sequential path. ----
             let mut new_facts = 0usize;
             if produced {
-                // (plan_idx, body-match count) for every plan with work, in
-                // plan order, and the group boundaries by head predicate.
-                let mut work: Vec<(usize, usize)> = Vec::new();
+                work.clear();
                 let mut insert_rows = 0usize;
                 for (plan_idx, count) in match_counts.iter_mut().enumerate() {
                     let matches = std::mem::take(count);
@@ -887,27 +940,26 @@ impl FixpointRunner {
                         work.push((plan_idx, matches));
                     }
                 }
-                let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
-                let mut heads: Vec<&PredName> = Vec::new();
-                for &(plan_idx, matches) in &work {
-                    let head = &self.plans[plan_idx].head_pred;
-                    match heads.iter().position(|&h| h == head) {
-                        Some(g) => groups[g].push((plan_idx, matches)),
-                        None => {
-                            heads.push(head);
-                            groups.push(vec![(plan_idx, matches)]);
-                        }
-                    }
-                }
                 // The parallel path needs per-row observer calls out of the
                 // way (the incremental layer's support counting is a
                 // sequential `&mut` closure) and enough disjoint relations
-                // and rows to amortize the dispatch.
-                if observer.is_none()
-                    && threads > 1
-                    && heads.len() > 1
-                    && insert_rows >= PARALLEL_MIN_WORK
-                {
+                // and rows to amortize the dispatch; the grouping by head
+                // predicate is only built once the cheap tests pass.
+                let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
+                let mut heads: Vec<&PredName> = Vec::new();
+                if observer.is_none() && threads > 1 && insert_rows >= PARALLEL_MIN_WORK {
+                    for &(plan_idx, matches) in &work {
+                        let head = &self.plans[plan_idx].head_pred;
+                        match heads.iter().position(|&h| h == head) {
+                            Some(g) => groups[g].push((plan_idx, matches)),
+                            None => {
+                                heads.push(head);
+                                groups.push(vec![(plan_idx, matches)]);
+                            }
+                        }
+                    }
+                }
+                if heads.len() > 1 {
                     // Resolve (creating if absent) every head relation
                     // first, exactly like the sequential path would, then
                     // take provably disjoint `&mut` borrows of them.
@@ -918,7 +970,7 @@ impl FixpointRunner {
                     let mut merge_tasks: Vec<MergeTask<'_>> = db
                         .relations_mut_disjoint(&heads)
                         .into_iter()
-                        .zip(std::mem::take(&mut groups))
+                        .zip(groups)
                         .map(|(relation, plans)| MergeTask {
                             new_by_plan: vec![0; plans.len()],
                             relation,
@@ -942,6 +994,7 @@ impl FixpointRunner {
                                 matches,
                                 tasks_read,
                                 by_plan_read,
+                                None,
                             );
                         }
                     });
@@ -962,37 +1015,17 @@ impl FixpointRunner {
                         // All rows of one plan belong to its head predicate:
                         // resolve the relation once and insert the packed
                         // chunks directly — no per-fact allocation or clone.
-                        let arity = plan.head_terms.len();
-                        let relation = db.relation_mut(&plan.head_pred, arity);
-                        if arity == 0 {
-                            // A zero-arity head (fully bound magic/answer
-                            // predicate) leaves the flat buffers empty; every
-                            // match fires the empty row, of which at most the
-                            // first is new.
-                            for nth in 0..matches {
-                                let is_new = nth == 0 && relation.insert_ids(&[]);
-                                if let Some(observer) = observer.as_deref_mut() {
-                                    observer(plan_idx, &[], is_new);
-                                }
-                                stats.record_firing(plan.rule_idx, &plan.head_pred, is_new);
-                                if is_new {
-                                    new_facts += 1;
-                                }
-                            }
-                            continue;
-                        }
-                        for &t in &tasks_by_plan[plan_idx] {
-                            for row in tasks[t].out.chunks_exact(arity) {
-                                let is_new = relation.insert_ids(row);
-                                if let Some(observer) = observer.as_deref_mut() {
-                                    observer(plan_idx, row, is_new);
-                                }
-                                stats.record_firing(plan.rule_idx, &plan.head_pred, is_new);
-                                if is_new {
-                                    new_facts += 1;
-                                }
-                            }
-                        }
+                        let relation = db.relation_mut(&plan.head_pred, plan.head_terms.len());
+                        let new = self.merge_plan_outputs(
+                            relation,
+                            plan_idx,
+                            matches,
+                            &tasks,
+                            &tasks_by_plan,
+                            observer.as_deref_mut(),
+                        );
+                        stats.record_firings(plan.rule_idx, &plan.head_pred, matches, new);
+                        new_facts += new;
                     }
                 }
             }
@@ -1005,7 +1038,8 @@ impl FixpointRunner {
                 task.windows.clear();
                 spare.push(task);
             }
-            if db.total_facts() - base_facts > self.limits.max_facts {
+            derived += new_facts;
+            if derived > self.limits.max_facts {
                 return Err(EvalError::FactLimit {
                     limit: self.limits.max_facts,
                 });
@@ -1013,7 +1047,7 @@ impl FixpointRunner {
             if new_facts == 0 {
                 break;
             }
-            prev_marks = cur_marks;
+            std::mem::swap(&mut prev_marks, &mut cur_marks);
         }
         Ok(())
     }
@@ -1056,8 +1090,10 @@ impl FixpointRunner {
                 });
             }
         }
-        let base_facts = db.total_facts();
         let started = std::time::Instant::now();
+        // Facts this call has derived (see `fixpoint`).
+        let mut derived = 0usize;
+        let mut join_scratch = JoinScratch::default();
         let mut scratch: Vec<ValId> = Vec::new();
         let mut windows: Vec<DeltaWindow> = Vec::new();
         // Per-iteration evaluation outputs, in rule order:
@@ -1072,10 +1108,17 @@ impl FixpointRunner {
             // then start from the folded rows.
             for &plan_idx in &stratum.rules {
                 if self.plans[plan_idx].rule.aggregate.is_some() {
-                    self.run_aggregate_rule(plan_idx, db, stats, &mut observer, &mut scratch)?;
+                    derived += self.run_aggregate_rule(
+                        plan_idx,
+                        db,
+                        stats,
+                        &mut observer,
+                        &mut join_scratch,
+                        &mut scratch,
+                    )?;
                 }
             }
-            if db.total_facts() - base_facts > self.limits.max_facts {
+            if derived > self.limits.max_facts {
                 return Err(EvalError::FactLimit {
                     limit: self.limits.max_facts,
                 });
@@ -1095,6 +1138,7 @@ impl FixpointRunner {
             // windows only ever select this stratum's new rows.
             let mut first = true;
             let mut prev_marks = self.marks(db);
+            let mut cur_marks = Vec::with_capacity(prev_marks.len());
             loop {
                 stats.iterations += 1;
                 if stats.iterations > self.limits.max_iterations {
@@ -1107,7 +1151,7 @@ impl FixpointRunner {
                         return Err(EvalError::TimeLimit { limit: max_wall });
                     }
                 }
-                let cur_marks = self.marks(db);
+                self.marks_into(db, &mut cur_marks);
                 let use_delta = self.scheme == IterationScheme::SemiNaive && !first;
                 for &plan_idx in &plain {
                     let plan = &self.plans[plan_idx];
@@ -1137,15 +1181,27 @@ impl FixpointRunner {
                                 to,
                             });
                             let mut buf = spare.pop().unwrap_or_default();
-                            let counters =
-                                evaluate_rule_windows(plan, db, &windows, &self.limits, &mut buf)?;
+                            let counters = evaluate_rule_scratch(
+                                plan,
+                                db,
+                                &windows,
+                                &self.limits,
+                                &mut join_scratch,
+                                &mut buf,
+                            )?;
                             stats.join_probes += counters.probes;
                             outputs.push((plan_idx, buf, counters.matches));
                         }
                     } else {
                         let mut buf = spare.pop().unwrap_or_default();
-                        let counters =
-                            evaluate_rule_windows(plan, db, &[], &self.limits, &mut buf)?;
+                        let counters = evaluate_rule_scratch(
+                            plan,
+                            db,
+                            &[],
+                            &self.limits,
+                            &mut join_scratch,
+                            &mut buf,
+                        )?;
                         stats.join_probes += counters.probes;
                         outputs.push((plan_idx, buf, counters.matches));
                     }
@@ -1153,38 +1209,24 @@ impl FixpointRunner {
                 // Insert phase, in rule order (mirrors the sequential path
                 // of the parallel loop above).
                 let mut new_facts = 0usize;
-                for (plan_idx, buf, matches) in outputs.drain(..) {
+                for (plan_idx, mut buf, matches) in outputs.drain(..) {
                     let plan = &self.plans[plan_idx];
                     let arity = plan.head_terms.len();
-                    let relation = db.relation_mut(&plan.head_pred, arity);
-                    if arity == 0 {
-                        for nth in 0..matches {
-                            let is_new = nth == 0 && relation.insert_ids(&[]);
-                            if let Some(observer) = observer.as_deref_mut() {
-                                observer(plan_idx, &[], is_new);
-                            }
-                            stats.record_firing(plan.rule_idx, &plan.head_pred, is_new);
-                            if is_new {
-                                new_facts += 1;
-                            }
-                        }
-                    } else {
-                        for row in buf.chunks_exact(arity) {
-                            let is_new = relation.insert_ids(row);
-                            if let Some(observer) = observer.as_deref_mut() {
-                                observer(plan_idx, row, is_new);
-                            }
-                            stats.record_firing(plan.rule_idx, &plan.head_pred, is_new);
-                            if is_new {
-                                new_facts += 1;
-                            }
-                        }
-                    }
-                    let mut buf = buf;
+                    let new = insert_fired_rows(
+                        db.relation_mut(&plan.head_pred, arity),
+                        plan_idx,
+                        arity,
+                        matches,
+                        std::iter::once(&buf[..]),
+                        observer.as_deref_mut(),
+                    );
+                    stats.record_firings(plan.rule_idx, &plan.head_pred, matches, new);
+                    new_facts += new;
                     buf.clear();
                     spare.push(buf);
                 }
-                if db.total_facts() - base_facts > self.limits.max_facts {
+                derived += new_facts;
+                if derived > self.limits.max_facts {
                     return Err(EvalError::FactLimit {
                         limit: self.limits.max_facts,
                     });
@@ -1192,7 +1234,7 @@ impl FixpointRunner {
                 if new_facts == 0 {
                     break;
                 }
-                prev_marks = cur_marks;
+                std::mem::swap(&mut prev_marks, &mut cur_marks);
                 first = false;
             }
         }
@@ -1203,15 +1245,17 @@ impl FixpointRunner {
     /// reduction: a single full evaluation of the positive body (its
     /// inputs are finished lower strata), distinct `(group, value)` pairs
     /// under set semantics, then one folded output row per group.  Groups
-    /// are folded and inserted in deterministic id order.
+    /// are folded and inserted in deterministic id order.  Returns the
+    /// number of new facts.
     fn run_aggregate_rule(
         &self,
         plan_idx: usize,
         db: &mut Database,
         stats: &mut EvalStats,
         observer: &mut Option<FiringObserver<'_>>,
+        join_scratch: &mut JoinScratch,
         scratch: &mut Vec<ValId>,
-    ) -> Result<(), EvalError> {
+    ) -> Result<usize, EvalError> {
         let plan = &self.plans[plan_idx];
         let agg = plan
             .rule
@@ -1220,7 +1264,7 @@ impl FixpointRunner {
             .expect("run_aggregate_rule requires an aggregate plan");
         let arity = plan.head_terms.len();
         scratch.clear();
-        let counters = evaluate_rule_windows(plan, db, &[], &self.limits, scratch)?;
+        let counters = evaluate_rule_scratch(plan, db, &[], &self.limits, join_scratch, scratch)?;
         stats.join_probes += counters.probes;
         // Distinct values per group: a value derived through two body
         // instantiations counts (and sums) once.  An empty body yields no
@@ -1238,6 +1282,7 @@ impl FixpointRunner {
         scratch.clear();
         let relation = db.relation_mut(&plan.head_pred, arity);
         let mut row = vec![ValId::NULL; arity];
+        let mut new = 0;
         for (key, values) in &groups {
             let result = match agg.func {
                 AggFunc::Count => ValId::from_int(values.len() as i64),
@@ -1273,9 +1318,10 @@ impl FixpointRunner {
             if let Some(observer) = observer.as_deref_mut() {
                 observer(plan_idx, &row, is_new);
             }
-            stats.record_firing(plan.rule_idx, &plan.head_pred, is_new);
+            new += usize::from(is_new);
         }
-        Ok(())
+        stats.record_firings(plan.rule_idx, &plan.head_pred, groups.len(), new);
+        Ok(new)
     }
 }
 

@@ -8,9 +8,13 @@
 //! * bindings live in a flat frame of interned [`ValId`]s indexed by slot
 //!   id — binding a variable copies four bytes, comparing a constant is a
 //!   `u32` compare;
+//! * each body atom is bound once per rule evaluation to its relation, a
+//!   borrowed index handle and its delta window — an atom visit names no
+//!   predicate and no position pattern;
 //! * index probes borrow the relation's id slice — no `to_vec()` copies;
-//! * the semi-naive delta window is applied by binary-searching the
-//!   (ascending) id slice — no per-id filtering;
+//! * the semi-naive delta window is sliced off the *tail* of the
+//!   (ascending) id slice — no per-id filtering, and no search over the
+//!   old rows a delta never reaches (see `window_slice`);
 //! * backtracking truncates a shared trail of slot ids — no per-term
 //!   `vars()` vectors;
 //! * output rows are appended to a **flat** `Vec<ValId>` buffer
@@ -18,8 +22,9 @@
 //!   clones anywhere between the stored relation and the inserted fact.
 //!
 //! The only remaining per-row work is the check-term matches themselves and
-//! the recursion; the only allocations are one frame, one trail and one key
-//! buffer per atom, all hoisted to `evaluate_rule` entry and reused.
+//! the recursion; the frame, trail and key buffer live in a `JoinScratch`
+//! the fixpoint loop keeps per task slot, so a steady-state rule
+//! evaluation allocates only its (small) vector of bound atoms.
 //!
 //! # Entry points
 //!
@@ -46,9 +51,9 @@
 
 use crate::error::EvalError;
 use crate::limits::Limits;
-use crate::plan::RulePlan;
-use magic_datalog::{Frame, Trail, ValId};
-use magic_storage::{Database, DatabaseView, Relation};
+use crate::plan::{AtomPlan, RulePlan};
+use magic_datalog::{Frame, PredName, Trail, ValId};
+use magic_storage::{Database, DatabaseView, IndexRef, Relation};
 
 /// Restriction of one body occurrence to a "delta" window of its relation
 /// (row ids in `from..to`), used by semi-naive evaluation.
@@ -72,18 +77,56 @@ pub struct JoinCounters {
     pub matches: usize,
 }
 
+/// The join's reusable buffers.  A rule evaluation allocates nothing once
+/// these have grown to the plan's size, so the fixpoint loop keeps one per
+/// task slot and hands it back in every iteration.
+#[derive(Debug, Default)]
+pub(crate) struct JoinScratch {
+    /// Variable bindings, one slot per plan variable.
+    frame: Frame,
+    /// Slots bound since the enclosing probe (unwound on backtrack).
+    trail: Trail,
+    /// The index key (or negated row) under construction.  One buffer
+    /// serves every depth: a key is consumed by its probe before the join
+    /// descends.
+    key: Vec<ValId>,
+    /// The chosen row id per depth (only kept for id-reporting sinks).
+    chosen: Vec<usize>,
+}
+
+impl JoinScratch {
+    /// An all-unbound frame of `plan`'s size and empty stacks.
+    fn reset(&mut self, plan: &RulePlan) {
+        self.frame.clear();
+        self.frame.resize(plan.num_slots, ValId::NULL);
+        self.trail.clear();
+        self.chosen.clear();
+    }
+}
+
+/// One positive body atom, bound to the database for one rule evaluation:
+/// everything `descend` needs at this depth, resolved once up front instead
+/// of once per atom visit.
+struct BoundAtom<'a> {
+    plan: &'a AtomPlan,
+    relation: &'a Relation,
+    /// The index on the atom's key positions (`None`: the atom has no key
+    /// and scans, or — outside the evaluator, which ensures every access
+    /// path — no index exists and the probe falls back to a filtered scan).
+    index: Option<IndexRef<'a>>,
+    /// The delta window on this occurrence, if any.
+    window: Option<DeltaWindow>,
+}
+
 /// Shared, read-only state of one rule evaluation.
 struct JoinCtx<'a> {
     plan: &'a RulePlan,
-    /// The relation of each body atom, resolved once (`None` = no relation
-    /// stored, i.e. empty).
-    relations: Vec<&'a Relation>,
+    /// The positive body atoms by depth.
+    atoms: Vec<BoundAtom<'a>>,
     /// The relation of each negated atom (`None` = absent = empty, so the
     /// negation trivially holds).  Under stratified scheduling these are
     /// *finished* lower-stratum relations.
     neg_relations: Vec<Option<&'a Relation>>,
-    /// Per-occurrence delta windows (at most one per body occurrence).
-    windows: &'a [DeltaWindow],
     limits: &'a Limits,
 }
 
@@ -176,7 +219,25 @@ impl MatchSink for CountSink {
     }
 }
 
-/// Resolve and arity-check each body atom's relation.
+/// Resolve and arity-check the relation an atom of `rule_arity` reads.
+fn resolve_relation<'a>(
+    db: DatabaseView<'a>,
+    pred: &PredName,
+    rule_arity: usize,
+) -> Result<Option<&'a Relation>, EvalError> {
+    let relation = db.relation(pred);
+    match relation {
+        Some(relation) if relation.arity() != rule_arity => Err(EvalError::ArityMismatch {
+            predicate: pred.to_string(),
+            rule_arity,
+            stored_arity: relation.arity(),
+        }),
+        _ => Ok(relation),
+    }
+}
+
+/// Bind each positive body atom to its relation, index handle and delta
+/// window.
 ///
 /// Arity mismatches between a body atom and its stored relation are
 /// reported eagerly, even for atoms an empty earlier atom would have kept
@@ -184,93 +245,54 @@ impl MatchSink for CountSink {
 /// disagree about a predicate; failing deterministically beats failing
 /// only when the data happens to reach the inconsistent atom.  Returns
 /// `None` when some relation is absent (the body cannot match).
-fn resolve_relations<'a>(
-    plan: &RulePlan,
+fn bind_atoms<'a>(
+    plan: &'a RulePlan,
     db: DatabaseView<'a>,
-) -> Result<Option<Vec<&'a Relation>>, EvalError> {
-    let mut resolved = Vec::with_capacity(plan.atoms.len());
-    for atom in &plan.atoms {
-        let relation = db.relation(&atom.pred);
-        if let Some(relation) = relation {
-            if relation.arity() != atom.arity {
-                return Err(EvalError::ArityMismatch {
-                    predicate: atom.pred.to_string(),
-                    rule_arity: atom.arity,
-                    stored_arity: relation.arity(),
-                });
-            }
+    windows: &[DeltaWindow],
+) -> Result<Option<Vec<BoundAtom<'a>>>, EvalError> {
+    let mut bound = Vec::with_capacity(plan.atoms.len());
+    for (depth, atom) in plan.atoms.iter().enumerate() {
+        if let Some(relation) = resolve_relation(db, &atom.pred, atom.arity)? {
+            bound.push(BoundAtom {
+                plan: atom,
+                relation,
+                index: relation.index_ref(&atom.key_positions),
+                window: windows.iter().find(|w| w.occurrence == depth).copied(),
+            });
         }
-        resolved.push(relation);
     }
-    Ok(resolved.into_iter().collect())
+    Ok((bound.len() == plan.atoms.len()).then_some(bound))
 }
 
-/// Resolve and arity-check the negated atoms' relations.  An absent
-/// relation is kept as `None`: the complement of an empty relation always
-/// holds, so it must not abort the join the way an absent positive
-/// relation does.
-fn resolve_neg_relations<'a>(
-    plan: &RulePlan,
-    db: DatabaseView<'a>,
-) -> Result<Vec<Option<&'a Relation>>, EvalError> {
-    let mut resolved = Vec::with_capacity(plan.neg_atoms.len());
-    for atom in &plan.neg_atoms {
-        let relation = db.relation(&atom.pred);
-        if let Some(relation) = relation {
-            if relation.arity() != atom.arity {
-                return Err(EvalError::ArityMismatch {
-                    predicate: atom.pred.to_string(),
-                    rule_arity: atom.arity,
-                    stored_arity: relation.arity(),
-                });
-            }
-        }
-        resolved.push(relation);
-    }
-    Ok(resolved)
-}
-
-/// Drive the join for `plan` with the given sink over a pre-bound frame.
+/// Drive the join for `plan` with the given sink over the (pre-bound)
+/// frame of `scratch`.
 fn run_join<S: MatchSink>(
     plan: &RulePlan,
     db: &Database,
     windows: &[DeltaWindow],
     limits: &Limits,
-    frame: &mut Frame,
-    trail: &mut Trail,
+    scratch: &mut JoinScratch,
     sink: &mut S,
 ) -> Result<JoinCounters, EvalError> {
     let mut counters = JoinCounters::default();
-    let neg_relations = resolve_neg_relations(plan, db.view())?;
-    let Some(relations) = resolve_relations(plan, db.view())? else {
+    // Resolve the negated atoms' relations.  An absent relation is kept as
+    // `None`: the complement of an empty relation always holds, so it must
+    // not abort the join the way an absent positive relation does.
+    let neg_relations = plan
+        .neg_atoms
+        .iter()
+        .map(|atom| resolve_relation(db.view(), &atom.pred, atom.arity))
+        .collect::<Result<_, _>>()?;
+    let Some(atoms) = bind_atoms(plan, db.view(), windows)? else {
         return Ok(counters);
     };
     let ctx = JoinCtx {
         plan,
-        relations,
+        atoms,
         neg_relations,
-        windows,
         limits,
     };
-    // One reusable key buffer per positive atom, plus one scratch row per
-    // negated atom (used by the anti-join probe at full depth).
-    let mut keys: Vec<Vec<ValId>> = plan
-        .atoms
-        .iter()
-        .map(|a| Vec::with_capacity(a.key_terms.len()))
-        .chain(plan.neg_atoms.iter().map(|a| Vec::with_capacity(a.arity)))
-        .collect();
-    let mut chosen: Vec<usize> = Vec::new();
-    descend(
-        &ctx,
-        0,
-        frame,
-        trail,
-        &mut keys,
-        &mut chosen,
-        sink,
-        &mut counters,
-    )?;
+    descend(&ctx, 0, scratch, sink, &mut counters)?;
     Ok(counters)
 }
 
@@ -306,10 +328,21 @@ pub fn evaluate_rule_windows(
     limits: &Limits,
     out: &mut Vec<ValId>,
 ) -> Result<JoinCounters, EvalError> {
-    let mut frame: Frame = vec![ValId::NULL; plan.num_slots];
-    let mut trail: Trail = Vec::new();
-    let mut sink = RowSink { out };
-    run_join(plan, db, windows, limits, &mut frame, &mut trail, &mut sink)
+    evaluate_rule_scratch(plan, db, windows, limits, &mut JoinScratch::default(), out)
+}
+
+/// [`evaluate_rule_windows`] over caller-owned buffers: the form the
+/// fixpoint loop calls, once per task per iteration.
+pub(crate) fn evaluate_rule_scratch(
+    plan: &RulePlan,
+    db: &Database,
+    windows: &[DeltaWindow],
+    limits: &Limits,
+    scratch: &mut JoinScratch,
+    out: &mut Vec<ValId>,
+) -> Result<JoinCounters, EvalError> {
+    scratch.reset(plan);
+    run_join(plan, db, windows, limits, scratch, &mut RowSink { out })
 }
 
 /// Evaluate one rule and hand every match to `visit` together with the
@@ -324,13 +357,13 @@ pub fn evaluate_rule_visit(
     limits: &Limits,
     visit: &mut dyn FnMut(&[ValId], &[usize]),
 ) -> Result<JoinCounters, EvalError> {
-    let mut frame: Frame = vec![ValId::NULL; plan.num_slots];
-    let mut trail: Trail = Vec::new();
+    let mut scratch = JoinScratch::default();
+    scratch.reset(plan);
     let mut sink = VisitSink {
         visit,
         row: Vec::with_capacity(plan.head_terms.len()),
     };
-    run_join(plan, db, windows, limits, &mut frame, &mut trail, &mut sink)
+    run_join(plan, db, windows, limits, &mut scratch, &mut sink)
 }
 
 /// The head-bound join: count the body instantiations of `plan` (against
@@ -352,15 +385,14 @@ pub fn count_derivations(
     if plan.head_terms.len() != row.len() {
         return Ok(0);
     }
-    let mut frame: Frame = vec![ValId::NULL; plan.num_slots];
-    let mut trail: Trail = Vec::new();
+    let mut scratch = JoinScratch::default();
+    scratch.reset(plan);
     for (term, value) in plan.head_terms.iter().zip(row) {
-        if !term.match_value_slots(*value, &mut frame, &mut trail) {
+        if !term.match_value_slots(*value, &mut scratch.frame, &mut scratch.trail) {
             return Ok(0);
         }
     }
-    let mut sink = CountSink;
-    let counters = run_join(plan, db, &[], limits, &mut frame, &mut trail, &mut sink)?;
+    let counters = run_join(plan, db, &[], limits, &mut scratch, &mut CountSink)?;
     Ok(counters.matches)
 }
 
@@ -399,77 +431,83 @@ fn window_range(len: usize, window: Option<DeltaWindow>) -> std::ops::Range<usiz
     }
 }
 
-/// Slice the (ascending) id list down to a delta window by binary search.
+/// Slice an index id list down to a delta window, anchored at the tail.
+///
+/// Relies on the storage invariant *index ids ascend, deltas are
+/// suffixes*: rows are append-only, so a semi-naive delta `from..to` is
+/// the newest stretch of row-id space and `to` is (nearly always) past
+/// the list's last id.  The common outcomes are then decided where the
+/// list ends: the last id is below `from` (no delta rows under this key —
+/// one comparison), or the delta is the short run that a backwards gallop
+/// from the end brackets in O(log |delta|) steps over the cache lines
+/// already touched.  Only a window whose `to` cuts below the last id (the
+/// *old-rows* windows of the disjoint discipline, and lead shards) pays a
+/// binary search for its upper end.
 fn window_slice(ids: &[usize], window: Option<DeltaWindow>) -> &[usize] {
-    match window {
-        None => ids,
-        Some(w) => {
-            let lo = ids.partition_point(|&id| id < w.from);
-            let hi = ids.partition_point(|&id| id < w.to);
-            &ids[lo..hi]
-        }
+    let Some(w) = window else {
+        return ids;
+    };
+    let Some(&last) = ids.last() else {
+        return ids;
+    };
+    if last < w.from {
+        return &[];
     }
+    let ids = if last < w.to {
+        ids
+    } else {
+        &ids[..ids.partition_point(|&id| id < w.to)]
+    };
+    if w.from == 0 {
+        return ids;
+    }
+    // Gallop: `ids[lo..]` is known to be `>= from`; double the step back
+    // until an id below `from` (or the front) is passed, then pin the
+    // boundary inside that last step.
+    let mut lo = ids.len();
+    let mut step = 1;
+    while step <= lo && ids[lo - step] >= w.from {
+        lo -= step;
+        step *= 2;
+    }
+    let floor = lo.saturating_sub(step);
+    &ids[floor + ids[floor..lo].partition_point(|&id| id < w.from)..]
 }
 
-#[allow(clippy::too_many_arguments)]
 fn descend<S: MatchSink>(
     ctx: &JoinCtx<'_>,
     depth: usize,
-    frame: &mut Frame,
-    trail: &mut Trail,
-    keys: &mut [Vec<ValId>],
-    chosen: &mut Vec<usize>,
+    scratch: &mut JoinScratch,
     sink: &mut S,
     counters: &mut JoinCounters,
 ) -> Result<(), EvalError> {
-    if depth == ctx.plan.atoms.len() {
+    let Some(atom) = ctx.atoms.get(depth) else {
         // Anti-join: a satisfied positive body only counts as a match if no
         // negated atom's (fully bound) row is present in its relation.
-        for (j, neg) in ctx.plan.neg_atoms.iter().enumerate() {
-            let key = &mut keys[ctx.plan.atoms.len() + j];
-            key.clear();
+        for (neg, relation) in ctx.plan.neg_atoms.iter().zip(&ctx.neg_relations) {
+            scratch.key.clear();
             for term in &neg.terms {
-                let v = term.eval_slots(frame);
+                let v = term.eval_slots(&scratch.frame);
                 if v.is_null() {
                     return Err(EvalError::UnsafeNegation {
                         rule: ctx.plan.rule.to_string(),
                     });
                 }
-                key.push(v);
+                scratch.key.push(v);
             }
-            if let Some(relation) = ctx.neg_relations[j] {
+            if let Some(relation) = relation {
                 counters.probes += 1;
-                if relation.contains_ids(key) {
+                if relation.contains_ids(&scratch.key) {
                     return Ok(());
                 }
             }
         }
         counters.matches += 1;
-        return sink.emit(ctx, frame, chosen);
-    }
+        return sink.emit(ctx, &scratch.frame, &scratch.chosen);
+    };
+    let relation = atom.relation;
 
-    let atom = &ctx.plan.atoms[depth];
-    let relation = ctx.relations[depth];
-
-    // Compute the index key from the evaluable positions — once per atom
-    // visit, not per candidate row.
-    {
-        let key = &mut keys[depth];
-        key.clear();
-        for term in &atom.key_terms {
-            let v = term.eval_slots(frame);
-            // A key term that fails to evaluate (e.g. a linear expression
-            // over a non-integer) simply cannot match anything.
-            if v.is_null() {
-                return Ok(());
-            }
-            key.push(v);
-        }
-    }
-
-    let window = ctx.windows.iter().find(|w| w.occurrence == depth).copied();
-
-    if atom.key_positions.is_empty() {
+    if atom.plan.key_positions.is_empty() {
         // No evaluable positions: scan the (windowed) relation directly.
         // The scan ranges over row-id space up to the watermark; tombstoned
         // slots are skipped *before* the probe counter, so removal leaves
@@ -477,32 +515,41 @@ fn descend<S: MatchSink>(
         // liveness test is hoisted behind one well-predicted flag for the
         // common tombstone-free case).
         let has_dead = relation.tombstones() != 0;
-        for id in window_range(relation.watermark(), window) {
+        for id in window_range(relation.watermark(), atom.window) {
             if has_dead && !relation.is_live(id) {
                 continue;
             }
-            probe(
-                ctx, depth, relation, id, frame, trail, keys, chosen, sink, counters,
-            )?;
+            probe(ctx, depth, atom, id, scratch, sink, counters)?;
         }
-    } else {
-        // The borrowed-slice fast path.  `scan_select` only runs when no
-        // index exists on this pattern, which the evaluator prevents by
-        // ensuring indexes for every plan access path up front.  Index id
-        // lists contain live rows only (removal drops ids eagerly).
-        let scanned: Vec<usize>;
-        let ids: &[usize] = match relation.lookup(&atom.key_positions, &keys[depth]) {
-            Some(ids) => ids,
-            None => {
-                scanned = relation.scan_select(&atom.key_positions, &keys[depth]);
-                &scanned
-            }
-        };
-        for &id in window_slice(ids, window) {
-            probe(
-                ctx, depth, relation, id, frame, trail, keys, chosen, sink, counters,
-            )?;
+        return Ok(());
+    }
+
+    // Compute the index key from the evaluable positions — once per atom
+    // visit, not per candidate row.
+    scratch.key.clear();
+    for term in &atom.plan.key_terms {
+        let v = term.eval_slots(&scratch.frame);
+        // A key term that fails to evaluate (e.g. a linear expression
+        // over a non-integer) simply cannot match anything.
+        if v.is_null() {
+            return Ok(());
         }
+        scratch.key.push(v);
+    }
+    // The borrowed-slice fast path.  `scan_select` only runs when no
+    // index exists on this pattern, which the evaluator prevents by
+    // ensuring indexes for every plan access path up front.  Index id
+    // lists contain live rows only (removal drops ids eagerly).
+    let scanned: Vec<usize>;
+    let ids: &[usize] = match atom.index {
+        Some(index) => index.get(&scratch.key),
+        None => {
+            scanned = relation.scan_select(&atom.plan.key_positions, &scratch.key);
+            &scanned
+        }
+    };
+    for &id in window_slice(ids, atom.window) {
+        probe(ctx, depth, atom, id, scratch, sink, counters)?;
     }
     Ok(())
 }
@@ -510,42 +557,38 @@ fn descend<S: MatchSink>(
 /// Examine one candidate row: run the atom's check program against it and
 /// recurse on success.  The frame is unwound through the trail afterwards,
 /// so the caller observes no binding changes.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn probe<S: MatchSink>(
     ctx: &JoinCtx<'_>,
     depth: usize,
-    relation: &Relation,
+    atom: &BoundAtom<'_>,
     id: usize,
-    frame: &mut Frame,
-    trail: &mut Trail,
-    keys: &mut [Vec<ValId>],
-    chosen: &mut Vec<usize>,
+    scratch: &mut JoinScratch,
     sink: &mut S,
     counters: &mut JoinCounters,
 ) -> Result<(), EvalError> {
     counters.probes += 1;
-    let row = relation.row_ids(id);
-    let mark = trail.len();
+    let row = atom.relation.row_ids(id);
+    let mark = scratch.trail.len();
     let mut ok = true;
-    for (pos, term) in &ctx.plan.atoms[depth].check {
+    for (pos, term) in &atom.plan.check {
         // A failed match unwinds its own partial bindings; earlier check
         // terms' bindings are unwound below through the trail mark.
-        if !term.match_value_slots(row[*pos], frame, trail) {
+        if !term.match_value_slots(row[*pos], &mut scratch.frame, &mut scratch.trail) {
             ok = false;
             break;
         }
     }
     if ok {
         if S::NEEDS_IDS {
-            chosen.push(id);
+            scratch.chosen.push(id);
         }
-        descend(ctx, depth + 1, frame, trail, keys, chosen, sink, counters)?;
+        descend(ctx, depth + 1, scratch, sink, counters)?;
         if S::NEEDS_IDS {
-            chosen.pop();
+            scratch.chosen.pop();
         }
     }
-    magic_datalog::slots::unwind(frame, trail, mark);
+    magic_datalog::slots::unwind(&mut scratch.frame, &mut scratch.trail, mark);
     Ok(())
 }
 
@@ -614,8 +657,67 @@ mod tests {
         assert_eq!(out.len() / 2, 2);
     }
 
+    /// What a window means: the ids in `from..to`, by two binary searches.
+    fn window_slice_reference(ids: &[usize], w: DeltaWindow) -> &[usize] {
+        let lo = ids.partition_point(|&id| id < w.from);
+        let hi = ids.partition_point(|&id| id < w.to);
+        &ids[lo..hi]
+    }
+
     #[test]
-    fn delta_window_binary_searches_indexed_ids() {
+    fn tail_anchored_window_slice_matches_the_partition_point_reference() {
+        // SplitMix64, inline: the engine has no dev-dependency to borrow
+        // a generator from.
+        let mut state = 0x5EED_0014_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for case in 0..4000 {
+            // An ascending id list with random gaps (dense, sparse, empty).
+            let len = [0, 1, 2, 3, 17, 64, 300][next(7)];
+            let gap = [1, 2, 9][next(3)];
+            let mut ids = Vec::with_capacity(len);
+            let mut id = next(5);
+            for _ in 0..len {
+                ids.push(id);
+                id += 1 + next(gap);
+            }
+            // A watermark past every id.
+            let end = id + 3;
+            // Several windows per list, as one rule evaluation applies
+            // them: at the tail (`to` past the last id), mid-list, old
+            // rows (`from` 0), `to` below the last id, empty.
+            for _ in 0..6 {
+                let (from, to) = match next(5) {
+                    0 => (next(end + 1), end),
+                    1 => (0, next(end + 1)),
+                    2 => (end, end),
+                    _ => {
+                        let from = next(end + 1);
+                        (from, from + next(end + 1 - from))
+                    }
+                };
+                let w = DeltaWindow {
+                    occurrence: 0,
+                    from,
+                    to,
+                };
+                assert_eq!(
+                    window_slice(&ids, Some(w)),
+                    window_slice_reference(&ids, w),
+                    "case {case}: ids {ids:?}, window {from}..{to}"
+                );
+            }
+            assert_eq!(window_slice(&ids, None), &ids[..]);
+        }
+    }
+
+    #[test]
+    fn delta_window_slices_indexed_ids() {
         // Indexed access path (second atom keyed on Z) with a delta window
         // on the indexed occurrence: the window must slice the id list.
         let rule = parse_rule("grand(X, Z) :- par(X, Y), par(Y, Z).").unwrap();

@@ -31,31 +31,11 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
-    /// Record a successful firing of rule `rule_idx` deriving `pred`;
-    /// `is_new` indicates whether the head fact was new.
-    pub fn record_firing(&mut self, rule_idx: usize, pred: &PredName, is_new: bool) {
-        self.rule_firings += 1;
-        *self.firings_by_rule.entry(rule_idx).or_insert(0) += 1;
-        if is_new {
-            self.facts_derived += 1;
-            // Clone the name only on the first fact of a predicate.
-            if let Some(n) = self.facts_by_pred.get_mut(pred) {
-                *n += 1;
-            } else {
-                self.facts_by_pred.insert(pred.clone(), 1);
-            }
-        } else {
-            self.duplicate_derivations += 1;
-        }
-    }
-
     /// Record `fired` firings of rule `rule_idx` deriving `pred`, `new` of
-    /// which produced new facts — the bulk form of
-    /// [`EvalStats::record_firing`], used by the parallel merge phase to
-    /// fold a whole per-relation insert batch into the counters at once.
-    /// The result is bit-identical to `fired` individual `record_firing`
-    /// calls with `new` of them flagged new, in any order: every counter
-    /// here is a sum.
+    /// which produced new facts.  The fixpoint loop folds one plan's whole
+    /// insert batch of an iteration into the counters with one call.  Every
+    /// counter here is a sum, so splitting a batch over several calls (or
+    /// recording row by row) gives bit-identical totals in any order.
     pub fn record_firings(&mut self, rule_idx: usize, pred: &PredName, fired: usize, new: usize) {
         debug_assert!(new <= fired);
         if fired == 0 {
@@ -144,22 +124,31 @@ mod tests {
         bulk.record_firings(3, &p, 4, 0); // duplicates only: no facts_by_pred entry
         let mut one = EvalStats::default();
         for i in 0..5 {
-            one.record_firing(2, &p, i < 3);
+            one.record_firings(2, &p, 1, usize::from(i < 3));
         }
         for _ in 0..4 {
-            one.record_firing(3, &p, false);
+            one.record_firings(3, &p, 1, 0);
         }
         assert_eq!(bulk, one);
+        assert_eq!(
+            (
+                bulk.rule_firings,
+                bulk.facts_derived,
+                bulk.duplicate_derivations
+            ),
+            (9, 3, 6)
+        );
+        assert_eq!(bulk.facts_by_pred, BTreeMap::from([(p, 3)]));
+        assert_eq!(bulk.firings_by_rule, BTreeMap::from([(2, 5), (3, 4)]));
     }
 
     #[test]
-    fn record_firing_updates_counters() {
+    fn record_firings_updates_counters() {
         let mut s = EvalStats::default();
         let p = PredName::plain("anc");
         let m = PredName::magic("anc", "bf".parse().unwrap());
-        s.record_firing(0, &p, true);
-        s.record_firing(0, &p, false);
-        s.record_firing(1, &m, true);
+        s.record_firings(0, &p, 2, 1);
+        s.record_firings(1, &m, 1, 1);
         assert_eq!(s.rule_firings, 3);
         assert_eq!(s.facts_derived, 2);
         assert_eq!(s.duplicate_derivations, 1);

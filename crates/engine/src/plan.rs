@@ -37,9 +37,9 @@
 //!
 //! The semi-naive delta restriction composes with this machinery by
 //! *slicing* the borrowed id sequence: index id lists are in ascending row-id
-//! order (rows are append-only), so a delta window `[from, to)` is a binary
-//! search, not a per-id filter.  See `crate::join` for the interpreter loop
-//! over these programs.
+//! order (rows are append-only), so a delta window `[from, to)` is a slice
+//! off the list's tail, not a per-id filter.  See `crate::join` for the
+//! interpreter loop over these programs.
 
 use magic_datalog::{PredName, Rule, SlotTerm, Variable};
 use std::collections::BTreeSet;

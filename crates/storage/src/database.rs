@@ -60,9 +60,13 @@ impl Database {
     /// The relation for `pred`, creating an empty one of the given arity if
     /// absent.
     pub fn relation_mut(&mut self, pred: &PredName, arity: usize) -> &mut Relation {
+        // The name is cloned only when the relation has to be created.
+        if !self.relations.contains_key(pred) {
+            self.relations.insert(pred.clone(), Relation::new(arity));
+        }
         self.relations
-            .entry(pred.clone())
-            .or_insert_with(|| Relation::new(arity))
+            .get_mut(pred)
+            .expect("present or just inserted")
     }
 
     /// Mutable access to the relation for `pred`, if present (never

@@ -7,10 +7,28 @@
 //! collision-resistant against adversaries, which is fine for rows of
 //! interned symbols and small integers, and several times faster than
 //! SipHash on short keys.
+//!
+//! # The finalizer
+//!
+//! The multiply-rotate rounds push entropy *upwards*: the low `k` bits of
+//! the state depend only on the low `k` bits of the words fed in.  The
+//! storage layer's narrow index keys are two raw `ValId` words packed
+//! into one `u64`, and a one-column key pads the low word with
+//! `0xFFFF_FFFF` — so the low 32 bits of the raw state are the *same
+//! constant for every key of the index*.  `std`'s table picks its bucket
+//! from the low bits, which put every one-column key into one probe
+//! group: a lookup walked its whole shard.  [`FxHasher::finish`]
+//! therefore folds the state through one widening multiply (high half
+//! xor low half), after which every output bit depends on every state
+//! bit and callers may carve bucket, tag and shard bits out of any part
+//! of the word.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// The finalizer's multiplier (the 64-bit golden-ratio constant; odd).
+const FOLD: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
 
 /// The FxHash state.
 #[derive(Clone, Debug, Default)]
@@ -67,7 +85,8 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let full = u128::from(self.hash) * u128::from(FOLD);
+        (full as u64) ^ ((full >> 64) as u64)
     }
 }
 

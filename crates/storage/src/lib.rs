@@ -19,10 +19,11 @@
 //! A [`Relation`] stores its rows append-only in **chunked pages** of 4096
 //! row slots: row `id` lives in page `id / 4096` at page-local offset
 //! `(id % 4096) × arity`, together with the page's liveness bits.
-//! Duplicate elimination hashes the packed id slice (FxHash over `u32`s)
-//! into a row-hash → row-id table split into 16 shards by hash; secondary
-//! indexes map packed keys to ascending lists of row ids, likewise
-//! sharded.  Index keys of **≤ 2 positions are packed inline into one
+//! Duplicate elimination hashes the packed id slice (FxHash over `u32`s,
+//! finalized so every bit is usable) into an open-addressed table of
+//! `(hash tag, row id)` words — 8 bytes a slot, confirmed against the
+//! stored row — split into 16 shards by hash; secondary indexes map
+//! packed keys to ascending lists of row ids, likewise sharded.  Index keys of **≤ 2 positions are packed inline into one
 //! `u64`** (two inline-tagged `ValId` raw words) — no per-key boxing and
 //! no node-table indirection on the dominant binary-relation workloads.
 //! Nothing on the insert or probe path hashes or clones a `Value`; rows
@@ -96,5 +97,5 @@ pub use magic_datalog::ValId;
 
 pub use database::{Database, DatabaseView};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use relation::{cow_clones, Relation, RelationSnapshot, Row};
+pub use relation::{cow_clones, IndexRef, Relation, RelationSnapshot, Row};
 pub use support::SupportTable;

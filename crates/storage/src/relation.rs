@@ -9,7 +9,7 @@ use crate::fxhash::{FxBuildHasher, FxHashMap};
 use magic_datalog::arena::{decode_row, intern_row};
 use magic_datalog::{ValId, Value};
 use std::collections::HashSet;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,11 +34,15 @@ const SHARD_BITS: usize = 4;
 /// mutated shard instead of the whole thing.
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// The shard a 64-bit row/key hash falls into (its top [`SHARD_BITS`]
-/// bits; the map buckets inside the shard use the low bits).
+/// The shard a 64-bit row/key hash falls into: bits 32..36.  One hash
+/// serves a whole probe — the low 32 bits pick the slot inside the shard
+/// (the dedup table's tag, the index maps' bucket), the top 7 are the
+/// index maps' control tag, and the shard bits overlap neither, so
+/// sharding costs the tables inside a shard no entropy.  (Every bit of a
+/// finalized [`FxHasher`](crate::fxhash::FxHasher) word is well mixed.)
 #[inline]
 fn shard_of(hash: u64) -> usize {
-    (hash >> (64 - SHARD_BITS)) as usize
+    (hash >> 32) as usize & (SHARDS - 1)
 }
 
 /// Process-wide count of copy-on-write unit clones: how many row pages,
@@ -61,9 +65,12 @@ pub fn cow_clones() -> u64 {
 
 /// `Arc::make_mut` with clone accounting: transparently deep-clones the
 /// unit when it is shared (bumping [`cow_clones`]), and is a plain
-/// dereference when it is not.
+/// dereference when it is not.  `make_mut` is the one uniqueness check a
+/// write pays; the count in front of it is a plain load (storage units
+/// never hand out `Weak`s, and `&mut` on the handle keeps the count from
+/// rising underneath us).
 fn cow_mut<T: Clone>(arc: &mut Arc<T>) -> &mut T {
-    if Arc::get_mut(arc).is_none() {
+    if Arc::strong_count(arc) != 1 {
         COW_CLONES.fetch_add(1, Ordering::Relaxed);
     }
     Arc::make_mut(arc)
@@ -92,47 +99,113 @@ impl Page {
     }
 }
 
-/// The row ids sharing one row hash in the dedup table.
+/// A vacant dedup slot that never held an entry: ends a probe sequence.
+const EMPTY: u64 = u64::MAX;
+/// A vacant dedup slot whose entry was removed: probes walk past it,
+/// inserts reuse it.  `EMPTY` and `TOMB` are the two largest words, so
+/// `word < TOMB` is "holds an entry"; row ids stop short of the id halves
+/// of both (see [`MAX_ROWS`]).
+const TOMB: u64 = u64::MAX - 1;
+/// Row-id ceiling: ids are stored as the low half of a dedup word and must
+/// not collide with the vacant-slot sentinels.
+const MAX_ROWS: usize = (TOMB as u32) as usize;
+/// Smallest allocated dedup table (slots).
+const DEDUP_MIN_SLOTS: usize = 8;
+
+/// One copy-on-write shard of the dedup table: an open-addressed,
+/// linearly probed table of `(tag32, id32)` words — 8 bytes per slot, no
+/// per-row allocation, no stored keys.
 ///
-/// Hash collisions between distinct rows are ~nonexistent at 64 bits, so
-/// the common case is a single id stored inline with no heap allocation;
-/// the `Many` spill keeps correctness when a collision does happen.
-#[derive(Clone, Debug)]
-enum HashBucket {
-    One(u32),
-    Many(Vec<u32>),
+/// A word is `tag << 32 | id`: `tag` is the low half of the row hash
+/// (its low bits are the home slot), `id` the row id.  The table stores
+/// no row data; a tag match is confirmed by comparing the candidate
+/// against the row in its page.  Removal leaves a [`TOMB`] so later probe
+/// sequences stay connected; an insert reuses the first tombstone it
+/// walked past, and a rehash (growth, or in place when tombstones crowd
+/// the table) re-homes every entry **from its stored tag** — no row is
+/// re-read or re-hashed.
+#[derive(Clone, Debug, Default)]
+struct DedupShard {
+    /// Power-of-two many slots (or none, before the first insert).
+    slots: Vec<u64>,
+    /// Slots holding an entry.
+    live: usize,
+    /// Slots holding a tombstone.
+    tombs: usize,
 }
 
-impl HashBucket {
-    fn ids(&self) -> &[u32] {
-        match self {
-            HashBucket::One(id) => std::slice::from_ref(id),
-            HashBucket::Many(ids) => ids,
+impl DedupShard {
+    /// Walk the probe sequence of `tag`: `Ok(slot)` of the entry whose row
+    /// `is_row` confirms, or `Err(slot)` of the vacancy an insert of that
+    /// row should take (the first tombstone passed, else the terminating
+    /// empty slot; meaningless while the table is unallocated —
+    /// [`DedupShard::occupy`] re-probes after allocating).
+    #[inline]
+    fn probe(&self, tag: u32, mut is_row: impl FnMut(u32) -> bool) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
         }
-    }
-
-    fn push(&mut self, id: u32) {
-        match self {
-            HashBucket::One(first) => *self = HashBucket::Many(vec![*first, id]),
-            HashBucket::Many(ids) => ids.push(id),
-        }
-    }
-
-    /// Remove `id`; returns `true` when the bucket is now empty.
-    fn remove(&mut self, id: u32) -> bool {
-        match self {
-            HashBucket::One(only) => *only == id,
-            HashBucket::Many(ids) => {
-                ids.retain(|&i| i != id);
-                ids.is_empty()
+        let mask = self.slots.len() - 1;
+        let mut slot = tag as usize & mask;
+        let mut reuse = None;
+        loop {
+            let word = self.slots[slot];
+            if word == EMPTY {
+                return Err(reuse.unwrap_or(slot));
             }
+            if word == TOMB {
+                reuse.get_or_insert(slot);
+            } else if (word >> 32) as u32 == tag && is_row(word as u32) {
+                return Ok(slot);
+            }
+            slot = (slot + 1) & mask;
         }
     }
-}
 
-/// One copy-on-write shard of the dedup table: row hash → ids of live
-/// rows with that hash.
-type DedupShard = FxHashMap<u64, HashBucket>;
+    /// Store `(tag, id)` in `vacancy`, the `Err` slot of a
+    /// [`DedupShard::probe`] for the same tag on this (unchanged) table.
+    /// Taking an empty slot past 3/4 occupancy rehashes first.
+    fn occupy(&mut self, mut vacancy: usize, tag: u32, id: u32) {
+        if self.slots.get(vacancy) == Some(&TOMB) {
+            self.tombs -= 1;
+        } else {
+            if (self.live + self.tombs + 1) * 4 > self.slots.len() * 3 {
+                self.rehash();
+                vacancy = self.probe(tag, |_| false).expect_err("no row is confirmed");
+            }
+            debug_assert_eq!(self.slots[vacancy], EMPTY);
+        }
+        self.slots[vacancy] = u64::from(tag) << 32 | u64::from(id);
+        self.live += 1;
+    }
+
+    /// Drop the entry `(tag, id)`, leaving a tombstone.
+    fn vacate(&mut self, tag: u32, id: u32) {
+        if let Ok(slot) = self.probe(tag, |candidate| candidate == id) {
+            self.slots[slot] = TOMB;
+            self.live -= 1;
+            self.tombs += 1;
+        }
+    }
+
+    /// Rebuild at ≤ 1/2 occupancy for one more entry, dropping every
+    /// tombstone; entries are re-homed from their stored tags.
+    fn rehash(&mut self) {
+        let slots = ((self.live + 1) * 2)
+            .next_power_of_two()
+            .max(DEDUP_MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        let mask = slots - 1;
+        for word in old.into_iter().filter(|&word| word < TOMB) {
+            let mut slot = (word >> 32) as usize & mask;
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = word;
+        }
+        self.tombs = 0;
+    }
+}
 
 /// One copy-on-write shard of a *narrow* index: keys of ≤ 2 positions
 /// packed into a single `u64` (two inline-tagged [`ValId`] raw words, the
@@ -183,10 +256,21 @@ impl ShardedIndex {
         }
     }
 
+    /// The shard `key` lives in.  The hash is the one the shard's own map
+    /// computes for the key (the packed word for narrow keys, the id
+    /// slice for wide ones), so shard and bucket come from one hash.
+    #[inline]
+    fn shard_for(&self, key: &[ValId]) -> usize {
+        shard_of(match self {
+            ShardedIndex::Small(_) => fx_hash(&pack_key2(key)),
+            ShardedIndex::Wide(_) => fx_hash(key),
+        })
+    }
+
     /// Append `id` to the ascending id list of `key` (the incremental
     /// index-maintenance step of an insert).
     fn insert_row(&mut self, key: &[ValId], id: usize) {
-        let shard = shard_of(hash_ids(key));
+        let shard = self.shard_for(key);
         match self {
             ShardedIndex::Small(shards) => {
                 cow_mut(&mut shards[shard])
@@ -222,7 +306,7 @@ impl ShardedIndex {
                 }
             }
         }
-        let shard = shard_of(hash_ids(key));
+        let shard = self.shard_for(key);
         match self {
             ShardedIndex::Small(shards) => {
                 drop_id(cow_mut(&mut shards[shard]), pack_key2(key), id);
@@ -241,14 +325,36 @@ impl ShardedIndex {
         }
     }
 
-    /// The ascending live row ids of `key` (`None` when the key is
-    /// absent — callers render that as the empty slice).
-    fn get(&self, key: &[ValId]) -> Option<&Vec<usize>> {
-        let shard = shard_of(hash_ids(key));
+    /// The ascending live row ids of `key` (empty when the key is absent).
+    #[inline]
+    fn get(&self, key: &[ValId]) -> &[usize] {
+        let shard = self.shard_for(key);
         match self {
             ShardedIndex::Small(shards) => shards[shard].get(&pack_key2(key)),
             ShardedIndex::Wide(shards) => shards[shard].get(key),
         }
+        .map_or(&[], Vec::as_slice)
+    }
+}
+
+/// A borrowed handle on one secondary index of a [`Relation`]
+/// ([`Relation::index_ref`]): the position pattern is resolved once, and
+/// every [`IndexRef::get`] after that is a single key probe.  The join
+/// takes one per body atom per rule evaluation instead of naming the
+/// pattern on every atom visit.
+#[derive(Clone, Copy, Debug)]
+pub struct IndexRef<'a> {
+    index: &'a ShardedIndex,
+}
+
+impl<'a> IndexRef<'a> {
+    /// The live row ids matching the packed `key`: borrowed, in
+    /// **ascending order** (rows are append-only and removal deletes in
+    /// place), empty when no row has the key.  `key` must have one id per
+    /// position of the pattern the handle was resolved for.
+    #[inline]
+    pub fn get(&self, key: &[ValId]) -> &'a [usize] {
+        self.index.get(key)
     }
 }
 
@@ -259,12 +365,12 @@ impl ShardedIndex {
 /// Rows are stored **once**, append-only in insertion order: row `id`
 /// lives in page `id / 4096` at page-local offset `(id % 4096) × arity` —
 /// so row ids are stable and iteration is deterministic.  Duplicate
-/// elimination goes through a sharded row-hash → row-id table keyed on
-/// the packed id slice (no `Value` hashing or cloning on any probe).
+/// elimination goes through a sharded open-addressed table of
+/// `(hash tag, row id)` words checked against the stored rows (no `Value`
+/// hashing or cloning on any probe, 8 bytes per slot).
 /// Indexes map a key — the ids at a fixed list of positions — to the ids
 /// of the live rows having that key, kept in ascending id order, which is
-/// what lets the evaluator slice delta windows out of them by binary
-/// search.
+/// what lets the evaluator slice delta windows off their tails.
 ///
 /// **Every unit of storage — row pages, dedup shards, index shards — sits
 /// behind an `Arc`**, so `Relation::clone` is pure pointer bumps: a clone
@@ -290,7 +396,7 @@ pub struct Relation {
     rows: usize,
     /// Number of tombstoned slots (`rows - live count`).
     dead: usize,
-    /// Sharded dedup table: row hash -> ids of live rows with that hash.
+    /// Sharded dedup table over the live rows (see [`DedupShard`]).
     dedup: Vec<Arc<DedupShard>>,
     /// positions -> sharded index (key ids -> ascending live row ids).
     indexes: FxHashMap<Vec<usize>, ShardedIndex>,
@@ -304,6 +410,15 @@ impl Default for Relation {
     }
 }
 
+/// The FxHash of a key, as a map keyed on it computes it.
+#[inline]
+fn fx_hash<K: Hash + ?Sized>(key: &K) -> u64 {
+    FxBuildHasher::default().hash_one(key)
+}
+
+/// The dedup hash of a packed row: its high half picks the shard
+/// ([`shard_of`]), its low half is the row's tag inside the shard.
+#[inline]
 fn hash_ids(row: &[ValId]) -> u64 {
     let mut state = FxBuildHasher::default().build_hasher();
     for id in row {
@@ -383,9 +498,10 @@ impl Relation {
     }
 
     /// Insert a packed row; returns `true` if it was new.  The storage hot
-    /// path: one FxHash over the id slice, one dedup-shard probe for the
-    /// duplicate check (duplicates touch nothing else — no copy-on-write
-    /// traffic at all), and an append into the current page for new rows.
+    /// path: one FxHash over the id slice (shard and slot both come from
+    /// it), one dedup-shard probe for the duplicate check (duplicates touch
+    /// nothing else — no copy-on-write traffic at all), and an append into
+    /// the current page for new rows.
     ///
     /// # Panics
     ///
@@ -399,29 +515,17 @@ impl Relation {
             self.arity
         );
         let hash = hash_ids(row);
-        let shard = shard_of(hash);
+        let (shard, tag) = (shard_of(hash), hash as u32);
         // Read-only duplicate probe: the overwhelmingly common duplicate
         // case never takes a write path (and so never clones a shared
         // shard).
-        if let Some(bucket) = self.dedup[shard].get(&hash) {
-            let arity = self.arity;
-            let pages = &self.pages;
-            if bucket.ids().iter().any(|&id| {
-                let id = id as usize;
-                let off = (id & PAGE_MASK) * arity;
-                &pages[id >> PAGE_SHIFT].data[off..off + arity] == row
-            }) {
-                return false;
-            }
-        }
+        let Err(vacancy) = self.dedup[shard].probe(tag, |id| self.row_ids(id as usize) == row)
+        else {
+            return false;
+        };
         let id = self.rows;
-        let id32 = u32::try_from(id).expect("relation exceeds u32::MAX rows");
-        match cow_mut(&mut self.dedup[shard]).entry(hash) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => entry.get_mut().push(id32),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(HashBucket::One(id32));
-            }
-        }
+        assert!(id < MAX_ROWS, "relation exceeds {MAX_ROWS} rows");
+        cow_mut(&mut self.dedup[shard]).occupy(vacancy, tag, id as u32);
         // Maintain every index without allocating a fresh key per index:
         // the scratch buffer is reused, and an owned key is copied only the
         // first time a (wide) key value is seen.
@@ -477,12 +581,11 @@ impl Relation {
     /// The stored id of a packed row, if present and live.
     pub fn find_id(&self, row: &[ValId]) -> Option<usize> {
         let hash = hash_ids(row);
-        let bucket = self.dedup[shard_of(hash)].get(&hash)?;
-        bucket
-            .ids()
-            .iter()
-            .map(|&id| id as usize)
-            .find(|&id| self.row_ids(id) == row)
+        let shard = &self.dedup[shard_of(hash)];
+        let slot = shard
+            .probe(hash as u32, |id| self.row_ids(id as usize) == row)
+            .ok()?;
+        Some(shard.slots[slot] as u32 as usize)
     }
 
     /// The packed row with the given id.  The id must be in bounds; dead
@@ -561,7 +664,7 @@ impl Relation {
     /// The bulk sorted index build over the current live rows (see
     /// [`Relation::ensure_index`]).  Stable sort on the key projection
     /// keeps each group's ids in ascending order — the invariant the
-    /// delta-window binary search relies on.
+    /// join's delta-window slicing relies on.
     fn build_index_bulk(&self, positions: &[usize]) -> ShardedIndex {
         let key_of = |id: usize| {
             let row = self.row_ids(id);
@@ -582,44 +685,32 @@ impl Relation {
             groups.push((i, j));
             i = j;
         }
+        let mut index = ShardedIndex::empty(positions.len());
         let mut per_shard = [0usize; SHARDS];
         let mut key = Vec::with_capacity(positions.len());
         for &(start, _) in &groups {
             let row = self.row_ids(ids[start]);
             key.clear();
             key.extend(positions.iter().map(|&p| row[p]));
-            per_shard[shard_of(hash_ids(&key))] += 1;
+            per_shard[index.shard_for(&key)] += 1;
         }
-        let mut index = if positions.len() <= 2 {
-            ShardedIndex::Small(
-                per_shard
-                    .iter()
-                    .map(|&n| {
-                        Arc::new(SmallShard::with_capacity_and_hasher(
-                            n,
-                            FxBuildHasher::default(),
-                        ))
-                    })
-                    .collect(),
-            )
-        } else {
-            ShardedIndex::Wide(
-                per_shard
-                    .iter()
-                    .map(|&n| {
-                        Arc::new(WideShard::with_capacity_and_hasher(
-                            n,
-                            FxBuildHasher::default(),
-                        ))
-                    })
-                    .collect(),
-            )
-        };
+        match &mut index {
+            ShardedIndex::Small(shards) => {
+                for (shard, &n) in shards.iter_mut().zip(&per_shard) {
+                    cow_mut(shard).reserve(n);
+                }
+            }
+            ShardedIndex::Wide(shards) => {
+                for (shard, &n) in shards.iter_mut().zip(&per_shard) {
+                    cow_mut(shard).reserve(n);
+                }
+            }
+        }
         for &(start, end) in &groups {
             let row = self.row_ids(ids[start]);
             key.clear();
             key.extend(positions.iter().map(|&p| row[p]));
-            let shard = shard_of(hash_ids(&key));
+            let shard = index.shard_for(&key);
             let group = ids[start..end].to_vec();
             match &mut index {
                 ShardedIndex::Small(shards) => {
@@ -636,14 +727,23 @@ impl Relation {
     /// Look up the live row ids matching the packed `key` on a previously
     /// ensured index.
     ///
-    /// This is the join's single hot-path entry point: the returned slice is
-    /// borrowed (never copied), contains live rows only, and its ids are in
-    /// **ascending order** — semi-naive delta windows are binary-searched
-    /// out of it.  Returns `None` if no index exists on `positions`
-    /// (callers fall back to [`Relation::scan_select`]).
+    /// The returned slice is borrowed (never copied), contains live rows
+    /// only, and its ids are in **ascending order** — semi-naive delta
+    /// windows are sliced off its tail.  Returns `None` if no index exists
+    /// on `positions` (callers fall back to [`Relation::scan_select`]).
+    /// A thin wrapper over [`Relation::index_ref`], which is what repeated
+    /// probes of one pattern should hold instead.
     pub fn lookup(&self, positions: &[usize], key: &[ValId]) -> Option<&[usize]> {
-        let index = self.indexes.get(positions)?;
-        Some(index.get(key).map(Vec::as_slice).unwrap_or(&[]))
+        Some(self.index_ref(positions)?.get(key))
+    }
+
+    /// A borrowed handle on the index ensured for `positions` (`None` if
+    /// there is none): resolves the pattern once, so a caller probing the
+    /// same index many times — the join, once per body atom per rule
+    /// evaluation — pays one key probe per [`IndexRef::get`] and nothing
+    /// else.
+    pub fn index_ref(&self, positions: &[usize]) -> Option<IndexRef<'_>> {
+        self.indexes.get(positions).map(|index| IndexRef { index })
     }
 
     /// Like [`Relation::select_ids`] (packed key) but without building or
@@ -705,14 +805,8 @@ impl Relation {
         }
         self.clear_live(id);
         self.dead += 1;
-        let id32 = id as u32;
         let hash = hash_ids(self.row_ids(id));
-        let dedup_shard = cow_mut(&mut self.dedup[shard_of(hash)]);
-        if let Some(bucket) = dedup_shard.get_mut(&hash) {
-            if bucket.remove(id32) {
-                dedup_shard.remove(&hash);
-            }
-        }
+        cow_mut(&mut self.dedup[shard_of(hash)]).vacate(hash as u32, id as u32);
         let mut scratch = std::mem::take(&mut self.key_scratch);
         let arity = self.arity;
         let page = &self.pages[id >> PAGE_SHIFT];
@@ -752,18 +846,14 @@ impl Relation {
                 continue;
             }
             let row = &page.data[slot * arity..(slot + 1) * arity];
-            let id32 = u32::try_from(self.rows).expect("relation exceeds u32::MAX rows");
             // Rows are unique (they survived the live dedup), so no
-            // duplicate check — just record the id under the row hash.
+            // duplicate check — just record the id under the row's tag.
             let hash = hash_ids(row);
-            match cow_mut(&mut self.dedup[shard_of(hash)]).entry(hash) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    entry.get_mut().push(id32)
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(HashBucket::One(id32));
-                }
-            }
+            let shard = cow_mut(&mut self.dedup[shard_of(hash)]);
+            let vacancy = shard
+                .probe(hash as u32, |_| false)
+                .expect_err("no row is confirmed");
+            shard.occupy(vacancy, hash as u32, self.rows as u32);
             self.append_row_slot(row);
         }
         let patterns: Vec<Vec<usize>> = self.indexes.keys().cloned().collect();
@@ -972,7 +1062,7 @@ mod tests {
 
     #[test]
     fn index_ids_stay_ascending_across_inserts() {
-        // The delta-window binary search relies on this invariant.
+        // The join's delta-window slicing relies on this invariant.
         let mut r = Relation::new(2);
         r.ensure_index(&[0]);
         for i in 0..40i64 {
@@ -1137,15 +1227,85 @@ mod tests {
     }
 
     #[test]
-    fn hash_bucket_collision_spill() {
-        let mut bucket = HashBucket::One(3);
-        assert_eq!(bucket.ids(), &[3]);
-        bucket.push(9);
-        assert_eq!(bucket.ids(), &[3, 9]);
-        bucket.push(12);
-        assert_eq!(bucket.ids(), &[3, 9, 12]);
-        assert!(!bucket.remove(9));
-        assert_eq!(bucket.ids(), &[3, 12]);
+    fn packed_keys_spread_over_the_low_hash_bits() {
+        // Bucket choice inside a shard map comes from the low hash bits.
+        // One-column keys pad the low word of the packed key with a
+        // constant, and before `FxHasher::finish` folded the state that
+        // constant *was* the low half of the hash: every key of a unary
+        // index shared one bucket group.  100 000 keys over 4096 buckets
+        // must stay within 2x of the uniform load.
+        const KEYS: usize = 100_000;
+        const BUCKETS: usize = 1 << 12;
+        let spread = |key_of: &dyn Fn(usize) -> u64| {
+            let mut load = vec![0usize; BUCKETS];
+            for i in 0..KEYS {
+                load[fx_hash(&key_of(i)) as usize & (BUCKETS - 1)] += 1;
+            }
+            load.into_iter().max().unwrap()
+        };
+        let int = |i: usize| ValId::from_int(i as i64);
+        let unary = spread(&|i| pack_key2(&[int(i)]));
+        let binary = spread(&|i| pack_key2(&[int(i % 317), int(i / 317)]));
+        // Low words that differ only above bit 12 (a stride of 4096).
+        let strided = spread(&|i| pack_key2(&[int(7), int(i << 12)]));
+        for (name, max) in [("unary", unary), ("binary", binary), ("strided", strided)] {
+            assert!(
+                max <= 2 * KEYS / BUCKETS,
+                "{name} keys: fullest of {BUCKETS} buckets holds {max} of {KEYS}"
+            );
+        }
+        // Shard choice reads bits 32..36 of the same word.
+        let mut shards = [0usize; SHARDS];
+        for i in 0..KEYS {
+            shards[shard_of(fx_hash(&pack_key2(&[int(i)])))] += 1;
+        }
+        assert!(shards.iter().all(|&n| n <= 2 * KEYS / SHARDS));
+    }
+
+    #[test]
+    fn dedup_shard_reuses_tombstones_and_rehashes_from_tags() {
+        // Colliding tags (same home slot), so probe sequences overlap and
+        // removal must leave them connected.
+        let mut shard = DedupShard::default();
+        let insert = |shard: &mut DedupShard, tag: u32, id: u32| {
+            let vacancy = shard.probe(tag, |c| c == id).expect_err("absent");
+            shard.occupy(vacancy, tag, id);
+        };
+        let find = |shard: &DedupShard, tag: u32, id: u32| shard.probe(tag, |c| c == id).is_ok();
+        for id in 0..5 {
+            insert(&mut shard, 8 * id, id); // all home at slot 0
+        }
+        assert_eq!((shard.slots.len(), shard.live, shard.tombs), (8, 5, 0));
+        shard.vacate(8, 1);
+        shard.vacate(24, 3);
+        assert_eq!((shard.live, shard.tombs), (3, 2));
+        // Entries past the tombstones are still reachable.
+        assert!(find(&shard, 32, 4) && !find(&shard, 8, 1));
+        // A new entry takes the first tombstone of its probe sequence, not
+        // a fresh slot: occupancy (live + tombstones) does not grow.
+        insert(&mut shard, 40, 5);
+        assert_eq!((shard.slots.len(), shard.live, shard.tombs), (8, 4, 1));
+        assert_eq!(shard.slots[1], 40u64 << 32 | 5);
+        // Filling past 3/4 rehashes: tombstones vanish, every entry is
+        // re-homed from its stored tag and stays findable.
+        for id in 6..12 {
+            insert(&mut shard, 8 * id + 3, id);
+        }
+        assert_eq!((shard.live, shard.tombs), (10, 0));
+        assert!(shard.slots.len() >= 16);
+        for (tag, id) in [(0, 0), (16, 2), (32, 4), (40, 5), (51, 6), (91, 11)] {
+            assert!(find(&shard, tag, id), "({tag}, {id}) lost in rehash");
+        }
+        // Churn at constant size does not grow the table past the size a
+        // rehash picks for the live count (≤ 1/2 full): tombstones are
+        // either reused or swept by a same-size rehash.
+        for round in 0..1000u32 {
+            let id = 100 + round;
+            insert(&mut shard, id * 7, id);
+            shard.vacate(id * 7, id);
+        }
+        assert_eq!((shard.slots.len(), shard.live), (32, 10));
+        assert!(shard.tombs < 24);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * **Randomized storage oracle** — a `Relation` under a random
 //!   insert/remove/compact interleaving must behave exactly like a
 //!   `HashSet<Vec<Value>>`, including index answers and iteration, with
-//!   tombstones and compaction invisible to the set semantics.
+//!   tombstones and compaction invisible to the set semantics; a second,
+//!   tombstone-heavy churn drives the dedup table through growth, slot
+//!   reuse and same-size rehashes.
 //! * **Pinned probe counts** — the packed layout is a pure representation
 //!   change: the gms-rewritten ancestor plan must do bit-identical join
 //!   work (`join_probes`) to the `Vec<Value>` engine it replaced.  (The
@@ -137,6 +139,73 @@ fn randomized_insert_remove_compact_matches_hashset_oracle() {
             assert!(rel.is_live(id));
         }
     }
+}
+
+#[test]
+fn tombstone_heavy_churn_matches_hashset_oracle() {
+    // The small-universe oracle above keeps every dedup shard at a
+    // handful of rows.  This one drives the open-addressed dedup table
+    // through its whole life cycle: a wide universe (thousands of live
+    // rows, so shards grow through several rehashes), then waves that
+    // remove most of the relation and re-insert other rows without
+    // compacting — tombstones pile up, inserts reuse their slots, and
+    // same-size rehashes sweep them — with membership checked against a
+    // `HashSet` at every step and in full after every wave.
+    let mut rng = SplitMix64::seed_from_u64(0x00D3_D014);
+    let row = |k: usize| vec![Value::Int((k % 61) as i64), Value::Int((k / 61) as i64)];
+    const UNIVERSE: usize = 6000;
+    let mut rel = Relation::new(2);
+    rel.ensure_index(&[0]);
+    let mut oracle: HashSet<usize> = HashSet::new();
+    for wave in 0..8 {
+        // Odd waves mostly remove, even waves mostly insert.
+        let insert_share = if wave % 2 == 0 { 85 } else { 15 };
+        for step in 0..4000 {
+            let k = rng.random_range(0..UNIVERSE);
+            if rng.random_range(0..100) < insert_share {
+                assert_eq!(
+                    rel.insert(row(k)),
+                    oracle.insert(k),
+                    "wave {wave} step {step}"
+                );
+            } else {
+                assert_eq!(
+                    rel.remove(&row(k)),
+                    oracle.remove(&k),
+                    "wave {wave} step {step}"
+                );
+            }
+            let probe = rng.random_range(0..UNIVERSE);
+            assert_eq!(rel.contains(&row(probe)), oracle.contains(&probe));
+            assert_eq!(rel.len(), oracle.len(), "wave {wave} step {step}");
+        }
+        // Every row, present or absent, answers like the oracle; ids
+        // found through the dedup table are live and hold the row.
+        for k in 0..UNIVERSE {
+            match rel.id_of(&row(k)) {
+                Some(id) => {
+                    assert!(
+                        oracle.contains(&k) && rel.is_live(id),
+                        "wave {wave} row {k}"
+                    );
+                    assert_eq!(rel.row_values(id), row(k));
+                }
+                None => assert!(!oracle.contains(&k), "wave {wave} row {k} lost"),
+            }
+        }
+        let key = intern_row(&[Value::Int((wave * 7) as i64)]);
+        let ids = rel.lookup(&[0], &key).expect("index ensured up front");
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
+        assert_eq!(ids, rel.scan_select(&[0], &key));
+        if wave == 3 {
+            // One compaction mid-way: the table is rebuilt from scratch
+            // and the churn continues on renumbered ids.
+            rel.compact();
+            assert_eq!(rel.tombstones(), 0);
+        }
+    }
+    // The waves really were tombstone-heavy.
+    assert!(rel.tombstones() > rel.len());
 }
 
 #[test]
