@@ -70,6 +70,12 @@
 //! matrix after the engine hot-path rebuild (tail-anchored delta slicing,
 //! prepared join contexts, the compact dedup table and the finalized
 //! hash), with every counter-carrying cell bit-identical to PR 10's.
+//! PR 15 (`BENCH_PR15.json`) adds no scenario either, and is the first
+//! snapshot where a counter moves on purpose: the two `incr_retract/*`
+//! `incr` cells spend far fewer `join_probes` (chain/1024: 1 051 656 →
+//! 3 079) now that the overdeletion shadow rules and head-bound plans are
+//! ordered by `engine::sip_order`; the other 97 counter-carrying cells
+//! are bit-identical to PR 10's (classic runs compile neither).
 //! The pre-existing scenarios' probe counts must not move
 //! between snapshots, and — the scheduler's determinism contract —
 //! every counter of a parallel cell must be bit-identical to its
@@ -77,7 +83,7 @@
 //!
 //! ```text
 //! cargo run --release -p magic-bench --bin perf_report -- \
-//!     [--out BENCH_PR14.json] [--baseline BENCH_PR10.json] [--quick] \
+//!     [--out BENCH_PR15.json] [--baseline BENCH_PR14.json] [--quick] \
 //!     [--threads N] [--filter <scenario-substring>] \
 //!     [--strategy <short-name>]...
 //! ```
@@ -1777,7 +1783,7 @@ fn assert_oracle(scenario: &Scenario, expected: &BTreeSet<Vec<Value>>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_PR14.json".to_string();
+    let mut out_path = "BENCH_PR15.json".to_string();
     let mut baseline_path: Option<String> = None;
     let mut quick = false;
     let mut engine =

@@ -26,7 +26,9 @@ fn ground_positions(atom: &Atom) -> Option<(Vec<usize>, Vec<Value>)> {
 /// Ensure the relation of `atom` carries an index on the atom's
 /// bound-constant positions, so that [`match_atom`]'s `select_ids`-style
 /// probe hits it.  The planner calls this once per executed plan before
-/// projecting answers; it is a no-op for fully free atoms.
+/// projecting answers; it is a no-op for fully free atoms, and for fully
+/// bound ones (a membership test, which the relation's dedup table
+/// answers: `Relation::ensure_index` builds nothing for a whole-row key).
 pub fn ensure_atom_index(db: &mut Database, atom: &Atom) {
     let Some((positions, _)) = ground_positions(atom) else {
         return;
@@ -45,10 +47,11 @@ pub fn ensure_atom_index(db: &mut Database, atom: &Atom) {
 /// When the atom carries bound constants, the candidate rows are selected
 /// through the relation's hash index on those positions (the same
 /// `ensure_index`/`lookup` pair `Relation::select_ids` is built from)
-/// instead of scanning every row; `scan_select` is the fallback when no
-/// index has been ensured on the pattern yet.  Rows are decoded from the
-/// packed storage only for the candidates that reach the matcher — this is
-/// the API edge where `Value`s re-enter.
+/// instead of scanning every row — or, when every position is bound,
+/// through the dedup table (`Relation::find_id`); `scan_select` is the
+/// fallback when no index has been ensured on the pattern yet.  Rows are
+/// decoded from the packed storage only for the candidates that reach the
+/// matcher — this is the API edge where `Value`s re-enter.
 pub fn match_atom(db: &Database, atom: &Atom) -> Vec<Bindings> {
     let Some(relation) = db.relation(&atom.pred) else {
         return Vec::new();
@@ -72,12 +75,16 @@ pub fn match_atom(db: &Database, atom: &Atom) -> Vec<Bindings> {
         }
     } else {
         let key = magic_storage::arena::intern_row(&key);
-        match relation.lookup(&positions, &key) {
-            Some(ids) => ids.iter().for_each(|&id| match_id(id)),
-            None => relation
-                .scan_select(&positions, &key)
-                .into_iter()
-                .for_each(&mut match_id),
+        if relation.covers_row(&positions) {
+            relation.find_id(&key).into_iter().for_each(&mut match_id);
+        } else {
+            match relation.lookup(&positions, &key) {
+                Some(ids) => ids.iter().for_each(|&id| match_id(id)),
+                None => relation
+                    .scan_select(&positions, &key)
+                    .into_iter()
+                    .for_each(&mut match_id),
+            }
         }
     }
     out

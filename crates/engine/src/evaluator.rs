@@ -64,7 +64,7 @@ use crate::join::{
 };
 use crate::limits::Limits;
 use crate::metrics::EvalStats;
-use crate::plan::RulePlan;
+use crate::plan::{sip_order, with_body_order, RulePlan};
 use crate::pool::EvalPool;
 use magic_datalog::{AggFunc, PredName, Program, Schedule, ValId};
 use magic_storage::{Database, Relation};
@@ -102,17 +102,20 @@ pub enum WindowDiscipline {
     Disjoint,
 }
 
-/// Observer of individual rule firings, called once per produced (packed)
-/// head row during the insertion phase of each iteration (`is_new` tells
-/// whether the row was actually new).  The incremental layer uses this to
-/// maintain per-row derivation-support counts; `plan_idx` indexes
-/// [`FixpointRunner::plans`].
-pub type FiringObserver<'a> = &'a mut dyn FnMut(usize, &[ValId], bool);
+/// Observer of individual rule firings, called once per produced head row
+/// during the insertion phase of each iteration as
+/// `(plan_idx, row_id, is_new)`: `plan_idx` indexes
+/// [`FixpointRunner::plans`], `row_id` is where the row lives in the
+/// plan's head relation — the fresh id, or the one the duplicate probe
+/// found — and `is_new` tells whether the firing created it.  The
+/// incremental layer uses this to maintain per-row derivation-support
+/// counts by row id, with no second lookup.
+pub type FiringObserver<'a> = &'a mut dyn FnMut(usize, usize, bool);
 
 /// A reborrow of an installed [`FiringObserver`]: the borrow is shorter
 /// than the closure's own lifetime, so the loop can lend the observer out
 /// once per insert batch.
-type ObserverRef<'b, 'o> = &'b mut (dyn FnMut(usize, &[ValId], bool) + 'o);
+type ObserverRef<'b, 'o> = &'b mut (dyn FnMut(usize, usize, bool) + 'o);
 
 /// The result of an evaluation: the final database (base facts plus all
 /// derived facts) and the collected metrics.
@@ -250,44 +253,23 @@ struct DeltaVariant {
     pos_of_orig: Vec<usize>,
 }
 
-/// Build the delta-driven variant of `rule` with occurrence `lead` first:
-/// the remaining atoms are ordered greedily by how many of their variables
-/// are already bound (ties by original position), so the join fans out
-/// from the delta atom through shared variables instead of re-scanning
-/// unrelated leading atoms.
+/// Build the delta-driven variant of `rule` with occurrence `lead` first
+/// and the remaining atoms in [`sip_order`], so the join fans out from the
+/// delta atom through shared variables instead of re-scanning unrelated
+/// leading atoms.
 fn delta_variant(
     rule: &magic_datalog::Rule,
     rule_idx: usize,
     lead: usize,
     derived: &BTreeSet<PredName>,
 ) -> DeltaVariant {
+    let order = sip_order(rule, Some(lead), &BTreeSet::new());
     let mut pos_of_orig = vec![usize::MAX; rule.body.len()];
-    let mut body = Vec::with_capacity(rule.body.len());
-    pos_of_orig[lead] = 0;
-    body.push(rule.body[lead].clone());
-    let mut bound = rule.body[lead].var_set();
-    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&o| o != lead).collect();
-    while !remaining.is_empty() {
-        let (pick, _) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &o)| {
-                let vars = rule.body[o].var_set();
-                let bound_vars = vars.intersection(&bound).count();
-                // Most bound variables wins; earliest original position
-                // breaks ties (remaining is in ascending original order).
-                (bound_vars, std::cmp::Reverse(o))
-            })
-            .expect("remaining is non-empty");
-        let o = remaining.remove(pick);
-        pos_of_orig[o] = body.len();
-        bound.extend(rule.body[o].var_set());
-        body.push(rule.body[o].clone());
+    for (pos, &o) in order.iter().enumerate() {
+        pos_of_orig[o] = pos;
     }
-    let reordered =
-        magic_datalog::Rule::new(rule.head.clone(), body).with_negated(rule.negated.clone());
     DeltaVariant {
-        plan: RulePlan::compile(&reordered, rule_idx, derived),
+        plan: RulePlan::compile(&with_body_order(rule, &order), rule_idx, derived),
         pos_of_orig,
     }
 }
@@ -308,10 +290,13 @@ fn insert_fired_rows<'r>(
         // A zero-arity head (fully bound magic/answer predicate) leaves
         // the flat buffers empty; every match fires the empty row, of
         // which at most the first is new.
-        let new = matches > 0 && relation.insert_ids(&[]);
+        if matches == 0 {
+            return 0;
+        }
+        let (id, new) = relation.insert_ids_at(&[]);
         if let Some(observer) = observer {
             for nth in 0..matches {
-                observer(plan_idx, &[], new && nth == 0);
+                observer(plan_idx, id, new && nth == 0);
             }
         }
         return usize::from(new);
@@ -319,9 +304,9 @@ fn insert_fired_rows<'r>(
     let mut new = 0;
     for rows in outputs {
         for row in rows.chunks_exact(arity) {
-            let is_new = relation.insert_ids(row);
+            let (id, is_new) = relation.insert_ids_at(row);
             if let Some(observer) = observer.as_deref_mut() {
-                observer(plan_idx, row, is_new);
+                observer(plan_idx, id, is_new);
             }
             new += usize::from(is_new);
         }
@@ -1314,9 +1299,9 @@ impl FixpointRunner {
                     *rest.next().expect("key covers the non-aggregate positions")
                 };
             }
-            let is_new = relation.insert_ids(&row);
+            let (id, is_new) = relation.insert_ids_at(&row);
             if let Some(observer) = observer.as_deref_mut() {
-                observer(plan_idx, &row, is_new);
+                observer(plan_idx, id, is_new);
             }
             new += usize::from(is_new);
         }
@@ -1642,7 +1627,7 @@ mod tests {
         let mut stats = EvalStats::default();
         let mut firings = 0usize;
         let mut new = 0usize;
-        let mut observer = |_plan: usize, _row: &[ValId], is_new: bool| {
+        let mut observer = |_plan: usize, _row_id: usize, is_new: bool| {
             firings += 1;
             if is_new {
                 new += 1;

@@ -110,12 +110,41 @@ impl JoinScratch {
 struct BoundAtom<'a> {
     plan: &'a AtomPlan,
     relation: &'a Relation,
-    /// The index on the atom's key positions (`None`: the atom has no key
-    /// and scans, or — outside the evaluator, which ensures every access
-    /// path — no index exists and the probe falls back to a filtered scan).
-    index: Option<IndexRef<'a>>,
+    /// How the atom's key finds its candidate rows; `None` when the atom
+    /// has no evaluable position and scans.
+    keyed: Option<KeyedAccess<'a>>,
     /// The delta window on this occurrence, if any.
     window: Option<DeltaWindow>,
+}
+
+/// How a keyed atom visit finds its candidate rows.
+#[derive(Clone, Copy)]
+enum KeyedAccess<'a> {
+    /// Every position is evaluable, so the key *is* the row: the
+    /// relation's dedup table answers with zero or one id
+    /// (`Relation::find_id`), and storage keeps no secondary index for it.
+    Row,
+    /// The secondary index on the atom's key positions.
+    Index(IndexRef<'a>),
+    /// No index exists on the pattern (only outside the evaluator, which
+    /// ensures every access path up front): a filtered scan.
+    Unindexed,
+}
+
+impl<'a> KeyedAccess<'a> {
+    fn resolve(relation: &'a Relation, key_positions: &[usize]) -> Option<KeyedAccess<'a>> {
+        if key_positions.is_empty() {
+            None
+        } else if relation.covers_row(key_positions) {
+            Some(KeyedAccess::Row)
+        } else {
+            Some(
+                relation
+                    .index_ref(key_positions)
+                    .map_or(KeyedAccess::Unindexed, KeyedAccess::Index),
+            )
+        }
+    }
 }
 
 /// Shared, read-only state of one rule evaluation.
@@ -256,7 +285,7 @@ fn bind_atoms<'a>(
             bound.push(BoundAtom {
                 plan: atom,
                 relation,
-                index: relation.index_ref(&atom.key_positions),
+                keyed: KeyedAccess::resolve(relation, &atom.key_positions),
                 window: windows.iter().find(|w| w.occurrence == depth).copied(),
             });
         }
@@ -382,18 +411,27 @@ pub fn count_derivations(
     row: &[ValId],
     limits: &Limits,
 ) -> Result<usize, EvalError> {
+    Ok(head_bound_join(plan, db, row, limits)?.matches)
+}
+
+/// [`count_derivations`] with the join's probe count beside its matches.
+fn head_bound_join(
+    plan: &RulePlan,
+    db: &Database,
+    row: &[ValId],
+    limits: &Limits,
+) -> Result<JoinCounters, EvalError> {
     if plan.head_terms.len() != row.len() {
-        return Ok(0);
+        return Ok(JoinCounters::default());
     }
     let mut scratch = JoinScratch::default();
     scratch.reset(plan);
     for (term, value) in plan.head_terms.iter().zip(row) {
         if !term.match_value_slots(*value, &mut scratch.frame, &mut scratch.trail) {
-            return Ok(0);
+            return Ok(JoinCounters::default());
         }
     }
-    let counters = run_join(plan, db, &[], limits, &mut scratch, &mut CountSink)?;
-    Ok(counters.matches)
+    run_join(plan, db, &[], limits, &mut scratch, &mut CountSink)
 }
 
 /// The row-id range the join's outermost (occurrence-0) enumeration will
@@ -507,7 +545,7 @@ fn descend<S: MatchSink>(
     };
     let relation = atom.relation;
 
-    if atom.plan.key_positions.is_empty() {
+    let Some(keyed) = atom.keyed else {
         // No evaluable positions: scan the (windowed) relation directly.
         // The scan ranges over row-id space up to the watermark; tombstoned
         // slots are skipped *before* the probe counter, so removal leaves
@@ -522,7 +560,7 @@ fn descend<S: MatchSink>(
             probe(ctx, depth, atom, id, scratch, sink, counters)?;
         }
         return Ok(());
-    }
+    };
 
     // Compute the index key from the evaluable positions — once per atom
     // visit, not per candidate row.
@@ -536,14 +574,21 @@ fn descend<S: MatchSink>(
         }
         scratch.key.push(v);
     }
-    // The borrowed-slice fast path.  `scan_select` only runs when no
-    // index exists on this pattern, which the evaluator prevents by
-    // ensuring indexes for every plan access path up front.  Index id
-    // lists contain live rows only (removal drops ids eagerly).
-    let scanned: Vec<usize>;
-    let ids: &[usize] = match atom.index {
-        Some(index) => index.get(&scratch.key),
-        None => {
+    // The borrowed-slice fast path.  Index id lists and the dedup table
+    // contain live rows only (removal drops ids eagerly); a full-row key
+    // yields its one candidate (or none), which the delta window then
+    // admits or not like any other id list.
+    let (found, scanned): ([usize; 1], Vec<usize>);
+    let ids: &[usize] = match keyed {
+        KeyedAccess::Index(index) => index.get(&scratch.key),
+        KeyedAccess::Row => match relation.find_id(&scratch.key) {
+            Some(id) => {
+                found = [id];
+                &found
+            }
+            None => &[],
+        },
+        KeyedAccess::Unindexed => {
             scanned = relation.scan_select(&atom.plan.key_positions, &scratch.key);
             &scanned
         }
@@ -822,6 +867,53 @@ mod tests {
             count_derivations(&plan, &db, &b, &Limits::default()).unwrap(),
             2
         );
+    }
+
+    #[test]
+    fn head_bound_join_follows_the_sip_from_the_head_row() {
+        // The gms magic rule, asked for the support of one `magic` row:
+        // the head-bound plan must start from the atom the head binds
+        // (`par`, on its second column) and reach `magic` with `X` bound,
+        // so the work is the row's in-degree — not a scan of `magic`.
+        use magic_storage::arena::intern_row;
+        let rule = parse_rule("magic(Z) :- magic(X), par(X, Z).").unwrap();
+        let derived: BTreeSet<PredName> = [PredName::plain("magic")].into_iter().collect();
+        let plan = RulePlan::compile_head_bound(&rule, 0, &derived);
+        assert_eq!(plan.atoms[0].pred, PredName::plain("par"));
+        assert_eq!(plan.atoms[0].key_positions, vec![1]);
+        assert_eq!(plan.atoms[1].pred, PredName::plain("magic"));
+        assert_eq!(plan.atoms[1].key_positions, vec![0]);
+
+        let node = |i: usize| Value::sym(&format!("m{i}"));
+        let target = intern_row(&[node(0)]);
+        let mut probes = Vec::new();
+        for magic_rows in [50, 400] {
+            let mut db = Database::new();
+            for i in 0..magic_rows {
+                db.insert(PredName::plain("magic"), vec![node(i)]);
+                // A chain among the others, so `par` grows with `magic`.
+                db.insert(PredName::plain("par"), vec![node(i + 1), node(i + 2)]);
+            }
+            // In-degree 3, two of the parents in `magic`.
+            db.insert(PredName::plain("par"), vec![node(7), node(0)]);
+            db.insert(PredName::plain("par"), vec![node(9), node(0)]);
+            db.insert(
+                PredName::plain("par"),
+                vec![Value::sym("outsider"), node(0)],
+            );
+            db.relation_mut(&PredName::plain("par"), 2)
+                .ensure_index(&[1]);
+            let counters = head_bound_join(&plan, &db, &target, &Limits::default()).unwrap();
+            assert_eq!(counters.matches, 2);
+            assert_eq!(
+                count_derivations(&plan, &db, &target, &Limits::default()).unwrap(),
+                2
+            );
+            // Three `par` candidates, two of which find their `magic` row.
+            assert_eq!(counters.probes, 5, "|magic| = {magic_rows}");
+            probes.push(counters.probes);
+        }
+        assert_eq!(probes[0], probes[1], "probes must not grow with |magic|");
     }
 
     #[test]

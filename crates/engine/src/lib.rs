@@ -50,4 +50,4 @@ pub use join::{
 };
 pub use limits::Limits;
 pub use metrics::EvalStats;
-pub use plan::{AtomPlan, RulePlan};
+pub use plan::{sip_order, with_body_order, AtomPlan, RulePlan};

@@ -102,6 +102,61 @@ pub struct RulePlan {
     pub derived_occurrences: Vec<usize>,
 }
 
+/// The order in which a join should visit the body of `rule`: the paper's
+/// sip discipline — bindings flow from what is already bound — as one
+/// greedy loop.  `lead`, when given, is the occurrence that must come
+/// first (a delta or shadow atom: the tiny relation the join fans out
+/// from); `given` are the variables bound before the body starts (the
+/// head's, for the head-bound join).  Every further step takes the atom
+/// sharing the most variables with what is bound so far; the original
+/// position breaks ties, so a body already in sip order is left alone.
+///
+/// Returns the original occurrence index per evaluation position.  Any
+/// permutation is *sound* — the set of satisfying instantiations of a
+/// conjunction does not depend on the order its atoms are visited in, so
+/// answers, derivation counts and firing counts are those of the written
+/// order; the order only decides whether an atom is reached with a key to
+/// probe or has to be scanned.
+///
+/// One function, three users: the delta-driven plan variants of
+/// [`FixpointRunner`](crate::FixpointRunner), the head-bound plans
+/// ([`RulePlan::compile_head_bound`]), and the incremental layer's
+/// overdeletion shadow rules.
+pub fn sip_order(rule: &Rule, lead: Option<usize>, given: &BTreeSet<Variable>) -> Vec<usize> {
+    let vars: Vec<BTreeSet<Variable>> = rule.body.iter().map(|atom| atom.var_set()).collect();
+    let mut bound = given.clone();
+    let mut order = Vec::with_capacity(rule.body.len());
+    let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
+    if let Some(lead) = lead {
+        remaining.remove(lead);
+        bound.extend(vars[lead].iter().copied());
+        order.push(lead);
+    }
+    while !remaining.is_empty() {
+        let (pick, _) = remaining
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &o)| {
+                // Most bound variables wins; earliest original position
+                // breaks ties (remaining is in ascending original order).
+                (vars[o].intersection(&bound).count(), std::cmp::Reverse(o))
+            })
+            .expect("remaining is non-empty");
+        let o = remaining.remove(pick);
+        bound.extend(vars[o].iter().copied());
+        order.push(o);
+    }
+    order
+}
+
+/// `rule` with its positive body permuted into `order` (original
+/// occurrence index per new position, as [`sip_order`] returns it).
+pub fn with_body_order(rule: &Rule, order: &[usize]) -> Rule {
+    let mut reordered = rule.clone();
+    reordered.body = order.iter().map(|&o| rule.body[o].clone()).collect();
+    reordered
+}
+
 impl RulePlan {
     /// The predicate read by the first body atom, if any — the join's
     /// outermost enumeration, and therefore the axis the stratified
@@ -113,29 +168,39 @@ impl RulePlan {
     /// Compile a rule.  `derived` is the set of predicates defined by rules
     /// of the program being evaluated.
     pub fn compile(rule: &Rule, rule_idx: usize, derived: &BTreeSet<PredName>) -> RulePlan {
-        RulePlan::compile_inner(rule, rule_idx, derived, false)
+        RulePlan::compile_inner(rule, rule_idx, derived, BTreeSet::new())
     }
 
-    /// Compile the **head-bound** variant of a rule: the access plans are
-    /// computed as if every head variable were already bound when the body
+    /// Compile the **head-bound** variant of a rule: the body is put in
+    /// [`sip_order`] with every head variable given, and the access plans
+    /// are computed as if those variables were already bound when the body
     /// starts.  This is the right plan for the head-bound join
     /// (`count_derivations`): the caller matches a concrete row against the
-    /// head first, so leading body atoms sharing head variables probe
-    /// indexes instead of being scanned.  Match *results* are identical to
-    /// the forward plan's — only the access paths differ.
+    /// head first, so `magic(Z) :- magic(X), par(X, Z)` with `Z` given
+    /// probes `par` on `Z` and then `magic` on the `X` that binds, instead
+    /// of scanning `magic`.  The *number* of matches is the forward plan's
+    /// — a conjunction's match set does not depend on the order its atoms
+    /// are visited in; only the access paths (and body positions) differ.
     pub fn compile_head_bound(
         rule: &Rule,
         rule_idx: usize,
         derived: &BTreeSet<PredName>,
     ) -> RulePlan {
-        RulePlan::compile_inner(rule, rule_idx, derived, true)
+        // Successfully matching the head row binds every head variable
+        // (compound patterns bind recursively; linear terms either invert
+        // or fail), so the body may treat them as given.
+        let given: BTreeSet<Variable> = rule.head.vars().into_iter().collect();
+        let reordered = with_body_order(rule, &sip_order(rule, None, &given));
+        RulePlan::compile_inner(&reordered, rule_idx, derived, given)
     }
 
+    /// Compile `rule` in its written body order; `bound` are the variables
+    /// given before the body starts.
     fn compile_inner(
         rule: &Rule,
         rule_idx: usize,
         derived: &BTreeSet<PredName>,
-        head_bound: bool,
+        mut bound: BTreeSet<Variable>,
     ) -> RulePlan {
         let mut slot_vars: Vec<Variable> = Vec::new();
         let mut slot_of = |v: Variable| -> u32 {
@@ -147,13 +212,6 @@ impl RulePlan {
                 }
             }
         };
-        let mut bound: BTreeSet<Variable> = BTreeSet::new();
-        if head_bound {
-            // Successfully matching the head row binds every head variable
-            // (compound patterns bind recursively; linear terms either
-            // invert or fail), so the body may treat them as given.
-            bound.extend(rule.head.vars());
-        }
         let mut atoms = Vec::with_capacity(rule.body.len());
         let mut derived_occurrences = Vec::new();
         for (i, atom) in rule.body.iter().enumerate() {

@@ -17,7 +17,7 @@
 use crate::error::IncrError;
 use crate::view::{MaterializedView, Update};
 use magic_core::planner::{PlanError, Planner, Strategy};
-use magic_datalog::{Atom, Program, Query, Value, Variable};
+use magic_datalog::{Atom, PredName, Program, Query, Value, Variable};
 use magic_engine::{answers::project_answers, EvalStats, Limits};
 use magic_storage::Database;
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,6 +76,11 @@ pub struct ApplyAllOutcome {
 #[derive(Clone, Debug)]
 struct CatalogEntry {
     view: MaterializedView,
+    /// The predicates the view's program derives: updates on them are not
+    /// for this view (its copy is maintained, not edited).  Kept beside
+    /// the view so a batch can be filtered while the view is borrowed
+    /// mutably.
+    derived: BTreeSet<PredName>,
     answer_atom: Atom,
     projection: Vec<Variable>,
     /// Logical timestamp of the last materialize request for this binding
@@ -294,6 +299,7 @@ impl ViewCatalog {
                 key.clone(),
                 CatalogEntry {
                     view,
+                    derived: plan.program.derived_preds(),
                     answer_atom: plan.answer_atom.clone(),
                     projection: plan.projection.clone(),
                     last_used: now,
@@ -455,14 +461,10 @@ impl ViewCatalog {
     pub fn apply_all(&mut self, updates: &[Update]) -> ApplyAllOutcome {
         let mut outcome = ApplyAllOutcome::default();
         for (key, entry) in self.entries.iter_mut() {
-            let accepted: Vec<Update> = updates
-                .iter()
-                .filter(|u| !entry.view.program().is_derived(&u.fact().pred))
-                .cloned()
-                .collect();
-            if accepted.is_empty() {
-                continue;
-            }
+            // Borrowed, and filtered as the view consumes them: nothing of
+            // the batch is copied per view.
+            let derived = &entry.derived;
+            let accepted = updates.iter().filter(|u| !derived.contains(&u.fact().pred));
             match entry.view.apply(accepted) {
                 Ok(report) => {
                     outcome.applied += report.applied;

@@ -39,7 +39,11 @@
 //!   rows with a surviving alternative one-step derivation (per the
 //!   head-bound [`count_derivations`] join) are re-inserted as seeds, and
 //!   the fixpoint is resumed to propagate re-derivations.  Support counts
-//!   are recomputed exactly for everything that was touched.
+//!   are recomputed exactly for everything that was touched.  Every plan
+//!   on this path — shadow rules, head-bound recounts, the resumed delta
+//!   variants — takes its body order from [`sip_order`], so each step
+//!   costs in proportion to the rows it moves, not to the relations it
+//!   reads.
 //!
 //! Both paths leave the database bit-for-bit equal (as a fact set) to a
 //! from-scratch evaluation of the program over the updated base facts —
@@ -49,10 +53,11 @@
 use crate::error::IncrError;
 use magic_datalog::{analysis::DependencyGraph, Atom, Fact, PredName, Program, ValId};
 use magic_engine::{
-    count_derivations, evaluate_rule_visit, DeltaWindow, EvalStats, FixpointRunner, Limits,
-    WindowDiscipline,
+    count_derivations, evaluate_rule_visit, sip_order, with_body_order, DeltaWindow, EvalStats,
+    FixpointRunner, Limits, WindowDiscipline,
 };
-use magic_storage::{arena::intern_row, Database, SupportTable};
+use magic_storage::{Database, SupportTable};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 /// A packed (interned) row, the representation maintenance works in; values
@@ -173,10 +178,16 @@ pub struct MaterializedView {
 }
 
 /// The compiled overdeletion program: for each rule `h :- b1 … bk` of the
-/// source program and each occurrence `i`, a rule
-/// `od_h :- od_bi, b1 … bi-1, bi+1 … bk` (the shadow atom leads the body so
-/// evaluation fans out from the tiny deleted set).  `od_p ⊆ p` always
-/// holds: every shadow row witnesses a real derivation over the
+/// source program and each occurrence `i`, a rule `od_h :- od_bi, …` whose
+/// body leads with the shadow atom — evaluation fans out from the tiny
+/// deleted set — and visits the other atoms in [`sip_order`] from there,
+/// so each is reached through the variables the deleted row (and the
+/// atoms before it) bound:
+/// `~od~anc(X, Y) :- ~od~anc(Z, Y), par(X, Z), magic(X)` probes `par` on
+/// `Z` and then `magic` on the one `X` that binds, where the written order
+/// (`magic(X), par(X, Z)`) scanned all of `magic` per deleted row.  Any
+/// order computes the same shadow relations; see `sip_order`.  `od_p ⊆ p`
+/// always holds: every shadow row witnesses a real derivation over the
 /// pre-deletion fixpoint.
 #[derive(Clone, Debug)]
 struct OdMachine {
@@ -205,19 +216,11 @@ impl OdMachine {
         let mut od_rules = Vec::new();
         for rule in &program.rules {
             for occ in 0..rule.body.len() {
-                let od_head = rule
-                    .head
-                    .with_pred(shadow_entry(&mut shadow, &rule.head.pred));
-                let mut body = Vec::with_capacity(rule.body.len());
-                body.push(
-                    rule.body[occ].with_pred(shadow_entry(&mut shadow, &rule.body[occ].pred)),
-                );
-                for (i, atom) in rule.body.iter().enumerate() {
-                    if i != occ {
-                        body.push(atom.clone());
-                    }
-                }
-                od_rules.push(magic_datalog::Rule::new(od_head, body));
+                let mut od_rule =
+                    with_body_order(rule, &sip_order(rule, Some(occ), &BTreeSet::new()));
+                od_rule.head.pred = shadow_entry(&mut shadow, &rule.head.pred);
+                od_rule.body[0].pred = shadow_entry(&mut shadow, &rule.body[occ].pred);
+                od_rules.push(od_rule);
             }
         }
         let od_program = Program::from_rules(od_rules);
@@ -304,8 +307,8 @@ impl MaterializedView {
         let mut support = SupportTable::new();
         let mut op_stats = EvalStats::default();
         if mode == MaintenanceMode::Incremental {
-            let mut observer = |plan_idx: usize, row: &[ValId], _is_new: bool| {
-                support.add(&head_preds[plan_idx], row, 1);
+            let mut observer = |plan_idx: usize, row_id: usize, _is_new: bool| {
+                support.add(&head_preds[plan_idx], row_id, 1);
             };
             runner
                 .run(&mut db, &mut op_stats, Some(&mut observer))
@@ -362,7 +365,10 @@ impl MaterializedView {
     /// The exact number of rule-body derivations currently supporting a
     /// derived fact (0 for untracked or base facts).
     pub fn support_of(&self, fact: &Fact) -> u64 {
-        self.support.get(&fact.pred, &intern_row(&fact.values))
+        self.db
+            .relation(&fact.pred)
+            .and_then(|rel| rel.id_of(&fact.values))
+            .map_or(0, |id| self.support.get(&fact.pred, id))
     }
 
     /// Ensure the view's database carries an index on the bound-constant
@@ -444,12 +450,12 @@ impl MaterializedView {
             return Ok(false);
         }
         if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
-            self.db.insert(fact.pred.clone(), fact.values.clone());
+            self.db.insert_fact(fact);
             self.recompute()?;
             return Ok(true);
         }
         let marks = self.runner.marks(&self.db);
-        self.db.insert(fact.pred.clone(), fact.values.clone());
+        self.db.insert_fact(fact);
         self.resume(marks)?;
         Ok(true)
     }
@@ -476,16 +482,17 @@ impl MaterializedView {
         Ok(true)
     }
 
-    /// Apply a batch of updates in order; consecutive insertions are
-    /// coalesced into one fixpoint re-entry.
+    /// Apply a batch of updates — owned or borrowed — in order;
+    /// consecutive insertions are coalesced into one fixpoint re-entry.
     ///
     /// On error the already-applied prefix of the batch stays applied (and
     /// propagated), the offending update onward is dropped: the view is
     /// always left at a fixpoint of its program.
-    pub fn apply<I: IntoIterator<Item = Update>>(
-        &mut self,
-        updates: I,
-    ) -> Result<ApplyReport, IncrError> {
+    pub fn apply<I>(&mut self, updates: I) -> Result<ApplyReport, IncrError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Update>,
+    {
         if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
             return self.apply_recompute(updates);
         }
@@ -494,7 +501,7 @@ impl MaterializedView {
         let mut pending: Option<Vec<usize>> = None;
         let mut failure: Option<IncrError> = None;
         for update in updates {
-            let step = self.apply_step(update, &mut report, &mut pending);
+            let step = self.apply_step(update.borrow(), &mut report, &mut pending);
             if let Err(e) = step {
                 failure = Some(e);
                 break;
@@ -515,28 +522,28 @@ impl MaterializedView {
     /// One update of a batch; pending inserts accumulate under `pending`.
     fn apply_step(
         &mut self,
-        update: Update,
+        update: &Update,
         report: &mut ApplyReport,
         pending: &mut Option<Vec<usize>>,
     ) -> Result<(), IncrError> {
         match update {
             Update::Insert(fact) => {
-                self.check_updatable(&fact)?;
-                if self.db.contains(&fact) {
+                self.check_updatable(fact)?;
+                if self.db.contains(fact) {
                     report.no_ops += 1;
                     return Ok(());
                 }
                 if pending.is_none() {
                     *pending = Some(self.runner.marks(&self.db));
                 }
-                self.db.insert(fact.pred.clone(), fact.values.clone());
+                self.db.insert_fact(fact);
                 report.applied += 1;
             }
             Update::Retract(fact) => {
                 if let Some(marks) = pending.take() {
                     self.resume(marks)?;
                 }
-                if self.retract(&fact)? {
+                if self.retract(fact)? {
                     report.applied += 1;
                 } else {
                     report.no_ops += 1;
@@ -551,24 +558,26 @@ impl MaterializedView {
     /// error contract as the incremental path — an offending update drops
     /// the rest of the batch, but the already-applied prefix is
     /// propagated, leaving the view at a fixpoint of its program.
-    fn apply_recompute<I: IntoIterator<Item = Update>>(
-        &mut self,
-        updates: I,
-    ) -> Result<ApplyReport, IncrError> {
+    fn apply_recompute<I>(&mut self, updates: I) -> Result<ApplyReport, IncrError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Update>,
+    {
         let mut report = ApplyReport::default();
         let mut dirty = false;
         let mut failure: Option<IncrError> = None;
         for update in updates {
+            let update = update.borrow();
             if let Err(e) = self.check_updatable(update.fact()) {
                 failure = Some(e);
                 break;
             }
-            let applied = match &update {
+            let applied = match update {
                 Update::Insert(f) => {
                     if self.db.contains(f) {
                         false
                     } else {
-                        self.db.insert(f.pred.clone(), f.values.clone());
+                        self.db.insert_fact(f);
                         true
                     }
                 }
@@ -631,8 +640,8 @@ impl MaterializedView {
         {
             let support = &mut self.support;
             let head_preds = &self.head_preds;
-            let mut observer = |plan_idx: usize, row: &[ValId], _is_new: bool| {
-                support.add(&head_preds[plan_idx], row, 1);
+            let mut observer = |plan_idx: usize, row_id: usize, _is_new: bool| {
+                support.add(&head_preds[plan_idx], row_id, 1);
             };
             self.runner
                 .resume(&mut self.db, marks, &mut op_stats, Some(&mut observer))
@@ -652,12 +661,14 @@ impl MaterializedView {
 
     /// Reclaim tombstoned storage of `pred`'s relation once the dead-slot
     /// share crosses a threshold.  Called between maintenance operations
-    /// only: compaction renumbers row ids, and fresh delta marks are taken
+    /// only: compaction renumbers row ids — the support column is gathered
+    /// through the same renumbering — and fresh delta marks are taken
     /// after it.
     fn maybe_compact(&mut self, pred: &PredName) {
         const MIN_TOMBSTONES: usize = 256;
         if let Some(rel) = self.db.relation_mut_opt(pred) {
             if rel.tombstones() >= MIN_TOMBSTONES && rel.tombstones() * 2 >= rel.watermark() {
+                self.support.remap(pred, rel.iter_ids().map(|(id, _)| id));
                 rel.compact();
             }
         }
@@ -746,24 +757,27 @@ impl MaterializedView {
                     self.stats.join_probes += counters.probes;
                     for (lost_plan, head_row) in lost.drain(..) {
                         let head_pred = &self.head_preds[lost_plan];
-                        if self.support.get(head_pred, &head_row) == 0 {
+                        // Removal is deferred, so the head of a lost
+                        // derivation is still stored.
+                        let Some(row_id) = self
+                            .db
+                            .relation(head_pred)
+                            .and_then(|rel| rel.find_id(&head_row))
+                        else {
+                            continue;
+                        };
+                        if self.support.get(head_pred, row_id) == 0 {
                             // An exogenous axiom with no tracked
                             // derivations: nothing to discount.
                             debug_assert!(self.is_exogenous(head_pred, &head_row));
                             continue;
                         }
-                        let remaining = self.support.sub(head_pred, &head_row, 1);
-                        if remaining == 0 && !self.is_exogenous(head_pred, &head_row) {
-                            let Some(row_id) = self
-                                .db
-                                .relation(head_pred)
-                                .and_then(|rel| rel.find_id(&head_row))
-                            else {
-                                continue;
-                            };
-                            if marked.entry(head_pred.clone()).or_default().insert(row_id) {
-                                queue.push_back((head_pred.clone(), row_id));
-                            }
+                        let remaining = self.support.sub(head_pred, row_id, 1);
+                        if remaining == 0
+                            && !self.is_exogenous(head_pred, &head_row)
+                            && marked.entry(head_pred.clone()).or_default().insert(row_id)
+                        {
+                            queue.push_back((head_pred.clone(), row_id));
                         }
                     }
                 }
@@ -779,10 +793,7 @@ impl MaterializedView {
                 continue;
             };
             for &id in &ids {
-                // Support first, while the row slice can still be borrowed
-                // (the tombstoned slot would keep decoding, but this saves
-                // the copy).
-                self.support.remove(&pred, rel.row_ids(id));
+                self.support.clear(&pred, id);
                 rel.remove_id(id);
             }
             self.maybe_compact(&pred);
@@ -814,59 +825,59 @@ impl MaterializedView {
         self.stats.merge(&od_stats);
 
         // 2. Collect the overdeleted rows per derived predicate (shadow
-        //    rows that are actually present and not exogenous axioms), then
-        //    drop every shadow relation again.
-        let mut overdeleted: Vec<(PredName, Vec<PackedRow>)> = Vec::new();
-        // Exogenous axioms touched by overdeletion survive removal but may
-        // have lost derivations; their support is recomputed below.
-        let mut touched_axioms: Vec<(PredName, PackedRow)> = Vec::new();
+        //    rows that are actually present), each resolved to its id
+        //    once, then drop every shadow relation again.
+        let mut overdeleted: Vec<Overdeleted> = Vec::new();
         for (orig, shadow) in &od.shadow {
             if !self.derived_preds.contains(orig) {
                 continue;
             }
-            let Some(shadow_rel) = self.db.relation(shadow) else {
+            let (Some(shadow_rel), Some(rel)) = (self.db.relation(shadow), self.db.relation(orig))
+            else {
                 continue;
             };
-            let Some(rel) = self.db.relation(orig) else {
-                continue;
+            let mut hit = Overdeleted {
+                pred: orig.clone(),
+                arity: rel.arity(),
+                ids: Vec::new(),
+                rows: Vec::new(),
+                axioms: Vec::new(),
             };
-            let mut rows = Vec::new();
             for (_, row) in shadow_rel.iter_ids() {
-                if !rel.contains_ids(row) {
+                let Some(id) = rel.find_id(row) else {
                     continue;
-                }
+                };
                 if self.is_exogenous(orig, row) {
-                    touched_axioms.push((orig.clone(), row.to_vec()));
+                    hit.axioms.push(row.to_vec());
                 } else {
-                    rows.push(row.to_vec());
+                    hit.ids.push(id);
+                    hit.rows.extend_from_slice(row);
                 }
             }
-            if !rows.is_empty() {
-                overdeleted.push((orig.clone(), rows));
+            if !hit.ids.is_empty() || !hit.axioms.is_empty() {
+                overdeleted.push(hit);
             }
         }
-        let shadow_preds: Vec<PredName> = od.shadow.values().cloned().collect();
-        for shadow in shadow_preds {
-            self.db.remove_relation(&shadow);
+        for shadow in od.shadow.values() {
+            self.db.remove_relation(shadow);
         }
 
         // 3. Physical removal: the retracted base fact plus the overdeleted
-        //    derived rows (tombstone marks; row ids stay valid).  Support
-        //    entries of removed rows are discarded (re-derived rows get
-        //    fresh exact counts below).  Relations with enough dead slots
-        //    are compacted here, *before* the marks below are taken.
+        //    derived rows (tombstone marks; row ids stay valid until their
+        //    own relation is compacted).  Support counts of removed rows
+        //    are zeroed (re-derived rows get fresh exact counts below).
+        //    Relations with enough dead slots are compacted here, *before*
+        //    the marks below are taken.
         self.db.remove(&fact.pred, &fact.values);
         self.maybe_compact(&fact.pred);
-        for (pred, rows) in &overdeleted {
-            for row in rows {
-                self.support.remove(pred, row);
-                if let Some(rel) = self.db.relation_mut_opt(pred) {
-                    if let Some(id) = rel.find_id(row) {
-                        rel.remove_id(id);
-                    }
+        for hit in &overdeleted {
+            if let Some(rel) = self.db.relation_mut_opt(&hit.pred) {
+                for &id in &hit.ids {
+                    self.support.clear(&hit.pred, id);
+                    rel.remove_id(id);
                 }
             }
-            self.maybe_compact(pred);
+            self.maybe_compact(&hit.pred);
         }
 
         // 4. Re-derivation seeds: removed rows with at least one surviving
@@ -874,31 +885,61 @@ impl MaterializedView {
         //    are taken against the seed-free database, then the seeds are
         //    appended after the marks so the resumed windows count exactly
         //    the derivations that involve re-inserted rows.
-        let mut seeds: Vec<(PredName, PackedRow, u64)> = Vec::new();
-        for (pred, rows) in &overdeleted {
-            for row in rows {
-                let count = self.one_step_support(pred, row)?;
-                if count > 0 {
-                    seeds.push((pred.clone(), row.clone(), count));
-                }
-            }
+        let mut seed_counts: Vec<Vec<u64>> = Vec::with_capacity(overdeleted.len());
+        for hit in &overdeleted {
+            let counts = hit
+                .removed()
+                .map(|row| self.one_step_support(&hit.pred, row))
+                .collect::<Result<_, _>>()?;
+            seed_counts.push(counts);
         }
         // Touched axioms stay in place; reset their counts to the surviving
         // derivations (the resume below adds back any involving re-derived
         // rows, same as for the seeds).
-        for (pred, row) in &touched_axioms {
-            let count = self.one_step_support(pred, row)?;
-            self.support.remove(pred, row);
-            if count > 0 {
-                self.support.add(pred, row, count);
+        for hit in &overdeleted {
+            for row in &hit.axioms {
+                let count = self.one_step_support(&hit.pred, row)?;
+                let id = self
+                    .db
+                    .relation(&hit.pred)
+                    .and_then(|rel| rel.find_id(row))
+                    .expect("axioms are never removed");
+                self.support.clear(&hit.pred, id);
+                self.support.add(&hit.pred, id, count);
             }
         }
         let marks = self.runner.marks(&self.db);
-        for (pred, row, count) in seeds {
-            self.db.relation_mut(&pred, row.len()).insert_ids(&row);
-            self.support.add(&pred, &row, count);
+        for (hit, counts) in overdeleted.iter().zip(&seed_counts) {
+            let rel = self.db.relation_mut(&hit.pred, hit.arity);
+            for (row, &count) in hit.removed().zip(counts) {
+                if count > 0 {
+                    let (id, _) = rel.insert_ids_at(row);
+                    self.support.add(&hit.pred, id, count);
+                }
+            }
         }
         self.resume(marks)
+    }
+}
+
+/// What one overdeletion pass reached in one derived predicate.
+struct Overdeleted {
+    pred: PredName,
+    arity: usize,
+    /// The rows to remove: their ids as of the overdeletion fixpoint …
+    ids: Vec<usize>,
+    /// … and their values, `arity` ids per row, parallel to `ids`.
+    rows: Vec<ValId>,
+    /// Exogenous axioms the pass reached.  They are never removed, but may
+    /// have lost derivations.
+    axioms: Vec<PackedRow>,
+}
+
+impl Overdeleted {
+    /// The removed rows, in `ids` order.  (Not `chunks_exact`: a fully
+    /// bound magic or answer predicate has arity zero.)
+    fn removed(&self) -> impl Iterator<Item = &[ValId]> + '_ {
+        (0..self.ids.len()).map(|r| &self.rows[r * self.arity..(r + 1) * self.arity])
     }
 }
 
@@ -938,11 +979,11 @@ impl MaterializedView {
             let Some(rel) = self.db.relation(pred) else {
                 continue;
             };
-            for (_, row) in rel.iter_ids() {
+            for (id, row) in rel.iter_ids() {
                 let expected = self
                     .one_step_support(pred, row)
                     .map_err(|e| e.to_string())?;
-                let recorded = self.support.get(pred, row);
+                let recorded = self.support.get(pred, id);
                 if recorded != expected {
                     return Err(format!(
                         "support drift for {pred}{row:?}: recorded {recorded}, \

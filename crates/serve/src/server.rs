@@ -803,18 +803,27 @@ impl ServerHandle {
         self.shared.updates_applied.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, stop every writer shard, let the reader pool
-    /// drop its connections and join every thread.  Idempotent; also
-    /// runs on drop.
+    /// Stop front to back and join every thread: the accept loop, then
+    /// the reader pool (which drops its connections), then the writer
+    /// shards.  A writer therefore outlives every thread that can still
+    /// hand it work, and is the last thread to exit.  That order also
+    /// keeps a process that starts another server afterwards at one
+    /// server's footprint: glibc gives a new thread the malloc arena of
+    /// the thread that exited last, so the next server's writer (the first
+    /// thread [`Server::start`] spawns) allocates its views out of the
+    /// space the previous writer's views freed, where a racing exit order
+    /// left that to chance (89 MiB or 150 MiB on `magicbench serve_read`,
+    /// run to run).  Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.begin_shutdown();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in self.writer_threads.drain(..) {
+        for t in self.reader_threads.drain(..) {
             let _ = t.join();
         }
-        for t in self.reader_threads.drain(..) {
+        self.shared.begin_shutdown();
+        for t in self.writer_threads.drain(..) {
             let _ = t.join();
         }
     }

@@ -2,6 +2,7 @@
 //! by evaluation).
 
 use crate::relation::{Relation, Row};
+use magic_datalog::arena::intern_row;
 use magic_datalog::{Fact, PredName, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,9 +33,12 @@ impl Database {
         db
     }
 
-    /// Insert a fact; returns `true` if it was new.
+    /// Insert a fact; returns `true` if it was new.  Borrows all the way
+    /// down: the values are interned straight from the fact, and the name
+    /// is cloned only if the relation has to be created.
     pub fn insert_fact(&mut self, fact: &Fact) -> bool {
-        self.insert(fact.pred.clone(), fact.values.clone())
+        self.relation_mut(&fact.pred, fact.values.len())
+            .insert_ids(&intern_row(&fact.values))
     }
 
     /// Insert a row under a predicate name; returns `true` if it was new.

@@ -23,9 +23,14 @@
 //! finalized so every bit is usable) into an open-addressed table of
 //! `(hash tag, row id)` words — 8 bytes a slot, confirmed against the
 //! stored row — split into 16 shards by hash; secondary indexes map
-//! packed keys to ascending lists of row ids, likewise sharded.  Index keys of **≤ 2 positions are packed inline into one
-//! `u64`** (two inline-tagged `ValId` raw words) — no per-key boxing and
-//! no node-table indirection on the dominant binary-relation workloads.
+//! packed keys to ascending lists of row ids, likewise sharded.  Index
+//! keys of **≤ 2 positions are packed inline into one `u64`** (two
+//! inline-tagged `ValId` raw words) — no per-key boxing and no node-table
+//! indirection on the dominant binary-relation workloads.  A pattern that
+//! names *every* position gets no secondary index at all: such a key is a
+//! row, and the dedup table is already the index on rows
+//! ([`Relation::covers_row`], [`Relation::find_id`]) — 8 bytes a row where
+//! a map entry holding a one-element id list cost about ten times that.
 //! Nothing on the insert or probe path hashes or clones a `Value`; rows
 //! are decoded back to `Vec<Value>` only at the API edge
 //! ([`Relation::iter`], [`Relation::row_values`], query answers).

@@ -497,16 +497,28 @@ impl Relation {
         self.insert_ids(&ids)
     }
 
-    /// Insert a packed row; returns `true` if it was new.  The storage hot
-    /// path: one FxHash over the id slice (shard and slot both come from
-    /// it), one dedup-shard probe for the duplicate check (duplicates touch
-    /// nothing else — no copy-on-write traffic at all), and an append into
-    /// the current page for new rows.
+    /// Insert a packed row; returns `true` if it was new.  See
+    /// [`Relation::insert_ids_at`], which also says where the row lives.
     ///
     /// # Panics
     ///
     /// Panics if the row's arity does not match the relation's.
+    #[inline]
     pub fn insert_ids(&mut self, row: &[ValId]) -> bool {
+        self.insert_ids_at(row).1
+    }
+
+    /// Insert a packed row; returns the row's id — the fresh one, or the
+    /// one the duplicate probe found — and whether it was new.  The
+    /// storage hot path: one FxHash over the id slice (shard and slot both
+    /// come from it), one dedup-shard probe for the duplicate check
+    /// (duplicates touch nothing else — no copy-on-write traffic at all),
+    /// and an append into the current page for new rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's arity does not match the relation's.
+    pub fn insert_ids_at(&mut self, row: &[ValId]) -> (usize, bool) {
         assert_eq!(
             row.len(),
             self.arity,
@@ -519,9 +531,9 @@ impl Relation {
         // Read-only duplicate probe: the overwhelmingly common duplicate
         // case never takes a write path (and so never clones a shared
         // shard).
-        let Err(vacancy) = self.dedup[shard].probe(tag, |id| self.row_ids(id as usize) == row)
-        else {
-            return false;
+        let vacancy = match self.dedup[shard].probe(tag, |id| self.row_ids(id as usize) == row) {
+            Ok(slot) => return (self.dedup[shard].slots[slot] as u32 as usize, false),
+            Err(vacancy) => vacancy,
         };
         let id = self.rows;
         assert!(id < MAX_ROWS, "relation exceeds {MAX_ROWS} rows");
@@ -537,7 +549,7 @@ impl Relation {
         }
         self.key_scratch = scratch;
         self.append_row_slot(row);
-        true
+        (id, true)
     }
 
     /// Append `row` as the next (live) row slot; the shared tail of
@@ -619,11 +631,15 @@ impl Relation {
     /// hot path uses those directly to borrow the id slice instead.
     ///
     /// An empty `positions` list means "no selection": all live row ids
-    /// match.
+    /// match.  A pattern that [covers the row](Relation::covers_row) is
+    /// answered by the dedup table.
     pub fn select_ids(&mut self, positions: &[usize], key: &[Value]) -> Vec<usize> {
         debug_assert_eq!(positions.len(), key.len());
         if positions.is_empty() {
             return (0..self.rows).filter(|&id| self.is_live(id)).collect();
+        }
+        if self.covers_row(positions) {
+            return self.find_id(&intern_row(key)).into_iter().collect();
         }
         self.ensure_index(positions);
         self.lookup(positions, &intern_row(key))
@@ -631,9 +647,21 @@ impl Relation {
             .to_vec()
     }
 
+    /// True iff `positions` is every position of the row, in order: a key
+    /// on such a pattern *is* a row, so the dedup table already indexes it
+    /// ([`Relation::find_id`]: zero or one id) and no secondary index is
+    /// ever built for it.
+    #[inline]
+    pub fn covers_row(&self, positions: &[usize]) -> bool {
+        positions.len() == self.arity && positions.iter().enumerate().all(|(i, &p)| p == i)
+    }
+
     /// Ensure an (incrementally maintained) hash index exists on
     /// `positions`.  Indexes are kept current by [`Relation::insert_ids`]
-    /// and the removal entry points alike.
+    /// and the removal entry points alike.  Nothing is built for an empty
+    /// pattern (a scan) or one that [covers the row](Relation::covers_row)
+    /// (the dedup table is that index, at 8 bytes a row instead of a map
+    /// entry and a one-element id list).
     ///
     /// Building over an already-populated relation takes the bulk sorted
     /// path: sort the live row ids by key, then insert one exactly-sized
@@ -642,7 +670,10 @@ impl Relation {
     /// The resulting index is identical (same keys, same ascending id
     /// lists) to the incremental build.
     pub fn ensure_index(&mut self, positions: &[usize]) {
-        if positions.is_empty() || self.indexes.contains_key(positions) {
+        if positions.is_empty()
+            || self.covers_row(positions)
+            || self.indexes.contains_key(positions)
+        {
             return;
         }
         const BULK_BUILD_MIN: usize = 512;
@@ -1203,27 +1234,69 @@ mod tests {
 
     #[test]
     fn compact_reclaims_tombstones_and_renumbers() {
-        let mut r = Relation::new(1);
+        let mut r = Relation::new(2);
         for s in ["a", "b", "c", "d"] {
-            r.insert(vec![v(s)]);
+            r.insert(vec![v(s), v("x")]);
         }
         r.ensure_index(&[0]);
-        r.remove(&[v("a")]);
-        r.remove(&[v("c")]);
+        r.remove(&[v("a"), v("x")]);
+        r.remove(&[v("c"), v("x")]);
         r.compact();
         assert_eq!(r.len(), 2);
         assert_eq!(r.tombstones(), 0);
         assert_eq!(r.watermark(), 2);
         // Survivors are renumbered densely in former id order.
-        assert_eq!(r.id_of(&[v("b")]), Some(0));
-        assert_eq!(r.id_of(&[v("d")]), Some(1));
+        assert_eq!(r.id_of(&[v("b"), v("x")]), Some(0));
+        assert_eq!(r.id_of(&[v("d"), v("x")]), Some(1));
         // Indexes were rebuilt on the same pattern and stay maintained.
         assert_eq!(r.lookup(&[0], &intern_row(&[v("b")])).unwrap(), &[0]);
-        assert!(r.insert(vec![v("e")]));
+        assert!(r.insert(vec![v("e"), v("x")]));
         assert_eq!(r.lookup(&[0], &intern_row(&[v("e")])).unwrap(), &[2]);
         // Compacting a tombstone-free relation is a no-op.
         r.compact();
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn whole_row_patterns_are_answered_by_the_dedup_table() {
+        // A key on every position is a row: no secondary index is built
+        // for it (before or after rows arrive, or by compaction), `lookup`
+        // has nothing to borrow from, and `select_ids` resolves through
+        // `find_id` — live rows only, like any index.
+        let mut r = Relation::new(2);
+        r.ensure_index(&[0, 1]);
+        for i in 0..600i64 {
+            r.insert(vec![Value::Int(i % 7), Value::Int(i)]);
+        }
+        r.ensure_index(&[0, 1]); // past the bulk-build threshold too
+        assert!(r.covers_row(&[0, 1]));
+        assert!(!r.covers_row(&[0]) && !r.covers_row(&[1, 0]) && !r.covers_row(&[]));
+        assert!(r.indexes.is_empty());
+        assert!(r
+            .lookup(&[0, 1], &intern_row(&[Value::Int(3), Value::Int(3)]))
+            .is_none());
+        let hit = [Value::Int(3), Value::Int(3)];
+        assert_eq!(r.select_ids(&[0, 1], &hit), vec![3]);
+        assert_eq!(
+            r.select_ids(&[0, 1], &hit),
+            r.scan_select(&[0, 1], &intern_row(&hit))
+        );
+        assert!(r
+            .select_ids(&[0, 1], &[Value::Int(3), Value::Int(4)])
+            .is_empty());
+        r.remove(&hit);
+        assert!(r.select_ids(&[0, 1], &hit).is_empty());
+        r.compact();
+        assert!(r.indexes.is_empty());
+        // A permuted whole-row pattern is an ordinary index.
+        r.ensure_index(&[1, 0]);
+        assert_eq!(r.indexes.len(), 1);
+        // Unary relations: the one-column pattern is the whole row.
+        let mut u = Relation::new(1);
+        u.insert(vec![v("a")]);
+        u.ensure_index(&[0]);
+        assert!(u.indexes.is_empty());
+        assert_eq!(u.select_ids(&[0], &[v("a")]), vec![0]);
     }
 
     #[test]

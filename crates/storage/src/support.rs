@@ -12,21 +12,30 @@
 //! exact either way, which the test suite checks against the head-bound
 //! join oracle.
 //!
-//! Rows are keyed in their packed ([`ValId`]) form, matching the relation
-//! storage: maintaining a count hashes a few `u32`s, never a `Value`.
+//! # Layout
+//!
+//! One flat column of `u64` counts per predicate, indexed by **row id** —
+//! the id the relation's dedup probe already produced when the firing was
+//! inserted, so maintaining a count is one bounds check and one add: no
+//! hashing, no stored key, 8 bytes a row.  A column follows its relation's
+//! id space: it grows (zero-filled) as ids are handed out, a removed row's
+//! entry is zeroed ([`SupportTable::clear`]) and stays so while the dead
+//! slot persists, and when the relation is compacted — the one event that
+//! renumbers ids — the column is gathered through the same old-id order
+//! ([`SupportTable::remap`]).
 //!
 //! The table is storage-layer state rather than engine state because it is
 //! part of what a materialized relation *is* under maintenance: rows plus
 //! their support.
 
-use crate::fxhash::FxHashMap;
-use magic_datalog::{PredName, ValId};
+use magic_datalog::PredName;
 use std::collections::BTreeMap;
 
-/// Exact per-row derivation counts, keyed by predicate then packed row.
+/// Exact per-row derivation counts: per predicate, a column indexed by row
+/// id.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupportTable {
-    counts: BTreeMap<PredName, FxHashMap<Box<[ValId]>, u64>>,
+    counts: BTreeMap<PredName, Vec<u64>>,
 }
 
 impl SupportTable {
@@ -35,114 +44,87 @@ impl SupportTable {
         SupportTable::default()
     }
 
-    /// Add `n` derivations of `row` under `pred`; returns the new count.
-    ///
-    /// The row is copied only when it is first seen under the predicate.
-    pub fn add(&mut self, pred: &PredName, row: &[ValId], n: u64) -> u64 {
-        let by_row = match self.counts.get_mut(pred) {
-            Some(by_row) => by_row,
+    /// Add `n` derivations of row `id` of `pred`; returns the new count.
+    pub fn add(&mut self, pred: &PredName, id: usize, n: u64) -> u64 {
+        let column = match self.counts.get_mut(pred) {
+            Some(column) => column,
+            // The name is cloned only when the column is created.
             None => self.counts.entry(pred.clone()).or_default(),
         };
-        match by_row.get_mut(row) {
-            Some(count) => {
-                *count += n;
-                *count
-            }
-            None => {
-                by_row.insert(row.into(), n);
-                n
-            }
+        if id >= column.len() {
+            column.resize(id + 1, 0);
         }
+        column[id] += n;
+        column[id]
     }
 
-    /// Subtract `n` derivations of `row` under `pred`; returns the
-    /// remaining count.  A count that reaches zero drops its entry.
+    /// Subtract `n` derivations of row `id` of `pred`; returns the
+    /// remaining count.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if the row's recorded support is smaller
     /// than `n` — the incremental algebra never over-subtracts; doing so
     /// means counts and derivations have drifted apart.
-    pub fn sub(&mut self, pred: &PredName, row: &[ValId], n: u64) -> u64 {
-        let Some(by_row) = self.counts.get_mut(pred) else {
-            debug_assert!(n == 0, "subtracting support from an untracked predicate");
-            return 0;
-        };
-        let Some(count) = by_row.get_mut(row) else {
+    pub fn sub(&mut self, pred: &PredName, id: usize, n: u64) -> u64 {
+        let Some(count) = self.counts.get_mut(pred).and_then(|c| c.get_mut(id)) else {
             debug_assert!(n == 0, "subtracting support from an untracked row");
             return 0;
         };
         debug_assert!(*count >= n, "support underflow: {count} - {n}");
         *count = count.saturating_sub(n);
-        if *count == 0 {
-            by_row.remove(row);
-            0
-        } else {
-            *count
-        }
+        *count
     }
 
-    /// The recorded support of `row` under `pred` (zero if untracked).
-    pub fn get(&self, pred: &PredName, row: &[ValId]) -> u64 {
+    /// The recorded support of row `id` of `pred` (zero if untracked).
+    pub fn get(&self, pred: &PredName, id: usize) -> u64 {
         self.counts
             .get(pred)
-            .and_then(|by_row| by_row.get(row))
+            .and_then(|column| column.get(id))
             .copied()
             .unwrap_or(0)
     }
 
-    /// Drop the entry of `row` under `pred` regardless of its count;
-    /// returns the count it had.
-    pub fn remove(&mut self, pred: &PredName, row: &[ValId]) -> u64 {
+    /// Zero the count of row `id` of `pred` (the row is being removed, or
+    /// its count re-established from scratch); returns the count it had.
+    pub fn clear(&mut self, pred: &PredName, id: usize) -> u64 {
         self.counts
             .get_mut(pred)
-            .and_then(|by_row| by_row.remove(row))
-            .unwrap_or(0)
+            .and_then(|column| column.get_mut(id))
+            .map_or(0, std::mem::take)
     }
 
-    /// Iterate over the tracked (packed) rows of `pred` with their counts.
-    pub fn rows_of(&self, pred: &PredName) -> impl Iterator<Item = (&[ValId], u64)> + '_ {
-        self.counts
-            .get(pred)
-            .into_iter()
-            .flat_map(|by_row| by_row.iter().map(|(row, &n)| (row.as_ref(), n)))
-    }
-
-    /// The predicates with at least one tracked row.
-    pub fn preds(&self) -> impl Iterator<Item = &PredName> + '_ {
-        self.counts
-            .iter()
-            .filter(|(_, by_row)| !by_row.is_empty())
-            .map(|(pred, _)| pred)
-    }
-
-    /// Total number of tracked rows across all predicates.
-    pub fn tracked_rows(&self) -> usize {
-        self.counts.values().map(FxHashMap::len).sum()
+    /// Follow a compaction of `pred`'s relation: `live_ids` are the ids
+    /// that survive, ascending — the order compaction renumbers them
+    /// densely from zero in — so the count of old id `live_ids[k]` moves
+    /// to id `k`.  Call with the ids as they are *before* the relation is
+    /// compacted.
+    pub fn remap(&mut self, pred: &PredName, live_ids: impl Iterator<Item = usize>) {
+        if let Some(column) = self.counts.get_mut(pred) {
+            *column = live_ids
+                .map(|id| column.get(id).copied().unwrap_or(0))
+                .collect();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magic_datalog::Value;
-
-    fn row(s: &str) -> Vec<ValId> {
-        vec![ValId::intern(&Value::sym(s))]
-    }
 
     #[test]
     fn add_sub_roundtrip() {
         let mut t = SupportTable::new();
         let p = PredName::plain("p");
-        assert_eq!(t.add(&p, &row("a"), 2), 2);
-        assert_eq!(t.add(&p, &row("a"), 3), 5);
-        assert_eq!(t.get(&p, &row("a")), 5);
-        assert_eq!(t.sub(&p, &row("a"), 4), 1);
-        assert_eq!(t.sub(&p, &row("a"), 1), 0);
-        // Entry dropped at zero.
-        assert_eq!(t.get(&p, &row("a")), 0);
-        assert_eq!(t.tracked_rows(), 0);
+        assert_eq!(t.add(&p, 3, 2), 2);
+        assert_eq!(t.add(&p, 3, 3), 5);
+        assert_eq!(t.get(&p, 3), 5);
+        // Ids the column grew past hold zero.
+        assert_eq!(t.get(&p, 1), 0);
+        assert_eq!(t.get(&p, 99), 0);
+        assert_eq!(t.sub(&p, 3, 4), 1);
+        assert_eq!(t.sub(&p, 3, 1), 0);
+        assert_eq!(t.get(&p, 3), 0);
     }
 
     #[test]
@@ -150,27 +132,35 @@ mod tests {
         let mut t = SupportTable::new();
         let p = PredName::plain("p");
         let q = PredName::plain("q");
-        t.add(&p, &row("a"), 1);
-        t.add(&q, &row("a"), 7);
-        assert_eq!(t.get(&p, &row("a")), 1);
-        assert_eq!(t.get(&q, &row("a")), 7);
-        assert_eq!(t.remove(&q, &row("a")), 7);
-        assert_eq!(t.get(&q, &row("a")), 0);
-        let preds: Vec<_> = t.preds().collect();
-        assert_eq!(preds, vec![&p]);
+        t.add(&p, 0, 1);
+        t.add(&q, 0, 7);
+        assert_eq!(t.get(&p, 0), 1);
+        assert_eq!(t.get(&q, 0), 7);
+        assert_eq!(t.clear(&q, 0), 7);
+        assert_eq!(t.get(&q, 0), 0);
+        assert_eq!(t.clear(&q, 0), 0);
+        assert_eq!(t.get(&p, 0), 1);
     }
 
     #[test]
-    fn rows_of_lists_tracked_rows() {
+    fn remap_gathers_the_surviving_ids_in_order() {
         let mut t = SupportTable::new();
         let p = PredName::plain("p");
-        t.add(&p, &row("a"), 1);
-        t.add(&p, &row("b"), 2);
-        let mut rows: Vec<(String, u64)> = t
-            .rows_of(&p)
-            .map(|(r, n)| (r[0].value().to_string(), n))
-            .collect();
-        rows.sort();
-        assert_eq!(rows, vec![("a".into(), 1), ("b".into(), 2)]);
+        for (id, n) in [(0, 10), (1, 11), (2, 12), (3, 13), (4, 14)] {
+            t.add(&p, id, n);
+        }
+        // Rows 1 and 3 were removed (their counts cleared); compaction
+        // renumbers 0, 2, 4 -> 0, 1, 2.
+        t.clear(&p, 1);
+        t.clear(&p, 3);
+        t.remap(&p, [0, 2, 4].into_iter());
+        assert_eq!([t.get(&p, 0), t.get(&p, 1), t.get(&p, 2)], [10, 12, 14]);
+        assert_eq!(t.get(&p, 3), 0);
+        // A surviving id past the column's end (rows never counted) reads
+        // as zero; an untracked predicate is left alone.
+        t.remap(&p, [0, 7].into_iter());
+        assert_eq!([t.get(&p, 0), t.get(&p, 1)], [10, 0]);
+        t.remap(&PredName::plain("q"), [0].into_iter());
+        assert_eq!(t.get(&PredName::plain("q"), 0), 0);
     }
 }
