@@ -76,6 +76,9 @@
 //! 3 079) now that the overdeletion shadow rules and head-bound plans are
 //! ordered by `engine::sip_order`; the other 97 counter-carrying cells
 //! are bit-identical to PR 10's (classic runs compile neither).
+//! PR 16 (`BENCH_PR16.json`) touches only `crates/serve` (the readiness
+//! loop): every counter-carrying cell equals PR 15's, and the `serve*`
+//! latency cells lose their 1 ms floor.
 //! The pre-existing scenarios' probe counts must not move
 //! between snapshots, and — the scheduler's determinism contract —
 //! every counter of a parallel cell must be bit-identical to its
@@ -83,7 +86,7 @@
 //!
 //! ```text
 //! cargo run --release -p magic-bench --bin perf_report -- \
-//!     [--out BENCH_PR15.json] [--baseline BENCH_PR14.json] [--quick] \
+//!     [--out BENCH_PR16.json] [--baseline BENCH_PR15.json] [--quick] \
 //!     [--threads N] [--filter <scenario-substring>] \
 //!     [--strategy <short-name>]...
 //! ```
@@ -1560,7 +1563,7 @@ fn assert_counters_pinned(scenario: &str, single: &Outcome, parallel: &Outcome) 
 fn render(scenarios: &[(String, Vec<Cell>)], baseline: Option<&str>, engine: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"pr\": 14,");
+    let _ = writeln!(out, "  \"pr\": 16,");
     let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(engine));
     let _ = writeln!(
         out,

@@ -501,6 +501,8 @@ pub struct PipeClient {
     addr: SocketAddr,
     next_id: u64,
     inbuf: Vec<u8>,
+    /// Socket read buffer, allocated once per connection.
+    chunk: Box<[u8]>,
     /// Ids submitted and not yet claimed by a `wait_*` call.
     pending: HashSet<u64>,
     /// Responses received for ids not yet waited on.
@@ -524,6 +526,7 @@ impl PipeClient {
             addr,
             next_id: 0,
             inbuf: Vec::new(),
+            chunk: vec![0u8; 16 * 1024].into_boxed_slice(),
             pending: HashSet::new(),
             completed: HashMap::new(),
             broken: None,
@@ -734,12 +737,9 @@ impl PipeClient {
         }
         self.next_id += 1;
         let id = self.next_id;
-        let frame = Frame {
-            req_id: id,
-            tag,
-            body: body.to_vec(),
-        };
-        if let Err(e) = self.stream.write_all(&frame.encode()) {
+        let mut frame = Vec::with_capacity(13 + body.len());
+        Frame::encode_into(id, tag, body, &mut frame);
+        if let Err(e) = self.stream.write_all(&frame) {
             self.broken = Some(e.to_string());
             return Err(ClientError::Io(e));
         }
@@ -764,13 +764,14 @@ impl PipeClient {
                 self.pending.remove(&id);
                 return Err(broken_error(&reason));
             }
-            // Drain every complete frame already buffered before
-            // touching the socket again.
-            let mut decoded_any = false;
+            // Decode every complete frame already buffered before
+            // touching the socket again; the consumed prefix leaves
+            // the buffer once, after the loop.
+            let mut consumed = 0usize;
             loop {
-                match Frame::decode(&self.inbuf) {
+                match Frame::decode(&self.inbuf[consumed..]) {
                     Ok(Some((frame, used))) => {
-                        self.inbuf.drain(..used);
+                        consumed += used;
                         self.completed.insert(
                             frame.req_id,
                             Completed {
@@ -779,7 +780,6 @@ impl PipeClient {
                                 at: Instant::now(),
                             },
                         );
-                        decoded_any = true;
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -788,15 +788,15 @@ impl PipeClient {
                     }
                 }
             }
-            if decoded_any || self.broken.is_some() {
+            self.inbuf.drain(..consumed);
+            if consumed > 0 || self.broken.is_some() {
                 continue;
             }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     self.broken = Some("server closed the connection".into());
                 }
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.inbuf.extend_from_slice(&self.chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     self.broken = Some(e.to_string());

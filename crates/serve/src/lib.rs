@@ -14,11 +14,12 @@
 //! crate keeps a catalog of such views live under a stream of updates and
 //! serves them over TCP.
 //!
-//! * [`Server`] / [`ServerHandle`] — a pooled, pipelined TCP server: a
-//!   nonblocking accept loop deals connections to a fixed pool of
-//!   reader threads that pump them (read, decode every buffered
-//!   request, poll writer replies, write responses), while the base
-//!   relations are hash-partitioned across
+//! * [`Server`] / [`ServerHandle`] — a pooled, pipelined TCP server: an
+//!   accept loop deals connections to a fixed pool of reader threads,
+//!   each blocked in one `poll(2)` until a socket, a writer's reply or
+//!   a timer needs it and then pumping its connections (read, decode
+//!   every buffered request, collect writer replies, write
+//!   responses), while the base relations are hash-partitioned across
 //!   [`ServeConfig::writer_shards`] maintenance writers — each with
 //!   its own bounded queue, write-ahead log and published snapshot
 //!   slot, replicating applied batches to its peers behind a per-batch
@@ -68,8 +69,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(not(unix))]
+compile_error!("magic-serve blocks its threads in poll(2) (src/ready.rs) and needs a unix target");
+
 pub mod client;
 pub mod protocol;
+mod ready;
 pub mod server;
 
 pub use client::{Client, ClientError, PipeClient, QueryReply, UpdateAck};

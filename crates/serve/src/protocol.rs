@@ -124,13 +124,21 @@ pub struct Frame {
 impl Frame {
     /// Encode the frame (length prefix included).
     pub fn encode(&self) -> Vec<u8> {
-        let len = 9 + self.body.len();
-        let mut out = Vec::with_capacity(4 + len);
-        out.extend_from_slice(&(len as u32).to_le_bytes());
-        out.extend_from_slice(&self.req_id.to_le_bytes());
-        out.push(self.tag);
-        out.extend_from_slice(&self.body);
+        let mut out = Vec::with_capacity(13 + self.body.len());
+        Frame::encode_into(self.req_id, self.tag, &self.body, &mut out);
         out
+    }
+
+    /// Append the encoding of a frame to `out` without building a
+    /// [`Frame`] first: how both ends stage a frame straight into
+    /// their send buffer, one copy of the body.
+    pub fn encode_into(req_id: u64, tag: u8, body: &[u8], out: &mut Vec<u8>) {
+        let len = 9 + body.len();
+        out.reserve(4 + len);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        out.extend_from_slice(&req_id.to_le_bytes());
+        out.push(tag);
+        out.extend_from_slice(body);
     }
 
     /// Decode one frame from the front of `buf`.
@@ -367,6 +375,11 @@ pub struct ServerStats {
     /// programs with negation or aggregates (the v1 fallback, see the
     /// per-view `recompute_reason`).
     pub recompute_views: u64,
+    /// Times a reader thread returned from its readiness wait, summed
+    /// over the pool.  Readers block until a socket, a writer's reply
+    /// or a timer needs them, so this stands still while the server is
+    /// idle, however many connections are open.
+    pub reader_wakeups: u64,
     /// Per-view totals, in catalog key order.
     pub per_view: Vec<ViewStats>,
     /// Per-writer-shard counters, in shard-index order.
@@ -516,6 +529,7 @@ impl ServerStats {
                 "inflight_requests" => stats.inflight_requests = value,
                 "batch_size_p50" => stats.batch_size_p50 = value,
                 "recompute_views" => stats.recompute_views = value,
+                "reader_wakeups" => stats.reader_wakeups = value,
                 // Forward compatibility: a newer server may report more.
                 _ => {}
             }
@@ -524,7 +538,7 @@ impl ServerStats {
     }
 
     /// The scalar fields, in wire order.
-    fn fields(&self) -> [(&'static str, u64); 23] {
+    fn fields(&self) -> [(&'static str, u64); 24] {
         [
             ("version", self.version),
             ("views", self.views),
@@ -549,6 +563,7 @@ impl ServerStats {
             ("inflight_requests", self.inflight_requests),
             ("batch_size_p50", self.batch_size_p50),
             ("recompute_views", self.recompute_views),
+            ("reader_wakeups", self.reader_wakeups),
         ]
     }
 }
@@ -642,6 +657,7 @@ mod tests {
             inflight_requests: 12,
             batch_size_p50: 8,
             recompute_views: 1,
+            reader_wakeups: 321,
             per_view: vec![ViewStats {
                 key: "anc[bf](a, b)@gms".into(),
                 facts: 42,
@@ -714,6 +730,10 @@ mod tests {
         let (decoded, consumed) = Frame::decode(&bytes).unwrap().unwrap();
         assert_eq!(decoded, frame);
         assert_eq!(consumed, bytes.len());
+        // Staging into a buffer appends the same bytes `encode` returns.
+        let mut staged = b"earlier".to_vec();
+        Frame::encode_into(frame.req_id, frame.tag, &frame.body, &mut staged);
+        assert_eq!(staged[7..], bytes[..]);
         // Two frames back to back: the first decode consumes exactly one.
         let mut two = bytes.clone();
         let second = Frame {

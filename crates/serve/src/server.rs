@@ -32,14 +32,21 @@
 //!   to different predicates commute — a view's state is a function of
 //!   the base state alone.
 //!
-//! * **Connections are pumped, not parked.**  A nonblocking accept
-//!   loop hands each connection to one of a fixed pool of reader
-//!   threads ([`ServeConfig::reader_threads`]); each reader pumps its
-//!   connections round-robin — read, decode *every* buffered request,
-//!   dispatch, poll in-flight writer replies, write completed
-//!   responses.  A client may therefore pipeline: many requests ride
-//!   one syscall, and the per-request wire round-trip that bounds a
-//!   synchronous client's throughput is amortized away.
+//! * **Connections are pumped on readiness.**  An accept loop hands
+//!   each connection to one of a fixed pool of reader threads
+//!   ([`ServeConfig::reader_threads`]).  A reader blocks in one
+//!   `poll(2)` (`ready.rs`) on its sockets, its waker and the
+//!   nearest pending timer, and after every return makes one pass over
+//!   its connections — read what `poll` said is readable (bounded per
+//!   pass), decode *every* buffered request, dispatch, collect writer
+//!   replies, write completed responses.  Nothing polls on a clock to
+//!   find work: a request is picked up when its bytes arrive, a
+//!   writer's reply when the writer signals it, and an idle server
+//!   makes no wake-ups at all.  A client may pipeline: many requests
+//!   ride one syscall, and the per-request wire round-trip that bounds
+//!   a synchronous client's throughput is amortized away — a
+//!   connection that does is served a window at a time
+//!   (`PIPELINE_LINGER`).
 //!
 //! * **Two wire protocols share the port.**  The first bytes of every
 //!   connection are sniffed against [`BINARY_MAGIC`] *in full*: a
@@ -94,6 +101,7 @@ use crate::protocol::{
     op, parse_fact, parse_request, render_ack, render_answers, render_error, sniff, status, Frame,
     Request, ServerStats, ShardStats, Sniff, ViewStats, BINARY_MAGIC,
 };
+use crate::ready::{PollSet, Ready, Waker};
 use magic_core::planner::{Planner, Strategy};
 use magic_datalog::{parse_query, PredName, Program, Query, Value};
 use magic_durable::{verify_shard_layout, ConnFault, DurableConfig, DurableStore, FaultPlan};
@@ -125,9 +133,25 @@ const PROBE_BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Upper bound on one request line; longer input is a protocol error.
 const MAX_LINE: usize = 1 << 20;
 
-/// How long the nonblocking accept loop sleeps when nothing is
-/// arriving before re-checking the listener and the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// How long the accept loop stays off the listener after `accept`
+/// failed for a reason that retrying at once would only repeat (out of
+/// descriptors, out of memory): the listener stays readable in that
+/// state, so waiting on it would spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Size of a reader thread's socket read buffer, and therefore of one
+/// `read` call.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// How long a connection that sent a pipelined burst (more than one
+/// request decoded in one pass) is left alone before its next pass, so
+/// that the rest of the client's window arrives and is served as one
+/// batch: one `read`, one `write` and one wake-up of either side per
+/// window instead of per request.  A window-1 caller never meets it.
+/// This is the batching the old idle sleep did by accident, now stated;
+/// ROADMAP ("pipeline cadence") has the measurements without it and
+/// what has to change before it can go.
+const PIPELINE_LINGER: Duration = Duration::from_millis(1);
 
 /// Cap on distinct binding keys in the rendered-response cache; keys
 /// past it simply re-render (the working set of a skewed read mix is
@@ -152,11 +176,6 @@ pub struct ServeConfig {
     /// Maximum updates coalesced into one maintenance batch (and thus one
     /// published snapshot).
     pub batch_max: usize,
-    /// Idle poll granularity of the connection reader pool: the ceiling
-    /// on how long a reader sleeps when none of its connections made
-    /// progress (clamped to at most 1ms — the pump is nonblocking, so
-    /// this bounds added latency, it no longer parks a thread).
-    pub read_timeout: Duration,
     /// Cap on cached views per writer shard (0 = unbounded): past it,
     /// the shard's catalog evicts the least-recently-queried binding,
     /// which then re-materializes on next sight.  See
@@ -204,8 +223,9 @@ pub struct ServeConfig {
     /// predicate always serialize through one shard.
     pub writer_shards: usize,
     /// Size of the connection reader pool (0 = auto: the machine's
-    /// available parallelism, clamped to 2..=8).  Each reader pumps
-    /// many connections; the pool replaces thread-per-connection.
+    /// available parallelism, clamped to 2..=8).  Each reader serves
+    /// many connections from one readiness wait; the pool replaces
+    /// thread-per-connection.
     pub reader_threads: usize,
     /// Deterministic fault injection (testing only; `None` in
     /// production).  When unset, the `MAGIC_FAULTS` environment
@@ -222,7 +242,6 @@ impl Default for ServeConfig {
             strategy: Strategy::MagicSets,
             limits: Limits::default(),
             batch_max: 256,
-            read_timeout: Duration::from_millis(50),
             max_views: 0,
             view_ttl: Duration::ZERO,
             durability: None,
@@ -277,13 +296,56 @@ struct Snapshot {
     views: BTreeMap<String, Arc<ViewSnapshot>>,
 }
 
-/// An update acknowledgment channel: Ok((state-changed, published
-/// version)) or the rejection message.
-type UpdateReply = Sender<Result<(bool, u64), String>>;
-/// The connection-side end of an update acknowledgment.
-type UpdateRx = Receiver<Result<(bool, u64), String>>;
-/// The connection-side end of a materialization acknowledgment.
-type MaterializeRx = Receiver<Result<String, String>>;
+/// The writer-side end of a parked request: the channel its slot waits
+/// on, and the waker of the reader thread that owns the slot.  Every way
+/// of finishing with it wakes that reader *after* the channel changed —
+/// [`Reply::send`] after the value is queued, dropping it unanswered
+/// (writer gone, command never dequeued) after the channel disconnected
+/// — so the reader's next pass finds what it was woken for.
+struct Reply<T> {
+    tx: Option<Sender<T>>,
+    wake: Arc<Waker>,
+}
+
+impl<T> Reply<T> {
+    /// A reply channel whose answers wake `wake`'s reader.
+    fn channel(wake: &Arc<Waker>) -> (Reply<T>, Receiver<T>) {
+        let (tx, rx) = channel();
+        let reply = Reply {
+            tx: Some(tx),
+            wake: Arc::clone(wake),
+        };
+        (reply, rx)
+    }
+
+    /// Answer the request (a slot that already gave up — deadline,
+    /// closed connection — has dropped its receiver; that is harmless).
+    fn send(mut self, value: T) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send(value);
+        }
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        // Disconnect first, then wake: woken any earlier, the reader
+        // could look, find the channel still open and empty, and go
+        // back to sleep for good.
+        self.tx = None;
+        self.wake.wake();
+    }
+}
+
+/// A rendered response and the published version it was rendered at.
+type CachedResponse = (u64, Arc<[u8]>);
+/// Outcome of an update: Ok((state-changed, published version)) or the
+/// rejection message.
+type UpdateResult = Result<(bool, u64), String>;
+/// Outcome of a materialization: the binding key, or why not.
+type MaterializeResult = Result<String, String>;
+/// An update acknowledgment channel.
+type UpdateReply = Reply<UpdateResult>;
 
 /// Completion barrier for one cross-shard update batch: the home shard
 /// arms it with the client acks after logging and publishing locally,
@@ -314,7 +376,7 @@ impl BatchBarrier {
             let version = self.max_version.load(Ordering::Acquire);
             let acks = std::mem::take(&mut *self.acks.lock().expect("barrier acks lock"));
             for (reply, applied) in acks {
-                let _ = reply.send(Ok((applied, version)));
+                reply.send(Ok((applied, version)));
             }
         }
     }
@@ -337,7 +399,7 @@ enum WriterCmd {
     /// binding key once the snapshot containing it is live.
     Materialize {
         query: Query,
-        reply: Sender<Result<String, String>>,
+        reply: Reply<MaterializeResult>,
     },
     /// Stop the writer thread.
     Shutdown,
@@ -414,12 +476,22 @@ struct Shared {
     /// full rendered response at that version).  Published snapshots
     /// are immutable, so a view's rendered answer is a pure function
     /// of `(key, version)` — the hot keys of a skewed read mix serve
-    /// as one map probe and a memcpy instead of re-collecting and
-    /// re-formatting hundreds of rows per request.  Only the latest
-    /// version per key is kept; any publish that moves the view
+    /// as one map probe and a pointer bump instead of re-collecting and
+    /// re-formatting hundreds of rows per request (the one copy of the
+    /// body is the one into the connection's send buffer).  Only the
+    /// latest version per key is kept; any publish that moves the view
     /// changes the version and misses naturally.
-    response_cache: Mutex<HashMap<String, (u64, Vec<u8>)>>,
+    response_cache: Mutex<HashMap<String, CachedResponse>>,
     shutdown: AtomicBool,
+    /// Ends the accept loop's wait; only shutdown uses it.
+    accept_waker: Waker,
+    /// One per reader thread, in pool order: the accept loop wakes a
+    /// reader after dealing it a connection, writers wake it through
+    /// the [`Reply`]s it handed out, shutdown wakes them all.
+    reader_wakers: Vec<Arc<Waker>>,
+    /// Returns from the readers' readiness wait (`STATS`
+    /// `reader_wakeups`).
+    reader_wakeups: AtomicU64,
     queries_served: AtomicU64,
     updates_applied: AtomicU64,
     connections: AtomicU64,
@@ -455,10 +527,10 @@ impl Shared {
 
     /// The cached rendered response for `(key, version)`, if the cache
     /// holds exactly that version.
-    fn cached_response(&self, key: &str, version: u64) -> Option<Vec<u8>> {
+    fn cached_response(&self, key: &str, version: u64) -> Option<Arc<[u8]>> {
         let cache = self.response_cache.lock().expect("response cache lock");
         match cache.get(key) {
-            Some((v, body)) if *v == version => Some(body.clone()),
+            Some((v, body)) if *v == version => Some(Arc::clone(body)),
             _ => None,
         }
     }
@@ -467,7 +539,7 @@ impl Shared {
     /// both key count and body size — an oversized answer or an
     /// overflowing key population degrades to per-request rendering,
     /// never to unbounded memory.
-    fn cache_response(&self, key: &str, version: u64, body: &[u8]) {
+    fn cache_response(&self, key: &str, version: u64, body: &Arc<[u8]>) {
         if body.len() > RESPONSE_CACHE_MAX_BYTES {
             return;
         }
@@ -475,7 +547,21 @@ impl Shared {
         if cache.len() >= RESPONSE_CACHE_MAX_KEYS && !cache.contains_key(key) {
             return;
         }
-        cache.insert(key.to_string(), (version, body.to_vec()));
+        cache.insert(key.to_string(), (version, Arc::clone(body)));
+    }
+
+    /// The rendered `QUERY` response for `key` out of `snapshot`: the
+    /// cached bytes if this version's are held, else rendered now and
+    /// remembered.
+    fn render_view(&self, key: &str, version: u64, view: &ViewSnapshot) -> Arc<[u8]> {
+        self.queries_served.fetch_add(1, Ordering::Relaxed);
+        if let Some(body) = self.cached_response(key, version) {
+            return body;
+        }
+        let rows: Vec<Vec<Value>> = view.answers().into_iter().collect();
+        let body: Arc<[u8]> = render_answers(key, version, &rows).into_bytes().into();
+        self.cache_response(key, version, &body);
+        body
     }
 
     /// The binding key `key_cache` memoizes: identical to what the
@@ -527,9 +613,20 @@ impl Shared {
         0
     }
 
-    /// Raise the shutdown flag and stop every writer (idempotent).
-    fn begin_shutdown(&self) {
+    /// Raise the shutdown flag and get every front-end thread to look
+    /// at it: each is blocked in a wait with no timer of its own.
+    fn stop_front_end(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.accept_waker.wake();
+        for waker in &self.reader_wakers {
+            waker.wake();
+        }
+    }
+
+    /// Stop every thread: the front end as above, the writers by
+    /// command (idempotent).
+    fn begin_shutdown(&self) {
+        self.stop_front_end();
         for shard in &self.shards {
             let _ = shard.tx.send(WriterCmd::Shutdown);
         }
@@ -559,6 +656,8 @@ struct WriterInit {
     /// Send ends of every *other* shard's queue, for replication
     /// fan-out (empty in the single-shard layout).
     peer_txs: Vec<Sender<WriterCmd>>,
+    /// Signalled once the thread is running; see [`Server::start`].
+    started: Sender<()>,
 }
 
 impl Server {
@@ -696,6 +795,17 @@ impl Server {
                 ),
             })
             .collect();
+        let reader_count = if config.reader_threads == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(2)
+                .clamp(2, 8)
+        } else {
+            config.reader_threads
+        };
+        let reader_wakers = (0..reader_count)
+            .map(|_| Waker::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
             derived: program.derived_preds(),
             program,
@@ -706,6 +816,9 @@ impl Server {
             key_cache: Mutex::new(HashMap::new()),
             response_cache: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
+            accept_waker: Waker::new()?,
+            reader_wakers,
+            reader_wakeups: AtomicU64::new(0),
             queries_served: AtomicU64::new(0),
             updates_applied: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -721,6 +834,7 @@ impl Server {
 
         let view_ttl = (config.view_ttl > Duration::ZERO).then_some(config.view_ttl);
         let mut writer_threads = Vec::with_capacity(shards);
+        let (started_tx, started_rx) = channel();
         let shard_inits = rxs
             .into_iter()
             .zip(catalogs)
@@ -739,6 +853,7 @@ impl Server {
                 db,
                 store,
                 peer_txs,
+                started: started_tx.clone(),
             };
             let writer_shared = Arc::clone(&shared);
             writer_threads.push(
@@ -748,27 +863,27 @@ impl Server {
             );
         }
 
-        let reader_count = if config.reader_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .clamp(2, 8)
-        } else {
-            config.reader_threads
-        };
-        let idle = config
-            .read_timeout
-            .clamp(Duration::from_micros(200), Duration::from_millis(1));
+        // The writers take their malloc arenas before any other thread of
+        // this server exists.  glibc hands a new thread the arena of the
+        // thread that exited last, and [`ServerHandle::shutdown`] makes
+        // that a writer — the one arena with a whole catalog's worth of
+        // free space.  A reader that starts first takes it instead, and
+        // the writer grows a second copy (`peak_rss_mb` 102 or 148 MiB
+        // on `magicbench serve_read`, by the luck of the thread start).
+        drop(started_tx);
+        while started_rx.recv().is_ok() {}
+
         let mut reader_txs = Vec::with_capacity(reader_count);
         let mut reader_threads = Vec::with_capacity(reader_count);
-        for i in 0..reader_count {
+        for (i, waker) in shared.reader_wakers.iter().enumerate() {
             let (tx, rx) = channel::<NewConn>();
             reader_txs.push(tx);
             let reader_shared = Arc::clone(&shared);
+            let waker = Arc::clone(waker);
             reader_threads.push(
                 std::thread::Builder::new()
                     .name(format!("magic-serve-reader-{i}"))
-                    .spawn(move || reader_loop(reader_shared, rx, idle))?,
+                    .spawn(move || reader_loop(reader_shared, rx, waker))?,
             );
         }
 
@@ -815,7 +930,7 @@ impl ServerHandle {
     /// left that to chance (89 MiB or 150 MiB on `magicbench serve_read`,
     /// run to run).  Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop_front_end();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -898,6 +1013,7 @@ fn writer_loop(
         db: mut base_db,
         mut store,
         peer_txs,
+        started,
     } = init;
     let me = &shared.shards[idx];
     let shard_count = shared.shards.len();
@@ -930,6 +1046,8 @@ fn writer_loop(
     // storage (whose insert path treats a wrong-arity row as a caller
     // bug and panics).
     let declared_arities = shared.program.predicate_arities().unwrap_or_default();
+    // Running, and past this thread's first allocation.
+    drop(started);
     // A command popped out of a batch drain that must be handled next.
     let mut deferred: Option<WriterCmd> = None;
     // Degraded mode: while `Some`, this shard's durable path is broken
@@ -1022,7 +1140,7 @@ fn writer_loop(
                                         version: last_version,
                                         views: published.clone(),
                                     });
-                                    let _ = reply.send(Ok(key));
+                                    reply.send(Ok(key));
                                 }
                                 None => {
                                     // Still publish the sweep's drops so
@@ -1032,7 +1150,7 @@ fn writer_loop(
                                         version: last_version,
                                         views: published.clone(),
                                     });
-                                    let _ = reply.send(Err(format!(
+                                    reply.send(Err(format!(
                                         "view {key} was evicted immediately after \
                                          materialization (max_views is too small for \
                                          the working set); retry"
@@ -1040,11 +1158,11 @@ fn writer_loop(
                                 }
                             }
                         } else {
-                            let _ = reply.send(Ok(key));
+                            reply.send(Ok(key));
                         }
                     }
                     Err(e) => {
-                        let _ = reply.send(Err(e.to_string()));
+                        reply.send(Err(e.to_string()));
                     }
                 }
             }
@@ -1100,7 +1218,7 @@ fn writer_loop(
                 // command already queued when the flag rose races past
                 // it and lands here; refuse it truthfully too.
                 let cause = degraded_cause.expect("guard checked");
-                let _ = reply.send(Err(format!(
+                reply.send(Err(format!(
                     "DEGRADED read-only: the last {} failed; updates are refused \
                      until a background probe restores the durable path",
                     cause.noun()
@@ -1150,7 +1268,7 @@ fn writer_loop(
                         .or_else(|| declared_arities.get(&fact.pred).copied());
                     if let Some(arity) = expected {
                         if arity != fact.arity() {
-                            let _ = reply.send(Err(format!(
+                            reply.send(Err(format!(
                                 "arity mismatch: {} is stored with arity {arity}, \
                                  fact has arity {}",
                                 fact.pred,
@@ -1260,7 +1378,7 @@ fn writer_loop(
                         DegradedCause::Wal,
                     );
                     for (reply, _) in acks {
-                        let _ = reply.send(Err(format!(
+                        reply.send(Err(format!(
                             "DEGRADED update refused: WAL append failed ({detail}); \
                              the batch was rolled back and the shard is read-only \
                              until the durable path recovers"
@@ -1270,7 +1388,7 @@ fn writer_loop(
                     // Nothing to replicate (all no-ops) or the classic
                     // single-shard layout: ack directly.
                     for (reply, applied) in acks {
-                        let _ = reply.send(Ok((applied, last_version)));
+                        reply.send(Ok((applied, last_version)));
                     }
                 } else {
                     // Fan the batch out; the last peer to publish
@@ -1405,19 +1523,29 @@ fn writer_loop(
 /// A connection on its way from the accept loop to a reader thread.
 struct NewConn {
     stream: TcpStream,
-    /// Injected connection stall (tests only): the pump ignores the
-    /// connection until this instant, without parking the thread.
+    /// Injected connection stall (tests only): the reader leaves the
+    /// connection alone until this instant, without parking the thread.
     ready_at: Option<Instant>,
 }
 
-/// Accept connections (nonblocking, shutdown-aware) and deal them
-/// round-robin to the reader pool.
+/// Accept connections and deal them round-robin to the reader pool,
+/// waking the reader each lands on.  Blocks on the listener and the
+/// accept waker; shutdown is the only thing that wakes the latter.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, reader_txs: Vec<Sender<NewConn>>) {
     let mut next = 0usize;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+    let mut poll = PollSet::new();
+    // Wait for the listener (unless `accept` just failed on it) or
+    // shutdown.  A failed wait falls through to the caller's retry, which
+    // is the shutdown check and another `accept`.
+    let mut wait = |listener: Option<&TcpListener>, timeout: Option<Duration>| {
+        poll.clear();
+        poll.push(shared.accept_waker.fd(), true, false);
+        if let Some(listener) = listener {
+            poll.push(listener, true, false);
         }
+        let _ = poll.wait(timeout);
+    };
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 shared.connections.fetch_add(1, Ordering::Relaxed);
@@ -1443,24 +1571,43 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, reader_txs: Vec<Sende
                 let mut conn = NewConn { stream, ready_at };
                 // Round-robin; skip readers that already exited.
                 for _ in 0..reader_txs.len() {
-                    let tx = &reader_txs[next % reader_txs.len()];
+                    let reader = next % reader_txs.len();
                     next = next.wrapping_add(1);
-                    match tx.send(conn) {
-                        Ok(()) => break,
+                    match reader_txs[reader].send(conn) {
+                        Ok(()) => {
+                            shared.reader_wakers[reader].wake();
+                            break;
+                        }
                         Err(returned) => conn = returned.0,
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(Some(&listener), None),
+            // The peer gave up while queued, or a signal landed: the
+            // next connection is unaffected.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) => {}
+            // Out of descriptors or memory: the pending connection keeps
+            // the listener readable, so stay off it for a bounded while
+            // instead of spinning on the same failure.
+            Err(_) => wait(None, Some(ACCEPT_ERROR_BACKOFF)),
         }
     }
 }
 
-/// One reader-pool thread: pump every owned connection; sleep only
-/// when a full pass over all of them made no progress.
-fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, idle: Duration) {
+/// One reader-pool thread: wait until a socket, a writer's reply, a new
+/// connection, shutdown or a timer needs attention, make one pass over
+/// the owned connections, and wait again.  Readiness is
+/// level-triggered, so whatever a pass leaves unfinished — unread bytes
+/// past the per-pass bound, a reply that raced the pass — ends the next
+/// wait at once; whatever needs no attention costs nothing.
+fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, waker: Arc<Waker>) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut poll = PollSet::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             for conn in conns.drain(..) {
@@ -1468,13 +1615,9 @@ fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, idle: Duration) {
             }
             return;
         }
-        let mut progress = false;
         loop {
             match rx.try_recv() {
-                Ok(new) => {
-                    conns.push(Conn::new(new));
-                    progress = true;
-                }
+                Ok(new) => conns.push(Conn::new(new)),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     if conns.is_empty() {
@@ -1486,16 +1629,39 @@ fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, idle: Duration) {
         }
         let mut i = 0;
         while i < conns.len() {
-            let (moved, alive) = conns[i].pump(&shared);
-            progress |= moved;
-            if alive {
+            if conns[i].pump(&shared, &waker, &mut chunk) {
                 i += 1;
             } else {
                 conns.swap_remove(i).abandon(&shared);
             }
         }
-        if !progress {
-            std::thread::sleep(idle);
+        poll.clear();
+        let waker_slot = poll.push(waker.fd(), true, false);
+        let mut timer: Option<Instant> = None;
+        for conn in &mut conns {
+            if let Some(at) = conn.watch(&shared, &mut poll) {
+                timer = Some(timer.map_or(at, |t| t.min(at)));
+            }
+        }
+        let timeout = timer.map(|at| at.saturating_duration_since(Instant::now()));
+        if poll.wait(timeout).is_err() {
+            // `poll` itself failing (out of kernel memory) says nothing
+            // about the sockets: pump them all rather than trust stale
+            // results, and try again.
+            conns
+                .iter_mut()
+                .for_each(|conn| conn.ready = Ready::UNKNOWN);
+            continue;
+        }
+        shared.reader_wakeups.fetch_add(1, Ordering::Relaxed);
+        if poll.ready(waker_slot).read {
+            waker.drain();
+        }
+        for conn in &mut conns {
+            conn.ready = match conn.poll_slot.take() {
+                Some(slot) => poll.ready(slot),
+                None => Ready::UNKNOWN,
+            };
         }
     }
 }
@@ -1518,19 +1684,22 @@ struct Slot {
 }
 
 /// Lifecycle of a request: either its response bytes are ready, or it
-/// is parked on a writer-shard reply channel the pump polls.
+/// is parked on a writer-shard reply channel whose [`Reply`] wakes the
+/// owning reader.
 enum SlotState {
-    /// Response bytes in text-protocol form, ready to stage.
-    Ready(Vec<u8>),
+    /// Response bytes in text-protocol form, ready to stage — shared
+    /// with the response cache on a hit, never copied before the send
+    /// buffer.
+    Ready(Arc<[u8]>),
     /// An update in flight to its home shard.
     AwaitUpdate {
-        rx: UpdateRx,
+        rx: Receiver<UpdateResult>,
         shard: usize,
         deadline: Option<Instant>,
     },
     /// A first-sight query waiting for its view to materialize.
     AwaitMaterialize {
-        rx: MaterializeRx,
+        rx: Receiver<MaterializeResult>,
         query: Query,
         shard: usize,
         attempts: u32,
@@ -1546,11 +1715,19 @@ struct Conn {
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     pending: VecDeque<Slot>,
+    /// Leave the connection alone until then: an injected stall, or the
+    /// pause after a pipelined burst ([`PIPELINE_LINGER`]).
     ready_at: Option<Instant>,
     eof: bool,
     /// `QUIT`/`SHUTDOWN` seen: stop decoding, flush, then close.
     closing: bool,
     write_stuck_since: Option<Instant>,
+    /// Where [`Conn::watch`] registered the socket for the coming wait
+    /// (`None`: not registered — stalled by a fault plan).
+    poll_slot: Option<usize>,
+    /// What the last wait reported for the socket; the next pump reads
+    /// only if this says a read will not block.
+    ready: Ready,
 }
 
 impl Conn {
@@ -1565,6 +1742,8 @@ impl Conn {
             eof: false,
             closing: false,
             write_stuck_since: None,
+            poll_slot: None,
+            ready: Ready::UNKNOWN,
         }
     }
 
@@ -1576,110 +1755,140 @@ impl Conn {
             .fetch_sub(self.pending.len() as u64, Ordering::Relaxed);
     }
 
-    /// One nonblocking service pass: read, decode, dispatch, poll
-    /// writer replies, stage and write responses.  Returns (made
-    /// progress, still alive); a dead connection must be handed to
+    /// Register for the coming wait exactly what the next pump would
+    /// act on, and return the connection's nearest timer:
+    ///
+    /// * readable — unless input is over (`eof`, `closing`), where a
+    ///   level-triggered "readable" nobody reads would spin;
+    /// * writable — only while staged bytes are stuck behind a full
+    ///   socket;
+    /// * timers — the end of an injected stall, the earliest parked
+    ///   slot's writer deadline, the stuck write's timeout.
+    fn watch(&mut self, shared: &Shared, poll: &mut PollSet) -> Option<Instant> {
+        if self.ready_at.is_some() {
+            // Stalled: deaf to the socket until the stall ends.
+            return self.ready_at;
+        }
+        let read = !self.eof && !self.closing;
+        let write = !self.outbuf.is_empty();
+        self.poll_slot = Some(poll.push(&self.stream, read, write));
+        let stuck_write = match self.write_stuck_since {
+            Some(since) if !shared.write_timeout.is_zero() => Some(since + shared.write_timeout),
+            _ => None,
+        };
+        self.pending
+            .iter()
+            .filter_map(|slot| match slot.state {
+                SlotState::Ready(_) => None,
+                SlotState::AwaitUpdate { deadline, .. }
+                | SlotState::AwaitMaterialize { deadline, .. } => deadline,
+            })
+            .chain(stuck_write)
+            .min()
+    }
+
+    /// One nonblocking service pass: read, decode, dispatch, collect
+    /// writer replies, stage and write responses.  Returns whether the
+    /// connection is still alive; a dead one must be handed to
     /// [`Conn::abandon`].
-    fn pump(&mut self, shared: &Shared) -> (bool, bool) {
+    fn pump(&mut self, shared: &Shared, wake: &Arc<Waker>, chunk: &mut [u8]) -> bool {
+        let started = Instant::now();
         if let Some(at) = self.ready_at {
-            if Instant::now() < at {
-                return (false, true);
+            if started < at {
+                return true;
             }
             self.ready_at = None;
         }
-        let mut progress = false;
-        // Pull whatever the socket holds (bounded per pass so one loud
-        // client cannot starve its siblings on the same reader).
-        if !self.eof && !self.closing {
-            let mut chunk = [0u8; 16 * 1024];
+        // Pull what the socket holds, bounded per pass so one loud
+        // client cannot starve its siblings on the same reader (what
+        // is left keeps the socket readable for the next wait).  A
+        // short read means the socket is drained for now; asking again
+        // would only buy an `EWOULDBLOCK`.
+        if !self.eof && !self.closing && self.ready.read {
             loop {
-                match self.stream.read(&mut chunk) {
+                match self.stream.read(chunk) {
                     Ok(0) => {
                         self.eof = true;
                         break;
                     }
                     Ok(n) => {
                         self.inbuf.extend_from_slice(&chunk[..n]);
-                        progress = true;
-                        if self.inbuf.len() >= MAX_LINE {
+                        if n < chunk.len() || self.inbuf.len() >= MAX_LINE {
                             break;
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return (true, false),
+                    Err(_) => return false,
                 }
             }
         }
+        // Requests are decoded in place behind a cursor; the consumed
+        // prefix leaves the buffer once, after the loop.
+        let mut consumed = 0usize;
         // Protocol sniff: match the *full* binary magic (never a
         // first-byte heuristic — `M` is printable) before committing.
         if matches!(self.mode, ConnMode::Unknown) && !self.inbuf.is_empty() {
             match sniff(&self.inbuf) {
                 Sniff::Binary => {
-                    self.inbuf.drain(..BINARY_MAGIC.len());
+                    consumed = BINARY_MAGIC.len();
                     self.mode = ConnMode::Binary;
-                    progress = true;
                 }
-                Sniff::Text => {
-                    self.mode = ConnMode::Text;
-                    progress = true;
-                }
+                Sniff::Text => self.mode = ConnMode::Text,
                 Sniff::Undecided => {
                     if self.eof {
-                        return (progress, false);
+                        return false;
                     }
                 }
             }
         }
         // Decode and dispatch every complete request in the buffer —
         // this is the batching that amortizes the wire round-trip.
+        let inbuf = std::mem::take(&mut self.inbuf);
         let mut decoded = 0usize;
         match self.mode {
             ConnMode::Text => {
                 while !self.closing {
-                    let Some(i) = self.inbuf.iter().position(|&b| b == b'\n') else {
-                        if self.inbuf.len() > MAX_LINE {
-                            return (true, false);
+                    let rest = &inbuf[consumed..];
+                    let Some(end) = rest.iter().position(|&b| b == b'\n') else {
+                        if rest.len() > MAX_LINE {
+                            return false;
                         }
                         break;
                     };
-                    let mut line: Vec<u8> = self.inbuf.drain(..=i).collect();
-                    line.pop(); // the newline
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let line = String::from_utf8_lossy(&line).into_owned();
+                    consumed += end + 1;
+                    let line = &rest[..end];
+                    let line = String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(line));
                     if line.trim().is_empty() {
                         continue;
                     }
                     decoded += 1;
-                    self.handle_text(shared, &line);
+                    self.handle_text(shared, wake, &line);
                 }
             }
             ConnMode::Binary => loop {
-                match Frame::decode(&self.inbuf) {
+                match Frame::decode(&inbuf[consumed..]) {
                     Ok(Some((frame, used))) => {
-                        self.inbuf.drain(..used);
+                        consumed += used;
                         decoded += 1;
-                        self.handle_frame(shared, frame);
+                        self.handle_frame(shared, wake, frame);
                     }
                     Ok(None) => break,
                     // Framing is beyond resync; nothing correlatable
                     // can be sent back.
-                    Err(_) => return (true, false),
+                    Err(_) => return false,
                 }
             },
             ConnMode::Unknown => {}
         }
+        self.inbuf = inbuf;
+        self.inbuf.drain(..consumed);
         if decoded > 0 {
-            progress = true;
             shared.record_batch(decoded);
         }
         // Advance parked requests.
         for slot in self.pending.iter_mut() {
-            if poll_slot(shared, slot) {
-                progress = true;
-            }
+            poll_slot(shared, wake, slot);
         }
         // Stage completed responses: text strictly in request order,
         // binary in completion order (each framed with its id).
@@ -1689,55 +1898,52 @@ impl Conn {
                 let mut staged = 0u64;
                 self.pending.retain_mut(|slot| {
                     if let SlotState::Ready(bytes) = &slot.state {
-                        outbuf.extend_from_slice(&frame_response(slot.req_id, bytes));
+                        stage_frame(slot.req_id, bytes, outbuf);
                         staged += 1;
                         false
                     } else {
                         true
                     }
                 });
-                if staged > 0 {
-                    shared
-                        .inflight_requests
-                        .fetch_sub(staged, Ordering::Relaxed);
-                    progress = true;
-                }
+                shared
+                    .inflight_requests
+                    .fetch_sub(staged, Ordering::Relaxed);
             }
             _ => {
-                while matches!(
-                    self.pending.front(),
-                    Some(Slot {
-                        state: SlotState::Ready(_),
-                        ..
-                    })
-                ) {
-                    let slot = self.pending.pop_front().expect("front checked");
-                    let SlotState::Ready(bytes) = slot.state else {
-                        unreachable!("front checked Ready")
-                    };
-                    self.outbuf.extend_from_slice(&bytes);
+                while let Some(Slot {
+                    state: SlotState::Ready(bytes),
+                    ..
+                }) = self.pending.front()
+                {
+                    self.outbuf.extend_from_slice(bytes);
+                    self.pending.pop_front();
                     shared.inflight_requests.fetch_sub(1, Ordering::Relaxed);
-                    progress = true;
                 }
             }
         }
-        if !self.outbuf.is_empty() {
-            match self.flush(shared) {
-                Ok(moved) => progress |= moved,
-                Err(()) => return (true, false),
-            }
+        if !self.outbuf.is_empty() && self.flush(shared).is_err() {
+            return false;
         }
+        let input_over = self.closing || self.eof;
         let drained = self.pending.is_empty() && self.outbuf.is_empty();
-        if (self.closing || self.eof) && drained {
-            return (progress, false);
+        if input_over && drained {
+            return false;
         }
-        (progress, true)
+        if decoded > 1 && drained {
+            // From the start of this pass: a batch that took long to
+            // serve (a publish emptied the response cache) has had its
+            // pause already.
+            self.ready_at = Some(started + PIPELINE_LINGER);
+        }
+        // Input is over and the socket hung up or failed: nobody is
+        // left to take the responses still owed, and nothing registered
+        // for the next wait would stop it reporting the hang-up again.
+        !(input_over && self.ready.closed)
     }
 
     /// Nonblocking write of the staged response bytes, with the
     /// stalled-client bound [`ServeConfig::write_timeout`] implements.
-    fn flush(&mut self, shared: &Shared) -> Result<bool, ()> {
-        let mut progress = false;
+    fn flush(&mut self, shared: &Shared) -> Result<(), ()> {
         while !self.outbuf.is_empty() {
             match self.stream.write(&self.outbuf) {
                 Ok(0) => {
@@ -1747,13 +1953,12 @@ impl Conn {
                 Ok(n) => {
                     self.outbuf.drain(..n);
                     self.write_stuck_since = None;
-                    progress = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     let now = Instant::now();
                     let since = *self.write_stuck_since.get_or_insert(now);
                     if !shared.write_timeout.is_zero()
-                        && now.duration_since(since) > shared.write_timeout
+                        && now.duration_since(since) >= shared.write_timeout
                     {
                         shared.write_errors.fetch_add(1, Ordering::Relaxed);
                         eprintln!(
@@ -1772,49 +1977,49 @@ impl Conn {
                 }
             }
         }
-        Ok(progress)
+        Ok(())
     }
 
     /// Dispatch one text-protocol request line.
-    fn handle_text(&mut self, shared: &Shared, line: &str) {
+    fn handle_text(&mut self, shared: &Shared, wake: &Arc<Waker>, line: &str) {
         let state = match parse_request(line) {
             Err(e) => ready_err(&e),
-            Ok(Request::Ping) => SlotState::Ready(b"OK pong\n".to_vec()),
+            Ok(Request::Ping) => ready(b"OK pong\n"),
             Ok(Request::Quit) => {
                 self.closing = true;
-                SlotState::Ready(b"OK bye\n".to_vec())
+                ready(b"OK bye\n")
             }
             Ok(Request::Shutdown) => {
                 self.closing = true;
                 shared.begin_shutdown();
-                SlotState::Ready(b"OK bye\n".to_vec())
+                ready(b"OK bye\n")
             }
-            Ok(Request::Query(query)) => start_query(shared, query),
-            Ok(Request::Insert(fact)) => start_update(shared, Update::Insert(fact)),
-            Ok(Request::Retract(fact)) => start_update(shared, Update::Retract(fact)),
-            Ok(Request::Stats) => SlotState::Ready(gather_stats(shared).render().into_bytes()),
+            Ok(Request::Query(query)) => start_query(shared, wake, query),
+            Ok(Request::Insert(fact)) => start_update(shared, wake, Update::Insert(fact)),
+            Ok(Request::Retract(fact)) => start_update(shared, wake, Update::Retract(fact)),
+            Ok(Request::Stats) => ready(gather_stats(shared).render().as_bytes()),
         };
         self.push_slot(shared, 0, state);
     }
 
     /// Dispatch one binary-protocol request frame.
-    fn handle_frame(&mut self, shared: &Shared, frame: Frame) {
+    fn handle_frame(&mut self, shared: &Shared, wake: &Arc<Waker>, frame: Frame) {
         let state = match frame.tag {
-            op::PING => SlotState::Ready(b"OK pong\n".to_vec()),
-            op::STATS => SlotState::Ready(gather_stats(shared).render().into_bytes()),
+            op::PING => ready(b"OK pong\n"),
+            op::STATS => ready(gather_stats(shared).render().as_bytes()),
             op::QUERY | op::INSERT | op::RETRACT => match std::str::from_utf8(&frame.body) {
                 Err(_) => ready_err("request body is not UTF-8"),
                 Ok(body) => match frame.tag {
                     op::QUERY => match parse_query(body.trim()) {
-                        Ok(query) => start_query(shared, query),
+                        Ok(query) => start_query(shared, wake, query),
                         Err(e) => ready_err(&format!("bad query: {e}")),
                     },
                     op::INSERT => match parse_fact(body.trim()) {
-                        Ok(fact) => start_update(shared, Update::Insert(fact)),
+                        Ok(fact) => start_update(shared, wake, Update::Insert(fact)),
                         Err(e) => ready_err(&e),
                     },
                     _ => match parse_fact(body.trim()) {
-                        Ok(fact) => start_update(shared, Update::Retract(fact)),
+                        Ok(fact) => start_update(shared, wake, Update::Retract(fact)),
                         Err(e) => ready_err(&e),
                     },
                 },
@@ -1833,30 +2038,29 @@ impl Conn {
     }
 }
 
-/// Wrap finished response bytes (text-protocol form) into a binary
-/// response frame for `req_id`.
-fn frame_response(req_id: u64, bytes: &[u8]) -> Vec<u8> {
+/// Stage finished response bytes (text-protocol form) as a binary
+/// response frame for `req_id`, straight into the send buffer.
+fn stage_frame(req_id: u64, bytes: &[u8], outbuf: &mut Vec<u8>) {
     let (tag, body) = match bytes.strip_prefix(b"ERR ") {
         Some(msg) => (status::ERR, msg.strip_suffix(b"\n").unwrap_or(msg)),
         None => (status::OK, bytes),
     };
-    Frame {
-        req_id,
-        tag,
-        body: body.to_vec(),
-    }
-    .encode()
+    Frame::encode_into(req_id, tag, body, outbuf);
+}
+
+fn ready(response: &[u8]) -> SlotState {
+    SlotState::Ready(response.into())
 }
 
 fn ready_err(message: &str) -> SlotState {
-    SlotState::Ready(render_error(message).into_bytes())
+    ready(render_error(message).as_bytes())
 }
 
 /// The read path: translate the query to its binding key (planned on
 /// this thread, memoized per query text), answer from the owning
 /// shard's published snapshot, materializing through that shard only
 /// on first sight of a binding.
-fn start_query(shared: &Shared, query: Query) -> SlotState {
+fn start_query(shared: &Shared, wake: &Arc<Waker>, query: Query) -> SlotState {
     let text = query.atom.to_string();
     let cached = shared
         .key_cache
@@ -1885,14 +2089,7 @@ fn start_query(shared: &Shared, query: Query) -> SlotState {
         let shard = shared.shard_of_key(key);
         let snapshot = shared.shards[shard].snapshot();
         if let Some(view) = snapshot.views.get(key) {
-            shared.queries_served.fetch_add(1, Ordering::Relaxed);
-            if let Some(body) = shared.cached_response(key, snapshot.version) {
-                return SlotState::Ready(body);
-            }
-            let rows: Vec<Vec<Value>> = view.answers().into_iter().collect();
-            let body = render_answers(key, snapshot.version, &rows).into_bytes();
-            shared.cache_response(key, snapshot.version, &body);
-            return SlotState::Ready(body);
+            return SlotState::Ready(shared.render_view(key, snapshot.version, view));
         }
         // Key known but the view is not in this snapshot: first sight,
         // an eviction (failed maintenance), or a raced materialization.
@@ -1900,19 +2097,25 @@ fn start_query(shared: &Shared, query: Query) -> SlotState {
         // bindings and rebuilds evicted ones.
     }
     let shard = key.as_deref().map_or(0, |k| shared.shard_of_key(k));
-    issue_materialize(shared, query, shard, 1)
+    issue_materialize(shared, wake, query, shard, 1)
 }
 
 /// Park a query on the owning shard's materialize path (attempt
 /// `attempts` of 3 — materialize-then-read can race an eviction, and
 /// each retry rebuilds from the current base facts).
-fn issue_materialize(shared: &Shared, query: Query, shard: usize, attempts: u32) -> SlotState {
-    let (tx, rx) = channel();
+fn issue_materialize(
+    shared: &Shared,
+    wake: &Arc<Waker>,
+    query: Query,
+    shard: usize,
+    attempts: u32,
+) -> SlotState {
+    let (reply, rx) = Reply::channel(wake);
     let state = &shared.shards[shard];
     state.queue_depth.fetch_add(1, Ordering::Relaxed);
     let cmd = WriterCmd::Materialize {
         query: query.clone(),
-        reply: tx,
+        reply,
     };
     if state.tx.send(cmd).is_err() {
         state.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -1941,7 +2144,7 @@ fn issue_materialize(shared: &Shared, query: Query, shard: usize, attempts: u32)
 ///   hinted backoff.
 /// * `ERR TIMEOUT …` — outcome *unknown*: the command is still queued
 ///   and may apply later.  Only idempotent retries are safe.
-fn start_update(shared: &Shared, update: Update) -> SlotState {
+fn start_update(shared: &Shared, wake: &Arc<Waker>, update: Update) -> SlotState {
     let fact = update.fact();
     if shared.derived.contains(&fact.pred) {
         return ready_err(&format!(
@@ -1967,13 +2170,9 @@ fn start_update(shared: &Shared, update: Update) -> SlotState {
             shared.max_queue_depth
         ));
     }
-    let (tx, rx) = channel();
+    let (reply, rx) = Reply::channel(wake);
     state.queue_depth.fetch_add(1, Ordering::Relaxed);
-    if state
-        .tx
-        .send(WriterCmd::Update { update, reply: tx })
-        .is_err()
-    {
+    if state.tx.send(WriterCmd::Update { update, reply }).is_err() {
         state.queue_depth.fetch_sub(1, Ordering::Relaxed);
         return ready_err("server is shutting down");
     }
@@ -2004,8 +2203,9 @@ fn deadline_check(shared: &Shared, shard: usize, deadline: Option<Instant>) -> O
     )))
 }
 
-/// Advance one parked slot; true if its state changed.
-fn poll_slot(shared: &Shared, slot: &mut Slot) -> bool {
+/// Advance one parked slot if its writer answered or its deadline
+/// passed.
+fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
     let next = match &mut slot.state {
         SlotState::Ready(_) => None,
         SlotState::AwaitUpdate {
@@ -2013,9 +2213,7 @@ fn poll_slot(shared: &Shared, slot: &mut Slot) -> bool {
             shard,
             deadline,
         } => match rx.try_recv() {
-            Ok(Ok((applied, version))) => {
-                Some(SlotState::Ready(render_ack(applied, version).into_bytes()))
-            }
+            Ok(Ok((applied, version))) => Some(ready(render_ack(applied, version).as_bytes())),
             Ok(Err(e)) => Some(ready_err(&e)),
             Err(TryRecvError::Disconnected) => Some(ready_err("server is shutting down")),
             Err(TryRecvError::Empty) => deadline_check(shared, *shard, *deadline),
@@ -2036,18 +2234,15 @@ fn poll_slot(shared: &Shared, slot: &mut Slot) -> bool {
                 let vshard = shared.shard_of_key(&key);
                 let snapshot = shared.shards[vshard].snapshot();
                 if let Some(view) = snapshot.views.get(&key) {
-                    shared.queries_served.fetch_add(1, Ordering::Relaxed);
-                    if let Some(body) = shared.cached_response(&key, snapshot.version) {
-                        Some(SlotState::Ready(body))
-                    } else {
-                        let rows: Vec<Vec<Value>> = view.answers().into_iter().collect();
-                        let body = render_answers(&key, snapshot.version, &rows).into_bytes();
-                        shared.cache_response(&key, snapshot.version, &body);
-                        Some(SlotState::Ready(body))
-                    }
+                    Some(SlotState::Ready(shared.render_view(
+                        &key,
+                        snapshot.version,
+                        view,
+                    )))
                 } else if *attempts < 3 {
                     Some(issue_materialize(
                         shared,
+                        wake,
                         query.clone(),
                         vshard,
                         *attempts + 1,
@@ -2065,12 +2260,8 @@ fn poll_slot(shared: &Shared, slot: &mut Slot) -> bool {
             Err(TryRecvError::Empty) => deadline_check(shared, *shard, *deadline),
         },
     };
-    match next {
-        Some(state) => {
-            slot.state = state;
-            true
-        }
-        None => false,
+    if let Some(state) = next {
+        slot.state = state;
     }
 }
 
@@ -2147,6 +2338,7 @@ fn gather_stats(shared: &Shared) -> ServerStats {
         inflight_requests: shared.inflight_requests.load(Ordering::Relaxed),
         batch_size_p50: shared.batch_p50(),
         recompute_views,
+        reader_wakeups: shared.reader_wakeups.load(Ordering::Relaxed),
         per_view: per_view_map.into_values().collect(),
         per_shard,
     }
