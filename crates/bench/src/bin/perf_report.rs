@@ -79,6 +79,12 @@
 //! PR 16 (`BENCH_PR16.json`) touches only `crates/serve` (the readiness
 //! loop): every counter-carrying cell equals PR 15's, and the `serve*`
 //! latency cells lose their 1 ms floor.
+//! PR 21 (`BENCH_PR21.json`) changes `crates/incr`'s catalog (one view
+//! per rewritten program, one magic seed per binding) and nothing under
+//! it: the 97 engine cells and the `incr_*` cells drive `Evaluator` /
+//! `MaterializedView` directly and equal PR 16's; the `serve_publish`
+//! cells now go through `apply_all` and record `materialized` (1 at every
+//! binding count) beside `views`.
 //! The pre-existing scenarios' probe counts must not move
 //! between snapshots, and — the scheduler's determinism contract —
 //! every counter of a parallel cell must be bit-identical to its
@@ -86,7 +92,7 @@
 //!
 //! ```text
 //! cargo run --release -p magic-bench --bin perf_report -- \
-//!     [--out BENCH_PR16.json] [--baseline BENCH_PR15.json] [--quick] \
+//!     [--out BENCH_PR21.json] [--baseline BENCH_PR16.json] [--quick] \
 //!     [--threads N] [--filter <scenario-substring>] \
 //!     [--strategy <short-name>]...
 //! ```
@@ -1012,27 +1018,28 @@ fn measure_serve_pipelined(quick: bool) -> Vec<Cell> {
         .collect()
 }
 
-/// View counts for the `serve_publish` scenarios: the publish-cost cells
-/// must stay flat across this range (the CI smoke compares the first and
-/// last).
+/// Binding counts for the `serve_publish` scenarios: the publish-cost
+/// cells must stay flat across this range (the CI smoke compares the
+/// first and last).
 const PUBLISH_VIEW_COUNTS: [usize; 3] = [1, 8, 32];
 
 /// Measure the writer-side publish path at a given catalog population:
-/// one single-view maintenance op plus the republish of exactly that
-/// view's snapshot entry and the map clone handed to readers.
+/// one maintenance op through `apply_all` plus the republish of every
+/// binding it moved and the map clone handed to readers.
 ///
-/// This is the cost model the COW storage buys: before PR 6 a publish
-/// deep-copied the whole catalog, so this cell's wall grew linearly in
-/// `views`; now the snapshot is `Arc` pointer bumps and the map clone is
-/// O(views) pointer bumps, so the wall is dominated by the (constant)
-/// single-view maintenance and must stay flat from `views = 1` to `32`.
-/// The counters record the maintenance delta of the touched view — the
-/// same update against the same view every time, so they are identical
-/// across all three view counts by construction (drift would mean the
-/// catalog population leaks into single-view maintenance).
+/// This is the cost model COW storage and seed-set views buy: before
+/// PR 6 a publish deep-copied the whole catalog, and until PR 21 every
+/// binding was a fixpoint of its own that the update had to be applied
+/// to; now all `views` bindings are seeds of one maintained view
+/// (`materialized` = 1, recorded in the cell), the update is applied
+/// once, each moved binding's snapshot is an `Arc` bump of one shared
+/// clone and the map clone is O(bindings) pointer bumps, so the wall is
+/// dominated by the (constant) maintenance and must stay flat from 1
+/// binding to 32.  The counters record that maintenance's delta — the
+/// first binding's cone contains the others', so they are identical
+/// across all three counts (drift would mean the binding population
+/// leaks into maintenance).
 fn measure_publish(views: usize, quick: bool) -> Cell {
-    use magic_incr::ViewCatalog;
-    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     let program = magic_workloads::programs::ancestor();
@@ -1041,8 +1048,8 @@ fn measure_publish(views: usize, quick: bool) -> Cell {
     let limits = Limits::default().with_threads(1);
     let mut catalog = ViewCatalog::new(Strategy::MagicSets).with_limits(limits);
 
-    // One materialized view per distinct binding, like the server's
-    // catalog after `views` distinct warm queries.
+    // One binding per distinct warm query, like the server's catalog
+    // after `views` of them.
     let mut keys = Vec::with_capacity(views);
     for i in 0..views {
         let query = match magic_datalog::parse_query(&format!("a({}, Y)", magic_workloads::node(i)))
@@ -1076,8 +1083,7 @@ fn measure_publish(views: usize, quick: bool) -> Cell {
             (key.clone(), Arc::new(snap))
         })
         .collect();
-    let target = keys[0].clone();
-    let answers = catalog.answers(&target).map_or(0, |a| a.len());
+    let answers = catalog.answers(&keys[0]).map_or(0, |a| a.len());
     let edge = Fact::plain(
         "par",
         vec![
@@ -1085,6 +1091,18 @@ fn measure_publish(views: usize, quick: bool) -> Cell {
             Value::sym(&magic_workloads::node(edges + 1)),
         ],
     );
+    let (insert, restore) = (Update::Insert(edge.clone()), Update::Retract(edge));
+    let republish =
+        |catalog: &ViewCatalog,
+         changed: &[String],
+         published: &mut BTreeMap<String, Arc<magic_incr::ViewSnapshot>>| {
+            for key in changed {
+                let snap = catalog
+                    .snapshot_view(key)
+                    .expect("a changed binding is live");
+                published.insert(key.clone(), Arc::new(snap));
+            }
+        };
 
     let budget = Instant::now();
     let mut best = f64::INFINITY;
@@ -1092,37 +1110,30 @@ fn measure_publish(views: usize, quick: bool) -> Cell {
     let mut delta = (0, 0, 0, 0, 0);
     let mut failure: Option<String> = None;
     while samples < 200 && (samples == 0 || budget.elapsed().as_secs_f64() <= 3.0) {
-        let before = catalog.view(&target).expect("live view").stats().clone();
+        let before = catalog.aggregate_stats();
         let start = Instant::now();
-        match catalog.view_mut(&target).expect("live view").insert(&edge) {
-            Ok(true) => {}
-            Ok(false) => {
-                failure = Some("publish update was a no-op".into());
-                break;
-            }
-            Err(e) => {
-                failure = Some(e.to_string());
-                break;
-            }
+        let outcome = catalog.apply_all(std::slice::from_ref(&insert));
+        if outcome.changed.len() != views || !outcome.evicted.is_empty() {
+            failure = Some(format!("publish update moved {outcome:?}"));
+            break;
         }
-        let snap = catalog.snapshot_view(&target).expect("live view");
-        published.insert(target.clone(), Arc::new(snap));
+        republish(&catalog, &outcome.changed, &mut published);
         // The clone is what the writer hands the reader side per publish.
         let handed_to_readers = published.clone();
         let wall = start.elapsed().as_secs_f64();
         drop(handed_to_readers);
         if wall < best {
             best = wall;
-            delta = stats_delta(catalog.view(&target).expect("live view").stats(), &before);
+            delta = stats_delta(&catalog.aggregate_stats(), &before);
         }
         samples += 1;
         // Untimed restore, so every sample measures the same transition.
-        if let Err(e) = catalog.view_mut(&target).expect("live view").retract(&edge) {
-            failure = Some(format!("restore failed: {e}"));
+        let outcome = catalog.apply_all(std::slice::from_ref(&restore));
+        if outcome.changed.len() != views {
+            failure = Some(format!("restore moved {outcome:?}"));
             break;
         }
-        let snap = catalog.snapshot_view(&target).expect("live view");
-        published.insert(target.clone(), Arc::new(snap));
+        republish(&catalog, &outcome.changed, &mut published);
     }
     if let Some(message) = failure {
         return Cell::new("publish", Outcome::Error { message });
@@ -1142,7 +1153,10 @@ fn measure_publish(views: usize, quick: bool) -> Cell {
             join_probes,
         },
     );
-    cell.extra = format!(", \"threads\": 1, \"views\": {views}");
+    cell.extra = format!(
+        ", \"threads\": 1, \"views\": {views}, \"materialized\": {}",
+        catalog.materialized()
+    );
     cell
 }
 
@@ -1563,7 +1577,7 @@ fn assert_counters_pinned(scenario: &str, single: &Outcome, parallel: &Outcome) 
 fn render(scenarios: &[(String, Vec<Cell>)], baseline: Option<&str>, engine: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"pr\": 16,");
+    let _ = writeln!(out, "  \"pr\": 21,");
     let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(engine));
     let _ = writeln!(
         out,
@@ -1786,7 +1800,7 @@ fn assert_oracle(scenario: &Scenario, expected: &BTreeSet<Vec<Value>>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_PR15.json".to_string();
+    let mut out_path = "BENCH_PR21.json".to_string();
     let mut baseline_path: Option<String> = None;
     let mut quick = false;
     let mut engine =

@@ -117,21 +117,6 @@ impl BenchmarkGroup<'_> {
         bencher.report(&self.name, &id.to_string());
     }
 
-    /// Measure a parameterless routine.
-    pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut routine: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut bencher = Bencher {
-            samples: Vec::new(),
-            sample_size: self.sample_size,
-            warm_up_time: self.warm_up_time,
-            measurement_time: self.measurement_time,
-        };
-        routine(&mut bencher);
-        bencher.report(&self.name, &id.to_string());
-    }
-
     /// End the group (printing is incremental, so this is a no-op).
     pub fn finish(self) {}
 }

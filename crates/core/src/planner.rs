@@ -262,26 +262,6 @@ impl Plan {
     pub fn safety(&self) -> Option<SafetyReport> {
         self.adorned.as_ref().map(analyze)
     }
-
-    /// A stable key naming the materializable view this plan computes: the
-    /// answer predicate with the adornment and bound constants of the query
-    /// it was planned for, e.g. `anc[bf](john)`.  Two queries with the same
-    /// binding pattern and constants produce the same key (whatever their
-    /// free variables are called), which is what view catalogs cache on.
-    pub fn view_binding(&self) -> String {
-        let atom = &self.answer_atom;
-        let mut adornment = String::new();
-        let mut bound: Vec<String> = Vec::new();
-        for term in &atom.terms {
-            if term.vars().is_empty() {
-                adornment.push('b');
-                bound.push(term.to_string());
-            } else {
-                adornment.push('f');
-            }
-        }
-        format!("{}[{}]({})", atom.pred, adornment, bound.join(", "))
-    }
 }
 
 /// The planner: strategy, sip strategy, evaluation limits.
@@ -290,7 +270,6 @@ pub struct Planner {
     strategy: Strategy,
     sip: SipStrategy,
     limits: Limits,
-    gms_options: gms::GmsOptions,
 }
 
 impl Planner {
@@ -301,7 +280,6 @@ impl Planner {
             strategy,
             sip: SipStrategy::FullLeftToRight,
             limits: Limits::default(),
-            gms_options: gms::GmsOptions::default(),
         }
     }
 
@@ -314,12 +292,6 @@ impl Planner {
     /// Use different evaluation limits.
     pub fn with_limits(mut self, limits: Limits) -> Planner {
         self.limits = limits;
-        self
-    }
-
-    /// Use non-default magic-sets options.
-    pub fn with_gms_options(mut self, options: gms::GmsOptions) -> Planner {
-        self.gms_options = options;
         self
     }
 
@@ -345,7 +317,7 @@ impl Planner {
         let adorned = adorn(program, query, self.sip).map_err(RewriteError::Datalog)?;
         let mut rewritten = match self.strategy {
             Strategy::NaiveBottomUp | Strategy::SemiNaiveBottomUp => unreachable!("refused above"),
-            Strategy::MagicSets => gms::rewrite(&adorned, self.gms_options)?,
+            Strategy::MagicSets => gms::rewrite(&adorned, gms::GmsOptions::default())?,
             Strategy::SupplementaryMagicSets => gsms::rewrite(&adorned)?,
             Strategy::Counting => counting::rewrite(&adorned)?,
             Strategy::SupplementaryCounting => gsc::rewrite(&adorned)?,

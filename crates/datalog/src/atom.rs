@@ -123,14 +123,6 @@ impl Atom {
             .collect()
     }
 
-    /// Replace the predicate name, keeping the arguments.
-    pub fn with_pred(&self, pred: PredName) -> Atom {
-        Atom {
-            pred,
-            terms: self.terms.clone(),
-        }
-    }
-
     /// Rename every variable using `f`.
     pub fn rename_vars(&self, f: &mut impl FnMut(Variable) -> Variable) -> Atom {
         Atom {

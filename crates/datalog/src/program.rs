@@ -212,19 +212,6 @@ impl Program {
                     .all(|a| a.terms.iter().all(term_is_flat))
         })
     }
-
-    /// Drop any rule whose head predicate is in `preds` (used by rewrites
-    /// that replace the definitions of certain predicates).
-    pub fn without_rules_for(&self, preds: &BTreeSet<PredName>) -> Program {
-        Program {
-            rules: self
-                .rules
-                .iter()
-                .filter(|r| !preds.contains(&r.head.pred))
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Display for Program {

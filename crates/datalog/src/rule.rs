@@ -251,11 +251,6 @@ impl Rule {
         Ok(())
     }
 
-    /// The set of predicate names occurring in the positive body.
-    pub fn body_preds(&self) -> BTreeSet<PredName> {
-        self.body.iter().map(|a| a.pred.clone()).collect()
-    }
-
     /// The set of predicate names occurring in the negated body atoms.
     pub fn negated_preds(&self) -> BTreeSet<PredName> {
         self.negated.iter().map(|a| a.pred.clone()).collect()

@@ -594,99 +594,6 @@ impl From<&str> for Value {
 /// A binding environment mapping variables to ground values.
 pub type Bindings = HashMap<Variable, Value>;
 
-/// A substitution mapping variables to (possibly non-ground) terms, used by
-/// full unification.
-pub type Substitution = HashMap<Variable, Term>;
-
-/// Apply a substitution to a term (recursively resolving bound variables).
-pub fn apply_subst(term: &Term, subst: &Substitution) -> Term {
-    match term {
-        Term::Var(v) => match subst.get(v) {
-            Some(t) => apply_subst(t, subst),
-            None => term.clone(),
-        },
-        Term::Linear(l) => match subst.get(&l.var) {
-            Some(Term::Int(i)) => Term::Int(l.eval(*i)),
-            Some(Term::Var(v2)) => Term::Linear(LinearExpr {
-                var: *v2,
-                mul: l.mul,
-                add: l.add,
-            }),
-            _ => term.clone(),
-        },
-        Term::App(f, args) => Term::App(*f, args.iter().map(|a| apply_subst(a, subst)).collect()),
-        Term::Int(_) | Term::Sym(_) => term.clone(),
-    }
-}
-
-fn occurs(v: Variable, term: &Term, subst: &Substitution) -> bool {
-    match term {
-        Term::Var(u) => {
-            if *u == v {
-                true
-            } else if let Some(t) = subst.get(u) {
-                occurs(v, t, subst)
-            } else {
-                false
-            }
-        }
-        Term::Linear(l) => l.var == v,
-        Term::App(_, args) => args.iter().any(|a| occurs(v, a, subst)),
-        Term::Int(_) | Term::Sym(_) => false,
-    }
-}
-
-fn resolve<'a>(term: &'a Term, subst: &'a Substitution) -> &'a Term {
-    let mut current = term;
-    while let Term::Var(v) = current {
-        match subst.get(v) {
-            Some(t) => current = t,
-            None => break,
-        }
-    }
-    current
-}
-
-/// Unify two terms, extending `subst`; returns `false` (leaving `subst` in an
-/// unspecified extended state) on failure.  Performs the occurs check.
-///
-/// Linear expressions unify only with integer constants or when their
-/// variables resolve to integers.
-pub fn unify(a: &Term, b: &Term, subst: &mut Substitution) -> bool {
-    let a = resolve(a, subst).clone();
-    let b = resolve(b, subst).clone();
-    match (&a, &b) {
-        (Term::Var(v), Term::Var(u)) if v == u => true,
-        (Term::Var(v), other) | (other, Term::Var(v)) => {
-            if occurs(*v, other, subst) {
-                false
-            } else {
-                subst.insert(*v, other.clone());
-                true
-            }
-        }
-        (Term::Int(i), Term::Int(j)) => i == j,
-        (Term::Sym(s), Term::Sym(t)) => s == t,
-        (Term::Linear(l), Term::Int(i)) | (Term::Int(i), Term::Linear(l)) => {
-            match resolve(&Term::Var(l.var), subst) {
-                Term::Int(bound) => l.eval(*bound) == *i,
-                Term::Var(v) => match l.invert(*i) {
-                    Some(x) => {
-                        subst.insert(*v, Term::Int(x));
-                        true
-                    }
-                    None => false,
-                },
-                _ => false,
-            }
-        }
-        (Term::App(f, fa), Term::App(g, ga)) => {
-            f == g && fa.len() == ga.len() && fa.iter().zip(ga).all(|(x, y)| unify(x, y, subst))
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,23 +729,6 @@ mod tests {
         assert_eq!(d.constant, 1);
         assert_eq!(d.vars.get(&Variable::new("V")), Some(&1));
         assert_eq!(d.lower_bound(&BTreeMap::new()), Some(2));
-    }
-
-    #[test]
-    fn unify_basic() {
-        let mut s = Substitution::new();
-        let a = Term::app("f", vec![Term::var("X"), Term::sym("b")]);
-        let b = Term::app("f", vec![Term::sym("a"), Term::var("Y")]);
-        assert!(unify(&a, &b, &mut s));
-        assert_eq!(apply_subst(&a, &s), apply_subst(&b, &s));
-    }
-
-    #[test]
-    fn unify_occurs_check() {
-        let mut s = Substitution::new();
-        let a = Term::var("X");
-        let b = Term::app("f", vec![Term::var("X")]);
-        assert!(!unify(&a, &b, &mut s));
     }
 
     #[test]

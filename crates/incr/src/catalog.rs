@@ -1,27 +1,41 @@
-//! A catalog of live materialized views, keyed by adorned query binding.
+//! A catalog of live materialized views: one view per program, one seed
+//! per query binding.
 //!
-//! The serving shape the ROADMAP's north star needs: plan a query once
-//! (rewrite under a strategy), materialize the rewritten program as a
-//! [`MaterializedView`], and cache it under the query's *adorned binding
-//! key* — the answer predicate, its bound/free adornment, and the bound
-//! constants (`anc[bf](john)`).  Repeated queries with the same binding hit
-//! the cached view; base-fact updates stream into every cached view through
-//! [`ViewCatalog::update_all`].
+//! A query is planned once (rewritten under the catalog's strategy) and
+//! named by its *adorned binding key* — answer predicate, bound/free
+//! adornment, bound constants (`anc_bf[bf](john)@gms`).  In the paper that
+//! binding is nothing but a *fact* of the magic predicate (the rewrites
+//! end with `Rule::fact(seed)`); a positive rewritten program is monotone
+//! in those facts, derives only facts of the original program, and is
+//! complete seed by seed (Drabent's proof, PAPERS.md).  So the catalog
+//! takes the seed *out* of the program before looking for a view: every
+//! binding of one adorned predicate plans to the same seedless program,
+//! hence the same [`MaterializedView`], and enters it through
+//! [`MaterializedView::add_seed`] — a resume from one row, or nothing at
+//! all when another binding's cone already derives it.  Answers are one
+//! probe of the shared answer relation's bound-position index; evicting a
+//! binding is [`MaterializedView::remove_seed`]; a view goes with its last
+//! binding; [`ViewCatalog::apply_all`] maintains each view once, whatever
+//! the number of bindings.
 //!
-//! Each cached entry carries exactly one compiled
-//! [`Schedule`](magic_datalog::Schedule) (inside its view's fixpoint
-//! runner): the stratified shape is computed when the plan is
-//! materialized and shared by every subsequent maintenance resume —
-//! never rebuilt per update.
+//! Where one fixpoint cannot serve many seeds the seed stays in the
+//! program, and the same keying gives that binding a view of its own:
+//! under the counting strategies (indices are distances from *one* seed)
+//! and for guarded programs (recompute-on-update, not monotone).
+//!
+//! One behavioural note: `edb` is read only when a view is *built*.  A
+//! binding added to an existing view reads the base facts that view has
+//! maintained since.
 
 use crate::error::IncrError;
-use crate::view::{MaterializedView, Update};
-use magic_core::planner::{PlanError, Planner, Strategy};
-use magic_datalog::{Atom, PredName, Program, Query, Value, Variable};
+use crate::view::{MaintenanceMode, MaterializedView, Update};
+use magic_core::planner::{Plan, PlanError, Planner, Strategy};
+use magic_datalog::{Atom, Fact, PredName, Program, Query, Rule, Value, Variable};
 use magic_engine::{answers::project_answers, EvalStats, Limits};
 use magic_storage::Database;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Errors raised by catalog operations.
@@ -61,94 +75,121 @@ impl From<IncrError> for CatalogError {
 pub struct ApplyAllOutcome {
     /// State-changing applications, summed over all surviving views.
     pub applied: usize,
-    /// Keys of the surviving views whose state actually changed (at least
-    /// one update of the batch was not a no-op for them).  The serving
-    /// layer republishes exactly these — an incremental publish touches
-    /// only the views a batch moved, never the whole catalog.
+    /// Every binding of every surviving view the batch moved (at least
+    /// one update was not a no-op for it): exactly what the serving layer
+    /// republishes.
     pub changed: Vec<String>,
-    /// Views evicted because their maintenance failed, with the error
-    /// that condemned each.  The catalog stays internally consistent;
-    /// evicted bindings re-materialize on next sight.
+    /// Bindings evicted because their view's maintenance failed, with the
+    /// error that condemned it; they re-materialize on next sight.
     pub evicted: Vec<(String, CatalogError)>,
 }
 
-/// One cached view plus how to read the query's answers back out of it.
+/// One maintained fixpoint and what the bindings seeded into it share.
 #[derive(Clone, Debug)]
-struct CatalogEntry {
+struct SharedView {
     view: MaterializedView,
     /// The predicates the view's program derives: updates on them are not
-    /// for this view (its copy is maintained, not edited).  Kept beside
-    /// the view so a batch can be filtered while the view is borrowed
-    /// mutably.
+    /// for this view.  Kept beside the view so a batch can be filtered
+    /// while the view is borrowed mutably.
     derived: BTreeSet<PredName>,
-    answer_atom: Atom,
-    projection: Vec<Variable>,
-    /// Logical timestamp of the last materialize request for this binding
-    /// — the recency signal [`ViewCatalog::with_max_views`] eviction ranks
-    /// by.  Maintenance (`apply_all` / `update_all`) deliberately does not
-    /// bump it: being updated is not being *used*.
-    last_used: u64,
-    /// Wall-clock counterpart of `last_used`, consulted by
-    /// [`ViewCatalog::with_view_ttl`] expiry (same bump discipline:
-    /// requests refresh it, maintenance does not).
-    last_used_at: Instant,
-    /// The query text the binding was materialized for — what
-    /// [`ViewCatalog::export_bindings`] persists so a recovered process
-    /// can re-plan and re-materialize the same view.
-    query_text: String,
+    /// What [`ViewCatalog::snapshot_view`] hands out, frozen on the first
+    /// request after the view last moved: every binding of the view shares
+    /// one copy-on-write clone.
+    frozen: OnceLock<Arc<FrozenView>>,
 }
 
-/// A frozen, self-contained reading surface over one cached view.
-///
-/// Produced by [`ViewCatalog::snapshot_view`].  The embedded [`Database`]
-/// is a copy-on-write clone of the live view's database — pure `Arc`
-/// pointer bumps, O(relations) and independent of fact count (see
-/// [`magic_storage::cow_clones`]) — so taking a snapshot costs nothing and
-/// the snapshot stays bit-stable while the writer keeps maintaining the
-/// live view.  The serving layer publishes these per binding and replaces
-/// only the entries a batch changed, instead of cloning whole catalogs.
-#[derive(Clone, Debug)]
-pub struct ViewSnapshot {
+/// A view's database and metrics at one instant.
+#[derive(Debug)]
+struct FrozenView {
     db: Database,
-    answer_atom: Atom,
-    projection: Vec<Variable>,
     stats: EvalStats,
     recompute_reason: Option<String>,
     recomputes: u64,
+}
+
+/// One query binding: which view answers it and how to read the answers
+/// back out.
+#[derive(Clone, Debug)]
+struct Binding {
+    view: u64,
+    /// The magic seed this binding holds in its view; [`None`] when the
+    /// seed is a rule of the view's program or the query binds nothing.
+    seed: Option<Fact>,
+    answer_atom: Atom,
+    projection: Vec<Variable>,
+    /// Logical and wall-clock time of the last materialize request: what
+    /// the `max_views` cap and the TTL rank by.  Maintenance does not bump
+    /// them: being updated is not being *used*.
+    last_used: u64,
+    last_used_at: Instant,
+    /// What [`ViewCatalog::export_bindings`] persists.
+    query_text: String,
+}
+
+/// Take the seed out of `plan.program` — leaving the program the plan's
+/// view maintains — and return it as what the binding adds to that view.
+/// The seed leaves exactly when one fixpoint can serve many seeds (see the
+/// module docs); otherwise the program stays whole and there is none.
+fn take_seed(plan: &mut Plan) -> Option<Fact> {
+    let shareable = !plan.strategy.is_counting()
+        && MaintenanceMode::of(&plan.program) == MaintenanceMode::Incremental;
+    let seed = plan
+        .rewritten
+        .as_ref()?
+        .seed
+        .as_ref()
+        .filter(|_| shareable)?;
+    let rule = Rule::fact(seed.to_atom());
+    let at = plan.program.rules.iter().position(|r| *r == rule)?;
+    plan.program.rules.remove(at);
+    Some(seed.clone())
+}
+
+/// A frozen, self-contained reading surface over one binding, produced by
+/// [`ViewCatalog::snapshot_view`].  Its [`Database`] is a copy-on-write
+/// clone of the live view's — `Arc` pointer bumps, O(relations) (see
+/// [`magic_storage::cow_clones`]) — taken once per view per change and
+/// shared by the snapshots of all its bindings; it stays bit-stable while
+/// the writer keeps maintaining the live view.
+#[derive(Clone, Debug)]
+pub struct ViewSnapshot {
+    frozen: Arc<FrozenView>,
+    answer_atom: Atom,
+    projection: Vec<Variable>,
 }
 
 impl ViewSnapshot {
     /// The query's answers as of this snapshot (probes the answer index
     /// the view maintains; never scans).
     pub fn answers(&self) -> BTreeSet<Vec<Value>> {
-        project_answers(&self.db, &self.answer_atom, &self.projection)
+        project_answers(&self.frozen.db, &self.answer_atom, &self.projection)
     }
 
     /// The frozen database: base facts plus every derived fact of the
-    /// fixpoint the snapshot was taken at.
+    /// view's fixpoint — for all its bindings, not this one alone.
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.frozen.db
     }
 
     /// Cumulative maintenance metrics of the view as of this snapshot.
     pub fn stats(&self) -> &EvalStats {
-        &self.stats
+        &self.frozen.stats
     }
 
-    /// Why the view is maintained by full recompute, if it is ([`None`]
-    /// for incrementally maintained views) — see
+    /// Why the view is maintained by full recompute, if it is — see
     /// [`MaterializedView::recompute_reason`].
     pub fn recompute_reason(&self) -> Option<&str> {
-        self.recompute_reason.as_deref()
+        self.frozen.recompute_reason.as_deref()
     }
 
     /// Full recomputes updates had forced as of this snapshot.
     pub fn recompute_count(&self) -> u64 {
-        self.recomputes
+        self.frozen.recomputes
     }
 }
 
-/// A set of live materialized views keyed by adorned query binding.
+/// Live materialized views — one per distinct program — and the query
+/// bindings seeded into them, keyed by adorned binding.
 ///
 /// ```
 /// use magic_core::planner::Strategy;
@@ -161,30 +202,33 @@ impl ViewSnapshot {
 ///      anc(X, Y) :- par(X, Z), anc(Z, Y).",
 /// )
 /// .unwrap();
-/// let query = parse_query("anc(a, Y)").unwrap();
 /// let mut db = Database::new();
 /// db.insert_pair("par", "a", "b");
 ///
 /// let mut catalog = ViewCatalog::new(Strategy::MagicSets);
-/// let key = catalog.materialize(&program, &query, &db).unwrap();
-/// assert_eq!(catalog.answers(&key).unwrap().len(), 1);
+/// let a = catalog.materialize(&program, &parse_query("anc(a, Y)").unwrap(), &db).unwrap();
+/// let b = catalog.materialize(&program, &parse_query("anc(b, Y)").unwrap(), &db).unwrap();
+/// // Two bindings, one maintained fixpoint.
+/// assert_eq!((catalog.len(), catalog.materialized()), (2, 1));
 ///
 /// let edge = Fact::plain("par", vec![Value::sym("b"), Value::sym("c")]);
-/// catalog.update_all(&Update::Insert(edge)).unwrap();
-/// assert_eq!(catalog.answers(&key).unwrap().len(), 2);
+/// let outcome = catalog.apply_all(&[Update::Insert(edge)]);
+/// assert_eq!(outcome.changed, vec![a.clone(), b.clone()]);
+/// assert_eq!(catalog.answers(&a).unwrap().len(), 2);
+/// assert_eq!(catalog.answers(&b).unwrap().len(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ViewCatalog {
     strategy: Strategy,
     limits: Limits,
-    entries: BTreeMap<String, CatalogEntry>,
-    /// Capacity cap: materializing past it evicts the least-recently
-    /// *requested* binding.  `None` = unbounded.
+    views: BTreeMap<u64, SharedView>,
+    bindings: BTreeMap<String, Binding>,
+    /// Id of the view built last.
+    last_view: u64,
+    /// Cap on live bindings and on their idle time; `None` = unbounded.
     max_views: Option<usize>,
-    /// Idle-time cap: bindings not requested within this window are
-    /// dropped by [`ViewCatalog::evict_expired`].  `None` = no expiry.
     view_ttl: Option<Duration>,
-    /// Logical clock feeding `CatalogEntry::last_used`.
+    /// Logical clock feeding `Binding::last_used`.
     clock: u64,
 }
 
@@ -194,7 +238,9 @@ impl ViewCatalog {
         ViewCatalog {
             strategy,
             limits: Limits::default(),
-            entries: BTreeMap::new(),
+            views: BTreeMap::new(),
+            bindings: BTreeMap::new(),
+            last_view: 0,
             max_views: None,
             view_ttl: None,
             clock: 0,
@@ -207,52 +253,34 @@ impl ViewCatalog {
         self
     }
 
-    /// Cap the catalog at `max_views` live views (0 means unbounded).
-    ///
-    /// When a fresh materialization would exceed the cap, the **coldest**
-    /// cached views — least recently requested through
-    /// [`ViewCatalog::materialize`] / [`ViewCatalog::materialize_keyed`] —
-    /// are dropped first; the binding just materialized is never a
-    /// candidate.  An evicted binding is not an error: like a
-    /// maintenance-failure eviction it simply re-materializes from the
-    /// authoritative base facts on next sight.  Serving deployments use
-    /// this to bound the memory a long tail of one-off bindings pins.
+    /// Cap the catalog at `max_views` live bindings (0 means unbounded).
+    /// A materialization past the cap drops the **coldest** bindings —
+    /// least recently requested through [`ViewCatalog::materialize`] —
+    /// never the one just made.  An evicted binding is not an error: it
+    /// re-materializes on next sight.
     pub fn with_max_views(mut self, max_views: usize) -> ViewCatalog {
         self.max_views = (max_views > 0).then_some(max_views);
         self
     }
 
     /// Expire bindings not *requested* for `ttl` (a zero duration means
-    /// no expiry).  Time-based eviction composes with the
-    /// [`ViewCatalog::with_max_views`] count cap: TTL drops views that
-    /// went cold regardless of catalog size, the cap bounds the size
-    /// regardless of age — a serving deployment typically wants both.
-    ///
-    /// Expired entries are dropped inside
-    /// [`ViewCatalog::materialize_keyed`] whenever it (re)builds a view,
-    /// and whenever the owner calls [`ViewCatalog::evict_expired`]
-    /// directly (the serving writer does so once per maintenance cycle).
-    /// Like every other eviction, expiry is not an error: a dropped
-    /// binding simply re-materializes from the base facts on next sight.
+    /// no expiry); composes with the [`ViewCatalog::with_max_views`] count
+    /// cap.  Expired bindings are dropped whenever
+    /// [`ViewCatalog::materialize_keyed`] adds a binding and whenever the
+    /// owner calls [`ViewCatalog::evict_expired`] (the serving writer does
+    /// so once per maintenance cycle); they re-materialize on next sight.
     pub fn with_view_ttl(mut self, ttl: Duration) -> ViewCatalog {
         self.view_ttl = (ttl > Duration::ZERO).then_some(ttl);
         self
     }
 
-    /// The catalog's rewrite strategy.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// Plan `(program, query)` under the catalog's strategy and
-    /// materialize the rewritten program over `edb` — unless a view with
-    /// the same adorned binding key *and the same rewritten program* is
-    /// already cached, in which case the existing (live, maintained) view
-    /// is kept and `edb` is ignored: the cached view's database reflects
-    /// every update streamed into it since materialization, which is the
-    /// point of the cache.  A cache hit whose stored program differs
-    /// (the caller changed the rules) re-materializes over `edb` instead
-    /// of silently serving answers for the old rules.  Returns the key.
+    /// Plan `(program, query)` under the catalog's strategy and make its
+    /// binding live: build the view of the planned program over `edb` if
+    /// no view maintains that program yet, then seed the binding into it.
+    /// A binding already live *under the same planned program* is a cache
+    /// hit and `edb` is ignored; one whose view maintains a different
+    /// program (the caller changed the rules) moves to the new program's
+    /// view instead of serving answers for the old rules.  Returns the key.
     pub fn materialize(
         &mut self,
         program: &Program,
@@ -263,57 +291,127 @@ impl ViewCatalog {
             .map(|(key, _)| key)
     }
 
-    /// [`ViewCatalog::materialize`], additionally reporting whether a view
-    /// was (re)built: `false` means the key was a cache hit on a live view
-    /// and the catalog did not change — the serving layer uses this to
-    /// skip publishing a fresh (expensive, whole-catalog-clone) snapshot
-    /// when two racing first-sight queries both request materialization.
+    /// [`ViewCatalog::materialize`], additionally reporting whether the
+    /// binding was (re)made: `false` means a cache hit on a live binding
+    /// and an unchanged catalog — the serving layer then skips publishing.
+    ///
+    /// On a maintenance error the catalog stays consistent but has dropped
+    /// the view the binding was headed for, with the bindings it had; they
+    /// re-materialize on next sight.
     pub fn materialize_keyed(
         &mut self,
         program: &Program,
         query: &Query,
         edb: &Database,
     ) -> Result<(String, bool), CatalogError> {
-        let plan = Planner::new(self.strategy)
-            .with_limits(self.limits)
-            .plan(program, query)?;
-        let key = format!("{}@{}", plan.view_binding(), self.strategy.short_name());
+        let mut plan = self.plan(program, query)?;
+        let key = self.key_of(&plan, query);
+        let seed = take_seed(&mut plan);
+        let program = &plan.program;
         self.clock += 1;
         let now = self.clock;
-        let fresh = match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = now;
-                entry.last_used_at = Instant::now();
-                entry.view.program() != &plan.program
+        if let Some(binding) = self.bindings.get_mut(&key) {
+            binding.last_used = now;
+            binding.last_used_at = Instant::now();
+            if self.views[&binding.view].view.program() == program {
+                return Ok((key, false));
             }
-            None => true,
-        };
-        if fresh {
-            let mut view = MaterializedView::with_limits(&plan.program, edb, self.limits)?;
-            // Index the answer atom's bound positions once: every insert
-            // and retract the view applies maintains it from here on, so
-            // repeated `answers` calls probe a warm index instead of
-            // scanning (and nothing ever rebuilds it).
-            view.ensure_answer_index(&plan.answer_atom);
-            self.entries.insert(
-                key.clone(),
-                CatalogEntry {
-                    view,
-                    derived: plan.program.derived_preds(),
-                    answer_atom: plan.answer_atom.clone(),
-                    projection: plan.projection.clone(),
-                    last_used: now,
-                    last_used_at: Instant::now(),
-                    query_text: query.atom.to_string(),
-                },
-            );
-            // TTL expiry first (age-based), then the count cap: the
-            // entry just touched carries a fresh timestamp on both
-            // scales, so it survives either pass.
-            self.evict_expired();
-            self.evict_cold();
+            self.evict(&key);
         }
-        Ok((key, fresh))
+        let id = match self.views.iter().find(|(_, v)| v.view.program() == program) {
+            Some((id, _)) => *id,
+            None => {
+                let shared = SharedView {
+                    view: MaterializedView::with_limits(program, edb, self.limits)?,
+                    derived: program.derived_preds(),
+                    frozen: OnceLock::new(),
+                };
+                self.last_view += 1;
+                self.views.insert(self.last_view, shared);
+                self.last_view
+            }
+        };
+        let shared = self.views.get_mut(&id).expect("found or just built");
+        // Index the answer atom's bound positions once: every insert and
+        // retract the view applies maintains it from here on, so `answers`
+        // probes a warm index instead of scanning.
+        shared.view.ensure_answer_index(&plan.answer_atom);
+        match seed.as_ref().map_or(Ok(false), |s| shared.view.add_seed(s)) {
+            Ok(true) => shared.frozen = OnceLock::new(),
+            Ok(false) => {}
+            Err(e) => {
+                self.drop_view(id);
+                return Err(e.into());
+            }
+        }
+        let binding = Binding {
+            view: id,
+            seed,
+            answer_atom: plan.answer_atom,
+            projection: plan.projection,
+            last_used: now,
+            last_used_at: Instant::now(),
+            query_text: query.atom.to_string(),
+        };
+        self.bindings.insert(key.clone(), binding);
+        // TTL expiry first (age-based), then the count cap: the binding
+        // just touched carries a fresh timestamp on both scales, so it
+        // survives either pass.
+        self.evict_expired();
+        self.evict_cold();
+        Ok((key, true))
+    }
+
+    fn plan(&self, program: &Program, query: &Query) -> Result<Plan, PlanError> {
+        Planner::new(self.strategy)
+            .with_limits(self.limits)
+            .plan(program, query)
+    }
+
+    /// A stable name for the binding of `query` under `plan`: the answer
+    /// predicate with the query's adornment and bound constants (read off
+    /// the query — the semijoin rewrites drop them from the answer atom),
+    /// and the strategy.  Free variables' names do not matter.
+    fn key_of(&self, plan: &Plan, query: &Query) -> String {
+        let mut adornment = String::new();
+        let mut bound: Vec<String> = Vec::new();
+        for term in &query.atom.terms {
+            if term.vars().is_empty() {
+                adornment.push('b');
+                bound.push(term.to_string());
+            } else {
+                adornment.push('f');
+            }
+        }
+        let (pred, bound) = (&plan.answer_atom.pred, bound.join(", "));
+        format!(
+            "{pred}[{adornment}]({bound})@{}",
+            self.strategy.short_name()
+        )
+    }
+
+    /// Drop `key`'s binding: drop its view if this was the last binding,
+    /// else withdraw its seed.  A view that fails to withdraw a seed is
+    /// dropped with every binding it has.
+    fn evict(&mut self, key: &str) {
+        let Some(binding) = self.bindings.remove(key) else {
+            return;
+        };
+        if !self.bindings.values().any(|b| b.view == binding.view) {
+            self.views.remove(&binding.view);
+        } else if let Some(seed) = &binding.seed {
+            let shared = self.views.get_mut(&binding.view).expect("a live view");
+            shared.frozen = OnceLock::new();
+            if shared.view.remove_seed(seed).is_err() {
+                self.drop_view(binding.view);
+            }
+        }
+    }
+
+    /// Drop a view whose maintenance failed, and every binding it has.
+    fn drop_view(&mut self, id: u64) {
+        self.views.remove(&id);
+        self.bindings.retain(|_, binding| binding.view != id);
     }
 
     /// Drop every binding whose last request is older than the
@@ -324,202 +422,184 @@ impl ViewCatalog {
             return Vec::new();
         };
         let expired: Vec<String> = self
-            .entries
+            .bindings
             .iter()
-            .filter(|(_, e)| e.last_used_at.elapsed() > ttl)
+            .filter(|(_, b)| b.last_used_at.elapsed() > ttl)
             .map(|(k, _)| k.clone())
             .collect();
         for key in &expired {
-            self.entries.remove(key);
+            self.evict(key);
         }
         expired
     }
 
-    /// The cached bindings as `(key, query text)` pairs, in key order —
-    /// what a checkpoint persists so recovery can re-plan each query and
-    /// re-materialize the same views over the restored base facts.  (The
-    /// views themselves are rebuildable artifacts and are deliberately
-    /// *not* serialized: re-materializing through the normal planner and
-    /// fixpoint keeps recovery on the already-verified code path.)
+    /// The live bindings as `(key, query text)` pairs, in key order — what
+    /// a checkpoint persists so recovery can re-plan each query and seed
+    /// it back into a view over the restored base facts.  (Views are
+    /// rebuildable and deliberately *not* serialized.)
     pub fn export_bindings(&self) -> Vec<(String, String)> {
-        self.entries
+        self.bindings
             .iter()
-            .map(|(k, e)| (k.clone(), e.query_text.clone()))
+            .map(|(k, b)| (k.clone(), b.query_text.clone()))
             .collect()
     }
 
-    /// Enforce the [`ViewCatalog::with_max_views`] cap: drop
-    /// least-recently-requested entries until the catalog fits.  The entry
-    /// touched last (the one a materialization just installed or re-used)
-    /// always carries the freshest timestamp and therefore survives.
+    /// Enforce the [`ViewCatalog::with_max_views`] cap; the binding
+    /// touched last carries the freshest timestamp and survives.
     fn evict_cold(&mut self) {
         let Some(cap) = self.max_views else {
             return;
         };
-        while self.entries.len() > cap {
+        while self.bindings.len() > cap {
             let coldest = self
-                .entries
+                .bindings
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by_key(|(_, b)| b.last_used)
                 .map(|(k, _)| k.clone())
                 .expect("len > cap >= 1");
-            self.entries.remove(&coldest);
+            self.evict(&coldest);
         }
     }
 
-    /// The binding key `materialize` would cache `(program, query)` under,
-    /// computed by planning alone — nothing is materialized and the catalog
-    /// is not consulted.  The serving layer uses this to translate a query
-    /// into its snapshot lookup key exactly once per distinct query text.
+    /// The key `materialize` would cache `(program, query)` under, by
+    /// planning alone: nothing is materialized, the catalog not consulted.
     pub fn binding_key(&self, program: &Program, query: &Query) -> Result<String, CatalogError> {
-        let plan = Planner::new(self.strategy)
-            .with_limits(self.limits)
-            .plan(program, query)?;
-        Ok(format!(
-            "{}@{}",
-            plan.view_binding(),
-            self.strategy.short_name()
-        ))
+        Ok(self.key_of(&self.plan(program, query)?, query))
     }
 
-    /// True iff a view is cached under `key`.
+    /// True iff a binding is live under `key`.
     pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        self.bindings.contains_key(key)
     }
 
-    /// The view cached under `key`.
+    /// The view that answers `key` — shared with every other binding of
+    /// the same program.
     pub fn view(&self, key: &str) -> Option<&MaterializedView> {
-        self.entries.get(key).map(|e| &e.view)
-    }
-
-    /// Mutable access to the view cached under `key` (for targeted
-    /// insert/retract/apply).
-    pub fn view_mut(&mut self, key: &str) -> Option<&mut MaterializedView> {
-        self.entries.get_mut(key).map(|e| &mut e.view)
+        self.bindings.get(key).map(|b| &self.views[&b.view].view)
     }
 
     /// The current answers of the query cached under `key`.
     pub fn answers(&self, key: &str) -> Option<BTreeSet<Vec<Value>>> {
-        self.entries
-            .get(key)
-            .map(|e| project_answers(e.view.database(), &e.answer_atom, &e.projection))
+        let binding = self.bindings.get(key)?;
+        let db = self.views[&binding.view].view.database();
+        Some(project_answers(
+            db,
+            &binding.answer_atom,
+            &binding.projection,
+        ))
     }
 
-    /// A frozen [`ViewSnapshot`] of the view cached under `key`.
+    /// A frozen [`ViewSnapshot`] of the binding cached under `key`.
     ///
-    /// O(relations) `Arc` pointer bumps — no row, page, or index data is
-    /// copied (the storage layer's copy-on-write clone; later writes to
-    /// the live view re-copy only the units they touch).  The serving
-    /// layer calls this once per view per *change*, never per publish.
+    /// The first call after a view moved clones its database —
+    /// O(relations) `Arc` pointer bumps; later writes to the live view
+    /// re-copy only the units they touch — and until the view moves again
+    /// every binding of it is handed that same clone.
     pub fn snapshot_view(&self, key: &str) -> Option<ViewSnapshot> {
-        self.entries.get(key).map(|e| ViewSnapshot {
-            db: e.view.database().clone(),
-            answer_atom: e.answer_atom.clone(),
-            projection: e.projection.clone(),
-            stats: e.view.stats().clone(),
-            recompute_reason: e.view.recompute_reason().map(str::to_string),
-            recomputes: e.view.recompute_count(),
+        let binding = self.bindings.get(key)?;
+        let shared = &self.views[&binding.view];
+        let frozen = shared.frozen.get_or_init(|| {
+            Arc::new(FrozenView {
+                db: shared.view.database().clone(),
+                stats: shared.view.stats().clone(),
+                recompute_reason: shared.view.recompute_reason().map(str::to_string),
+                recomputes: shared.view.recompute_count(),
+            })
+        });
+        Some(ViewSnapshot {
+            frozen: Arc::clone(frozen),
+            answer_atom: binding.answer_atom.clone(),
+            projection: binding.projection.clone(),
         })
     }
 
-    /// Apply one base-fact update to every cached view that can accept it
-    /// (views deriving the fact's predicate are skipped — their copy of it
-    /// is maintained, not edited).  Returns how many views changed.
-    pub fn update_all(&mut self, update: &Update) -> Result<usize, CatalogError> {
-        let mut changed = 0;
-        for entry in self.entries.values_mut() {
-            let result = match update {
-                Update::Insert(fact) => entry.view.insert(fact),
-                Update::Retract(fact) => entry.view.retract(fact),
-            };
-            match result {
-                Ok(true) => changed += 1,
-                Ok(false) | Err(IncrError::NotABasePredicate { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(changed)
-    }
-
-    /// Apply a whole batch of updates to every cached view, letting each
-    /// view coalesce its consecutive insertions into one fixpoint re-entry
-    /// (see [`MaterializedView::apply`]) — the serving layer's write path,
-    /// where a maintenance writer drains its queue in batches.
+    /// Apply a whole batch of updates to every view — once per view,
+    /// however many bindings read it; each view coalesces consecutive
+    /// insertions into one fixpoint re-entry (see
+    /// [`MaterializedView::apply`]).  The serving layer's write path.
     ///
     /// Updates whose predicate a view *derives* are filtered out for that
-    /// view (its copy of the predicate is maintained, not edited), so a
-    /// heterogeneous catalog never aborts a batch midway: every view sees
-    /// exactly the subsequence of updates it can accept, in order.
+    /// view, so a heterogeneous catalog never aborts a batch midway: every
+    /// view sees exactly the subsequence it can accept, in order.
     ///
     /// A view whose maintenance *fails* (a limits budget, an arity
-    /// mismatch) is **evicted** rather than left behind: a cached view is
-    /// a rebuildable artifact, and evicting keeps every surviving view
-    /// consistent with the same update prefix — the failed binding simply
-    /// re-materializes from the authoritative base facts on next sight.
-    /// The alternative (aborting the batch midway) would leave some views
-    /// with the batch applied and others without, permanently.
+    /// mismatch) is **evicted** with its bindings, never left behind:
+    /// every surviving view stays consistent with the same update prefix
+    /// and the failed bindings re-materialize from the base facts on next
+    /// sight, where aborting midway would leave some views with the batch
+    /// applied and others without, permanently.
     pub fn apply_all(&mut self, updates: &[Update]) -> ApplyAllOutcome {
         let mut outcome = ApplyAllOutcome::default();
-        for (key, entry) in self.entries.iter_mut() {
+        // Per view the batch moved or failed: how its maintenance went.
+        let mut verdicts: BTreeMap<u64, Result<(), CatalogError>> = BTreeMap::new();
+        for (id, shared) in self.views.iter_mut() {
             // Borrowed, and filtered as the view consumes them: nothing of
             // the batch is copied per view.
-            let derived = &entry.derived;
+            let derived = &shared.derived;
             let accepted = updates.iter().filter(|u| !derived.contains(&u.fact().pred));
-            match entry.view.apply(accepted) {
-                Ok(report) => {
+            match shared.view.apply(accepted) {
+                Ok(report) if report.applied > 0 => {
                     outcome.applied += report.applied;
-                    if report.applied > 0 {
-                        outcome.changed.push(key.clone());
-                    }
+                    shared.frozen = OnceLock::new();
+                    verdicts.insert(*id, Ok(()));
                 }
-                Err(e) => outcome.evicted.push((key.clone(), e.into())),
+                Ok(_) => {}
+                Err(e) => {
+                    verdicts.insert(*id, Err(e.into()));
+                }
             }
         }
-        for (key, _) in &outcome.evicted {
-            self.entries.remove(key);
+        for (key, binding) in &self.bindings {
+            match verdicts.get(&binding.view) {
+                Some(Ok(())) => outcome.changed.push(key.clone()),
+                Some(Err(e)) => outcome.evicted.push((key.clone(), e.clone())),
+                None => {}
+            }
+        }
+        for (id, verdict) in verdicts {
+            if verdict.is_err() {
+                self.drop_view(id);
+            }
         }
         outcome
     }
 
-    /// Aggregate maintenance metrics summed over every cached view
-    /// (construction plus all updates) — the serving layer's `STATS`
-    /// surface.
-    pub fn aggregate_stats(&self) -> magic_engine::EvalStats {
-        let mut total = magic_engine::EvalStats::default();
-        for entry in self.entries.values() {
-            total.merge(entry.view.stats());
+    /// Maintenance metrics summed over every view (construction plus all
+    /// updates), a view shared by many bindings counted once — the serving
+    /// layer's `STATS` surface.
+    pub fn aggregate_stats(&self) -> EvalStats {
+        let mut total = EvalStats::default();
+        for shared in self.views.values() {
+            total.merge(shared.view.stats());
         }
         total
     }
 
-    /// The views maintained by full recompute (guarded programs), as
-    /// `(key, reason, recompute count)` — the serving layer's STATS
-    /// surface for the v1 negation/aggregate fallback, so degraded
-    /// maintenance is visible, never silent.
-    pub fn recompute_views(&self) -> Vec<(String, String, u64)> {
-        self.entries
-            .iter()
-            .filter_map(|(k, e)| {
-                e.view
-                    .recompute_reason()
-                    .map(|r| (k.clone(), r.to_string(), e.view.recompute_count()))
-            })
-            .collect()
+    /// How many views are maintained by full recompute (guarded
+    /// programs), so the fallback is visible in `STATS`, never silent.
+    pub fn recompute_views(&self) -> usize {
+        let recomputing = |v: &&SharedView| v.view.recompute_reason().is_some();
+        self.views.values().filter(recomputing).count()
     }
 
-    /// Number of cached views.
+    /// Number of live bindings.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.bindings.len()
     }
 
-    /// True iff no view is cached.
+    /// Number of maintained fixpoints the bindings share.
+    pub fn materialized(&self) -> usize {
+        self.views.len()
+    }
+
+    /// True iff no binding is live.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.bindings.is_empty()
     }
 
-    /// The cached binding keys, in order.
+    /// The live binding keys, in order.
     pub fn keys(&self) -> impl Iterator<Item = &str> + '_ {
-        self.entries.keys().map(String::as_str)
+        self.bindings.keys().map(String::as_str)
     }
 }
 
@@ -718,12 +798,10 @@ mod tests {
         let frozen = catalog.snapshot_view(&key).unwrap();
         assert_eq!(frozen.answers().len(), 1);
 
-        catalog
-            .update_all(&Update::Insert(Fact::plain(
-                "par",
-                vec![Value::sym("b"), Value::sym("c")],
-            )))
-            .unwrap();
+        catalog.apply_all(&[Update::Insert(Fact::plain(
+            "par",
+            vec![Value::sym("b"), Value::sym("c")],
+        ))]);
         // The live view sees the new answer; the snapshot does not.
         assert_eq!(catalog.answers(&key).unwrap().len(), 2);
         assert_eq!(frozen.answers().len(), 1);
@@ -773,12 +851,10 @@ mod tests {
 
         // Same binding, same rules: cache hit keeps the live view (with
         // its streamed updates), ignoring the passed database.
-        catalog
-            .update_all(&Update::Insert(magic_datalog::Fact::plain(
-                "par",
-                vec![Value::sym("c"), Value::sym("d")],
-            )))
-            .unwrap();
+        catalog.apply_all(&[Update::Insert(Fact::plain(
+            "par",
+            vec![Value::sym("c"), Value::sym("d")],
+        ))]);
         let k3 = catalog.materialize(&v2, &query, &Database::new()).unwrap();
         assert_eq!(k2, k3);
         assert_eq!(catalog.answers(&k3).unwrap().len(), 3);

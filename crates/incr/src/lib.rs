@@ -17,10 +17,11 @@
 //!   [`SupportTable`](magic_storage::SupportTable)) where the affected cone
 //!   is non-recursive, and delete-and-rederive (DRed, as in the
 //!   micro-Datalog lineage of delta-driven engines) where it is not.
-//! * [`ViewCatalog`] — many live views keyed by *adorned query binding*
-//!   (`anc[bf](john)`), the serving-layer shape: repeated queries with the
-//!   same binding share one maintained view, and base-fact updates stream
-//!   into every cached view.
+//! * [`ViewCatalog`] — the serving-layer shape: one live view per
+//!   rewritten program, and the *adorned query bindings*
+//!   (`anc_bf[bf](john)@gms`) seeded into it as facts of its magic
+//!   predicate ([`MaterializedView::add_seed`]); base-fact updates stream
+//!   into every view once, however many bindings read it.
 //!
 //! Correctness is defined against from-scratch evaluation: after any
 //! sequence of updates, the maintained database equals

@@ -51,7 +51,9 @@
 //! correctness-proof framing of magic-transformation equivalence.
 
 use crate::error::IncrError;
-use magic_datalog::{analysis::DependencyGraph, Atom, Fact, PredName, Program, ValId};
+use magic_datalog::{
+    analysis::DependencyGraph, arena::intern_row, Atom, Fact, PredName, Program, ValId,
+};
 use magic_engine::{
     count_derivations, evaluate_rule_visit, sip_order, with_body_order, DeltaWindow, EvalStats,
     FixpointRunner, Limits, WindowDiscipline,
@@ -119,6 +121,27 @@ pub enum MaintenanceMode {
     },
 }
 
+impl MaintenanceMode {
+    /// The mode a view of `program` is maintained in.  Guarded programs
+    /// (negation / aggregates) fall back to full recompute on every
+    /// update: a retracted fact can *add* facts through a complement, so
+    /// derivation counting and DRed are both unsound, and aggregate
+    /// outputs carry no per-derivation support.
+    pub fn of(program: &Program) -> MaintenanceMode {
+        if program.rules.iter().any(|r| !r.negated.is_empty()) {
+            MaintenanceMode::Recompute {
+                reason: "program uses negation".into(),
+            }
+        } else if program.rules.iter().any(|r| r.aggregate.is_some()) {
+            MaintenanceMode::Recompute {
+                reason: "program uses aggregates".into(),
+            }
+        } else {
+            MaintenanceMode::Incremental
+        }
+    }
+}
+
 /// A live materialized view: a program fixpoint maintained under
 /// insertions and retractions of base facts.
 ///
@@ -159,9 +182,9 @@ pub struct MaterializedView {
     /// Base predicates whose entire derived cone is non-recursive: exact
     /// counting deletion is sound for them.
     counting_safe: BTreeSet<PredName>,
-    /// Rows of derived predicates that were present in the initial EDB.
-    /// They are axioms, not derivations: retraction never deletes them even
-    /// at zero support.
+    /// Rows of derived predicates that were present in the initial EDB or
+    /// came in through [`MaterializedView::add_seed`].  They are axioms,
+    /// not derivations: retraction never deletes them even at zero support.
     exogenous: BTreeMap<PredName, HashSet<PackedRow>>,
     /// The overdeletion shadow machine, built on first DRed retraction.
     od: Option<OdMachine>,
@@ -286,21 +309,7 @@ impl MaterializedView {
             }
         }
 
-        // Guarded programs (negation / aggregates) fall back to full
-        // recompute on every update: a retracted fact can *add* facts
-        // through a complement, so derivation counting and DRed are both
-        // unsound, and aggregate outputs carry no per-derivation support.
-        let mode = if program.rules.iter().any(|r| !r.negated.is_empty()) {
-            MaintenanceMode::Recompute {
-                reason: "program uses negation".into(),
-            }
-        } else if program.rules.iter().any(|r| r.aggregate.is_some()) {
-            MaintenanceMode::Recompute {
-                reason: "program uses aggregates".into(),
-            }
-        } else {
-            MaintenanceMode::Incremental
-        };
+        let mode = MaintenanceMode::of(program);
 
         let mut db = edb.clone();
         let mut stats = EvalStats::default();
@@ -391,11 +400,6 @@ impl MaterializedView {
         }
     }
 
-    /// How this view propagates updates.
-    pub fn maintenance_mode(&self) -> &MaintenanceMode {
-        &self.mode
-    }
-
     /// Why incremental maintenance is off, if it is ([`None`] for
     /// incremental views) — the typed reason the serving layer surfaces.
     pub fn recompute_reason(&self) -> Option<&str> {
@@ -430,6 +434,10 @@ impl MaterializedView {
                 pred: fact.pred.to_string(),
             });
         }
+        self.check_arity(fact)
+    }
+
+    fn check_arity(&self, fact: &Fact) -> Result<(), IncrError> {
         if let Some(rel) = self.db.relation(&fact.pred) {
             if rel.arity() != fact.arity() {
                 return Err(IncrError::ArityMismatch {
@@ -478,6 +486,64 @@ impl MaterializedView {
             self.retract_counting(fact)?;
         } else {
             self.retract_dred(fact)?;
+        }
+        Ok(true)
+    }
+
+    /// Add `seed` as an *axiom*: a fact the view holds whether or not its
+    /// rules derive it.  This is how a query binding enters a view of a
+    /// magic-rewritten program — the paper's seed is a fact of the magic
+    /// predicate, and a positive program is monotone in its seeds, so one
+    /// fixpoint serves every binding seeded into it.
+    ///
+    /// Returns whether the database moved.  A seed whose row the view
+    /// already derives (another seed's cone reaches it) is only marked —
+    /// no evaluation; otherwise the row is inserted and the fixpoint
+    /// resumed from it.  Where the program has no rule for the seed's
+    /// predicate this is [`MaterializedView::insert`].
+    pub fn add_seed(&mut self, seed: &Fact) -> Result<bool, IncrError> {
+        if !self.derived_preds.contains(&seed.pred) {
+            return self.insert(seed);
+        }
+        self.check_arity(seed)?;
+        let newly_marked = self
+            .exogenous
+            .entry(seed.pred.clone())
+            .or_default()
+            .insert(intern_row(&seed.values));
+        if !newly_marked || self.db.contains(seed) {
+            return Ok(false);
+        }
+        if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
+            self.recompute()?;
+            return Ok(true);
+        }
+        let marks = self.runner.marks(&self.db);
+        self.db.insert_fact(seed);
+        self.resume(marks)?;
+        Ok(true)
+    }
+
+    /// Withdraw an axiom added by [`MaterializedView::add_seed`] (or
+    /// present in the initial EDB under a derived predicate); returns
+    /// `false` if `seed` was not one.  The row and its cone are
+    /// delete-and-rederived: whatever the remaining axioms and base facts
+    /// still derive — possibly the row itself — stays.
+    pub fn remove_seed(&mut self, seed: &Fact) -> Result<bool, IncrError> {
+        if !self.derived_preds.contains(&seed.pred) {
+            return self.retract(seed);
+        }
+        let was_marked = self
+            .exogenous
+            .get_mut(&seed.pred)
+            .is_some_and(|rows| rows.remove(&intern_row(&seed.values)));
+        if !was_marked {
+            return Ok(false);
+        }
+        if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
+            self.recompute()?;
+        } else {
+            self.retract_dred(seed)?;
         }
         Ok(true)
     }
@@ -863,13 +929,16 @@ impl MaterializedView {
         }
 
         // 3. Physical removal: the retracted base fact plus the overdeleted
-        //    derived rows (tombstone marks; row ids stay valid until their
-        //    own relation is compacted).  Support counts of removed rows
+        //    derived rows — a withdrawn axiom is one of those — (tombstone
+        //    marks; row ids stay valid until their own relation is
+        //    compacted).  Support counts of removed rows
         //    are zeroed (re-derived rows get fresh exact counts below).
         //    Relations with enough dead slots are compacted here, *before*
         //    the marks below are taken.
-        self.db.remove(&fact.pred, &fact.values);
-        self.maybe_compact(&fact.pred);
+        if !self.derived_preds.contains(&fact.pred) {
+            self.db.remove(&fact.pred, &fact.values);
+            self.maybe_compact(&fact.pred);
+        }
         for hit in &overdeleted {
             if let Some(rel) = self.db.relation_mut_opt(&hit.pred) {
                 for &id in &hit.ids {

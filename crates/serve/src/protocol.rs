@@ -317,16 +317,19 @@ pub struct ViewStats {
 pub struct ServerStats {
     /// Version of the currently published snapshot.
     pub version: u64,
-    /// Number of cached (live, maintained) views.
+    /// Number of live query bindings (each answers one cached query).
     pub views: u64,
+    /// Number of maintained fixpoints those bindings read: every binding
+    /// of one rewritten program is a seed of the same view.
+    pub materialized: u64,
     /// Queries answered since the server started.
     pub queries_served: u64,
     /// State-changing updates applied and published.
     pub updates_applied: u64,
     /// Connections accepted since the server started.
     pub connections: u64,
-    /// Views evicted because their maintenance failed (they
-    /// re-materialize from the base facts on next sight).
+    /// Bindings the catalog dropped — failed maintenance, TTL expiry or
+    /// the `max_views` cap (they re-materialize on next sight).
     pub views_evicted: u64,
     /// Aggregated fixpoint iterations over all views.
     pub iterations: u64,
@@ -508,6 +511,7 @@ impl ServerStats {
             match name {
                 "version" => stats.version = value,
                 "views" => stats.views = value,
+                "materialized" => stats.materialized = value,
                 "queries" => stats.queries_served = value,
                 "updates" => stats.updates_applied = value,
                 "connections" => stats.connections = value,
@@ -538,10 +542,11 @@ impl ServerStats {
     }
 
     /// The scalar fields, in wire order.
-    fn fields(&self) -> [(&'static str, u64); 24] {
+    fn fields(&self) -> [(&'static str, u64); 25] {
         [
             ("version", self.version),
             ("views", self.views),
+            ("materialized", self.materialized),
             ("queries", self.queries_served),
             ("updates", self.updates_applied),
             ("connections", self.connections),
@@ -636,6 +641,7 @@ mod tests {
         let stats = ServerStats {
             version: 7,
             views: 2,
+            materialized: 1,
             queries_served: 100,
             updates_applied: 31,
             connections: 4,

@@ -9,16 +9,19 @@
 //!   batch; a connection answering a query takes the owning shard's
 //!   published `Arc` (one brief mutex lock to clone the pointer, never
 //!   held across any evaluation) and reads answers out of the frozen
-//!   snapshot for its key.  Snapshots are copy-on-write database
-//!   clones (pure pointer bumps — see [`magic_storage::cow_clones`]),
-//!   so a publish re-freezes **only the views the batch changed** and
-//!   costs O(changed views), not O(catalog).
+//!   snapshot for its key.  Every binding of one rewritten program is
+//!   a magic seed of the same maintained view (see
+//!   [`magic_incr::catalog`]), and its snapshot shares that view's one
+//!   copy-on-write database clone (pure pointer bumps — see
+//!   [`magic_storage::cow_clones`]), so a publish re-freezes **only
+//!   the views the batch moved**, once each, not the catalog.
 //!
 //! * **Writes are partitioned, then serialized.**  Base relations are
 //!   hash-partitioned across [`ServeConfig::writer_shards`] writer
 //!   threads; every update to a predicate is routed to its *home*
 //!   shard, which drains its queue in batches (one fixpoint re-entry
-//!   per view per batch via [`ViewCatalog::apply_all`]), appends the
+//!   per view per batch via [`ViewCatalog::apply_all`], however many
+//!   bindings read the view), appends the
 //!   batch to **its own** write-ahead log, applies it to its replica
 //!   of the base database, maintains the views it owns and publishes.
 //!   With more than one shard the home then fans the batch out to its
@@ -58,8 +61,9 @@
 //! * **Unseen bindings materialize on demand.**  A query whose adorned
 //!   binding key is not yet cached is planned on the connection thread
 //!   (memoized per query text) and routed to the shard that owns the
-//!   key, which materializes, publishes, and lets the connection
-//!   answer from the fresh snapshot.
+//!   key, which builds the program's view if this is its first binding
+//!   or else adds the binding's seed to it, publishes, and lets the
+//!   connection answer from the fresh snapshot.
 //!
 //! * **Durability is optional and shard-owned.**  With
 //!   [`ServeConfig::durability`] set, each shard logs its home
@@ -68,7 +72,8 @@
 //!   the configured cadence.  Startup recovers per shard — checkpoint
 //!   load, WAL-tail replay — then merges the disjoint partitions and
 //!   re-materializes each shard's exported bindings over the merged
-//!   base.  A store remembers its shard count (`shards.meta`) and
+//!   base (the first binding of a program builds its view, the rest
+//!   add a seed).  A store remembers its shard count (`shards.meta`) and
 //!   refuses to reopen at a different one.
 //!
 //! * **Overload sheds, it never queues without bound.**  Each shard
@@ -102,7 +107,7 @@ use crate::protocol::{
     Request, ServerStats, ShardStats, Sniff, ViewStats, BINARY_MAGIC,
 };
 use crate::ready::{PollSet, Ready, Waker};
-use magic_core::planner::{Planner, Strategy};
+use magic_core::planner::Strategy;
 use magic_datalog::{parse_query, PredName, Program, Query, Value};
 use magic_durable::{verify_shard_layout, ConnFault, DurableConfig, DurableStore, FaultPlan};
 use magic_engine::{EvalStats, Limits};
@@ -290,10 +295,61 @@ fn project_home(db: &Database, shard: usize, shards: usize) -> Database {
 
 /// An immutable published state: one frozen [`ViewSnapshot`] per cached
 /// binding a shard owns, at one version.  Unchanged entries share their
-/// `Arc` with the previous snapshot — republishing is O(changed views).
+/// `Arc` with the previous snapshot — republishing is O(changed bindings)
+/// — and every binding of one view shares that view's frozen database.
+#[derive(Default)]
 struct Snapshot {
     version: u64,
     views: BTreeMap<String, Arc<ViewSnapshot>>,
+    /// The shard catalog's maintained fixpoints at this publish, how many
+    /// of them recompute on update, and their summed metrics: a view many
+    /// bindings read is counted once.
+    materialized: u64,
+    recompute_views: u64,
+    totals: EvalStats,
+}
+
+/// The writer's half of publishing: the frozen per-binding snapshots its
+/// shard last handed to readers, kept in step with the shard's catalog.
+struct Publisher<'a> {
+    shared: &'a Shared,
+    me: &'a ShardState,
+    published: BTreeMap<String, Arc<ViewSnapshot>>,
+}
+
+impl Publisher<'_> {
+    /// Re-freeze the bindings a catalog operation reported `changed` (all
+    /// bindings of one view get the same copy-on-write clone) and drop the
+    /// ones the catalog no longer holds, whichever way it lost them —
+    /// failed maintenance, TTL, the `max_views` cap; they re-materialize
+    /// on next sight.  Entries of untouched bindings keep their `Arc`.
+    /// Returns whether anything differed.
+    fn refresh(&mut self, catalog: &ViewCatalog, changed: &[String]) -> bool {
+        let before = self.published.len();
+        self.published.retain(|key, _| catalog.contains(key));
+        let dropped = before - self.published.len();
+        self.shared
+            .views_evicted
+            .fetch_add(dropped as u64, Ordering::Relaxed);
+        for key in changed {
+            if let Some(snap) = catalog.snapshot_view(key) {
+                self.published.insert(key.clone(), Arc::new(snap));
+            }
+        }
+        dropped > 0 || !changed.is_empty()
+    }
+
+    /// Hand readers the current map (one `Arc` bump per binding) as
+    /// `version`.
+    fn publish(&self, catalog: &ViewCatalog, version: u64) {
+        self.me.publish(Snapshot {
+            version,
+            views: self.published.clone(),
+            materialized: catalog.materialized() as u64,
+            recompute_views: catalog.recompute_views() as u64,
+            totals: catalog.aggregate_stats(),
+        });
+    }
 }
 
 /// The writer-side end of a parked request: the channel its slot waits
@@ -564,19 +620,14 @@ impl Shared {
         body
     }
 
-    /// The binding key `key_cache` memoizes: identical to what the
-    /// owning shard's catalog computes, because both run the same
-    /// deterministic planner over the same program.
+    /// The binding key `key_cache` memoizes: what the owning shard's
+    /// catalog computes, by planning alone (an empty catalog is two empty
+    /// maps).
     fn binding_key(&self, query: &Query) -> Result<String, String> {
-        let plan = Planner::new(self.strategy)
+        ViewCatalog::new(self.strategy)
             .with_limits(self.limits)
-            .plan(&self.program, query)
-            .map_err(|e| e.to_string())?;
-        Ok(format!(
-            "{}@{}",
-            plan.view_binding(),
-            self.strategy.short_name()
-        ))
+            .binding_key(&self.program, query)
+            .map_err(|e| e.to_string())
     }
 
     fn slot_deadline(&self) -> Option<Instant> {
@@ -780,10 +831,7 @@ impl Server {
             .zip(&stores)
             .map(|(tx, store)| ShardState {
                 tx: tx.clone(),
-                published: Mutex::new(Arc::new(Snapshot {
-                    version: 0,
-                    views: BTreeMap::new(),
-                })),
+                published: Mutex::new(Arc::new(Snapshot::default())),
                 queue_depth: AtomicU64::new(0),
                 shed_updates: AtomicU64::new(0),
                 deadline_misses: AtomicU64::new(0),
@@ -994,12 +1042,11 @@ fn enter_degraded(
 /// replicates to its peers, materializes late bindings, and publishes a
 /// fresh snapshot after every change.
 ///
-/// Publishing is incremental: `published` mirrors the shard's catalog
-/// as a map of frozen per-view snapshots, and each publish cycle
-/// replaces only the entries [`ViewCatalog::apply_all`] reported
+/// Publishing is incremental (see [`Publisher`]): each publish cycle
+/// replaces only the bindings [`ViewCatalog::apply_all`] reported
 /// changed (plus drops for evicted bindings and inserts for fresh
-/// materializations).  The map clone handed to readers bumps one `Arc`
-/// per view; no view data is copied for views the batch did not move.
+/// ones).  The map clone handed to readers bumps one `Arc` per binding;
+/// no view data is copied for views the batch did not move.
 fn writer_loop(
     shared: Arc<Shared>,
     init: WriterInit,
@@ -1018,23 +1065,20 @@ fn writer_loop(
     let me = &shared.shards[idx];
     let shard_count = shared.shards.len();
     let mut last_version: u64 = 0;
-    let mut published: BTreeMap<String, Arc<ViewSnapshot>> = BTreeMap::new();
+    let mut publisher = Publisher {
+        shared: &shared,
+        me,
+        published: BTreeMap::new(),
+    };
     // Recovery may have handed us a warm catalog (re-materialized from
-    // a checkpoint's exported bindings).  Publish those views up front:
-    // a reader whose first query hits a recovered binding goes through
-    // the materialize path, gets a cache hit (`fresh == false`, so no
-    // publish happens there) and then reads the snapshot — which must
-    // therefore already contain the view.
-    for (key, _) in catalog.export_bindings() {
-        if let Some(snap) = catalog.snapshot_view(&key) {
-            published.insert(key, Arc::new(snap));
-        }
-    }
-    if !published.is_empty() {
-        me.publish(Snapshot {
-            version: 0,
-            views: published.clone(),
-        });
+    // a checkpoint's exported bindings).  Publish those bindings up
+    // front: a reader whose first query hits a recovered binding goes
+    // through the materialize path, gets a cache hit (`fresh == false`,
+    // so no publish happens there) and then reads the snapshot — which
+    // must therefore already contain the binding.
+    let recovered: Vec<String> = catalog.keys().map(String::from).collect();
+    if publisher.refresh(&catalog, &recovered) {
+        publisher.publish(&catalog, 0);
     }
     // How often an idle writer wakes to sweep TTL-expired views: often
     // enough that staleness past the deadline stays a small fraction
@@ -1093,19 +1137,10 @@ fn writer_loop(
                         // binding re-materializes from `base_db` on
                         // next sight.  (The probe, the other idle duty,
                         // runs at the bottom of the loop body.)
-                        let expired = catalog.evict_expired();
-                        if !expired.is_empty() {
-                            shared
-                                .views_evicted
-                                .fetch_add(expired.len() as u64, Ordering::Relaxed);
-                            for key in &expired {
-                                published.remove(key);
-                            }
+                        catalog.evict_expired();
+                        if publisher.refresh(&catalog, &[]) {
                             last_version = shared.next_version();
-                            me.publish(Snapshot {
-                                version: last_version,
-                                views: published.clone(),
-                            });
+                            publisher.publish(&catalog, last_version);
                         }
                         None
                     }
@@ -1116,52 +1151,42 @@ fn writer_loop(
             None => {}
             Some(WriterCmd::Shutdown) => break,
             Some(WriterCmd::Materialize { query, reply }) => {
+                // First sight of a binding: the first of a program builds
+                // its view over `base_db`, the rest add their seed to it.
                 match catalog.materialize_keyed(&shared.program, &query, &base_db) {
-                    Ok((key, fresh)) => {
-                        // A cache hit (two connections racing the first
-                        // sight of one binding) changes nothing — the
-                        // published snapshot already contains the view,
-                        // so skip the publish entirely.
-                        if fresh {
-                            // Materializing may also have evicted cold
-                            // bindings past the `max_views` cap: drop any
-                            // published entry the catalog no longer holds.
-                            published.retain(|k, _| catalog.contains(k));
-                            // Under a pathologically tiny `max_views`
-                            // the eviction sweep can claw back the very
-                            // binding just materialized; that is an
-                            // answerable error (the client's retry loop
-                            // re-materializes), never a writer panic.
-                            match catalog.snapshot_view(&key) {
-                                Some(snap) => {
-                                    published.insert(key.clone(), Arc::new(snap));
-                                    last_version = shared.next_version();
-                                    me.publish(Snapshot {
-                                        version: last_version,
-                                        views: published.clone(),
-                                    });
-                                    reply.send(Ok(key));
-                                }
-                                None => {
-                                    // Still publish the sweep's drops so
-                                    // readers don't hold stale entries.
-                                    last_version = shared.next_version();
-                                    me.publish(Snapshot {
-                                        version: last_version,
-                                        views: published.clone(),
-                                    });
-                                    reply.send(Err(format!(
-                                        "view {key} was evicted immediately after \
-                                         materialization (max_views is too small for \
-                                         the working set); retry"
-                                    )));
-                                }
-                            }
+                    // A cache hit (two connections racing the first sight
+                    // of one binding) changes nothing — the published
+                    // snapshot already contains the binding.
+                    Ok((key, false)) => reply.send(Ok(key)),
+                    Ok((key, true)) => {
+                        // Materializing may also have evicted cold
+                        // bindings past the `max_views` cap; `refresh`
+                        // drops those.
+                        publisher.refresh(&catalog, std::slice::from_ref(&key));
+                        last_version = shared.next_version();
+                        publisher.publish(&catalog, last_version);
+                        // Under a pathologically tiny `max_views` the
+                        // eviction sweep can claw back the very binding
+                        // just materialized; that is an answerable error
+                        // (the client's retry loop re-materializes), never
+                        // a writer panic.
+                        reply.send(if catalog.contains(&key) {
+                            Ok(key)
                         } else {
-                            reply.send(Ok(key));
-                        }
+                            Err(format!(
+                                "view {key} was evicted immediately after \
+                                 materialization (max_views is too small for \
+                                 the working set); retry"
+                            ))
+                        });
                     }
                     Err(e) => {
+                        // A seed its view could not take costs that view
+                        // the bindings it had.
+                        if publisher.refresh(&catalog, &[]) {
+                            last_version = shared.next_version();
+                            publisher.publish(&catalog, last_version);
+                        }
                         reply.send(Err(e.to_string()));
                     }
                 }
@@ -1180,34 +1205,9 @@ fn writer_loop(
                     };
                 }
                 let outcome = catalog.apply_all(updates.as_slice());
-                let mut moved = false;
-                if !outcome.evicted.is_empty() {
-                    shared
-                        .views_evicted
-                        .fetch_add(outcome.evicted.len() as u64, Ordering::Relaxed);
-                    for (key, _) in &outcome.evicted {
-                        published.remove(key);
-                    }
-                    moved = true;
-                }
-                for key in &outcome.changed {
-                    match catalog.snapshot_view(key) {
-                        Some(snap) => {
-                            published.insert(key.clone(), Arc::new(snap));
-                        }
-                        None => {
-                            published.remove(key);
-                            shared.views_evicted.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    moved = true;
-                }
-                if moved {
+                if publisher.refresh(&catalog, &outcome.changed) {
                     last_version = shared.next_version();
-                    me.publish(Snapshot {
-                        version: last_version,
-                        views: published.clone(),
-                    });
+                    publisher.publish(&catalog, last_version);
                     barrier.arrive(last_version);
                 } else {
                     barrier.arrive(0);
@@ -1317,47 +1317,17 @@ fn writer_loop(
                     }
                 }
                 if log_failure.is_none() && !changed.is_empty() {
-                    // A view whose maintenance fails is evicted by
-                    // `apply_all` (it re-materializes from `base_db` on
-                    // next sight), so the batch is never half-applied:
-                    // every surviving view and the base database agree on
-                    // the same update prefix, and the acknowledgments
-                    // below stay truthful.
+                    // Each view is maintained once, whatever the number
+                    // of bindings reading it.  A view whose maintenance
+                    // fails is evicted by `apply_all` with its bindings
+                    // (they re-materialize from `base_db` on next sight),
+                    // so the batch is never half-applied: every surviving
+                    // view and the base database agree on the same update
+                    // prefix, and the acknowledgments below stay truthful.
                     let outcome = catalog.apply_all(&changed);
-                    if !outcome.evicted.is_empty() {
-                        shared
-                            .views_evicted
-                            .fetch_add(outcome.evicted.len() as u64, Ordering::Relaxed);
-                    }
-                    // Incremental republish: drop evicted entries,
-                    // re-freeze exactly the views this batch moved (each
-                    // re-freeze is an O(relations) COW clone), keep every
-                    // other published `Arc` as-is.
-                    for (key, _) in &outcome.evicted {
-                        published.remove(key);
-                    }
-                    for key in &outcome.changed {
-                        // A changed binding should still be live, but if
-                        // the catalog dropped it anyway (eviction racing
-                        // maintenance), dropping the published entry is
-                        // the correct degraded answer — the next query
-                        // re-materializes — and beats a writer panic,
-                        // which would wedge every future update.
-                        match catalog.snapshot_view(key) {
-                            Some(snap) => {
-                                published.insert(key.clone(), Arc::new(snap));
-                            }
-                            None => {
-                                published.remove(key);
-                                shared.views_evicted.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
+                    publisher.refresh(&catalog, &outcome.changed);
                     last_version = shared.next_version();
-                    me.publish(Snapshot {
-                        version: last_version,
-                        views: published.clone(),
-                    });
+                    publisher.publish(&catalog, last_version);
                     shared
                         .updates_applied
                         .fetch_add(changed.len() as u64, Ordering::Relaxed);
@@ -2271,17 +2241,15 @@ fn gather_stats(shared: &Shared) -> ServerStats {
     let mut totals = EvalStats::default();
     let mut per_view_map: BTreeMap<String, ViewStats> = BTreeMap::new();
     let mut version = 0u64;
-    let mut views = 0u64;
-    let mut recompute_views = 0u64;
+    let (mut views, mut materialized, mut recompute_views) = (0u64, 0u64, 0u64);
     for shard in &shared.shards {
         let snapshot = shard.snapshot();
         version = version.max(snapshot.version);
         views += snapshot.views.len() as u64;
+        materialized += snapshot.materialized;
+        recompute_views += snapshot.recompute_views;
+        totals.merge(&snapshot.totals);
         for (key, view) in &snapshot.views {
-            totals.merge(view.stats());
-            if view.recompute_reason().is_some() {
-                recompute_views += 1;
-            }
             per_view_map.insert(
                 key.clone(),
                 ViewStats {
@@ -2313,6 +2281,7 @@ fn gather_stats(shared: &Shared) -> ServerStats {
     ServerStats {
         version,
         views,
+        materialized,
         queries_served: shared.queries_served.load(Ordering::Relaxed),
         updates_applied: shared.updates_applied.load(Ordering::Relaxed),
         connections: shared.connections.load(Ordering::Relaxed),

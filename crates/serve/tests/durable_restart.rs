@@ -139,6 +139,68 @@ fn sigkill_mid_stream_recovers_exactly_an_acked_consistent_prefix() {
 }
 
 #[test]
+fn sixty_four_bindings_come_back_as_seeds_of_one_view() {
+    // 64 warm bindings over one chain, checkpointed as 64 `(key, query)`
+    // lines, SIGKILLed: recovery re-plans each line — the first builds the
+    // view, the rest add a seed — so the restarted server holds all 64
+    // bindings over one maintained fixpoint before its first query, and
+    // every acked edge is in what they answer.
+    let dir = tmp_dir("sixtyfour");
+    let mut server = ServerProc::spawn(&dir, 4);
+    let mut client = Client::connect(server.addr).expect("connect");
+    // Grow the 16-edge seed chain to n0 -> ... -> n64, every edge acked.
+    for i in 16..64 {
+        let ack = client
+            .insert(&format!("par(n{i}, n{})", i + 1))
+            .expect("acked insert");
+        assert!(ack.applied);
+    }
+    for k in 0..64 {
+        let reply = client.query(&format!("anc(n{k}, Y)")).expect("warm-up");
+        assert_eq!(reply.rows.len(), 64 - k);
+    }
+    let warm = client.stats().expect("stats");
+    assert_eq!((warm.views, warm.materialized), (64, 1));
+    // Past the next checkpoint (every 4 frames), which is what persists
+    // the bindings; these edges hang off the chain's far end, so every
+    // binding's answer grows with each.
+    for i in 0..6 {
+        client
+            .insert(&format!("par(n64, leaf{i})"))
+            .expect("acked insert");
+    }
+    server.kill();
+
+    let server = ServerProc::spawn(&dir, 4);
+    let mut client = Client::connect(server.addr).expect("reconnect");
+    let recovered = client.stats().expect("stats before any query");
+    assert_eq!(
+        (recovered.views, recovered.materialized),
+        (64, 1),
+        "recovery must bring back every exported binding, as seeds of one view"
+    );
+    for k in 0..64 {
+        let reply = client
+            .query(&format!("anc(n{k}, Y)"))
+            .expect("a recovered binding answers");
+        assert_eq!(
+            reply.rows.len(),
+            64 - k + 6,
+            "anc(n{k}, Y) lost acked edges across the restart"
+        );
+    }
+    // All cache hits: no binding had to be re-materialized.
+    let after = client.stats().expect("stats");
+    assert_eq!(after.version, recovered.version);
+    // And the recovered view is live: one more edge moves all 64.
+    client
+        .insert("par(n64, post)")
+        .expect("post-recovery write");
+    let reply = client.query("anc(n0, Y)").expect("query after the write");
+    assert_eq!(reply.rows.len(), 64 + 7);
+}
+
+#[test]
 fn four_shard_store_survives_sigkill_and_pins_its_layout() {
     // The sharded layout under the same kill-and-restart contract as
     // the classic single-writer store: every acked write survives a

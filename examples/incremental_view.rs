@@ -71,10 +71,11 @@ fn main() {
     );
 
     // ---------------------------------------------------------------
-    // 2. The serving shape: a catalog of magic-set views keyed by the
-    //    adorned query binding, updated in one stream.  This is exactly
-    //    the state `magic-serve` publishes as snapshots to its reader
-    //    threads (see the serve_quickstart example for the TCP version).
+    // 2. The serving shape: a catalog of query bindings, each a magic
+    //    seed in the one maintained view of its rewritten program,
+    //    updated in one stream.  This is exactly the state `magic-serve`
+    //    publishes as snapshots to its reader threads (see the
+    //    serve_quickstart example for the TCP version).
     // ---------------------------------------------------------------
     let mut catalog = ViewCatalog::new(Strategy::MagicSets);
     let mut edb = Database::new();
@@ -88,13 +89,18 @@ fn main() {
     // Same binding -> cache hit, no rematerialization.
     let again = catalog.materialize(&program, &q_adam, &edb).unwrap();
     assert_eq!(k_adam, again);
-    println!("\ncatalog keys: {:?}", catalog.keys().collect::<Vec<_>>());
+    println!(
+        "\ncatalog keys: {:?} over {} maintained view(s)",
+        catalog.keys().collect::<Vec<_>>(),
+        catalog.materialized()
+    );
 
-    // One update stream feeds every cached view.
-    catalog
-        .update_all(&Update::Insert(edge("carl", "dora")))
-        .unwrap();
-    catalog.update_all(&Update::Insert(edge("y", "z"))).unwrap();
+    // One update stream, applied once, moves the answers of both bindings.
+    let outcome = catalog.apply_all(&[
+        Update::Insert(edge("carl", "dora")),
+        Update::Insert(edge("y", "z")),
+    ]);
+    assert!(outcome.evicted.is_empty());
     println!(
         "answers for {k_adam}: {:?}",
         catalog.answers(&k_adam).unwrap()

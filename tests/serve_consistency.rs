@@ -367,3 +367,100 @@ fn concurrent_updaters_never_tear_snapshots() {
         let _ = &acks2; // order between updaters is unconstrained
     }
 }
+
+/// Sixty-four warm bindings over one chain are sixty-four seeds of *one*
+/// maintained view: `STATS` keeps `views` = live bindings and reports
+/// `materialized` = 1, an update is applied once (a handful of
+/// copy-on-write units, where a fixpoint per binding re-copied ~300), and
+/// what each binding answers on the wire is, byte for byte, what a
+/// catalog of per-binding views answered: `OK <rows> <version> <key>`, the
+/// oracle's rows in order, `END`.
+#[test]
+fn sixty_four_bindings_are_seeds_of_one_maintained_view() {
+    use power_of_magic::lang::Value;
+    use power_of_magic::serve::protocol::render_answers;
+    use power_of_magic::serve::PipeClient;
+
+    let program = programs::ancestor();
+    let (bindings, edges) = (64usize, 96usize);
+    let mut base = chain(edges);
+    let mut server = Server::start(
+        program.clone(),
+        base.clone(),
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("server starts");
+    let mut pipe = PipeClient::connect(server.addr()).expect("client connects");
+    let planner = Planner::new(Strategy::MagicSets);
+    // Every binding's raw response against the bytes the oracle renders.
+    let check_all = |pipe: &mut PipeClient, base: &_, version: u64, when: &str| {
+        for k in 0..bindings {
+            let text = format!("a({}, Y)", node(k));
+            let id = pipe.submit_query(&text).expect("query submits");
+            let (body, _) = pipe.wait_response_timed(id).expect("query answers");
+            let query = power_of_magic::parse_query(&text).unwrap();
+            let rows: Vec<Vec<Value>> = planner
+                .evaluate(&program, &query, base)
+                .expect("oracle evaluates")
+                .answers
+                .into_iter()
+                .collect();
+            let key = format!("a_bf[bf]({})@gms", node(k));
+            assert_eq!(
+                String::from_utf8_lossy(&body),
+                render_answers(&key, version, &rows),
+                "{when}: {text}"
+            );
+        }
+    };
+    // Warm-up: each first sight publishes once.
+    for k in 0..bindings {
+        let id = pipe.submit_query(&format!("a({}, Y)", node(k))).unwrap();
+        pipe.wait_query(id).expect("warm-up answers");
+    }
+    let mut version = bindings as u64;
+    check_all(&mut pipe, &base, version, "warm");
+    let stats = |pipe: &mut PipeClient| {
+        let id = pipe.submit_stats().expect("stats submits");
+        pipe.wait_stats(id).expect("stats answers")
+    };
+    let warm = stats(&mut pipe);
+    assert_eq!((warm.views, warm.materialized), (64, 1));
+    assert_eq!(warm.per_view.len(), 64);
+
+    // Updates that move every binding (the chain grows at its far end,
+    // then loses the edge again).  The clone counter is process-wide and
+    // the other tests of this binary run beside this one, so the cleanest
+    // of the samples is the one that counts.
+    let mut fewest_clones = u64::MAX;
+    for round in 0..6 {
+        let (a, b) = (node(edges + round / 2), node(edges + round / 2 + 1));
+        let fact = power_of_magic::lang::Fact::plain("par", vec![Value::sym(&a), Value::sym(&b)]);
+        let before = power_of_magic::storage::cow_clones();
+        let id = if round % 2 == 0 {
+            base.insert_fact(&fact);
+            pipe.submit_insert(&fact.to_string())
+        } else {
+            base.remove_fact(&fact);
+            pipe.submit_retract(&fact.to_string())
+        }
+        .expect("update submits");
+        let ack = pipe.wait_ack(id).expect("update acked");
+        fewest_clones = fewest_clones.min(power_of_magic::storage::cow_clones() - before);
+        version += 1;
+        assert!(ack.applied);
+        assert_eq!(ack.version, version);
+        check_all(&mut pipe, &base, version, &format!("after update {round}"));
+    }
+    assert!(
+        fewest_clones < 20,
+        "one update re-copied {fewest_clones} storage units: it is being \
+         applied once per binding again"
+    );
+    let after = stats(&mut pipe);
+    assert_eq!((after.views, after.materialized), (64, 1));
+    assert_eq!(after.updates_applied, 6);
+    assert!(after.join_probes > warm.join_probes);
+    server.shutdown();
+}
