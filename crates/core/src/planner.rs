@@ -8,7 +8,7 @@
 
 use crate::adorn::{adorn, AdornedProgram};
 use crate::optimality::{account, FactAccounting};
-use crate::rewrite::{counting, gms, gsc, gsms, semijoin, Method, RewriteError, RewrittenProgram};
+use crate::rewrite::{self, Guard, RewriteError, RewrittenProgram};
 use crate::safety::{analyze, SafetyReport};
 use crate::sip_builder::SipStrategy;
 use magic_datalog::{DependencyGraph, PredName, Program, Query, Schedule, Value};
@@ -82,13 +82,22 @@ impl Strategy {
     /// True for the counting-based strategies (which have the restricted
     /// applicability and divergence behaviour of Sections 6–8 and 10).
     pub fn is_counting(&self) -> bool {
-        matches!(
-            self,
-            Strategy::Counting
-                | Strategy::SupplementaryCounting
-                | Strategy::CountingSemijoin
-                | Strategy::SupplementaryCountingSemijoin
-        )
+        matches!(self.rewrite_switches(), Some((Guard::Counting, _, _)))
+    }
+
+    /// The rewrite a strategy runs: the kernel's guard and supplementary
+    /// switch, and whether the semijoin post-pass follows.  `None` for the
+    /// bottom-up baselines, which do not rewrite.
+    fn rewrite_switches(&self) -> Option<(Guard, bool, bool)> {
+        match self {
+            Strategy::NaiveBottomUp | Strategy::SemiNaiveBottomUp => None,
+            Strategy::MagicSets => Some((Guard::Magic, false, false)),
+            Strategy::SupplementaryMagicSets => Some((Guard::Magic, true, false)),
+            Strategy::Counting => Some((Guard::Counting, false, false)),
+            Strategy::SupplementaryCounting => Some((Guard::Counting, true, false)),
+            Strategy::CountingSemijoin => Some((Guard::Counting, false, true)),
+            Strategy::SupplementaryCountingSemijoin => Some((Guard::Counting, true, true)),
+        }
     }
 }
 
@@ -304,33 +313,15 @@ impl Planner {
     /// evaluating.  Errors for the two baseline strategies, which do not
     /// rewrite.
     pub fn rewrite(&self, program: &Program, query: &Query) -> Result<RewrittenProgram, PlanError> {
-        if matches!(
-            self.strategy,
-            Strategy::NaiveBottomUp | Strategy::SemiNaiveBottomUp
-        ) {
+        let Some(switches) = self.strategy.rewrite_switches() else {
             return Err(PlanError::Rewrite(RewriteError::CountingNotApplicable {
                 reason: "the bottom-up baselines do not rewrite the program".into(),
             }));
-        }
+        };
         check_stratified(program)?;
         self.check_guarded_supported(program)?;
         let adorned = adorn(program, query, self.sip).map_err(RewriteError::Datalog)?;
-        let mut rewritten = match self.strategy {
-            Strategy::NaiveBottomUp | Strategy::SemiNaiveBottomUp => unreachable!("refused above"),
-            Strategy::MagicSets => gms::rewrite(&adorned, gms::GmsOptions::default())?,
-            Strategy::SupplementaryMagicSets => gsms::rewrite(&adorned)?,
-            Strategy::Counting => counting::rewrite(&adorned)?,
-            Strategy::SupplementaryCounting => gsc::rewrite(&adorned)?,
-            Strategy::CountingSemijoin => semijoin::optimize(&counting::rewrite(&adorned)?)?,
-            Strategy::SupplementaryCountingSemijoin => {
-                semijoin::optimize(&gsc::rewrite(&adorned)?)?
-            }
-        };
-        if program.rules.iter().any(|r| !r.negated.is_empty()) {
-            append_negated_cones(program, &mut rewritten.program);
-            check_stratified(&rewritten.program)?;
-        }
-        Ok(rewritten)
+        rewrite_adorned(program, &adorned, switches)
     }
 
     /// The v1 negation/aggregate policy: aggregates are stratum-boundary
@@ -371,8 +362,8 @@ impl Planner {
         } else {
             IterationScheme::SemiNaive
         };
-        match self.strategy {
-            Strategy::NaiveBottomUp | Strategy::SemiNaiveBottomUp => {
+        match self.strategy.rewrite_switches() {
+            None => {
                 check_stratified(program)?;
                 Ok(Plan {
                     strategy: self.strategy,
@@ -386,11 +377,11 @@ impl Planner {
                     scheme,
                 })
             }
-            _ => {
+            Some(switches) => {
                 check_stratified(program)?;
                 self.check_guarded_supported(program)?;
                 let adorned = adorn(program, query, self.sip).map_err(RewriteError::Datalog)?;
-                let rewritten = self.rewrite(program, query)?;
+                let rewritten = rewrite_adorned(program, &adorned, switches)?;
                 if self.strategy.is_counting() {
                     check_counting_safe(&adorned, &rewritten.program)?;
                 }
@@ -418,6 +409,24 @@ impl Planner {
     ) -> Result<PlanResult, PlanError> {
         self.plan(program, query)?.execute(edb)
     }
+}
+
+/// Rewrite an already adorned program with the kernel, the semijoin
+/// post-pass when asked, and the v1 negation policy's appended cones.
+fn rewrite_adorned(
+    program: &Program,
+    adorned: &AdornedProgram,
+    (guard, supplementary, semijoin): (Guard, bool, bool),
+) -> Result<RewrittenProgram, PlanError> {
+    let mut rewritten = rewrite::rewrite(adorned, guard, supplementary)?;
+    if semijoin {
+        rewritten = rewrite::semijoin::optimize(&rewritten)?;
+    }
+    if program.rules.iter().any(|r| !r.negated.is_empty()) {
+        append_negated_cones(program, &mut rewritten.program);
+        check_stratified(&rewritten.program)?;
+    }
+    Ok(rewritten)
 }
 
 /// Refuse unstratifiable programs with the typed violation (the first, in
@@ -482,19 +491,6 @@ fn check_counting_safe(adorned: &AdornedProgram, rewritten: &Program) -> Result<
         });
     }
     Ok(())
-}
-
-/// The method corresponding to a strategy, when it is a rewrite.
-pub fn method_of(strategy: Strategy) -> Option<Method> {
-    match strategy {
-        Strategy::NaiveBottomUp | Strategy::SemiNaiveBottomUp => None,
-        Strategy::MagicSets => Some(Method::Gms),
-        Strategy::SupplementaryMagicSets => Some(Method::Gsms),
-        Strategy::Counting => Some(Method::Gc),
-        Strategy::SupplementaryCounting => Some(Method::Gsc),
-        Strategy::CountingSemijoin => Some(Method::GcSemijoin),
-        Strategy::SupplementaryCountingSemijoin => Some(Method::GscSemijoin),
-    }
 }
 
 #[cfg(test)]
@@ -640,11 +636,6 @@ mod tests {
         assert_eq!(Strategy::ALL.len(), 8);
         assert!(Strategy::Counting.is_counting());
         assert!(!Strategy::MagicSets.is_counting());
-        assert_eq!(
-            method_of(Strategy::SupplementaryMagicSets),
-            Some(Method::Gsms)
-        );
-        assert_eq!(method_of(Strategy::NaiveBottomUp), None);
         assert_eq!(Strategy::CountingSemijoin.to_string(), "gc+sj");
     }
 

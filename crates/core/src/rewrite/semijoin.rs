@@ -19,7 +19,7 @@
 
 use crate::rewrite::{Method, RewriteError, RewrittenProgram};
 use magic_datalog::{Adornment, Atom, DependencyGraph, PredName, Program, Rule, Term, Variable};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// How many index arguments the counting rewrites prepend.
 const INDEX_ARITY: usize = 3;
@@ -286,58 +286,14 @@ pub fn optimize(rewritten: &RewrittenProgram) -> Result<RewrittenProgram, Rewrit
     })
 }
 
-/// A summary of what the optimization changed — useful for reports and for
-/// the `appendix` binary.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SemijoinReport {
-    /// Predicates whose bound arguments were dropped.
-    pub narrowed: BTreeSet<String>,
-    /// Number of body literals deleted across all rules.
-    pub literals_deleted: usize,
-}
-
-/// Compute a report comparing the original and optimized programs.
-pub fn report(original: &RewrittenProgram, optimized: &RewrittenProgram) -> SemijoinReport {
-    let mut narrowed = BTreeSet::new();
-    let arity =
-        |p: &Program| -> BTreeMap<PredName, usize> { p.predicate_arities().unwrap_or_default() };
-    let before = arity(&original.program);
-    let after = arity(&optimized.program);
-    for (pred, a) in &after {
-        if let Some(b) = before.get(pred) {
-            if a < b {
-                narrowed.insert(pred.to_string());
-            }
-        } else if matches!(pred, PredName::Indexed { .. }) {
-            narrowed.insert(pred.to_string());
-        }
-    }
-    let count_literals = |p: &Program| -> usize { p.rules.iter().map(|r| r.body.len()).sum() };
-    SemijoinReport {
-        narrowed,
-        literals_deleted: count_literals(&original.program)
-            .saturating_sub(count_literals(&optimized.program)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adorn::adorn;
-    use crate::rewrite::counting;
-    use crate::rewrite::gsc;
-    use crate::sip_builder::SipStrategy;
-    use magic_datalog::{parse_program, parse_query};
+    use crate::rewrite::tests::{rewrite_source, texts};
+    use crate::rewrite::Guard;
 
     fn counting_rewrite(src: &str, query: &str) -> RewrittenProgram {
-        let program = parse_program(src).unwrap();
-        let query = parse_query(query).unwrap();
-        let adorned = adorn(&program, &query, SipStrategy::FullLeftToRight).unwrap();
-        counting::rewrite(&adorned).unwrap()
-    }
-
-    fn texts(r: &RewrittenProgram) -> Vec<String> {
-        r.program.rules.iter().map(|x| x.to_string()).collect()
+        rewrite_source(src, query, Guard::Counting, false).unwrap()
     }
 
     #[test]
@@ -363,9 +319,6 @@ mod tests {
             );
         }
         assert_eq!(optimized.method, Method::GcSemijoin);
-        let rep = report(&base, &optimized);
-        assert!(rep.literals_deleted > 0);
-        assert!(!rep.narrowed.is_empty());
     }
 
     #[test]
@@ -398,14 +351,14 @@ mod tests {
 
     #[test]
     fn semijoin_on_gsc_output() {
-        let program = parse_program(
+        let base = rewrite_source(
             "a(X, Y) :- p(X, Y).
              a(X, Y) :- p(X, Z), a(Z, Y).",
+            "a(john, Y)",
+            Guard::Counting,
+            true,
         )
         .unwrap();
-        let query = parse_query("a(john, Y)").unwrap();
-        let adorned = adorn(&program, &query, SipStrategy::FullLeftToRight).unwrap();
-        let base = gsc::rewrite(&adorned).unwrap();
         let optimized = optimize(&base).unwrap();
         assert_eq!(optimized.method, Method::GscSemijoin);
         // The recursive a_ind occurrence loses its bound argument.
@@ -416,14 +369,14 @@ mod tests {
 
     #[test]
     fn semijoin_rejects_non_counting_programs() {
-        let program = parse_program(
+        let gms = rewrite_source(
             "a(X, Y) :- p(X, Y).
              a(X, Y) :- p(X, Z), a(Z, Y).",
+            "a(john, Y)",
+            Guard::Magic,
+            false,
         )
         .unwrap();
-        let query = parse_query("a(john, Y)").unwrap();
-        let adorned = adorn(&program, &query, SipStrategy::FullLeftToRight).unwrap();
-        let gms = crate::rewrite::gms::rewrite(&adorned, Default::default()).unwrap();
         assert!(optimize(&gms).is_err());
     }
 
@@ -443,6 +396,5 @@ mod tests {
         let optimized = optimize(&base).unwrap();
         // No narrowing happened: t_ind keeps its bf adornment everywhere.
         assert!(texts(&optimized).iter().all(|r| !r.contains("t_ind_f(")));
-        assert_eq!(report(&base, &optimized).literals_deleted, 0);
     }
 }
