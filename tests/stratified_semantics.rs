@@ -11,11 +11,16 @@
 //! over templates with known-safe shapes) through both, mirroring the
 //! seeded-SplitMix64 discipline of `tests/incremental.rs`, plus
 //! gms-rewritten positive fragments checked against the same oracle's
-//! answer projection.
+//! answer projection.  A counter golden pins what the engine *spends* on
+//! the same programs: see `stratified_counters_match_the_golden`.
 
-use power_of_magic::engine::Evaluator;
+use power_of_magic::engine::{
+    EvalStats, Evaluator, FixpointRunner, IterationScheme, Limits, WindowDiscipline,
+};
 use power_of_magic::lang::{Atom, Fact, PredName, Program, Rule, Term, Value};
-use power_of_magic::workloads::SplitMix64;
+use power_of_magic::workloads::{
+    bill_of_materials, bom_database, game_graph, hop_graph, shortest_paths, win_lose, SplitMix64,
+};
 use power_of_magic::{Database, Planner, Query, Strategy};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -493,5 +498,134 @@ fn gms_rewritten_positive_fragments_match_the_oracle_projection() {
     assert!(
         checked >= 6,
         "too few positive fragments ({checked}) to trust the gms leg"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Counter golden.
+// ---------------------------------------------------------------------------
+
+const COUNTER_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/stratified_counters.txt"
+);
+
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The counters of one run, with everything keyed by predicate in name
+/// order: predicate names compare by interning sequence, which depends on
+/// which tests of this binary ran first.
+fn render_stats(stats: &EvalStats) -> String {
+    let by_pred: BTreeMap<String, usize> = stats
+        .facts_by_pred
+        .iter()
+        .map(|(p, n)| (p.to_string(), *n))
+        .collect();
+    format!(
+        "iterations={} firings={} facts={} duplicates={} probes={} by_pred={by_pred:?} by_rule={:?}\n",
+        stats.iterations,
+        stats.rule_firings,
+        stats.facts_derived,
+        stats.duplicate_derivations,
+        stats.join_probes,
+        stats.firings_by_rule
+    )
+}
+
+/// Every row of `db`, sorted as text.  Row ids are left out: aggregate
+/// groups are inserted in interned-value order, which varies between
+/// processes (`tests/parallel_schedule.rs` compares ids within one).
+fn render_rows(db: &Database) -> String {
+    let facts: BTreeSet<String> = db.facts().map(|f| f.to_string()).collect();
+    facts.into_iter().collect::<Vec<_>>().join("\n")
+}
+
+/// The golden line of one case: a digest of the full `EvalStats` (per-rule
+/// firings and per-predicate facts included) and of every derived row,
+/// at one thread, under the three loops a guarded program meets — the
+/// evaluator's semi-naive and naive runs, and a view-style runner (every
+/// body predicate tracked, `Disjoint` windows).
+fn counter_line(name: &str, program: &Program, edb: &Database) -> String {
+    let limits = Limits::default().with_threads(1);
+    let mut rendering = String::new();
+    for scheme in [IterationScheme::SemiNaive, IterationScheme::Naive] {
+        let result = Evaluator::new(program.clone())
+            .with_scheme(scheme)
+            .with_limits(limits)
+            .run(edb)
+            .expect("engine evaluates the stratified program");
+        rendering += &render_stats(&result.stats);
+        rendering += &render_rows(&result.database);
+    }
+    let mut tracked = program.derived_preds();
+    tracked.extend(program.base_preds());
+    let runner = FixpointRunner::compile(program, &tracked)
+        .with_limits(limits)
+        .with_discipline(WindowDiscipline::Disjoint);
+    let mut db = edb.clone();
+    let mut stats = EvalStats::default();
+    runner
+        .run(&mut db, &mut stats, None)
+        .expect("runner evaluates the stratified program");
+    rendering += &render_stats(&stats);
+    rendering += &render_rows(&db);
+    format!("{name} fnv1a64={:016x}\n", fnv1a64(&rendering))
+}
+
+/// The golden file's contents: the three stratified workload families at
+/// two sizes each, then 200 seeded random stratified programs.
+fn counter_golden() -> String {
+    let mut out = String::new();
+    for (n, moves) in [(16, 36), (128, 300)] {
+        let name = format!("win_lose {n}x{moves}");
+        out += &counter_line(&name, &win_lose(), &game_graph(n, moves, 0xB10C));
+    }
+    for (assemblies, max_parts) in [(4, 4), (12, 8)] {
+        let name = format!("bom_total {assemblies}x{max_parts}");
+        let edb = bom_database(assemblies, max_parts, 0xB0B0);
+        out += &counter_line(&name, &bill_of_materials(), &edb);
+    }
+    for (n, edges, bound) in [(8, 16, 4), (24, 80, 10)] {
+        let name = format!("shortest {n}x{edges}");
+        out += &counter_line(
+            &name,
+            &shortest_paths(),
+            &hop_graph(n, edges, bound, 0x5EED),
+        );
+    }
+    let mut rng = SplitMix64::seed_from_u64(0xC0_FFEE);
+    for i in 0..200 {
+        let (_, program, edb) = random_stratified(&mut rng, false);
+        out += &counter_line(&format!("random {i:03}"), &program, &edb);
+    }
+    out
+}
+
+/// Counters, rows and row ids of stratified evaluation are pinned: a change
+/// to how guarded programs are scheduled must leave this file byte-identical.
+/// After an intended change, regenerate with
+/// `MAGIC_BLESS=1 cargo test --test stratified_semantics` and review the diff.
+#[test]
+fn stratified_counters_match_the_golden() {
+    let actual = counter_golden();
+    if std::env::var_os("MAGIC_BLESS").is_some() {
+        std::fs::write(COUNTER_GOLDEN, &actual).expect("write golden file");
+        return;
+    }
+    let expected =
+        std::fs::read_to_string(COUNTER_GOLDEN).expect("read tests/golden/stratified_counters.txt");
+    let changed: Vec<&str> = actual
+        .lines()
+        .zip(expected.lines())
+        .filter(|(have, want)| have != want)
+        .map(|(have, _)| have)
+        .collect();
+    assert!(
+        changed.is_empty() && actual.lines().count() == expected.lines().count(),
+        "stratified counters differ from {COUNTER_GOLDEN}: {changed:?}"
     );
 }
