@@ -57,10 +57,11 @@ pub struct Stratum {
     /// predicate, or its single predicate depends on itself.
     pub recursive: bool,
     /// True iff some rule of this stratum is *guarded* — carries a negated
-    /// atom or an aggregate head.  Guarded strata force the engine into
-    /// sequential stratified mode: every lower stratum must be finished
-    /// (so negation can complement against it and aggregates fold complete
-    /// groups) before this stratum starts.
+    /// atom or an aggregate head.  A program with a guarded stratum runs
+    /// under a stratum frontier: the engine's fixpoint loop builds tasks
+    /// only for the lowest unfinished stratum, so every lower stratum is
+    /// finished (negation complements against it, aggregates fold complete
+    /// groups) before this one starts.
     pub guarded: bool,
     /// Partition of [`Stratum::rules`] into mutually *independent* groups:
     /// two rules land in the same group iff they are (transitively)
@@ -204,8 +205,8 @@ impl Schedule {
         self.violations.is_empty()
     }
 
-    /// True iff some stratum carries negation or aggregation (the engine
-    /// switches to sequential stratified mode when so).
+    /// True iff some stratum carries negation or aggregation (the engine's
+    /// fixpoint loop then runs one stratum at a time, under a frontier).
     pub fn has_guarded_strata(&self) -> bool {
         self.strata.iter().any(|s| s.guarded)
     }

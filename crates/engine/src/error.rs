@@ -65,6 +65,11 @@ pub enum EvalError {
         /// The offending (non-integer) value, pretty-printed.
         value: String,
     },
+    /// A `sum` aggregate's total left the 64-bit integer range.
+    AggregateOverflow {
+        /// The rule whose aggregate overflowed.
+        rule: String,
+    },
     /// A stratified (guarded) program was driven through an entry point
     /// that cannot respect stratum order, e.g. an incremental resume.
     GuardedUnsupported {
@@ -111,6 +116,9 @@ impl fmt::Display for EvalError {
                 f,
                 "aggregate applied to non-integer value {value}: {rule}"
             ),
+            EvalError::AggregateOverflow { rule } => {
+                write!(f, "aggregate sum overflows a 64-bit integer: {rule}")
+            }
             EvalError::GuardedUnsupported { operation } => write!(
                 f,
                 "stratified program (negation/aggregates) does not support {operation}"

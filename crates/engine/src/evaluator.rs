@@ -7,6 +7,7 @@
 //! classic run-to-fixpoint front end over it; the incremental-maintenance
 //! layer (`magic-incr`) keeps a runner alive across calls and *re-enters*
 //! the loop with externally seeded deltas via [`FixpointRunner::resume`].
+//! One loop serves positive, guarded and resumed evaluation.
 //!
 //! # The stratified scheduler
 //!
@@ -24,6 +25,19 @@
 //!   to fixpoint and drop out while upper strata finish, and a resumed
 //!   view seeds its deltas into the lowest dirty stratum instead of
 //!   re-scanning the full rule list every iteration.
+//! * **The stratum frontier (guarded programs).**  A program with negated
+//!   atoms or aggregate heads needs every stratum *finished* before a
+//!   higher one complements against it or folds it.  The loop then builds
+//!   tasks for the frontier alone — the lowest unfinished stratum.  A
+//!   stratum entering the frontier folds its aggregate rules once (their
+//!   inputs lie strictly below), then runs its plain rules: full on its
+//!   first iteration, delta-windowed after that.  The first iteration
+//!   that derives nothing finishes it, and the next stratum enters.  A
+//!   stratum with no plain rules counts no iteration.  Positive programs
+//!   keep the interleaved schedule, every live stratum per iteration.
+//!   Seeded resume of a guarded program is refused
+//!   ([`EvalError::GuardedUnsupported`]): a seed below a finished
+//!   complement would have to retract it.
 //! * **Work-sharded fan-out.**  Tasks of an iteration only *read* the
 //!   database (through the share-safe borrow views of `magic-storage`),
 //!   so they fan out over a persistent worker pool; large tasks are
@@ -53,10 +67,11 @@
 //! `duplicate_derivations`) are folded back in on one thread in plan
 //! order — they are sums, so the totals are bit-identical to the
 //! sequential path — and `join_probes` partition across shards, so their
-//! sum is invariant too.  `tests/parallel_schedule.rs` and
-//! `tests/parallel_merge.rs` hold this contract under randomized
-//! programs; `MAGIC_THREADS` (see [`Limits::resolved_threads`]) selects
-//! the thread count.
+//! sum is invariant too.  Guarded strata run through the same task
+//! fan-out and merge, so the contract covers them unchanged.
+//! `tests/parallel_schedule.rs` and `tests/parallel_merge.rs` hold this
+//! contract under randomized programs; `MAGIC_THREADS` (see
+//! [`Limits::resolved_threads`]) selects the thread count.
 
 use crate::error::EvalError;
 use crate::join::{
@@ -189,18 +204,19 @@ struct EvalTask {
     error: Option<EvalError>,
 }
 
-/// Hands workers `&mut` access to disjoint task slots through the pool
-/// (each index is claimed by exactly one thread; see [`EvalPool::run`]).
-struct TaskSlots(*mut EvalTask);
-unsafe impl Send for TaskSlots {}
-unsafe impl Sync for TaskSlots {}
+/// Hands workers `&mut` access to disjoint slots of a task batch through
+/// the pool (each index is claimed by exactly one thread; see
+/// [`EvalPool::run`]): evaluation tasks, then insert-phase merge tasks.
+struct Slots<T>(*mut T);
+unsafe impl<T: Send> Send for Slots<T> {}
+unsafe impl<T: Send> Sync for Slots<T> {}
 
-impl TaskSlots {
+impl<T> Slots<T> {
     /// # Safety
     ///
     /// `i` must be in bounds and claimed by exactly one thread at a time.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, i: usize) -> &mut EvalTask {
+    unsafe fn get(&self, i: usize) -> &mut T {
         &mut *self.0.add(i)
     }
 }
@@ -216,22 +232,6 @@ struct MergeTask<'a> {
     plans: Vec<(usize, usize)>,
     /// New facts per entry of `plans`, filled by the merge worker.
     new_by_plan: Vec<usize>,
-}
-
-/// Hands workers `&mut` access to disjoint merge-task slots (the insert
-/// phase's counterpart of [`TaskSlots`]).
-struct MergeSlots<'a>(*mut MergeTask<'a>);
-unsafe impl Send for MergeSlots<'_> {}
-unsafe impl Sync for MergeSlots<'_> {}
-
-impl<'a> MergeSlots<'a> {
-    /// # Safety
-    ///
-    /// `i` must be in bounds and claimed by exactly one thread at a time.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, i: usize) -> &mut MergeTask<'a> {
-        &mut *self.0.add(i)
-    }
 }
 
 /// Minimum outermost-enumeration rows before a single task is split into
@@ -624,26 +624,14 @@ impl FixpointRunner {
                 // their outputs reproduces the unsharded row sequence.
                 let from = lo + range * shard / shards;
                 let to = lo + range * (shard + 1) / shards;
-                let mut replaced = false;
-                for w in windows {
-                    if w.occurrence == 0 {
-                        task.windows.push(DeltaWindow {
-                            occurrence: 0,
-                            from,
-                            to,
-                        });
-                        replaced = true;
-                    } else {
-                        task.windows.push(*w);
-                    }
-                }
-                if !replaced {
-                    task.windows.push(DeltaWindow {
-                        occurrence: 0,
-                        from,
-                        to,
-                    });
-                }
+                // The join finds windows by occurrence, so order is free.
+                task.windows
+                    .extend(windows.iter().filter(|w| w.occurrence != 0));
+                task.windows.push(DeltaWindow {
+                    occurrence: 0,
+                    from,
+                    to,
+                });
             }
             tasks_by_plan[plan_idx].push(tasks.len());
             tasks.push(task);
@@ -693,10 +681,12 @@ impl FixpointRunner {
         }
     }
 
-    /// The shared loop.  `seed_marks` switches between run mode (first
-    /// iteration full) and resume mode (first iteration windowed against
-    /// the given marks).  See the module docs for the scheduler structure
-    /// and the determinism contract.
+    /// The one fixpoint loop.  `seed_marks` switches between run mode
+    /// (first iteration full) and resume mode (first iteration windowed
+    /// against the given marks).  Positive programs run every live stratum
+    /// each iteration; guarded programs run only the stratum frontier.  See
+    /// the module docs for the scheduler structure and the determinism
+    /// contract.
     fn fixpoint(
         &self,
         db: &mut Database,
@@ -704,28 +694,43 @@ impl FixpointRunner {
         seed_marks: Option<Vec<usize>>,
         mut observer: Option<FiringObserver<'_>>,
     ) -> Result<(), EvalError> {
-        if self.schedule.has_guarded_strata() {
-            // Negation/aggregates force semi-positive evaluation: every
-            // stratum must be *finished* before a higher one complements
-            // against it, which the interleaved delta loop below cannot
-            // guarantee.  Seeded re-entry is refused outright — a seed in a
-            // low stratum could retract complements already taken above it.
+        let guarded = self.schedule.has_guarded_strata();
+        if guarded {
+            // A seed in a low stratum could retract complements already
+            // taken above it, so seeded re-entry is refused outright.
             if seed_marks.is_some() {
                 return Err(EvalError::GuardedUnsupported {
                     operation: "incremental resume (seeded deltas)".into(),
                 });
             }
-            return self.fixpoint_stratified(db, stats, observer);
+            // Refuse unstratifiable programs with the typed violation before
+            // touching the database: evaluating them would compute *some*
+            // fixpoint, just not a meaningful (perfect-model) one.
+            if let Some(v) = self.schedule.stratification_violations().first() {
+                return Err(EvalError::Unstratifiable {
+                    predicate: v.pred.to_string(),
+                    cycle: v.cycle.iter().map(|p| p.to_string()).collect(),
+                });
+            }
+            // Re-check negation safety at the evaluation boundary: runners
+            // can be built from unvalidated programs, and an unbound negated
+            // variable would otherwise surface only if the join reaches it.
+            for plan in &self.plans {
+                if plan.rule.is_guarded() && plan.rule.check_negation_safe().is_err() {
+                    return Err(EvalError::UnsafeNegation {
+                        rule: plan.rule.to_string(),
+                    });
+                }
+            }
         }
         let started = std::time::Instant::now();
         let seeded = seed_marks.is_some();
-        let first_iteration_at = stats.iterations + 1;
+        // Whether the next iteration evaluates its rules in full: the first
+        // one of a run, and (guarded) the first one of every stratum.
+        let mut full_pass = !seeded;
         // Row-id marks delimiting the delta of the previous iteration,
         // indexed like `tracked`.
-        let mut prev_marks = match seed_marks {
-            Some(marks) => marks,
-            None => self.marks(db),
-        };
+        let mut prev_marks = seed_marks.unwrap_or_else(|| self.marks(db));
         // The current extents (recycled; swapped into `prev_marks` at the
         // end of every iteration).
         let mut cur_marks: Vec<usize> = Vec::with_capacity(prev_marks.len());
@@ -744,6 +749,11 @@ impl FixpointRunner {
         // retires once everything below it is retired and it sees no
         // deltas — nothing can feed it again.
         let mut retired = vec![false; strata.len()];
+        // Guarded programs: the lowest unfinished stratum, the only one
+        // that gets tasks.  `entering` marks that it has just moved up and
+        // still has to fold its aggregates.
+        let mut frontier = 0usize;
+        let mut entering = guarded;
         // Task slots and their recycled buffers.
         let mut tasks: Vec<EvalTask> = Vec::new();
         let mut spare: Vec<EvalTask> = Vec::new();
@@ -762,6 +772,15 @@ impl FixpointRunner {
         let mut work: Vec<(usize, usize)> = Vec::new();
 
         loop {
+            if entering {
+                frontier =
+                    self.advance_frontier(frontier, db, stats, &mut observer, &mut derived)?;
+                if frontier == strata.len() {
+                    break;
+                }
+                entering = false;
+                full_pass = true;
+            }
             stats.iterations += 1;
             if stats.iterations > self.limits.max_iterations {
                 return Err(EvalError::IterationLimit {
@@ -778,19 +797,27 @@ impl FixpointRunner {
             // the first iteration of a resume).
             self.marks_into(db, &mut cur_marks);
 
-            let full_first = !seeded && stats.iterations == first_iteration_at;
-            let use_delta = self.scheme == IterationScheme::SemiNaive && !full_first;
+            let use_delta = self.scheme == IterationScheme::SemiNaive && !full_pass;
+            full_pass = false;
 
             // ---- Task construction: strata in dependency order. ----
             let mut lead_work = 0usize;
             let mut lower_all_retired = true;
-            for (s, stratum) in strata.iter().enumerate() {
+            let live_strata = if guarded {
+                frontier..frontier + 1
+            } else {
+                0..strata.len()
+            };
+            for s in live_strata {
                 if retired[s] {
                     continue;
                 }
                 // Whether any rule of this stratum had work this iteration.
                 let mut live = false;
-                for &plan_idx in &stratum.rules {
+                for &plan_idx in &strata[s].rules {
+                    if self.plans[plan_idx].rule.aggregate.is_some() {
+                        continue; // folded once, as its stratum entered the frontier
+                    }
                     if use_delta {
                         let occurrences = &self.tracked_occurrences[plan_idx];
                         for (nth, &(occ, tracked_idx)) in occurrences.iter().enumerate() {
@@ -805,16 +832,9 @@ impl FixpointRunner {
                             // fans out from the delta instead of re-scanning
                             // the rule's leading atoms; window positions are
                             // remapped through the variant's permutation.
-                            let (variant, positions) = if seeded {
-                                (
-                                    Some(nth),
-                                    Some(&self.delta_plans[plan_idx][nth].pos_of_orig),
-                                )
-                            } else {
-                                (None, None)
-                            };
-                            let map = |o: usize| match positions {
-                                Some(pos_of_orig) => pos_of_orig[o],
+                            let variant = seeded.then_some(nth);
+                            let map = |o: usize| match variant {
+                                Some(nth) => self.delta_plans[plan_idx][nth].pos_of_orig[o],
                                 None => o,
                             };
                             windows.clear();
@@ -874,7 +894,7 @@ impl FixpointRunner {
             // ---- Read-only evaluation: inline, or fanned out. ----
             if threads > 1 && tasks.len() > 1 && lead_work >= PARALLEL_MIN_WORK {
                 let pool = pool.get_or_insert_with(|| EvalPool::new(threads - 1));
-                let slots = TaskSlots(tasks.as_mut_ptr());
+                let slots = Slots(tasks.as_mut_ptr());
                 let db_read: &Database = db;
                 pool.run(tasks.len(), &|i| {
                     // SAFETY: each index is claimed by exactly one thread,
@@ -963,7 +983,7 @@ impl FixpointRunner {
                         })
                         .collect();
                     let pool = pool.get_or_insert_with(|| EvalPool::new(threads - 1));
-                    let slots = MergeSlots(merge_tasks.as_mut_ptr());
+                    let slots = Slots(merge_tasks.as_mut_ptr());
                     let tasks_read: &[EvalTask] = &tasks;
                     let by_plan_read: &[Vec<usize>] = &tasks_by_plan;
                     pool.run(merge_tasks.len(), &|i| {
@@ -1024,204 +1044,59 @@ impl FixpointRunner {
                 spare.push(task);
             }
             derived += new_facts;
-            if derived > self.limits.max_facts {
-                return Err(EvalError::FactLimit {
-                    limit: self.limits.max_facts,
-                });
-            }
+            self.check_fact_limit(derived)?;
             if new_facts == 0 {
-                break;
+                if !guarded {
+                    break;
+                }
+                // The frontier stratum is finished: nothing it reads can
+                // change any more.
+                frontier += 1;
+                entering = true;
             }
             std::mem::swap(&mut prev_marks, &mut cur_marks);
         }
         Ok(())
     }
 
-    /// Sequential semi-positive evaluation for guarded (stratified)
-    /// programs: strata run strictly in dependency order, each to its own
-    /// fixpoint, so every negated atom complements against a *finished*
-    /// lower-stratum relation and every aggregate folds complete groups.
-    ///
-    /// The whole path is single-threaded by design — thread-count
-    /// determinism is then trivial (`MAGIC_THREADS` cannot change a single
-    /// counter), which is the contract the parallel loop above buys with
-    /// its deterministic merge.  Guarded programs are expected to be
-    /// negation/aggregate *tips* over large positive cones; the positive
-    /// cones still run through the parallel loop when evaluated on their
-    /// own (e.g. under the magic rewrites, which strip to the positive
-    /// fragment).
-    fn fixpoint_stratified(
+    /// Move the stratum frontier of a guarded program up from stratum `s`:
+    /// every stratum it enters folds its aggregate rules once (their inputs
+    /// live strictly below and are finished), and one with no plain rules
+    /// is then finished too, without counting an iteration.  Returns the
+    /// first stratum with plain rules, or the stratum count when every
+    /// stratum is finished.
+    fn advance_frontier(
         &self,
+        mut s: usize,
         db: &mut Database,
         stats: &mut EvalStats,
-        mut observer: Option<FiringObserver<'_>>,
-    ) -> Result<(), EvalError> {
-        // Refuse unstratifiable programs with the typed violation before
-        // touching the database: evaluating them would compute *some*
-        // fixpoint, just not a meaningful (perfect-model) one.
-        if let Some(v) = self.schedule.stratification_violations().first() {
-            return Err(EvalError::Unstratifiable {
-                predicate: v.pred.to_string(),
-                cycle: v.cycle.iter().map(|p| p.to_string()).collect(),
-            });
-        }
-        // Re-check negation safety at the evaluation boundary: runners can
-        // be built from unvalidated programs, and an unbound negated
-        // variable would otherwise surface only if the join reaches it.
-        for plan in &self.plans {
-            if plan.rule.is_guarded() && plan.rule.check_negation_safe().is_err() {
-                return Err(EvalError::UnsafeNegation {
-                    rule: plan.rule.to_string(),
-                });
-            }
-        }
-        let started = std::time::Instant::now();
-        // Facts this call has derived (see `fixpoint`).
-        let mut derived = 0usize;
-        let mut join_scratch = JoinScratch::default();
-        let mut scratch: Vec<ValId> = Vec::new();
-        let mut windows: Vec<DeltaWindow> = Vec::new();
-        // Per-iteration evaluation outputs, in rule order:
-        // (plan index, flat rows, body-match count).
-        let mut outputs: Vec<(usize, Vec<ValId>, usize)> = Vec::new();
-        let mut spare: Vec<Vec<ValId>> = Vec::new();
-        for stratum in self.schedule.strata() {
-            // Aggregate rules run first, one-shot: every body dependency of
-            // an aggregate rule is a strict edge, so in a stratified program
-            // its inputs live strictly below and are already finished; the
-            // stratum's plain rules (which may read the aggregate's output)
-            // then start from the folded rows.
+        observer: &mut Option<FiringObserver<'_>>,
+        derived: &mut usize,
+    ) -> Result<usize, EvalError> {
+        let strata = self.schedule.strata();
+        while let Some(stratum) = strata.get(s) {
+            let mut plain = false;
             for &plan_idx in &stratum.rules {
                 if self.plans[plan_idx].rule.aggregate.is_some() {
-                    derived += self.run_aggregate_rule(
-                        plan_idx,
-                        db,
-                        stats,
-                        &mut observer,
-                        &mut join_scratch,
-                        &mut scratch,
-                    )?;
+                    *derived += self.run_aggregate_rule(plan_idx, db, stats, observer)?;
+                } else {
+                    plain = true;
                 }
             }
-            if derived > self.limits.max_facts {
-                return Err(EvalError::FactLimit {
-                    limit: self.limits.max_facts,
-                });
+            self.check_fact_limit(*derived)?;
+            if plain {
+                break;
             }
-            let plain: Vec<usize> = stratum
-                .rules
-                .iter()
-                .copied()
-                .filter(|&i| self.plans[i].rule.aggregate.is_none())
-                .collect();
-            if plain.is_empty() {
-                continue;
-            }
-            // The stratum's own semi-naive fixpoint: first iteration full,
-            // then delta-windowed.  Deltas of lower strata are finished
-            // (from == to) and upper strata have not started, so the
-            // windows only ever select this stratum's new rows.
-            let mut first = true;
-            let mut prev_marks = self.marks(db);
-            let mut cur_marks = Vec::with_capacity(prev_marks.len());
-            loop {
-                stats.iterations += 1;
-                if stats.iterations > self.limits.max_iterations {
-                    return Err(EvalError::IterationLimit {
-                        limit: self.limits.max_iterations,
-                    });
-                }
-                if let Some(max_wall) = self.limits.max_wall {
-                    if started.elapsed() > max_wall {
-                        return Err(EvalError::TimeLimit { limit: max_wall });
-                    }
-                }
-                self.marks_into(db, &mut cur_marks);
-                let use_delta = self.scheme == IterationScheme::SemiNaive && !first;
-                for &plan_idx in &plain {
-                    let plan = &self.plans[plan_idx];
-                    if use_delta {
-                        let occurrences = &self.tracked_occurrences[plan_idx];
-                        for (nth, &(occ, tracked_idx)) in occurrences.iter().enumerate() {
-                            let from = prev_marks[tracked_idx];
-                            let to = cur_marks[tracked_idx];
-                            if from >= to {
-                                continue;
-                            }
-                            windows.clear();
-                            if self.discipline == WindowDiscipline::Disjoint {
-                                for &(prev_occ, prev_idx) in &occurrences[..nth] {
-                                    if prev_marks[prev_idx] < cur_marks[prev_idx] {
-                                        windows.push(DeltaWindow {
-                                            occurrence: prev_occ,
-                                            from: 0,
-                                            to: prev_marks[prev_idx],
-                                        });
-                                    }
-                                }
-                            }
-                            windows.push(DeltaWindow {
-                                occurrence: occ,
-                                from,
-                                to,
-                            });
-                            let mut buf = spare.pop().unwrap_or_default();
-                            let counters = evaluate_rule_scratch(
-                                plan,
-                                db,
-                                &windows,
-                                &self.limits,
-                                &mut join_scratch,
-                                &mut buf,
-                            )?;
-                            stats.join_probes += counters.probes;
-                            outputs.push((plan_idx, buf, counters.matches));
-                        }
-                    } else {
-                        let mut buf = spare.pop().unwrap_or_default();
-                        let counters = evaluate_rule_scratch(
-                            plan,
-                            db,
-                            &[],
-                            &self.limits,
-                            &mut join_scratch,
-                            &mut buf,
-                        )?;
-                        stats.join_probes += counters.probes;
-                        outputs.push((plan_idx, buf, counters.matches));
-                    }
-                }
-                // Insert phase, in rule order (mirrors the sequential path
-                // of the parallel loop above).
-                let mut new_facts = 0usize;
-                for (plan_idx, mut buf, matches) in outputs.drain(..) {
-                    let plan = &self.plans[plan_idx];
-                    let arity = plan.head_terms.len();
-                    let new = insert_fired_rows(
-                        db.relation_mut(&plan.head_pred, arity),
-                        plan_idx,
-                        arity,
-                        matches,
-                        std::iter::once(&buf[..]),
-                        observer.as_deref_mut(),
-                    );
-                    stats.record_firings(plan.rule_idx, &plan.head_pred, matches, new);
-                    new_facts += new;
-                    buf.clear();
-                    spare.push(buf);
-                }
-                derived += new_facts;
-                if derived > self.limits.max_facts {
-                    return Err(EvalError::FactLimit {
-                        limit: self.limits.max_facts,
-                    });
-                }
-                if new_facts == 0 {
-                    break;
-                }
-                std::mem::swap(&mut prev_marks, &mut cur_marks);
-                first = false;
-            }
+            s += 1;
+        }
+        Ok(s)
+    }
+
+    fn check_fact_limit(&self, derived: usize) -> Result<(), EvalError> {
+        if derived > self.limits.max_facts {
+            return Err(EvalError::FactLimit {
+                limit: self.limits.max_facts,
+            });
         }
         Ok(())
     }
@@ -1238,8 +1113,6 @@ impl FixpointRunner {
         db: &mut Database,
         stats: &mut EvalStats,
         observer: &mut Option<FiringObserver<'_>>,
-        join_scratch: &mut JoinScratch,
-        scratch: &mut Vec<ValId>,
     ) -> Result<usize, EvalError> {
         let plan = &self.plans[plan_idx];
         let agg = plan
@@ -1248,8 +1121,15 @@ impl FixpointRunner {
             .as_ref()
             .expect("run_aggregate_rule requires an aggregate plan");
         let arity = plan.head_terms.len();
-        scratch.clear();
-        let counters = evaluate_rule_scratch(plan, db, &[], &self.limits, join_scratch, scratch)?;
+        let mut scratch = Vec::new();
+        let counters = evaluate_rule_scratch(
+            plan,
+            db,
+            &[],
+            &self.limits,
+            &mut JoinScratch::default(),
+            &mut scratch,
+        )?;
         stats.join_probes += counters.probes;
         // Distinct values per group: a value derived through two body
         // instantiations counts (and sums) once.  An empty body yields no
@@ -1264,7 +1144,6 @@ impl FixpointRunner {
             }
             groups.entry(key).or_default().insert(row[agg.position]);
         }
-        scratch.clear();
         let relation = db.relation_mut(&plan.head_pred, arity);
         let mut row = vec![ValId::NULL; arity];
         let mut new = 0;
@@ -1282,7 +1161,12 @@ impl FixpointRunner {
                         };
                         folded = Some(match (folded, agg.func) {
                             (None, _) => i,
-                            (Some(acc), AggFunc::Sum) => acc + i,
+                            (Some(acc), AggFunc::Sum) => {
+                                acc.checked_add(i)
+                                    .ok_or_else(|| EvalError::AggregateOverflow {
+                                        rule: plan.rule.to_string(),
+                                    })?
+                            }
                             (Some(acc), AggFunc::Min) => acc.min(i),
                             (Some(acc), AggFunc::Max) => acc.max(i),
                             (Some(_), AggFunc::Count) => unreachable!(),
@@ -1743,6 +1627,20 @@ mod tests {
         match err {
             EvalError::AggregateType { value, .. } => assert_eq!(value, "alice"),
             other => panic!("expected AggregateType, got {other}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_sum_is_a_typed_error_naming_the_rule() {
+        let program = parse_program(
+            "w(a, 9223372036854775807). w(b, 1). k(x).
+             t(S, sum<I>) :- w(K, I), k(S).",
+        )
+        .unwrap();
+        let err = Evaluator::new(program).run(&Database::new()).unwrap_err();
+        match err {
+            EvalError::AggregateOverflow { rule } => assert!(rule.contains("sum<I>"), "{rule}"),
+            other => panic!("expected AggregateOverflow, got {other}"),
         }
     }
 
