@@ -1,127 +1,43 @@
-//! Performance snapshot: run the paper's four Appendix benchmark scenarios
-//! under every planner strategy, plus the large-scale stress scenarios
-//! (`ancestor/chain/8192`, `same_generation/64x64`) and the `incr_*`
-//! incremental-maintenance scenarios (single-fact insert/retract against a
-//! live magic-set view vs from-scratch re-evaluation), and write a
-//! machine-readable JSON report.
+//! Counter golden: run the paper's four Appendix benchmark scenarios, the
+//! large-scale stress scenarios (`ancestor/chain/8192`,
+//! `same_generation/64x64`) and the stratified families under every
+//! planner strategy, plus the `incr_*` maintenance scenarios and the
+//! `serve_publish` catalog scenarios, once each, and print every cell's
+//! evaluation counters as JSON on stdout (progress goes to stderr).
 //!
-//! The report is the per-PR performance trajectory for this repository:
-//! PR 1 checked in `BENCH_PR1.json`, PR 2 added the `incr_*` scenarios
-//! (`BENCH_PR2.json`), PR 3 moved storage to interned packed rows and
-//! added the stress scenarios (`BENCH_PR3.json`), PR 4 added the
-//! stratified parallel scheduler (`BENCH_PR4.json`: every classic cell
-//! measured single-threaded *and* at the parallel thread count, with a
-//! `"threads"` field per cell and labels `gms@t4` for the parallel
-//! legs), PR 5 added the `serve_*` scenarios (`BENCH_PR5.json`):
-//! query throughput and latency percentiles of a live `magic-serve`
-//! server, measured with and without a concurrent update stream, and
-//! PR 6 (`BENCH_PR6.json`) adds the parallel per-predicate merge +
-//! copy-on-write storage, with two report-side additions: the
-//! `serve_publish/views/{1,8,32}` scenarios (one single-view update +
-//! snapshot republish against a catalog of growing size — the cells
-//! whose walls must stay flat as views grow, since a publish now costs
-//! O(changed views), not O(catalog)) and a **host-variance guard**: with
-//! `--baseline`, any cell whose wall regressed more than 1.3x while
-//! every evaluation counter stayed bit-identical to the baseline is
-//! annotated `"variance_suspect": true` — identical counters prove the
-//! work is the same, so the wall moved because of the host, not the
-//! engine.  PR 7 (`BENCH_PR7.json`) adds the durability cells: the
-//! `durable_append/wal` scenario measures WAL append throughput under
-//! each fsync policy (`always` / `every8` / `never` — the price sheet
-//! of the ack-durability knob), and `durable_recover/<n>` races the two
-//! recovery regimes over the *same* final database: `ckpt_tail`
-//! (a fresh checkpoint plus a small WAL tail) against `full_replay`
-//! (a stale checkpoint with all `n` updates still in the log).  Their
-//! walls demonstrate the durable design's core bound — recovery time
-//! is proportional to WAL-since-checkpoint, not to database size or
-//! total update history.  PR 8 (`BENCH_PR8.json`) adds the
-//! `serve_overload` scenario: a closed-loop warm phase estimates the
-//! writer's update capacity, then paced concurrent updaters drive
-//! ~2x that capacity at a deliberately tiny writer queue
-//! (`max_queue_depth = 4`) — the cell records the shed rate and the
-//! latency percentiles of the *served* (acked) updates, demonstrating
-//! the overload contract: a bounded queue buys bounded ack latency,
-//! and the excess is refused with `BUSY`, not absorbed.
-//! PR 9 (`BENCH_PR9.json`) adds the `serve_pipelined` scenario: one
-//! `PipeClient` connection keeps a fixed window of binary-protocol
-//! queries in flight (zipfian key popularity from
-//! `magic_workloads::load`) against a four-shard server, with and
-//! without a concurrent skewed update stream — the cells that
-//! demonstrate what the pipelined wire format plus the sharded writer
-//! layout buy over the synchronous text protocol's one-request-per-RTT
-//! ceiling (the `serve_quiet` cell above).  Each cell embeds the
-//! observed qps, latency percentiles, and the server's end-of-run
-//! shard/pipeline telemetry (`queue_depth`, `shed_updates`,
-//! `batch_size_p50`).
-//! PR 10 (`BENCH_PR10.json`) adds the stratified scenario families —
-//! `win_lose` (negation), `bom_total` (`sum` aggregate) and `shortest`
-//! (`min` aggregate over hop counts threaded through the data) — each
-//! *oracle-checked*: before a stratified scenario is measured, every
-//! strategy the planner accepts is evaluated once and its answer set
-//! asserted equal to a plain-Rust oracle's expected rows
-//! (`magic_workloads::stratified`), so an ok cell certifies semantics,
-//! not just wall time.  Strategy/feature combinations the planner
-//! refuses by policy (aggregates under any rewrite, negation under the
-//! non-gms rewrites — `PlanError::GuardedUnsupported`) and
-//! unstratifiable programs (`PlanError::Unstratifiable`) are recorded
-//! as skipped cells with the typed reason, exactly like the counting
-//! safety pre-check below.
-//! PR 14 (`BENCH_PR14.json`) adds no scenario: it re-measures the same
-//! matrix after the engine hot-path rebuild (tail-anchored delta slicing,
-//! prepared join contexts, the compact dedup table and the finalized
-//! hash), with every counter-carrying cell bit-identical to PR 10's.
-//! PR 15 (`BENCH_PR15.json`) adds no scenario either, and is the first
-//! snapshot where a counter moves on purpose: the two `incr_retract/*`
-//! `incr` cells spend far fewer `join_probes` (chain/1024: 1 051 656 →
-//! 3 079) now that the overdeletion shadow rules and head-bound plans are
-//! ordered by `engine::sip_order`; the other 97 counter-carrying cells
-//! are bit-identical to PR 10's (classic runs compile neither).
-//! PR 16 (`BENCH_PR16.json`) touches only `crates/serve` (the readiness
-//! loop): every counter-carrying cell equals PR 15's, and the `serve*`
-//! latency cells lose their 1 ms floor.
-//! PR 21 (`BENCH_PR21.json`) changes `crates/incr`'s catalog (one view
-//! per rewritten program, one magic seed per binding) and nothing under
-//! it: the 97 engine cells and the `incr_*` cells drive `Evaluator` /
-//! `MaterializedView` directly and equal PR 16's; the `serve_publish`
-//! cells now go through `apply_all` and record `materialized` (1 at every
-//! binding count) beside `views`.
-//! The pre-existing scenarios' probe counts must not move
-//! between snapshots, and — the scheduler's determinism contract —
-//! every counter of a parallel cell must be bit-identical to its
-//! single-threaded twin (the report generator asserts this).  Usage:
+//! Every field is a count or a typed message, so two runs print the same
+//! bytes.  The output is checked in as `tests/golden/perf_counters.json`
+//! and CI fails on any difference:
 //!
 //! ```text
-//! cargo run --release -p magic-bench --bin perf_report -- \
-//!     [--out BENCH_PR21.json] [--baseline BENCH_PR16.json] [--quick] \
-//!     [--threads N] [--filter <scenario-substring>] \
-//!     [--strategy <short-name>]...
+//! cargo run --release -p magic-bench --bin perf_report \
+//!     | diff -u tests/golden/perf_counters.json -
 //! ```
 //!
-//! `--threads N` sets the parallel leg's thread count (default: available
-//! parallelism; a resolved count of 1 skips the parallel legs).  With
-//! `--baseline`, wall-clock speedups versus the named earlier snapshot
-//! are computed and embedded under `"speedup_vs_baseline"`.  `--quick`
-//! shrinks the scenarios (used by the smoke test in CI).  Each `incr_*`
-//! scenario carries two cells — `incr` (the maintenance operation) and
-//! `scratch` (full re-evaluation of the same rewritten program over the
-//! updated base facts) — and the `incr` cell embeds
-//! `"speedup_vs_scratch"`.
+//! A change that moves a counter on purpose regenerates the golden and
+//! records old → new.  Time is measured by `magicbench` alone.
 //!
-//! Counting plans that the planner's cycle-detecting pre-check refuses
-//! (`PlanError::CountingUnsafe`, Theorem 10.3) are recorded as skipped
-//! cells with the typed reason instead of burning the wall budget.
+//! Each classic cell runs single-threaded and at [`PAR_THREADS`] workers,
+//! and the scheduler's determinism contract is asserted while the report
+//! is generated: the two outcomes must be identical, counters, skip
+//! reasons and error text alike.
 //!
-//! Each `serve_*` scenario starts an in-process TCP server, warms one
-//! materialized view per query binding, then drives it with concurrent
-//! reader clients (one thread each) while an updater client replays a
-//! bounded insert/retract stream.  Two cells are recorded: `serve_quiet`
-//! (readers only — the pure snapshot-read ceiling) and `serve` (readers
-//! racing the update stream), each carrying `"qps"`, `"p50_ms"`,
-//! `"p99_ms"` and the applied-update count in its extra fields.  Latency
-//! is measured per request at the client, over loopback TCP.
+//! Plans the planner refuses — counting safety (Theorem 10.3), an
+//! unstratifiable program, the guarded-feature policy — are recorded as
+//! skipped cells with the typed reason.  Before a stratified scenario
+//! (`win_lose`, `bom_total`, `shortest`) is measured, every strategy the
+//! planner accepts is evaluated and its answer set asserted equal to a
+//! plain-Rust oracle's (`magic_workloads::stratified`), so an ok
+//! stratified cell certifies semantics.
+//!
+//! Each `incr_*` scenario carries two cells: `incr` (one single-fact
+//! insert or retract against a live view of the gms rewriting, counters
+//! of that transition alone) and `scratch` (full re-evaluation of the same
+//! rewritten program over the updated base facts).
 //!
 //! The JSON is written by hand: the build environment has no crates.io
-//! access, so there is no serde.  The format is flat and stable on purpose.
+//! access, so there is no serde.  The format is flat, one line per cell,
+//! so a moved counter reads as a one-line diff.
 
 use magic_bench::{
     ancestor_chain, bom_rollup, list_reverse, nested_same_generation, same_generation,
@@ -129,41 +45,77 @@ use magic_bench::{
 };
 use magic_core::planner::{PlanError, Planner, Strategy};
 use magic_datalog::{Fact, PredName, Value};
-use magic_durable::{DurableConfig, DurableStore, FsyncPolicy, Wal};
 use magic_engine::{EvalStats, Evaluator, Limits};
 use magic_incr::{MaterializedView, Update, ViewCatalog};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::time::Instant;
 
-/// Evaluation limits for report cells.  Far above what any terminating
-/// (scenario, strategy) pair here needs (the largest is reverse/64 at ~4.4k
-/// iterations), but with a hard wall-clock budget so that the counting
-/// methods' divergence on the cyclic (nested) same-generation data
-/// (Section 10) surfaces as a recorded time-limit error instead of spinning
-/// toward the iteration limit for hours.
+/// Worker count of every classic cell's parallel leg.
+const PAR_THREADS: usize = 4;
+
+/// Evaluation limits for report cells.  Every limit is a count, so a
+/// divergent cell stops at the same point on every run and at every thread
+/// count.  The defaults are far above what any terminating cell needs (the
+/// largest is reverse/64 at ~4.4k iterations).  The counting methods
+/// diverge on the cyclic nested same-generation data and on the 64x64 grid
+/// (Section 10); those scenarios get budgets about ten times their
+/// largest terminating cell's (101 iterations on nested_sg, 188 420 facts
+/// on the grid), so their divergent cells stop within seconds.
 ///
-/// `ancestor/chain/8192` under gms is the deliberate outlier: its
-/// quadratic closure (~33.5M `anc` pairs) needs a bigger fact budget and
-/// a few minutes of wall — it is the parallel scheduler's headline
-/// scenario, so it runs despite the cost.
-fn report_limits(quick: bool, scenario: &str) -> Limits {
+/// `ancestor/chain/8192` under gms is the outlier the other way: its
+/// quadratic closure holds ~33.5M `anc` pairs.
+fn report_limits(scenario: &str) -> Limits {
     let limits = Limits::default()
         .with_max_iterations(20_000)
-        .with_max_facts(20_000_000)
-        .with_max_wall(std::time::Duration::from_secs(if quick { 5 } else { 30 }));
-    if scenario.starts_with("ancestor/chain/8192") {
-        limits
-            .with_max_facts(40_000_000)
-            .with_max_wall(std::time::Duration::from_secs(600))
+        .with_max_facts(20_000_000);
+    if scenario.starts_with("nested_sg/") {
+        limits.with_max_iterations(1_000)
+    } else if scenario.starts_with("same_generation/64x64") {
+        limits.with_max_facts(2_000_000)
+    } else if scenario.starts_with("ancestor/chain/8192") {
+        limits.with_max_facts(40_000_000)
     } else {
         limits
     }
 }
 
-/// One (scenario, strategy) measurement.  `label` is a planner strategy
-/// short name for the classic scenarios, or `incr` / `scratch` for the
-/// incremental ones; `extra` is raw JSON appended into the cell object.
+/// The counters every ok cell records.
+#[derive(Debug, PartialEq)]
+struct Counters {
+    answers: usize,
+    iterations: usize,
+    rule_firings: usize,
+    facts_derived: usize,
+    duplicate_derivations: usize,
+    join_probes: usize,
+}
+
+impl Counters {
+    /// `answers` plus the work `after` records beyond `before` (the
+    /// default, all-zero stats for a run from scratch).
+    fn new(answers: usize, after: &EvalStats, before: &EvalStats) -> Counters {
+        Counters {
+            answers,
+            iterations: after.iterations - before.iterations,
+            rule_firings: after.rule_firings - before.rule_firings,
+            facts_derived: after.facts_derived - before.facts_derived,
+            duplicate_derivations: after.duplicate_derivations - before.duplicate_derivations,
+            join_probes: after.join_probes - before.join_probes,
+        }
+    }
+}
+
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Ok(Counters),
+    Skipped { reason: String },
+    Error { message: String },
+}
+
+/// One (scenario, strategy) result.  `label` is a planner strategy short
+/// name for the classic scenarios, `incr` / `scratch` for the incremental
+/// ones and `publish` for the catalog ones; `extra` is raw JSON appended
+/// into the cell object.
 struct Cell {
     label: String,
     outcome: Outcome,
@@ -171,32 +123,21 @@ struct Cell {
 }
 
 impl Cell {
-    fn new(label: impl Into<String>, outcome: Outcome) -> Cell {
-        Cell {
+    /// Build a cell and log its outcome to stderr as progress.
+    fn new(label: impl Into<String>, outcome: Outcome, extra: impl Into<String>) -> Cell {
+        let cell = Cell {
             label: label.into(),
             outcome,
-            extra: String::new(),
-        }
+            extra: extra.into(),
+        };
+        let status = match &cell.outcome {
+            Outcome::Ok(c) => format!("probes {}", c.join_probes),
+            Outcome::Skipped { .. } => "skipped".to_string(),
+            Outcome::Error { message } => format!("error: {message}"),
+        };
+        eprintln!("  {:<12} {status}", cell.label);
+        cell
     }
-}
-
-enum Outcome {
-    Ok {
-        wall_secs: f64,
-        samples: usize,
-        answers: usize,
-        iterations: usize,
-        rule_firings: usize,
-        facts_derived: usize,
-        duplicate_derivations: usize,
-        join_probes: usize,
-    },
-    Skipped {
-        reason: String,
-    },
-    Error {
-        message: String,
-    },
 }
 
 /// Strategies skipped for a scenario, with the reason recorded in the JSON.
@@ -245,66 +186,44 @@ fn skip_reason(scenario: &str, strategy: Strategy) -> Option<String> {
     None
 }
 
-/// Measure one cell at the given thread count: repeat the run until a 3 s
-/// budget or 200 samples, whichever comes first, and report the minimum
-/// wall time.  Plans the planner's pre-checks refuse — counting safety,
-/// stratification, the guarded-feature policy — are recorded as typed
-/// skips.
-fn measure(scenario: &Scenario, strategy: Strategy, quick: bool, threads: usize) -> Outcome {
+/// The planner's typed refusals: recorded as skipped cells, never errors.
+fn is_refusal(e: &PlanError) -> bool {
+    matches!(
+        e,
+        PlanError::CountingUnsafe { .. }
+            | PlanError::Unstratifiable { .. }
+            | PlanError::GuardedUnsupported { .. }
+    )
+}
+
+/// Evaluate one cell at the given thread count.
+fn measure(scenario: &Scenario, strategy: Strategy, threads: usize) -> Outcome {
     if let Some(reason) = skip_reason(&scenario.name, strategy) {
         return Outcome::Skipped { reason };
     }
-    let limits = report_limits(quick, &scenario.name).with_threads(threads);
-    let planner = Planner::new(strategy).with_limits(limits);
-    let run = || planner.evaluate(&scenario.program, &scenario.query, &scenario.database);
-    let budget = Instant::now();
-    let start = Instant::now();
-    let result = match run() {
-        Ok(result) => result,
-        Err(
-            e @ (PlanError::CountingUnsafe { .. }
-            | PlanError::Unstratifiable { .. }
-            | PlanError::GuardedUnsupported { .. }),
-        ) => {
-            return Outcome::Skipped {
-                reason: e.to_string(),
-            }
-        }
-        Err(e) => {
-            return Outcome::Error {
-                message: e.to_string(),
-            }
-        }
-    };
-    let mut best = start.elapsed().as_secs_f64();
-    let mut samples = 1usize;
-    // Min over repeated runs within the budget: on a noisy shared host the
-    // minimum is the least load-contaminated estimate of the true cost.
-    // Sub-millisecond cells get hundreds of samples, second-scale cells a
-    // handful; both are bounded by the same wall budget.
-    while samples < 200 && budget.elapsed().as_secs_f64() <= 3.0 {
-        let start = Instant::now();
-        if run().is_err() {
-            break;
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-        samples += 1;
-    }
-    Outcome::Ok {
-        wall_secs: best,
-        samples,
-        answers: result.answers.len(),
-        iterations: result.stats.iterations,
-        rule_firings: result.stats.rule_firings,
-        facts_derived: result.stats.facts_derived,
-        duplicate_derivations: result.stats.duplicate_derivations,
-        join_probes: result.stats.join_probes,
+    let limits = report_limits(&scenario.name).with_threads(threads);
+    match Planner::new(strategy).with_limits(limits).evaluate(
+        &scenario.program,
+        &scenario.query,
+        &scenario.database,
+    ) {
+        Ok(result) => Outcome::Ok(Counters::new(
+            result.answers.len(),
+            &result.stats,
+            &EvalStats::default(),
+        )),
+        Err(e) if is_refusal(&e) => Outcome::Skipped {
+            reason: e.to_string(),
+        },
+        Err(e) => Outcome::Error {
+            message: e.to_string(),
+        },
     }
 }
 
 /// An incremental-maintenance scenario: a live view over the magic-set
 /// rewriting of a benchmark scenario, one base-fact update against it, and
-/// the from-scratch re-evaluation it is raced against.
+/// the from-scratch re-evaluation it is compared with.
 struct IncrScenario {
     name: String,
     /// The rewritten (gms) program the view maintains.
@@ -314,14 +233,12 @@ struct IncrScenario {
     answer_atom: magic_datalog::Atom,
     projection: Vec<magic_datalog::Variable>,
     update: Fact,
-    /// `false`: measure insert (restore by retract); `true`: measure
-    /// retract (restore by insert).
-    measure_retract: bool,
+    /// `false`: the update is an insert; `true`: a retract.
+    retract: bool,
 }
 
-fn incr_scenarios(quick: bool) -> Vec<IncrScenario> {
-    let chain_n = if quick { 64 } else { 1024 };
-    let (sg_depth, sg_width) = if quick { (2, 4) } else { (6, 8) };
+fn incr_scenarios() -> Vec<IncrScenario> {
+    let chain_n = 1024;
     let gms = Planner::new(Strategy::MagicSets);
     let mut out = Vec::new();
 
@@ -345,7 +262,7 @@ fn incr_scenarios(quick: bool) -> Vec<IncrScenario> {
         answer_atom: plan.answer_atom.clone(),
         projection: plan.projection.clone(),
         update: sym_edge(chain_n, chain_n + 1),
-        measure_retract: false,
+        retract: false,
     });
     out.push(IncrScenario {
         name: format!("incr_retract/{}", chain.name),
@@ -354,10 +271,10 @@ fn incr_scenarios(quick: bool) -> Vec<IncrScenario> {
         answer_atom: plan.answer_atom,
         projection: plan.projection,
         update: sym_edge(chain_n - 1, chain_n),
-        measure_retract: true,
+        retract: true,
     });
 
-    let sg = same_generation(sg_depth, sg_width);
+    let sg = same_generation(6, 8);
     let plan = gms
         .plan(&sg.program, &sg.query)
         .expect("gms plans same-generation");
@@ -373,7 +290,7 @@ fn incr_scenarios(quick: bool) -> Vec<IncrScenario> {
             &magic_workloads::grid_node(0, 0),
             &magic_workloads::grid_node(0, 2),
         ),
-        measure_retract: false,
+        retract: false,
     });
     out.push(IncrScenario {
         name: format!("incr_retract/{}", sg.name),
@@ -385,1207 +302,141 @@ fn incr_scenarios(quick: bool) -> Vec<IncrScenario> {
             &magic_workloads::grid_node(0, 0),
             &magic_workloads::grid_node(0, 1),
         ),
-        measure_retract: true,
+        retract: true,
     });
     out
 }
 
-/// Counter deltas of the last timed maintenance op.
-fn stats_delta(after: &EvalStats, before: &EvalStats) -> (usize, usize, usize, usize, usize) {
-    (
-        after.iterations - before.iterations,
-        after.rule_firings - before.rule_firings,
-        after.facts_derived - before.facts_derived,
-        after.duplicate_derivations - before.duplicate_derivations,
-        after.join_probes - before.join_probes,
-    )
-}
-
-/// Measure one incremental scenario: the maintenance op on a live view
-/// (min wall over repeated op+restore round trips) and the from-scratch
-/// re-evaluation of the same program over the updated base facts.
-fn measure_incr(scenario: &IncrScenario, quick: bool) -> (Cell, Cell) {
-    // Incr cells are pinned single-threaded (like the classic `t=1`
-    // legs): without the explicit pin they would silently inherit an
-    // ambient MAGIC_THREADS and record env-dependent wall times.
-    let limits = report_limits(quick, &scenario.name).with_threads(1);
-    let mut view =
-        match MaterializedView::with_limits(&scenario.program, &scenario.database, limits) {
-            Ok(view) => view,
-            Err(e) => {
-                let message = e.to_string();
-                return (
-                    Cell::new(
-                        "incr",
-                        Outcome::Error {
-                            message: message.clone(),
-                        },
-                    ),
-                    Cell::new("scratch", Outcome::Error { message }),
-                );
-            }
-        };
-
-    let budget = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut samples = 0usize;
-    let mut delta = (0, 0, 0, 0, 0);
-    let mut failure: Option<String> = None;
-    while samples < 200 && (samples == 0 || budget.elapsed().as_secs_f64() <= 3.0) {
+/// Measure one incremental scenario: the maintenance transition on a live
+/// view, and the from-scratch re-evaluation of the same program over the
+/// updated base facts.  Both cells carry the scratch run's answer count;
+/// a failure anywhere errors both.
+fn measure_incr(scenario: &IncrScenario) -> Vec<Cell> {
+    // Pinned single-threaded: without the explicit pin the cells would
+    // inherit an ambient MAGIC_THREADS.
+    let limits = report_limits(&scenario.name).with_threads(1);
+    let run = || -> Result<[Counters; 2], String> {
+        let mut view = MaterializedView::with_limits(&scenario.program, &scenario.database, limits)
+            .map_err(|e| e.to_string())?;
         let before = view.stats().clone();
-        let start = Instant::now();
-        let result = if scenario.measure_retract {
+        let changed = if scenario.retract {
             view.retract(&scenario.update)
         } else {
             view.insert(&scenario.update)
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let changed = match result {
-            Ok(changed) => changed,
-            Err(e) => {
-                failure = Some(e.to_string());
-                break;
-            }
-        };
+        }
+        .map_err(|e| e.to_string())?;
         if !changed {
-            failure = Some("maintenance op was a no-op".into());
-            break;
+            return Err("maintenance op was a no-op".into());
         }
-        if wall < best {
-            best = wall;
-            delta = stats_delta(view.stats(), &before);
-        }
-        samples += 1;
-        // Untimed restore, so every sample measures the same transition.
-        let restore = if scenario.measure_retract {
-            view.insert(&scenario.update)
+
+        let mut updated = scenario.database.clone();
+        if scenario.retract {
+            updated.remove_fact(&scenario.update);
         } else {
-            view.retract(&scenario.update)
-        };
-        if let Err(e) = restore {
-            failure = Some(format!("restore failed: {e}"));
-            break;
+            updated.insert_fact(&scenario.update);
         }
-    }
-    if let Some(message) = failure {
-        return (
-            Cell::new(
-                "incr",
-                Outcome::Error {
-                    message: message.clone(),
-                },
-            ),
-            Cell::new("scratch", Outcome::Error { message }),
-        );
-    }
-
-    // From-scratch rival: evaluate the same rewritten program over the
-    // updated base facts (what serving the update without incremental
-    // maintenance would cost).
-    let mut updated = scenario.database.clone();
-    if scenario.measure_retract {
-        updated.remove_fact(&scenario.update);
-    } else {
-        updated.insert_fact(&scenario.update);
-    }
-    let evaluator = Evaluator::new(scenario.program.clone()).with_limits(limits);
-    let scratch_budget = Instant::now();
-    let mut scratch_best = f64::INFINITY;
-    let mut scratch_samples = 0usize;
-    let mut scratch_result = None;
-    while scratch_samples < 200
-        && (scratch_samples == 0 || scratch_budget.elapsed().as_secs_f64() <= 3.0)
-    {
-        let start = Instant::now();
-        match evaluator.run(&updated) {
-            Ok(result) => {
-                scratch_best = scratch_best.min(start.elapsed().as_secs_f64());
-                scratch_samples += 1;
-                scratch_result = Some(result);
-            }
-            Err(e) => {
-                let message = e.to_string();
-                return (
-                    Cell::new(
-                        "incr",
-                        Outcome::Error {
-                            message: message.clone(),
-                        },
-                    ),
-                    Cell::new("scratch", Outcome::Error { message }),
-                );
-            }
-        }
-    }
-    let scratch_result = scratch_result.expect("at least one scratch sample ran");
-    let scratch_answers = magic_engine::answers::project_answers(
-        &scratch_result.database,
-        &scenario.answer_atom,
-        &scenario.projection,
-    )
-    .len();
-
-    let (iterations, rule_firings, facts_derived, duplicate_derivations, join_probes) = delta;
-    let mut incr_cell = Cell::new(
-        "incr",
-        Outcome::Ok {
-            wall_secs: best,
-            samples,
-            answers: scratch_answers,
-            iterations,
-            rule_firings,
-            facts_derived,
-            duplicate_derivations,
-            join_probes,
-        },
-    );
-    incr_cell.extra = format!(
-        ", \"threads\": 1, \"speedup_vs_scratch\": {:.2}",
-        scratch_best / best
-    );
-    let mut scratch_cell = Cell::new(
-        "scratch",
-        Outcome::Ok {
-            wall_secs: scratch_best,
-            samples: scratch_samples,
-            answers: scratch_answers,
-            iterations: scratch_result.stats.iterations,
-            rule_firings: scratch_result.stats.rule_firings,
-            facts_derived: scratch_result.stats.facts_derived,
-            duplicate_derivations: scratch_result.stats.duplicate_derivations,
-            join_probes: scratch_result.stats.join_probes,
-        },
-    );
-    scratch_cell.extra = ", \"threads\": 1".to_string();
-    (incr_cell, scratch_cell)
-}
-
-/// A serving-layer scenario: an in-process `magic-serve` server driven by
-/// concurrent reader clients, with and without a live update stream.
-struct ServeScenario {
-    name: String,
-    program: magic_datalog::Program,
-    database: magic_storage::Database,
-    /// Node count of the underlying chain (edges + 1); the update stream
-    /// is generated over this node set.
-    nodes: usize,
-    /// Concurrent reader connections.
-    readers: usize,
-    /// Queries each reader issues.
-    requests_per_reader: usize,
-    /// Distinct query bindings (→ materialized views on the server).
-    bindings: usize,
-    /// Approximate length of the updater's bounded insert/retract stream
-    /// (the generated request mix carries ~this many updates).
-    update_ops: usize,
-}
-
-fn serve_scenarios(quick: bool) -> Vec<ServeScenario> {
-    let edges = if quick { 32 } else { 256 };
-    vec![ServeScenario {
-        name: format!("serve/ancestor/chain/{edges}"),
-        program: magic_workloads::programs::ancestor(),
-        database: magic_workloads::chain(edges),
-        nodes: edges + 1,
-        readers: if quick { 2 } else { 4 },
-        requests_per_reader: if quick { 40 } else { 250 },
-        bindings: if quick { 2 } else { 4 },
-        update_ops: if quick { 30 } else { 300 },
-    }]
-}
-
-/// Percentile (`p` in 0..=100) of an unsorted latency sample, in
-/// milliseconds; nearest-rank on the sorted data.
-fn percentile_ms(latencies: &mut [f64], p: f64) -> f64 {
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * latencies.len() as f64).ceil() as usize;
-    latencies[rank.saturating_sub(1).min(latencies.len() - 1)] * 1e3
-}
-
-/// Drive one serve leg: `readers` concurrent query clients, plus (when
-/// `with_updates`) an updater client replaying the bounded stream.
-/// Returns (cell, total queries) or an error message.
-fn run_serve_leg(
-    scenario: &ServeScenario,
-    with_updates: bool,
-    label: &str,
-) -> Result<Cell, String> {
-    use magic_serve::{Client, ServeConfig, Server};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    // Views maintain single-threaded (like the `incr_*` cells): the
-    // serving layer's concurrency is across requests, not inside one
-    // fixpoint, and this keeps the cells comparable whatever the ambient
-    // MAGIC_THREADS is.
-    let config = ServeConfig {
-        limits: Limits::default().with_threads(1),
-        ..ServeConfig::default()
+        let scratch = Evaluator::new(scenario.program.clone())
+            .with_limits(limits)
+            .run(&updated)
+            .map_err(|e| e.to_string())?;
+        let answers = magic_engine::answers::project_answers(
+            &scratch.database,
+            &scenario.answer_atom,
+            &scenario.projection,
+        )
+        .len();
+        Ok([
+            Counters::new(answers, view.stats(), &before),
+            Counters::new(answers, &scratch.stats, &EvalStats::default()),
+        ])
     };
-    let mut server = Server::start(
-        scenario.program.clone(),
-        scenario.database.clone(),
-        "127.0.0.1:0",
-        config,
-    )
-    .map_err(|e| format!("server start: {e}"))?;
-    let addr = server.addr();
-
-    // The load shape comes from the workloads request-stream generator
-    // (`magic_workloads::requests`): one deterministic query/update mix,
-    // whose query subsequence drives the readers and whose update
-    // subsequence drives the updater — the same stream the CI serve
-    // smoke replays at quick size.
-    let stream = magic_workloads::ancestor_request_stream(
-        scenario.nodes,
-        scenario.update_ops * 5, // ~80% queries => ~update_ops updates
-        80,
-        scenario.bindings,
-        60,
-        0xA11CE,
-    );
-    let query_pool: Vec<String> = stream
-        .iter()
-        .filter_map(|r| match r {
-            magic_workloads::ServeRequest::Query(q) => Some(q.clone()),
-            magic_workloads::ServeRequest::Update(_) => None,
-        })
-        .collect();
-    let update_stream: Vec<magic_workloads::UpdateOp> = stream
-        .into_iter()
-        .filter_map(|r| match r {
-            magic_workloads::ServeRequest::Update(op) => Some(op),
-            magic_workloads::ServeRequest::Query(_) => None,
-        })
-        .collect();
-    if query_pool.is_empty() {
-        return Err("generated request stream carries no queries".into());
-    }
-
-    // Warm every binding so the measured requests hit the pure
-    // snapshot-read path (materialization cost is a one-off).
-    let mut warm = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let distinct: std::collections::BTreeSet<&String> = query_pool.iter().collect();
-    let mut last_answers = 0usize;
-    for query in distinct {
-        last_answers = warm
-            .query(query)
-            .map_err(|e| format!("warm: {e}"))?
-            .rows
-            .len();
-    }
-
-    // Readers issue at least `requests_per_reader` queries each, and keep
-    // querying until the updater's bounded stream has fully drained — the
-    // `serve` leg must measure sustained mixed load, not a few microseconds
-    // of overlap (capped so a stalled updater cannot hang the report).
-    let updates_done = Arc::new(AtomicBool::new(!with_updates));
-    let start = Instant::now();
-    let updater = if with_updates {
-        let stream = update_stream;
-        let done = Arc::clone(&updates_done);
-        Some(std::thread::spawn(move || -> Result<usize, String> {
-            let mut client = Client::connect(addr).map_err(|e| format!("updater connect: {e}"))?;
-            let mut applied = 0usize;
-            for op in &stream {
-                let ack = match op {
-                    magic_workloads::UpdateOp::Insert(f) => client.insert_fact(f),
-                    magic_workloads::UpdateOp::Retract(f) => client.retract_fact(f),
-                };
-                if ack
-                    .inspect_err(|_| done.store(true, Ordering::Relaxed))
-                    .map_err(|e| format!("updater: {e}"))?
-                    .applied
-                {
-                    applied += 1;
-                }
-            }
-            done.store(true, Ordering::Relaxed);
-            Ok(applied)
-        }))
-    } else {
-        None
-    };
-
-    let reader_handles: Vec<_> = (0..scenario.readers)
-        .map(|r| {
-            let queries = query_pool.clone();
-            let count = scenario.requests_per_reader;
-            let done = Arc::clone(&updates_done);
-            std::thread::spawn(move || -> Result<Vec<f64>, String> {
-                let mut client =
-                    Client::connect(addr).map_err(|e| format!("reader connect: {e}"))?;
-                let mut latencies = Vec::with_capacity(count);
-                for i in 0..count * 50 {
-                    if i >= count && done.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let query = &queries[(r * 17 + i) % queries.len()];
-                    let sent = Instant::now();
-                    client.query(query).map_err(|e| format!("reader: {e}"))?;
-                    latencies.push(sent.elapsed().as_secs_f64());
-                }
-                Ok(latencies)
-            })
-        })
-        .collect();
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut failure: Option<String> = None;
-    for handle in reader_handles {
-        match handle.join().map_err(|_| "reader panicked".to_string()) {
-            Ok(Ok(mut sample)) => latencies.append(&mut sample),
-            Ok(Err(e)) => failure = Some(e),
-            Err(e) => failure = Some(e),
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let applied = match updater {
-        Some(handle) => match handle.join().map_err(|_| "updater panicked".to_string()) {
-            Ok(Ok(applied)) => applied,
-            Ok(Err(e)) => {
-                failure.get_or_insert(e);
-                0
-            }
-            Err(e) => {
-                failure.get_or_insert(e);
-                0
-            }
-        },
-        None => 0,
-    };
-    server.shutdown();
-    if let Some(message) = failure {
-        return Err(message);
-    }
-
-    let queries_total = latencies.len();
-    let qps = queries_total as f64 / elapsed;
-    let p50 = percentile_ms(&mut latencies, 50.0);
-    let p99 = percentile_ms(&mut latencies, 99.0);
-    let mut cell = Cell::new(
-        label,
-        Outcome::Ok {
-            wall_secs: elapsed,
-            samples: queries_total,
-            answers: last_answers,
-            iterations: 0,
-            rule_firings: 0,
-            facts_derived: 0,
-            duplicate_derivations: 0,
-            join_probes: 0,
-        },
-    );
-    cell.extra = format!(
-        ", \"readers\": {}, \"qps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-         \"updates_applied\": {}",
-        scenario.readers, qps, p50, p99, applied
-    );
-    Ok(cell)
-}
-
-/// Measure one serve scenario: the quiet (read-only) leg, then the leg
-/// racing a live update stream.
-fn measure_serve(scenario: &ServeScenario) -> Vec<Cell> {
-    ["serve_quiet", "serve"]
-        .into_iter()
-        .map(|label| {
-            let with_updates = label == "serve";
-            run_serve_leg(scenario, with_updates, label)
-                .unwrap_or_else(|message| Cell::new(label, Outcome::Error { message }))
-        })
-        .collect()
-}
-
-/// In-flight window of the pipelined closed-loop client: deep enough to
-/// keep the server's decode/batch path fed over loopback, shallow enough
-/// that the recorded latency reflects service time and the queueing the
-/// *server* added, not an unbounded client-side backlog.
-const PIPELINE_WINDOW: usize = 64;
-
-/// Writer shard count of the pipelined cells — the multi-shard layout
-/// the restart and chaos suites pin.
-const PIPELINE_SHARDS: usize = 4;
-
-/// Drive one pipelined leg: a single `PipeClient` keeping
-/// [`PIPELINE_WINDOW`] zipfian binary-protocol queries in flight against
-/// a [`PIPELINE_SHARDS`]-shard server, plus (when `with_updates`) a
-/// text-protocol updater streaming skewed `par` edits for the whole
-/// measured window.  Latency is submit→claim at the client, so it
-/// includes the window's own queueing — the number a production
-/// pipelined caller would actually observe.
-fn run_pipelined_leg(quick: bool, with_updates: bool, label: &str) -> Result<Cell, String> {
-    use magic_serve::{Client, PipeClient, ServeConfig, Server};
-    use magic_workloads::{LoadConfig, LoadGen, ServeRequest, UpdateOp};
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let edges = if quick { 32 } else { 256 };
-    let total_queries = if quick { 2_000 } else { 40_000 };
-    let config = ServeConfig {
-        limits: Limits::default().with_threads(1),
-        writer_shards: PIPELINE_SHARDS,
-        ..ServeConfig::default()
-    };
-    let mut server = Server::start(
-        magic_workloads::programs::ancestor_intro(),
-        magic_workloads::chain(edges),
-        "127.0.0.1:0",
-        config,
-    )
-    .map_err(|e| format!("server start: {e}"))?;
-    let addr = server.addr();
-
-    // The zipfian load shape (`magic_workloads::load`): query popularity
-    // over the chain's node ranks, update endpoints over the `z*` side
-    // universe.  Two single-purpose generators (one all-queries, one
-    // all-updates) keep each stream deterministic on its own.
-    let shape = LoadConfig {
-        query_keys: (edges / 4).max(8),
-        ..LoadConfig::default()
-    };
-    let queries: Vec<String> = LoadGen::new(
-        LoadConfig {
-            query_pct: 100,
-            ..shape.clone()
-        },
-        0xB1A5ED,
-    )
-    .filter_map(|r| match r {
-        ServeRequest::Query(q) => Some(q),
-        ServeRequest::Update(_) => None,
-    })
-    .take(total_queries)
-    .collect();
-
-    // Warm every binding so the measured loop runs on the pure
-    // snapshot-read path (plus whatever republishes the updater forces).
-    let mut warm = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let distinct: std::collections::BTreeSet<&String> = queries.iter().collect();
-    let mut last_answers = 0usize;
-    for query in distinct {
-        last_answers = warm
-            .query(query)
-            .map_err(|e| format!("warm: {e}"))?
-            .rows
-            .len();
-    }
-
-    // The updater draws from an *infinite* skewed edit stream and stops
-    // on the flag, so the live leg is sustained mixed load for the whole
-    // measured window by construction.
-    let done = Arc::new(AtomicBool::new(false));
-    let updater = with_updates.then(|| {
-        let done = Arc::clone(&done);
-        let stream = LoadGen::new(
-            LoadConfig {
-                query_pct: 0,
-                ..shape
+    let outcomes = match run() {
+        Ok([incr, scratch]) => [Outcome::Ok(incr), Outcome::Ok(scratch)],
+        Err(message) => [
+            Outcome::Error {
+                message: message.clone(),
             },
-            0x5EED,
-        );
-        std::thread::spawn(move || -> Result<usize, String> {
-            let mut client = Client::connect(addr).map_err(|e| format!("updater connect: {e}"))?;
-            let mut applied = 0usize;
-            for request in stream {
-                if done.load(Ordering::Relaxed) {
-                    break;
-                }
-                let ServeRequest::Update(op) = request else {
-                    continue;
-                };
-                let ack = match &op {
-                    UpdateOp::Insert(f) => client.insert_fact(f),
-                    UpdateOp::Retract(f) => client.retract_fact(f),
-                };
-                if ack.map_err(|e| format!("updater: {e}"))?.applied {
-                    applied += 1;
-                }
-            }
-            Ok(applied)
-        })
-    });
-
-    // The measured closed loop: one pipelined connection, WINDOW ids in
-    // flight, claimed oldest-first.  Responses are claimed raw
-    // (status-checked, bodies not re-parsed into rows): the cell
-    // measures serving capacity, and on a single-core loopback host a
-    // full client-side row parse would otherwise steal the core the
-    // server is being measured on — the warm phase above already
-    // verified the answers through the parsing client.  Runs inside a
-    // closure so the updater and server are torn down on either path
-    // before the Result is inspected.
-    let measured = (|| -> Result<(Vec<f64>, f64, magic_serve::ServerStats), String> {
-        let mut pipe = PipeClient::connect(addr).map_err(|e| format!("pipe connect: {e}"))?;
-        let mut latencies = Vec::with_capacity(queries.len());
-        let mut window: VecDeque<(u64, Instant)> = VecDeque::with_capacity(PIPELINE_WINDOW);
-        let start = Instant::now();
-        for query in &queries {
-            if window.len() >= PIPELINE_WINDOW {
-                let (id, sent) = window.pop_front().expect("window is non-empty");
-                pipe.wait_response_timed(id)
-                    .map_err(|e| format!("pipelined wait: {e}"))?;
-                latencies.push(sent.elapsed().as_secs_f64());
-            }
-            let id = pipe
-                .submit_query(query)
-                .map_err(|e| format!("pipelined submit: {e}"))?;
-            window.push_back((id, Instant::now()));
-        }
-        for (id, sent) in window {
-            pipe.wait_response_timed(id)
-                .map_err(|e| format!("pipelined drain: {e}"))?;
-            latencies.push(sent.elapsed().as_secs_f64());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        // Shard/pipeline telemetry over the same connection, right after
-        // the measured window (the updater may still be running).
-        let id = pipe
-            .submit_stats()
-            .map_err(|e| format!("stats submit: {e}"))?;
-        let stats = pipe
-            .wait_stats(id)
-            .map_err(|e| format!("stats wait: {e}"))?;
-        Ok((latencies, elapsed, stats))
-    })();
-
-    done.store(true, Ordering::Relaxed);
-    let mut failure: Option<String> = None;
-    let applied = match updater {
-        Some(handle) => match handle.join().map_err(|_| "updater panicked".to_string()) {
-            Ok(Ok(applied)) => applied,
-            Ok(Err(e)) | Err(e) => {
-                failure = Some(e);
-                0
-            }
-        },
-        None => 0,
+            Outcome::Error { message },
+        ],
     };
-    server.shutdown();
-    let (mut latencies, elapsed, stats) = measured?;
-    if let Some(message) = failure {
-        return Err(message);
-    }
-
-    let queries_total = latencies.len();
-    let qps = queries_total as f64 / elapsed;
-    let p50 = percentile_ms(&mut latencies, 50.0);
-    let p99 = percentile_ms(&mut latencies, 99.0);
-    let mut cell = Cell::new(
-        label,
-        Outcome::Ok {
-            wall_secs: elapsed,
-            samples: queries_total,
-            answers: last_answers,
-            iterations: 0,
-            rule_firings: 0,
-            facts_derived: 0,
-            duplicate_derivations: 0,
-            join_probes: 0,
-        },
-    );
-    cell.extra = format!(
-        ", \"shards\": {}, \"window\": {}, \"qps\": {:.1}, \"p50_ms\": {:.3}, \
-         \"p99_ms\": {:.3}, \"queue_depth\": {}, \"shed_updates\": {}, \
-         \"batch_size_p50\": {}, \"updates_applied\": {}",
-        PIPELINE_SHARDS,
-        PIPELINE_WINDOW,
-        qps,
-        p50,
-        p99,
-        stats.queue_depth,
-        stats.shed_updates,
-        stats.batch_size_p50,
-        applied
-    );
-    Ok(cell)
-}
-
-/// Measure the pipelined scenario: the quiet (read-only) leg, then the
-/// leg racing the sustained skewed update stream.
-fn measure_serve_pipelined(quick: bool) -> Vec<Cell> {
-    ["serve_pipelined_quiet", "serve_pipelined"]
+    ["incr", "scratch"]
         .into_iter()
-        .map(|label| {
-            let with_updates = label == "serve_pipelined";
-            run_pipelined_leg(quick, with_updates, label)
-                .unwrap_or_else(|message| Cell::new(label, Outcome::Error { message }))
-        })
+        .zip(outcomes)
+        .map(|(label, outcome)| Cell::new(label, outcome, ", \"threads\": 1"))
         .collect()
 }
 
-/// Binding counts for the `serve_publish` scenarios: the publish-cost
-/// cells must stay flat across this range (the CI smoke compares the
-/// first and last).
+/// Binding counts for the `serve_publish` scenarios.
 const PUBLISH_VIEW_COUNTS: [usize; 3] = [1, 8, 32];
 
-/// Measure the writer-side publish path at a given catalog population:
-/// one maintenance op through `apply_all` plus the republish of every
-/// binding it moved and the map clone handed to readers.
-///
-/// This is the cost model COW storage and seed-set views buy: before
-/// PR 6 a publish deep-copied the whole catalog, and until PR 21 every
-/// binding was a fixpoint of its own that the update had to be applied
-/// to; now all `views` bindings are seeds of one maintained view
-/// (`materialized` = 1, recorded in the cell), the update is applied
-/// once, each moved binding's snapshot is an `Arc` bump of one shared
-/// clone and the map clone is O(bindings) pointer bumps, so the wall is
-/// dominated by the (constant) maintenance and must stay flat from 1
-/// binding to 32.  The counters record that maintenance's delta — the
-/// first binding's cone contains the others', so they are identical
-/// across all three counts (drift would mean the binding population
-/// leaks into maintenance).
-fn measure_publish(views: usize, quick: bool) -> Cell {
-    use std::sync::Arc;
-
-    let program = magic_workloads::programs::ancestor();
-    let edges = if quick { 64 } else { 256 };
-    let database = magic_workloads::chain(edges);
-    let limits = Limits::default().with_threads(1);
-    let mut catalog = ViewCatalog::new(Strategy::MagicSets).with_limits(limits);
-
-    // One binding per distinct warm query, like the server's catalog
-    // after `views` of them.
-    let mut keys = Vec::with_capacity(views);
-    for i in 0..views {
-        let query = match magic_datalog::parse_query(&format!("a({}, Y)", magic_workloads::node(i)))
-        {
-            Ok(query) => query,
-            Err(e) => {
-                return Cell::new(
-                    "publish",
-                    Outcome::Error {
-                        message: e.to_string(),
-                    },
-                )
-            }
-        };
-        match catalog.materialize(&program, &query, &database) {
-            Ok(key) => keys.push(key),
-            Err(e) => {
-                return Cell::new(
-                    "publish",
-                    Outcome::Error {
-                        message: e.to_string(),
-                    },
-                )
-            }
-        }
-    }
-    let mut published: BTreeMap<String, Arc<magic_incr::ViewSnapshot>> = keys
-        .iter()
-        .map(|key| {
-            let snap = catalog.snapshot_view(key).expect("just materialized");
-            (key.clone(), Arc::new(snap))
-        })
-        .collect();
-    let answers = catalog.answers(&keys[0]).map_or(0, |a| a.len());
-    let edge = Fact::plain(
-        "par",
-        vec![
-            Value::sym(&magic_workloads::node(edges)),
-            Value::sym(&magic_workloads::node(edges + 1)),
-        ],
-    );
-    let (insert, restore) = (Update::Insert(edge.clone()), Update::Retract(edge));
-    let republish =
-        |catalog: &ViewCatalog,
-         changed: &[String],
-         published: &mut BTreeMap<String, Arc<magic_incr::ViewSnapshot>>| {
-            for key in changed {
-                let snap = catalog
-                    .snapshot_view(key)
-                    .expect("a changed binding is live");
-                published.insert(key.clone(), Arc::new(snap));
-            }
-        };
-
-    let budget = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut samples = 0usize;
-    let mut delta = (0, 0, 0, 0, 0);
-    let mut failure: Option<String> = None;
-    while samples < 200 && (samples == 0 || budget.elapsed().as_secs_f64() <= 3.0) {
-        let before = catalog.aggregate_stats();
-        let start = Instant::now();
-        let outcome = catalog.apply_all(std::slice::from_ref(&insert));
-        if outcome.changed.len() != views || !outcome.evicted.is_empty() {
-            failure = Some(format!("publish update moved {outcome:?}"));
-            break;
-        }
-        republish(&catalog, &outcome.changed, &mut published);
-        // The clone is what the writer hands the reader side per publish.
-        let handed_to_readers = published.clone();
-        let wall = start.elapsed().as_secs_f64();
-        drop(handed_to_readers);
-        if wall < best {
-            best = wall;
-            delta = stats_delta(&catalog.aggregate_stats(), &before);
-        }
-        samples += 1;
-        // Untimed restore, so every sample measures the same transition.
-        let outcome = catalog.apply_all(std::slice::from_ref(&restore));
-        if outcome.changed.len() != views {
-            failure = Some(format!("restore moved {outcome:?}"));
-            break;
-        }
-        republish(&catalog, &outcome.changed, &mut published);
-    }
-    if let Some(message) = failure {
-        return Cell::new("publish", Outcome::Error { message });
-    }
-
-    let (iterations, rule_firings, facts_derived, duplicate_derivations, join_probes) = delta;
-    let mut cell = Cell::new(
-        "publish",
-        Outcome::Ok {
-            wall_secs: best,
-            samples,
-            answers,
-            iterations,
-            rule_firings,
-            facts_derived,
-            duplicate_derivations,
-            join_probes,
-        },
-    );
-    cell.extra = format!(
-        ", \"threads\": 1, \"views\": {views}, \"materialized\": {}",
-        catalog.materialized()
-    );
-    cell
-}
-
-/// The writer-queue bound the `serve_overload` scenario measures at:
-/// deliberately tiny, so that paced concurrent updaters can actually
-/// fill it (closed-loop clients can never hold more commands in flight
-/// than they have connections).
-const OVERLOAD_QUEUE_DEPTH: usize = 4;
-
-/// Concurrent updater connections driving the overload phase.  Must
-/// exceed [`OVERLOAD_QUEUE_DEPTH`] or the queue can never be full at
-/// dispatch time and nothing sheds.
-const OVERLOAD_WRITERS: usize = 12;
-
-/// Measure the overload-protection path: a closed-loop warm phase
-/// estimates the writer's update capacity, then [`OVERLOAD_WRITERS`]
-/// paced updaters drive ~2x that capacity at a queue bound of
-/// [`OVERLOAD_QUEUE_DEPTH`].  The contract the cell demonstrates: the
-/// excess is refused with `BUSY` (a fast, truthful no), while every
-/// *served* update keeps a bounded ack latency — the queue bound is
-/// the latency bound.  `wall_secs` is the overload phase's elapsed
-/// time; the shed rate and served-latency percentiles ride in the
-/// extra fields.  Every fact is unique and disconnected from the
-/// warmed view's binding, so per-op maintenance cost stays flat.
-fn measure_serve_overload(quick: bool) -> Cell {
-    use magic_serve::{Client, ClientError, ServeConfig, Server};
-
-    let fail = |message: String| Cell::new("overload", Outcome::Error { message });
-    let config = ServeConfig {
-        limits: Limits::default().with_threads(1),
-        max_queue_depth: OVERLOAD_QUEUE_DEPTH,
-        ..ServeConfig::default()
-    };
-    let edges = if quick { 32 } else { 256 };
-    let mut server = match Server::start(
-        magic_workloads::programs::ancestor(),
-        magic_workloads::chain(edges),
-        "127.0.0.1:0",
-        config,
-    ) {
-        Ok(server) => server,
-        Err(e) => return fail(format!("server start: {e}")),
-    };
-    let addr = server.addr();
-
-    // Warm one view so the writer's per-update cost includes live
-    // maintenance (the serving write path, not a bare insert).
-    let mut warm = match Client::connect(addr) {
-        Ok(client) => client,
-        Err(e) => return fail(format!("connect: {e}")),
-    };
-    if let Err(e) = warm.query(&format!("a({}, Y)", magic_workloads::node(0))) {
-        return fail(format!("warm query: {e}"));
-    }
-
-    // Closed-loop capacity estimate: one client, acked inserts back to
-    // back — the writer's sustainable service rate.
-    let warm_ops = if quick { 20 } else { 60 };
-    let start = Instant::now();
-    for i in 0..warm_ops {
-        if let Err(e) = warm.insert(&format!("par(warm{i}, warm{i}x)")) {
-            return fail(format!("warm insert: {e}"));
-        }
-    }
-    let per_op = start.elapsed().as_secs_f64() / warm_ops as f64;
-    let capacity = 1.0 / per_op;
-
-    // Overload phase: each paced updater sleeps `interval` before each
-    // op, so the aggregate *offered* rate targets 2x capacity.  Facts
-    // are unique per (writer, op), so acked/shed partition cleanly.
-    let interval = per_op * OVERLOAD_WRITERS as f64 / 2.0;
-    let ops_per_writer = if quick { 25 } else { 100 };
-    let start = Instant::now();
-    let writers: Vec<_> = (0..OVERLOAD_WRITERS)
-        .map(|w| {
-            std::thread::spawn(move || -> Result<(Vec<f64>, usize), String> {
-                let mut client =
-                    Client::connect(addr).map_err(|e| format!("updater connect: {e}"))?;
-                let mut served = Vec::new();
-                let mut shed = 0usize;
-                for i in 0..ops_per_writer {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(interval));
-                    let sent = Instant::now();
-                    match client.insert(&format!("par(ow{w}a{i}, ow{w}b{i})")) {
-                        Ok(_) => served.push(sent.elapsed().as_secs_f64()),
-                        Err(ClientError::Busy { .. }) => shed += 1,
-                        Err(e) => return Err(format!("updater {w}: {e}")),
-                    }
-                }
-                Ok((served, shed))
-            })
-        })
-        .collect();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut shed = 0usize;
-    let mut failure: Option<String> = None;
-    for writer in writers {
-        match writer.join().map_err(|_| "updater panicked".to_string()) {
-            Ok(Ok((mut sample, s))) => {
-                latencies.append(&mut sample);
-                shed += s;
-            }
-            Ok(Err(e)) => failure = Some(e),
-            Err(e) => failure = Some(e),
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = Client::connect(addr)
-        .map_err(|e| format!("post-storm connect: {e}"))
-        .and_then(|mut c| c.stats().map_err(|e| format!("post-storm stats: {e}")));
-    server.shutdown();
-    if let Some(message) = failure {
-        return fail(message);
-    }
-    let stats = match stats {
-        Ok(stats) => stats,
-        Err(message) => return fail(message),
-    };
-
-    let attempted = OVERLOAD_WRITERS * ops_per_writer;
-    let acked = latencies.len();
-    let p50 = percentile_ms(&mut latencies, 50.0);
-    let p99 = percentile_ms(&mut latencies, 99.0);
-    let mut cell = Cell::new(
-        "overload",
-        Outcome::Ok {
-            wall_secs: elapsed,
-            samples: attempted,
-            answers: 0,
-            iterations: 0,
-            rule_firings: 0,
-            facts_derived: 0,
-            duplicate_derivations: 0,
-            join_probes: 0,
-        },
-    );
-    cell.extra = format!(
-        ", \"writers\": {OVERLOAD_WRITERS}, \"queue_depth\": {OVERLOAD_QUEUE_DEPTH}, \
-         \"capacity_ops_per_sec\": {capacity:.0}, \"acked\": {acked}, \"shed\": {shed}, \
-         \"shed_rate\": {:.3}, \"served_p50_ms\": {p50:.3}, \"served_p99_ms\": {p99:.3}, \
-         \"stats_shed_updates\": {}",
-        shed as f64 / attempted as f64,
-        stats.shed_updates,
-    );
-    cell
-}
-
-/// A scratch directory for one durable cell, wiped before use and on
-/// drop so repeated report runs never see each other's files.
-struct ScratchDir(std::path::PathBuf);
-
-impl ScratchDir {
-    fn new(name: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("magic-bench-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create bench scratch dir");
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// The fsync policies the `durable_append` scenario prices, with the
-/// cell labels they render under.
-const APPEND_POLICIES: [(&str, FsyncPolicy); 3] = [
-    ("always", FsyncPolicy::Always),
-    ("every8", FsyncPolicy::EveryN(8)),
-    ("never", FsyncPolicy::Never),
-];
-
-/// Measure WAL append throughput under one fsync policy: the write-path
-/// cost a serving ack pays for durability.  Each sample resets the log
-/// and appends `frames` batches of four updates (the min over samples
-/// is reported, like every other cell); `appends_per_sec` in the extra
-/// fields normalizes across policies.
-fn measure_durable_append(label: &str, policy: FsyncPolicy, quick: bool) -> Cell {
-    let frames: u64 = if quick { 128 } else { 512 };
-    let scratch = ScratchDir::new(&format!("append-{label}"));
-    let mut wal = match Wal::open(scratch.0.join("wal.log"), policy) {
-        Ok(wal) => wal,
-        Err(e) => {
-            return Cell::new(
-                label,
-                Outcome::Error {
-                    message: e.to_string(),
-                },
-            )
-        }
-    };
-    // One representative small batch: two inserts, two retracts.
-    let pair = |a: &str, b: &str| Fact::plain("par", vec![Value::sym(a), Value::sym(b)]);
-    let batch = vec![
-        Update::Insert(pair("bench_a", "bench_b")),
-        Update::Insert(pair("bench_b", "bench_c")),
-        Update::Retract(pair("bench_a", "bench_b")),
-        Update::Retract(pair("bench_b", "bench_c")),
-    ];
-
-    let budget = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut samples = 0usize;
-    let mut wal_bytes = 0u64;
-    while samples < 200 && (samples == 0 || budget.elapsed().as_secs_f64() <= 3.0) {
-        if let Err(e) = wal.reset() {
-            return Cell::new(
-                label,
-                Outcome::Error {
-                    message: e.to_string(),
-                },
+/// The writer-side publish path at a given catalog population: one
+/// update through `apply_all`, then a snapshot of every binding it moved.
+/// All `views` bindings are seeds of one maintained view (`materialized`
+/// = 1, recorded in the cell), so the update is maintained once.  The
+/// counters record that maintenance; the first binding's cone contains
+/// the others', so they are identical across all three counts (drift
+/// would mean the binding population leaks into maintenance).
+fn measure_publish(views: usize) -> Cell {
+    let edges = 256;
+    let run = || -> Result<(Counters, usize), String> {
+        let program = magic_workloads::programs::ancestor();
+        let database = magic_workloads::chain(edges);
+        let limits = Limits::default().with_threads(1);
+        let mut catalog = ViewCatalog::new(Strategy::MagicSets).with_limits(limits);
+        // One binding per distinct warm query, like the server's catalog
+        // after `views` of them.
+        let mut keys = Vec::with_capacity(views);
+        for i in 0..views {
+            let query = magic_datalog::parse_query(&format!("a({}, Y)", magic_workloads::node(i)))
+                .map_err(|e| e.to_string())?;
+            keys.push(
+                catalog
+                    .materialize(&program, &query, &database)
+                    .map_err(|e| e.to_string())?,
             );
         }
-        let start = Instant::now();
-        for seq in 1..=frames {
-            if let Err(e) = wal.append(seq, &batch) {
-                return Cell::new(
-                    label,
-                    Outcome::Error {
-                        message: e.to_string(),
-                    },
-                );
-            }
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-        wal_bytes = wal.bytes();
-        samples += 1;
-    }
-
-    let mut cell = Cell::new(
-        label,
-        Outcome::Ok {
-            wall_secs: best,
-            samples,
-            answers: 0,
-            iterations: 0,
-            rule_firings: 0,
-            facts_derived: 0,
-            duplicate_derivations: 0,
-            join_probes: 0,
-        },
-    );
-    cell.extra = format!(
-        ", \"frames\": {frames}, \"updates_per_frame\": {}, \
-         \"appends_per_sec\": {:.0}, \"wal_bytes\": {wal_bytes}",
-        batch.len(),
-        frames as f64 / best,
-    );
-    cell
-}
-
-/// Build a durable store holding the ancestor seed plus `total` logged
-/// single-insert frames, checkpointed so that exactly `tail` frames
-/// remain in the WAL.  `tail == total` means the checkpoint is the
-/// initial (seed-only) one and the whole stream must replay.
-fn build_recover_store(
-    dir: &std::path::Path,
-    total: u64,
-    tail: u64,
-) -> Result<(), magic_durable::DurableError> {
-    let program = magic_workloads::programs::ancestor();
-    let mut edb = magic_storage::Database::new();
-    for i in 0..16 {
-        edb.insert_pair(
-            "par",
-            &magic_workloads::node(i),
-            &magic_workloads::node(i + 1),
-        );
-    }
-    let config = DurableConfig::new(dir)
-        .with_fsync(FsyncPolicy::Never)
-        .with_checkpoint_every(0);
-    let mut store = DurableStore::open(&config)?;
-    // Writes the initial seed checkpoint, so recovery later never
-    // mutates the store (a mutating recovery would not be repeatable).
-    let mut db = store
-        .recover(&program, ViewCatalog::new(Strategy::MagicSets), &edb)?
-        .db;
-    for i in 0..total {
-        let fact = Fact::plain(
+        let answers = catalog.answers(&keys[0]).map_or(0, |a| a.len());
+        let edge = Fact::plain(
             "par",
             vec![
-                Value::sym(&format!("r{i}")),
-                Value::sym(&format!("r{}", i + 1)),
+                Value::sym(&magic_workloads::node(edges)),
+                Value::sym(&magic_workloads::node(edges + 1)),
             ],
         );
-        db.insert_fact(&fact);
-        store.log_batch(&[Update::Insert(fact)])?;
-        if total - (i + 1) == tail && tail < total {
-            store.checkpoint(&db, &[])?;
+        let before = catalog.aggregate_stats();
+        let outcome = catalog.apply_all(&[Update::Insert(edge)]);
+        if outcome.changed.len() != views || !outcome.evicted.is_empty() {
+            return Err(format!("publish update moved {outcome:?}"));
         }
-    }
-    store.sync()?;
-    Ok(())
-}
-
-/// Measure recovery wall time over one prepared store: open + recover,
-/// min over repeated samples.  Both stores of the scenario hold the
-/// *same* final database; only the checkpoint age differs, so the wall
-/// gap is purely the replay debt.
-fn measure_durable_recover(label: &str, total: u64, tail: u64) -> Cell {
-    let scratch = ScratchDir::new(&format!("recover-{label}"));
-    if let Err(e) = build_recover_store(&scratch.0, total, tail) {
-        return Cell::new(
-            label,
-            Outcome::Error {
-                message: e.to_string(),
-            },
-        );
-    }
-    let program = magic_workloads::programs::ancestor();
-    let config = DurableConfig::new(&scratch.0).with_fsync(FsyncPolicy::Never);
-
-    let budget = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut samples = 0usize;
-    let mut replayed = 0u64;
-    let mut wal_bytes = 0u64;
-    while samples < 200 && (samples == 0 || budget.elapsed().as_secs_f64() <= 3.0) {
-        let start = Instant::now();
-        let mut store = match DurableStore::open(&config) {
-            Ok(store) => store,
-            Err(e) => {
-                return Cell::new(
-                    label,
-                    Outcome::Error {
-                        message: e.to_string(),
-                    },
-                )
-            }
-        };
-        let recovered = match store.recover(
-            &program,
-            ViewCatalog::new(Strategy::MagicSets),
-            &magic_storage::Database::new(),
-        ) {
-            Ok(recovered) => recovered,
-            Err(e) => {
-                return Cell::new(
-                    label,
-                    Outcome::Error {
-                        message: e.to_string(),
-                    },
-                )
-            }
-        };
-        best = best.min(start.elapsed().as_secs_f64());
-        replayed = recovered.replayed_frames;
-        wal_bytes = store.wal_bytes();
-        if !recovered.restored_from_checkpoint {
-            return Cell::new(
-                label,
-                Outcome::Error {
-                    message: "recover store lost its checkpoint".into(),
-                },
-            );
+        for key in &outcome.changed {
+            catalog
+                .snapshot_view(key)
+                .ok_or_else(|| format!("changed binding {key} has no snapshot"))?;
         }
-        samples += 1;
+        let counters = Counters::new(answers, &catalog.aggregate_stats(), &before);
+        Ok((counters, catalog.materialized()))
+    };
+    match run() {
+        Ok((counters, materialized)) => Cell::new(
+            "publish",
+            Outcome::Ok(counters),
+            format!(", \"threads\": 1, \"views\": {views}, \"materialized\": {materialized}"),
+        ),
+        Err(message) => Cell::new("publish", Outcome::Error { message }, ""),
     }
-
-    let mut cell = Cell::new(
-        label,
-        Outcome::Ok {
-            wall_secs: best,
-            samples,
-            answers: 0,
-            iterations: 0,
-            rule_firings: 0,
-            facts_derived: 0,
-            duplicate_derivations: 0,
-            join_probes: 0,
-        },
-    );
-    cell.extra = format!(", \"replayed_frames\": {replayed}, \"wal_bytes\": {wal_bytes}");
-    cell
 }
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Enforce the scheduler's determinism contract while the report is
-/// generated: a parallel cell that succeeded must match its
-/// single-threaded twin on every counter, bit for bit.
-fn assert_counters_pinned(scenario: &str, single: &Outcome, parallel: &Outcome) {
-    if let (
-        Outcome::Ok {
-            answers: a1,
-            rule_firings: f1,
-            facts_derived: d1,
-            duplicate_derivations: u1,
-            join_probes: p1,
-            iterations: i1,
-            ..
-        },
-        Outcome::Ok {
-            answers: a2,
-            rule_firings: f2,
-            facts_derived: d2,
-            duplicate_derivations: u2,
-            join_probes: p2,
-            iterations: i2,
-            ..
-        },
-    ) = (single, parallel)
-    {
-        assert!(
-            (a1, f1, d1, u1, p1, i1) == (a2, f2, d2, u2, p2, i2),
-            "{scenario}: parallel counters diverged from single-threaded \
-             (answers {a1}/{a2}, firings {f1}/{f2}, facts {d1}/{d2}, \
-             duplicates {u1}/{u2}, probes {p1}/{p2}, iterations {i1}/{i2})"
-        );
-    }
-}
-
-fn render(scenarios: &[(String, Vec<Cell>)], baseline: Option<&str>, engine: &str) -> String {
+fn render(scenarios: &[(String, Vec<Cell>)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"pr\": 21,");
-    let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(engine));
     let _ = writeln!(
         out,
         "  \"generated_by\": \"cargo run --release -p magic-bench --bin perf_report\","
     );
-    if let Some(cmp) = baseline {
-        out.push_str(cmp);
-    }
     out.push_str("  \"scenarios\": [\n");
     for (si, (name, cells)) in scenarios.iter().enumerate() {
         let _ = writeln!(out, "    {{");
@@ -1593,47 +444,37 @@ fn render(scenarios: &[(String, Vec<Cell>)], baseline: Option<&str>, engine: &st
         out.push_str("      \"strategies\": [\n");
         for (ci, cell) in cells.iter().enumerate() {
             let comma = if ci + 1 == cells.len() { "" } else { "," };
-            match &cell.outcome {
-                Outcome::Ok {
-                    wall_secs,
-                    samples,
-                    answers,
-                    iterations,
-                    rule_firings,
-                    facts_derived,
-                    duplicate_derivations,
-                    join_probes,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "        {{\"strategy\": \"{}\", \"status\": \"ok\", \
-                         \"wall_secs\": {:.6}, \"samples\": {samples}, \"answers\": {answers}, \
-                         \"iterations\": {iterations}, \"rule_firings\": {rule_firings}, \
-                         \"facts_derived\": {facts_derived}, \
-                         \"duplicate_derivations\": {duplicate_derivations}, \
-                         \"join_probes\": {join_probes}{}}}{comma}",
-                        cell.label, wall_secs, cell.extra,
-                    );
-                }
+            let body = match &cell.outcome {
+                Outcome::Ok(c) => format!(
+                    "\"status\": \"ok\", \"answers\": {}, \"iterations\": {}, \
+                     \"rule_firings\": {}, \"facts_derived\": {}, \
+                     \"duplicate_derivations\": {}, \"join_probes\": {}{}",
+                    c.answers,
+                    c.iterations,
+                    c.rule_firings,
+                    c.facts_derived,
+                    c.duplicate_derivations,
+                    c.join_probes,
+                    cell.extra,
+                ),
                 Outcome::Skipped { reason } => {
-                    let _ = writeln!(
-                        out,
-                        "        {{\"strategy\": \"{}\", \"status\": \"skipped\", \
-                         \"reason\": \"{}\"}}{comma}",
-                        cell.label,
-                        json_escape(reason),
-                    );
+                    format!(
+                        "\"status\": \"skipped\", \"reason\": \"{}\"",
+                        json_escape(reason)
+                    )
                 }
                 Outcome::Error { message } => {
-                    let _ = writeln!(
-                        out,
-                        "        {{\"strategy\": \"{}\", \"status\": \"error\", \
-                         \"error\": \"{}\"}}{comma}",
-                        cell.label,
-                        json_escape(message),
-                    );
+                    format!(
+                        "\"status\": \"error\", \"error\": \"{}\"",
+                        json_escape(message)
+                    )
                 }
-            }
+            };
+            let _ = writeln!(
+                out,
+                "        {{\"strategy\": \"{}\", {body}}}{comma}",
+                cell.label
+            );
         }
         out.push_str("      ]\n");
         let comma = if si + 1 == scenarios.len() { "" } else { "," };
@@ -1641,100 +482,6 @@ fn render(scenarios: &[(String, Vec<Cell>)], baseline: Option<&str>, engine: &st
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// One successful cell as read back out of a previous snapshot: the wall
-/// and the six evaluation counters, in the order [`assert_counters_pinned`]
-/// compares them (answers, iterations, rule_firings, facts_derived,
-/// duplicate_derivations, join_probes).
-struct BaselineCell {
-    wall_secs: f64,
-    counters: [usize; 6],
-}
-
-/// Pull one numeric `"key": <x>` field out of a single rendered cell line.
-fn cell_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Pull the (scenario, strategy) cell out of a previous snapshot.  A
-/// 40-line JSON parser would be overkill for a file whose format we
-/// control ([`render`] emits one line per cell); a line scan is exact for
-/// it.  Returns `None` for cells the baseline skipped or errored.
-fn baseline_cell(snapshot: &str, scenario: &str, strategy: &str) -> Option<BaselineCell> {
-    let mut in_scenario = false;
-    for line in snapshot.lines() {
-        if line.contains("\"name\":") {
-            in_scenario = line.contains(&format!("\"{scenario}\""));
-        }
-        if in_scenario && line.contains(&format!("\"strategy\": \"{strategy}\"")) {
-            let wall_secs = cell_field(line, "wall_secs")?;
-            let keys = [
-                "answers",
-                "iterations",
-                "rule_firings",
-                "facts_derived",
-                "duplicate_derivations",
-                "join_probes",
-            ];
-            let mut counters = [0usize; 6];
-            for (slot, key) in counters.iter_mut().zip(keys) {
-                *slot = cell_field(line, key)? as usize;
-            }
-            return Some(BaselineCell {
-                wall_secs,
-                counters,
-            });
-        }
-    }
-    None
-}
-
-/// The host-variance guard: a cell whose wall regressed more than 1.3x
-/// against the baseline snapshot *while every evaluation counter stayed
-/// bit-identical* is annotated `"variance_suspect": true`.  Identical
-/// counters prove the engine did exactly the same work, so the wall moved
-/// because of the host (CPU contention, frequency scaling, cache
-/// pollution from a noisy neighbor), not an engine change.  Counter
-/// drift, by contrast, is a real behavioral change and is left for the
-/// reader — and the CI counter-pinning checks — to judge.
-fn annotate_variance_suspects(results: &mut [(String, Vec<Cell>)], snapshot: &str) {
-    for (name, cells) in results.iter_mut() {
-        for cell in cells.iter_mut() {
-            let Outcome::Ok {
-                wall_secs,
-                answers,
-                iterations,
-                rule_firings,
-                facts_derived,
-                duplicate_derivations,
-                join_probes,
-                ..
-            } = &cell.outcome
-            else {
-                continue;
-            };
-            let Some(base) = baseline_cell(snapshot, name, &cell.label) else {
-                continue;
-            };
-            let counters_identical = base.counters
-                == [
-                    *answers,
-                    *iterations,
-                    *rule_firings,
-                    *facts_derived,
-                    *duplicate_derivations,
-                    *join_probes,
-                ];
-            if counters_identical && *wall_secs > base.wall_secs * 1.3 {
-                cell.extra.push_str(", \"variance_suspect\": true");
-            }
-        }
-    }
 }
 
 /// The oracle's answer rows for `pred`: its facts' value tuples.
@@ -1748,20 +495,10 @@ fn oracle_rows(oracle: BTreeSet<Fact>, pred: &str) -> BTreeSet<Vec<Value>> {
 
 /// The stratified scenario roster, each paired with the answer rows its
 /// plain-Rust oracle expects for the scenario's query.
-fn stratified_scenarios(quick: bool) -> Vec<(Scenario, BTreeSet<Vec<Value>>)> {
-    let (game, bom, paths) = if quick {
-        (
-            win_lose_game(16, 36),
-            bom_rollup(4, 4),
-            shortest_hops(8, 16, 4),
-        )
-    } else {
-        (
-            win_lose_game(128, 300),
-            bom_rollup(12, 8),
-            shortest_hops(24, 80, 10),
-        )
-    };
+fn stratified_scenarios() -> Vec<(Scenario, BTreeSet<Vec<Value>>)> {
+    let game = win_lose_game(128, 300);
+    let bom = bom_rollup(12, 8);
+    let paths = shortest_hops(24, 80, 10);
     let game_rows = oracle_rows(magic_workloads::win_lose_oracle(&game.database), "win");
     let bom_rows = oracle_rows(magic_workloads::bom_oracle(&bom.database), "total");
     let path_rows = oracle_rows(
@@ -1773,10 +510,8 @@ fn stratified_scenarios(quick: bool) -> Vec<(Scenario, BTreeSet<Vec<Value>>)> {
 
 /// The oracle gate for stratified cells: every strategy the planner
 /// accepts must produce exactly the oracle's answer rows.  Typed refusals
-/// (counting safety, stratification, the guarded-feature policy) pass
-/// through — they become skipped cells — but a wrong answer set aborts
-/// the report: an ok stratified cell certifies semantics, not just wall
-/// time.
+/// pass through — they become skipped cells — but a wrong answer set
+/// aborts the report.
 fn assert_oracle(scenario: &Scenario, expected: &BTreeSet<Vec<Value>>) {
     for strategy in Strategy::ALL {
         match scenario.run(strategy) {
@@ -1788,404 +523,93 @@ fn assert_oracle(scenario: &Scenario, expected: &BTreeSet<Vec<Value>>) {
                 result.answers.len(),
                 expected.len()
             ),
-            Err(
-                PlanError::CountingUnsafe { .. }
-                | PlanError::Unstratifiable { .. }
-                | PlanError::GuardedUnsupported { .. },
-            ) => {}
+            Err(e) if is_refusal(&e) => {}
             Err(e) => panic!("{}: {} failed: {e}", scenario.name, strategy.short_name()),
         }
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_PR21.json".to_string();
-    let mut baseline_path: Option<String> = None;
-    let mut quick = false;
-    let mut engine =
-        "parallel-merge-cow+serve+durable+overload+pipelined-shards+stratified".to_string();
-    let mut filter: Option<String> = None;
-    let mut strategies: Vec<String> = Vec::new();
-    let mut par_threads: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a path").clone(),
-            "--baseline" => {
-                baseline_path = Some(it.next().expect("--baseline needs a path").clone())
-            }
-            "--engine" => engine = it.next().expect("--engine needs a name").clone(),
-            "--filter" => filter = Some(it.next().expect("--filter needs a substring").clone()),
-            "--strategy" => strategies.push(it.next().expect("--strategy needs a name").clone()),
-            "--threads" => {
-                par_threads = Some(
-                    it.next()
-                        .expect("--threads needs a count")
-                        .parse()
-                        .expect("--threads needs a number"),
-                )
-            }
-            "--quick" => quick = true,
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    // The parallel leg's thread count: explicit flag, else available
-    // parallelism.  A resolved count of 1 skips the parallel legs (the
-    // single-threaded cells already cover that machine).
-    let par_threads =
-        par_threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
-
-    let mut scenarios: Vec<Scenario> = if quick {
-        vec![
-            ancestor_chain(64),
-            same_generation(2, 4),
-            nested_same_generation(2, 4),
-            list_reverse(8),
-        ]
-    } else {
-        vec![
-            ancestor_chain(1024),
-            same_generation(6, 8),
-            nested_same_generation(4, 6),
-            list_reverse(64),
-            // Large-scale stress cases: an 8192-edge chain (linear
-            // strategies only, see skip_reason) and a 64x64
-            // same-generation grid.
-            ancestor_chain(8192),
-            same_generation(64, 64),
-        ]
-    };
-
-    // The stratified families join the classic roster; their oracle's
-    // expected answer rows are kept aside and asserted before each one
-    // is measured.
-    let mut oracle_expected: BTreeMap<String, BTreeSet<Vec<Value>>> = BTreeMap::new();
-    for (scenario, expected) in stratified_scenarios(quick) {
-        oracle_expected.insert(scenario.name.clone(), expected);
-        scenarios.push(scenario);
-    }
+    assert!(
+        std::env::args().len() == 1,
+        "perf_report takes no arguments; it prints the counter golden to stdout"
+    );
+    let classic = [
+        ancestor_chain(1024),
+        same_generation(6, 8),
+        nested_same_generation(4, 6),
+        list_reverse(64),
+        // Large-scale stress cases: an 8192-edge chain (gms and the linear
+        // strategies only, see skip_reason) and a 64x64 same-generation
+        // grid.
+        ancestor_chain(8192),
+        same_generation(64, 64),
+    ];
+    // The stratified families join the classic roster with their oracle's
+    // expected answer rows, asserted before each one is measured.
+    let roster = classic.into_iter().map(|s| (s, None)).chain(
+        stratified_scenarios()
+            .into_iter()
+            .map(|(s, rows)| (s, Some(rows))),
+    );
 
     let mut results: Vec<(String, Vec<Cell>)> = Vec::new();
-
-    // The durable cells run FIRST, while the process-global value arena
-    // is still pristine: checkpoint capture/install serializes the whole
-    // arena, so running them after the classic scenarios would charge
-    // every recovery sample for the millions of values those scenarios
-    // interned — a bench-process artifact no real server restart pays.
-    // They are appended to `results` after the other scenarios so the
-    // report keeps its historical ordering.
-    let mut durable_results: Vec<(String, Vec<Cell>)> = Vec::new();
-    let durable_append_name = "durable_append/wal";
-    let skip_durable = |name: &str, strategies: &[String], labels: &[&str]| {
-        if let Some(f) = &filter {
-            if !name.contains(f.as_str()) {
-                return true;
-            }
-        }
-        !strategies.is_empty() && !strategies.iter().any(|s| labels.contains(&s.as_str()))
-    };
-    if !skip_durable(
-        durable_append_name,
-        &strategies,
-        &["always", "every8", "never"],
-    ) {
-        eprintln!("scenario {durable_append_name}");
-        let mut cells = Vec::new();
-        for (label, policy) in APPEND_POLICIES {
-            let cell = measure_durable_append(label, policy, quick);
-            match &cell.outcome {
-                Outcome::Ok {
-                    wall_secs, samples, ..
-                } => eprintln!(
-                    "  {:<12} {wall_secs:>12.6}s  {samples} samples{}",
-                    cell.label, cell.extra
-                ),
-                Outcome::Skipped { .. } => eprintln!("  {:<12} skipped", cell.label),
-                Outcome::Error { message } => eprintln!("  {:<12} error: {message}", cell.label),
-            }
-            cells.push(cell);
-        }
-        durable_results.push((durable_append_name.to_string(), cells));
-    }
-
-    // The recovery race: same final database, same logged history —
-    // only the checkpoint's age differs.  `ckpt_tail` pays for a small
-    // WAL tail, `full_replay` for the whole stream; the wall gap is the
-    // bound the checkpoint cadence buys.
-    let recover_total: u64 = if quick { 1_000 } else { 10_000 };
-    let recover_tail: u64 = if quick { 8 } else { 32 };
-    let durable_recover_name = format!("durable_recover/{recover_total}");
-    if !skip_durable(
-        &durable_recover_name,
-        &strategies,
-        &["ckpt_tail", "full_replay"],
-    ) {
-        eprintln!("scenario {durable_recover_name}");
-        let mut cells = Vec::new();
-        for (label, tail) in [("ckpt_tail", recover_tail), ("full_replay", recover_total)] {
-            let cell = measure_durable_recover(label, recover_total, tail);
-            match &cell.outcome {
-                Outcome::Ok {
-                    wall_secs, samples, ..
-                } => eprintln!(
-                    "  {:<12} {wall_secs:>12.6}s  {samples} samples{}",
-                    cell.label, cell.extra
-                ),
-                Outcome::Skipped { .. } => eprintln!("  {:<12} skipped", cell.label),
-                Outcome::Error { message } => eprintln!("  {:<12} error: {message}", cell.label),
-            }
-            cells.push(cell);
-        }
-        durable_results.push((durable_recover_name, cells));
-    }
-
-    for scenario in &scenarios {
-        if let Some(f) = &filter {
-            if !scenario.name.contains(f.as_str()) {
-                continue;
-            }
-        }
+    for (scenario, oracle) in roster {
         eprintln!("scenario {}", scenario.name);
-        let oracle = oracle_expected.get(&scenario.name);
+        let oracle = oracle.as_ref();
         if let Some(expected) = oracle {
-            assert_oracle(scenario, expected);
+            assert_oracle(&scenario, expected);
         }
+        let checked = if oracle.is_some() {
+            ", \"oracle_checked\": true"
+        } else {
+            ""
+        };
         let mut cells = Vec::new();
         for strategy in Strategy::ALL {
-            if !strategies.is_empty() && !strategies.iter().any(|s| s == strategy.short_name()) {
-                continue;
-            }
-            eprint!("  {:<10}", strategy.short_name());
-            let outcome = measure(scenario, strategy, quick, 1);
-            if let (Some(expected), Outcome::Ok { answers, .. }) = (oracle, &outcome) {
+            let single = measure(&scenario, strategy, 1);
+            let parallel = measure(&scenario, strategy, PAR_THREADS);
+            assert_eq!(
+                single,
+                parallel,
+                "{} {}: the {PAR_THREADS}-thread outcome diverged from the single-threaded one",
+                scenario.name,
+                strategy.short_name()
+            );
+            if let (Some(expected), Outcome::Ok(c)) = (oracle, &single) {
                 assert_eq!(
-                    *answers,
+                    c.answers,
                     expected.len(),
                     "{}: {} answer count diverged from the oracle",
                     scenario.name,
                     strategy.short_name()
                 );
             }
-            match &outcome {
-                Outcome::Ok {
-                    wall_secs,
-                    join_probes,
-                    ..
-                } => eprintln!(" {wall_secs:>12.6}s  probes {join_probes}"),
-                Outcome::Skipped { .. } => eprintln!(" skipped"),
-                Outcome::Error { message } => eprintln!(" error: {message}"),
-            }
-            let mut cell = Cell::new(strategy.short_name(), outcome);
-            cell.extra = ", \"threads\": 1".to_string();
-            if oracle.is_some() {
-                cell.extra.push_str(", \"oracle_checked\": true");
-            }
-            let single = cells.len();
-            cells.push(cell);
-            // The parallel leg: same cell at `par_threads` workers, with
-            // the determinism contract asserted — every counter must be
-            // bit-identical to the single-threaded twin.
-            if par_threads > 1 {
-                let label = format!("{}@t{}", strategy.short_name(), par_threads);
-                eprint!("  {label:<10}");
-                let outcome = measure(scenario, strategy, quick, par_threads);
-                match &outcome {
-                    Outcome::Ok {
-                        wall_secs,
-                        join_probes,
-                        ..
-                    } => eprintln!(" {wall_secs:>12.6}s  probes {join_probes}"),
-                    Outcome::Skipped { .. } => eprintln!(" skipped"),
-                    Outcome::Error { message } => eprintln!(" error: {message}"),
-                }
-                assert_counters_pinned(&scenario.name, &cells[single].outcome, &outcome);
-                let mut cell = Cell::new(label, outcome);
-                cell.extra = format!(", \"threads\": {par_threads}");
-                if oracle.is_some() {
-                    cell.extra.push_str(", \"oracle_checked\": true");
-                }
-                cells.push(cell);
-            }
+            let name = strategy.short_name();
+            cells.push(Cell::new(
+                name,
+                single,
+                format!(", \"threads\": 1{checked}"),
+            ));
+            cells.push(Cell::new(
+                format!("{name}@t{PAR_THREADS}"),
+                parallel,
+                format!(", \"threads\": {PAR_THREADS}{checked}"),
+            ));
         }
         results.push((scenario.name.clone(), cells));
     }
 
-    for scenario in incr_scenarios(quick) {
-        if let Some(f) = &filter {
-            if !scenario.name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        if !strategies.is_empty() && !strategies.iter().any(|s| s == "incr" || s == "scratch") {
-            continue;
-        }
+    for scenario in incr_scenarios() {
         eprintln!("scenario {}", scenario.name);
-        let (incr_cell, scratch_cell) = measure_incr(&scenario, quick);
-        for cell in [&incr_cell, &scratch_cell] {
-            match &cell.outcome {
-                Outcome::Ok {
-                    wall_secs,
-                    join_probes,
-                    ..
-                } => eprintln!(
-                    "  {:<10} {wall_secs:>12.6}s  probes {join_probes}{}",
-                    cell.label, cell.extra
-                ),
-                Outcome::Skipped { .. } => eprintln!("  {:<10} skipped", cell.label),
-                Outcome::Error { message } => {
-                    eprintln!("  {:<10} error: {message}", cell.label)
-                }
-            }
-        }
-        results.push((scenario.name.clone(), vec![incr_cell, scratch_cell]));
-    }
-
-    for scenario in serve_scenarios(quick) {
-        if let Some(f) = &filter {
-            if !scenario.name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        if !strategies.is_empty()
-            && !strategies
-                .iter()
-                .any(|s| s == "serve" || s == "serve_quiet")
-        {
-            continue;
-        }
-        eprintln!("scenario {}", scenario.name);
-        let cells = measure_serve(&scenario);
-        for cell in &cells {
-            match &cell.outcome {
-                Outcome::Ok {
-                    wall_secs, samples, ..
-                } => eprintln!(
-                    "  {:<12} {wall_secs:>12.6}s  {samples} queries{}",
-                    cell.label, cell.extra
-                ),
-                Outcome::Skipped { .. } => eprintln!("  {:<12} skipped", cell.label),
-                Outcome::Error { message } => {
-                    eprintln!("  {:<12} error: {message}", cell.label)
-                }
-            }
-        }
-        results.push((scenario.name.clone(), cells));
-    }
-
-    let pipelined_name = format!(
-        "serve_pipelined/ancestor/chain/{}",
-        if quick { 32 } else { 256 }
-    );
-    let pipelined_wanted = filter
-        .as_ref()
-        .is_none_or(|f| pipelined_name.contains(f.as_str()))
-        && (strategies.is_empty() || strategies.iter().any(|s| s == "pipelined"));
-    if pipelined_wanted {
-        eprintln!("scenario {pipelined_name}");
-        let cells = measure_serve_pipelined(quick);
-        for cell in &cells {
-            match &cell.outcome {
-                Outcome::Ok {
-                    wall_secs, samples, ..
-                } => eprintln!(
-                    "  {:<20} {wall_secs:>12.6}s  {samples} queries{}",
-                    cell.label, cell.extra
-                ),
-                Outcome::Skipped { .. } => eprintln!("  {:<20} skipped", cell.label),
-                Outcome::Error { message } => {
-                    eprintln!("  {:<20} error: {message}", cell.label)
-                }
-            }
-        }
-        results.push((pipelined_name, cells));
+        results.push((scenario.name.clone(), measure_incr(&scenario)));
     }
 
     for views in PUBLISH_VIEW_COUNTS {
         let name = format!("serve_publish/views/{views}");
-        if let Some(f) = &filter {
-            if !name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        if !strategies.is_empty() && !strategies.iter().any(|s| s == "publish") {
-            continue;
-        }
         eprintln!("scenario {name}");
-        let cell = measure_publish(views, quick);
-        match &cell.outcome {
-            Outcome::Ok {
-                wall_secs, samples, ..
-            } => eprintln!(
-                "  {:<12} {wall_secs:>12.6}s  {samples} publishes{}",
-                cell.label, cell.extra
-            ),
-            Outcome::Skipped { .. } => eprintln!("  {:<12} skipped", cell.label),
-            Outcome::Error { message } => eprintln!("  {:<12} error: {message}", cell.label),
-        }
-        results.push((name, vec![cell]));
+        results.push((name, vec![measure_publish(views)]));
     }
 
-    let overload_name = format!("serve_overload/queue/{OVERLOAD_QUEUE_DEPTH}");
-    let overload_wanted = filter
-        .as_ref()
-        .is_none_or(|f| overload_name.contains(f.as_str()))
-        && (strategies.is_empty() || strategies.iter().any(|s| s == "overload"));
-    if overload_wanted {
-        eprintln!("scenario {overload_name}");
-        let cell = measure_serve_overload(quick);
-        match &cell.outcome {
-            Outcome::Ok {
-                wall_secs, samples, ..
-            } => eprintln!(
-                "  {:<12} {wall_secs:>12.6}s  {samples} attempts{}",
-                cell.label, cell.extra
-            ),
-            Outcome::Skipped { .. } => eprintln!("  {:<12} skipped", cell.label),
-            Outcome::Error { message } => eprintln!("  {:<12} error: {message}", cell.label),
-        }
-        results.push((overload_name, vec![cell]));
-    }
-
-    results.append(&mut durable_results);
-
-    let baseline = baseline_path.map(|path| {
-        let snapshot = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        (path, snapshot)
-    });
-    if let Some((_, snapshot)) = &baseline {
-        annotate_variance_suspects(&mut results, snapshot);
-    }
-    let comparison = baseline.map(|(path, snapshot)| {
-        // Every entry (the baseline name included) goes through one
-        // comma-join so the object stays valid JSON when no cell matches
-        // the snapshot.
-        let mut lines = vec![format!("    \"baseline\": \"{}\"", json_escape(&path))];
-        for (name, cells) in &results {
-            for cell in cells {
-                if let Outcome::Ok { wall_secs, .. } = cell.outcome {
-                    let strategy = cell.label.as_str();
-                    if let Some(base) = baseline_cell(&snapshot, name, strategy) {
-                        lines.push(format!(
-                            "    \"{}/{}\": {{\"before_secs\": {:.6}, \"after_secs\": {:.6}, \"speedup\": {:.2}}}",
-                            json_escape(name),
-                            strategy,
-                            base.wall_secs,
-                            wall_secs,
-                            base.wall_secs / wall_secs
-                        ));
-                    }
-                }
-            }
-        }
-        let mut cmp = String::from("  \"speedup_vs_baseline\": {\n");
-        cmp.push_str(&lines.join(",\n"));
-        cmp.push_str("\n  },\n");
-        cmp
-    });
-
-    let json = render(&results, comparison.as_deref(), &engine);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    print!("{}", render(&results));
 }

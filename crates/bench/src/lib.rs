@@ -1,20 +1,19 @@
 //! # magic-bench
 //!
-//! The benchmark harness for the *Power of Magic* reproduction.
+//! The benchmark scenarios of the *Power of Magic* reproduction and the
+//! binaries that report on them.
 //!
-//! * The Criterion benches under `benches/` compare the evaluation
-//!   strategies (naive, semi-naive, GMS, GSMS, GC, GSC, ± semijoin) on the
-//!   paper's four benchmark problems over synthetic workloads.
 //! * `src/bin/appendix.rs` regenerates the paper's symbolic artifacts: the
 //!   adorned rule sets (Appendix A.2) and the rewritten rule sets of every
 //!   method (A.3–A.6).
 //! * `src/bin/fact_counts.rs` regenerates the fact-count accounting that
 //!   backs the paper's qualitative claims (Sections 1, 9 and 11).
+//! * `src/bin/perf_report.rs` prints the evaluation counters of every
+//!   (scenario, strategy) cell, checked in as
+//!   `tests/golden/perf_counters.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-pub mod harness;
 
 use magic_core::planner::{PlanResult, Planner, Strategy};
 use magic_datalog::{Program, Query};
@@ -22,7 +21,7 @@ use magic_storage::Database;
 
 /// A named scenario: a program, a query and an extensional database.
 pub struct Scenario {
-    /// Human-readable name (used in bench ids and report rows).
+    /// Human-readable name (used in report rows).
     pub name: String,
     /// The program.
     pub program: Program,
