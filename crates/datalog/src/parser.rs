@@ -203,6 +203,11 @@ impl<'a> Lexer<'a> {
                     loop {
                         match self.bump() {
                             Some('\'') => break,
+                            // A tab or newline inside a constant would
+                            // break every line-framed rendering of it.
+                            Some(c) if c.is_control() => {
+                                return Err(self.error("control character in quoted constant"))
+                            }
                             Some(c) => s.push(c),
                             None => return Err(self.error("unterminated quoted constant")),
                         }
@@ -700,6 +705,24 @@ mod tests {
         assert!(parse_program("anc(X, Y) : par(X, Y).").is_err());
         assert!(parse_program("anc(X, Y").is_err());
         assert!(parse_term("'unterminated").is_err());
+        assert!(parse_term("'New\tYork'").is_err());
+        assert!(parse_term("'New\nYork'").is_err());
+    }
+
+    #[test]
+    fn quoted_constants_display_quoted_and_read_back() {
+        for src in [
+            "par(a, 'New York')",
+            "par('X', 'a b'('Y'))",
+            "'Not Bare'(a, '')",
+            "p([a, 'B c'])",
+        ] {
+            let q = parse_query(src).unwrap();
+            assert_eq!(q.atom.to_string(), src);
+            assert_eq!(parse_query(&q.atom.to_string()).unwrap(), q);
+        }
+        assert_eq!(Term::sym("X").to_string(), "'X'");
+        assert_eq!(Value::sym("New York").to_string(), "'New York'");
     }
 
     #[test]

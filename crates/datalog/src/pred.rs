@@ -10,7 +10,7 @@
 //! notation.
 
 use crate::adornment::Adornment;
-use crate::symbol::Symbol;
+use crate::symbol::{Constant, Symbol};
 use std::fmt;
 
 /// A (possibly rewritten) predicate name.
@@ -187,7 +187,7 @@ impl From<&str> for PredName {
 impl fmt::Display for PredName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PredName::Plain(s) => write!(f, "{s}"),
+            PredName::Plain(s) => write!(f, "{}", Constant(*s)),
             PredName::Adorned { base, adornment } => write!(f, "{base}_{adornment}"),
             PredName::Magic { base, adornment } => write!(f, "magic_{base}_{adornment}"),
             PredName::Label {

@@ -112,6 +112,28 @@ impl fmt::Display for Symbol {
     }
 }
 
+/// A symbol written as a constant the parser reads back as the same
+/// symbol: bare when it lexes as a lower-case identifier, single-quoted
+/// otherwise (`'New York'`, `'X'`, `''`).  How terms and plain predicate
+/// names render; [`Symbol`]'s own `Display` is the raw string.
+pub(crate) struct Constant(pub Symbol);
+
+impl fmt::Display for Constant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0.as_str();
+        let mut chars = s.chars();
+        let bare = chars
+            .next()
+            .is_some_and(|c| c.is_alphabetic() && !c.is_uppercase())
+            && chars.all(|c| c.is_alphanumeric() || c == '_');
+        if bare {
+            f.write_str(s)
+        } else {
+            write!(f, "'{s}'")
+        }
+    }
+}
+
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Symbol({:?})", self.as_str())
@@ -142,6 +164,18 @@ mod tests {
     fn display_round_trips() {
         let a = Symbol::new("same_generation");
         assert_eq!(a.to_string(), "same_generation");
+    }
+
+    #[test]
+    fn constants_quote_what_would_not_lex_bare() {
+        let shown = |s: &str| Constant(Symbol::new(s)).to_string();
+        assert_eq!(shown("same_generation"), "same_generation");
+        assert_eq!(shown("n0"), "n0");
+        assert_eq!(shown("New York"), "'New York'");
+        assert_eq!(shown("X"), "'X'");
+        assert_eq!(shown("_x"), "'_x'");
+        assert_eq!(shown("0a"), "'0a'");
+        assert_eq!(shown(""), "''");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Ground terms are represented separately as [`Value`]s so that relations
 //! store compact, hash-friendly rows.
 
-use crate::symbol::Symbol;
+use crate::symbol::{Constant, Symbol};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -376,13 +376,13 @@ impl fmt::Display for Term {
             Term::Var(v) => write!(f, "{v}"),
             Term::Int(i) => write!(f, "{i}"),
             Term::Sym(s) if s.as_str() == LIST_NIL => write!(f, "[]"),
-            Term::Sym(s) => write!(f, "{s}"),
+            Term::Sym(s) => write!(f, "{}", Constant(*s)),
             Term::Linear(l) => write!(f, "{l}"),
             Term::App(functor, args) => {
                 if functor.as_str() == LIST_CONS && args.len() == 2 {
                     return fmt_list_term(f, &args[0], &args[1]);
                 }
-                write!(f, "{functor}(")?;
+                write!(f, "{}(", Constant(*functor))?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;

@@ -41,8 +41,8 @@ const MAGIC: &[u8; 8] = b"MGCKPT01";
 /// One relation, packed flat (§2 of the file layout above).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RelationDump {
-    /// The predicate's rendered name (always a plain predicate — the
-    /// base database holds no derived relations).
+    /// The plain predicate's name, unquoted (the base database holds
+    /// no derived relations).
     pub name: String,
     /// Column count.
     pub arity: u32,
@@ -83,13 +83,13 @@ impl Checkpoint {
     ) -> Result<Checkpoint, DurableError> {
         let mut relations = Vec::new();
         for (pred, rel) in db.iter() {
-            if !matches!(pred, PredName::Plain(_)) {
+            let PredName::Plain(name) = pred else {
                 return Err(DurableError::Corrupt(format!(
                     "checkpointing supports base databases only; found derived predicate {pred}"
                 )));
-            }
+            };
             relations.push(RelationDump {
-                name: pred.to_string(),
+                name: name.as_str().to_string(),
                 arity: rel.arity() as u32,
                 n_rows: rel.len() as u64,
                 ids: rel.packed_live_rows().iter().map(|id| id.raw()).collect(),

@@ -859,4 +859,38 @@ mod tests {
         assert_eq!(rec.catalog.answers(&key).unwrap(), live_answers);
         assert_eq!(rec.db, db);
     }
+
+    #[test]
+    fn constants_that_need_quotes_survive_the_wal_and_the_checkpoint() {
+        // Written bare, `par(ann, New York)` is a WAL line the next
+        // recovery refuses as corrupt, and `X` reads back as a variable.
+        let dir = tmp("quoted");
+        let program = parse_program(RULES).unwrap();
+        let config = DurableConfig::new(&dir).with_checkpoint_every(0);
+        let mut store = DurableStore::open(&config).unwrap();
+        let mut db = store.recover(&program, catalog(), &seed()).unwrap().db;
+        let batch = vec![
+            Update::Insert(pair("par", "ann", "New York")),
+            Update::Insert(pair("par", "X", "")),
+            Update::Insert(pair("Odd Name", "a", "b")),
+        ];
+        apply_and_log(&mut store, &mut db, &batch);
+        drop(store);
+
+        let mut store = DurableStore::open(&config).unwrap();
+        let rec = store
+            .recover(&program, catalog(), &Database::new())
+            .unwrap();
+        assert_eq!(rec.replayed_frames, 1);
+        assert_eq!(rec.db, db);
+        // The same state through a checkpoint.
+        store.checkpoint(&rec.db, &[]).unwrap();
+        drop(store);
+        let rec = DurableStore::open(&config)
+            .unwrap()
+            .recover(&program, catalog(), &Database::new())
+            .unwrap();
+        assert!(rec.restored_from_checkpoint);
+        assert_eq!(rec.db, db);
+    }
 }

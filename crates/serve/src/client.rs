@@ -1,24 +1,20 @@
-//! Clients for the wire protocols.
+//! The client for the `MGWP01` binary framing.
 //!
-//! Two clients share one error model:
-//!
-//! * [`Client`] — the line-oriented text protocol.  One connection,
-//!   every method a synchronous request/response round trip.  It
-//!   doubles as the text protocol's reference implementation.
-//! * [`PipeClient`] — the `MGWP01` binary framing.  Requests are
-//!   *submitted* (nonblocking, returning a request id) and their
-//!   responses *waited on* separately, so many requests ride the wire
-//!   concurrently; the server answers in completion order and the
-//!   client correlates by id.  This is what the throughput benchmarks
-//!   drive the server with — on a loopback connection the synchronous
-//!   client pays one full round trip per request, the pipelined client
-//!   amortizes it across the whole in-flight window.
+//! [`PipeClient`] is the one client.  Requests are *submitted*
+//! (nonblocking, returning a request id) and their responses *waited
+//! on* separately, so many requests ride the wire concurrently; the
+//! server answers in completion order and the client correlates by id.
+//! The blocking helpers ([`PipeClient::query`], [`PipeClient::insert`],
+//! …) are one submit followed by one wait: the same client at window 1.
+//! The line-oriented text protocol has no client of its own; it is the
+//! `nc`-typable adapter over the same request path (see
+//! [`crate::protocol`]).
 
 use crate::protocol::{op, status, Frame, ServerStats, BINARY_MAGIC, MAX_FRAME};
-use magic_datalog::{parse_term, Fact, Value};
+use magic_datalog::{parse_term, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -122,357 +118,6 @@ pub struct UpdateAck {
     pub version: u64,
 }
 
-/// One protocol connection.
-pub struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    /// The server address, kept for [`Client::reconnect`].
-    addr: SocketAddr,
-}
-
-impl Client {
-    /// Connect to a running server.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
-        let writer = TcpStream::connect(addr)?;
-        writer.set_nodelay(true).ok();
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(Client {
-            writer,
-            reader,
-            addr,
-        })
-    }
-
-    /// Connect, retrying with doubling backoff (starting at 10ms,
-    /// capped at 500ms per attempt) until a connection succeeds or
-    /// `attempts` are exhausted.  Useful against a server that is
-    /// restarting, or one whose accept path is being fault-injected
-    /// (connections dropped before the handshake).
-    pub fn connect_with_backoff(addr: impl ToSocketAddrs, attempts: u32) -> io::Result<Client> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
-        let mut delay = Duration::from_millis(10);
-        let mut last_err = io::Error::other("no connection attempts made");
-        for attempt in 0..attempts.max(1) {
-            match Client::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) => last_err = e,
-            }
-            if attempt + 1 < attempts.max(1) {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(500));
-            }
-        }
-        Err(last_err)
-    }
-
-    /// The server address this client is (or was) connected to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Drop the current connection and dial the same address again,
-    /// with backoff.  In-flight request state is abandoned — only call
-    /// between round trips.
-    pub fn reconnect(&mut self, attempts: u32) -> io::Result<()> {
-        let fresh = Client::connect_with_backoff(self.addr, attempts)?;
-        *self = fresh;
-        Ok(())
-    }
-
-    /// [`Client::query`], retrying across reconnects.  Queries are
-    /// idempotent, so a retry is always safe; the loop retries on
-    /// transport errors, `BUSY` sheds and `TIMEOUT`s (reconnecting
-    /// first when the transport broke), and gives up after `attempts`
-    /// or on any non-retryable error.
-    pub fn query_with_retry(
-        &mut self,
-        query: &str,
-        attempts: u32,
-    ) -> Result<QueryReply, ClientError> {
-        let mut delay = Duration::from_millis(10);
-        let mut last = None;
-        for attempt in 0..attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(500));
-            }
-            match self.query(query) {
-                Ok(reply) => return Ok(reply),
-                Err(e) if e.is_retryable_for_reads() => {
-                    // A BUSY shed honors the server's retry hint when
-                    // it is longer than our own backoff.
-                    if let ClientError::Busy { retry_after_ms, .. } = &e {
-                        delay = delay.max(Duration::from_millis(*retry_after_ms));
-                    }
-                    // Transport gone (or response stream torn): the
-                    // connection is unusable; re-dial before retrying.
-                    if matches!(e, ClientError::Io(_) | ClientError::Protocol(_)) {
-                        let _ = self.reconnect(3);
-                    }
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| ClientError::Protocol("no query attempts made".into())))
-    }
-
-    /// Issue `QUERY <query>`; `query` uses the source syntax, e.g.
-    /// `"anc(john, Y)"`.
-    pub fn query(&mut self, query: &str) -> Result<QueryReply, ClientError> {
-        self.send(&format!("QUERY {query}"))?;
-        let header = self.read_line()?;
-        let rest = expect_ok(&header)?;
-        // `OK <count> <version> <key>`; the key may contain spaces.
-        let mut parts = rest.splitn(3, ' ');
-        let count: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("bad query header: {header}")))?;
-        let version: u64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("bad query header: {header}")))?;
-        let key = parts
-            .next()
-            .ok_or_else(|| ClientError::Protocol(format!("bad query header: {header}")))?
-            .to_string();
-        let mut rows = Vec::with_capacity(count);
-        for _ in 0..count {
-            let line = self.read_line()?;
-            let rest = line
-                .strip_prefix("ROW")
-                .ok_or_else(|| ClientError::Protocol(format!("expected ROW line, got: {line}")))?;
-            let mut row = Vec::new();
-            if let Some(values) = rest.strip_prefix('\t') {
-                for text in values.split('\t') {
-                    let value = parse_term(text)
-                        .ok()
-                        .and_then(|t| t.to_value())
-                        .ok_or_else(|| {
-                            ClientError::Protocol(format!("unparseable value {text:?}"))
-                        })?;
-                    row.push(value);
-                }
-            }
-            rows.push(row);
-        }
-        self.expect_end()?;
-        Ok(QueryReply { key, version, rows })
-    }
-
-    /// Issue `INSERT <fact>`; `fact` uses the source syntax, e.g.
-    /// `"par(john, mary)"`.  Blocks until the update is live.
-    pub fn insert(&mut self, fact: &str) -> Result<UpdateAck, ClientError> {
-        self.update("INSERT", fact)
-    }
-
-    /// Issue `RETRACT <fact>`.  Blocks until the update is live.
-    pub fn retract(&mut self, fact: &str) -> Result<UpdateAck, ClientError> {
-        self.update("RETRACT", fact)
-    }
-
-    /// [`Client::insert`] for an already-built [`Fact`].
-    pub fn insert_fact(&mut self, fact: &Fact) -> Result<UpdateAck, ClientError> {
-        self.update("INSERT", &fact.to_atom().to_string())
-    }
-
-    /// [`Client::retract`] for an already-built [`Fact`].
-    pub fn retract_fact(&mut self, fact: &Fact) -> Result<UpdateAck, ClientError> {
-        self.update("RETRACT", &fact.to_atom().to_string())
-    }
-
-    /// Issue `STATS`.
-    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        self.send("STATS")?;
-        let header = self.read_line()?;
-        let rest = expect_ok(&header)?;
-        if rest != "stats" {
-            return Err(ClientError::Protocol(format!(
-                "expected `OK stats`, got: {header}"
-            )));
-        }
-        let mut body = Vec::new();
-        loop {
-            let line = self.read_line()?;
-            if line == "END" {
-                break;
-            }
-            body.push(line);
-        }
-        ServerStats::parse_body(&body).map_err(ClientError::Protocol)
-    }
-
-    /// Issue `PING`.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send("PING")?;
-        let line = self.read_line()?;
-        match expect_ok(&line)? {
-            "pong" => Ok(()),
-            _ => Err(ClientError::Protocol(format!("expected pong, got: {line}"))),
-        }
-    }
-
-    /// Issue `QUIT` and consume the goodbye.
-    pub fn quit(mut self) -> Result<(), ClientError> {
-        self.send("QUIT")?;
-        let _ = self.read_line()?;
-        Ok(())
-    }
-
-    /// Issue `SHUTDOWN`: stop the whole server (the owning
-    /// [`ServerHandle`](crate::ServerHandle) still joins its threads).
-    pub fn shutdown_server(mut self) -> Result<(), ClientError> {
-        self.send("SHUTDOWN")?;
-        let _ = self.read_line()?;
-        Ok(())
-    }
-
-    fn update(&mut self, verb: &str, fact: &str) -> Result<UpdateAck, ClientError> {
-        self.send(&format!("{verb} {fact}"))?;
-        let line = self.read_line()?;
-        parse_ack_line(&line)
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
-    }
-
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(ClientError::Protocol("server closed the connection".into()));
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
-    }
-
-    fn expect_end(&mut self) -> Result<(), ClientError> {
-        let line = self.read_line()?;
-        if line == "END" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!("expected END, got: {line}")))
-        }
-    }
-}
-
-/// Strip the `OK ` prefix or surface the server's `ERR`, classifying
-/// the structured refusals (`BUSY`/`TIMEOUT`/`DEGRADED`) into their
-/// own variants.
-fn expect_ok(line: &str) -> Result<&str, ClientError> {
-    if let Some(rest) = line.strip_prefix("OK") {
-        return Ok(rest.strip_prefix(' ').unwrap_or(rest));
-    }
-    if let Some(message) = line.strip_prefix("ERR ") {
-        return Err(classify_server_error(message));
-    }
-    Err(ClientError::Protocol(format!(
-        "expected OK or ERR, got: {line}"
-    )))
-}
-
-/// Map the message after `ERR ` to a [`ClientError`] variant by its
-/// leading structured token (falling back to [`ClientError::Server`]).
-fn classify_server_error(message: &str) -> ClientError {
-    if let Some(rest) = message.strip_prefix("BUSY ") {
-        // `BUSY <retry-after-ms> <detail>`; a malformed hint falls
-        // back to a conservative default rather than a parse error.
-        let (hint, detail) = rest.split_once(' ').unwrap_or((rest, ""));
-        return ClientError::Busy {
-            retry_after_ms: hint.parse().unwrap_or(100),
-            message: detail.to_string(),
-        };
-    }
-    if let Some(rest) = message.strip_prefix("TIMEOUT ") {
-        return ClientError::Timeout(rest.to_string());
-    }
-    if let Some(rest) = message.strip_prefix("DEGRADED ") {
-        return ClientError::Degraded(rest.to_string());
-    }
-    ClientError::Server(message.to_string())
-}
-
-/// Parse an update acknowledgment line (`OK applied <v>` / `OK noop <v>`).
-fn parse_ack_line(line: &str) -> Result<UpdateAck, ClientError> {
-    let rest = expect_ok(line)?;
-    let (word, version) = rest
-        .split_once(' ')
-        .ok_or_else(|| ClientError::Protocol(format!("bad ack: {line}")))?;
-    let version: u64 = version
-        .parse()
-        .map_err(|_| ClientError::Protocol(format!("bad ack version: {line}")))?;
-    match word {
-        "applied" => Ok(UpdateAck {
-            applied: true,
-            version,
-        }),
-        "noop" => Ok(UpdateAck {
-            applied: false,
-            version,
-        }),
-        _ => Err(ClientError::Protocol(format!("bad ack: {line}"))),
-    }
-}
-
-/// Parse a full query response body (`OK <count> <version> <key>`,
-/// `ROW` lines, `END`) out of already-received lines.
-fn parse_query_lines(lines: &[&str]) -> Result<QueryReply, ClientError> {
-    let header = *lines
-        .first()
-        .ok_or_else(|| ClientError::Protocol("empty query response".into()))?;
-    let rest = expect_ok(header)?;
-    let mut parts = rest.splitn(3, ' ');
-    let count: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad query header: {header}")))?;
-    let version: u64 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad query header: {header}")))?;
-    let key = parts
-        .next()
-        .ok_or_else(|| ClientError::Protocol(format!("bad query header: {header}")))?
-        .to_string();
-    if lines.len() != count + 2 || lines[count + 1] != "END" {
-        return Err(ClientError::Protocol(format!(
-            "query response advertised {count} rows but carried {} lines",
-            lines.len()
-        )));
-    }
-    let mut rows = Vec::with_capacity(count);
-    for line in &lines[1..=count] {
-        let rest = line
-            .strip_prefix("ROW")
-            .ok_or_else(|| ClientError::Protocol(format!("expected ROW line, got: {line}")))?;
-        let mut row = Vec::new();
-        if let Some(values) = rest.strip_prefix('\t') {
-            for text in values.split('\t') {
-                let value = parse_term(text)
-                    .ok()
-                    .and_then(|t| t.to_value())
-                    .ok_or_else(|| ClientError::Protocol(format!("unparseable value {text:?}")))?;
-                row.push(value);
-            }
-        }
-        rows.push(row);
-    }
-    Ok(QueryReply { key, version, rows })
-}
-
 /// One completed binary response, parked until its id is waited on.
 struct Completed {
     tag: u8,
@@ -487,7 +132,10 @@ struct Completed {
 /// tag its response with; responses are claimed later with the
 /// matching `wait_*` call.  Any number of requests may be in flight,
 /// the server answers in completion order, and responses that arrive
-/// while waiting on a different id are parked until claimed.
+/// while waiting on a different id are parked until claimed.  The
+/// blocking helpers (`query`, `insert`, `retract`, `stats`, `ping`)
+/// submit one request and wait for it.  Dropping the client closes
+/// the connection.
 ///
 /// A transport failure poisons the connection: the *first* error
 /// surfaces as [`ClientError::Io`], and every subsequent submit or
@@ -515,10 +163,7 @@ impl PipeClient {
     /// Connect and send the `MGWP01` preamble that selects the binary
     /// protocol.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<PipeClient> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
+        let addr = resolve(addr)?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut client = PipeClient {
@@ -537,12 +182,11 @@ impl PipeClient {
 
     /// [`PipeClient::connect`], retrying with doubling backoff
     /// (10ms..500ms per attempt) until a connection succeeds or
-    /// `attempts` are exhausted.
+    /// `attempts` are exhausted.  Useful against a server that is
+    /// restarting, or one whose accept path is being fault-injected
+    /// (connections dropped before the handshake).
     pub fn connect_with_backoff(addr: impl ToSocketAddrs, attempts: u32) -> io::Result<PipeClient> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::other("address resolved to nothing"))?;
+        let addr = resolve(addr)?;
         let mut delay = Duration::from_millis(10);
         let mut last_err = io::Error::other("no connection attempts made");
         for attempt in 0..attempts.max(1) {
@@ -584,6 +228,76 @@ impl PipeClient {
         Ok(())
     }
 
+    /// Issue `QUERY <query>` and wait for the answers; `query` uses
+    /// the source syntax, e.g. `"anc(john, Y)"`.
+    pub fn query(&mut self, query: &str) -> Result<QueryReply, ClientError> {
+        let id = self.submit_query(query)?;
+        self.wait_query(id)
+    }
+
+    /// Issue `INSERT <fact>`; `fact` uses the source syntax, e.g.
+    /// `"par(john, mary)"`.  Blocks until the update is live.
+    pub fn insert(&mut self, fact: &str) -> Result<UpdateAck, ClientError> {
+        let id = self.submit_insert(fact)?;
+        self.wait_ack(id)
+    }
+
+    /// Issue `RETRACT <fact>`.  Blocks until the update is live.
+    pub fn retract(&mut self, fact: &str) -> Result<UpdateAck, ClientError> {
+        let id = self.submit_retract(fact)?;
+        self.wait_ack(id)
+    }
+
+    /// Issue `STATS` and wait for the counters.
+    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
+        let id = self.submit_stats()?;
+        self.wait_stats(id)
+    }
+
+    /// Issue `PING` and wait for the pong.
+    pub fn ping(&mut self) -> Result<(), ClientError> {
+        let id = self.submit_ping()?;
+        self.wait_pong(id)
+    }
+
+    /// [`PipeClient::query`], retrying across reconnects.  Queries are
+    /// idempotent, so a retry is always safe; the loop retries on
+    /// transport errors, `BUSY` sheds and `TIMEOUT`s (reconnecting
+    /// first when the transport broke), and gives up after `attempts`
+    /// or on any non-retryable error.
+    pub fn query_with_retry(
+        &mut self,
+        query: &str,
+        attempts: u32,
+    ) -> Result<QueryReply, ClientError> {
+        let mut delay = Duration::from_millis(10);
+        let mut last = None;
+        for attempt in 0..attempts.max(1) {
+            if attempt > 0 {
+                std::thread::sleep(delay);
+                delay = (delay * 2).min(Duration::from_millis(500));
+            }
+            match self.query(query) {
+                Ok(reply) => return Ok(reply),
+                Err(e) if e.is_retryable_for_reads() => {
+                    // A BUSY shed honors the server's retry hint when
+                    // it is longer than our own backoff.
+                    if let ClientError::Busy { retry_after_ms, .. } = &e {
+                        delay = delay.max(Duration::from_millis(*retry_after_ms));
+                    }
+                    // Transport gone (or response stream torn): the
+                    // connection is unusable; re-dial before retrying.
+                    if matches!(e, ClientError::Io(_) | ClientError::Protocol(_)) {
+                        let _ = self.reconnect(3);
+                    }
+                    last = Some(e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Err(last.unwrap_or_else(|| ClientError::Protocol("no query attempts made".into())))
+    }
+
     /// Submit `QUERY <query>` (source syntax, e.g. `"anc(john, Y)"`);
     /// claim the response later with [`PipeClient::wait_query`].
     pub fn submit_query(&mut self, query: &str) -> Result<u64, ClientError> {
@@ -612,17 +326,7 @@ impl PipeClient {
 
     /// Wait for the response to a [`PipeClient::submit_query`] id.
     pub fn wait_query(&mut self, id: u64) -> Result<QueryReply, ClientError> {
-        self.wait_query_timed(id).map(|(reply, _)| reply)
-    }
-
-    /// [`PipeClient::wait_query`], also returning the instant the
-    /// response frame was decoded off the socket — the timestamp
-    /// latency benchmarks difference against their submit time.
-    pub fn wait_query_timed(&mut self, id: u64) -> Result<(QueryReply, Instant), ClientError> {
-        let done = self.wait_raw(id)?;
-        let body = completed_text(&done)?;
-        let lines: Vec<&str> = body.lines().collect();
-        Ok((parse_query_lines(&lines)?, done.at))
+        parse_query_response(&self.wait_ok(id)?.0)
     }
 
     /// Claim the raw response body for `id` without interpreting it
@@ -650,16 +354,13 @@ impl PipeClient {
 
     /// [`PipeClient::wait_ack`] with the response decode instant.
     pub fn wait_ack_timed(&mut self, id: u64) -> Result<(UpdateAck, Instant), ClientError> {
-        let done = self.wait_raw(id)?;
-        let body = completed_text(&done)?;
-        let line = body.lines().next().unwrap_or("");
-        Ok((parse_ack_line(line)?, done.at))
+        let (body, at) = self.wait_ok(id)?;
+        Ok((parse_ack_line(body.lines().next().unwrap_or(""))?, at))
     }
 
     /// Wait for the response to a [`PipeClient::submit_stats`] id.
     pub fn wait_stats(&mut self, id: u64) -> Result<ServerStats, ClientError> {
-        let done = self.wait_raw(id)?;
-        let body = completed_text(&done)?;
+        let body = self.wait_ok(id)?.0;
         let mut lines = body.lines();
         match lines.next() {
             Some("OK stats") => {}
@@ -678,9 +379,7 @@ impl PipeClient {
 
     /// Wait for the pong of a [`PipeClient::submit_ping`] id.
     pub fn wait_pong(&mut self, id: u64) -> Result<(), ClientError> {
-        let done = self.wait_raw(id)?;
-        let body = completed_text(&done)?;
-        match body.lines().next() {
+        match self.wait_ok(id)?.0.lines().next() {
             Some("OK pong") => Ok(()),
             other => Err(ClientError::Protocol(format!(
                 "expected pong, got: {other:?}"
@@ -688,38 +387,10 @@ impl PipeClient {
         }
     }
 
-    /// One-shot pipelined read with retries: submit, wait, and on a
-    /// retryable failure reconnect and try again — the same loop (and
-    /// the same `BUSY`-hint handling) as [`Client::query_with_retry`],
-    /// over the binary protocol.
-    pub fn query_with_retry(
-        &mut self,
-        query: &str,
-        attempts: u32,
-    ) -> Result<QueryReply, ClientError> {
-        let mut delay = Duration::from_millis(10);
-        let mut last = None;
-        for attempt in 0..attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(500));
-            }
-            let result = self.submit_query(query).and_then(|id| self.wait_query(id));
-            match result {
-                Ok(reply) => return Ok(reply),
-                Err(e) if e.is_retryable_for_reads() => {
-                    if let ClientError::Busy { retry_after_ms, .. } = &e {
-                        delay = delay.max(Duration::from_millis(*retry_after_ms));
-                    }
-                    if matches!(e, ClientError::Io(_) | ClientError::Protocol(_)) {
-                        let _ = self.reconnect(3);
-                    }
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| ClientError::Protocol("no query attempts made".into())))
+    /// [`PipeClient::wait_response_timed`], with the `OK` body as text.
+    fn wait_ok(&mut self, id: u64) -> Result<(String, Instant), ClientError> {
+        let (body, at) = self.wait_response_timed(id)?;
+        Ok((String::from_utf8_lossy(&body).into_owned(), at))
     }
 
     /// Encode and write one request frame; nonblocking in the protocol
@@ -806,6 +477,13 @@ impl PipeClient {
     }
 }
 
+/// The first address `addr` resolves to.
+fn resolve(addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
+    addr.to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::other("address resolved to nothing"))
+}
+
 /// The error every call on a poisoned [`PipeClient`] returns.
 fn broken_error(reason: &str) -> ClientError {
     ClientError::Io(io::Error::other(format!(
@@ -813,18 +491,107 @@ fn broken_error(reason: &str) -> ClientError {
     )))
 }
 
-/// Decode a completed response: an `ERR` status classifies into the
-/// structured [`ClientError`] variants, an `OK` status yields the
-/// text-protocol response body.
-fn completed_text(done: &Completed) -> Result<String, ClientError> {
-    let body = String::from_utf8_lossy(&done.body).into_owned();
-    match done.tag {
-        status::OK => Ok(body),
-        status::ERR => Err(classify_server_error(&body)),
-        other => Err(ClientError::Protocol(format!(
-            "unknown response status {other}"
-        ))),
+/// Strip the `OK ` prefix or surface the server's `ERR`, classifying
+/// the structured refusals (`BUSY`/`TIMEOUT`/`DEGRADED`) into their
+/// own variants.
+fn expect_ok(line: &str) -> Result<&str, ClientError> {
+    if let Some(rest) = line.strip_prefix("OK") {
+        return Ok(rest.strip_prefix(' ').unwrap_or(rest));
     }
+    if let Some(message) = line.strip_prefix("ERR ") {
+        return Err(classify_server_error(message));
+    }
+    Err(ClientError::Protocol(format!(
+        "expected OK or ERR, got: {line}"
+    )))
+}
+
+/// Map the message after `ERR ` to a [`ClientError`] variant by its
+/// leading structured token (falling back to [`ClientError::Server`]).
+fn classify_server_error(message: &str) -> ClientError {
+    if let Some(rest) = message.strip_prefix("BUSY ") {
+        // `BUSY <retry-after-ms> <detail>`; a malformed hint falls
+        // back to a conservative default rather than a parse error.
+        let (hint, detail) = rest.split_once(' ').unwrap_or((rest, ""));
+        return ClientError::Busy {
+            retry_after_ms: hint.parse().unwrap_or(100),
+            message: detail.to_string(),
+        };
+    }
+    if let Some(rest) = message.strip_prefix("TIMEOUT ") {
+        return ClientError::Timeout(rest.to_string());
+    }
+    if let Some(rest) = message.strip_prefix("DEGRADED ") {
+        return ClientError::Degraded(rest.to_string());
+    }
+    ClientError::Server(message.to_string())
+}
+
+/// Parse an update acknowledgment line (`OK applied <v>` / `OK noop <v>`).
+fn parse_ack_line(line: &str) -> Result<UpdateAck, ClientError> {
+    let rest = expect_ok(line)?;
+    let (word, version) = rest
+        .split_once(' ')
+        .ok_or_else(|| ClientError::Protocol(format!("bad ack: {line}")))?;
+    let version: u64 = version
+        .parse()
+        .map_err(|_| ClientError::Protocol(format!("bad ack version: {line}")))?;
+    match word {
+        "applied" => Ok(UpdateAck {
+            applied: true,
+            version,
+        }),
+        "noop" => Ok(UpdateAck {
+            applied: false,
+            version,
+        }),
+        _ => Err(ClientError::Protocol(format!("bad ack: {line}"))),
+    }
+}
+
+/// Parse a whole query response (`OK <count> <version> <key>`, `ROW`
+/// lines, `END`).
+fn parse_query_response(body: &str) -> Result<QueryReply, ClientError> {
+    let lines: Vec<&str> = body.lines().collect();
+    let header = *lines
+        .first()
+        .ok_or_else(|| ClientError::Protocol("empty query response".into()))?;
+    let bad_header = || ClientError::Protocol(format!("bad query header: {header}"));
+    // The key may contain spaces, so it is the final field.
+    let mut parts = expect_ok(header)?.splitn(3, ' ');
+    let count: usize = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(bad_header)?;
+    let version: u64 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(bad_header)?;
+    let key = parts.next().ok_or_else(bad_header)?.to_string();
+    if lines.len() != count + 2 || lines[count + 1] != "END" {
+        return Err(ClientError::Protocol(format!(
+            "query response advertised {count} rows but carried {} lines",
+            lines.len()
+        )));
+    }
+    let mut rows = Vec::with_capacity(count);
+    for line in &lines[1..=count] {
+        let rest = line
+            .strip_prefix("ROW")
+            .ok_or_else(|| ClientError::Protocol(format!("expected ROW line, got: {line}")))?;
+        let mut row = Vec::new();
+        if let Some(values) = rest.strip_prefix('\t') {
+            for text in values.split('\t') {
+                let value = parse_term(text)
+                    .ok()
+                    .and_then(|t| t.to_value())
+                    .ok_or_else(|| ClientError::Protocol(format!("unparseable value {text:?}")))?;
+                row.push(value);
+            }
+        }
+        rows.push(row);
+    }
+    Ok(QueryReply { key, version, rows })
 }
 
 #[cfg(test)]

@@ -27,17 +27,17 @@
 //!   serialize per predicate through its home shard and are
 //!   acknowledged only once the containing snapshot is live on every
 //!   shard.
-//! * [`protocol`] — two wire protocols on one port, hand-rolled
+//! * [`protocol`] — one request grammar on one port, hand-rolled
 //!   in-tree because the build environment has no crates.io access:
-//!   the line-oriented text protocol (`QUERY anc(john, Y)`,
-//!   `INSERT par(a, b)`, `RETRACT …`, `STATS`), and the pipelined
-//!   `MGWP01` binary framing ([`protocol::Frame`]) with client request
-//!   ids and out-of-order responses, selected by a full-magic preamble
-//!   sniff.
-//! * [`Client`] / [`PipeClient`] — a blocking text-protocol client
-//!   (the protocol's reference implementation) and the pipelined
-//!   binary-protocol client the throughput benchmarks drive the server
-//!   with.
+//!   the pipelined `MGWP01` binary framing ([`protocol::Frame`]) with
+//!   client request ids and out-of-order responses, and the
+//!   line-oriented text protocol (`QUERY anc(john, Y)`,
+//!   `INSERT par(a, b)`, `RETRACT …`, `STATS`) as its `nc`-typable
+//!   adapter, selected by a full-magic preamble sniff.  Both decode to
+//!   one [`Request`] and one server dispatch.
+//! * [`PipeClient`] — the client: submit/wait pipelining over the
+//!   binary framing, with blocking `query`/`insert`/`retract`/`stats`/
+//!   `ping` helpers that are the same client at window 1.
 //!
 //! See the repository's top-level `README.md` for the quickstart and
 //! `ARCHITECTURE.md` for how the serving path fits the engine underneath.
@@ -45,7 +45,7 @@
 //! ```
 //! use magic_core::planner::Strategy;
 //! use magic_datalog::parse_program;
-//! use magic_serve::{Client, ServeConfig, Server};
+//! use magic_serve::{PipeClient, ServeConfig, Server};
 //! use magic_storage::Database;
 //!
 //! let program = parse_program(
@@ -58,7 +58,7 @@
 //!
 //! let mut server =
 //!     Server::start(program, db, "127.0.0.1:0", ServeConfig::default()).unwrap();
-//! let mut client = Client::connect(server.addr()).unwrap();
+//! let mut client = PipeClient::connect(server.addr()).unwrap();
 //!
 //! assert_eq!(client.query("anc(john, Y)").unwrap().rows.len(), 1);
 //! client.insert("par(mary, ann)").unwrap();
@@ -77,6 +77,6 @@ pub mod protocol;
 mod ready;
 pub mod server;
 
-pub use client::{Client, ClientError, PipeClient, QueryReply, UpdateAck};
+pub use client::{ClientError, PipeClient, QueryReply, UpdateAck};
 pub use protocol::{Frame, Request, ServerStats, ShardStats, Sniff, ViewStats, BINARY_MAGIC};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -1,9 +1,19 @@
-//! The wire protocol: a minimal line-oriented request/response format.
+//! The wire protocol: one request grammar, two framings on one port.
 //!
 //! The build environment is intentionally dependency-free (no crates.io),
 //! so the protocol is hand-rolled in-tree like the workspace's other
-//! offline stubs: plain UTF-8 lines over TCP, one request per line,
-//! human-typable with `nc`.
+//! offline stubs.  Every request decodes to one [`Request`] and goes
+//! down one dispatch path in the server; only the framing differs:
+//!
+//! * the `MGWP01` binary framing ([`Frame`]) carries request ids, so a
+//!   client can pipeline and the server answers in completion order —
+//!   what [`crate::PipeClient`] speaks;
+//! * the line-oriented text protocol is the `nc`-typable adapter: one
+//!   request per UTF-8 line, answered strictly in request order.  It
+//!   alone has `QUIT` and `SHUTDOWN`.
+//!
+//! Response payloads are the same text in both framings (a binary
+//! response body is the text response, see [`status`]).
 //!
 //! # Requests
 //!
@@ -13,8 +23,8 @@
 //! RETRACT par(john, mary)   enqueue a base-fact retraction
 //! STATS                     snapshot version, counters, per-view totals
 //! PING                      liveness probe
-//! QUIT                      close this connection
-//! SHUTDOWN                  stop the whole server
+//! QUIT                      close this connection (text only)
+//! SHUTDOWN                  stop the whole server (text only)
 //! ```
 //!
 //! # Responses
@@ -48,9 +58,11 @@
 //! * `PING` → `OK pong`; `QUIT`/`SHUTDOWN` → `OK bye`.
 //!
 //! Values use the Datalog term syntax on the wire in both directions
-//! (symbols, integers, compound terms like `cons(a, nil)`), so
+//! (symbols, integers, compound terms like `cons(a, nil)`; a symbol that
+//! is not a bare lower-case identifier is quoted, `'New York'`), so
 //! [`parse_term`](magic_datalog::parse_term) round-trips them; rows never
-//! contain tabs or newlines, which is what makes the framing trivial.
+//! contain tabs or newlines (quoted constants refuse control
+//! characters), which is what makes the framing trivial.
 
 use magic_datalog::{parse_query, Fact, Query, Value};
 
@@ -205,7 +217,8 @@ pub fn sniff(first_bytes: &[u8]) -> Sniff {
     }
 }
 
-/// One parsed request line.
+/// One decoded request, from a text line ([`parse_request`]) or a
+/// binary frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// `QUERY <atom>` — answer a (possibly non-ground) query.
@@ -218,10 +231,35 @@ pub enum Request {
     Stats,
     /// `PING` — liveness probe.
     Ping,
-    /// `QUIT` — close the connection.
+    /// `QUIT` — close the connection (text protocol only).
     Quit,
-    /// `SHUTDOWN` — stop the server.
+    /// `SHUTDOWN` — stop the server (text protocol only).
     Shutdown,
+}
+
+/// Decode one binary request frame's opcode and body into the
+/// [`Request`] a text line would carry.  The errors are the binary
+/// protocol's own: a body that is not UTF-8, a query or fact that does
+/// not parse, an unknown opcode.
+pub(crate) fn parse_frame(tag: u8, body: &[u8]) -> Result<Request, String> {
+    let text = || {
+        std::str::from_utf8(body)
+            .map(str::trim)
+            .map_err(|_| "request body is not UTF-8".to_string())
+    };
+    match tag {
+        op::QUERY => parse_query(text()?)
+            .map(Request::Query)
+            .map_err(|e| format!("bad query: {e}")),
+        op::INSERT => Ok(Request::Insert(parse_fact(text()?)?)),
+        op::RETRACT => Ok(Request::Retract(parse_fact(text()?)?)),
+        op::STATS => Ok(Request::Stats),
+        op::PING => Ok(Request::Ping),
+        other => Err(format!(
+            "unknown binary op {other} (expected QUERY=1, INSERT=2, RETRACT=3, STATS=4 or \
+             PING=5)"
+        )),
+    }
 }
 
 /// Parse one request line (already stripped of its newline).

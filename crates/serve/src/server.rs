@@ -51,12 +51,13 @@
 //!   connection that does is served a window at a time
 //!   (`PIPELINE_LINGER`).
 //!
-//! * **Two wire protocols share the port.**  The first bytes of every
-//!   connection are sniffed against [`BINARY_MAGIC`] *in full*: a
-//!   `MGWP01` preamble selects the length-prefixed binary framing
-//!   (request ids, batching, out-of-order responses — see
+//! * **Two framings share the port and one request path.**  The first
+//!   bytes of every connection are sniffed against [`BINARY_MAGIC`] *in
+//!   full*: a `MGWP01` preamble selects the length-prefixed binary
+//!   framing (request ids, batching, out-of-order responses — see
 //!   [`crate::protocol`]); anything else is the line-oriented text
-//!   protocol, answered strictly in request order.
+//!   protocol, answered strictly in request order.  Both decode to one
+//!   [`Request`] and go through one dispatch (`Conn::dispatch`).
 //!
 //! * **Unseen bindings materialize on demand.**  A query whose adorned
 //!   binding key is not yet cached is planned on the connection thread
@@ -103,13 +104,15 @@
 //! after a mid-stream `SIGKILL`.
 
 use crate::protocol::{
-    op, parse_fact, parse_request, render_ack, render_answers, render_error, sniff, status, Frame,
+    parse_frame, parse_request, render_ack, render_answers, render_error, sniff, status, Frame,
     Request, ServerStats, ShardStats, Sniff, ViewStats, BINARY_MAGIC,
 };
 use crate::ready::{PollSet, Ready, Waker};
 use magic_core::planner::Strategy;
 use magic_datalog::{parse_query, PredName, Program, Query, Value};
-use magic_durable::{verify_shard_layout, ConnFault, DurableConfig, DurableStore, FaultPlan};
+use magic_durable::{
+    verify_shard_layout, ConnFault, DurableConfig, DurableError, DurableStore, FaultPlan,
+};
 use magic_engine::{EvalStats, Limits};
 use magic_incr::{Update, ViewCatalog, ViewSnapshot};
 use magic_storage::Database;
@@ -281,8 +284,8 @@ fn shard_of(name: &str, shards: usize) -> usize {
 }
 
 /// `db` restricted to the predicates homed on `shard` — what that
-/// shard's checkpoint persists.  Relations are copy-on-write, so the
-/// projection clones pointers, not tuples.
+/// shard's checkpoint persists (all of `db` at one shard).  Relations
+/// are copy-on-write, so the projection clones pointers, not tuples.
 fn project_home(db: &Database, shard: usize, shards: usize) -> Database {
     let mut out = Database::new();
     for (pred, rel) in db.iter() {
@@ -291,6 +294,21 @@ fn project_home(db: &Database, shard: usize, shards: usize) -> Database {
         }
     }
     out
+}
+
+/// Checkpoint one shard's partition: its home base relations and the
+/// bindings its catalog exports.
+fn checkpoint_shard(
+    store: &mut DurableStore,
+    base_db: &Database,
+    catalog: &ViewCatalog,
+    shard: usize,
+    shards: usize,
+) -> Result<(), DurableError> {
+    store.checkpoint(
+        &project_home(base_db, shard, shards),
+        &catalog.export_bindings(),
+    )
 }
 
 /// An immutable published state: one frozen [`ViewSnapshot`] per cached
@@ -1387,15 +1405,7 @@ fn writer_loop(
                 if log_failure.is_none() {
                     if let Some(store) = store.as_mut() {
                         if store.should_checkpoint() {
-                            let result = if peer_txs.is_empty() {
-                                store.checkpoint(&base_db, &catalog.export_bindings())
-                            } else {
-                                store.checkpoint(
-                                    &project_home(&base_db, idx, shard_count),
-                                    &catalog.export_bindings(),
-                                )
-                            };
-                            match result {
+                            match checkpoint_shard(store, &base_db, &catalog, idx, shard_count) {
                                 Ok(()) => {
                                     me.last_checkpoint_seq
                                         .store(store.last_checkpoint_seq(), Ordering::Relaxed);
@@ -1442,14 +1452,7 @@ fn writer_loop(
                     let outcome = match cause {
                         DegradedCause::Wal => store.probe(),
                         DegradedCause::Checkpoint => {
-                            if peer_txs.is_empty() {
-                                store.checkpoint(&base_db, &catalog.export_bindings())
-                            } else {
-                                store.checkpoint(
-                                    &project_home(&base_db, idx, shard_count),
-                                    &catalog.export_bindings(),
-                                )
-                            }
+                            checkpoint_shard(store, &base_db, &catalog, idx, shard_count)
                         }
                     };
                     match outcome {
@@ -1833,7 +1836,7 @@ impl Conn {
                         continue;
                     }
                     decoded += 1;
-                    self.handle_text(shared, wake, &line);
+                    self.dispatch(shared, wake, 0, parse_request(&line));
                 }
             }
             ConnMode::Binary => loop {
@@ -1841,7 +1844,8 @@ impl Conn {
                     Ok(Some((frame, used))) => {
                         consumed += used;
                         decoded += 1;
-                        self.handle_frame(shared, wake, frame);
+                        let request = parse_frame(frame.tag, &frame.body);
+                        self.dispatch(shared, wake, frame.req_id, request);
                     }
                     Ok(None) => break,
                     // Framing is beyond resync; nothing correlatable
@@ -1950,9 +1954,17 @@ impl Conn {
         Ok(())
     }
 
-    /// Dispatch one text-protocol request line.
-    fn handle_text(&mut self, shared: &Shared, wake: &Arc<Waker>, line: &str) {
-        let state = match parse_request(line) {
+    /// Dispatch one decoded request — from a text line or a binary
+    /// frame (`req_id` is 0 and unused in text mode) — into a slot; a
+    /// request that did not decode is answered with its `ERR`.
+    fn dispatch(
+        &mut self,
+        shared: &Shared,
+        wake: &Arc<Waker>,
+        req_id: u64,
+        request: Result<Request, String>,
+    ) {
+        let state = match request {
             Err(e) => ready_err(&e),
             Ok(Request::Ping) => ready(b"OK pong\n"),
             Ok(Request::Quit) => {
@@ -1969,40 +1981,6 @@ impl Conn {
             Ok(Request::Retract(fact)) => start_update(shared, wake, Update::Retract(fact)),
             Ok(Request::Stats) => ready(gather_stats(shared).render().as_bytes()),
         };
-        self.push_slot(shared, 0, state);
-    }
-
-    /// Dispatch one binary-protocol request frame.
-    fn handle_frame(&mut self, shared: &Shared, wake: &Arc<Waker>, frame: Frame) {
-        let state = match frame.tag {
-            op::PING => ready(b"OK pong\n"),
-            op::STATS => ready(gather_stats(shared).render().as_bytes()),
-            op::QUERY | op::INSERT | op::RETRACT => match std::str::from_utf8(&frame.body) {
-                Err(_) => ready_err("request body is not UTF-8"),
-                Ok(body) => match frame.tag {
-                    op::QUERY => match parse_query(body.trim()) {
-                        Ok(query) => start_query(shared, wake, query),
-                        Err(e) => ready_err(&format!("bad query: {e}")),
-                    },
-                    op::INSERT => match parse_fact(body.trim()) {
-                        Ok(fact) => start_update(shared, wake, Update::Insert(fact)),
-                        Err(e) => ready_err(&e),
-                    },
-                    _ => match parse_fact(body.trim()) {
-                        Ok(fact) => start_update(shared, wake, Update::Retract(fact)),
-                        Err(e) => ready_err(&e),
-                    },
-                },
-            },
-            other => ready_err(&format!(
-                "unknown binary op {other} (expected QUERY=1, INSERT=2, RETRACT=3, \
-                 STATS=4 or PING=5)"
-            )),
-        };
-        self.push_slot(shared, frame.req_id, state);
-    }
-
-    fn push_slot(&mut self, shared: &Shared, req_id: u64, state: SlotState) {
         shared.inflight_requests.fetch_add(1, Ordering::Relaxed);
         self.pending.push_back(Slot { req_id, state });
     }

@@ -24,13 +24,13 @@
 mod common;
 
 use common::{read_base, seed_edges, tmp_dir, ServerProc};
-use magic_serve::{Client, ClientError};
+use magic_serve::{ClientError, PipeClient};
 use magic_workloads::{chaos_scenarios, SplitMix64};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Poll `STATS` until `degraded` reads `want` (or panic after ~5s).
-fn wait_for_degraded(client: &mut Client, want: u64) {
+fn wait_for_degraded(client: &mut PipeClient, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let stats = client.stats().expect("stats while polling degraded");
@@ -59,7 +59,7 @@ fn fsync_failure_degrades_then_probe_recovers_and_no_ghost_survives() {
             ("MAGIC_SERVE_FSYNC", "always"),
         ],
     );
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
 
     // The poisoned write: refused, rolled back, and it flips the
     // server into degraded mode.
@@ -97,7 +97,7 @@ fn fsync_failure_degrades_then_probe_recovers_and_no_ghost_survives() {
     // refused write resurrects from the log.
     server.kill();
     let server = ServerProc::spawn(&dir, 100_000);
-    let mut client = Client::connect(server.addr).expect("restart connect");
+    let mut client = PipeClient::connect(server.addr).expect("restart connect");
     let mut expected = seed_edges();
     expected.insert(("healed".into(), "fine".into()));
     assert_eq!(
@@ -115,7 +115,7 @@ fn torn_append_is_scrubbed_refused_and_never_replayed() {
     // memory, not in acks, and (the hazard) not on disk for recovery
     // to replay.
     let mut server = ServerProc::spawn_with_env(&dir, 100_000, &[("MAGIC_FAULTS", "wal-torn=2")]);
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
 
     assert!(client.insert("par(first, ok)").expect("append 1").applied);
     let err = client
@@ -130,7 +130,7 @@ fn torn_append_is_scrubbed_refused_and_never_replayed() {
 
     server.kill();
     let server = ServerProc::spawn(&dir, 100_000);
-    let mut client = Client::connect(server.addr).expect("restart connect");
+    let mut client = PipeClient::connect(server.addr).expect("restart connect");
     let mut expected = seed_edges();
     expected.insert(("first".into(), "ok".into()));
     expected.insert(("third".into(), "ok".into()));
@@ -150,7 +150,7 @@ fn checkpoint_rename_failure_degrades_without_breaking_acks() {
     // WAL, so its promise must hold through the degraded spell and a
     // later crash.
     let mut server = ServerProc::spawn_with_env(&dir, 2, &[("MAGIC_FAULTS", "ckpt-rename-fail=2")]);
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
 
     assert!(client.insert("par(acked, a)").expect("insert 1").applied);
     assert!(client.insert("par(acked, b)").expect("insert 2").applied);
@@ -192,7 +192,7 @@ fn checkpoint_rename_failure_degrades_without_breaking_acks() {
 
     server.kill();
     let server = ServerProc::spawn(&dir, 2);
-    let mut client = Client::connect(server.addr).expect("restart connect");
+    let mut client = PipeClient::connect(server.addr).expect("restart connect");
     let mut expected = seed_edges();
     expected.insert(("acked".into(), "a".into()));
     expected.insert(("acked".into(), "b".into()));
@@ -227,7 +227,7 @@ fn four_shard_degradation_is_per_shard_and_never_ghosts() {
         ("MAGIC_SERVE_WRITER_SHARDS", "4"),
     ];
     let mut server = ServerProc::spawn_with_env(&dir, 100_000, &shards_env);
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
 
     let err = client.insert("par(ghost, one)").expect_err("must refuse");
     assert!(
@@ -263,7 +263,7 @@ fn four_shard_degradation_is_per_shard_and_never_ghosts() {
     // SIGKILL + 4-shard restart: acked survives, the refusal does not.
     server.kill();
     let server = ServerProc::spawn_with_env(&dir, 100_000, &[("MAGIC_SERVE_WRITER_SHARDS", "4")]);
-    let mut client = Client::connect(server.addr).expect("restart connect");
+    let mut client = PipeClient::connect(server.addr).expect("restart connect");
     let mut expected = seed_edges();
     expected.insert(("healed".into(), "fine".into()));
     assert_eq!(
@@ -285,14 +285,14 @@ fn dropped_and_stalled_connections_are_survived_by_reconnect() {
     );
 
     // Connection 1: healthy.
-    let mut healthy = Client::connect(server.addr).expect("conn 1");
+    let mut healthy = PipeClient::connect(server.addr).expect("conn 1");
     healthy.ping().expect("conn 1 serves");
 
     // Connection 2: accepted, then dropped before any response — the
     // failure surfaces on the first round trip, and
     // `query_with_retry` reconnects through connection 3 (also
     // dropped) to 4 (healthy) without caller involvement.
-    let mut unlucky = Client::connect(server.addr).expect("conn 2 dials");
+    let mut unlucky = PipeClient::connect(server.addr).expect("conn 2 dials");
     let reply = unlucky
         .query_with_retry("edge(X, Y)", 5)
         .expect("retry through the drop zone");
@@ -301,7 +301,7 @@ fn dropped_and_stalled_connections_are_survived_by_reconnect() {
     // Connection 5: stalled, not broken — the round trip just takes
     // the injected delay longer.
     let started = Instant::now();
-    let mut slow = Client::connect(server.addr).expect("conn 5 dials");
+    let mut slow = PipeClient::connect(server.addr).expect("conn 5 dials");
     slow.ping().expect("stalled connection still serves");
     assert!(
         started.elapsed() >= Duration::from_millis(60),
@@ -336,7 +336,7 @@ fn seeded_chaos_scenarios_never_lose_an_ack_or_apply_a_refusal() {
         let addr = server.addr;
         let mut rng = SplitMix64::seed_from_u64(scenario.workload_seed);
         let mut client =
-            Client::connect_with_backoff(addr, 5).expect("connect through possible drops");
+            PipeClient::connect_with_backoff(addr, 5).expect("connect through possible drops");
 
         let mut acked = BTreeSet::new();
         let mut refused = BTreeSet::new();
@@ -361,7 +361,7 @@ fn seeded_chaos_scenarios_never_lose_an_ack_or_apply_a_refusal() {
                 Err(e) => {
                     unknown.insert(edge);
                     if matches!(e, ClientError::Io(_) | ClientError::Protocol(_)) {
-                        client = Client::connect_with_backoff(addr, 10)
+                        client = PipeClient::connect_with_backoff(addr, 10)
                             .expect("reconnect after conn fault");
                     }
                 }
@@ -369,7 +369,7 @@ fn seeded_chaos_scenarios_never_lose_an_ack_or_apply_a_refusal() {
         }
 
         // No writer panic under any schedule: the server still serves.
-        let mut probe = Client::connect_with_backoff(addr, 10).expect("post-run connect");
+        let mut probe = PipeClient::connect_with_backoff(addr, 10).expect("post-run connect");
         probe.ping().unwrap_or_else(|e| {
             panic!(
                 "{}: server unresponsive after the schedule: {e}",
@@ -379,7 +379,7 @@ fn seeded_chaos_scenarios_never_lose_an_ack_or_apply_a_refusal() {
         server.kill();
 
         let server = ServerProc::spawn(&dir, 4);
-        let mut client = Client::connect(server.addr).expect("restart connect");
+        let mut client = PipeClient::connect(server.addr).expect("restart connect");
         let recovered = read_base(&mut client);
         let seed = seed_edges();
         for edge in &acked {

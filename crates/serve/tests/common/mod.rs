@@ -6,7 +6,7 @@
 
 #![allow(dead_code)] // each test binary uses a subset of the harness
 
-use magic_serve::Client;
+use magic_serve::PipeClient;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -88,7 +88,7 @@ pub fn seed_edges() -> BTreeSet<(String, String)> {
 
 /// Read the whole recovered base relation back through the `edge`
 /// passthrough view.
-pub fn read_base(client: &mut Client) -> BTreeSet<(String, String)> {
+pub fn read_base(client: &mut PipeClient) -> BTreeSet<(String, String)> {
     client
         .query("edge(X, Y)")
         .expect("query edge(X, Y)")

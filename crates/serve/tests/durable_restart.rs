@@ -23,7 +23,7 @@ mod common;
 use common::{read_base, seed_edges, tmp_dir, ServerProc};
 use magic_datalog::parse_program;
 use magic_durable::DurableConfig;
-use magic_serve::{Client, ClientError, ServeConfig, Server};
+use magic_serve::{ClientError, PipeClient, ServeConfig, Server};
 use magic_storage::Database;
 use magic_workloads::SplitMix64;
 use std::collections::BTreeSet;
@@ -81,7 +81,7 @@ fn sigkill_mid_stream_recovers_exactly_an_acked_consistent_prefix() {
     let ops = gen_ops(&mut rng, 40);
 
     let mut server = ServerProc::spawn(&dir, 4);
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
     // Ack every op in order; each ack means logged + published.
     let acked = ops.len();
     for op in &ops {
@@ -111,7 +111,7 @@ fn sigkill_mid_stream_recovers_exactly_an_acked_consistent_prefix() {
     // Restart over the same directory: recovery must finish before the
     // ADDR line prints.
     let server = ServerProc::spawn(&dir, 4);
-    let mut client = Client::connect(server.addr).expect("reconnect");
+    let mut client = PipeClient::connect(server.addr).expect("reconnect");
     let recovered = read_base(&mut client);
     let matched = (acked..=all.len()).find(|&m| recovered == oracle(&all, m));
     assert!(
@@ -147,7 +147,7 @@ fn sixty_four_bindings_come_back_as_seeds_of_one_view() {
     // every acked edge is in what they answer.
     let dir = tmp_dir("sixtyfour");
     let mut server = ServerProc::spawn(&dir, 4);
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
     // Grow the 16-edge seed chain to n0 -> ... -> n64, every edge acked.
     for i in 16..64 {
         let ack = client
@@ -172,7 +172,7 @@ fn sixty_four_bindings_come_back_as_seeds_of_one_view() {
     server.kill();
 
     let server = ServerProc::spawn(&dir, 4);
-    let mut client = Client::connect(server.addr).expect("reconnect");
+    let mut client = PipeClient::connect(server.addr).expect("reconnect");
     let recovered = client.stats().expect("stats before any query");
     assert_eq!(
         (recovered.views, recovered.materialized),
@@ -213,7 +213,7 @@ fn four_shard_store_survives_sigkill_and_pins_its_layout() {
     let ops = gen_ops(&mut rng, 30);
 
     let mut server = ServerProc::spawn_with_env(&dir, 4, &shards_env);
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
     for op in &ops {
         let result = if op.insert {
             client.insert(&op.atom())
@@ -228,7 +228,7 @@ fn four_shard_store_survives_sigkill_and_pins_its_layout() {
     // Restart at the same shard count: the merged recovery equals the
     // full acked oracle, views answer over it, and new writes stack.
     let mut server = ServerProc::spawn_with_env(&dir, 4, &shards_env);
-    let mut client = Client::connect(server.addr).expect("reconnect");
+    let mut client = PipeClient::connect(server.addr).expect("reconnect");
     let recovered = read_base(&mut client);
     assert_eq!(recovered, oracle(&ops, ops.len()));
     let anc = client.query("anc(n0, Y)").expect("query anc over recovery");
@@ -277,7 +277,7 @@ fn torn_final_wal_frame_is_truncated_never_replayed() {
     // seed checkpoint: every op lives in the WAL, so the tear sits at
     // the end of a log recovery genuinely needs.
     let mut server = ServerProc::spawn(&dir, 100_000);
-    let mut client = Client::connect(server.addr).expect("connect");
+    let mut client = PipeClient::connect(server.addr).expect("connect");
     let ops: Vec<Op> = (0..5)
         .map(|i| Op {
             insert: true,
@@ -303,7 +303,7 @@ fn torn_final_wal_frame_is_truncated_never_replayed() {
     drop(file);
 
     let mut server = ServerProc::spawn(&dir, 100_000);
-    let mut client = Client::connect(server.addr).expect("reconnect");
+    let mut client = PipeClient::connect(server.addr).expect("reconnect");
     // Every acked op survived; the torn frame contributed nothing.
     assert_eq!(read_base(&mut client), oracle(&ops, ops.len()));
     // Recovery healed the file on disk, not just in memory.
@@ -313,10 +313,41 @@ fn torn_final_wal_frame_is_truncated_never_replayed() {
 
     // And the healed log replays cleanly on a third start.
     let server = ServerProc::spawn(&dir, 100_000);
-    let mut client = Client::connect(&server.addr).expect("third connect");
+    let mut client = PipeClient::connect(&server.addr).expect("third connect");
     let mut expected = oracle(&ops, ops.len());
     expected.insert(("after".into(), "tear".into()));
     assert_eq!(read_base(&mut client), expected);
+    drop(server);
+}
+
+#[test]
+fn quoted_constants_are_acked_answered_and_recovered() {
+    // Constants that are not bare lower-case identifiers travel quoted
+    // in answers and in the WAL.  Written bare, the restart below
+    // refused its own log as corrupt and the answer rows did not parse.
+    let dir = tmp_dir("quoted");
+    let descendants = |client: &mut PipeClient| -> BTreeSet<String> {
+        client
+            .query("anc(n15, Y)")
+            .expect("query anc(n15, Y)")
+            .rows
+            .iter()
+            .map(|row| row[0].to_string())
+            .collect()
+    };
+    let expected: BTreeSet<String> = ["n16", "'New York'", "'X'"].map(String::from).into();
+
+    let mut server = ServerProc::spawn(&dir, 100_000);
+    let mut client = PipeClient::connect(server.addr).expect("connect");
+    for fact in ["par(n16, 'New York')", "par('New York', 'X')"] {
+        assert!(client.insert(fact).expect("acked insert").applied);
+    }
+    assert_eq!(descendants(&mut client), expected);
+    server.kill();
+
+    let server = ServerProc::spawn(&dir, 100_000);
+    let mut client = PipeClient::connect(server.addr).expect("reconnect");
+    assert_eq!(descendants(&mut client), expected);
     drop(server);
 }
 
@@ -353,7 +384,7 @@ fn overload_sheds_busy_and_every_acked_update_survives_restart() {
                 let mut acked = Vec::new();
                 let mut shed = Vec::new();
                 let mut unknown = Vec::new();
-                let mut client = Client::connect(addr).expect("worker connect");
+                let mut client = PipeClient::connect(addr).expect("worker connect");
                 for i in 0..10 {
                     let (a, b) = (format!("w{w}a{i}"), format!("w{w}b{i}"));
                     match client.insert(&format!("par({a}, {b})")) {
@@ -389,7 +420,7 @@ fn overload_sheds_busy_and_every_acked_update_survives_restart() {
 
     // The server survived the storm: it answers, and it counted the
     // sheds it issued.
-    let mut client = Client::connect(addr).expect("post-storm connect");
+    let mut client = PipeClient::connect(addr).expect("post-storm connect");
     let stats = client.stats().expect("post-storm stats");
     assert!(
         stats.shed_updates >= shed.len() as u64,
@@ -402,7 +433,7 @@ fn overload_sheds_busy_and_every_acked_update_survives_restart() {
 
     // Kill + restart: the oracle over unique facts.
     let server = ServerProc::spawn(&dir, 4);
-    let mut client = Client::connect(server.addr).expect("restart connect");
+    let mut client = PipeClient::connect(server.addr).expect("restart connect");
     let recovered = read_base(&mut client);
     for edge in &acked {
         assert!(

@@ -1,14 +1,14 @@
 //! The `MGWP01` binary protocol end to end: protocol sniffing on a
-//! shared port, text/binary answer agreement, out-of-order completion,
+//! shared port, writes read back across protocols, out-of-order completion,
 //! pipeline metrics, and client recovery when the server goes away
 //! mid-pipeline.
 
 use magic_datalog::parse_program;
 use magic_serve::{
-    Client, ClientError, Frame, PipeClient, ServeConfig, Server, ServerHandle, BINARY_MAGIC,
+    ClientError, Frame, PipeClient, ServeConfig, Server, ServerHandle, BINARY_MAGIC,
 };
 use magic_storage::Database;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -32,55 +32,67 @@ fn start(config: ServeConfig) -> ServerHandle {
     Server::start(ancestor_program(), seed_db(), "127.0.0.1:0", config).unwrap()
 }
 
-/// The CI smoke: a text client and a binary client against the same
-/// server must see identical answers, and writes made over one
-/// protocol must be read back over the other.
+/// One request over a raw text-protocol connection: its response
+/// lines, through `END` for a multi-line answer.
+fn text_request(conn: &mut BufReader<TcpStream>, line: &str) -> Vec<String> {
+    conn.get_mut()
+        .write_all(format!("{line}\n").as_bytes())
+        .unwrap();
+    let mut lines: Vec<String> = Vec::new();
+    loop {
+        let mut next = String::new();
+        assert!(conn.read_line(&mut next).unwrap() > 0, "server hung up");
+        lines.push(next.trim_end().to_string());
+        let multi_line = lines[0].starts_with("OK stats")
+            || lines[0]
+                .split(' ')
+                .nth(1)
+                .is_some_and(|n| n.parse::<u64>().is_ok());
+        if !multi_line || lines.last().is_some_and(|l| l == "END") {
+            return lines;
+        }
+    }
+}
+
+/// Writes made over one protocol must be read back over the other, on
+/// the same server.  (That both protocols answer the same bytes is
+/// `tests/wire_golden.rs`.)
 #[test]
 fn binary_and_text_clients_agree() {
     let mut server = start(ServeConfig::default());
-    let mut text = Client::connect(server.addr()).unwrap();
     let mut pipe = PipeClient::connect(server.addr()).unwrap();
-
-    let id = pipe.submit_query("anc(a, Y)").unwrap();
-    let via_pipe = pipe.wait_query(id).unwrap();
-    let via_text = text.query("anc(a, Y)").unwrap();
-    assert_eq!(via_pipe.key, via_text.key);
-    assert_eq!(via_pipe.rows, via_text.rows);
-    assert_eq!(via_pipe.rows.len(), 3);
+    let mut text = BufReader::new(TcpStream::connect(server.addr()).unwrap());
 
     // Write over binary, read over text…
-    let id = pipe.submit_insert("par(d, e)").unwrap();
-    let ack = pipe.wait_ack(id).unwrap();
+    let ack = pipe.insert("par(d, e)").unwrap();
     assert!(ack.applied);
-    let reply = text.query("anc(a, Y)").unwrap();
-    assert_eq!(reply.rows.len(), 4);
+    let reply = text_request(&mut text, "QUERY anc(a, Y)");
+    let header: Vec<&str> = reply[0].split(' ').collect();
+    assert_eq!(header[1], "4", "{reply:?}");
+    let version: u64 = header[2].parse().unwrap();
     assert!(
-        reply.version >= ack.version,
-        "binary ack v{} must be visible to the text read v{}",
-        ack.version,
-        reply.version
+        version >= ack.version,
+        "binary ack v{} must be visible to the text read v{version}",
+        ack.version
     );
 
     // …and write over text, read over binary.
-    let ack = text.retract("par(d, e)").unwrap();
-    assert!(ack.applied);
-    let id = pipe.submit_query("anc(a, Y)").unwrap();
-    assert_eq!(pipe.wait_query(id).unwrap().rows.len(), 3);
+    let ack = text_request(&mut text, "RETRACT par(d, e)");
+    let version: u64 = ack[0].strip_prefix("OK applied ").unwrap().parse().unwrap();
+    let reply = pipe.query("anc(a, Y)").unwrap();
+    assert_eq!(reply.rows.len(), 3);
+    assert!(reply.version >= version);
 
-    // Errors classify identically across protocols.
-    let id = pipe.submit_insert("anc(a, z)").unwrap();
-    match pipe.wait_ack(id).unwrap_err() {
+    // Refusals classify into the typed errors.
+    match pipe.insert("anc(a, z)").unwrap_err() {
         ClientError::Server(m) => assert!(m.contains("derived"), "got: {m}"),
         other => panic!("expected Server error, got {other:?}"),
     }
-    let id = pipe.submit_query("anc(a Y").unwrap();
     assert!(matches!(
-        pipe.wait_query(id).unwrap_err(),
+        pipe.query("anc(a Y").unwrap_err(),
         ClientError::Server(_)
     ));
-
-    let id = pipe.submit_ping().unwrap();
-    pipe.wait_pong(id).unwrap();
+    pipe.ping().unwrap();
     server.shutdown();
 }
 
@@ -180,8 +192,8 @@ fn sniff_waits_for_the_full_magic_and_keeps_printable_text_text() {
     );
 
     // And plain text still works untouched.
-    let mut text = Client::connect(server.addr()).unwrap();
-    text.ping().unwrap();
+    let mut text = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+    assert_eq!(text_request(&mut text, "PING"), ["OK pong"]);
     server.shutdown();
 }
 
@@ -282,7 +294,7 @@ fn four_shard_server_serves_reads_and_writes() {
         ..ServeConfig::default()
     };
     let mut server = start(config);
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = PipeClient::connect(server.addr()).unwrap();
 
     assert_eq!(client.query("anc(a, Y)").unwrap().rows.len(), 3);
     // `par` facts with distinct key constants still all route to

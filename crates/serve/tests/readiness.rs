@@ -19,7 +19,7 @@ mod common;
 
 use magic_datalog::parse_program;
 use magic_durable::{DurableConfig, FaultPlan};
-use magic_serve::{Client, ClientError, PipeClient, ServeConfig, Server, ServerHandle};
+use magic_serve::{ClientError, PipeClient, ServeConfig, Server, ServerHandle};
 use magic_storage::Database;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -97,7 +97,7 @@ fn a_parked_update_times_out_at_the_writer_deadline_on_a_silent_socket() {
         ..ServeConfig::default()
     };
     let mut server = start_chain(3, config);
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = PipeClient::connect(server.addr()).unwrap();
 
     let asked = Instant::now();
     let err = client.insert("par(late, ack)").unwrap_err();
@@ -126,7 +126,7 @@ fn a_client_that_stops_reading_is_closed_at_the_write_timeout() {
         ..ServeConfig::default()
     };
     let mut server = start_chain(400, config);
-    let mut watcher = Client::connect(server.addr()).unwrap();
+    let mut watcher = PipeClient::connect(server.addr()).unwrap();
     assert_eq!(watcher.query("anc(n0, Y)").unwrap().rows.len(), 400);
 
     // ~20 MB of responses for a client that reads none of them: the
@@ -233,10 +233,12 @@ fn a_wire_shutdown_stops_readers_that_own_only_idle_connections() {
     let mut idle: Vec<TcpStream> = (0..32).map(|_| idle_connection(&server)).collect();
     // The request lands on one reader; the other three own nothing but
     // idle connections and hear of it only through their wakers.
-    Client::connect(server.addr())
-        .unwrap()
-        .shutdown_server()
-        .unwrap();
+    // `SHUTDOWN` is a text-protocol verb.
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(b"SHUTDOWN\n").unwrap();
+    let mut bye = [0u8; 7];
+    raw.read_exact(&mut bye).unwrap();
+    assert_eq!(&bye, b"OK bye\n");
     for raw in &mut idle {
         raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         let mut byte = [0u8; 1];
@@ -352,7 +354,7 @@ fn a_loud_pipelined_connection_does_not_starve_a_quiet_one() {
             served
         })
     };
-    let mut quiet = Client::connect(addr).unwrap();
+    let mut quiet = PipeClient::connect(addr).unwrap();
     let mut samples = Vec::new();
     for _ in 0..100 {
         let sent = Instant::now();

@@ -3,8 +3,10 @@
 use magic_core::planner::Strategy;
 use magic_datalog::parse_program;
 use magic_engine::Limits;
-use magic_serve::{Client, ClientError, ServeConfig, Server, ServerHandle};
+use magic_serve::{ClientError, PipeClient, ServeConfig, Server, ServerHandle};
 use magic_storage::Database;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 fn ancestor_server() -> ServerHandle {
     let program = parse_program(
@@ -22,7 +24,7 @@ fn ancestor_server() -> ServerHandle {
 #[test]
 fn query_insert_retract_round_trip() {
     let mut server = ancestor_server();
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = PipeClient::connect(server.addr()).unwrap();
 
     let reply = client.query("anc(a, Y)").unwrap();
     assert_eq!(reply.rows.len(), 3); // b, c, d
@@ -62,14 +64,14 @@ fn query_insert_retract_round_trip() {
     assert!(stats.updates_applied >= 2);
     assert!(stats.rule_firings > 0);
 
-    client.quit().unwrap();
+    drop(client);
     server.shutdown();
 }
 
 #[test]
 fn derived_updates_and_bad_requests_are_rejected() {
     let mut server = ancestor_server();
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = PipeClient::connect(server.addr()).unwrap();
 
     let err = client.insert("anc(a, d)").unwrap_err();
     assert!(matches!(err, ClientError::Server(_)), "got: {err}");
@@ -92,7 +94,7 @@ fn concurrent_readers_share_snapshots() {
     let mut server = ancestor_server();
     // Warm the binding once so the readers exercise the pure
     // snapshot-read path.
-    Client::connect(server.addr())
+    PipeClient::connect(server.addr())
         .unwrap()
         .query("anc(a, Y)")
         .unwrap();
@@ -101,7 +103,7 @@ fn concurrent_readers_share_snapshots() {
     let readers: Vec<_> = (0..4)
         .map(|_| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = PipeClient::connect(addr).unwrap();
                 for _ in 0..25 {
                     let reply = client.query("anc(a, Y)").unwrap();
                     assert_eq!(reply.rows.len(), 3);
@@ -128,7 +130,7 @@ fn racing_new_predicate_arities_never_kill_the_writer() {
     let racers: Vec<_> = (0..2)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = PipeClient::connect(addr).unwrap();
                 let fact = if i == 0 { "zzz(a)" } else { "zzz(a, b)" };
                 client.insert(fact).is_ok()
             })
@@ -140,7 +142,7 @@ fn racing_new_predicate_arities_never_kill_the_writer() {
         "one arity must win: {outcomes:?}"
     );
     // The writer must still be alive and serving both reads and writes.
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = PipeClient::connect(addr).unwrap();
     assert!(client.insert("par(d, e)").unwrap().applied);
     assert_eq!(client.query("anc(a, Y)").unwrap().rows.len(), 4);
     server.shutdown();
@@ -150,15 +152,22 @@ fn racing_new_predicate_arities_never_kill_the_writer() {
 fn wire_shutdown_stops_the_server() {
     let mut server = ancestor_server();
     let addr = server.addr();
-    let mut client = Client::connect(addr).unwrap();
-    client.query("anc(a, Y)").unwrap();
-    client.shutdown_server().unwrap();
+    PipeClient::connect(addr)
+        .unwrap()
+        .query("anc(a, Y)")
+        .unwrap();
+    // `SHUTDOWN` is a text-protocol verb.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(b"SHUTDOWN\n").unwrap();
+    let mut bye = [0u8; 7];
+    raw.read_exact(&mut bye).unwrap();
+    assert_eq!(&bye, b"OK bye\n");
     // The handle's shutdown must join cleanly even though the stop came
     // over the wire.
     server.shutdown();
     // New connections are no longer served (either refused outright or
     // closed without an answer).
-    if let Ok(mut late) = Client::connect(addr) {
+    if let Ok(mut late) = PipeClient::connect(addr) {
         assert!(late.ping().is_err());
     }
 }
@@ -179,7 +188,7 @@ fn max_views_evicts_cold_bindings_and_reheals_on_next_sight() {
         ..ServeConfig::default()
     };
     let mut server = Server::start(program, db, "127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = PipeClient::connect(server.addr()).unwrap();
 
     // Three distinct bindings against a cap of two: the first (coldest)
     // binding is evicted from both the catalog and the published
@@ -233,7 +242,7 @@ fn tiny_max_views_materialize_evict_races_never_panic_the_writer() {
     let racers: Vec<_> = (0..4)
         .map(|t| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = PipeClient::connect(addr).unwrap();
                 let (query, rows) = match t % 3 {
                     0 => ("anc(a, Y)", 3),
                     1 => ("anc(b, Y)", 2),
@@ -263,7 +272,7 @@ fn tiny_max_views_materialize_evict_races_never_panic_the_writer() {
     assert!(served > 0, "some queries must win the race");
 
     // The writer survived the storm: reads and writes both still work.
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = PipeClient::connect(addr).unwrap();
     assert!(client.insert("par(d, e)").unwrap().applied);
     assert_eq!(client.query("anc(a, Y)").unwrap().rows.len(), 4);
     let stats = client.stats().unwrap();
@@ -288,7 +297,7 @@ fn strict_limits_surface_as_errors_not_hangs() {
         ..ServeConfig::default()
     };
     let mut server = Server::start(program, db, "127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
+    let mut client = PipeClient::connect(server.addr()).unwrap();
     let err = client.query("anc(n0, Y)").unwrap_err();
     assert!(matches!(err, ClientError::Server(_)), "got: {err}");
     client.ping().unwrap();

@@ -16,9 +16,7 @@
 pub mod ancestor;
 pub mod chaos;
 pub mod lists;
-pub mod load;
 pub mod programs;
-pub mod requests;
 pub mod rng;
 pub mod same_generation;
 pub mod stratified;
@@ -28,8 +26,6 @@ pub use ancestor::node;
 pub use ancestor::{binary_tree, chain, cycle, random_dag};
 pub use chaos::{chaos_fault_spec, chaos_scenarios, ChaosScenario};
 pub use lists::{list_term, list_value, reverse_database};
-pub use load::{LoadConfig, LoadGen, PoissonArrivals, Zipf};
-pub use requests::{ancestor_request_stream, ServeRequest};
 pub use rng::SplitMix64;
 pub use same_generation::grid_node;
 pub use same_generation::{nested_sg_extras, same_generation_grid, SgConfig};

@@ -14,7 +14,7 @@
 //! Run with `cargo run --release --example durable_restart`.
 
 use power_of_magic::durable::{DurableConfig, FsyncPolicy};
-use power_of_magic::serve::{Client, ServeConfig, Server};
+use power_of_magic::serve::{PipeClient, ServeConfig, Server};
 use power_of_magic::{parse_program, Database};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
     // ── First life: seed, serve, write, stop. ──────────────────────
     let mut server =
         Server::start(program.clone(), seed, "127.0.0.1:0", config).expect("server starts");
-    let mut client = Client::connect(server.addr()).expect("client connects");
+    let mut client = PipeClient::connect(server.addr()).expect("client connects");
     let before = client.query("anc(john, Y)").expect("query answered");
     println!(
         "first life:  anc(john, Y) has {} answers",
@@ -74,7 +74,7 @@ fn main() {
     };
     let mut server =
         Server::start(program, Database::new(), "127.0.0.1:0", config).expect("server restarts");
-    let mut client = Client::connect(server.addr()).expect("client reconnects");
+    let mut client = PipeClient::connect(server.addr()).expect("client reconnects");
     let after = client.query("anc(john, Y)").expect("query answered");
     println!(
         "second life: anc(john, Y) has {} answers (recovered: seed + 3 acked inserts)",
@@ -92,7 +92,7 @@ fn main() {
         reply.rows.len()
     );
 
-    client.quit().expect("clean goodbye");
+    drop(client);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }

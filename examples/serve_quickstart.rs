@@ -1,11 +1,13 @@
 //! The serving layer, end to end: spawn a `magic-serve` server
 //! in-process, connect a client over TCP, query, insert, re-query, and
 //! read the server's counters — the whole
-//! query → materialize-on-demand → update → fresh-snapshot loop.
+//! query → materialize-on-demand → update → fresh-snapshot loop.  The
+//! client is `PipeClient` at window 1: each blocking call submits one
+//! request and waits for its answer.
 //!
 //! Run with `cargo run --release --example serve_quickstart`.
 
-use power_of_magic::serve::{Client, ServeConfig, Server};
+use power_of_magic::serve::{PipeClient, ServeConfig, Server};
 use power_of_magic::{parse_program, Database};
 
 fn main() {
@@ -21,14 +23,14 @@ fn main() {
         db.insert_pair("par", parent, child);
     }
 
-    // Bind an ephemeral port.  Reader threads (one per connection) answer
-    // queries from immutable catalog snapshots; a single writer thread
-    // applies updates and publishes fresh snapshots.
+    // Bind an ephemeral port.  A pool of reader threads answers queries
+    // from immutable catalog snapshots; a writer thread applies updates
+    // and publishes fresh snapshots.
     let mut server =
         Server::start(program, db, "127.0.0.1:0", ServeConfig::default()).expect("server starts");
     println!("serving on {}", server.addr());
 
-    let mut client = Client::connect(server.addr()).expect("client connects");
+    let mut client = PipeClient::connect(server.addr()).expect("client connects");
 
     // First sight of the binding `anc[bf](john)`: the server plans the
     // magic-sets rewrite, materializes the view, and answers from it.
@@ -66,7 +68,8 @@ fn main() {
         println!("  view {}: {} facts", view.key, view.facts);
     }
 
-    client.quit().expect("clean goodbye");
+    // Dropping the client closes its connection.
+    drop(client);
     server.shutdown();
     println!("server drained and shut down");
 }

@@ -14,7 +14,7 @@
 //! updates whose acknowledgment version is `<= v` (view
 //! materializations also bump the version, but change no base facts).
 
-use power_of_magic::serve::{Client, ServeConfig, Server};
+use power_of_magic::serve::{PipeClient, ServeConfig, Server};
 use power_of_magic::workloads::{ancestor_update_stream, chain, node, programs, UpdateOp};
 use power_of_magic::{Planner, Strategy};
 use std::collections::BTreeSet;
@@ -54,11 +54,11 @@ fn consistency_round(seed: u64, edges: usize, ops: usize, readers: usize) {
     let (ack_tx, ack_rx) = channel::<(UpdateOp, bool, u64)>();
     let updater_stream = stream.clone();
     let updater = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("updater connects");
+        let mut client = PipeClient::connect(addr).expect("updater connects");
         for op in updater_stream {
             let ack = match &op {
-                UpdateOp::Insert(f) => client.insert_fact(f),
-                UpdateOp::Retract(f) => client.retract_fact(f),
+                UpdateOp::Insert(f) => client.insert(&f.to_string()),
+                UpdateOp::Retract(f) => client.retract(&f.to_string()),
             }
             .expect("update acked");
             ack_tx.send((op, ack.applied, ack.version)).unwrap();
@@ -74,7 +74,7 @@ fn consistency_round(seed: u64, edges: usize, ops: usize, readers: usize) {
             let bindings = bindings.clone();
             let done = std::sync::Arc::clone(&done);
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("reader connects");
+                let mut client = PipeClient::connect(addr).expect("reader connects");
                 let mut seen = Vec::new();
                 let mut last_version = 0u64;
                 let mut i = 0usize;
@@ -215,7 +215,7 @@ fn four_shard_serving_is_read_your_writes_and_never_tears() {
         let done = std::sync::Arc::clone(&done);
         let query = probe_query.clone();
         std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("reader connects");
+            let mut client = PipeClient::connect(addr).expect("reader connects");
             let mut seen: Vec<(u64, BTreeSet<Vec<power_of_magic::lang::Value>>)> = Vec::new();
             let mut last_version = 0u64;
             while !done.load(std::sync::atomic::Ordering::Relaxed) || seen.len() < 8 {
@@ -240,7 +240,7 @@ fn four_shard_serving_is_read_your_writes_and_never_tears() {
     // the acked prefix, every time, across whatever shards the batch
     // fanned out to.
     let stream = ancestor_update_stream(edges + 1, 40, 55, 0xBEE5_1987);
-    let mut client = Client::connect(addr).expect("updater connects");
+    let mut client = PipeClient::connect(addr).expect("updater connects");
     let mut current = initial.clone();
     let mut prefix_answers = Vec::new();
     let parsed_probe = power_of_magic::parse_query(&probe_query).unwrap();
@@ -253,8 +253,8 @@ fn four_shard_serving_is_read_your_writes_and_never_tears() {
     prefix_answers.push(oracle(&current));
     for op in stream {
         let ack = match &op {
-            UpdateOp::Insert(f) => client.insert_fact(f),
-            UpdateOp::Retract(f) => client.retract_fact(f),
+            UpdateOp::Insert(f) => client.insert(&f.to_string()),
+            UpdateOp::Retract(f) => client.retract(&f.to_string()),
         }
         .expect("update acked");
         if ack.applied {
@@ -319,7 +319,7 @@ fn concurrent_updaters_never_tear_snapshots() {
     // states are exactly (k1, k2) prefixes.
     let updater = |offset: usize| {
         std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("updater connects");
+            let mut client = PipeClient::connect(addr).expect("updater connects");
             let mut acked = Vec::new();
             for i in 0..10 {
                 let fact = format!("par(x{offset}_{i}, x{offset}_{})", i + 1);
@@ -334,7 +334,7 @@ fn concurrent_updaters_never_tear_snapshots() {
     let u2 = updater(2);
 
     let reader = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("reader connects");
+        let mut client = PipeClient::connect(addr).expect("reader connects");
         let mut seen = Vec::new();
         for _ in 0..120 {
             let reply = client.query("a(x1_0, Y)").expect("query answered");
@@ -379,7 +379,6 @@ fn concurrent_updaters_never_tear_snapshots() {
 fn sixty_four_bindings_are_seeds_of_one_maintained_view() {
     use power_of_magic::lang::Value;
     use power_of_magic::serve::protocol::render_answers;
-    use power_of_magic::serve::PipeClient;
 
     let program = programs::ancestor();
     let (bindings, edges) = (64usize, 96usize);
