@@ -228,10 +228,13 @@ impl<'a> Lexer<'a> {
                     if digits.is_empty() {
                         return Err(self.error("expected digits after '-'"));
                     }
+                    // Parsed with its sign: `i64::MIN` has no positive
+                    // counterpart to negate.
+                    digits.insert(0, '-');
                     let v: i64 = digits
                         .parse()
                         .map_err(|_| self.error("integer literal out of range"))?;
-                    Token::Int(-v)
+                    Token::Int(v)
                 }
                 d if d.is_ascii_digit() => {
                     let mut digits = String::new();
@@ -677,6 +680,14 @@ mod tests {
         );
         assert_eq!(parse_term("-42").unwrap(), Term::Int(-42));
         assert_eq!(parse_term("'John Smith'").unwrap(), Term::sym("John Smith"));
+        // Both integer bounds read back what they display as; one past
+        // either is refused.
+        for bound in [i64::MIN, i64::MAX] {
+            let shown = Term::Int(bound).to_string();
+            assert_eq!(parse_term(&shown).unwrap(), Term::Int(bound), "{shown}");
+        }
+        assert!(parse_term("-9223372036854775809").is_err());
+        assert!(parse_term("9223372036854775808").is_err());
     }
 
     #[test]

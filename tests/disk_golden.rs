@@ -6,7 +6,8 @@
 //!   seed, a fixed list of batches (a quoted constant, an `i64::MIN`
 //!   integer, a nested compound), one forced checkpoint with a binding
 //!   exported, then two more batches.  The directory listing and the exact
-//!   hex of `checkpoint.bin` and `wal.log` are recorded.  The checkpoint
+//!   hex of `checkpoint.bin` and `wal.log` are recorded, and the store must
+//!   reopen to exactly the state it was sent.  The checkpoint
 //!   holds the process-global interner, which is why this file is one
 //!   `#[test]` in a binary of its own: the interner then holds only what
 //!   this corpus put there, in the same order every run.
@@ -178,6 +179,19 @@ fn store_leg() -> String {
     for name in ["checkpoint.bin", "wal.log"] {
         out += &hex(name, &fs::read(dir.join(name)).expect("read store file"));
     }
+    // And the store reopens to what was written: the checkpoint with its
+    // binding, then both logged batches.
+    let recovered = DurableStore::open(&config)
+        .expect("reopen store")
+        .recover(
+            &program,
+            ViewCatalog::new(Strategy::MagicSets),
+            &Database::new(),
+        )
+        .expect("recover the written store");
+    assert_eq!(recovered.db, db);
+    assert_eq!(recovered.replayed_frames, 2);
+    assert_eq!(recovered.rebuilt_views, ["anc_bf[bf](mary)@gms"]);
     let _ = fs::remove_dir_all(&dir);
     out
 }
