@@ -47,8 +47,5 @@ pub mod wal;
 pub use checkpoint::{Checkpoint, RelationDump};
 pub use error::DurableError;
 pub use faults::{AppendFault, ConnFault, FaultPlan, MAGIC_FAULTS_ENV};
-pub use store::{
-    shard_checkpoint_file, shard_wal_file, verify_shard_layout, DurableConfig, DurableStore,
-    Recovered, RecoveredBase,
-};
+pub use store::{DurableConfig, DurableStore, Recovered};
 pub use wal::{FsyncPolicy, Wal, WalFrame, WalScan};

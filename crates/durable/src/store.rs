@@ -44,67 +44,31 @@ use std::sync::Arc;
 const CHECKPOINT_FILE: &str = "checkpoint.bin";
 const WAL_FILE: &str = "wal.log";
 
-/// Marker recording how many writer shards a store directory was
-/// created with (absent for the legacy single-shard layout).  A store
-/// must be reopened at the shard count that wrote it: each shard's WAL
-/// and checkpoint cover a hash partition of the predicates, and the
-/// partition function is keyed by the count.
+/// The shard count of the sharded layout `refuse_sharded_layout` refuses.
 const SHARDS_META_FILE: &str = "shards.meta";
 
-/// The WAL file name for `shard` of `shards` (legacy `wal.log` for a
-/// single shard, `wal-<shard>.log` otherwise).
-pub fn shard_wal_file(shard: usize, shards: usize) -> String {
-    if shards <= 1 {
-        WAL_FILE.to_string()
-    } else {
-        format!("wal-{shard}.log")
+/// Refuse a store directory in the sharded layout earlier servers wrote
+/// (`shards.meta`, `wal-<n>.log`, `checkpoint-<n>.bin`; shard 0 always
+/// among them).  Each of those files holds a hash partition of the
+/// predicates, and none of them is the `wal.log`/`checkpoint.bin` pair a
+/// store reads: opening the directory anyway would start a fresh store
+/// from the seed and drop every acknowledged write.  Nothing in the
+/// directory is touched.
+fn refuse_sharded_layout(dir: &Path) -> Result<(), DurableError> {
+    let markers = [SHARDS_META_FILE, "wal-0.log", "checkpoint-0.bin"];
+    if !markers.iter().any(|name| dir.join(name).exists()) {
+        return Ok(());
     }
-}
-
-/// The checkpoint file name for `shard` of `shards` (legacy
-/// `checkpoint.bin` for a single shard, `checkpoint-<shard>.bin`
-/// otherwise).
-pub fn shard_checkpoint_file(shard: usize, shards: usize) -> String {
-    if shards <= 1 {
-        CHECKPOINT_FILE.to_string()
-    } else {
-        format!("checkpoint-{shard}.bin")
-    }
-}
-
-/// Verify (writing it on first contact) that the store directory at
-/// `dir` was created for exactly `shards` writer shards.  A mismatch —
-/// reopening a sharded store at a different count, a legacy store at
-/// `shards > 1`, or a sharded store at `shards == 1` — is refused:
-/// the hash partition baked into the per-shard files would silently
-/// misroute recovery otherwise.
-pub fn verify_shard_layout(dir: &Path, shards: usize) -> Result<(), DurableError> {
-    fs::create_dir_all(dir)?;
-    let meta = dir.join(SHARDS_META_FILE);
-    let recorded: Option<usize> = match fs::read_to_string(&meta) {
-        Ok(text) => Some(text.trim().parse().map_err(|_| {
-            DurableError::Corrupt(format!("unreadable shard count in {}", meta.display()))
-        })?),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(e.into()),
-    };
-    // A legacy (pre-shard) store carries no meta file but may carry a
-    // single-shard WAL or checkpoint; treat that as a recorded 1.
-    let legacy = dir.join(WAL_FILE).exists() || dir.join(CHECKPOINT_FILE).exists();
-    let effective = recorded.or(if legacy { Some(1) } else { None });
-    match effective {
-        Some(found) if found != shards => Err(DurableError::Corrupt(format!(
-            "store {} was created with writer_shards={found}; reopen it with the same \
-             shard count (got {shards})",
-            dir.display()
-        ))),
-        _ => {
-            if shards > 1 && recorded.is_none() {
-                fs::write(&meta, format!("{shards}\n"))?;
-            }
-            Ok(())
-        }
-    }
+    let shards = fs::read_to_string(dir.join(SHARDS_META_FILE))
+        .ok()
+        .and_then(|text| text.trim().parse::<usize>().ok())
+        .map_or_else(|| "an unrecorded number of".to_string(), |n| n.to_string());
+    Err(DurableError::Corrupt(format!(
+        "store {} is in the sharded layout of {shards} writer shards ({SHARDS_META_FILE}, \
+         wal-<n>.log, checkpoint-<n>.bin); a store is one {WAL_FILE} and one \
+         {CHECKPOINT_FILE}, so it is refused rather than reseeded",
+        dir.display()
+    )))
 }
 
 /// Where and how a [`DurableStore`] persists.
@@ -172,24 +136,6 @@ pub struct Recovered {
     pub rebuilt_views: Vec<String>,
 }
 
-/// What [`DurableStore::recover_base`] produced: the restored base
-/// partition plus the exported bindings, left for the caller to
-/// re-materialize once every shard's partition is merged.
-#[derive(Debug)]
-pub struct RecoveredBase {
-    /// The recovered base database (checkpoint + replayed WAL tail).
-    pub db: Database,
-    /// The checkpoint's exported `(key, query text)` bindings,
-    /// *not* materialized.
-    pub bindings: Vec<(String, String)>,
-    /// WAL frames replayed on top of the checkpoint.
-    pub replayed_frames: u64,
-    /// True iff a torn (never-acked) final frame was found and cut.
-    pub torn_tail_truncated: bool,
-    /// True iff a checkpoint file existed and was loaded.
-    pub restored_from_checkpoint: bool,
-}
-
 /// An open durable store (see the module docs for the protocol).
 #[derive(Debug)]
 pub struct DurableStore {
@@ -211,46 +157,16 @@ impl DurableStore {
     ///
     /// Opening performs no recovery; call [`DurableStore::recover`]
     /// before logging so the sequence counter continues where the
-    /// previous process stopped.
+    /// previous process stopped.  A directory in the sharded layout
+    /// earlier servers wrote is refused with [`DurableError::Corrupt`]
+    /// before any file is created.
     pub fn open(config: &DurableConfig) -> Result<DurableStore, DurableError> {
         fs::create_dir_all(&config.dir)?;
+        refuse_sharded_layout(&config.dir)?;
         let faults = config.faults.clone().or_else(FaultPlan::from_env);
         let wal = Wal::open_with_faults(config.dir.join(WAL_FILE), config.fsync, faults.clone())?;
         Ok(DurableStore {
             checkpoint_path: config.dir.join(CHECKPOINT_FILE),
-            wal,
-            checkpoint_every: config.checkpoint_every,
-            seq: 0,
-            last_checkpoint_seq: 0,
-            frames_since_checkpoint: 0,
-            faults,
-        })
-    }
-
-    /// Open shard `shard` of `shards` in the store directory: the same
-    /// machinery as [`DurableStore::open`], but the WAL and checkpoint
-    /// carry per-shard names (`wal-<shard>.log`,
-    /// `checkpoint-<shard>.bin`) so N independent writer shards can
-    /// stream into one directory without contending on a file.  The
-    /// single-shard case maps to the legacy names, so `shards == 1` is
-    /// exactly [`DurableStore::open`].  Callers should
-    /// [`verify_shard_layout`] the directory once before opening any
-    /// shard.
-    pub fn open_shard(
-        config: &DurableConfig,
-        shard: usize,
-        shards: usize,
-    ) -> Result<DurableStore, DurableError> {
-        assert!(shard < shards.max(1), "shard index out of range");
-        fs::create_dir_all(&config.dir)?;
-        let faults = config.faults.clone().or_else(FaultPlan::from_env);
-        let wal = Wal::open_with_faults(
-            config.dir.join(shard_wal_file(shard, shards)),
-            config.fsync,
-            faults.clone(),
-        )?;
-        Ok(DurableStore {
-            checkpoint_path: config.dir.join(shard_checkpoint_file(shard, shards)),
             wal,
             checkpoint_every: config.checkpoint_every,
             seq: 0,
@@ -345,65 +261,6 @@ impl DurableStore {
             torn_tail_truncated: scan.torn,
             restored_from_checkpoint,
             rebuilt_views,
-        })
-    }
-
-    /// [`DurableStore::recover`] without the view layer: restore the
-    /// base database (checkpoint load + WAL-tail replay + torn-tail
-    /// truncation + fresh-store seed checkpoint) and hand back the
-    /// checkpoint's exported bindings *unmaterialized*.
-    ///
-    /// This is the per-shard half of sharded recovery: each shard's
-    /// files cover only its hash partition of the base predicates, so
-    /// no single shard can re-materialize a view (views read the whole
-    /// database).  The serving layer recovers every shard's base this
-    /// way, merges the disjoint partitions, and only then
-    /// re-materializes the union of exported bindings over the merged
-    /// base — which reaches the same fixpoint as the single-store
-    /// path's replay-through-maintenance, because a view's state is a
-    /// function of the base state alone.
-    pub fn recover_base(&mut self, seed: &Database) -> Result<RecoveredBase, DurableError> {
-        let checkpoint = if self.checkpoint_path.exists() {
-            Some(Checkpoint::load(&self.checkpoint_path)?)
-        } else {
-            None
-        };
-        let restored_from_checkpoint = checkpoint.is_some();
-        let (mut db, bindings, base_seq) = match &checkpoint {
-            Some(ckpt) => (ckpt.restore_database()?, ckpt.bindings.clone(), ckpt.seq),
-            None => (seed.clone(), Vec::new(), 0),
-        };
-        let scan = self.wal.scan()?;
-        if scan.torn {
-            self.wal.truncate_to(scan.valid_len)?;
-        }
-        let mut replayed_frames = 0u64;
-        let mut seq = base_seq;
-        for frame in &scan.frames {
-            if frame.seq <= base_seq {
-                continue;
-            }
-            for update in &frame.updates {
-                match update {
-                    Update::Insert(f) => db.insert_fact(f),
-                    Update::Retract(f) => db.remove_fact(f),
-                };
-            }
-            replayed_frames += 1;
-            seq = frame.seq;
-        }
-        self.seq = seq;
-        self.last_checkpoint_seq = base_seq;
-        self.frames_since_checkpoint = replayed_frames;
-        if !restored_from_checkpoint {
-            self.checkpoint(&db, &bindings)?;
-        }
-        Ok(RecoveredBase {
-            db,
-            bindings,
-            replayed_frames,
-            torn_tail_truncated: scan.torn,
-            restored_from_checkpoint,
         })
     }
 
@@ -770,59 +627,62 @@ mod tests {
         assert_eq!(rec.db, db);
     }
 
+    /// Every file in `dir` with its bytes.
+    fn contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
-    fn sharded_stores_recover_disjoint_partitions_that_merge_to_the_oracle() {
+    fn a_sharded_store_directory_is_refused_and_left_untouched() {
+        // The directory earlier servers wrote at four writer shards: the
+        // count in `shards.meta`, then per shard a WAL and the seed
+        // checkpoint of its partition; `par`'s home shard also logged a
+        // batch.
         let dir = tmp("sharded");
-        let program = parse_program(RULES).unwrap();
-        verify_shard_layout(&dir, 2).unwrap();
-        let config = DurableConfig::new(&dir).with_checkpoint_every(0);
-        // Shard 0 owns `par`, shard 1 owns `fol` (a hash partition in
-        // production; fixed here so the test is self-describing).
-        let mut s0 = DurableStore::open_shard(&config, 0, 2).unwrap();
-        let mut s1 = DurableStore::open_shard(&config, 1, 2).unwrap();
-        let mut db0 = s0.recover_base(&seed()).unwrap().db;
-        let mut db1 = s1.recover_base(&Database::new()).unwrap().db;
-        apply_and_log(&mut s0, &mut db0, &[Update::Insert(pair("par", "a", "b"))]);
-        apply_and_log(&mut s1, &mut db1, &[Update::Insert(pair("fol", "x", "y"))]);
-        apply_and_log(&mut s1, &mut db1, &[Update::Retract(pair("fol", "x", "y"))]);
-        drop((s0, s1));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(SHARDS_META_FILE), "4\n").unwrap();
+        for shard in 0..4 {
+            let partition = if shard == 1 { seed() } else { Database::new() };
+            Checkpoint::capture(0, &partition, &[])
+                .unwrap()
+                .write_to(&dir.join(format!("checkpoint-{shard}.bin")))
+                .unwrap();
+            let mut wal =
+                Wal::open(dir.join(format!("wal-{shard}.log")), FsyncPolicy::Never).unwrap();
+            if shard == 1 {
+                wal.append(1, &[Update::Insert(pair("par", "ann", "zoe"))])
+                    .unwrap();
+            }
+        }
+        let before = contents(&dir);
 
-        // Each shard's files are separate on disk...
-        assert!(dir.join("wal-0.log").exists());
-        assert!(dir.join("wal-1.log").exists());
-        assert!(dir.join("checkpoint-0.bin").exists());
-        // ...and per-shard recovery + merge reaches the oracle.
-        let mut s0 = DurableStore::open_shard(&config, 0, 2).unwrap();
-        let mut s1 = DurableStore::open_shard(&config, 1, 2).unwrap();
-        let r0 = s0.recover_base(&Database::new()).unwrap();
-        let r1 = s1.recover_base(&Database::new()).unwrap();
-        let mut merged = r0.db;
-        merged.merge(&r1.db);
-        let mut oracle = seed();
-        oracle.insert_fact(&pair("par", "a", "b"));
-        assert_eq!(merged, oracle);
-        assert_eq!(r0.replayed_frames, 1);
-        assert_eq!(r1.replayed_frames, 2);
-        // The program still plans over the merged base (smoke that the
-        // partition carried nothing program-specific).
-        let mut catalog = catalog();
-        catalog
-            .materialize(&program, &parse_query("anc(john, Y)").unwrap(), &merged)
-            .unwrap();
+        let err = DurableStore::open(&DurableConfig::new(&dir)).unwrap_err();
+        assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
+        let message = err.to_string();
+        assert!(
+            message.contains("sharded layout of 4 writer shards"),
+            "{message}"
+        );
+        // No `wal.log` or `checkpoint.bin` appeared, and no byte moved.
+        assert_eq!(contents(&dir), before);
 
-        // Reopening at a different shard count is refused.
-        let err = verify_shard_layout(&dir, 4).unwrap_err();
-        assert!(err.to_string().contains("writer_shards=2"), "{err}");
-        let err = verify_shard_layout(&dir, 1).unwrap_err();
-        assert!(err.to_string().contains("writer_shards=2"), "{err}");
-        // And a legacy store refuses a sharded reopen.
-        let legacy = tmp("sharded-legacy");
-        let mut store = DurableStore::open(&DurableConfig::new(&legacy)).unwrap();
-        store.recover(&program, catalog, &seed()).unwrap();
-        drop(store);
-        let err = verify_shard_layout(&legacy, 4).unwrap_err();
-        assert!(err.to_string().contains("writer_shards=1"), "{err}");
-        verify_shard_layout(&legacy, 1).unwrap();
+        // Without `shards.meta` the layout is still recognized; the count
+        // is unknown.
+        fs::remove_file(dir.join(SHARDS_META_FILE)).unwrap();
+        let before = contents(&dir);
+        let err = DurableStore::open(&DurableConfig::new(&dir)).unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("unrecorded number of"), "{message}");
+        assert_eq!(contents(&dir), before);
     }
 
     #[test]

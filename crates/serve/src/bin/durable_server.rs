@@ -17,8 +17,6 @@
 //! * `MAGIC_SERVE_FSYNC` — `never` (default), `always`, or `every=<n>`.
 //! * `MAGIC_SERVE_QUEUE_DEPTH` — writer queue bound (`max_queue_depth`).
 //! * `MAGIC_SERVE_WRITER_DEADLINE_MS` — writer round-trip deadline.
-//! * `MAGIC_SERVE_WRITER_SHARDS` — writer shard count (`writer_shards`);
-//!   a store directory remembers it, so restarts must repeat it.
 //! * `MAGIC_FAULTS` — read by the serve layer itself; listed here
 //!   because this binary is its usual carrier in tests.
 
@@ -88,9 +86,6 @@ fn main() -> std::io::Result<()> {
     }
     if let Some(ms) = env_u64("MAGIC_SERVE_WRITER_DEADLINE_MS") {
         config.writer_deadline = Duration::from_millis(ms);
-    }
-    if let Some(shards) = env_u64("MAGIC_SERVE_WRITER_SHARDS") {
-        config.writer_shards = shards as usize;
     }
     let server = Server::start(program, edb, "127.0.0.1:0", config)?;
     println!("ADDR {}", server.addr());

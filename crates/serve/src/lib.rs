@@ -19,14 +19,11 @@
 //!   each blocked in one `poll(2)` until a socket, a writer's reply or
 //!   a timer needs it and then pumping its connections (read, decode
 //!   every buffered request, collect writer replies, write
-//!   responses), while the base relations are hash-partitioned across
-//!   [`ServeConfig::writer_shards`] maintenance writers — each with
-//!   its own bounded queue, write-ahead log and published snapshot
-//!   slot, replicating applied batches to its peers behind a per-batch
-//!   ack barrier.  Readers never block on maintenance; writes
-//!   serialize per predicate through its home shard and are
-//!   acknowledged only once the containing snapshot is live on every
-//!   shard.
+//!   responses), in front of one maintenance writer with a bounded
+//!   queue, an optional write-ahead log and a published snapshot slot.
+//!   Readers never block on maintenance; writes serialize through the
+//!   writer and are acknowledged only once the containing snapshot is
+//!   live.
 //! * [`protocol`] — one request grammar on one port, hand-rolled
 //!   in-tree because the build environment has no crates.io access:
 //!   the pipelined `MGWP01` binary framing ([`protocol::Frame`]) with
@@ -78,5 +75,5 @@ mod ready;
 pub mod server;
 
 pub use client::{ClientError, PipeClient, QueryReply, UpdateAck};
-pub use protocol::{Frame, Request, ServerStats, ShardStats, Sniff, ViewStats, BINARY_MAGIC};
+pub use protocol::{Frame, Request, ServerStats, Sniff, ViewStats, BINARY_MAGIC};
 pub use server::{ServeConfig, Server, ServerHandle};

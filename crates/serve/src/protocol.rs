@@ -119,7 +119,7 @@ pub mod status {
 /// pipelining work: a client may have any number of requests in
 /// flight, and the server may answer them **out of order** — reads
 /// complete from the published snapshot immediately while an update
-/// ahead of them is still waiting on its writer shard.  The body is
+/// ahead of them is still waiting on the writer.  The body is
 /// UTF-8 text reusing the text protocol's grammar in both directions;
 /// the frame layer adds what the text protocol lacks (request ids,
 /// batching, out-of-order completion), not a second payload encoding.
@@ -304,30 +304,6 @@ pub fn parse_fact(text: &str) -> Result<Fact, String> {
     }
 }
 
-/// Per-writer-shard counters reported by `STATS` (one `shard\t…` line
-/// each).  The scalar overload fields on [`ServerStats`] are the
-/// aggregates of these; the per-shard breakdown is what tells an
-/// operator *which* partition is hot or degraded.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index in `0..writer_shards`.
-    pub index: u64,
-    /// Commands currently enqueued for this shard's writer.
-    pub queue_depth: u64,
-    /// Updates refused `BUSY` because this shard's queue was full.
-    pub shed_updates: u64,
-    /// Writer round-trips on this shard that exceeded the deadline.
-    pub deadline_misses: u64,
-    /// 1 while this shard is in read-only degraded mode.
-    pub degraded: u64,
-    /// Lifetime transitions of this shard into degraded mode.
-    pub degraded_entered: u64,
-    /// Bytes in this shard's write-ahead log.
-    pub wal_bytes: u64,
-    /// WAL sequence this shard's newest checkpoint covers through.
-    pub last_checkpoint: u64,
-}
-
 /// Per-view totals reported by `STATS`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ViewStats {
@@ -402,9 +378,6 @@ pub struct ServerStats {
     pub degraded: u64,
     /// Lifetime count of transitions *into* degraded mode.
     pub degraded_entered: u64,
-    /// Number of writer shards the base relations are partitioned
-    /// across (1 = the classic single-writer layout).
-    pub writer_shards: u64,
     /// Pipelined requests currently in flight across all connections
     /// (decoded but not yet answered).
     pub inflight_requests: u64,
@@ -423,8 +396,6 @@ pub struct ServerStats {
     pub reader_wakeups: u64,
     /// Per-view totals, in catalog key order.
     pub per_view: Vec<ViewStats>,
-    /// Per-writer-shard counters, in shard-index order.
-    pub per_shard: Vec<ShardStats>,
 }
 
 impl ServerStats {
@@ -447,20 +418,6 @@ impl ServerStats {
                 } else {
                     &view.recompute_reason
                 }
-            ));
-        }
-        for shard in &self.per_shard {
-            out.push_str(&format!(
-                "shard\t{}\tqueue_depth={}\tshed={}\tdeadline_misses={}\tdegraded={}\
-                 \tdegraded_entered={}\twal_bytes={}\tlast_checkpoint={}\n",
-                shard.index,
-                shard.queue_depth,
-                shard.shed_updates,
-                shard.deadline_misses,
-                shard.degraded,
-                shard.degraded_entered,
-                shard.wal_bytes,
-                shard.last_checkpoint
             ));
         }
         out.push_str("END\n");
@@ -507,39 +464,6 @@ impl ServerStats {
                 stats.per_view.push(view);
                 continue;
             }
-            if let Some(rest) = line.strip_prefix("shard\t") {
-                let mut parts = rest.split('\t');
-                let index = parts
-                    .next()
-                    .ok_or_else(|| format!("bad shard line: {line}"))?;
-                let mut shard = ShardStats {
-                    index: index
-                        .parse()
-                        .map_err(|_| format!("bad shard index {index:?} in: {line}"))?,
-                    ..ShardStats::default()
-                };
-                for part in parts {
-                    let (name, value) = part
-                        .split_once('=')
-                        .ok_or_else(|| format!("bad shard field {part:?} in: {line}"))?;
-                    let value: u64 = value
-                        .parse()
-                        .map_err(|_| format!("bad shard number {value:?} in: {line}"))?;
-                    match name {
-                        "queue_depth" => shard.queue_depth = value,
-                        "shed" => shard.shed_updates = value,
-                        "deadline_misses" => shard.deadline_misses = value,
-                        "degraded" => shard.degraded = value,
-                        "degraded_entered" => shard.degraded_entered = value,
-                        "wal_bytes" => shard.wal_bytes = value,
-                        "last_checkpoint" => shard.last_checkpoint = value,
-                        // Forward compatibility, as for views.
-                        _ => {}
-                    }
-                }
-                stats.per_shard.push(shard);
-                continue;
-            }
             let (name, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("bad stats line: {line}"))?;
@@ -567,7 +491,6 @@ impl ServerStats {
                 "deadline_misses" => stats.deadline_misses = value,
                 "degraded" => stats.degraded = value,
                 "degraded_entered" => stats.degraded_entered = value,
-                "writer_shards" => stats.writer_shards = value,
                 "inflight_requests" => stats.inflight_requests = value,
                 "batch_size_p50" => stats.batch_size_p50 = value,
                 "recompute_views" => stats.recompute_views = value,
@@ -580,7 +503,7 @@ impl ServerStats {
     }
 
     /// The scalar fields, in wire order.
-    fn fields(&self) -> [(&'static str, u64); 25] {
+    fn fields(&self) -> [(&'static str, u64); 24] {
         [
             ("version", self.version),
             ("views", self.views),
@@ -602,7 +525,6 @@ impl ServerStats {
             ("deadline_misses", self.deadline_misses),
             ("degraded", self.degraded),
             ("degraded_entered", self.degraded_entered),
-            ("writer_shards", self.writer_shards),
             ("inflight_requests", self.inflight_requests),
             ("batch_size_p50", self.batch_size_p50),
             ("recompute_views", self.recompute_views),
@@ -697,7 +619,6 @@ mod tests {
             deadline_misses: 2,
             degraded: 1,
             degraded_entered: 6,
-            writer_shards: 4,
             inflight_requests: 12,
             batch_size_p50: 8,
             recompute_views: 1,
@@ -710,28 +631,6 @@ mod tests {
                 recomputes: 3,
                 recompute_reason: "guarded program: negation".into(),
             }],
-            per_shard: vec![
-                ShardStats {
-                    index: 0,
-                    queue_depth: 3,
-                    shed_updates: 70,
-                    deadline_misses: 2,
-                    degraded: 1,
-                    degraded_entered: 6,
-                    wal_bytes: 4000,
-                    last_checkpoint: 18,
-                },
-                ShardStats {
-                    index: 1,
-                    queue_depth: 2,
-                    shed_updates: 7,
-                    deadline_misses: 0,
-                    degraded: 0,
-                    degraded_entered: 0,
-                    wal_bytes: 96,
-                    last_checkpoint: 11,
-                },
-            ],
         };
         let rendered = stats.render();
         let lines: Vec<String> = rendered

@@ -1,39 +1,27 @@
-//! The server: a pooled, pipelined front end over sharded maintenance
-//! writers and incrementally published copy-on-write view snapshots.
+//! The server: a pooled, pipelined front end over one maintenance
+//! writer and incrementally published copy-on-write view snapshots.
 //!
 //! # Concurrency model
 //!
-//! * **Readers never block on maintenance.**  Each writer shard keeps
-//!   one frozen [`ViewSnapshot`] per cached binding it owns and
-//!   publishes the set behind an immutable [`Arc`] after every applied
-//!   batch; a connection answering a query takes the owning shard's
-//!   published `Arc` (one brief mutex lock to clone the pointer, never
-//!   held across any evaluation) and reads answers out of the frozen
-//!   snapshot for its key.  Every binding of one rewritten program is
-//!   a magic seed of the same maintained view (see
-//!   [`magic_incr::catalog`]), and its snapshot shares that view's one
-//!   copy-on-write database clone (pure pointer bumps — see
-//!   [`magic_storage::cow_clones`]), so a publish re-freezes **only
-//!   the views the batch moved**, once each, not the catalog.
+//! * **Readers never block on maintenance.**  The writer keeps one
+//!   frozen [`ViewSnapshot`] per cached binding and publishes the set
+//!   behind an immutable [`Arc`] after every applied batch; a
+//!   connection answering a query takes the published `Arc` (one brief
+//!   mutex lock to clone the pointer, never held across any evaluation)
+//!   and reads answers out of the frozen snapshot for its key.  Every
+//!   binding of one rewritten program is a magic seed of the same
+//!   maintained view (see [`magic_incr::catalog`]), and its snapshot
+//!   shares that view's one copy-on-write database clone (pure pointer
+//!   bumps — see [`magic_storage::cow_clones`]), so a publish re-freezes
+//!   **only the views the batch moved**, once each, not the catalog.
 //!
-//! * **Writes are partitioned, then serialized.**  Base relations are
-//!   hash-partitioned across [`ServeConfig::writer_shards`] writer
-//!   threads; every update to a predicate is routed to its *home*
-//!   shard, which drains its queue in batches (one fixpoint re-entry
-//!   per view per batch via [`ViewCatalog::apply_all`], however many
-//!   bindings read the view), appends the
-//!   batch to **its own** write-ahead log, applies it to its replica
-//!   of the base database, maintains the views it owns and publishes.
-//!   With more than one shard the home then fans the batch out to its
-//!   peers as replication commands (each shard keeps a full base
-//!   replica so any shard can materialize any view); a per-batch
-//!   barrier delivers the client acknowledgments only once **every**
-//!   shard has published the batch, so ack-after-publish and
-//!   read-your-writes hold across the whole partition.  Order is safe:
-//!   all updates to one predicate serialize through its home shard and
-//!   replicate in that order (per-sender FIFO channels), and updates
-//!   to different predicates commute — a view's state is a function of
-//!   the base state alone.
+//! * **Writes are serialized through one writer.**  The writer thread
+//!   drains its queue in batches (one fixpoint re-entry per view per
+//!   batch via [`ViewCatalog::apply_all`], however many bindings read
+//!   the view), appends the batch to the write-ahead log, applies it to
+//!   the base database, maintains the views and publishes, and only
+//!   then acknowledges — so ack-after-publish and read-your-writes hold,
+//!   and the writer numbers every publish itself.
 //!
 //! * **Connections are pumped on readiness.**  An accept loop hands
 //!   each connection to one of a fixed pool of reader threads
@@ -61,65 +49,56 @@
 //!
 //! * **Unseen bindings materialize on demand.**  A query whose adorned
 //!   binding key is not yet cached is planned on the connection thread
-//!   (memoized per query text) and routed to the shard that owns the
-//!   key, which builds the program's view if this is its first binding
-//!   or else adds the binding's seed to it, publishes, and lets the
-//!   connection answer from the fresh snapshot.
+//!   (memoized per query text) and sent to the writer, which builds the
+//!   program's view if this is its first binding or else adds the
+//!   binding's seed to it, publishes, and lets the connection answer
+//!   from the fresh snapshot.
 //!
-//! * **Durability is optional and shard-owned.**  With
-//!   [`ServeConfig::durability`] set, each shard logs its home
-//!   predicates to its own WAL *before* publishing (`OK applied`
-//!   means *logged and published*) and checkpoints its partition on
-//!   the configured cadence.  Startup recovers per shard — checkpoint
-//!   load, WAL-tail replay — then merges the disjoint partitions and
-//!   re-materializes each shard's exported bindings over the merged
-//!   base (the first binding of a program builds its view, the rest
-//!   add a seed).  A store remembers its shard count (`shards.meta`) and
-//!   refuses to reopen at a different one.
+//! * **Durability is optional.**  With [`ServeConfig::durability`] set,
+//!   the writer logs every batch to the WAL *before* publishing (`OK
+//!   applied` means *logged and published*) and checkpoints on the
+//!   configured cadence.  Startup recovers — checkpoint load,
+//!   re-materialization of the exported bindings (the first binding of
+//!   a program builds its view, the rest add a seed), WAL-tail replay
+//!   through maintenance — before the listener accepts a connection.
 //!
-//! * **Overload sheds, it never queues without bound.**  Each shard
+//! * **Overload sheds, it never queues without bound.**  The writer
 //!   queue carries an atomic depth gauge; at
 //!   [`ServeConfig::max_queue_depth`] new updates are refused up front
 //!   with `ERR BUSY <retry-after-ms> …` (definitely not applied), and
 //!   every writer round-trip is bounded by
 //!   [`ServeConfig::writer_deadline`] (`ERR TIMEOUT …` = outcome
-//!   unknown).  Reads are never shed.  Replication commands are
-//!   neither counted nor shed — they are the writers' own traffic.
+//!   unknown).  Reads are never shed.
 //!
-//! * **Durable failures degrade the shard, they don't kill the
-//!   server.**  When a shard's WAL append or checkpoint fails, that
-//!   shard rolls the un-logged batch back, refuses its acks with `ERR
-//!   DEGRADED …`, skips replication (its peers never see the rolled-
-//!   back batch), and flips read-only while a background probe retries
-//!   on capped exponential backoff (25ms → 2s).  Healthy shards keep
-//!   accepting writes for their own predicates.  `STATS` reports both
-//!   the aggregate and a per-shard breakdown.
+//! * **Durable failures degrade the server, they don't kill it.**  When
+//!   a WAL append or checkpoint fails, the writer rolls the un-logged
+//!   batch back, refuses its acks with `ERR DEGRADED …`, and flips
+//!   read-only while a background probe retries on capped exponential
+//!   backoff (25ms → 2s).  Reads keep serving throughout; `STATS`
+//!   reports the state.
 //!
-//! Every published shard snapshot is a program fixpoint over a prefix
-//! of the applied update sequence for that shard's views, so responses
-//! are transactionally consistent: a reader can never observe half of
-//! a batch (no torn reads) — the property `tests/serve_consistency.rs`
-//! checks against a from-scratch oracle, and
-//! `crates/serve/tests/durable_restart.rs` extends to recovered state
-//! after a mid-stream `SIGKILL`.
+//! Every published snapshot is a program fixpoint over a prefix of the
+//! applied update sequence, so responses are transactionally
+//! consistent: a reader can never observe half of a batch (no torn
+//! reads) — the property `tests/serve_consistency.rs` checks against a
+//! from-scratch oracle, and `crates/serve/tests/durable_restart.rs`
+//! extends to recovered state after a mid-stream `SIGKILL`.
 
 use crate::protocol::{
     parse_frame, parse_request, render_ack, render_answers, render_error, sniff, status, Frame,
-    Request, ServerStats, ShardStats, Sniff, ViewStats, BINARY_MAGIC,
+    Request, ServerStats, Sniff, ViewStats, BINARY_MAGIC,
 };
 use crate::ready::{PollSet, Ready, Waker};
 use magic_core::planner::Strategy;
-use magic_datalog::{parse_query, PredName, Program, Query, Value};
-use magic_durable::{
-    verify_shard_layout, ConnFault, DurableConfig, DurableError, DurableStore, FaultPlan,
-};
+use magic_datalog::{PredName, Program, Query, Value};
+use magic_durable::{ConnFault, DurableConfig, DurableError, DurableStore, FaultPlan};
 use magic_engine::{EvalStats, Limits};
 use magic_incr::{Update, ViewCatalog, ViewSnapshot};
 use magic_storage::Database;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -184,31 +163,29 @@ pub struct ServeConfig {
     /// Maximum updates coalesced into one maintenance batch (and thus one
     /// published snapshot).
     pub batch_max: usize,
-    /// Cap on cached views per writer shard (0 = unbounded): past it,
-    /// the shard's catalog evicts the least-recently-queried binding,
-    /// which then re-materializes on next sight.  See
+    /// Cap on cached views (0 = unbounded): past it, the catalog
+    /// evicts the least-recently-queried binding, which then
+    /// re-materializes on next sight.  See
     /// [`ViewCatalog::with_max_views`].
     pub max_views: usize,
     /// Idle lifetime of cached views (zero = no TTL): a binding no
-    /// query has touched for this long is evicted by its shard's
+    /// query has touched for this long is evicted by the writer's
     /// maintenance tick and re-materializes on next sight.  Composes
     /// with `max_views` — TTL bounds staleness in *time*, the cap in
     /// *count*.  See [`ViewCatalog::with_view_ttl`].
     pub view_ttl: Duration,
-    /// Crash safety (off by default): when set, each writer shard
-    /// appends every acked batch of its home predicates to its own
-    /// write-ahead log in this store directory and checkpoints its
-    /// partition on the configured cadence; [`Server::start`] recovers
-    /// prior state from that directory before accepting connections.
-    /// The directory records its shard count and refuses to reopen at
-    /// a different [`ServeConfig::writer_shards`].
+    /// Crash safety (off by default): when set, the writer appends
+    /// every acked batch to the write-ahead log in this store directory
+    /// and checkpoints on the configured cadence; [`Server::start`]
+    /// recovers prior state from that directory before accepting
+    /// connections.
     pub durability: Option<DurableConfig>,
-    /// Overload bound on each shard's writer queue (0 = unbounded).
-    /// When the number of in-flight commands for a shard reaches this
-    /// cap, new updates routed to it are *shed* before they enqueue:
-    /// the client gets an `ERR BUSY <retry-after-ms> …` line and the
-    /// fact is never applied or logged.  Reads are never shed — they
-    /// keep serving from the published snapshots.
+    /// Overload bound on the writer queue (0 = unbounded).  When the
+    /// number of in-flight writer commands reaches this cap, new
+    /// updates are *shed* before they enqueue: the client gets an `ERR
+    /// BUSY <retry-after-ms> …` line and the fact is never applied or
+    /// logged.  Reads are never shed — they keep serving from the
+    /// published snapshot.
     pub max_queue_depth: usize,
     /// Deadline on every writer round-trip — update acks and on-demand
     /// materializations (zero = wait forever).  A round-trip that
@@ -224,12 +201,6 @@ pub struct ServeConfig {
     /// connection closes.  The default (5s) is generous — it exists to
     /// bound shutdown, not to police slow links.
     pub write_timeout: Duration,
-    /// Number of writer shards the base relations are hash-partitioned
-    /// across (0 or 1 = the classic single-writer layout, byte-for-byte
-    /// compatible with earlier stores).  More shards parallelize WAL
-    /// appends and view maintenance across predicates; updates to one
-    /// predicate always serialize through one shard.
-    pub writer_shards: usize,
     /// Size of the connection reader pool (0 = auto: the machine's
     /// available parallelism, clamped to 2..=8).  Each reader serves
     /// many connections from one readiness wait; the pool replaces
@@ -238,9 +209,9 @@ pub struct ServeConfig {
     /// Deterministic fault injection (testing only; `None` in
     /// production).  When unset, the `MAGIC_FAULTS` environment
     /// variable is consulted at startup — see
-    /// [`magic_durable::faults`].  The plan is shared between every
-    /// shard's durable store (fsync/append/rename faults) and the
-    /// accept loop (connection stall/drop faults).
+    /// [`magic_durable::faults`].  The plan is shared between the
+    /// durable store (fsync/append/rename faults) and the accept loop
+    /// (connection stall/drop faults).
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -256,82 +227,32 @@ impl Default for ServeConfig {
             max_queue_depth: 1024,
             writer_deadline: Duration::from_secs(30),
             write_timeout: Duration::from_secs(5),
-            writer_shards: 1,
             reader_threads: 0,
             faults: None,
         }
     }
 }
 
-/// FNV-1a — the workspace is dependency-free, and the partition only
-/// needs a stable, well-mixed hash of short names.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The home shard of a predicate or binding-key name.
-fn shard_of(name: &str, shards: usize) -> usize {
-    if shards <= 1 {
-        0
-    } else {
-        (fnv1a(name.as_bytes()) % shards as u64) as usize
-    }
-}
-
-/// `db` restricted to the predicates homed on `shard` — what that
-/// shard's checkpoint persists (all of `db` at one shard).  Relations
-/// are copy-on-write, so the projection clones pointers, not tuples.
-fn project_home(db: &Database, shard: usize, shards: usize) -> Database {
-    let mut out = Database::new();
-    for (pred, rel) in db.iter() {
-        if shard_of(&pred.to_string(), shards) == shard {
-            out.insert_relation(pred.clone(), rel.clone());
-        }
-    }
-    out
-}
-
-/// Checkpoint one shard's partition: its home base relations and the
-/// bindings its catalog exports.
-fn checkpoint_shard(
-    store: &mut DurableStore,
-    base_db: &Database,
-    catalog: &ViewCatalog,
-    shard: usize,
-    shards: usize,
-) -> Result<(), DurableError> {
-    store.checkpoint(
-        &project_home(base_db, shard, shards),
-        &catalog.export_bindings(),
-    )
-}
-
 /// An immutable published state: one frozen [`ViewSnapshot`] per cached
-/// binding a shard owns, at one version.  Unchanged entries share their
-/// `Arc` with the previous snapshot — republishing is O(changed bindings)
-/// — and every binding of one view shares that view's frozen database.
+/// binding, at one version.  Unchanged entries share their `Arc` with the
+/// previous snapshot — republishing is O(changed bindings) — and every
+/// binding of one view shares that view's frozen database.
 #[derive(Default)]
 struct Snapshot {
     version: u64,
     views: BTreeMap<String, Arc<ViewSnapshot>>,
-    /// The shard catalog's maintained fixpoints at this publish, how many
-    /// of them recompute on update, and their summed metrics: a view many
+    /// The catalog's maintained fixpoints at this publish, how many of
+    /// them recompute on update, and their summed metrics: a view many
     /// bindings read is counted once.
     materialized: u64,
     recompute_views: u64,
     totals: EvalStats,
 }
 
-/// The writer's half of publishing: the frozen per-binding snapshots its
-/// shard last handed to readers, kept in step with the shard's catalog.
+/// The writer's half of publishing: the frozen per-binding snapshots it
+/// last handed to readers, kept in step with its catalog.
 struct Publisher<'a> {
     shared: &'a Shared,
-    me: &'a ShardState,
     published: BTreeMap<String, Arc<ViewSnapshot>>,
 }
 
@@ -360,7 +281,7 @@ impl Publisher<'_> {
     /// Hand readers the current map (one `Arc` bump per binding) as
     /// `version`.
     fn publish(&self, catalog: &ViewCatalog, version: u64) {
-        self.me.publish(Snapshot {
+        *self.shared.published.lock().expect("publish lock") = Arc::new(Snapshot {
             version,
             views: self.published.clone(),
             materialized: catalog.materialized() as u64,
@@ -418,56 +339,14 @@ type CachedResponse = (u64, Arc<[u8]>);
 type UpdateResult = Result<(bool, u64), String>;
 /// Outcome of a materialization: the binding key, or why not.
 type MaterializeResult = Result<String, String>;
-/// An update acknowledgment channel.
-type UpdateReply = Reply<UpdateResult>;
 
-/// Completion barrier for one cross-shard update batch: the home shard
-/// arms it with the client acks after logging and publishing locally,
-/// every peer shard arrives once it has applied and published the
-/// replicated batch, and the *last* arrival delivers the acks — so `OK
-/// applied <v>` still means "visible on every shard".
-struct BatchBarrier {
-    remaining: AtomicUsize,
-    max_version: AtomicU64,
-    acks: Mutex<Vec<(UpdateReply, bool)>>,
-}
-
-impl BatchBarrier {
-    fn new(peers: usize, home_version: u64, acks: Vec<(UpdateReply, bool)>) -> BatchBarrier {
-        BatchBarrier {
-            remaining: AtomicUsize::new(peers),
-            max_version: AtomicU64::new(home_version),
-            acks: Mutex::new(acks),
-        }
-    }
-
-    /// One shard finished the batch at `version` (0 = it had nothing
-    /// to publish).  The final arrival acks every client with the
-    /// highest version any shard published the batch at.
-    fn arrive(&self, version: u64) {
-        self.max_version.fetch_max(version, Ordering::AcqRel);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let version = self.max_version.load(Ordering::Acquire);
-            let acks = std::mem::take(&mut *self.acks.lock().expect("barrier acks lock"));
-            for (reply, applied) in acks {
-                reply.send(Ok((applied, version)));
-            }
-        }
-    }
-}
-
-/// Commands on a shard's maintenance queue.
+/// Commands on the writer's queue.
 enum WriterCmd {
-    /// Apply one update homed on this shard; acknowledge with
-    /// (state-changed, published version) once the containing snapshot
-    /// is live on every shard.
-    Update { update: Update, reply: UpdateReply },
-    /// Apply a batch another shard already logged and acked ownership
-    /// of; arrive at the barrier once published locally.  Never
-    /// counted against the queue-depth gauge and never shed.
-    Replicate {
-        updates: Arc<Vec<Update>>,
-        barrier: Arc<BatchBarrier>,
+    /// Apply one update; acknowledge with (state-changed, published
+    /// version) once the containing snapshot is live.
+    Update {
+        update: Update,
+        reply: Reply<UpdateResult>,
     },
     /// Plan and materialize a view for `query`; acknowledge with the
     /// binding key once the snapshot containing it is live.
@@ -479,70 +358,37 @@ enum WriterCmd {
     Shutdown,
 }
 
-/// Per-shard shared state: the command queue, the published snapshot
-/// slot for the views the shard owns, and the shard's own overload and
-/// durability gauges.
-struct ShardState {
-    tx: Sender<WriterCmd>,
-    published: Mutex<Arc<Snapshot>>,
-    /// Commands currently in flight to this shard (enqueued but not
-    /// yet popped).  Incremented *before* the channel send so the
-    /// gauge can only over-count, never under-count — the shed check
-    /// errs toward shedding at the boundary rather than letting the
-    /// queue grow past its cap.
-    queue_depth: AtomicU64,
-    /// Updates refused with `BUSY` because this queue was at capacity.
-    shed_updates: AtomicU64,
-    /// Writer round-trips on this shard that exceeded the deadline.
-    deadline_misses: AtomicU64,
-    /// Read-only degraded mode for this shard: set by its writer when
-    /// the durable path (WAL append or checkpoint) fails, cleared when
-    /// a background probe proves it healthy again.
-    degraded: AtomicBool,
-    /// Times this shard has *entered* degraded mode (lifetime count).
-    degraded_entered: AtomicU64,
-    /// Mirror of [`DurableStore::wal_bytes`] for this shard's log.
-    wal_bytes: AtomicU64,
-    /// Mirror of [`DurableStore::last_checkpoint_seq`].
-    last_checkpoint_seq: AtomicU64,
-}
-
-impl ShardState {
-    fn snapshot(&self) -> Arc<Snapshot> {
-        self.published.lock().expect("publish lock").clone()
-    }
-
-    fn publish(&self, snapshot: Snapshot) {
-        *self.published.lock().expect("publish lock") = Arc::new(snapshot);
-    }
-
-    /// Book-keeping for a command the writer popped off its queue:
-    /// every counted (client-originated) command decrements the depth
-    /// gauge exactly once, at pop time.  `Shutdown` and `Replicate`
-    /// are sent by the server itself and are never counted.
-    fn note_pop(&self, cmd: &WriterCmd) {
-        if matches!(
-            cmd,
-            WriterCmd::Update { .. } | WriterCmd::Materialize { .. }
-        ) {
-            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// State shared between the accept loop, the reader pool, the writer
-/// shards and the handle.
+/// and the handle.
 struct Shared {
     program: Program,
     derived: BTreeSet<PredName>,
     strategy: Strategy,
     limits: Limits,
-    shards: Vec<ShardState>,
-    /// Global snapshot version counter: every publish on any shard
-    /// takes the next value, so versions are unique and each shard's
-    /// slot is monotonic.  At one shard this degenerates to the
-    /// classic single-writer version sequence.
-    version: AtomicU64,
+    /// The writer's command queue.
+    tx: Sender<WriterCmd>,
+    /// The snapshot the writer last published.
+    published: Mutex<Arc<Snapshot>>,
+    /// Commands currently in flight to the writer (enqueued but not yet
+    /// popped).  Incremented *before* the channel send so the gauge can
+    /// only over-count, never under-count — the shed check errs toward
+    /// shedding at the boundary rather than letting the queue grow past
+    /// its cap.
+    queue_depth: AtomicU64,
+    /// Updates refused with `BUSY` because the queue was at capacity.
+    shed_updates: AtomicU64,
+    /// Writer round-trips that exceeded the deadline.
+    deadline_misses: AtomicU64,
+    /// Read-only degraded mode: set by the writer when the durable path
+    /// (WAL append or checkpoint) fails, cleared when a background probe
+    /// proves it healthy again.
+    degraded: AtomicBool,
+    /// Times the writer has *entered* degraded mode (lifetime count).
+    degraded_entered: AtomicU64,
+    /// Mirror of [`DurableStore::wal_bytes`].
+    wal_bytes: AtomicU64,
+    /// Mirror of [`DurableStore::last_checkpoint_seq`].
+    last_checkpoint_seq: AtomicU64,
     /// Memoized query-text → binding-key translation (one plan per
     /// distinct query text, server-wide).
     key_cache: Mutex<HashMap<String, String>>,
@@ -560,7 +406,7 @@ struct Shared {
     /// Ends the accept loop's wait; only shutdown uses it.
     accept_waker: Waker,
     /// One per reader thread, in pool order: the accept loop wakes a
-    /// reader after dealing it a connection, writers wake it through
+    /// reader after dealing it a connection, the writer wakes it through
     /// the [`Reply`]s it handed out, shutdown wakes them all.
     reader_wakers: Vec<Arc<Waker>>,
     /// Returns from the readers' readiness wait (`STATS`
@@ -591,12 +437,28 @@ struct Shared {
 }
 
 impl Shared {
-    fn next_version(&self) -> u64 {
-        self.version.fetch_add(1, Ordering::Relaxed) + 1
+    fn snapshot(&self) -> Arc<Snapshot> {
+        self.published.lock().expect("publish lock").clone()
     }
 
-    fn shard_of_key(&self, key: &str) -> usize {
-        shard_of(key, self.shards.len())
+    /// Queue a client command for the writer, counted against the depth
+    /// gauge until the writer pops it; `false` once the writer is gone.
+    fn send(&self, cmd: WriterCmd) -> bool {
+        self.queue_depth.fetch_add(1, Ordering::Relaxed);
+        let sent = self.tx.send(cmd).is_ok();
+        if !sent {
+            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        sent
+    }
+
+    /// Book-keeping for a command the writer popped off its queue: each
+    /// one [`Shared::send`] counted leaves the depth gauge here, once.
+    /// `Shutdown` is the server's own and was never counted.
+    fn note_pop(&self, cmd: &WriterCmd) {
+        if !matches!(cmd, WriterCmd::Shutdown) {
+            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// The cached rendered response for `(key, version)`, if the cache
@@ -638,9 +500,8 @@ impl Shared {
         body
     }
 
-    /// The binding key `key_cache` memoizes: what the owning shard's
-    /// catalog computes, by planning alone (an empty catalog is two empty
-    /// maps).
+    /// The binding key `key_cache` memoizes: what the writer's catalog
+    /// computes, by planning alone (an empty catalog is two empty maps).
     fn binding_key(&self, query: &Query) -> Result<String, String> {
         ViewCatalog::new(self.strategy)
             .with_limits(self.limits)
@@ -692,13 +553,11 @@ impl Shared {
         }
     }
 
-    /// Stop every thread: the front end as above, the writers by
-    /// command (idempotent).
+    /// Stop every thread: the front end as above, the writer by command
+    /// (idempotent).
     fn begin_shutdown(&self) {
         self.stop_front_end();
-        for shard in &self.shards {
-            let _ = shard.tx.send(WriterCmd::Shutdown);
-        }
+        let _ = self.tx.send(WriterCmd::Shutdown);
     }
 }
 
@@ -708,24 +567,20 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    writer_threads: Vec<JoinHandle<()>>,
+    writer_thread: Option<JoinHandle<()>>,
     reader_threads: Vec<JoinHandle<()>>,
 }
 
 /// Namespace for [`Server::start`].
 pub struct Server;
 
-/// Everything one writer shard owns, handed to its thread at spawn.
+/// Everything the writer owns, handed to its thread at spawn.
 struct WriterInit {
-    idx: usize,
     rx: Receiver<WriterCmd>,
     catalog: ViewCatalog,
     db: Database,
     store: Option<DurableStore>,
-    /// Send ends of every *other* shard's queue, for replication
-    /// fan-out (empty in the single-shard layout).
-    peer_txs: Vec<Sender<WriterCmd>>,
-    /// Signalled once the thread is running; see [`Server::start`].
+    /// Dropped once the thread is running; see [`Server::start`].
     started: Sender<()>,
 }
 
@@ -733,22 +588,19 @@ impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
     /// `program` over `edb` until the returned handle is shut down.
     ///
-    /// The catalogs start empty: views materialize on demand as queries
-    /// arrive, each keyed by its adorned binding and owned by the shard
-    /// its key hashes to.  `edb` becomes the authoritative base-fact
-    /// database (replicated across shards; each predicate's home shard
-    /// serializes and logs its updates), maintained by every
+    /// The catalog starts empty: views materialize on demand as queries
+    /// arrive, each keyed by its adorned binding.  `edb` becomes the
+    /// authoritative base-fact database, maintained by every
     /// acknowledged update and used to materialize late-arriving
     /// bindings.
     ///
     /// With [`ServeConfig::durability`] set, startup first runs
-    /// recovery against the store directory — per shard: newest
-    /// checkpoint load and WAL-tail replay; then the disjoint
-    /// partitions merge and each shard's exported view bindings
-    /// re-materialize over the merged base — all *before* the listener
-    /// accepts its first connection.  On a brand-new store `edb` is
-    /// the seed and is checkpointed immediately; on an existing store
-    /// the disk state wins and `edb` is ignored.
+    /// recovery against the store directory — newest checkpoint load,
+    /// re-materialization of its exported view bindings, WAL-tail
+    /// replay — all *before* the listener accepts its first
+    /// connection.  On a brand-new store `edb` is the seed and is
+    /// checkpointed immediately; on an existing store the disk state
+    /// wins and `edb` is ignored.
     pub fn start(
         program: Program,
         edb: Database,
@@ -758,109 +610,34 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shards = config.writer_shards.max(1);
-        let durable_err = |e: magic_durable::DurableError| io::Error::other(e.to_string());
+        let durable_err = |e: DurableError| io::Error::other(e.to_string());
         // One fault plan instance for the whole server: explicit config
         // wins, else `MAGIC_FAULTS`.  Resolving it here (rather than
-        // letting each store read the environment on its own) keeps
-        // every durable store and the accept loop sharing the *same*
+        // letting the store read the environment on its own) keeps the
+        // durable store and the accept loop sharing the *same*
         // occurrence counters, so a spec like `conn-drop=2` counts
         // connections globally, not per subsystem.
         let faults = config.faults.clone().or_else(FaultPlan::from_env);
-        let new_catalog = || {
-            ViewCatalog::new(config.strategy)
-                .with_limits(config.limits)
-                .with_max_views(config.max_views)
-                .with_view_ttl(config.view_ttl)
-        };
-        let (catalogs, dbs, stores) = match &config.durability {
+        let catalog = ViewCatalog::new(config.strategy)
+            .with_limits(config.limits)
+            .with_max_views(config.max_views)
+            .with_view_ttl(config.view_ttl);
+        let (catalog, db, store) = match &config.durability {
             Some(durable) => {
                 let mut durable = durable.clone();
                 if durable.faults.is_none() {
                     durable.faults = faults.clone();
                 }
-                verify_shard_layout(&durable.dir, shards).map_err(durable_err)?;
-                if shards == 1 {
-                    // The classic path, byte-compatible with stores
-                    // written by earlier single-writer servers.
-                    let mut store = DurableStore::open(&durable).map_err(durable_err)?;
-                    let recovered = store
-                        .recover(&program, new_catalog(), &edb)
-                        .map_err(durable_err)?;
-                    (
-                        vec![recovered.catalog],
-                        vec![recovered.db],
-                        vec![Some(store)],
-                    )
-                } else {
-                    // Per-shard recovery: each store covers a disjoint
-                    // predicate partition, so the merged union *is*
-                    // the acked base state; views then re-materialize
-                    // over it — the same fixpoint the single-store
-                    // replay-through-maintenance reaches, because a
-                    // view's state is a function of the base state.
-                    let mut stores = Vec::with_capacity(shards);
-                    let mut shard_bindings = Vec::with_capacity(shards);
-                    let mut merged = Database::new();
-                    for i in 0..shards {
-                        let mut store =
-                            DurableStore::open_shard(&durable, i, shards).map_err(durable_err)?;
-                        let seed = project_home(&edb, i, shards);
-                        let recovered = store.recover_base(&seed).map_err(durable_err)?;
-                        merged.merge(&recovered.db);
-                        shard_bindings.push(recovered.bindings);
-                        stores.push(Some(store));
-                    }
-                    let mut catalogs: Vec<ViewCatalog> =
-                        (0..shards).map(|_| new_catalog()).collect();
-                    for (catalog, bindings) in catalogs.iter_mut().zip(shard_bindings) {
-                        for (_key, text) in bindings {
-                            // A binding whose query no longer plans
-                            // (the program changed between runs) is
-                            // dropped, not fatal: views are caches.
-                            let Ok(query) = parse_query(&text) else {
-                                continue;
-                            };
-                            let _ = catalog.materialize_keyed(&program, &query, &merged);
-                        }
-                    }
-                    let dbs = (0..shards).map(|_| merged.clone()).collect();
-                    (catalogs, dbs, stores)
-                }
+                let mut store = DurableStore::open(&durable).map_err(durable_err)?;
+                let recovered = store
+                    .recover(&program, catalog, &edb)
+                    .map_err(durable_err)?;
+                (recovered.catalog, recovered.db, Some(store))
             }
-            None => (
-                (0..shards).map(|_| new_catalog()).collect(),
-                (0..shards).map(|_| edb.clone()).collect(),
-                (0..shards)
-                    .map(|_| None)
-                    .collect::<Vec<Option<DurableStore>>>(),
-            ),
+            None => (catalog, edb, None),
         };
 
-        let mut txs = Vec::with_capacity(shards);
-        let mut rxs = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let shard_states: Vec<ShardState> = txs
-            .iter()
-            .zip(&stores)
-            .map(|(tx, store)| ShardState {
-                tx: tx.clone(),
-                published: Mutex::new(Arc::new(Snapshot::default())),
-                queue_depth: AtomicU64::new(0),
-                shed_updates: AtomicU64::new(0),
-                deadline_misses: AtomicU64::new(0),
-                degraded: AtomicBool::new(false),
-                degraded_entered: AtomicU64::new(0),
-                wal_bytes: AtomicU64::new(store.as_ref().map_or(0, DurableStore::wal_bytes)),
-                last_checkpoint_seq: AtomicU64::new(
-                    store.as_ref().map_or(0, DurableStore::last_checkpoint_seq),
-                ),
-            })
-            .collect();
+        let (tx, rx) = channel();
         let reader_count = if config.reader_threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -877,8 +654,17 @@ impl Server {
             program,
             strategy: config.strategy,
             limits: config.limits,
-            shards: shard_states,
-            version: AtomicU64::new(0),
+            tx,
+            published: Mutex::new(Arc::new(Snapshot::default())),
+            queue_depth: AtomicU64::new(0),
+            shed_updates: AtomicU64::new(0),
+            deadline_misses: AtomicU64::new(0),
+            degraded: AtomicBool::new(false),
+            degraded_entered: AtomicU64::new(0),
+            wal_bytes: AtomicU64::new(store.as_ref().map_or(0, DurableStore::wal_bytes)),
+            last_checkpoint_seq: AtomicU64::new(
+                store.as_ref().map_or(0, DurableStore::last_checkpoint_seq),
+            ),
             key_cache: Mutex::new(HashMap::new()),
             response_cache: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -899,45 +685,27 @@ impl Server {
         });
 
         let view_ttl = (config.view_ttl > Duration::ZERO).then_some(config.view_ttl);
-        let mut writer_threads = Vec::with_capacity(shards);
-        let (started_tx, started_rx) = channel();
-        let shard_inits = rxs
-            .into_iter()
-            .zip(catalogs)
-            .zip(dbs.into_iter().zip(stores));
-        for (i, ((rx, catalog), (db, store))) in shard_inits.enumerate() {
-            let peer_txs: Vec<Sender<WriterCmd>> = txs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, tx)| tx.clone())
-                .collect();
-            let init = WriterInit {
-                idx: i,
-                rx,
-                catalog,
-                db,
-                store,
-                peer_txs,
-                started: started_tx.clone(),
-            };
-            let writer_shared = Arc::clone(&shared);
-            writer_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("magic-serve-writer-{i}"))
-                    .spawn(move || writer_loop(writer_shared, init, config.batch_max, view_ttl))?,
-            );
-        }
+        let (started, started_rx) = channel();
+        let init = WriterInit {
+            rx,
+            catalog,
+            db,
+            store,
+            started,
+        };
+        let writer_shared = Arc::clone(&shared);
+        let writer_thread = std::thread::Builder::new()
+            .name("magic-serve-writer".into())
+            .spawn(move || writer_loop(writer_shared, init, config.batch_max, view_ttl))?;
 
-        // The writers take their malloc arenas before any other thread of
+        // The writer takes its malloc arena before any other thread of
         // this server exists.  glibc hands a new thread the arena of the
         // thread that exited last, and [`ServerHandle::shutdown`] makes
-        // that a writer — the one arena with a whole catalog's worth of
+        // that the writer — the one arena with a whole catalog's worth of
         // free space.  A reader that starts first takes it instead, and
         // the writer grows a second copy (`peak_rss_mb` 102 or 148 MiB
         // on `magicbench serve_read`, by the luck of the thread start).
-        drop(started_tx);
-        while started_rx.recv().is_ok() {}
+        let _ = started_rx.recv();
 
         let mut reader_txs = Vec::with_capacity(reader_count);
         let mut reader_threads = Vec::with_capacity(reader_count);
@@ -962,7 +730,7 @@ impl Server {
             addr,
             shared,
             accept_thread: Some(accept_thread),
-            writer_threads,
+            writer_thread: Some(writer_thread),
             reader_threads,
         })
     }
@@ -985,12 +753,12 @@ impl ServerHandle {
     }
 
     /// Stop front to back and join every thread: the accept loop, then
-    /// the reader pool (which drops its connections), then the writer
-    /// shards.  A writer therefore outlives every thread that can still
-    /// hand it work, and is the last thread to exit.  That order also
-    /// keeps a process that starts another server afterwards at one
-    /// server's footprint: glibc gives a new thread the malloc arena of
-    /// the thread that exited last, so the next server's writer (the first
+    /// the reader pool (which drops its connections), then the writer.
+    /// The writer therefore outlives every thread that can still hand it
+    /// work, and is the last thread to exit.  That order also keeps a
+    /// process that starts another server afterwards at one server's
+    /// footprint: glibc gives a new thread the malloc arena of the
+    /// thread that exited last, so the next server's writer (the first
     /// thread [`Server::start`] spawns) allocates its views out of the
     /// space the previous writer's views freed, where a racing exit order
     /// left that to chance (89 MiB or 150 MiB on `magicbench serve_read`,
@@ -1004,7 +772,7 @@ impl ServerHandle {
             let _ = t.join();
         }
         self.shared.begin_shutdown();
-        for t in self.writer_threads.drain(..) {
+        if let Some(t) = self.writer_thread.take() {
             let _ = t.join();
         }
     }
@@ -1037,28 +805,27 @@ impl DegradedCause {
     }
 }
 
-/// Flip one shard into read-only degraded mode (idempotent on the
+/// Flip the server into read-only degraded mode (idempotent on the
 /// counters: re-entering while already degraded only updates the cause).
 fn enter_degraded(
-    shard: &ShardState,
+    shared: &Shared,
     degraded_cause: &mut Option<DegradedCause>,
     probe_backoff: &mut Duration,
     next_probe: &mut Option<Instant>,
     cause: DegradedCause,
 ) {
     if degraded_cause.is_none() {
-        shard.degraded.store(true, Ordering::Release);
-        shard.degraded_entered.fetch_add(1, Ordering::Relaxed);
+        shared.degraded.store(true, Ordering::Release);
+        shared.degraded_entered.fetch_add(1, Ordering::Relaxed);
     }
     *degraded_cause = Some(cause);
     *probe_backoff = PROBE_BACKOFF_MIN;
     *next_probe = Some(Instant::now() + *probe_backoff);
 }
 
-/// One maintenance writer shard: drains its queue in batches, applies
-/// updates homed on it to its base replica and the views it owns,
-/// replicates to its peers, materializes late bindings, and publishes a
-/// fresh snapshot after every change.
+/// The maintenance writer: drains its queue in batches, applies updates
+/// to the base database and the views, materializes late bindings, and
+/// publishes a fresh snapshot after every change.
 ///
 /// Publishing is incremental (see [`Publisher`]): each publish cycle
 /// replaces only the bindings [`ViewCatalog::apply_all`] reported
@@ -1072,20 +839,16 @@ fn writer_loop(
     view_ttl: Option<Duration>,
 ) {
     let WriterInit {
-        idx,
         rx,
         mut catalog,
         db: mut base_db,
         mut store,
-        peer_txs,
         started,
     } = init;
-    let me = &shared.shards[idx];
-    let shard_count = shared.shards.len();
-    let mut last_version: u64 = 0;
+    // The version of the last publish: this writer numbers every one.
+    let mut version: u64 = 0;
     let mut publisher = Publisher {
         shared: &shared,
-        me,
         published: BTreeMap::new(),
     };
     // Recovery may have handed us a warm catalog (re-materialized from
@@ -1096,7 +859,7 @@ fn writer_loop(
     // must therefore already contain the binding.
     let recovered: Vec<String> = catalog.keys().map(String::from).collect();
     if publisher.refresh(&catalog, &recovered) {
-        publisher.publish(&catalog, 0);
+        publisher.publish(&catalog, version);
     }
     // How often an idle writer wakes to sweep TTL-expired views: often
     // enough that staleness past the deadline stays a small fraction
@@ -1112,12 +875,10 @@ fn writer_loop(
     drop(started);
     // A command popped out of a batch drain that must be handled next.
     let mut deferred: Option<WriterCmd> = None;
-    // Degraded mode: while `Some`, this shard's durable path is broken
-    // — updates homed here are refused and a probe retries the failing
-    // operation on a capped exponential backoff.  Owned by the writer;
-    // mirrored to the shard's `degraded` flag for the connection-side
-    // front-door check.  Replicated batches from healthy peers still
-    // apply: they are already logged by their home shard.
+    // Degraded mode: while `Some`, the durable path is broken — updates
+    // are refused and a probe retries the failing operation on a capped
+    // exponential backoff.  Owned by the writer; mirrored to the shared
+    // `degraded` flag for the connection-side front-door check.
     let mut degraded_cause: Option<DegradedCause> = None;
     let mut probe_backoff = PROBE_BACKOFF_MIN;
     let mut next_probe: Option<Instant> = None;
@@ -1138,14 +899,14 @@ fn writer_loop(
             None => match tick {
                 None => match rx.recv() {
                     Ok(cmd) => {
-                        me.note_pop(&cmd);
+                        shared.note_pop(&cmd);
                         Some(cmd)
                     }
                     Err(_) => break, // every sender is gone
                 },
                 Some(tick) => match rx.recv_timeout(tick) {
                     Ok(cmd) => {
-                        me.note_pop(&cmd);
+                        shared.note_pop(&cmd);
                         Some(cmd)
                     }
                     Err(RecvTimeoutError::Disconnected) => break 'main,
@@ -1157,8 +918,8 @@ fn writer_loop(
                         // runs at the bottom of the loop body.)
                         catalog.evict_expired();
                         if publisher.refresh(&catalog, &[]) {
-                            last_version = shared.next_version();
-                            publisher.publish(&catalog, last_version);
+                            version += 1;
+                            publisher.publish(&catalog, version);
                         }
                         None
                     }
@@ -1181,8 +942,8 @@ fn writer_loop(
                         // bindings past the `max_views` cap; `refresh`
                         // drops those.
                         publisher.refresh(&catalog, std::slice::from_ref(&key));
-                        last_version = shared.next_version();
-                        publisher.publish(&catalog, last_version);
+                        version += 1;
+                        publisher.publish(&catalog, version);
                         // Under a pathologically tiny `max_views` the
                         // eviction sweep can claw back the very binding
                         // just materialized; that is an answerable error
@@ -1202,33 +963,11 @@ fn writer_loop(
                         // A seed its view could not take costs that view
                         // the bindings it had.
                         if publisher.refresh(&catalog, &[]) {
-                            last_version = shared.next_version();
-                            publisher.publish(&catalog, last_version);
+                            version += 1;
+                            publisher.publish(&catalog, version);
                         }
                         reply.send(Err(e.to_string()));
                     }
-                }
-            }
-            Some(WriterCmd::Replicate { updates, barrier }) => {
-                // A batch a peer shard owns: it is already validated,
-                // logged and rolled forward there.  Apply it to the
-                // local base replica and whatever views this shard
-                // owns, publish if anything moved, and arrive at the
-                // barrier so the acks can go out.  Never logged here —
-                // each WAL covers only its shard's home predicates.
-                for update in updates.iter() {
-                    match update {
-                        Update::Insert(f) => base_db.insert_fact(f),
-                        Update::Retract(f) => base_db.remove_fact(f),
-                    };
-                }
-                let outcome = catalog.apply_all(updates.as_slice());
-                if publisher.refresh(&catalog, &outcome.changed) {
-                    last_version = shared.next_version();
-                    publisher.publish(&catalog, last_version);
-                    barrier.arrive(last_version);
-                } else {
-                    barrier.arrive(0);
                 }
             }
             Some(WriterCmd::Update { update: _, reply }) if degraded_cause.is_some() => {
@@ -1244,14 +983,13 @@ fn writer_loop(
             }
             Some(WriterCmd::Update { update, reply }) => {
                 // Batch: greedily drain more queued updates (writes are
-                // serialized per shard anyway, and coalescing insertions
-                // lets each view run one fixpoint re-entry for the whole
-                // batch).
+                // serialized anyway, and coalescing insertions lets each
+                // view run one fixpoint re-entry for the whole batch).
                 let mut batch = vec![(update, reply)];
                 while batch.len() < batch_max {
                     match rx.try_recv() {
                         Ok(cmd) => {
-                            me.note_pop(&cmd);
+                            shared.note_pop(&cmd);
                             match cmd {
                                 WriterCmd::Update { update, reply } => {
                                     batch.push((update, reply));
@@ -1265,7 +1003,7 @@ fn writer_loop(
                         Err(_) => break,
                     }
                 }
-                // Apply to the base replica, validating each fact's
+                // Apply to the base database, validating each fact's
                 // arity *at application time* — against the database as
                 // the batch has mutated it so far, falling back to the
                 // program's declared arity.  (A single pre-pass would
@@ -1277,7 +1015,7 @@ fn writer_loop(
                 // changes — no-ops are acknowledged but never reach the
                 // views.
                 let mut changed: Vec<Update> = Vec::new();
-                let mut acks: Vec<(UpdateReply, bool)> = Vec::new();
+                let mut acks: Vec<(Reply<UpdateResult>, bool)> = Vec::new();
                 for (update, reply) in batch {
                     let fact = update.fact();
                     let expected = base_db
@@ -1304,17 +1042,17 @@ fn writer_loop(
                     }
                     acks.push((reply, is_change));
                 }
-                // Write-ahead: the batch must be on this shard's log
-                // *before* its snapshot publishes and its clients are
-                // acked — "OK applied" promises the write survives a
-                // crash.  If the log itself fails, the failed append is
-                // scrubbed from the log (see [`DurableStore::log_batch`])
-                // and the batch is rolled back out of the base replica —
-                // exact inverses in reverse order, sound because
-                // `changed` holds only state-changers.  Memory, disk and
-                // the refusal acks then agree: the batch never happened.
-                // The views never see it, the peers are never told, and
-                // this shard enters read-only degraded mode.
+                // Write-ahead: the batch must be on the log *before* its
+                // snapshot publishes and its clients are acked — "OK
+                // applied" promises the write survives a crash.  If the
+                // log itself fails, the failed append is scrubbed from
+                // the log (see [`DurableStore::log_batch`]) and the batch
+                // is rolled back out of the base database — exact
+                // inverses in reverse order, sound because `changed`
+                // holds only state-changers.  Memory, disk and the
+                // refusal acks then agree: the batch never happened.
+                // The views never see it, and the server enters
+                // read-only degraded mode.
                 let mut log_failure: Option<String> = None;
                 if !changed.is_empty() {
                     if let Some(store) = store.as_mut() {
@@ -1331,7 +1069,7 @@ fn writer_loop(
                             }
                             log_failure = Some(e.to_string());
                         }
-                        me.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
+                        shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
                     }
                 }
                 if log_failure.is_none() && !changed.is_empty() {
@@ -1344,8 +1082,8 @@ fn writer_loop(
                     // prefix, and the acknowledgments below stay truthful.
                     let outcome = catalog.apply_all(&changed);
                     publisher.refresh(&catalog, &outcome.changed);
-                    last_version = shared.next_version();
-                    publisher.publish(&catalog, last_version);
+                    version += 1;
+                    publisher.publish(&catalog, version);
                     shared
                         .updates_applied
                         .fetch_add(changed.len() as u64, Ordering::Relaxed);
@@ -1355,11 +1093,11 @@ fn writer_loop(
                 // the flag raised when it asks `STATS`.
                 if let Some(detail) = &log_failure {
                     eprintln!(
-                        "magic-serve: WAL append failed on shard {idx}, entering \
-                         read-only degraded mode: {detail}"
+                        "magic-serve: WAL append failed, entering read-only degraded \
+                         mode: {detail}"
                     );
                     enter_degraded(
-                        me,
+                        &shared,
                         &mut degraded_cause,
                         &mut probe_backoff,
                         &mut next_probe,
@@ -1368,46 +1106,25 @@ fn writer_loop(
                     for (reply, _) in acks {
                         reply.send(Err(format!(
                             "DEGRADED update refused: WAL append failed ({detail}); \
-                             the batch was rolled back and the shard is read-only \
+                             the batch was rolled back and the server is read-only \
                              until the durable path recovers"
                         )));
                     }
-                } else if changed.is_empty() || peer_txs.is_empty() {
-                    // Nothing to replicate (all no-ops) or the classic
-                    // single-shard layout: ack directly.
-                    for (reply, applied) in acks {
-                        reply.send(Ok((applied, last_version)));
-                    }
                 } else {
-                    // Fan the batch out; the last peer to publish
-                    // delivers the acks.  Forwarding from here (not the
-                    // connection threads) keeps all of one predicate's
-                    // updates flowing to every replica in home-shard
-                    // order — std channels are per-sender FIFO.  Sends
-                    // are nonblocking, so shards never wait on each
-                    // other; a dead peer (shutdown race) counts as
-                    // arrived so the acks still go out.
-                    let barrier = Arc::new(BatchBarrier::new(peer_txs.len(), last_version, acks));
-                    let updates = Arc::new(changed);
-                    for tx in &peer_txs {
-                        let cmd = WriterCmd::Replicate {
-                            updates: Arc::clone(&updates),
-                            barrier: Arc::clone(&barrier),
-                        };
-                        if tx.send(cmd).is_err() {
-                            barrier.arrive(0);
-                        }
+                    for (reply, applied) in acks {
+                        reply.send(Ok((applied, version)));
                     }
                 }
                 // Checkpoint *after* acking: the cadence check rides
                 // the batch that crossed it, but clients never wait
-                // on a whole-partition freeze.
+                // on a whole-database freeze.
                 if log_failure.is_none() {
                     if let Some(store) = store.as_mut() {
                         if store.should_checkpoint() {
-                            match checkpoint_shard(store, &base_db, &catalog, idx, shard_count) {
+                            match store.checkpoint(&base_db, &catalog.export_bindings()) {
                                 Ok(()) => {
-                                    me.last_checkpoint_seq
+                                    shared
+                                        .last_checkpoint_seq
                                         .store(store.last_checkpoint_seq(), Ordering::Relaxed);
                                 }
                                 Err(e) => {
@@ -1422,11 +1139,11 @@ fn writer_loop(
                                     // piling more acked writes onto an
                                     // unbounded WAL tail.
                                     eprintln!(
-                                        "magic-serve: checkpoint failed on shard {idx}, \
-                                         entering read-only degraded mode: {e}"
+                                        "magic-serve: checkpoint failed, entering \
+                                         read-only degraded mode: {e}"
                                     );
                                     enter_degraded(
-                                        me,
+                                        &shared,
                                         &mut degraded_cause,
                                         &mut probe_backoff,
                                         &mut next_probe,
@@ -1434,7 +1151,7 @@ fn writer_loop(
                                     );
                                 }
                             }
-                            me.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
+                            shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
                         }
                     }
                 }
@@ -1452,21 +1169,22 @@ fn writer_loop(
                     let outcome = match cause {
                         DegradedCause::Wal => store.probe(),
                         DegradedCause::Checkpoint => {
-                            checkpoint_shard(store, &base_db, &catalog, idx, shard_count)
+                            store.checkpoint(&base_db, &catalog.export_bindings())
                         }
                     };
                     match outcome {
                         Ok(()) => {
                             eprintln!(
-                                "magic-serve: durable path recovered on shard {idx} \
-                                 ({} probe succeeded); leaving degraded mode",
+                                "magic-serve: durable path recovered ({} probe \
+                                 succeeded); leaving degraded mode",
                                 cause.noun()
                             );
                             degraded_cause = None;
                             next_probe = None;
                             probe_backoff = PROBE_BACKOFF_MIN;
-                            me.degraded.store(false, Ordering::Release);
-                            me.last_checkpoint_seq
+                            shared.degraded.store(false, Ordering::Release);
+                            shared
+                                .last_checkpoint_seq
                                 .store(store.last_checkpoint_seq(), Ordering::Relaxed);
                         }
                         Err(_) => {
@@ -1474,13 +1192,13 @@ fn writer_loop(
                             probe_backoff = (probe_backoff * 2).min(PROBE_BACKOFF_MAX);
                         }
                     }
-                    me.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
+                    shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
                 } else {
                     // No store: degraded mode is unreachable, but be
                     // safe and self-heal rather than probing forever.
                     degraded_cause = None;
                     next_probe = None;
-                    me.degraded.store(false, Ordering::Release);
+                    shared.degraded.store(false, Ordering::Release);
                 }
             }
         }
@@ -1657,24 +1375,22 @@ struct Slot {
 }
 
 /// Lifecycle of a request: either its response bytes are ready, or it
-/// is parked on a writer-shard reply channel whose [`Reply`] wakes the
-/// owning reader.
+/// is parked on a writer reply channel whose [`Reply`] wakes the owning
+/// reader.
 enum SlotState {
     /// Response bytes in text-protocol form, ready to stage — shared
     /// with the response cache on a hit, never copied before the send
     /// buffer.
     Ready(Arc<[u8]>),
-    /// An update in flight to its home shard.
+    /// An update in flight to the writer.
     AwaitUpdate {
         rx: Receiver<UpdateResult>,
-        shard: usize,
         deadline: Option<Instant>,
     },
     /// A first-sight query waiting for its view to materialize.
     AwaitMaterialize {
         rx: Receiver<MaterializeResult>,
         query: Query,
-        shard: usize,
         attempts: u32,
         deadline: Option<Instant>,
     },
@@ -2005,9 +1721,9 @@ fn ready_err(message: &str) -> SlotState {
 }
 
 /// The read path: translate the query to its binding key (planned on
-/// this thread, memoized per query text), answer from the owning
-/// shard's published snapshot, materializing through that shard only
-/// on first sight of a binding.
+/// this thread, memoized per query text), answer from the published
+/// snapshot, materializing through the writer only on first sight of a
+/// binding.
 fn start_query(shared: &Shared, wake: &Arc<Waker>, query: Query) -> SlotState {
     let text = query.atom.to_string();
     let cached = shared
@@ -2027,67 +1743,54 @@ fn start_query(shared: &Shared, wake: &Arc<Waker>, query: Query) -> SlotState {
                     .insert(text, key.clone());
                 Some(key)
             }
-            // A query that does not plan is routed through a writer
+            // A query that does not plan is routed through the writer
             // below so the refusal carries the catalog's canonical
             // message.
             Err(_) => None,
         },
     };
     if let Some(key) = &key {
-        let shard = shared.shard_of_key(key);
-        let snapshot = shared.shards[shard].snapshot();
+        let snapshot = shared.snapshot();
         if let Some(view) = snapshot.views.get(key) {
             return SlotState::Ready(shared.render_view(key, snapshot.version, view));
         }
         // Key known but the view is not in this snapshot: first sight,
         // an eviction (failed maintenance), or a raced materialization.
-        // The owning shard's materialize path is idempotent for live
-        // bindings and rebuilds evicted ones.
+        // The writer's materialize path is idempotent for live bindings
+        // and rebuilds evicted ones.
     }
-    let shard = key.as_deref().map_or(0, |k| shared.shard_of_key(k));
-    issue_materialize(shared, wake, query, shard, 1)
+    issue_materialize(shared, wake, query, 1)
 }
 
-/// Park a query on the owning shard's materialize path (attempt
-/// `attempts` of 3 — materialize-then-read can race an eviction, and
-/// each retry rebuilds from the current base facts).
-fn issue_materialize(
-    shared: &Shared,
-    wake: &Arc<Waker>,
-    query: Query,
-    shard: usize,
-    attempts: u32,
-) -> SlotState {
+/// Park a query on the writer's materialize path (attempt `attempts` of
+/// 3 — materialize-then-read can race an eviction, and each retry
+/// rebuilds from the current base facts).
+fn issue_materialize(shared: &Shared, wake: &Arc<Waker>, query: Query, attempts: u32) -> SlotState {
     let (reply, rx) = Reply::channel(wake);
-    let state = &shared.shards[shard];
-    state.queue_depth.fetch_add(1, Ordering::Relaxed);
     let cmd = WriterCmd::Materialize {
         query: query.clone(),
         reply,
     };
-    if state.tx.send(cmd).is_err() {
-        state.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    if !shared.send(cmd) {
         return ready_err("server is shutting down");
     }
     SlotState::AwaitMaterialize {
         rx,
         query,
-        shard,
         attempts,
         deadline: shared.slot_deadline(),
     }
 }
 
 /// The write path: validate against the source program, shed if the
-/// home shard is degraded or its queue is at capacity, otherwise
-/// enqueue to the home shard; the slot then waits (bounded by the
-/// writer deadline) until the containing snapshot is published on
-/// every shard.
+/// server is degraded or the writer queue is at capacity, otherwise
+/// enqueue to the writer; the slot then waits (bounded by the writer
+/// deadline) until the containing snapshot is published.
 ///
 /// The three structured refusals a client can see here, and what they
 /// promise:
 /// * `ERR DEGRADED …` — not applied, and retrying now will not help;
-///   wait for the shard to recover (poll `STATS degraded`).
+///   wait for the server to recover (poll `STATS degraded`).
 /// * `ERR BUSY <retry-after-ms> …` — not applied; retry after the
 ///   hinted backoff.
 /// * `ERR TIMEOUT …` — outcome *unknown*: the command is still queued
@@ -2100,18 +1803,16 @@ fn start_update(shared: &Shared, wake: &Arc<Waker>, update: Update) -> SlotState
             fact.pred
         ));
     }
-    let shard = shard_of(&fact.pred.to_string(), shared.shards.len());
-    let state = &shared.shards[shard];
-    if state.degraded.load(Ordering::Acquire) {
+    if shared.degraded.load(Ordering::Acquire) {
         return ready_err(
             "DEGRADED read-only: the durable path is failing; updates are \
              refused while a background probe retries it",
         );
     }
     if shared.max_queue_depth > 0
-        && state.queue_depth.load(Ordering::Relaxed) >= shared.max_queue_depth as u64
+        && shared.queue_depth.load(Ordering::Relaxed) >= shared.max_queue_depth as u64
     {
-        state.shed_updates.fetch_add(1, Ordering::Relaxed);
+        shared.shed_updates.fetch_add(1, Ordering::Relaxed);
         return ready_err(&format!(
             "BUSY {BUSY_RETRY_AFTER_MS} writer queue is at capacity ({}); \
              retry after the hinted backoff",
@@ -2119,14 +1820,11 @@ fn start_update(shared: &Shared, wake: &Arc<Waker>, update: Update) -> SlotState
         ));
     }
     let (reply, rx) = Reply::channel(wake);
-    state.queue_depth.fetch_add(1, Ordering::Relaxed);
-    if state.tx.send(WriterCmd::Update { update, reply }).is_err() {
-        state.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    if !shared.send(WriterCmd::Update { update, reply }) {
         return ready_err("server is shutting down");
     }
     SlotState::AwaitUpdate {
         rx,
-        shard,
         deadline: shared.slot_deadline(),
     }
 }
@@ -2136,14 +1834,12 @@ fn start_update(shared: &Shared, wake: &Arc<Waker>, update: Update) -> SlotState
 /// the command is *not* revoked — it stays queued and may apply later
 /// — so the message says "outcome unknown", and the writer's eventual
 /// reply lands on a disconnected channel (harmless).
-fn deadline_check(shared: &Shared, shard: usize, deadline: Option<Instant>) -> Option<SlotState> {
+fn deadline_check(shared: &Shared, deadline: Option<Instant>) -> Option<SlotState> {
     let at = deadline?;
     if Instant::now() < at {
         return None;
     }
-    shared.shards[shard]
-        .deadline_misses
-        .fetch_add(1, Ordering::Relaxed);
+    shared.deadline_misses.fetch_add(1, Ordering::Relaxed);
     Some(ready_err(&format!(
         "TIMEOUT writer did not respond within {}ms; the command is \
          still queued and may yet apply",
@@ -2156,20 +1852,15 @@ fn deadline_check(shared: &Shared, shard: usize, deadline: Option<Instant>) -> O
 fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
     let next = match &mut slot.state {
         SlotState::Ready(_) => None,
-        SlotState::AwaitUpdate {
-            rx,
-            shard,
-            deadline,
-        } => match rx.try_recv() {
+        SlotState::AwaitUpdate { rx, deadline } => match rx.try_recv() {
             Ok(Ok((applied, version))) => Some(ready(render_ack(applied, version).as_bytes())),
             Ok(Err(e)) => Some(ready_err(&e)),
             Err(TryRecvError::Disconnected) => Some(ready_err("server is shutting down")),
-            Err(TryRecvError::Empty) => deadline_check(shared, *shard, *deadline),
+            Err(TryRecvError::Empty) => deadline_check(shared, *deadline),
         },
         SlotState::AwaitMaterialize {
             rx,
             query,
-            shard,
             attempts,
             deadline,
         } => match rx.try_recv() {
@@ -2179,8 +1870,7 @@ fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
                     .lock()
                     .expect("key cache lock")
                     .insert(query.atom.to_string(), key.clone());
-                let vshard = shared.shard_of_key(&key);
-                let snapshot = shared.shards[vshard].snapshot();
+                let snapshot = shared.snapshot();
                 if let Some(view) = snapshot.views.get(&key) {
                     Some(SlotState::Ready(shared.render_view(
                         &key,
@@ -2192,7 +1882,6 @@ fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
                         shared,
                         wake,
                         query.clone(),
-                        vshard,
                         *attempts + 1,
                     ))
                 } else {
@@ -2205,7 +1894,7 @@ fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
             }
             Ok(Err(e)) => Some(ready_err(&e)),
             Err(TryRecvError::Disconnected) => Some(ready_err("server is shutting down")),
-            Err(TryRecvError::Empty) => deadline_check(shared, *shard, *deadline),
+            Err(TryRecvError::Empty) => deadline_check(shared, *deadline),
         },
     };
     if let Some(state) = next {
@@ -2213,53 +1902,27 @@ fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
     }
 }
 
-/// Assemble the `STATS` response from the shared counters and every
-/// shard's published snapshot.
+/// Assemble the `STATS` response from the shared counters and the
+/// published snapshot.
 fn gather_stats(shared: &Shared) -> ServerStats {
-    let mut totals = EvalStats::default();
-    let mut per_view_map: BTreeMap<String, ViewStats> = BTreeMap::new();
-    let mut version = 0u64;
-    let (mut views, mut materialized, mut recompute_views) = (0u64, 0u64, 0u64);
-    for shard in &shared.shards {
-        let snapshot = shard.snapshot();
-        version = version.max(snapshot.version);
-        views += snapshot.views.len() as u64;
-        materialized += snapshot.materialized;
-        recompute_views += snapshot.recompute_views;
-        totals.merge(&snapshot.totals);
-        for (key, view) in &snapshot.views {
-            per_view_map.insert(
-                key.clone(),
-                ViewStats {
-                    key: key.clone(),
-                    facts: view.database().total_facts() as u64,
-                    rule_firings: view.stats().rule_firings as u64,
-                    join_probes: view.stats().join_probes as u64,
-                    recomputes: view.recompute_count(),
-                    recompute_reason: view.recompute_reason().unwrap_or("").to_string(),
-                },
-            );
-        }
-    }
-    let per_shard: Vec<ShardStats> = shared
-        .shards
+    let snapshot = shared.snapshot();
+    let totals = &snapshot.totals;
+    let per_view = snapshot
+        .views
         .iter()
-        .enumerate()
-        .map(|(index, shard)| ShardStats {
-            index: index as u64,
-            queue_depth: shard.queue_depth.load(Ordering::Relaxed),
-            shed_updates: shard.shed_updates.load(Ordering::Relaxed),
-            deadline_misses: shard.deadline_misses.load(Ordering::Relaxed),
-            degraded: shard.degraded.load(Ordering::Acquire) as u64,
-            degraded_entered: shard.degraded_entered.load(Ordering::Relaxed),
-            wal_bytes: shard.wal_bytes.load(Ordering::Relaxed),
-            last_checkpoint: shard.last_checkpoint_seq.load(Ordering::Relaxed),
+        .map(|(key, view)| ViewStats {
+            key: key.clone(),
+            facts: view.database().total_facts() as u64,
+            rule_firings: view.stats().rule_firings as u64,
+            join_probes: view.stats().join_probes as u64,
+            recomputes: view.recompute_count(),
+            recompute_reason: view.recompute_reason().unwrap_or("").to_string(),
         })
         .collect();
     ServerStats {
-        version,
-        views,
-        materialized,
+        version: snapshot.version,
+        views: snapshot.views.len() as u64,
+        materialized: snapshot.materialized,
         queries_served: shared.queries_served.load(Ordering::Relaxed),
         updates_applied: shared.updates_applied.load(Ordering::Relaxed),
         connections: shared.connections.load(Ordering::Relaxed),
@@ -2269,24 +1932,18 @@ fn gather_stats(shared: &Shared) -> ServerStats {
         facts_derived: totals.facts_derived as u64,
         duplicate_derivations: totals.duplicate_derivations as u64,
         join_probes: totals.join_probes as u64,
-        wal_bytes: per_shard.iter().map(|s| s.wal_bytes).sum(),
-        last_checkpoint: per_shard
-            .iter()
-            .map(|s| s.last_checkpoint)
-            .max()
-            .unwrap_or(0),
+        wal_bytes: shared.wal_bytes.load(Ordering::Relaxed),
+        last_checkpoint: shared.last_checkpoint_seq.load(Ordering::Relaxed),
         write_errors: shared.write_errors.load(Ordering::Relaxed),
-        queue_depth: per_shard.iter().map(|s| s.queue_depth).sum(),
-        shed_updates: per_shard.iter().map(|s| s.shed_updates).sum(),
-        deadline_misses: per_shard.iter().map(|s| s.deadline_misses).sum(),
-        degraded: per_shard.iter().map(|s| s.degraded).sum(),
-        degraded_entered: per_shard.iter().map(|s| s.degraded_entered).sum(),
-        writer_shards: shared.shards.len() as u64,
+        queue_depth: shared.queue_depth.load(Ordering::Relaxed),
+        shed_updates: shared.shed_updates.load(Ordering::Relaxed),
+        deadline_misses: shared.deadline_misses.load(Ordering::Relaxed),
+        degraded: shared.degraded.load(Ordering::Acquire) as u64,
+        degraded_entered: shared.degraded_entered.load(Ordering::Relaxed),
         inflight_requests: shared.inflight_requests.load(Ordering::Relaxed),
         batch_size_p50: shared.batch_p50(),
-        recompute_views,
+        recompute_views: snapshot.recompute_views,
         reader_wakeups: shared.reader_wakeups.load(Ordering::Relaxed),
-        per_view: per_view_map.into_values().collect(),
-        per_shard,
+        per_view,
     }
 }

@@ -210,70 +210,6 @@ fn checkpoint_rename_failure_degrades_without_breaking_acks() {
 }
 
 #[test]
-fn four_shard_degradation_is_per_shard_and_never_ghosts() {
-    // The sharded layout under the same WAL-failure contract: the
-    // fault strikes one shard's log (all `par` updates serialize
-    // through `par`'s home shard), exactly that shard degrades and
-    // refuses, the probe heals it, and across a SIGKILL + restart the
-    // refused write never resurrects while the acked one survives.
-    //
-    // The spec is hand-picked to strike *past boot*: WAL fsyncs only
-    // happen on appends, so the four per-shard stores created at
-    // startup (which do checkpoint) cannot eat the scheduled failures.
-    let dir = tmp_dir("chaos-foursharded");
-    let shards_env = [
-        ("MAGIC_FAULTS", "wal-fsync-fail=1x2"),
-        ("MAGIC_SERVE_FSYNC", "always"),
-        ("MAGIC_SERVE_WRITER_SHARDS", "4"),
-    ];
-    let mut server = ServerProc::spawn_with_env(&dir, 100_000, &shards_env);
-    let mut client = PipeClient::connect(server.addr).expect("connect");
-
-    let err = client.insert("par(ghost, one)").expect_err("must refuse");
-    assert!(
-        matches!(err, ClientError::Degraded(_)),
-        "want Degraded, got: {err}"
-    );
-    // Reads still serve the last consistent snapshot, and STATS pins
-    // the degradation to exactly one shard.
-    assert_eq!(read_base(&mut client), seed_edges());
-    let stats = client.stats().expect("degraded stats");
-    assert_eq!(stats.writer_shards, 4);
-    assert_eq!(stats.degraded_entered, 1);
-    assert_eq!(
-        stats
-            .per_shard
-            .iter()
-            .filter(|s| s.degraded_entered > 0)
-            .count(),
-        1,
-        "exactly one shard owns the failure: {:?}",
-        stats.per_shard
-    );
-
-    // The probe heals the struck shard on its own.
-    wait_for_degraded(&mut client, 0);
-    assert!(
-        client
-            .insert("par(healed, fine)")
-            .expect("post-heal")
-            .applied
-    );
-
-    // SIGKILL + 4-shard restart: acked survives, the refusal does not.
-    server.kill();
-    let server = ServerProc::spawn_with_env(&dir, 100_000, &[("MAGIC_SERVE_WRITER_SHARDS", "4")]);
-    let mut client = PipeClient::connect(server.addr).expect("restart connect");
-    let mut expected = seed_edges();
-    expected.insert(("healed".into(), "fine".into()));
-    assert_eq!(
-        read_base(&mut client),
-        expected,
-        "exactly seed + acked must recover per shard: refused writes are not ghosts"
-    );
-}
-
-#[test]
 fn dropped_and_stalled_connections_are_survived_by_reconnect() {
     let dir = tmp_dir("chaos-conn");
     // Connections 2 and 3 are dropped at accept; connection 5 is

@@ -21,10 +21,7 @@
 mod common;
 
 use common::{read_base, seed_edges, tmp_dir, ServerProc};
-use magic_datalog::parse_program;
-use magic_durable::DurableConfig;
-use magic_serve::{ClientError, PipeClient, ServeConfig, Server};
-use magic_storage::Database;
+use magic_serve::{ClientError, PipeClient};
 use magic_workloads::SplitMix64;
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -198,76 +195,6 @@ fn sixty_four_bindings_come_back_as_seeds_of_one_view() {
         .expect("post-recovery write");
     let reply = client.query("anc(n0, Y)").expect("query after the write");
     assert_eq!(reply.rows.len(), 64 + 7);
-}
-
-#[test]
-fn four_shard_store_survives_sigkill_and_pins_its_layout() {
-    // The sharded layout under the same kill-and-restart contract as
-    // the classic single-writer store: every acked write survives a
-    // SIGKILL, recovery merges the per-shard partitions before the
-    // listener goes live, and the store refuses to reopen at a
-    // different shard count.
-    let dir = tmp_dir("foursharded");
-    let shards_env = [("MAGIC_SERVE_WRITER_SHARDS", "4")];
-    let mut rng = SplitMix64::seed_from_u64(0x4D47_5348);
-    let ops = gen_ops(&mut rng, 30);
-
-    let mut server = ServerProc::spawn_with_env(&dir, 4, &shards_env);
-    let mut client = PipeClient::connect(server.addr).expect("connect");
-    for op in &ops {
-        let result = if op.insert {
-            client.insert(&op.atom())
-        } else {
-            client.retract(&op.atom())
-        };
-        result.expect("acked update");
-    }
-    assert_eq!(read_base(&mut client), oracle(&ops, ops.len()));
-    server.kill();
-
-    // Restart at the same shard count: the merged recovery equals the
-    // full acked oracle, views answer over it, and new writes stack.
-    let mut server = ServerProc::spawn_with_env(&dir, 4, &shards_env);
-    let mut client = PipeClient::connect(server.addr).expect("reconnect");
-    let recovered = read_base(&mut client);
-    assert_eq!(recovered, oracle(&ops, ops.len()));
-    let anc = client.query("anc(n0, Y)").expect("query anc over recovery");
-    assert!(anc.rows.len() >= 16, "the seed chain survived recovery");
-    client
-        .insert("par(post, crash)")
-        .expect("post-recovery write");
-    assert_eq!(read_base(&mut client).len(), recovered.len() + 1);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.writer_shards, 4);
-    assert_eq!(stats.per_shard.len(), 4);
-    server.kill();
-
-    // A store created with four shards must refuse a two-shard reopen
-    // — repartitioning WALs silently would corrupt recovery.
-    let program = parse_program(
-        "anc(X, Y) :- par(X, Y).
-         anc(X, Y) :- par(X, Z), anc(Z, Y).
-         edge(X, Y) :- par(X, Y).",
-    )
-    .unwrap();
-    let result = Server::start(
-        program,
-        Database::new(),
-        "127.0.0.1:0",
-        ServeConfig {
-            writer_shards: 2,
-            durability: Some(DurableConfig::new(&dir)),
-            ..ServeConfig::default()
-        },
-    );
-    let Err(err) = result else {
-        panic!("mismatched shard count must refuse to open")
-    };
-    let message = err.to_string();
-    assert!(
-        message.contains("writer_shards=4"),
-        "refusal must name the recorded layout: {message}"
-    );
 }
 
 #[test]

@@ -240,15 +240,11 @@ fn mid_pipeline_server_loss_errors_cleanly_and_reconnects() {
     server.shutdown();
 }
 
-/// `STATS` over the binary protocol reports the new shard and pipeline
-/// telemetry, with the per-shard breakdown summing to the aggregates.
+/// `STATS` over the binary protocol reports the writer's overload
+/// gauges and the pipeline telemetry.
 #[test]
 fn stats_report_shards_and_pipeline_metrics() {
-    let config = ServeConfig {
-        writer_shards: 4,
-        ..ServeConfig::default()
-    };
-    let mut server = start(config);
+    let mut server = start(ServeConfig::default());
     let mut pipe = PipeClient::connect(server.addr()).unwrap();
 
     let ids: Vec<u64> = (0..16)
@@ -262,57 +258,15 @@ fn stats_report_shards_and_pipeline_metrics() {
 
     let id = pipe.submit_stats().unwrap();
     let stats = pipe.wait_stats(id).unwrap();
-    assert_eq!(stats.writer_shards, 4);
-    assert_eq!(stats.per_shard.len(), 4);
-    assert_eq!(
-        stats.per_shard.iter().map(|s| s.index).collect::<Vec<_>>(),
-        vec![0, 1, 2, 3]
-    );
-    assert_eq!(
-        stats.queue_depth,
-        stats.per_shard.iter().map(|s| s.queue_depth).sum::<u64>()
-    );
-    assert_eq!(
-        stats.shed_updates,
-        stats.per_shard.iter().map(|s| s.shed_updates).sum::<u64>()
-    );
+    // Every command was popped and nothing was shed or timed out.
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.shed_updates, 0);
+    assert_eq!(stats.deadline_misses, 0);
     assert_eq!(stats.degraded, 0);
     assert!(
         stats.batch_size_p50 >= 1,
         "requests were decoded, the batch histogram must be non-empty"
     );
     assert_eq!(stats.updates_applied, 16);
-    server.shutdown();
-}
-
-/// The sharded layout serves the same contents as the single-writer
-/// one: read-your-writes on content after every ack, across shards.
-#[test]
-fn four_shard_server_serves_reads_and_writes() {
-    let config = ServeConfig {
-        writer_shards: 4,
-        ..ServeConfig::default()
-    };
-    let mut server = start(config);
-    let mut client = PipeClient::connect(server.addr()).unwrap();
-
-    assert_eq!(client.query("anc(a, Y)").unwrap().rows.len(), 3);
-    // `par` facts with distinct key constants still all route to
-    // `par`'s home shard; the chain grows observably after each ack.
-    for (i, link) in [("d", "e"), ("e", "f"), ("f", "g")].iter().enumerate() {
-        let ack = client
-            .insert(&format!("par({}, {})", link.0, link.1))
-            .unwrap();
-        assert!(ack.applied);
-        assert_eq!(client.query("anc(a, Y)").unwrap().rows.len(), 4 + i);
-    }
-    let ack = client.retract("par(f, g)").unwrap();
-    assert!(ack.applied);
-    assert_eq!(client.query("anc(a, Y)").unwrap().rows.len(), 5);
-
-    // Distinct bindings may live on distinct shards; both answer.
-    assert_eq!(client.query("anc(b, Y)").unwrap().rows.len(), 4);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.views, 2);
     server.shutdown();
 }

@@ -180,117 +180,6 @@ fn randomized_readers_match_oracle_prefixes() {
     }
 }
 
-/// The sharded layout under the same no-torn-reads contract.  With
-/// `writer_shards: 4`, versions are handed out by a global counter but
-/// published per shard, so a cross-shard version no longer pins a
-/// unique prefix — the checks here are on *content*:
-///
-/// * **read-your-writes** — after every acknowledged update, a query on
-///   the updater's own connection must see exactly the oracle state of
-///   the full acked prefix (the ack barrier promises the batch is
-///   published on every shard before the ack goes out);
-/// * **no torn reads** — every concurrent reader observation must
-///   equal the from-scratch oracle over *some* acked prefix;
-/// * **per-binding monotonicity** — one binding lives on one shard's
-///   snapshot slot, so versions for the same query never go backward
-///   on a connection.
-#[test]
-fn four_shard_serving_is_read_your_writes_and_never_tears() {
-    let program = programs::ancestor();
-    let edges = 14usize;
-    let initial = chain(edges);
-    let config = ServeConfig {
-        writer_shards: 4,
-        ..ServeConfig::default()
-    };
-    let mut server = Server::start(program.clone(), initial.clone(), "127.0.0.1:0", config)
-        .expect("server starts");
-    let addr = server.addr();
-    let planner = Planner::new(Strategy::MagicSets);
-    let probe_query = format!("a({}, Y)", node(0));
-
-    // A concurrent reader hammers one binding for the whole run.
-    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let reader = {
-        let done = std::sync::Arc::clone(&done);
-        let query = probe_query.clone();
-        std::thread::spawn(move || {
-            let mut client = PipeClient::connect(addr).expect("reader connects");
-            let mut seen: Vec<(u64, BTreeSet<Vec<power_of_magic::lang::Value>>)> = Vec::new();
-            let mut last_version = 0u64;
-            while !done.load(std::sync::atomic::Ordering::Relaxed) || seen.len() < 8 {
-                let reply = client.query(&query).expect("query answered");
-                assert!(
-                    reply.version >= last_version,
-                    "per-binding versions must be monotone ({last_version} then {})",
-                    reply.version
-                );
-                last_version = reply.version;
-                seen.push((reply.version, reply.rows.into_iter().collect()));
-                if seen.len() > 10_000 {
-                    break; // safety valve; never hit in practice
-                }
-            }
-            seen
-        })
-    };
-
-    // The updater: apply the stream, and after every ack re-read the
-    // probe binding — the answer must equal the oracle over exactly
-    // the acked prefix, every time, across whatever shards the batch
-    // fanned out to.
-    let stream = ancestor_update_stream(edges + 1, 40, 55, 0xBEE5_1987);
-    let mut client = PipeClient::connect(addr).expect("updater connects");
-    let mut current = initial.clone();
-    let mut prefix_answers = Vec::new();
-    let parsed_probe = power_of_magic::parse_query(&probe_query).unwrap();
-    let oracle = |db: &power_of_magic::storage::Database| {
-        planner
-            .evaluate(&program, &parsed_probe, db)
-            .expect("oracle evaluates")
-            .answers
-    };
-    prefix_answers.push(oracle(&current));
-    for op in stream {
-        let ack = match &op {
-            UpdateOp::Insert(f) => client.insert(&f.to_string()),
-            UpdateOp::Retract(f) => client.retract(&f.to_string()),
-        }
-        .expect("update acked");
-        if ack.applied {
-            let changed = match &op {
-                UpdateOp::Insert(f) => current.insert_fact(f),
-                UpdateOp::Retract(f) => current.remove_fact(f),
-            };
-            assert!(
-                changed,
-                "server applied {op:?} but the oracle replay did not"
-            );
-            prefix_answers.push(oracle(&current));
-        }
-        let reply = client.query(&probe_query).expect("read-your-writes query");
-        let got: BTreeSet<_> = reply.rows.into_iter().collect();
-        assert_eq!(
-            &got,
-            prefix_answers.last().unwrap(),
-            "read-your-writes broke after {op:?}"
-        );
-    }
-    done.store(true, std::sync::atomic::Ordering::Relaxed);
-    let observations = reader.join().expect("reader finishes");
-    server.shutdown();
-
-    // Every concurrent observation matches some acked prefix exactly.
-    for (version, rows) in &observations {
-        assert!(
-            prefix_answers.iter().any(|answers| answers == rows),
-            "torn read at version {version}: {} answers match no acked prefix",
-            rows.len()
-        );
-    }
-    assert!(observations.len() >= 8);
-}
-
 /// A batch submitted through several concurrent updater connections must
 /// still never tear: responses may land between any two *applied*
 /// updates, but each response must match some prefix of the writer's
