@@ -17,11 +17,6 @@
 //! A change that moves a counter on purpose regenerates the golden and
 //! records old → new.  Time is measured by `magicbench` alone.
 //!
-//! Each classic cell runs single-threaded and at [`PAR_THREADS`] workers,
-//! and the scheduler's determinism contract is asserted while the report
-//! is generated: the two outcomes must be identical, counters, skip
-//! reasons and error text alike.
-//!
 //! Plans the planner refuses — counting safety (Theorem 10.3), an
 //! unstratifiable program, the guarded-feature policy — are recorded as
 //! skipped cells with the typed reason.  Before a stratified scenario
@@ -50,17 +45,14 @@ use magic_incr::{MaterializedView, Update, ViewCatalog};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// Worker count of every classic cell's parallel leg.
-const PAR_THREADS: usize = 4;
-
 /// Evaluation limits for report cells.  Every limit is a count, so a
-/// divergent cell stops at the same point on every run and at every thread
-/// count.  The defaults are far above what any terminating cell needs (the
-/// largest is reverse/64 at ~4.4k iterations).  The counting methods
-/// diverge on the cyclic nested same-generation data and on the 64x64 grid
-/// (Section 10); those scenarios get budgets about ten times their
-/// largest terminating cell's (101 iterations on nested_sg, 188 420 facts
-/// on the grid), so their divergent cells stop within seconds.
+/// divergent cell stops at the same point on every run.  The defaults are
+/// far above what any terminating cell needs (the largest is reverse/64 at
+/// ~4.4k iterations).  The counting methods diverge on the cyclic nested
+/// same-generation data and on the 64x64 grid (Section 10); those
+/// scenarios get budgets about ten times their largest terminating cell's
+/// (101 iterations on nested_sg, 188 420 facts on the grid), so their
+/// divergent cells stop within seconds.
 ///
 /// `ancestor/chain/8192` under gms is the outlier the other way: its
 /// quadratic closure holds ~33.5M `anc` pairs.
@@ -80,7 +72,7 @@ fn report_limits(scenario: &str) -> Limits {
 }
 
 /// The counters every ok cell records.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct Counters {
     answers: usize,
     iterations: usize,
@@ -105,7 +97,7 @@ impl Counters {
     }
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 enum Outcome {
     Ok(Counters),
     Skipped { reason: String },
@@ -196,12 +188,12 @@ fn is_refusal(e: &PlanError) -> bool {
     )
 }
 
-/// Evaluate one cell at the given thread count.
-fn measure(scenario: &Scenario, strategy: Strategy, threads: usize) -> Outcome {
+/// Evaluate one cell.
+fn measure(scenario: &Scenario, strategy: Strategy) -> Outcome {
     if let Some(reason) = skip_reason(&scenario.name, strategy) {
         return Outcome::Skipped { reason };
     }
-    let limits = report_limits(&scenario.name).with_threads(threads);
+    let limits = report_limits(&scenario.name);
     match Planner::new(strategy).with_limits(limits).evaluate(
         &scenario.program,
         &scenario.query,
@@ -312,9 +304,7 @@ fn incr_scenarios() -> Vec<IncrScenario> {
 /// updated base facts.  Both cells carry the scratch run's answer count;
 /// a failure anywhere errors both.
 fn measure_incr(scenario: &IncrScenario) -> Vec<Cell> {
-    // Pinned single-threaded: without the explicit pin the cells would
-    // inherit an ambient MAGIC_THREADS.
-    let limits = report_limits(&scenario.name).with_threads(1);
+    let limits = report_limits(&scenario.name);
     let run = || -> Result<[Counters; 2], String> {
         let mut view = MaterializedView::with_limits(&scenario.program, &scenario.database, limits)
             .map_err(|e| e.to_string())?;
@@ -381,8 +371,7 @@ fn measure_publish(views: usize) -> Cell {
     let run = || -> Result<(Counters, usize), String> {
         let program = magic_workloads::programs::ancestor();
         let database = magic_workloads::chain(edges);
-        let limits = Limits::default().with_threads(1);
-        let mut catalog = ViewCatalog::new(Strategy::MagicSets).with_limits(limits);
+        let mut catalog = ViewCatalog::new(Strategy::MagicSets);
         // One binding per distinct warm query, like the server's catalog
         // after `views` of them.
         let mut keys = Vec::with_capacity(views);
@@ -567,16 +556,8 @@ fn main() {
         };
         let mut cells = Vec::new();
         for strategy in Strategy::ALL {
-            let single = measure(&scenario, strategy, 1);
-            let parallel = measure(&scenario, strategy, PAR_THREADS);
-            assert_eq!(
-                single,
-                parallel,
-                "{} {}: the {PAR_THREADS}-thread outcome diverged from the single-threaded one",
-                scenario.name,
-                strategy.short_name()
-            );
-            if let (Some(expected), Outcome::Ok(c)) = (oracle, &single) {
+            let outcome = measure(&scenario, strategy);
+            if let (Some(expected), Outcome::Ok(c)) = (oracle, &outcome) {
                 assert_eq!(
                     c.answers,
                     expected.len(),
@@ -585,16 +566,10 @@ fn main() {
                     strategy.short_name()
                 );
             }
-            let name = strategy.short_name();
             cells.push(Cell::new(
-                name,
-                single,
+                strategy.short_name(),
+                outcome,
                 format!(", \"threads\": 1{checked}"),
-            ));
-            cells.push(Cell::new(
-                format!("{name}@t{PAR_THREADS}"),
-                parallel,
-                format!(", \"threads\": {PAR_THREADS}{checked}"),
             ));
         }
         results.push((scenario.name.clone(), cells));

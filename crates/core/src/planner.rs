@@ -120,7 +120,7 @@ pub enum PlanError {
     /// argument graph is cyclic, so the counting indexes would grow
     /// without bound — bottom-up evaluation cannot terminate, whatever
     /// the data.  Refusing up front replaces the old behaviour of
-    /// spinning until `Limits::max_wall`.
+    /// spinning until an evaluation limit stopped it.
     CountingUnsafe {
         /// A counting-indexed predicate of the offending recursive cone.
         pred: String,
@@ -474,8 +474,8 @@ fn append_negated_cones(original: &Program, rewritten: &mut Program) {
 /// when both hold is the plan refused — a recursive counting cone with an
 /// acyclic argument graph (e.g. the linear ancestor chain) terminates and
 /// must stay plannable.  Data-level divergence (cyclic EDB under a
-/// statically fine program) remains a run-time concern bounded by
-/// [`Limits::max_wall`].
+/// statically fine program) remains a run-time concern bounded by the
+/// iteration and fact counts of [`Limits`].
 fn check_counting_safe(adorned: &AdornedProgram, rewritten: &Program) -> Result<(), PlanError> {
     if crate::safety::counting_safety(adorned) != crate::safety::CountingSafety::NonTerminating {
         return Ok(());

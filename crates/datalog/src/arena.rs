@@ -78,6 +78,25 @@ enum Node {
 /// Chunk `k` holds `1024 << k` nodes; a node's address never changes after
 /// it is written, and every published [`ValId`] refers to a fully written
 /// slot (ids escape the interner only after the release-store below).
+///
+/// These are the crate's only `unsafe` blocks.  They rest on three
+/// invariants, each kept by this file alone:
+///
+/// * **Nothing is freed or moved.**  Chunk arrays and nodes are
+///   `Box::leak`ed, so every pointer stored here stays valid for
+///   `'static`; a node is never written again after its pointer is
+///   stored, so no `&mut` to it ever exists.
+/// * **Only the interner writes.**  [`Chunks::set`] runs with the arena's
+///   write lock held, so one thread at a time allocates a chunk or stores
+///   a node, and a chunk is allocated at most once.
+/// * **Only published ids are read.**  A table [`ValId`] is made in one
+///   place, [`intern_node`], after its node was stored; its payload field
+///   is private to this file, and no public function builds one from a
+///   raw word.  A thread holding such an id therefore got it from the
+///   interner (through the arena lock) or from another thread through a
+///   safe, synchronizing hand-off (a channel, a lock, a join).  Either
+///   way the stores of its chunk pointer and node pointer happen before
+///   the reader's `Acquire` loads, which see them non-null.
 struct Chunks {
     chunks: [AtomicPtr<AtomicPtr<Node>>; CHUNK_COUNT],
 }
@@ -114,10 +133,23 @@ impl Chunks {
         let (chunk, offset) = chunk_of(idx);
         let base = self.chunks[chunk].load(Ordering::Acquire);
         debug_assert!(!base.is_null(), "ValId refers past the node table");
-        // SAFETY: a published id's chunk was allocated and its slot written
-        // (with release ordering) before the id escaped the write lock.
+        // SAFETY: `idx` is the payload of a published id, so `set` stored
+        // this chunk's pointer (Release) before the id existed and the
+        // Acquire load above sees it: `base` is the start of a leaked
+        // array of `chunk_len(chunk)` slots.  `chunk_of` keeps `offset`
+        // below that length, so `base.add(offset)` stays inside the
+        // array, and the array is never freed, so the shared `&'static`
+        // reference is valid.  Slots are `AtomicPtr`s: concurrent `store`s
+        // to other slots of the array go through `&` too and do not alias
+        // a `&mut`.
         let slot = unsafe { &*base.add(offset) };
         let node = slot.load(Ordering::Acquire);
+        debug_assert!(!node.is_null(), "ValId refers to an unwritten slot");
+        // SAFETY: the slot of a published id was stored (Release) with a
+        // pointer from `Box::leak` before the id existed, and this Acquire
+        // load sees that store.  The node is never freed and never written
+        // again, so a shared `&'static Node` to it is sound from any
+        // thread (`Node` holds only `Send + Sync` data).
         unsafe { &*node }
     }
 
@@ -134,8 +166,16 @@ impl Chunks {
             self.chunks[chunk].store(base, Ordering::Release);
         }
         let leaked: &'static Node = Box::leak(Box::new(node));
-        // SAFETY: offset < chunk_len(chunk) by construction of chunk_of.
-        unsafe { &*base.add(offset) }.store(leaked as *const Node as *mut Node, Ordering::Release);
+        // SAFETY: `base` is non-null — loaded after another interner call
+        // allocated it, or allocated just above — and points at a leaked,
+        // never-freed array of `chunk_len(chunk)` slots; `chunk_of` keeps
+        // `offset` below that length.  The slot is an `AtomicPtr`, so the
+        // store goes through a shared reference while readers load other
+        // slots.  The store is Release: a reader that obtains this id
+        // (only after this function returns and the write lock drops)
+        // sees the node.
+        let slot = unsafe { &*base.add(offset) };
+        slot.store(leaked as *const Node as *mut Node, Ordering::Release);
         leaked
     }
 }
@@ -646,6 +686,97 @@ mod tests {
             }],
         );
         assert!(snap.install().is_none());
+    }
+
+    /// A tiny seeded generator (the crate has no dependencies).
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// The compound a writer interns as its `i`-th value: fresh (its
+    /// functor names the writer and the run), nested two or three deep,
+    /// with a table integer inside, so each one adds several nodes.
+    fn stress_value(writer: usize, i: u64, salt: u64) -> Value {
+        let leaf = Value::app(
+            Symbol::new("stress_leaf"),
+            vec![Value::Int(i64::MAX - i as i64)],
+        );
+        let inner = Value::app(
+            Symbol::new("stress_pair"),
+            vec![leaf, Value::int(salt as i64 & 0xffff)],
+        );
+        let functor = Symbol::new(&format!("stress_w{writer}"));
+        if salt.is_multiple_of(3) {
+            Value::app(
+                functor,
+                vec![inner.clone(), Value::app(functor, vec![inner])],
+            )
+        } else {
+            Value::app(functor, vec![inner, Value::Int(i as i64)])
+        }
+    }
+
+    #[test]
+    fn concurrent_interning_and_lock_free_reads_agree() {
+        // Four writers intern fresh nested compounds — several thousand
+        // nodes, across at least two chunk boundaries — while four
+        // readers decode every id returned so far, over and over.  Each id
+        // must decode to the value it was interned from, hash-cons back to
+        // itself, and report that value's depth.
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Mutex;
+        const WRITERS: usize = 4;
+        const PER_WRITER: u64 = 1500;
+        let start = arena().state.read().unwrap().len;
+        let published: Mutex<Vec<(ValId, usize, u64, u64)>> = Mutex::default();
+        let writers_done = AtomicUsize::new(0);
+        let (published, writers_done) = (&published, &writers_done);
+        std::thread::scope(|scope| {
+            for writer in 0..WRITERS {
+                scope.spawn(move || {
+                    let mut state = 0x9E37_79B9_7F4A_7C15 ^ (writer as u64 + 1);
+                    for i in 0..PER_WRITER {
+                        let salt = xorshift(&mut state);
+                        let id = ValId::intern(&stress_value(writer, i, salt));
+                        published.lock().unwrap().push((id, writer, i, salt));
+                    }
+                    writers_done.fetch_add(1, Ordering::Release);
+                });
+            }
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut checked = 0;
+                        loop {
+                            let done = writers_done.load(Ordering::Acquire) == WRITERS;
+                            let batch = published.lock().unwrap()[checked..].to_vec();
+                            for &(id, writer, i, salt) in &batch {
+                                let value = stress_value(writer, i, salt);
+                                assert_eq!(id.value(), value, "writer {writer} value {i}");
+                                assert_eq!(id.depth(), value.depth());
+                                assert_eq!(ValId::intern(&value), id, "hash-consing moved");
+                            }
+                            checked += batch.len();
+                            if done && batch.is_empty() {
+                                return checked;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for reader in readers {
+                assert_eq!(reader.join().unwrap(), WRITERS * PER_WRITER as usize);
+            }
+        });
+        let end = arena().state.read().unwrap().len;
+        let (first, last) = (chunk_of(start).0, chunk_of(end - 1).0);
+        assert!(
+            last >= first + 2,
+            "nodes {start}..{end} stayed within chunks {first}..={last}"
+        );
     }
 
     #[test]

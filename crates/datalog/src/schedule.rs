@@ -12,11 +12,10 @@
 //!
 //! # What consumers do with it
 //!
-//! * The engine's `FixpointRunner` walks strata in order each iteration,
-//!   retires a stratum permanently once it and everything below it have
-//!   converged (no rule outside a stratum can ever feed it again — all
-//!   rules deriving a predicate live in that predicate's stratum), and
-//!   fans the active strata's rule evaluations out across worker threads.
+//! * The engine's `FixpointRunner` walks strata in order each iteration
+//!   and retires a stratum permanently once it and everything below it
+//!   have converged (no rule outside a stratum can ever feed it again —
+//!   all rules deriving a predicate live in that predicate's stratum).
 //! * The planner's counting safety pre-check asks which strata are
 //!   *recursive through counting-indexed predicates*
 //!   ([`Schedule::recursive_counting_strata`]) — the cones whose
@@ -26,16 +25,10 @@
 //!   stratum: strata below the seeds retire on the first iteration
 //!   instead of re-checking the full rule list forever.
 //!
-//! # Determinism contract
-//!
 //! The schedule is a *pure function of the program*: strata are ordered
 //! by the SCC condensation (ties broken by the deterministic Tarjan
-//! traversal over `BTreeSet`-ordered predicates), rules within a stratum
-//! stay in program order, and independence groups are emitted in
-//! first-rule order.  Combined with the engine's deterministic merge
-//! (stratum order, then rule index, then shard index) this is what makes
-//! evaluation counters — answers, `rule_firings`, summed `join_probes` —
-//! independent of how many worker threads execute the schedule.
+//! traversal over `BTreeSet`-ordered predicates), and rules within a
+//! stratum stay in program order.
 
 use crate::analysis::DependencyGraph;
 use crate::pred::PredName;
@@ -63,17 +56,6 @@ pub struct Stratum {
     /// finished (negation complements against it, aggregates fold complete
     /// groups) before this one starts.
     pub guarded: bool,
-    /// Partition of [`Stratum::rules`] into mutually *independent* groups:
-    /// two rules land in the same group iff they are (transitively)
-    /// connected by a shared stratum-local predicate — a head they both
-    /// derive, or one's head read in the other's body.  Rules in different
-    /// groups touch disjoint writable predicates, so even an engine with
-    /// in-place writes could run them concurrently; the engine's
-    /// deferred-write merge makes *all* rules of a stratum safe to
-    /// evaluate concurrently, and uses these groups for diagnostics and
-    /// scheduling tests.  Groups are ordered by their first rule index,
-    /// rules ascending within each group.
-    pub groups: Vec<Vec<usize>>,
 }
 
 /// A stratification violation: a negated or aggregated dependency edge
@@ -120,7 +102,7 @@ pub struct Schedule {
 impl Schedule {
     /// Build the schedule of `program`: dependency graph, SCC
     /// condensation, one stratum per rule-defining SCC in dependency
-    /// order, plus the per-stratum independence groups.
+    /// order.
     pub fn build(program: &Program) -> Schedule {
         let graph = DependencyGraph::build(program);
         // Every rule needs a stratum, so cover all head predicates — a
@@ -151,7 +133,6 @@ impl Schedule {
                 rules: Vec::new(),
                 recursive,
                 guarded: false,
-                groups: Vec::new(),
             });
         }
         let mut stratum_of_rule = Vec::with_capacity(program.rules.len());
@@ -162,9 +143,6 @@ impl Schedule {
             if rule.is_guarded() {
                 strata[s].guarded = true;
             }
-        }
-        for stratum in &mut strata {
-            stratum.groups = independence_groups(program, stratum);
         }
         // A strict (negated/aggregated) edge whose endpoints share an SCC
         // can never be satisfied by evaluating strata in order: record the
@@ -257,54 +235,6 @@ impl Schedule {
     }
 }
 
-/// Partition `stratum.rules` into independence groups (see
-/// [`Stratum::groups`]): union-find over the rules, keyed by the
-/// stratum-local predicates each rule touches (its head, plus any body
-/// predicate defined in this stratum).  Predicates of *lower* strata are
-/// frozen by the time a stratum runs, so sharing them read-only does not
-/// couple two rules.
-fn independence_groups(program: &Program, stratum: &Stratum) -> Vec<Vec<usize>> {
-    let n = stratum.rules.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let mut owner: BTreeMap<&PredName, usize> = BTreeMap::new();
-    for (slot, &rule_idx) in stratum.rules.iter().enumerate() {
-        let rule = &program.rules[rule_idx];
-        let touched = std::iter::once(&rule.head.pred)
-            .chain(rule.body.iter().map(|a| &a.pred))
-            .chain(rule.negated.iter().map(|a| &a.pred))
-            .filter(|p| stratum.preds.contains(*p));
-        for pred in touched {
-            match owner.get(pred) {
-                Some(&prev) => {
-                    let (a, b) = (find(&mut parent, prev), find(&mut parent, slot));
-                    if a != b {
-                        // Union toward the smaller slot so the
-                        // representative is the group's first rule.
-                        let (lo, hi) = (a.min(b), a.max(b));
-                        parent[hi] = lo;
-                    }
-                }
-                None => {
-                    owner.insert(pred, slot);
-                }
-            }
-        }
-    }
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for slot in 0..n {
-        let root = find(&mut parent, slot);
-        groups.entry(root).or_default().push(stratum.rules[slot]);
-    }
-    groups.into_values().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,8 +252,6 @@ mod tests {
         let stratum = &schedule.strata()[0];
         assert_eq!(stratum.rules, vec![0, 1]);
         assert!(stratum.recursive);
-        // Both rules derive anc: one group.
-        assert_eq!(stratum.groups, vec![vec![0, 1]]);
         assert_eq!(schedule.stratum_of_pred(&PredName::plain("anc")), Some(0));
         assert_eq!(schedule.stratum_of_pred(&PredName::plain("par")), None);
     }
@@ -357,9 +285,7 @@ mod tests {
 
     #[test]
     fn non_recursive_rules_form_independent_groups() {
-        // label and tag2 share nothing: same stratum only if mutually
-        // recursive (they are not), so they form separate singleton strata;
-        // two heads in ONE stratum needs mutual recursion.
+        // Two heads share ONE stratum only when mutually recursive.
         let program = parse_program(
             "a(X) :- b(X), c(X).
              c(X) :- a(X).
@@ -367,23 +293,21 @@ mod tests {
         )
         .unwrap();
         let schedule = Schedule::build(&program);
-        // a and c are mutually recursive: one stratum with one group; d is
-        // its own stratum.
+        // a and c are mutually recursive: one stratum; d is its own.
         let ac = schedule.stratum_of_pred(&PredName::plain("a")).unwrap();
         assert_eq!(schedule.stratum_of_pred(&PredName::plain("c")), Some(ac));
         let stratum = &schedule.strata()[ac];
         assert!(stratum.recursive);
-        assert_eq!(stratum.groups.len(), 1);
+        assert_eq!(stratum.rules, vec![0, 1]);
         let d = schedule.stratum_of_pred(&PredName::plain("d")).unwrap();
         assert_ne!(d, ac);
         assert!(!schedule.strata()[d].recursive);
     }
 
     #[test]
-    fn independent_rules_within_a_stratum_split_into_groups() {
-        // Mutually recursive pair (p, q) plus an unrelated recursive r in
-        // ITS own stratum; within the (p, q) stratum the two rule chains
-        // are coupled through the shared heads.
+    fn mutually_recursive_rules_share_one_stratum() {
+        // p and q feed each other: all three rules land in one stratum,
+        // in program order.
         let program = parse_program(
             "p(X) :- base(X).
              p(X) :- q(X).
@@ -392,7 +316,7 @@ mod tests {
         .unwrap();
         let schedule = Schedule::build(&program);
         assert_eq!(schedule.len(), 1);
-        assert_eq!(schedule.strata()[0].groups, vec![vec![0, 1, 2]]);
+        assert_eq!(schedule.strata()[0].rules, vec![0, 1, 2]);
     }
 
     #[test]

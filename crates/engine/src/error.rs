@@ -23,11 +23,6 @@ pub enum EvalError {
         /// The configured limit.
         limit: usize,
     },
-    /// The wall-clock budget was exhausted before the fixpoint.
-    TimeLimit {
-        /// The configured budget.
-        limit: std::time::Duration,
-    },
     /// A derived value exceeded the term-depth limit (runaway function-symbol
     /// growth, e.g. counting on cyclic data).
     TermDepthLimit {
@@ -89,9 +84,6 @@ impl fmt::Display for EvalError {
             }
             EvalError::FactLimit { limit } => {
                 write!(f, "evaluation exceeded the derived-fact limit of {limit}")
-            }
-            EvalError::TimeLimit { limit } => {
-                write!(f, "evaluation exceeded the wall-clock budget of {limit:?}")
             }
             EvalError::TermDepthLimit { limit } => {
                 write!(f, "evaluation produced a term deeper than the limit of {limit}")

@@ -1,5 +1,5 @@
 //! The fixpoint evaluator: naive and semi-naive bottom-up evaluation,
-//! driven by a stratified schedule with work-sharded parallel fan-out.
+//! driven by a stratified schedule.
 //!
 //! The fixpoint loop itself lives in [`FixpointRunner`], a compiled, reusable
 //! form of a program (slot-compiled [`RulePlan`]s plus the bookkeeping of
@@ -14,9 +14,8 @@
 //! Compiling a runner also builds the program's
 //! [`magic_datalog::Schedule`]: the predicate dependency graph
 //! condensed into topologically ordered strata (one per SCC).  Each
-//! iteration walks the strata in dependency order and turns every rule
-//! evaluation the classic loop would perform into an `EvalTask` — a
-//! `(plan, delta windows, shard)` triple.  Two structural wins fall out:
+//! iteration walks the strata in dependency order and evaluates every
+//! live rule under its delta windows.  Two structural wins fall out:
 //!
 //! * **Stratum retirement.**  Once every stratum below `s` has converged
 //!   and `s` itself sees no deltas, nothing can ever feed `s` again (all
@@ -27,8 +26,8 @@
 //!   re-scanning the full rule list every iteration.
 //! * **The stratum frontier (guarded programs).**  A program with negated
 //!   atoms or aggregate heads needs every stratum *finished* before a
-//!   higher one complements against it or folds it.  The loop then builds
-//!   tasks for the frontier alone — the lowest unfinished stratum.  A
+//!   higher one complements against it or folds it.  The loop then
+//!   evaluates the frontier alone — the lowest unfinished stratum.  A
 //!   stratum entering the frontier folds its aggregate rules once (their
 //!   inputs lie strictly below), then runs its plain rules: full on its
 //!   first iteration, delta-windowed after that.  The first iteration
@@ -38,49 +37,25 @@
 //!   Seeded resume of a guarded program is refused
 //!   ([`EvalError::GuardedUnsupported`]): a seed below a finished
 //!   complement would have to retract it.
-//! * **Work-sharded fan-out.**  Tasks of an iteration only *read* the
-//!   database (through the share-safe borrow views of `magic-storage`),
-//!   so they fan out over a persistent worker pool; large tasks are
-//!   further split into shards along the join's outermost (occurrence-0)
-//!   enumeration range.  Writes happen afterwards, in the insert phase.
-//! * **Per-predicate parallel merge.**  The insert phase groups the
-//!   iteration's merged shard outputs by head predicate and fans the
-//!   dedup + id-assignment + index-maintenance work for *disjoint*
-//!   relations back out over the same pool (`&mut` borrows handed out by
-//!   [`magic_storage::Database::relations_mut_disjoint`], so the fan-out
-//!   stays in safe aliasing territory).  Runs that install a
-//!   [`FiringObserver`] (the incremental layer's sequential support
-//!   counting) keep the single-threaded insert path.
 //!
-//! # Determinism contract
+//! # Evaluation order
 //!
-//! Thread count is invisible in every result and every counter: shard
-//! outputs are merged in schedule order (stratum, then rule index, then
-//! occurrence, then shard index), which reproduces the single-threaded
-//! row sequence exactly — occurrence-0 sharding splits the *outermost*
-//! loop of the join, so concatenating shard outputs in ascending range
-//! order is literally the unsharded enumeration.  Insertion then runs
-//! over that sequence in plan-then-task order *per relation*; relations
-//! are pairwise disjoint, so fanning distinct head predicates out across
-//! workers preserves every relation's row order, row ids and dedup
-//! outcomes exactly.  Firing counters (`rule_firings`, `facts_derived`,
-//! `duplicate_derivations`) are folded back in on one thread in plan
-//! order — they are sums, so the totals are bit-identical to the
-//! sequential path — and `join_probes` partition across shards, so their
-//! sum is invariant too.  Guarded strata run through the same task
-//! fan-out and merge, so the contract covers them unchanged.
-//! `tests/parallel_schedule.rs` and `tests/parallel_merge.rs` hold this
-//! contract under randomized programs; `MAGIC_THREADS` (see
-//! [`Limits::resolved_threads`]) selects the thread count.
+//! An iteration has two phases.  The *read* phase evaluates the rules,
+//! stratum by stratum, against the database as the previous iteration
+//! left it, appending each plan's head rows to that plan's flat buffer;
+//! nothing is written.  The *insert* phase then walks the plans in
+//! program order and inserts each plan's rows, in the order they were
+//! produced, into its head relation — all dedup, row-id assignment and
+//! index maintenance happens here.  So a
+//! relation's row order, its row ids and every counter are a function of
+//! the program and the database alone, and a [`FiringObserver`] sees the
+//! firings in that same order.
 
 use crate::error::EvalError;
-use crate::join::{
-    evaluate_rule_scratch, lead_enumeration_range, DeltaWindow, JoinCounters, JoinScratch,
-};
+use crate::join::{evaluate_rule_scratch, DeltaWindow, JoinCounters, JoinScratch};
 use crate::limits::Limits;
 use crate::metrics::EvalStats;
 use crate::plan::{sip_order, with_body_order, RulePlan};
-use crate::pool::EvalPool;
 use magic_datalog::{AggFunc, PredName, Program, Schedule, ValId};
 use magic_storage::{Database, Relation};
 use std::collections::{BTreeMap, BTreeSet};
@@ -186,63 +161,6 @@ pub struct FixpointRunner {
     discipline: WindowDiscipline,
 }
 
-/// One unit of evaluation work within an iteration: a rule plan (or its
-/// delta-driven variant), the delta windows to apply, and — when the task
-/// was sharded — an extra occurrence-0 window carrying the shard's slice
-/// of the outermost enumeration.  Tasks own their flat output shard and
-/// the join's buffers; both are recycled across iterations.
-#[derive(Default)]
-struct EvalTask {
-    plan_idx: usize,
-    /// `Some(nth)` selects `delta_plans[plan_idx][nth]` (seeded resume
-    /// mode); `None` selects the main plan.
-    variant: Option<usize>,
-    windows: Vec<DeltaWindow>,
-    out: Vec<ValId>,
-    scratch: JoinScratch,
-    counters: JoinCounters,
-    error: Option<EvalError>,
-}
-
-/// Hands workers `&mut` access to disjoint slots of a task batch through
-/// the pool (each index is claimed by exactly one thread; see
-/// [`EvalPool::run`]): evaluation tasks, then insert-phase merge tasks.
-struct Slots<T>(*mut T);
-unsafe impl<T: Send> Send for Slots<T> {}
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    /// # Safety
-    ///
-    /// `i` must be in bounds and claimed by exactly one thread at a time.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, i: usize) -> &mut T {
-        &mut *self.0.add(i)
-    }
-}
-
-/// One unit of insert-phase work: a head relation (a provably disjoint
-/// `&mut` borrow — see [`magic_storage::Database::relations_mut_disjoint`])
-/// plus the plans feeding it this iteration, in plan order.  The worker
-/// records per-plan new-fact counts; the caller folds them into the stats
-/// on one thread afterwards.
-struct MergeTask<'a> {
-    relation: &'a mut Relation,
-    /// `(plan_idx, body-match count)` in plan order.
-    plans: Vec<(usize, usize)>,
-    /// New facts per entry of `plans`, filled by the merge worker.
-    new_by_plan: Vec<usize>,
-}
-
-/// Minimum outermost-enumeration rows before a single task is split into
-/// per-worker shards.
-const SHARD_MIN_RANGE: usize = 1024;
-
-/// Minimum summed outermost-enumeration rows in an iteration before its
-/// task batch is dispatched to the pool at all; below this the
-/// synchronization would cost more than the join work.
-const PARALLEL_MIN_WORK: usize = 4096;
-
 /// A delta-driven variant of a rule plan: the plan itself plus the body
 /// permutation that produced it.
 #[derive(Clone, Debug)]
@@ -274,16 +192,16 @@ fn delta_variant(
     }
 }
 
-/// Insert the head rows one plan fired in one iteration — `outputs` are its
-/// flat `arity`-chunked buffers in merge order, `matches` its body-match
-/// count — showing each row to `observer` (when installed) with whether it
-/// was new.  Returns the number of new facts.
-fn insert_fired_rows<'r>(
+/// Insert the head rows one plan fired in one iteration — `rows` is its
+/// flat `arity`-chunked buffer, `matches` its body-match count — showing
+/// each row to `observer` (when installed) with whether it was new.
+/// Returns the number of new facts.
+fn insert_fired_rows(
     relation: &mut Relation,
     plan_idx: usize,
     arity: usize,
     matches: usize,
-    outputs: impl Iterator<Item = &'r [ValId]>,
+    rows: &[ValId],
     mut observer: Option<ObserverRef<'_, '_>>,
 ) -> usize {
     if arity == 0 {
@@ -302,14 +220,12 @@ fn insert_fired_rows<'r>(
         return usize::from(new);
     }
     let mut new = 0;
-    for rows in outputs {
-        for row in rows.chunks_exact(arity) {
-            let (id, is_new) = relation.insert_ids_at(row);
-            if let Some(observer) = observer.as_deref_mut() {
-                observer(plan_idx, id, is_new);
-            }
-            new += usize::from(is_new);
+    for row in rows.chunks_exact(arity) {
+        let (id, is_new) = relation.insert_ids_at(row);
+        if let Some(observer) = observer.as_deref_mut() {
+            observer(plan_idx, id, is_new);
         }
+        new += usize::from(is_new);
     }
     new
 }
@@ -575,118 +491,31 @@ impl FixpointRunner {
         self.fixpoint(db, stats, Some(prev_marks), observer)
     }
 
-    /// Build the evaluation tasks for one rule under the current delta
-    /// windows, splitting into per-worker shards along the occurrence-0
-    /// enumeration when the range is worth it.  Returns the lead range
-    /// length (the iteration's parallel-work estimate).
-    #[allow(clippy::too_many_arguments)]
-    fn push_tasks(
+    /// Evaluate plan `plan_idx` — its `variant`-th delta-driven form in
+    /// resume mode — under `windows` against the (read-only) database,
+    /// appending its head rows to `out`.
+    fn evaluate(
         &self,
-        db: &Database,
         plan_idx: usize,
         variant: Option<usize>,
         windows: &[DeltaWindow],
-        threads: usize,
-        tasks: &mut Vec<EvalTask>,
-        tasks_by_plan: &mut [Vec<usize>],
-        spare: &mut Vec<EvalTask>,
-    ) -> usize {
-        // Single-threaded runs never shard or dispatch, so skip the
-        // lead-range probe (a per-task relation lookup) entirely.
-        let (lo, hi) = if threads > 1 {
-            let plan = match variant {
-                Some(nth) => &self.delta_plans[plan_idx][nth].plan,
-                None => &self.plans[plan_idx],
-            };
-            lead_enumeration_range(plan, db, windows)
-        } else {
-            (0, 0)
+        db: &Database,
+        scratch: &mut JoinScratch,
+        out: &mut Vec<ValId>,
+    ) -> Result<JoinCounters, EvalError> {
+        let plan = match variant {
+            Some(nth) => &self.delta_plans[plan_idx][nth].plan,
+            None => &self.plans[plan_idx],
         };
-        let range = hi.saturating_sub(lo);
-        let shards = if threads > 1 && range >= SHARD_MIN_RANGE.max(2 * threads) {
-            threads
-        } else {
-            1
-        };
-        for shard in 0..shards {
-            let mut task = spare.pop().unwrap_or_default();
-            debug_assert!(task.windows.is_empty() && task.out.is_empty());
-            task.plan_idx = plan_idx;
-            task.variant = variant;
-            task.counters = JoinCounters::default();
-            task.error = None;
-            if shards == 1 {
-                task.windows.extend_from_slice(windows);
-            } else {
-                // Replace (or add) the occurrence-0 window with this
-                // shard's slice of the outermost enumeration.  Shards
-                // partition [lo, hi) in ascending order, so concatenating
-                // their outputs reproduces the unsharded row sequence.
-                let from = lo + range * shard / shards;
-                let to = lo + range * (shard + 1) / shards;
-                // The join finds windows by occurrence, so order is free.
-                task.windows
-                    .extend(windows.iter().filter(|w| w.occurrence != 0));
-                task.windows.push(DeltaWindow {
-                    occurrence: 0,
-                    from,
-                    to,
-                });
-            }
-            tasks_by_plan[plan_idx].push(tasks.len());
-            tasks.push(task);
-        }
-        range
-    }
-
-    /// Insert one plan's merged shard outputs into its head relation, in
-    /// task order, returning the number of new facts; every row is also
-    /// shown to `observer`, when one is installed.  This is the body of
-    /// the per-relation merge — identical work whether it runs on the
-    /// caller's thread or fanned out (relations are disjoint across merge
-    /// tasks, and a relation's rows always land in plan-then-task order,
-    /// so row ids and dedup outcomes cannot depend on the thread count).
-    /// The caller folds the counts into the stats once per plan
-    /// ([`EvalStats::record_firings`]).
-    fn merge_plan_outputs(
-        &self,
-        relation: &mut Relation,
-        plan_idx: usize,
-        matches: usize,
-        tasks: &[EvalTask],
-        tasks_by_plan: &[Vec<usize>],
-        observer: Option<ObserverRef<'_, '_>>,
-    ) -> usize {
-        let arity = self.plans[plan_idx].head_terms.len();
-        let outputs = tasks_by_plan[plan_idx].iter().map(|&t| &tasks[t].out[..]);
-        insert_fired_rows(relation, plan_idx, arity, matches, outputs, observer)
-    }
-
-    /// Evaluate one task against the (read-only) database.
-    fn run_task(&self, task: &mut EvalTask, db: &Database) {
-        let plan = match task.variant {
-            Some(nth) => &self.delta_plans[task.plan_idx][nth].plan,
-            None => &self.plans[task.plan_idx],
-        };
-        match evaluate_rule_scratch(
-            plan,
-            db,
-            &task.windows,
-            &self.limits,
-            &mut task.scratch,
-            &mut task.out,
-        ) {
-            Ok(counters) => task.counters = counters,
-            Err(e) => task.error = Some(e),
-        }
+        evaluate_rule_scratch(plan, db, windows, &self.limits, scratch, out)
     }
 
     /// The one fixpoint loop.  `seed_marks` switches between run mode
     /// (first iteration full) and resume mode (first iteration windowed
     /// against the given marks).  Positive programs run every live stratum
     /// each iteration; guarded programs run only the stratum frontier.  See
-    /// the module docs for the scheduler structure and the determinism
-    /// contract.
+    /// the module docs for the scheduler structure and the evaluation
+    /// order.
     fn fixpoint(
         &self,
         db: &mut Database,
@@ -723,7 +552,6 @@ impl FixpointRunner {
                 }
             }
         }
-        let started = std::time::Instant::now();
         let seeded = seed_marks.is_some();
         // Whether the next iteration evaluates its rules in full: the first
         // one of a run, and (guarded) the first one of every stratum.
@@ -738,38 +566,27 @@ impl FixpointRunner {
         // loop runs, so this is `db.total_facts()` minus its value on
         // entry — without walking every relation once per iteration.
         let mut derived = 0usize;
-        let threads = self.limits.resolved_threads();
-        // The worker pool is spawned lazily, on the first iteration whose
-        // batch is actually worth dispatching, and lives until the run
-        // ends — iterations reuse the parked workers instead of paying
-        // thread start-up per iteration.
-        let mut pool: Option<EvalPool> = None;
         let strata = self.schedule.strata();
         // Permanently converged strata (semi-naive only): a stratum
         // retires once everything below it is retired and it sees no
         // deltas — nothing can feed it again.
         let mut retired = vec![false; strata.len()];
         // Guarded programs: the lowest unfinished stratum, the only one
-        // that gets tasks.  `entering` marks that it has just moved up and
+        // evaluated.  `entering` marks that it has just moved up and
         // still has to fold its aggregates.
         let mut frontier = 0usize;
         let mut entering = guarded;
-        // Task slots and their recycled buffers.
-        let mut tasks: Vec<EvalTask> = Vec::new();
-        let mut spare: Vec<EvalTask> = Vec::new();
-        // Per plan: indices into `tasks`, in construction order — the
-        // deterministic merge order of that plan's output shards.
-        let mut tasks_by_plan: Vec<Vec<usize>> = vec![Vec::new(); self.plans.len()];
+        // Per plan: the head rows of the current iteration, flat and
+        // `arity`-chunked, in the order they were produced (recycled).
+        let mut outputs: Vec<Vec<ValId>> = vec![Vec::new(); self.plans.len()];
         // Per-plan body-match counts of the current iteration.  For
-        // positive-arity heads this is implied by the shard lengths; for
+        // positive-arity heads this is implied by the buffer lengths; for
         // zero-arity heads (fully bound magic/answer predicates) it is the
         // only record of how many firings happened.
         let mut match_counts: Vec<usize> = vec![0; self.plans.len()];
-        // Reusable window scratch.
+        // Reusable window and join scratch.
         let mut windows: Vec<DeltaWindow> = Vec::new();
-        // (plan_idx, body-match count) of every plan with work this
-        // iteration, in plan order (recycled).
-        let mut work: Vec<(usize, usize)> = Vec::new();
+        let mut scratch = JoinScratch::default();
 
         loop {
             if entering {
@@ -787,11 +604,6 @@ impl FixpointRunner {
                     limit: self.limits.max_iterations,
                 });
             }
-            if let Some(max_wall) = self.limits.max_wall {
-                if started.elapsed() > max_wall {
-                    return Err(EvalError::TimeLimit { limit: max_wall });
-                }
-            }
             // Snapshot the current extents: rows in [prev_mark, cur_mark)
             // form the delta of the previous iteration (or the seeds, on
             // the first iteration of a resume).
@@ -800,8 +612,9 @@ impl FixpointRunner {
             let use_delta = self.scheme == IterationScheme::SemiNaive && !full_pass;
             full_pass = false;
 
-            // ---- Task construction: strata in dependency order. ----
-            let mut lead_work = 0usize;
+            // ---- Read phase: strata in dependency order, every rule
+            // against the database as the previous iteration left it.  The
+            // first error aborts the run; the probes before it are counted. ----
             let mut lower_all_retired = true;
             let live_strata = if guarded {
                 frontier..frontier + 1
@@ -858,29 +671,29 @@ impl FixpointRunner {
                                 from,
                                 to,
                             });
-                            lead_work += self.push_tasks(
-                                db,
+                            let counters = self.evaluate(
                                 plan_idx,
                                 variant,
                                 &windows,
-                                threads,
-                                &mut tasks,
-                                &mut tasks_by_plan,
-                                &mut spare,
-                            );
+                                db,
+                                &mut scratch,
+                                &mut outputs[plan_idx],
+                            )?;
+                            stats.join_probes += counters.probes;
+                            match_counts[plan_idx] += counters.matches;
                         }
                     } else {
                         live = true;
-                        lead_work += self.push_tasks(
-                            db,
+                        let counters = self.evaluate(
                             plan_idx,
                             None,
                             &[],
-                            threads,
-                            &mut tasks,
-                            &mut tasks_by_plan,
-                            &mut spare,
-                        );
+                            db,
+                            &mut scratch,
+                            &mut outputs[plan_idx],
+                        )?;
+                        stats.join_probes += counters.probes;
+                        match_counts[plan_idx] += counters.matches;
                     }
                 }
                 if use_delta && !live && lower_all_retired {
@@ -891,157 +704,32 @@ impl FixpointRunner {
                 }
             }
 
-            // ---- Read-only evaluation: inline, or fanned out. ----
-            if threads > 1 && tasks.len() > 1 && lead_work >= PARALLEL_MIN_WORK {
-                let pool = pool.get_or_insert_with(|| EvalPool::new(threads - 1));
-                let slots = Slots(tasks.as_mut_ptr());
-                let db_read: &Database = db;
-                pool.run(tasks.len(), &|i| {
-                    // SAFETY: each index is claimed by exactly one thread,
-                    // so the `&mut` slots are disjoint; `db_read` is a
-                    // shared borrow for the whole batch.
-                    let task = unsafe { slots.get(i) };
-                    self.run_task(task, db_read);
-                });
-            } else {
-                for task in tasks.iter_mut() {
-                    self.run_task(task, db);
-                    // Abort the iteration at the first failing task, like
-                    // the classic loop: unrun tasks stay error-free and
-                    // empty, so the merge below still reports this error
-                    // (the first in task order).
-                    if task.error.is_some() {
-                        break;
-                    }
-                }
-            }
-
-            // ---- Deterministic merge: counters in task order. ----
-            let mut produced = false;
-            for task in &tasks {
-                if let Some(e) = &task.error {
-                    return Err(e.clone());
-                }
-                stats.join_probes += task.counters.probes;
-                match_counts[task.plan_idx] += task.counters.matches;
-                produced |= task.counters.matches > 0;
-            }
-
             // ---- Insert phase: all dedup, id assignment and index
-            // maintenance happens here, behind the merge.  Plans with work
-            // are grouped by head predicate (plan order within a group);
-            // disjoint head relations then fan out over the pool, unless an
-            // observer needs the per-row sequential path. ----
+            // maintenance happens here, plan by plan in program order. ----
             let mut new_facts = 0usize;
-            if produced {
-                work.clear();
-                let mut insert_rows = 0usize;
-                for (plan_idx, count) in match_counts.iter_mut().enumerate() {
-                    let matches = std::mem::take(count);
-                    if matches > 0 {
-                        if !self.plans[plan_idx].head_terms.is_empty() {
-                            insert_rows += matches;
-                        }
-                        work.push((plan_idx, matches));
-                    }
+            for (plan_idx, count) in match_counts.iter_mut().enumerate() {
+                let matches = std::mem::take(count);
+                if matches == 0 {
+                    continue;
                 }
-                // The parallel path needs per-row observer calls out of the
-                // way (the incremental layer's support counting is a
-                // sequential `&mut` closure) and enough disjoint relations
-                // and rows to amortize the dispatch; the grouping by head
-                // predicate is only built once the cheap tests pass.
-                let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
-                let mut heads: Vec<&PredName> = Vec::new();
-                if observer.is_none() && threads > 1 && insert_rows >= PARALLEL_MIN_WORK {
-                    for &(plan_idx, matches) in &work {
-                        let head = &self.plans[plan_idx].head_pred;
-                        match heads.iter().position(|&h| h == head) {
-                            Some(g) => groups[g].push((plan_idx, matches)),
-                            None => {
-                                heads.push(head);
-                                groups.push(vec![(plan_idx, matches)]);
-                            }
-                        }
-                    }
-                }
-                if heads.len() > 1 {
-                    // Resolve (creating if absent) every head relation
-                    // first, exactly like the sequential path would, then
-                    // take provably disjoint `&mut` borrows of them.
-                    for group in &groups {
-                        let plan = &self.plans[group[0].0];
-                        db.relation_mut(&plan.head_pred, plan.head_terms.len());
-                    }
-                    let mut merge_tasks: Vec<MergeTask<'_>> = db
-                        .relations_mut_disjoint(&heads)
-                        .into_iter()
-                        .zip(groups)
-                        .map(|(relation, plans)| MergeTask {
-                            new_by_plan: vec![0; plans.len()],
-                            relation,
-                            plans,
-                        })
-                        .collect();
-                    let pool = pool.get_or_insert_with(|| EvalPool::new(threads - 1));
-                    let slots = Slots(merge_tasks.as_mut_ptr());
-                    let tasks_read: &[EvalTask] = &tasks;
-                    let by_plan_read: &[Vec<usize>] = &tasks_by_plan;
-                    pool.run(merge_tasks.len(), &|i| {
-                        // SAFETY: each index is claimed by exactly one
-                        // thread, so the `&mut` slots — and through them
-                        // the `&mut Relation`s, disjoint by construction —
-                        // are never aliased.
-                        let task = unsafe { slots.get(i) };
-                        for (nth, &(plan_idx, matches)) in task.plans.iter().enumerate() {
-                            task.new_by_plan[nth] = self.merge_plan_outputs(
-                                task.relation,
-                                plan_idx,
-                                matches,
-                                tasks_read,
-                                by_plan_read,
-                                None,
-                            );
-                        }
-                    });
-                    // Counter application stays on one thread, in group
-                    // then plan order; every firing counter is a sum, so
-                    // this reproduces the sequential path bit-for-bit.
-                    for task in &merge_tasks {
-                        for (nth, &(plan_idx, matches)) in task.plans.iter().enumerate() {
-                            let plan = &self.plans[plan_idx];
-                            let new = task.new_by_plan[nth];
-                            stats.record_firings(plan.rule_idx, &plan.head_pred, matches, new);
-                            new_facts += new;
-                        }
-                    }
-                } else {
-                    for &(plan_idx, matches) in &work {
-                        let plan = &self.plans[plan_idx];
-                        // All rows of one plan belong to its head predicate:
-                        // resolve the relation once and insert the packed
-                        // chunks directly — no per-fact allocation or clone.
-                        let relation = db.relation_mut(&plan.head_pred, plan.head_terms.len());
-                        let new = self.merge_plan_outputs(
-                            relation,
-                            plan_idx,
-                            matches,
-                            &tasks,
-                            &tasks_by_plan,
-                            observer.as_deref_mut(),
-                        );
-                        stats.record_firings(plan.rule_idx, &plan.head_pred, matches, new);
-                        new_facts += new;
-                    }
-                }
-            }
-            // Recycle task slots (buffers keep their capacity).
-            for list in tasks_by_plan.iter_mut() {
-                list.clear();
-            }
-            for mut task in tasks.drain(..) {
-                task.out.clear();
-                task.windows.clear();
-                spare.push(task);
+                let plan = &self.plans[plan_idx];
+                let arity = plan.head_terms.len();
+                // All rows of one plan belong to its head predicate: resolve
+                // the relation once and insert the packed chunks directly —
+                // no per-fact allocation or clone.
+                let relation = db.relation_mut(&plan.head_pred, arity);
+                let rows = &mut outputs[plan_idx];
+                let new = insert_fired_rows(
+                    relation,
+                    plan_idx,
+                    arity,
+                    matches,
+                    rows,
+                    observer.as_deref_mut(),
+                );
+                rows.clear();
+                stats.record_firings(plan.rule_idx, &plan.head_pred, matches, new);
+                new_facts += new;
             }
             derived += new_facts;
             self.check_fact_limit(derived)?;

@@ -23,7 +23,7 @@
 //!
 //! The only remaining per-row work is the check-term matches themselves and
 //! the recursion; the frame, trail and key buffer live in a `JoinScratch`
-//! the fixpoint loop keeps per task slot, so a steady-state rule
+//! the fixpoint loop keeps for the whole run, so a steady-state rule
 //! evaluation allocates only its (small) vector of bound atoms.
 //!
 //! # Entry points
@@ -53,7 +53,7 @@ use crate::error::EvalError;
 use crate::limits::Limits;
 use crate::plan::{AtomPlan, RulePlan};
 use magic_datalog::{Frame, PredName, Trail, ValId};
-use magic_storage::{Database, DatabaseView, IndexRef, Relation};
+use magic_storage::{Database, IndexRef, Relation};
 
 /// Restriction of one body occurrence to a "delta" window of its relation
 /// (row ids in `from..to`), used by semi-naive evaluation.
@@ -78,8 +78,8 @@ pub struct JoinCounters {
 }
 
 /// The join's reusable buffers.  A rule evaluation allocates nothing once
-/// these have grown to the plan's size, so the fixpoint loop keeps one per
-/// task slot and hands it back in every iteration.
+/// these have grown to the plan's size, so the fixpoint loop keeps one for
+/// the whole run and hands it to every rule evaluation.
 #[derive(Debug, Default)]
 pub(crate) struct JoinScratch {
     /// Variable bindings, one slot per plan variable.
@@ -250,7 +250,7 @@ impl MatchSink for CountSink {
 
 /// Resolve and arity-check the relation an atom of `rule_arity` reads.
 fn resolve_relation<'a>(
-    db: DatabaseView<'a>,
+    db: &'a Database,
     pred: &PredName,
     rule_arity: usize,
 ) -> Result<Option<&'a Relation>, EvalError> {
@@ -276,7 +276,7 @@ fn resolve_relation<'a>(
 /// `None` when some relation is absent (the body cannot match).
 fn bind_atoms<'a>(
     plan: &'a RulePlan,
-    db: DatabaseView<'a>,
+    db: &'a Database,
     windows: &[DeltaWindow],
 ) -> Result<Option<Vec<BoundAtom<'a>>>, EvalError> {
     let mut bound = Vec::with_capacity(plan.atoms.len());
@@ -310,9 +310,9 @@ fn run_join<S: MatchSink>(
     let neg_relations = plan
         .neg_atoms
         .iter()
-        .map(|atom| resolve_relation(db.view(), &atom.pred, atom.arity))
+        .map(|atom| resolve_relation(db, &atom.pred, atom.arity))
         .collect::<Result<_, _>>()?;
-    let Some(atoms) = bind_atoms(plan, db.view(), windows)? else {
+    let Some(atoms) = bind_atoms(plan, db, windows)? else {
         return Ok(counters);
     };
     let ctx = JoinCtx {
@@ -361,7 +361,7 @@ pub fn evaluate_rule_windows(
 }
 
 /// [`evaluate_rule_windows`] over caller-owned buffers: the form the
-/// fixpoint loop calls, once per task per iteration.
+/// fixpoint loop calls, once per rule evaluation.
 pub(crate) fn evaluate_rule_scratch(
     plan: &RulePlan,
     db: &Database,
@@ -434,33 +434,6 @@ fn head_bound_join(
     run_join(plan, db, &[], limits, &mut scratch, &mut CountSink)
 }
 
-/// The row-id range the join's outermost (occurrence-0) enumeration will
-/// cover for `plan` under `windows`: the occurrence-0 delta window when one
-/// exists, else the full extent of the lead atom's relation snapshot.
-/// `(0, 0)` for empty-body plans or an absent lead relation.
-///
-/// This is the axis the scheduler shards across workers: occurrence 0 is
-/// the outermost loop of `descend`, so partitioning its range partitions
-/// the join's probes and — because ids enumerate in ascending order — the
-/// concatenated shard outputs reproduce the unsharded row sequence.
-pub(crate) fn lead_enumeration_range(
-    plan: &RulePlan,
-    db: &Database,
-    windows: &[DeltaWindow],
-) -> (usize, usize) {
-    let Some(pred) = plan.lead_pred() else {
-        return (0, 0);
-    };
-    let Some(snapshot) = db.view().snapshot(pred) else {
-        return (0, 0);
-    };
-    let watermark = snapshot.watermark();
-    match windows.iter().find(|w| w.occurrence == 0) {
-        Some(w) => (w.from.min(watermark), w.to.min(watermark)),
-        None => (0, watermark),
-    }
-}
-
 /// Clamp `range` to a delta window.
 fn window_range(len: usize, window: Option<DeltaWindow>) -> std::ops::Range<usize> {
     match window {
@@ -479,8 +452,8 @@ fn window_range(len: usize, window: Option<DeltaWindow>) -> std::ops::Range<usiz
 /// one comparison), or the delta is the short run that a backwards gallop
 /// from the end brackets in O(log |delta|) steps over the cache lines
 /// already touched.  Only a window whose `to` cuts below the last id (the
-/// *old-rows* windows of the disjoint discipline, and lead shards) pays a
-/// binary search for its upper end.
+/// *old-rows* windows of the disjoint discipline) pays a binary search
+/// for its upper end.
 fn window_slice(ids: &[usize], window: Option<DeltaWindow>) -> &[usize] {
     let Some(w) = window else {
         return ids;

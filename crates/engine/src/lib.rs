@@ -38,7 +38,6 @@ pub mod join;
 pub mod limits;
 pub mod metrics;
 pub mod plan;
-mod pool;
 
 pub use error::EvalError;
 pub use evaluator::{

@@ -4,7 +4,8 @@
 //! counting rewrites do not terminate (cyclic data, cyclic argument graphs).
 //! Limits turn those divergences into observable errors instead of hangs.
 
-/// Resource limits applied during evaluation.
+/// Resource limits applied during evaluation.  Every limit is a count, so
+/// a run that stops at one stops at the same point on every host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Limits {
     /// Maximum number of fixpoint iterations.
@@ -13,20 +14,6 @@ pub struct Limits {
     pub max_facts: usize,
     /// Maximum nesting depth of any derived value (function-symbol growth).
     pub max_term_depth: usize,
-    /// Maximum wall-clock duration of the whole evaluation, checked once per
-    /// fixpoint iteration (`None` = unlimited).  Iteration and fact limits
-    /// bound divergence only loosely when each iteration derives a trickle
-    /// of new facts over an ever-growing database; a time budget bounds it
-    /// hard, which benchmark harnesses rely on.
-    pub max_wall: Option<std::time::Duration>,
-    /// Worker threads for the evaluation fan-out (`0` = resolve from the
-    /// `MAGIC_THREADS` environment variable, defaulting to 1).  Thread
-    /// count is a pure wall-clock knob: the scheduler's deterministic
-    /// shard merge keeps answers, `rule_firings` and summed `join_probes`
-    /// bit-identical across any value, so this rides on `Limits` purely
-    /// for plumbing convenience (it reaches the planner, the incremental
-    /// layer and the benches through the existing builder).
-    pub threads: usize,
 }
 
 impl Limits {
@@ -35,8 +22,6 @@ impl Limits {
         max_iterations: 1_000_000,
         max_facts: 50_000_000,
         max_term_depth: 100_000,
-        max_wall: None,
-        threads: 0,
     };
 
     /// Tight limits for tests that expect divergence to be detected quickly.
@@ -50,8 +35,6 @@ impl Limits {
             max_iterations: 56,
             max_facts: 200_000,
             max_term_depth: 512,
-            max_wall: None,
-            threads: 0,
         }
     }
 
@@ -73,34 +56,10 @@ impl Limits {
         self
     }
 
-    /// Set a wall-clock budget for the evaluation.
-    pub fn with_max_wall(mut self, limit: std::time::Duration) -> Limits {
-        self.max_wall = Some(limit);
+    /// Accepted and ignored: evaluation runs on the calling thread, so
+    /// there is no thread count to set.  Returns the limits unchanged.
+    pub fn with_threads(self, _threads: usize) -> Limits {
         self
-    }
-
-    /// Set the evaluation worker-thread count (`0` = resolve from the
-    /// environment; see [`Limits::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Limits {
-        self.threads = threads;
-        self
-    }
-
-    /// The effective thread count: an explicit setting wins; `0` consults
-    /// `MAGIC_THREADS` (where in turn `0` means "all available cores"),
-    /// and absent both, evaluation stays single-threaded.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads >= 1 {
-            return self.threads;
-        }
-        match std::env::var("MAGIC_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            Some(0) => std::thread::available_parallelism().map_or(1, usize::from),
-            Some(n) => n,
-            None => 1,
-        }
     }
 }
 
@@ -123,15 +82,7 @@ mod tests {
         assert_eq!(l.max_iterations, 10);
         assert_eq!(l.max_facts, 20);
         assert_eq!(l.max_term_depth, 30);
-        assert_eq!(l.max_wall, None);
-        let timed = l.with_max_wall(std::time::Duration::from_secs(5));
-        assert_eq!(timed.max_wall, Some(std::time::Duration::from_secs(5)));
+        assert_eq!(l.with_threads(4), l);
         assert!(Limits::strict().max_iterations < Limits::DEFAULT.max_iterations);
-    }
-
-    #[test]
-    fn explicit_thread_counts_win_over_the_environment() {
-        assert_eq!(Limits::default().with_threads(4).resolved_threads(), 4);
-        assert_eq!(Limits::default().with_threads(1).resolved_threads(), 1);
     }
 }

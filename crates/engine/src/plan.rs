@@ -158,13 +158,6 @@ pub fn with_body_order(rule: &Rule, order: &[usize]) -> Rule {
 }
 
 impl RulePlan {
-    /// The predicate read by the first body atom, if any — the join's
-    /// outermost enumeration, and therefore the axis the stratified
-    /// scheduler shards across worker threads (see `crate::evaluator`).
-    pub fn lead_pred(&self) -> Option<&PredName> {
-        self.atoms.first().map(|a| &a.pred)
-    }
-
     /// Compile a rule.  `derived` is the set of predicates defined by rules
     /// of the program being evaluated.
     pub fn compile(rule: &Rule, rule_idx: usize, derived: &BTreeSet<PredName>) -> RulePlan {
@@ -242,8 +235,9 @@ impl RulePlan {
         }
         // Negated atoms compile after the whole positive body: safety
         // guarantees their variables are bound by then, so every term is
-        // evaluable.  (An unsafe rule that slips through still compiles —
-        // its unbound slots stay NULL and the join reports UnsafeNegation.)
+        // evaluable.  (A rule that fails the check but slips through still
+        // compiles — its unbound slots stay NULL and the join reports
+        // UnsafeNegation.)
         let neg_atoms = rule
             .negated
             .iter()

@@ -164,65 +164,6 @@ impl Database {
             .map(|(p, r)| (p.clone(), r.len()))
             .collect()
     }
-
-    /// Distinct mutable borrows of the relations named by `preds` — the
-    /// write-phase counterpart of [`Database::view`].  The engine's
-    /// parallel merge phase uses this to hand each worker its own head
-    /// relation: the borrows are provably disjoint (each relation is
-    /// yielded at most once), so the whole fan-out stays in safe code.
-    /// Results are positionally parallel to `preds`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any requested predicate is absent or requested twice.
-    pub fn relations_mut_disjoint(&mut self, preds: &[&PredName]) -> Vec<&mut Relation> {
-        let mut out: Vec<Option<&mut Relation>> = Vec::new();
-        out.resize_with(preds.len(), || None);
-        for (name, rel) in self.relations.iter_mut() {
-            if let Some(pos) = preds.iter().position(|&p| p == name) {
-                out[pos] = Some(rel);
-            }
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, rel)| {
-                rel.unwrap_or_else(|| panic!("relation {} absent (or requested twice)", preds[i]))
-            })
-            .collect()
-    }
-
-    /// A read-only view of the database — the share-safe surface the
-    /// engine's parallel evaluation workers resolve relations through.
-    /// See [`DatabaseView`].
-    pub fn view(&self) -> DatabaseView<'_> {
-        DatabaseView { db: self }
-    }
-}
-
-/// A borrowed read view over a [`Database`].
-///
-/// The view is `Copy` and hands out relation borrows tied to the
-/// *database's* lifetime (not the view's), so a worker can resolve its
-/// body relations once and keep probing them for the whole read phase.
-/// Nothing behind the view takes a lock: relations have no interior
-/// mutability, and the engine guarantees no writer exists while views are
-/// live (evaluation and insertion alternate; see
-/// [`RelationSnapshot`](crate::relation::RelationSnapshot)).
-#[derive(Clone, Copy, Debug)]
-pub struct DatabaseView<'a> {
-    db: &'a Database,
-}
-
-impl<'a> DatabaseView<'a> {
-    /// The relation stored for `pred`, if any.
-    pub fn relation(&self, pred: &PredName) -> Option<&'a Relation> {
-        self.db.relation(pred)
-    }
-
-    /// A watermark-pinned snapshot of the relation stored for `pred`.
-    pub fn snapshot(&self, pred: &PredName) -> Option<crate::relation::RelationSnapshot<'a>> {
-        self.db.relation(pred).map(Relation::snapshot)
-    }
 }
 
 impl fmt::Display for Database {
@@ -297,31 +238,6 @@ mod tests {
         let mut db = Database::new();
         db.insert_pair("par", "a", "b");
         assert_eq!(db.to_string(), "par(a, b).\n");
-    }
-
-    #[test]
-    fn relations_mut_disjoint_yields_positionally() {
-        let mut db = Database::new();
-        db.insert_pair("par", "a", "b");
-        db.insert_pair("up", "a", "c");
-        db.insert_pair("down", "c", "a");
-        let (up, par) = (PredName::plain("up"), PredName::plain("par"));
-        let rels = db.relations_mut_disjoint(&[&up, &par]);
-        assert_eq!(rels.len(), 2);
-        for rel in rels {
-            rel.insert(vec![Value::sym("x"), Value::sym("y")]);
-        }
-        assert_eq!(db.count(&PredName::plain("up")), 2);
-        assert_eq!(db.count(&PredName::plain("par")), 2);
-        assert_eq!(db.count(&PredName::plain("down")), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "absent")]
-    fn relations_mut_disjoint_rejects_missing_preds() {
-        let mut db = Database::new();
-        db.insert_pair("par", "a", "b");
-        db.relations_mut_disjoint(&[&PredName::plain("nope")]);
     }
 
     #[test]

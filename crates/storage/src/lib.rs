@@ -52,26 +52,20 @@
 //! [`Relation::tombstones`] crosses a threshold, and take fresh marks
 //! afterwards.
 //!
-//! ## Share-safe reads and copy-on-write snapshots
+//! ## Copy-on-write snapshots
 //!
-//! Two properties make this storage layer safe to share across threads
-//! without locks on any probe path:
-//!
-//! * [`Database::view`] → [`DatabaseView`] and [`Relation::snapshot`] →
-//!   [`RelationSnapshot`] expose a borrow-based read surface (no interior
-//!   mutability, no coordination).  The join resolves relations through
-//!   it, which is what lets the parallel scheduler's workers — and any
-//!   reader holding a frozen database — probe concurrently.
-//! * Every storage unit — row pages, dedup shards, index shards — sits
-//!   behind an `Arc`, so `Database::clone` / `Relation::clone` are pure
-//!   pointer bumps: a clone is a self-contained **copy-on-write
-//!   snapshot**, and every interned `ValId` stays valid process-wide.
-//!   Writes after a clone re-copy exactly the units they touch
-//!   ([`cow_clones`] counts them), so publishing a snapshot costs nothing
-//!   and the writer pays O(touched units) per publish cycle, never O(data).
-//!   The serving layer (`magic-serve`) leans on exactly this: its writer
-//!   publishes cheap clones behind an `Arc` after every batch, and its
-//!   readers answer from the frozen copies while maintenance continues.
+//! Every storage unit — row pages, dedup shards, index shards — sits
+//! behind an `Arc`, so `Database::clone` / `Relation::clone` are pure
+//! pointer bumps: a clone is a self-contained **copy-on-write snapshot**,
+//! and every interned `ValId` stays valid process-wide.  Writes after a
+//! clone re-copy exactly the units they touch ([`cow_clones`] counts
+//! them), so publishing a snapshot costs nothing and the writer pays
+//! O(touched units) per publish cycle, never O(data).  The serving layer
+//! (`magic-serve`) leans on exactly this: its writer publishes cheap
+//! clones behind an `Arc` after every batch, and its readers answer from
+//! the frozen copies while maintenance continues.  A relation has no
+//! interior mutability, so a frozen copy is read from any number of
+//! threads without a lock.
 //!
 //! ```
 //! use magic_storage::Database;
@@ -100,7 +94,7 @@ pub mod support;
 pub use magic_datalog::arena;
 pub use magic_datalog::ValId;
 
-pub use database::{Database, DatabaseView};
+pub use database::Database;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use relation::{cow_clones, IndexRef, Relation, RelationSnapshot, Row};
+pub use relation::{cow_clones, IndexRef, Relation, Row};
 pub use support::SupportTable;

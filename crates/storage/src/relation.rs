@@ -950,73 +950,6 @@ impl Relation {
         }
         rel
     }
-
-    /// A read-only snapshot of this relation pinned at the current
-    /// [`Relation::watermark`] — the share-safe view the engine's parallel
-    /// workers read through.  See [`RelationSnapshot`].
-    ///
-    /// This borrow-scoped form is O(1) and lock-free; for an *owned*
-    /// snapshot that outlives the relation, `Relation::clone` is the
-    /// entry point — it is pure `Arc` pointer bumps over the shared
-    /// pages/shards (O(pages), no row copying; see [`cow_clones`]).
-    pub fn snapshot(&self) -> RelationSnapshot<'_> {
-        RelationSnapshot {
-            relation: self,
-            watermark: self.watermark(),
-        }
-    }
-}
-
-/// A borrowed, read-only view of a [`Relation`] at a fixed watermark.
-///
-/// This is the storage surface the engine's work-sharded evaluation reads
-/// concurrently: packed id slices and index lookups behind `&self`, with
-/// **no locks anywhere on the probe path** — a `Relation` has no interior
-/// mutability, so any number of workers may probe it while nobody holds
-/// `&mut`.  The engine's fixpoint alternates a read-only evaluation phase
-/// (workers joining over snapshots, writing packed head rows into
-/// per-worker output shards) with a merge phase that inserts the shards
-/// in deterministic order; insert-side **dedup therefore lives entirely
-/// behind the merge step**, never in the join workers.
-///
-/// The pinned watermark is the delta bound: rows with ids `>=`
-/// [`RelationSnapshot::watermark`] were inserted after the snapshot was
-/// taken and are invisible to it.
-#[derive(Clone, Copy, Debug)]
-pub struct RelationSnapshot<'a> {
-    relation: &'a Relation,
-    watermark: usize,
-}
-
-impl<'a> RelationSnapshot<'a> {
-    /// The underlying relation.
-    pub fn relation(&self) -> &'a Relation {
-        self.relation
-    }
-
-    /// The pinned high-water row id: the snapshot covers ids `0..watermark`.
-    pub fn watermark(&self) -> usize {
-        self.watermark
-    }
-
-    /// True iff `id` is within the snapshot and live.
-    pub fn is_live(&self, id: usize) -> bool {
-        id < self.watermark && self.relation.is_live(id)
-    }
-
-    /// The packed row with the given id (see [`Relation::row_ids`]).
-    pub fn row_ids(&self, id: usize) -> &'a [ValId] {
-        self.relation.row_ids(id)
-    }
-
-    /// Index lookup over the snapshot: the matching live row ids with the
-    /// post-snapshot tail (ids `>= watermark`) sliced off.  Borrowed, in
-    /// ascending order, like [`Relation::lookup`].
-    pub fn lookup(&self, positions: &[usize], key: &[ValId]) -> Option<&'a [usize]> {
-        let ids = self.relation.lookup(positions, key)?;
-        let hi = ids.partition_point(|&id| id < self.watermark);
-        Some(&ids[..hi])
-    }
 }
 
 impl PartialEq for Relation {
@@ -1379,38 +1312,6 @@ mod tests {
         }
         assert_eq!((shard.slots.len(), shard.live), (32, 10));
         assert!(shard.tombs < 24);
-    }
-
-    #[test]
-    fn snapshot_pins_the_watermark_against_later_inserts() {
-        let mut r = Relation::new(2);
-        r.ensure_index(&[0]);
-        r.insert(vec![v("a"), v("b")]);
-        r.insert(vec![v("a"), v("c")]);
-        r.insert(vec![v("d"), v("e")]);
-        // Tombstone one row so liveness and watermark diverge.
-        r.remove(&[v("a"), v("c")]);
-        let snap = r.snapshot();
-        assert_eq!(snap.watermark(), 3);
-        assert!(snap.is_live(0));
-        assert!(!snap.is_live(1)); // tombstoned
-        assert!(!snap.is_live(3)); // out of snapshot
-        assert_eq!(snap.row_ids(0), intern_row(&[v("a"), v("b")]).as_slice());
-        let key_a = intern_row(&[v("a")]);
-        assert_eq!(snap.lookup(&[0], &key_a).unwrap(), &[0]);
-        assert_eq!(snap.relation().len(), 2);
-        // A post-snapshot insert is invisible through the sliced lookup
-        // (the `&'a` borrows outlive the snapshot value itself, so this
-        // is checked against a second relation instead of aliasing).
-        let mut grown = r.clone();
-        let pinned = grown.watermark();
-        grown.insert(vec![v("a"), v("z")]);
-        let snap = RelationSnapshot {
-            relation: &grown,
-            watermark: pinned,
-        };
-        assert_eq!(snap.lookup(&[0], &key_a).unwrap(), &[0]);
-        assert_eq!(grown.lookup(&[0], &key_a).unwrap(), &[0, 3]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Incremental view maintenance, end to end: materialize a magic-set view
 //! once, then serve live inserts and retracts without re-running the
 //! fixpoint.  (Maintenance resumes the stratified scheduler at the lowest
-//! dirty stratum — the same engine path that fans evaluation out over the
-//! worker pool when `MAGIC_THREADS`/`Limits::threads` asks for it.)
+//! dirty stratum — the same fixpoint loop a from-scratch evaluation runs.)
 //!
 //! Run with `cargo run --release --example incremental_view`.  For the
 //! same catalog served over TCP with concurrent readers, see

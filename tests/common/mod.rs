@@ -1,5 +1,5 @@
 //! The seeded random stratified-program generator shared by the
-//! stratified-semantics and parallel-schedule suites.
+//! stratified-semantics suite and the maintenance golden.
 
 use power_of_magic::lang::{Atom, PredName, Program, Rule, Term, Value};
 use power_of_magic::workloads::SplitMix64;

@@ -10,7 +10,7 @@
 //! and through a `ViewCatalog` whose bindings enter by `materialize` and
 //! leave by its `max_views` cap, with every base update going through
 //! `apply_all`.  A last stream maintains the unrewritten ancestor program
-//! over a layered graph wide enough that its materialization fans out.
+//! over a wide layered graph, where seeds are `a` axioms.
 //!
 //! After every step one line records an fnv1a-64 digest over
 //! * the rows of every predicate, each with its support count;
@@ -173,7 +173,8 @@ fn random_families(count: usize) -> Vec<Family> {
 }
 
 /// `par` from every node of a layer to every node of the next, three
-/// layers of `width`: the first iterations' join ranges pass 4 096 rows.
+/// layers of `width`: every iteration of the materialization joins over
+/// thousands of `par` rows.
 fn layered(width: usize) -> Database {
     let mut db = Database::new();
     for layer in 0..2 {

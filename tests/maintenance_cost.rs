@@ -302,54 +302,43 @@ fn support_counts_follow_their_rows_through_repeated_compactions() {
             vec![Value::sym(&node(i)), Value::sym(&format!("leaf{j}"))],
         )
     };
-    // The suite runs under MAGIC_THREADS=1 and =4 in CI (the default
-    // limits read it); both are also forced here.
-    for limits in [
-        Limits::default(),
-        Limits::default().with_threads(1),
-        Limits::default().with_threads(4),
-    ] {
-        let mut view = gms_chain_view(n, limits);
-        let mut edb = chain(n);
-        let mut rng = SplitMix64::seed_from_u64(0xC0_4FAC);
-        let mut compactions = 0;
-        let mut apply = |view: &mut MaterializedView,
-                         edb: &mut Database,
-                         insert: bool,
-                         fact: Fact| {
-            let before = watermarks(view);
-            let changed = if insert {
-                edb.insert_fact(&fact);
-                view.insert(&fact)
-            } else {
-                edb.remove_fact(&fact);
-                view.retract(&fact)
-            };
-            assert!(changed.expect("maintenance succeeds"), "{fact} was a no-op");
-            let after = watermarks(view);
-            if before.len() == after.len() && before.iter().zip(&after).any(|(b, a)| a < b) {
-                compactions += 1;
-                assert_matches_scratch(view, edb, &format!("compaction {compactions} ({fact})"));
-            }
+    let mut view = gms_chain_view(n, Limits::default());
+    let mut edb = chain(n);
+    let mut rng = SplitMix64::seed_from_u64(0xC0_4FAC);
+    let mut compactions = 0;
+    let mut apply = |view: &mut MaterializedView, edb: &mut Database, insert: bool, fact: Fact| {
+        let before = watermarks(view);
+        let changed = if insert {
+            edb.insert_fact(&fact);
+            view.insert(&fact)
+        } else {
+            edb.remove_fact(&fact);
+            view.retract(&fact)
         };
-        for cycle in 0..5 {
-            let cut = n / 2 - 2 + cycle;
-            let leaves: Vec<(usize, usize)> = (0..6)
-                .map(|j| (rng.random_range(0..n), 10 * cycle + j))
-                .collect();
-            for &(i, j) in &leaves {
-                apply(&mut view, &mut edb, true, leaf(i, j));
-            }
-            apply(&mut view, &mut edb, false, par(cut, cut + 1));
-            for &(i, j) in &leaves[..3] {
-                apply(&mut view, &mut edb, false, leaf(i, j));
-            }
-            apply(&mut view, &mut edb, true, par(cut, cut + 1));
-            assert_matches_scratch(&view, &edb, &format!("cycle {cycle}"));
+        assert!(changed.expect("maintenance succeeds"), "{fact} was a no-op");
+        let after = watermarks(view);
+        if before.len() == after.len() && before.iter().zip(&after).any(|(b, a)| a < b) {
+            compactions += 1;
+            assert_matches_scratch(view, edb, &format!("compaction {compactions} ({fact})"));
         }
-        assert!(
-            compactions >= 4,
-            "the script must force several compactions, saw {compactions}"
-        );
+    };
+    for cycle in 0..5 {
+        let cut = n / 2 - 2 + cycle;
+        let leaves: Vec<(usize, usize)> = (0..6)
+            .map(|j| (rng.random_range(0..n), 10 * cycle + j))
+            .collect();
+        for &(i, j) in &leaves {
+            apply(&mut view, &mut edb, true, leaf(i, j));
+        }
+        apply(&mut view, &mut edb, false, par(cut, cut + 1));
+        for &(i, j) in &leaves[..3] {
+            apply(&mut view, &mut edb, false, leaf(i, j));
+        }
+        apply(&mut view, &mut edb, true, par(cut, cut + 1));
+        assert_matches_scratch(&view, &edb, &format!("cycle {cycle}"));
     }
+    assert!(
+        compactions >= 4,
+        "the script must force several compactions, saw {compactions}"
+    );
 }

@@ -351,7 +351,7 @@ fn render_stats(stats: &EvalStats) -> String {
 
 /// Every row of `db`, sorted as text.  Row ids are left out: aggregate
 /// groups are inserted in interned-value order, which varies between
-/// processes (`tests/parallel_schedule.rs` compares ids within one).
+/// processes.
 fn render_rows(db: &Database) -> String {
     let facts: BTreeSet<String> = db.facts().map(|f| f.to_string()).collect();
     facts.into_iter().collect::<Vec<_>>().join("\n")
@@ -359,11 +359,11 @@ fn render_rows(db: &Database) -> String {
 
 /// The golden line of one case: a digest of the full `EvalStats` (per-rule
 /// firings and per-predicate facts included) and of every derived row,
-/// at one thread, under the three loops a guarded program meets — the
+/// under the three loops a guarded program meets — the
 /// evaluator's semi-naive and naive runs, and a view-style runner (every
 /// body predicate tracked, `Disjoint` windows).
 fn counter_line(name: &str, program: &Program, edb: &Database) -> String {
-    let limits = Limits::default().with_threads(1);
+    let limits = Limits::default();
     let mut rendering = String::new();
     for scheme in [IterationScheme::SemiNaive, IterationScheme::Naive] {
         let result = Evaluator::new(program.clone())
