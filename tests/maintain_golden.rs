@@ -12,16 +12,18 @@
 //! `apply_all`.  A last stream maintains the unrewritten ancestor program
 //! over a wide layered graph, where seeds are `a` axioms.
 //!
-//! After every step one line records an fnv1a-64 digest over
-//! * the rows of every predicate, each with its support count;
-//! * the cumulative maintenance counters (`EvalStats`: iterations,
-//!   firings, new and duplicate facts, probes, per-rule firings and
-//!   per-predicate facts, where overdeleted rows show under their `~od~`
-//!   shadow names);
-//! * on the catalog path, `ApplyAllOutcome`'s applied count and its moved
-//!   and evicted bindings, and the answers of every live binding.
+//! After every step one line records three fnv1a-64 digests:
+//! * `rows=` — the rows of every predicate and, on the catalog path,
+//!   `ApplyAllOutcome`'s applied count with its moved and evicted
+//!   bindings, the number of materialized views and the answers of every
+//!   live binding: what maintenance leaves behind;
+//! * `support=` — the support count of every row, in row order;
+//! * `stats=` — the cumulative maintenance counters (`EvalStats`:
+//!   iterations, firings, new and duplicate facts, probes, per-rule
+//!   firings and per-predicate facts, where overdeleted rows show under
+//!   their `~od~` shadow names): what maintenance cost.
 //!
-//! Everything is rendered as text in name order, so the digest does not
+//! Everything is rendered as text in name order, so the digests do not
 //! depend on interning order.  After an intended change to maintenance,
 //! regenerate with `MAGIC_BLESS=1 cargo test --test maintain_golden` and
 //! name every moved line old → new.
@@ -191,18 +193,42 @@ fn layered(width: usize) -> Database {
     db
 }
 
-/// Every row of `view` with its support count, in name order.
-fn render_view(view: &MaterializedView) -> String {
-    let mut rows: Vec<String> = Vec::new();
-    for (pred, relation) in view.database().iter() {
-        for row in relation.iter() {
-            let fact = Fact::new(pred.clone(), row);
-            let support = view.support_of(&fact);
-            rows.push(format!("{fact} #{support}"));
+/// What one step left behind, rendered for the three digests of its line.
+#[derive(Default)]
+struct Rendering {
+    rows: String,
+    support: String,
+    stats: String,
+}
+
+impl Rendering {
+    fn line(&self, name: &str, step: usize, op: &str) -> String {
+        format!(
+            "{name} {step:02} {op:<7} rows={:016x} support={:016x} stats={:016x}\n",
+            fnv1a64(&self.rows),
+            fnv1a64(&self.support),
+            fnv1a64(&self.stats)
+        )
+    }
+
+    /// Every row of `view` in name order, with its support count in the
+    /// support column.
+    fn add_view(&mut self, view: &MaterializedView) {
+        let mut rows: Vec<(String, u64)> = Vec::new();
+        for (pred, relation) in view.database().iter() {
+            for row in relation.iter() {
+                let fact = Fact::new(pred.clone(), row);
+                let support = view.support_of(&fact);
+                rows.push((fact.to_string(), support));
+            }
+        }
+        rows.sort_unstable();
+        for (fact, support) in rows {
+            self.rows += &fact;
+            self.rows += "\n";
+            self.support += &format!("{support}\n");
         }
     }
-    rows.sort_unstable();
-    rows.join("\n") + "\n"
 }
 
 /// Cumulative counters, keyed by predicate name text.
@@ -319,8 +345,12 @@ fn direct_stream(
     };
     let mut seeds: Vec<Fact> = Vec::new();
     let line = |out: &mut String, step: usize, op: &str, view: &MaterializedView| {
-        let digest = fnv1a64(&(render_view(view) + &render_stats(view.stats())));
-        *out += &format!("{name} {step:02} {op:<7} fnv1a64={digest:016x}\n");
+        let mut rendering = Rendering {
+            stats: render_stats(view.stats()),
+            ..Rendering::default()
+        };
+        rendering.add_view(view);
+        *out += &rendering.line(name, step, op);
     };
     line(out, 0, "init", &view);
     for step in 1..=STEPS {
@@ -363,21 +393,22 @@ fn catalog_stream(out: &mut String, family: &Family, rng: &mut SplitMix64) {
     };
     let mut order: Vec<String> = Vec::new();
     let line = |out: &mut String, step: usize, op: &str, catalog: &ViewCatalog, moved: &str| {
-        let mut rendering = moved.to_string();
-        rendering += &render_stats(&catalog.aggregate_stats());
-        rendering += &format!("materialized={}\n", catalog.materialized());
+        let mut rendering = Rendering {
+            rows: format!("{moved}materialized={}\n", catalog.materialized()),
+            stats: render_stats(&catalog.aggregate_stats()),
+            ..Rendering::default()
+        };
         let mut rendered: Vec<*const MaterializedView> = Vec::new();
         for key in catalog.keys() {
             let answers = catalog.answers(key).expect("a live binding answers");
-            rendering += &format!("{key} -> {answers:?}\n");
+            rendering.rows += &format!("{key} -> {answers:?}\n");
             let view = catalog.view(key).expect("a live binding has a view");
             if !rendered.contains(&(view as *const _)) {
                 rendered.push(view);
-                rendering += &render_view(view);
+                rendering.add_view(view);
             }
         }
-        let digest = fnv1a64(&rendering);
-        *out += &format!("{name} {step:02} {op:<7} fnv1a64={digest:016x}\n");
+        *out += &rendering.line(&name, step, op);
     };
     line(out, 0, "init", &catalog, "");
     for step in 1..=STEPS {
