@@ -188,6 +188,9 @@ pub struct MaterializedView {
     exogenous: BTreeMap<PredName, HashSet<PackedRow>>,
     /// The overdeletion shadow machine, built on first DRed retraction.
     od: Option<OdMachine>,
+    /// One atom per answer-index pattern the view was asked for, so a
+    /// recompute can index its rebuilt database the same way.
+    answer_atoms: Vec<Atom>,
     limits: Limits,
     /// Cumulative maintenance metrics (construction + every update).
     stats: EvalStats,
@@ -341,6 +344,7 @@ impl MaterializedView {
             counting_safe,
             exogenous,
             od: None,
+            answer_atoms: Vec::new(),
             limits,
             stats,
             mode,
@@ -395,8 +399,16 @@ impl MaterializedView {
             .db
             .relation(&atom.pred)
             .is_some_and(|rel| rel.arity() == atom.arity());
-        if matches {
-            magic_engine::answers::ensure_atom_index(&mut self.db, atom);
+        if !matches {
+            return;
+        }
+        magic_engine::answers::ensure_atom_index(&mut self.db, atom);
+        let pattern = |a: &Atom| {
+            let ground: Vec<bool> = a.terms.iter().map(|t| t.vars().is_empty()).collect();
+            (a.pred.clone(), ground)
+        };
+        if !self.answer_atoms.iter().any(|a| pattern(a) == pattern(atom)) {
+            self.answer_atoms.push(atom.clone());
         }
     }
 
@@ -453,41 +465,13 @@ impl MaterializedView {
     /// Insert a base fact and propagate; returns `false` (and does
     /// nothing) if the fact was already present.
     pub fn insert(&mut self, fact: &Fact) -> Result<bool, IncrError> {
-        self.check_updatable(fact)?;
-        if self.db.contains(fact) {
-            return Ok(false);
-        }
-        if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
-            self.db.insert_fact(fact);
-            self.recompute()?;
-            return Ok(true);
-        }
-        let marks = self.runner.marks(&self.db);
-        self.db.insert_fact(fact);
-        self.resume(marks)?;
-        Ok(true)
+        Ok(self.apply([Update::Insert(fact.clone())])?.applied == 1)
     }
 
     /// Retract a base fact and propagate; returns `false` (and does
     /// nothing) if the fact was not present.
     pub fn retract(&mut self, fact: &Fact) -> Result<bool, IncrError> {
-        self.check_updatable(fact)?;
-        if !self.db.contains(fact) {
-            return Ok(false);
-        }
-        if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
-            self.db.remove(&fact.pred, &fact.values);
-            self.recompute()?;
-            return Ok(true);
-        }
-        if self.counting_safe.contains(&fact.pred) || !self.base_preds.contains(&fact.pred) {
-            // Predicates outside the program's body cannot affect any
-            // derived fact; the counting pass handles them trivially.
-            self.retract_counting(fact)?;
-        } else {
-            self.retract_dred(fact)?;
-        }
-        Ok(true)
+        Ok(self.apply([Update::Retract(fact.clone())])?.applied == 1)
     }
 
     /// Add `seed` as an *axiom*: a fact the view holds whether or not its
@@ -549,7 +533,8 @@ impl MaterializedView {
     }
 
     /// Apply a batch of updates — owned or borrowed — in order;
-    /// consecutive insertions are coalesced into one fixpoint re-entry.
+    /// consecutive insertions are coalesced into one fixpoint re-entry, and
+    /// in [`MaintenanceMode::Recompute`] the whole batch is one recompute.
     ///
     /// On error the already-applied prefix of the batch stays applied (and
     /// propagated), the offending update onward is dropped: the view is
@@ -559,11 +544,9 @@ impl MaterializedView {
         I: IntoIterator,
         I::Item: Borrow<Update>,
     {
-        if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
-            return self.apply_recompute(updates);
-        }
         let mut report = ApplyReport::default();
-        // Marks taken before the first pending insertion, if any.
+        // Marks taken before the first base change not yet propagated, if
+        // any (a recompute ignores them).
         let mut pending: Option<Vec<usize>> = None;
         let mut failure: Option<IncrError> = None;
         for update in updates {
@@ -573,102 +556,61 @@ impl MaterializedView {
                 break;
             }
         }
-        // Flush even on the error path: pending coalesced inserts are
-        // already in the database, and dropping their marks would leave
-        // the view off-fixpoint (and the support table stale) forever.
-        if let Some(marks) = pending.take() {
-            self.resume(marks)?;
-        }
+        // Flush even on the error path: pending changes are already in
+        // the database, and dropping them would leave the view
+        // off-fixpoint forever.
+        self.flush(&mut pending)?;
         match failure {
             Some(e) => Err(e),
             None => Ok(report),
         }
     }
 
-    /// One update of a batch; pending inserts accumulate under `pending`.
+    /// One update of a batch.  Base changes accumulate under `pending`; an
+    /// incremental retraction flushes them and propagates at once.
     fn apply_step(
         &mut self,
         update: &Update,
         report: &mut ApplyReport,
         pending: &mut Option<Vec<usize>>,
     ) -> Result<(), IncrError> {
+        let fact = update.fact();
+        self.check_updatable(fact)?;
+        let present = self.db.contains(fact);
+        if present == matches!(update, Update::Insert(_)) {
+            report.no_ops += 1;
+            return Ok(());
+        }
+        report.applied += 1;
         match update {
-            Update::Insert(fact) => {
-                self.check_updatable(fact)?;
-                if self.db.contains(fact) {
-                    report.no_ops += 1;
-                    return Ok(());
-                }
+            Update::Retract(fact) if self.mode == MaintenanceMode::Incremental => {
+                self.flush(pending)?;
+                self.retract_incremental(fact)
+            }
+            _ => {
                 if pending.is_none() {
                     *pending = Some(self.runner.marks(&self.db));
                 }
-                self.db.insert_fact(fact);
-                report.applied += 1;
-            }
-            Update::Retract(fact) => {
-                if let Some(marks) = pending.take() {
-                    self.resume(marks)?;
+                match update {
+                    Update::Insert(fact) => {
+                        self.db.insert_fact(fact);
+                    }
+                    Update::Retract(fact) => {
+                        self.db.remove(&fact.pred, &fact.values);
+                    }
                 }
-                if self.retract(fact)? {
-                    report.applied += 1;
-                } else {
-                    report.no_ops += 1;
-                }
+                Ok(())
             }
         }
-        Ok(())
     }
 
-    /// The recompute-mode batch path: mutate the base facts in order, then
-    /// re-run the stratified fixpoint once for the whole batch.  Same
-    /// error contract as the incremental path — an offending update drops
-    /// the rest of the batch, but the already-applied prefix is
-    /// propagated, leaving the view at a fixpoint of its program.
-    fn apply_recompute<I>(&mut self, updates: I) -> Result<ApplyReport, IncrError>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<Update>,
-    {
-        let mut report = ApplyReport::default();
-        let mut dirty = false;
-        let mut failure: Option<IncrError> = None;
-        for update in updates {
-            let update = update.borrow();
-            if let Err(e) = self.check_updatable(update.fact()) {
-                failure = Some(e);
-                break;
-            }
-            let applied = match update {
-                Update::Insert(f) => {
-                    if self.db.contains(f) {
-                        false
-                    } else {
-                        self.db.insert_fact(f);
-                        true
-                    }
-                }
-                Update::Retract(f) => {
-                    if self.db.contains(f) {
-                        self.db.remove(&f.pred, &f.values);
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if applied {
-                report.applied += 1;
-                dirty = true;
-            } else {
-                report.no_ops += 1;
-            }
-        }
-        if dirty {
-            self.recompute()?;
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
+    /// Propagate the base changes `pending` holds: resume the fixpoint
+    /// from its marks, or recompute it.
+    fn flush(&mut self, pending: &mut Option<Vec<usize>>) -> Result<(), IncrError> {
+        match pending.take() {
+            None => Ok(()),
+            Some(_) if matches!(self.mode, MaintenanceMode::Recompute { .. }) => self.recompute(),
+            Some(marks) => self.resume(marks),
         }
     }
 
@@ -694,6 +636,9 @@ impl MaterializedView {
             .run(&mut db, &mut op_stats, None)
             .map_err(IncrError::Eval)?;
         self.stats.merge(&op_stats);
+        for atom in &self.answer_atoms {
+            magic_engine::answers::ensure_atom_index(&mut db, atom);
+        }
         self.db = db;
         self.recomputes += 1;
         Ok(())
@@ -737,6 +682,17 @@ impl MaterializedView {
                 self.support.remap(pred, rel.iter_ids().map(|(id, _)| id));
                 rel.compact();
             }
+        }
+    }
+
+    /// Retract a present base fact from an incremental view.
+    fn retract_incremental(&mut self, fact: &Fact) -> Result<(), IncrError> {
+        if self.counting_safe.contains(&fact.pred) || !self.base_preds.contains(&fact.pred) {
+            // Predicates outside the program's body cannot affect any
+            // derived fact; the counting pass handles them trivially.
+            self.retract_counting(fact)
+        } else {
+            self.retract_dred(fact)
         }
     }
 
@@ -1397,6 +1353,30 @@ mod tests {
         assert!(view.database().contains(&total(130)));
         assert!(!view.database().contains(&total(100)));
         assert_eq!(view.recompute_count(), 1);
+    }
+
+    #[test]
+    fn recompute_keeps_the_answer_index() {
+        // A recompute swaps in a rebuilt database; the answer index the
+        // view was asked for must come with it, or answers fall back to a
+        // scan after the first update.
+        let program = parse_program("total(P, sum<C>) :- part_cost(P, C).").unwrap();
+        let part_cost = |n: i64| Fact::plain("part_cost", vec![Value::sym("bike"), Value::int(n)]);
+        let mut db = Database::new();
+        db.insert_fact(&part_cost(100));
+        let mut view = MaterializedView::new(&program, &db).unwrap();
+        view.ensure_answer_index(&Atom::plain(
+            "total",
+            vec![magic_datalog::Term::sym("bike"), magic_datalog::Term::var("S")],
+        ));
+        let indexed = |view: &MaterializedView| {
+            let total = view.database().relation(&PredName::plain("total"));
+            total.is_some_and(|rel| rel.index_ref(&[0]).is_some())
+        };
+        assert!(indexed(&view));
+        assert!(view.insert(&part_cost(30)).unwrap());
+        assert_eq!(view.recompute_count(), 1);
+        assert!(indexed(&view));
     }
 
     #[test]
