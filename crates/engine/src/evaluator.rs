@@ -87,8 +87,9 @@ pub enum WindowDiscipline {
     /// The textbook disjoint discipline: when occurrence `j` reads the
     /// delta, every *earlier* tracked occurrence is restricted to the
     /// pre-delta rows.  Each derivation is enumerated exactly once across
-    /// the whole run, which is what lets the incremental layer maintain
-    /// exact per-row derivation counts.
+    /// the whole run.  Incremental views resume under it, but no caller
+    /// relies on the exactly-once enumeration: views keep no per-row
+    /// derivation counts.
     Disjoint,
 }
 
@@ -97,9 +98,9 @@ pub enum WindowDiscipline {
 /// `(plan_idx, row_id, is_new)`: `plan_idx` indexes
 /// [`FixpointRunner::plans`], `row_id` is where the row lives in the
 /// plan's head relation — the fresh id, or the one the duplicate probe
-/// found — and `is_new` tells whether the firing created it.  The
-/// incremental layer uses this to maintain per-row derivation-support
-/// counts by row id, with no second lookup.
+/// found — and `is_new` tells whether the firing created it.  No caller in
+/// the workspace installs one; `run` and `resume` keep the parameter
+/// because the benchmark builds against `run`'s signature.
 pub type FiringObserver<'a> = &'a mut dyn FnMut(usize, usize, bool);
 
 /// A reborrow of an installed [`FiringObserver`]: the borrow is shorter
@@ -360,34 +361,6 @@ impl FixpointRunner {
     /// it across every maintenance operation).
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
-    }
-
-    /// The tracked predicates, sorted ascending.  Delta-mark vectors index
-    /// into this list.
-    pub fn tracked(&self) -> &[PredName] {
-        &self.tracked
-    }
-
-    /// The tracked body occurrences of plan `plan_idx`, as
-    /// `(body occurrence, index into tracked())` pairs in body order.
-    pub fn occurrences_of(&self, plan_idx: usize) -> &[(usize, usize)] {
-        &self.tracked_occurrences[plan_idx]
-    }
-
-    /// The delta-driven variant of plan `plan_idx` whose `nth` tracked
-    /// occurrence (per [`FixpointRunner::occurrences_of`]) leads the body.
-    /// Body positions are permuted; see
-    /// [`FixpointRunner::delta_positions`].  Only available on runners
-    /// built with [`FixpointRunner::compile`].
-    pub fn delta_plan(&self, plan_idx: usize, nth: usize) -> &RulePlan {
-        &self.delta_plans[plan_idx][nth].plan
-    }
-
-    /// The body permutation of [`FixpointRunner::delta_plan`]: entry `o` is
-    /// the variant position of original body occurrence `o` (the lead maps
-    /// to 0).
-    pub fn delta_positions(&self, plan_idx: usize, nth: usize) -> &[usize] {
-        &self.delta_plans[plan_idx][nth].pos_of_orig
     }
 
     /// The head-bound variant of plan `plan_idx` (see

@@ -28,22 +28,16 @@
 //!
 //! # Entry points
 //!
-//! Three consumers drive the same `descend` loop through a zero-cost
+//! Two consumers drive the same `descend` loop through a zero-cost
 //! `MatchSink` parameter (monomorphized; the classic row-producing path
 //! compiles to exactly the code it had before the abstraction existed):
 //!
 //! * [`evaluate_rule`] / [`evaluate_rule_windows`] — forward evaluation,
 //!   appending head rows to a flat output buffer.  The `_windows` variant
 //!   takes *several* delta windows (at most one per body occurrence), which
-//!   is what lets the incremental-maintenance layer run the textbook
-//!   *disjoint* semi-naive discipline (delta at occurrence *j*, old facts
-//!   at earlier tracked occurrences) and thereby count each derivation
-//!   exactly once.
-//! * [`evaluate_rule_visit`] — like the above, but hands every match to a
-//!   visitor together with the chosen row id per body occurrence.  The
-//!   incremental counting-deletion pass uses the ids to discount
-//!   derivations that an earlier-processed deleted row already accounted
-//!   for.
+//!   is what lets the fixpoint loop run the textbook *disjoint* semi-naive
+//!   discipline (delta at occurrence *j*, old facts at earlier tracked
+//!   occurrences) and thereby enumerate each derivation exactly once.
 //! * [`count_derivations`] — the *head-bound* join: match a concrete head
 //!   row against the rule head, then count the body instantiations
 //!   consistent with it.  This is the support oracle behind
@@ -90,8 +84,6 @@ pub(crate) struct JoinScratch {
     /// serves every depth: a key is consumed by its probe before the join
     /// descends.
     key: Vec<ValId>,
-    /// The chosen row id per depth (only kept for id-reporting sinks).
-    chosen: Vec<usize>,
 }
 
 impl JoinScratch {
@@ -100,7 +92,6 @@ impl JoinScratch {
         self.frame.clear();
         self.frame.resize(plan.num_slots, ValId::NULL);
         self.trail.clear();
-        self.chosen.clear();
     }
 }
 
@@ -161,15 +152,10 @@ struct JoinCtx<'a> {
 
 /// What to do with a satisfied body instantiation.  Implementations are
 /// monomorphized into `descend`, so the classic row-producing path pays
-/// nothing for the abstraction, and the id-tracking push/pop in `probe` is
-/// compiled out entirely when `NEEDS_IDS` is false.
+/// nothing for the abstraction.
 trait MatchSink {
-    /// Whether `probe` must maintain the per-depth chosen-row-id stack.
-    const NEEDS_IDS: bool;
-    /// Called once per satisfied body instantiation with the full frame and
-    /// (when `NEEDS_IDS`) the chosen row id per body occurrence.
-    fn emit(&mut self, ctx: &JoinCtx<'_>, frame: &Frame, chosen: &[usize])
-        -> Result<(), EvalError>;
+    /// Called once per satisfied body instantiation with the full frame.
+    fn emit(&mut self, ctx: &JoinCtx<'_>, frame: &Frame) -> Result<(), EvalError>;
 }
 
 /// Evaluate the head terms of `ctx.plan` against `frame`, appending the
@@ -199,40 +185,9 @@ struct RowSink<'a> {
 }
 
 impl MatchSink for RowSink<'_> {
-    const NEEDS_IDS: bool = false;
-
     #[inline]
-    fn emit(
-        &mut self,
-        ctx: &JoinCtx<'_>,
-        frame: &Frame,
-        _chosen: &[usize],
-    ) -> Result<(), EvalError> {
+    fn emit(&mut self, ctx: &JoinCtx<'_>, frame: &Frame) -> Result<(), EvalError> {
         push_head_row(ctx, frame, self.out)
-    }
-}
-
-/// Sink that hands each match (packed head row + chosen body row ids) to a
-/// visitor.
-struct VisitSink<'a> {
-    visit: &'a mut dyn FnMut(&[ValId], &[usize]),
-    /// Reusable head-row scratch.
-    row: Vec<ValId>,
-}
-
-impl MatchSink for VisitSink<'_> {
-    const NEEDS_IDS: bool = true;
-
-    fn emit(
-        &mut self,
-        ctx: &JoinCtx<'_>,
-        frame: &Frame,
-        chosen: &[usize],
-    ) -> Result<(), EvalError> {
-        self.row.clear();
-        push_head_row(ctx, frame, &mut self.row)?;
-        (self.visit)(&self.row, chosen);
-        Ok(())
     }
 }
 
@@ -240,10 +195,8 @@ impl MatchSink for VisitSink<'_> {
 struct CountSink;
 
 impl MatchSink for CountSink {
-    const NEEDS_IDS: bool = false;
-
     #[inline]
-    fn emit(&mut self, _: &JoinCtx<'_>, _: &Frame, _: &[usize]) -> Result<(), EvalError> {
+    fn emit(&mut self, _: &JoinCtx<'_>, _: &Frame) -> Result<(), EvalError> {
         Ok(())
     }
 }
@@ -374,27 +327,6 @@ pub(crate) fn evaluate_rule_scratch(
     run_join(plan, db, windows, limits, scratch, &mut RowSink { out })
 }
 
-/// Evaluate one rule and hand every match to `visit` together with the
-/// chosen row id per body occurrence (`chosen[i]` is the row id the `i`-th
-/// body atom matched).  Used by the incremental counting-deletion pass,
-/// which must reject derivations whose body touches an already-processed
-/// deleted row.
-pub fn evaluate_rule_visit(
-    plan: &RulePlan,
-    db: &Database,
-    windows: &[DeltaWindow],
-    limits: &Limits,
-    visit: &mut dyn FnMut(&[ValId], &[usize]),
-) -> Result<JoinCounters, EvalError> {
-    let mut scratch = JoinScratch::default();
-    scratch.reset(plan);
-    let mut sink = VisitSink {
-        visit,
-        row: Vec::with_capacity(plan.head_terms.len()),
-    };
-    run_join(plan, db, windows, limits, &mut scratch, &mut sink)
-}
-
 /// The head-bound join: count the body instantiations of `plan` (against
 /// `db`) whose head row equals the packed `row`.  Matching the head terms
 /// first binds the head variables, so the body join runs with those
@@ -514,7 +446,7 @@ fn descend<S: MatchSink>(
             }
         }
         counters.matches += 1;
-        return sink.emit(ctx, &scratch.frame, &scratch.chosen);
+        return sink.emit(ctx, &scratch.frame);
     };
     let relation = atom.relation;
 
@@ -598,13 +530,7 @@ fn probe<S: MatchSink>(
         }
     }
     if ok {
-        if S::NEEDS_IDS {
-            scratch.chosen.push(id);
-        }
         descend(ctx, depth + 1, scratch, sink, counters)?;
-        if S::NEEDS_IDS {
-            scratch.chosen.pop();
-        }
     }
     magic_datalog::slots::unwind(&mut scratch.frame, &mut scratch.trail, mark);
     Ok(())
@@ -792,26 +718,6 @@ mod tests {
         let counters = evaluate_rule(&plan, &db, None, &Limits::default(), &mut out).unwrap();
         assert_eq!(counters.probes, 2);
         assert_eq!(render_flat("anc", 2, &out), vec!["anc(a, b)", "anc(c, d)"]);
-    }
-
-    #[test]
-    fn visit_reports_chosen_row_ids() {
-        let rule = parse_rule("grand(X, Z) :- par(X, Y), par(Y, Z).").unwrap();
-        let plan = RulePlan::compile(&rule, 0, &BTreeSet::new());
-        let db = db_with_par();
-        let mut seen: Vec<(String, Vec<usize>)> = Vec::new();
-        evaluate_rule_visit(&plan, &db, &[], &Limits::default(), &mut |row, ids| {
-            seen.push((render_flat("grand", 2, row).remove(0), ids.to_vec()));
-        })
-        .unwrap();
-        seen.sort();
-        assert_eq!(
-            seen,
-            vec![
-                ("grand(a, c)".to_string(), vec![0, 1]),
-                ("grand(b, d)".to_string(), vec![1, 2]),
-            ]
-        );
     }
 
     #[test]

@@ -44,8 +44,7 @@ pub use evaluator::{
     EvalResult, Evaluator, FiringObserver, FixpointRunner, IterationScheme, WindowDiscipline,
 };
 pub use join::{
-    count_derivations, evaluate_rule, evaluate_rule_visit, evaluate_rule_windows, DeltaWindow,
-    JoinCounters,
+    count_derivations, evaluate_rule, evaluate_rule_windows, DeltaWindow, JoinCounters,
 };
 pub use limits::Limits;
 pub use metrics::EvalStats;

@@ -12,11 +12,10 @@
 //!   construct once, then [`insert`](MaterializedView::insert) /
 //!   [`retract`](MaterializedView::retract) / batched
 //!   [`apply`](MaterializedView::apply).  Insertions re-enter the engine's
-//!   semi-naive loop from a seeded delta window; retractions use exact
-//!   per-row derivation counts (see
-//!   [`SupportTable`](magic_storage::SupportTable)) where the affected cone
-//!   is non-recursive, and delete-and-rederive (DRed, as in the
-//!   micro-Datalog lineage of delta-driven engines) where it is not.
+//!   semi-naive loop from a seeded delta window; retractions
+//!   delete-and-rederive (DRed, as in the micro-Datalog lineage of
+//!   delta-driven engines), the one algorithm that stays sound on the
+//!   recursive cones magic rewriting produces.
 //! * [`ViewCatalog`] — the serving-layer shape: one live view per
 //!   rewritten program, and the *adorned query bindings*
 //!   (`anc_bf[bf](john)@gms`) seeded into it as facts of its magic
@@ -38,4 +37,4 @@ pub mod view;
 
 pub use catalog::{ApplyAllOutcome, CatalogError, ViewCatalog, ViewSnapshot};
 pub use error::IncrError;
-pub use view::{ApplyReport, MaintenanceMode, MaterializedView, RetractStrategy, Update};
+pub use view::{ApplyReport, MaintenanceMode, MaterializedView, Update};

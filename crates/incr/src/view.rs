@@ -8,10 +8,8 @@
 //! *re-enters* the engine's fixpoint loop
 //! ([`FixpointRunner::resume`](magic_engine::FixpointRunner::resume)) with
 //! the seed as the delta window.  The runner tracks *every* body predicate
-//! (not just the derived ones), joins outward from the delta through
-//! delta-driven plan variants, and uses the disjoint window discipline so
-//! each new derivation is enumerated exactly once — which keeps the
-//! per-row derivation counts in the [`SupportTable`] exact.
+//! (not just the derived ones) and joins outward from the delta through
+//! delta-driven plan variants.
 //!
 //! Resumption is *stratum-seeded*: the runner's compiled
 //! [`Schedule`](magic_datalog::Schedule) (built once per view and shared
@@ -22,45 +20,34 @@
 //!
 //! # Retraction
 //!
-//! Two strategies, chosen per retracted predicate at construction time:
+//! One algorithm, **DRed (delete and re-derive)**.  Magic rewriting makes
+//! a recursive query's whole cone recursive through its magic predicates,
+//! and on recursive cones cyclic support (the classic `p ⇄ q` island that
+//! keeps itself alive) rules out reference counting anyway.  An
+//! *overdeletion* shadow program computes the overapproximate deleted set,
+//! those rows are removed in one batch, rows with a surviving alternative
+//! one-step derivation (per the head-bound [`count_derivations`] join) are
+//! re-inserted as seeds, and the fixpoint is resumed to propagate
+//! re-derivations.  Every plan on this path — shadow rules, head-bound
+//! recounts, the resumed delta variants — takes its body order from
+//! [`sip_order`], so each step costs in proportion to the rows it moves,
+//! not to the relations it reads.  A retracted predicate that no rule body
+//! reads cannot affect any derived fact: its row is simply removed.
 //!
-//! * **Counting** — when every derived predicate the retracted fact can
-//!   reach is non-recursive, support is acyclic and exact reference
-//!   counting is sound.  A worklist pass pins each deleted row at each of
-//!   its body occurrences (a width-1 delta window on a delta-driven plan)
-//!   and decrements the support of every lost derivation's head; rows
-//!   reaching zero support are deleted and propagate.  Derivations that
-//!   touch several deleted rows are discounted exactly once via the
-//!   processed-row filter (see `retract_counting`).
-//! * **DRed (delete and re-derive)** — for recursive cones, where cyclic
-//!   support makes counting unsound (the classic `p ⇄ q` island that
-//!   keeps itself alive).  An *overdeletion* shadow program computes the
-//!   overapproximate deleted set, those rows are removed in one batch,
-//!   rows with a surviving alternative one-step derivation (per the
-//!   head-bound [`count_derivations`] join) are re-inserted as seeds, and
-//!   the fixpoint is resumed to propagate re-derivations.  Support counts
-//!   are recomputed exactly for everything that was touched.  Every plan
-//!   on this path — shadow rules, head-bound recounts, the resumed delta
-//!   variants — takes its body order from [`sip_order`], so each step
-//!   costs in proportion to the rows it moves, not to the relations it
-//!   reads.
-//!
-//! Both paths leave the database bit-for-bit equal (as a fact set) to a
+//! Maintenance leaves the database bit-for-bit equal (as a fact set) to a
 //! from-scratch evaluation of the program over the updated base facts —
 //! the oracle the test suite checks against, following Drabent's
 //! correctness-proof framing of magic-transformation equivalence.
 
 use crate::error::IncrError;
-use magic_datalog::{
-    analysis::DependencyGraph, arena::intern_row, Atom, Fact, PredName, Program, ValId,
-};
+use magic_datalog::{arena::intern_row, Atom, Fact, PredName, Program, ValId};
 use magic_engine::{
-    count_derivations, evaluate_rule_visit, sip_order, with_body_order, DeltaWindow, EvalStats,
-    FixpointRunner, Limits, WindowDiscipline,
+    count_derivations, sip_order, with_body_order, EvalStats, FixpointRunner, Limits,
+    WindowDiscipline,
 };
-use magic_storage::{Database, SupportTable};
+use magic_storage::Database;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// A packed (interned) row, the representation maintenance works in; values
 /// are decoded only at the public API edge.
@@ -93,24 +80,10 @@ pub struct ApplyReport {
     pub no_ops: usize,
 }
 
-/// How retractions of a given base predicate are maintained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetractStrategy {
-    /// Exact reference counting (the predicate's derived cone is acyclic).
-    Counting,
-    /// Delete-and-rederive (the cone contains recursion).
-    DRed,
-    /// Full recompute: the program uses negation or aggregates, for which
-    /// neither counting nor DRed is sound in v1 (a lost fact can *add*
-    /// derivations through a complement, and aggregate outputs shift
-    /// without any per-derivation support notion).
-    Recompute,
-}
-
 /// How the view propagates base-fact updates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MaintenanceMode {
-    /// Delta-driven resume for inserts, counting/DRed for retracts.
+    /// Delta-driven resume for inserts, DRed for retracts.
     Incremental,
     /// Every update re-runs the stratified fixpoint from the base facts
     /// and swaps the result in.  v1 policy for guarded (negation /
@@ -125,8 +98,8 @@ impl MaintenanceMode {
     /// The mode a view of `program` is maintained in.  Guarded programs
     /// (negation / aggregates) fall back to full recompute on every
     /// update: a retracted fact can *add* facts through a complement, so
-    /// derivation counting and DRed are both unsound, and aggregate
-    /// outputs carry no per-derivation support.
+    /// DRed is unsound, and aggregate outputs carry no per-derivation
+    /// support.
     pub fn of(program: &Program) -> MaintenanceMode {
         if program.rules.iter().any(|r| !r.negated.is_empty()) {
             MaintenanceMode::Recompute {
@@ -173,18 +146,12 @@ pub struct MaterializedView {
     program: Program,
     runner: FixpointRunner,
     db: Database,
-    support: SupportTable,
-    /// Head predicate per plan index (avoids re-borrowing the runner in
-    /// observer closures).
-    head_preds: Vec<PredName>,
     base_preds: BTreeSet<PredName>,
     derived_preds: BTreeSet<PredName>,
-    /// Base predicates whose entire derived cone is non-recursive: exact
-    /// counting deletion is sound for them.
-    counting_safe: BTreeSet<PredName>,
     /// Rows of derived predicates that were present in the initial EDB or
     /// came in through [`MaterializedView::add_seed`].  They are axioms,
-    /// not derivations: retraction never deletes them even at zero support.
+    /// not derivations: retraction never deletes them, whether or not a
+    /// rule still derives them.
     exogenous: BTreeMap<PredName, HashSet<PackedRow>>,
     /// The overdeletion shadow machine, built on first DRed retraction.
     od: Option<OdMachine>,
@@ -276,11 +243,9 @@ impl MaterializedView {
         let runner = FixpointRunner::compile(program, &tracked)
             .with_limits(limits)
             .with_discipline(WindowDiscipline::Disjoint);
-        let head_preds: Vec<PredName> =
-            runner.plans().iter().map(|p| p.head_pred.clone()).collect();
 
         // Derived rows already present in the EDB are axioms: record them so
-        // retraction never deletes them, whatever their derivation count.
+        // retraction never deletes them.
         let mut exogenous: BTreeMap<PredName, HashSet<PackedRow>> = BTreeMap::new();
         for pred in &derived_preds {
             if let Some(rel) = edb.relation(pred) {
@@ -293,61 +258,24 @@ impl MaterializedView {
             }
         }
 
-        // A base predicate is counting-safe when no recursive derived
-        // predicate can be affected by it: every lost derivation chain is
-        // then acyclic and reference counts are a sound deletion criterion.
-        let graph = DependencyGraph::build(program);
-        let recursive: BTreeSet<PredName> = derived_preds
-            .iter()
-            .filter(|p| graph.is_recursive(p))
-            .cloned()
-            .collect();
-        let mut counting_safe = BTreeSet::new();
-        for base in &base_preds {
-            let affected_by_recursion = recursive
-                .iter()
-                .any(|r| graph.reachable_from(r).contains(base));
-            if !affected_by_recursion {
-                counting_safe.insert(base.clone());
-            }
-        }
-
-        let mode = MaintenanceMode::of(program);
-
         let mut db = edb.clone();
         let mut stats = EvalStats::default();
-        let mut support = SupportTable::new();
-        let mut op_stats = EvalStats::default();
-        if mode == MaintenanceMode::Incremental {
-            let mut observer = |plan_idx: usize, row_id: usize, _is_new: bool| {
-                support.add(&head_preds[plan_idx], row_id, 1);
-            };
-            runner
-                .run(&mut db, &mut op_stats, Some(&mut observer))
-                .map_err(IncrError::Eval)?;
-        } else {
-            // No support tracking: recompute mode never consults it.
-            runner
-                .run(&mut db, &mut op_stats, None)
-                .map_err(IncrError::Eval)?;
-        }
-        stats.merge(&op_stats);
+        runner
+            .run(&mut db, &mut stats, None)
+            .map_err(IncrError::Eval)?;
 
         Ok(MaterializedView {
             program: program.clone(),
             runner,
             db,
-            support,
-            head_preds,
             base_preds,
             derived_preds,
-            counting_safe,
             exogenous,
             od: None,
             answer_atoms: Vec::new(),
             limits,
             stats,
-            mode,
+            mode: MaintenanceMode::of(program),
             recomputes: 0,
         })
     }
@@ -375,15 +303,6 @@ impl MaterializedView {
         self.runner.schedule()
     }
 
-    /// The exact number of rule-body derivations currently supporting a
-    /// derived fact (0 for untracked or base facts).
-    pub fn support_of(&self, fact: &Fact) -> u64 {
-        self.db
-            .relation(&fact.pred)
-            .and_then(|rel| rel.id_of(&fact.values))
-            .map_or(0, |id| self.support.get(&fact.pred, id))
-    }
-
     /// Ensure the view's database carries an index on the bound-constant
     /// positions of `atom`, so answer projections probe an index instead of
     /// scanning.  Built once (cheap) and thereafter maintained
@@ -407,7 +326,11 @@ impl MaterializedView {
             let ground: Vec<bool> = a.terms.iter().map(|t| t.vars().is_empty()).collect();
             (a.pred.clone(), ground)
         };
-        if !self.answer_atoms.iter().any(|a| pattern(a) == pattern(atom)) {
+        if !self
+            .answer_atoms
+            .iter()
+            .any(|a| pattern(a) == pattern(atom))
+        {
             self.answer_atoms.push(atom.clone());
         }
     }
@@ -424,17 +347,6 @@ impl MaterializedView {
     /// How many full recomputes updates have forced so far.
     pub fn recompute_count(&self) -> u64 {
         self.recomputes
-    }
-
-    /// How retractions of `pred` are maintained.
-    pub fn retract_strategy(&self, pred: &PredName) -> RetractStrategy {
-        if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
-            RetractStrategy::Recompute
-        } else if self.counting_safe.contains(pred) {
-            RetractStrategy::Counting
-        } else {
-            RetractStrategy::DRed
-        }
     }
 
     /// Reject updates on predicates the program derives (view outputs are
@@ -582,26 +494,20 @@ impl MaterializedView {
             return Ok(());
         }
         report.applied += 1;
-        match update {
-            Update::Retract(fact) if self.mode == MaintenanceMode::Incremental => {
-                self.flush(pending)?;
-                self.retract_incremental(fact)
-            }
-            _ => {
-                if pending.is_none() {
-                    *pending = Some(self.runner.marks(&self.db));
-                }
-                match update {
-                    Update::Insert(fact) => {
-                        self.db.insert_fact(fact);
-                    }
-                    Update::Retract(fact) => {
-                        self.db.remove(&fact.pred, &fact.values);
-                    }
-                }
-                Ok(())
-            }
+        // From here on, a present fact is being retracted.
+        if present && self.mode == MaintenanceMode::Incremental {
+            self.flush(pending)?;
+            return self.retract_incremental(fact);
         }
+        if pending.is_none() {
+            *pending = Some(self.runner.marks(&self.db));
+        }
+        if present {
+            self.db.remove(&fact.pred, &fact.values);
+        } else {
+            self.db.insert_fact(fact);
+        }
+        Ok(())
     }
 
     /// Propagate the base changes `pending` holds: resume the fixpoint
@@ -644,20 +550,12 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// Re-enter the fixpoint from seeded deltas, maintaining support
-    /// counts for every enumerated derivation.
+    /// Re-enter the fixpoint from seeded deltas.
     fn resume(&mut self, marks: Vec<usize>) -> Result<(), IncrError> {
         let mut op_stats = EvalStats::default();
-        {
-            let support = &mut self.support;
-            let head_preds = &self.head_preds;
-            let mut observer = |plan_idx: usize, row_id: usize, _is_new: bool| {
-                support.add(&head_preds[plan_idx], row_id, 1);
-            };
-            self.runner
-                .resume(&mut self.db, marks, &mut op_stats, Some(&mut observer))
-                .map_err(IncrError::Eval)?;
-        }
+        self.runner
+            .resume(&mut self.db, marks, &mut op_stats, None)
+            .map_err(IncrError::Eval)?;
         self.stats.merge(&op_stats);
         Ok(())
     }
@@ -672,14 +570,12 @@ impl MaterializedView {
 
     /// Reclaim tombstoned storage of `pred`'s relation once the dead-slot
     /// share crosses a threshold.  Called between maintenance operations
-    /// only: compaction renumbers row ids — the support column is gathered
-    /// through the same renumbering — and fresh delta marks are taken
+    /// only: compaction renumbers row ids, and fresh delta marks are taken
     /// after it.
     fn maybe_compact(&mut self, pred: &PredName) {
         const MIN_TOMBSTONES: usize = 256;
         if let Some(rel) = self.db.relation_mut_opt(pred) {
             if rel.tombstones() >= MIN_TOMBSTONES && rel.tombstones() * 2 >= rel.watermark() {
-                self.support.remap(pred, rel.iter_ids().map(|(id, _)| id));
                 rel.compact();
             }
         }
@@ -687,145 +583,19 @@ impl MaterializedView {
 
     /// Retract a present base fact from an incremental view.
     fn retract_incremental(&mut self, fact: &Fact) -> Result<(), IncrError> {
-        if self.counting_safe.contains(&fact.pred) || !self.base_preds.contains(&fact.pred) {
-            // Predicates outside the program's body cannot affect any
-            // derived fact; the counting pass handles them trivially.
-            self.retract_counting(fact)
-        } else {
-            self.retract_dred(fact)
+        if self.base_preds.contains(&fact.pred) {
+            return self.retract_dred(fact);
         }
-    }
-
-    /// Exact counting deletion (acyclic cones).
-    ///
-    /// Physical removal is deferred to the end so row ids stay stable; a
-    /// deleted row is *pinned* at each of its body occurrences through a
-    /// width-1 delta window on the delta-driven plan variant, and every
-    /// enumerated derivation decrements its head row's support.  A
-    /// derivation touching several deleted rows is discounted exactly once:
-    /// the pin of row `d` rejects instantiations where any other deletable
-    /// occurrence holds a row processed *before* `d`, or holds `d` itself
-    /// at an earlier original body position (the first pin to see the
-    /// derivation claims it).
-    fn retract_counting(&mut self, fact: &Fact) -> Result<(), IncrError> {
-        // (pred, row id) pairs already pinned; rows here reject derivations
-        // at later pins.
-        let mut processed: BTreeMap<PredName, HashSet<usize>> = BTreeMap::new();
-        // Rows queued for pinning, plus membership set to avoid re-queuing.
-        let mut queue: VecDeque<(PredName, usize)> = VecDeque::new();
-        let mut marked: BTreeMap<PredName, HashSet<usize>> = BTreeMap::new();
-
-        let seed_id = self
-            .db
-            .relation(&fact.pred)
-            .and_then(|rel| rel.id_of(&fact.values))
-            .expect("retract_counting caller checked presence");
-        marked.entry(fact.pred.clone()).or_default().insert(seed_id);
-        queue.push_back((fact.pred.clone(), seed_id));
-
-        // Deferred support decrements of one pin, applied after the
-        // (immutable) join visit completes.
-        let mut lost: Vec<(usize, PackedRow)> = Vec::new();
-        // Tracked occurrences per plan, copied once per retraction (not
-        // once per worklist row) to keep the borrow checker away from the
-        // support/stats mutations inside the loop.
-        let occurrences_by_plan: Vec<Vec<(usize, usize)>> = (0..self.runner.plans().len())
-            .map(|plan_idx| self.runner.occurrences_of(plan_idx).to_vec())
-            .collect();
-
-        while let Some((pred, id)) = queue.pop_front() {
-            for (plan_idx, occurrences) in occurrences_by_plan.iter().enumerate() {
-                for (nth, &(occ, tracked_idx)) in occurrences.iter().enumerate() {
-                    if self.runner.tracked()[tracked_idx] != pred {
-                        continue;
-                    }
-                    let variant = self.runner.delta_plan(plan_idx, nth);
-                    let pos_of_orig = self.runner.delta_positions(plan_idx, nth);
-                    let pin = DeltaWindow {
-                        occurrence: 0,
-                        from: id,
-                        to: id + 1,
-                    };
-                    lost.clear();
-                    let counters = {
-                        let processed = &processed;
-                        let mut visit = |row: &[ValId], chosen: &[usize]| {
-                            // Walk the other body occurrences (in original
-                            // order, through the variant's permutation);
-                            // reject derivations holding an already-pinned
-                            // row, or the pinned row itself at an earlier
-                            // original position (that pin claims them).
-                            for (o, &vpos) in pos_of_orig.iter().enumerate() {
-                                if o == occ {
-                                    continue;
-                                }
-                                let atom = &variant.atoms[vpos];
-                                let row_id = chosen[vpos];
-                                if processed
-                                    .get(&atom.pred)
-                                    .is_some_and(|ids| ids.contains(&row_id))
-                                {
-                                    return;
-                                }
-                                if atom.pred == pred && row_id == id && o < occ {
-                                    return;
-                                }
-                            }
-                            lost.push((plan_idx, row.to_vec()));
-                        };
-                        evaluate_rule_visit(variant, &self.db, &[pin], &self.limits, &mut visit)
-                            .map_err(IncrError::Eval)?
-                    };
-                    self.stats.join_probes += counters.probes;
-                    for (lost_plan, head_row) in lost.drain(..) {
-                        let head_pred = &self.head_preds[lost_plan];
-                        // Removal is deferred, so the head of a lost
-                        // derivation is still stored.
-                        let Some(row_id) = self
-                            .db
-                            .relation(head_pred)
-                            .and_then(|rel| rel.find_id(&head_row))
-                        else {
-                            continue;
-                        };
-                        if self.support.get(head_pred, row_id) == 0 {
-                            // An exogenous axiom with no tracked
-                            // derivations: nothing to discount.
-                            debug_assert!(self.is_exogenous(head_pred, &head_row));
-                            continue;
-                        }
-                        let remaining = self.support.sub(head_pred, row_id, 1);
-                        if remaining == 0
-                            && !self.is_exogenous(head_pred, &head_row)
-                            && marked.entry(head_pred.clone()).or_default().insert(row_id)
-                        {
-                            queue.push_back((head_pred.clone(), row_id));
-                        }
-                    }
-                }
-            }
-            processed.entry(pred.clone()).or_default().insert(id);
-        }
-
-        // Physical removal: tombstone each marked id (ids stayed valid
-        // through the worklist because removal was deferred), then compact
-        // the relation if dead slots piled up.
-        for (pred, ids) in marked {
-            let Some(rel) = self.db.relation_mut_opt(&pred) else {
-                continue;
-            };
-            for &id in &ids {
-                self.support.clear(&pred, id);
-                rel.remove_id(id);
-            }
-            self.maybe_compact(&pred);
-        }
+        // No rule body reads the predicate: no derived fact can depend on
+        // the row.
+        self.db.remove(&fact.pred, &fact.values);
+        self.maybe_compact(&fact.pred);
         Ok(())
     }
 
-    /// Delete-and-rederive (recursive cones): overdelete through the
-    /// shadow program, batch-remove, re-seed rows with surviving
-    /// alternative derivations, resume the fixpoint.
+    /// Delete-and-rederive: overdelete through the shadow program,
+    /// batch-remove, re-seed rows with surviving alternative derivations,
+    /// resume the fixpoint.
     fn retract_dred(&mut self, fact: &Fact) -> Result<(), IncrError> {
         if self.od.is_none() {
             self.od = Some(OdMachine::build(&self.program, self.limits));
@@ -863,20 +633,18 @@ impl MaterializedView {
                 arity: rel.arity(),
                 ids: Vec::new(),
                 rows: Vec::new(),
-                axioms: Vec::new(),
             };
             for (_, row) in shadow_rel.iter_ids() {
+                // Axioms stay whatever the pass reached.
                 let Some(id) = rel.find_id(row) else {
                     continue;
                 };
-                if self.is_exogenous(orig, row) {
-                    hit.axioms.push(row.to_vec());
-                } else {
+                if !self.is_exogenous(orig, row) {
                     hit.ids.push(id);
                     hit.rows.extend_from_slice(row);
                 }
             }
-            if !hit.ids.is_empty() || !hit.axioms.is_empty() {
+            if !hit.ids.is_empty() {
                 overdeleted.push(hit);
             }
         }
@@ -887,10 +655,8 @@ impl MaterializedView {
         // 3. Physical removal: the retracted base fact plus the overdeleted
         //    derived rows — a withdrawn axiom is one of those — (tombstone
         //    marks; row ids stay valid until their own relation is
-        //    compacted).  Support counts of removed rows
-        //    are zeroed (re-derived rows get fresh exact counts below).
-        //    Relations with enough dead slots are compacted here, *before*
-        //    the marks below are taken.
+        //    compacted).  Relations with enough dead slots are compacted
+        //    here, *before* the marks below are taken.
         if !self.derived_preds.contains(&fact.pred) {
             self.db.remove(&fact.pred, &fact.values);
             self.maybe_compact(&fact.pred);
@@ -898,7 +664,6 @@ impl MaterializedView {
         for hit in &overdeleted {
             if let Some(rel) = self.db.relation_mut_opt(&hit.pred) {
                 for &id in &hit.ids {
-                    self.support.clear(&hit.pred, id);
                     rel.remove_id(id);
                 }
             }
@@ -908,8 +673,8 @@ impl MaterializedView {
         // 4. Re-derivation seeds: removed rows with at least one surviving
         //    one-step derivation from the remaining database.  All counts
         //    are taken against the seed-free database, then the seeds are
-        //    appended after the marks so the resumed windows count exactly
-        //    the derivations that involve re-inserted rows.
+        //    appended after the marks so the resumed windows propagate
+        //    from the re-inserted rows.
         let mut seed_counts: Vec<Vec<u64>> = Vec::with_capacity(overdeleted.len());
         for hit in &overdeleted {
             let counts = hit
@@ -918,28 +683,12 @@ impl MaterializedView {
                 .collect::<Result<_, _>>()?;
             seed_counts.push(counts);
         }
-        // Touched axioms stay in place; reset their counts to the surviving
-        // derivations (the resume below adds back any involving re-derived
-        // rows, same as for the seeds).
-        for hit in &overdeleted {
-            for row in &hit.axioms {
-                let count = self.one_step_support(&hit.pred, row)?;
-                let id = self
-                    .db
-                    .relation(&hit.pred)
-                    .and_then(|rel| rel.find_id(row))
-                    .expect("axioms are never removed");
-                self.support.clear(&hit.pred, id);
-                self.support.add(&hit.pred, id, count);
-            }
-        }
         let marks = self.runner.marks(&self.db);
         for (hit, counts) in overdeleted.iter().zip(&seed_counts) {
             let rel = self.db.relation_mut(&hit.pred, hit.arity);
             for (row, &count) in hit.removed().zip(counts) {
                 if count > 0 {
-                    let (id, _) = rel.insert_ids_at(row);
-                    self.support.add(&hit.pred, id, count);
+                    rel.insert_ids_at(row);
                 }
             }
         }
@@ -955,9 +704,6 @@ struct Overdeleted {
     ids: Vec<usize>,
     /// … and their values, `arity` ids per row, parallel to `ids`.
     rows: Vec<ValId>,
-    /// Exogenous axioms the pass reached.  They are never removed, but may
-    /// have lost derivations.
-    axioms: Vec<PackedRow>,
 }
 
 impl Overdeleted {
@@ -976,8 +722,8 @@ impl MaterializedView {
     /// (the forward plans would scan their leading atoms instead).
     fn one_step_support(&self, pred: &PredName, row: &[ValId]) -> Result<u64, IncrError> {
         let mut count = 0u64;
-        for plan_idx in 0..self.runner.plans().len() {
-            if &self.head_preds[plan_idx] != pred {
+        for (plan_idx, plan) in self.runner.plans().iter().enumerate() {
+            if &plan.head_pred != pred {
                 continue;
             }
             let plan = self.runner.head_bound_plan(plan_idx);
@@ -986,36 +732,29 @@ impl MaterializedView {
         }
         Ok(count)
     }
-}
 
-impl MaterializedView {
-    /// Check the support invariant: for every derived row, the recorded
-    /// count equals the number of rule-body derivations recomputed from
-    /// scratch by the head-bound join (plus nothing for exogenous axioms,
-    /// which are allowed a zero count).  Test/debug helper — full-join
-    /// cost.
+    /// Check foundedness: every stored derived row has a one-step
+    /// derivation from the database as it stands (per the head-bound
+    /// join) or is an exogenous axiom.  A row that is neither was left
+    /// behind by a retraction.  Test/debug helper — full-join cost.
     pub fn verify_support(&self) -> Result<(), String> {
         if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
-            // Recompute mode maintains no support table; there is nothing
-            // to drift.
+            // A recompute rebuilds the fixpoint from scratch, and aggregate
+            // rows have no one-step derivation to check.
             return Ok(());
         }
         for pred in &self.derived_preds {
             let Some(rel) = self.db.relation(pred) else {
                 continue;
             };
-            for (id, row) in rel.iter_ids() {
-                let expected = self
+            for (_, row) in rel.iter_ids() {
+                if self.is_exogenous(pred, row) {
+                    continue;
+                }
+                let support = self
                     .one_step_support(pred, row)
                     .map_err(|e| e.to_string())?;
-                let recorded = self.support.get(pred, id);
-                if recorded != expected {
-                    return Err(format!(
-                        "support drift for {pred}{row:?}: recorded {recorded}, \
-                         recomputed {expected}"
-                    ));
-                }
-                if expected == 0 && !self.is_exogenous(pred, row) {
+                if support == 0 {
                     return Err(format!(
                         "unfounded row {pred}{row:?}: present with zero support"
                     ));
@@ -1064,9 +803,9 @@ mod tests {
     }
 
     #[test]
-    fn grandparent_retraction_uses_exact_counting() {
-        // Non-recursive: the counting path must be selected and stay exact
-        // even when one grandparent pair has several derivations.
+    fn grandparent_retraction_keeps_rows_with_a_second_derivation() {
+        // Non-recursive, and one grandparent pair has two derivations:
+        // overdeletion reaches it, rederivation must bring it back.
         let program = parse_program("gp(X, Z) :- par(X, Y), par(Y, Z).").unwrap();
         let mut db = Database::new();
         db.insert_pair("par", "a", "b1");
@@ -1074,17 +813,11 @@ mod tests {
         db.insert_pair("par", "b1", "c");
         db.insert_pair("par", "b2", "c");
         let mut view = MaterializedView::new(&program, &db).unwrap();
-        assert_eq!(
-            view.retract_strategy(&PredName::plain("par")),
-            RetractStrategy::Counting
-        );
         let gp = Fact::plain("gp", vec![Value::sym("a"), Value::sym("c")]);
-        assert_eq!(view.support_of(&gp), 2);
 
-        // Removing one path keeps gp(a, c) with one derivation left.
+        // Removing one path keeps gp(a, c) through the other.
         view.retract(&fact2("par", "a", "b1")).unwrap();
         assert!(view.database().contains(&gp));
-        assert_eq!(view.support_of(&gp), 1);
         assert_matches_oracle(&view, "after first retraction");
 
         // Removing the second path deletes it.
@@ -1094,10 +827,10 @@ mod tests {
     }
 
     #[test]
-    fn triangle_rule_discounts_multi_occurrence_losses_once() {
-        // e occurs three times in the body; retracting an edge that is
-        // used at several occurrences of the same derivation must
-        // decrement that derivation exactly once.
+    fn triangle_rule_retracts_edges_used_at_several_occurrences() {
+        // e occurs three times in the body; an edge used at several
+        // occurrences of one derivation is overdeleted through each of
+        // them.
         let program = parse_program("tri(X) :- e(X, Y), e(Y, Z), e(Z, X).").unwrap();
         let mut db = Database::new();
         // Triangle a-b-c plus a self-loop at d (uses the same edge three
@@ -1107,10 +840,6 @@ mod tests {
         db.insert_pair("e", "c", "a");
         db.insert_pair("e", "d", "d");
         let mut view = MaterializedView::new(&program, &db).unwrap();
-        assert_eq!(
-            view.retract_strategy(&PredName::plain("e")),
-            RetractStrategy::Counting
-        );
         assert_matches_oracle(&view, "initial");
 
         view.retract(&fact2("e", "d", "d")).unwrap();
@@ -1138,10 +867,6 @@ mod tests {
         db.insert_pair("par", "b", "c");
         db.insert_pair("par", "a", "c"); // alternative path to c
         let mut view = MaterializedView::new(&program, &db).unwrap();
-        assert_eq!(
-            view.retract_strategy(&PredName::plain("par")),
-            RetractStrategy::DRed
-        );
         view.retract(&fact2("par", "b", "c")).unwrap();
         // anc(a, c) survives through the direct edge; anc(b, c) is gone.
         assert!(view.database().contains(&fact2("anc", "a", "c")));
@@ -1227,7 +952,7 @@ mod tests {
     fn failed_apply_still_propagates_the_applied_prefix() {
         // A batch that errors mid-way must leave the view at a fixpoint:
         // the coalesced inserts before the failure are flushed, not
-        // stranded in the database with stale support.
+        // stranded in the database unpropagated.
         let program = parse_program(
             "anc(X, Y) :- par(X, Y).
              anc(X, Y) :- par(X, Z), anc(Z, Y).",
@@ -1302,10 +1027,6 @@ mod tests {
         }
         let mut view = MaterializedView::new(&program, &db).unwrap();
         assert_eq!(view.recompute_reason(), Some("program uses negation"));
-        assert_eq!(
-            view.retract_strategy(&PredName::plain("edge")),
-            RetractStrategy::Recompute
-        );
         let unreached_c = Fact::plain("unreached", vec![Value::sym("c")]);
         assert!(view.database().contains(&unreached_c));
 
@@ -1367,7 +1088,10 @@ mod tests {
         let mut view = MaterializedView::new(&program, &db).unwrap();
         view.ensure_answer_index(&Atom::plain(
             "total",
-            vec![magic_datalog::Term::sym("bike"), magic_datalog::Term::var("S")],
+            vec![
+                magic_datalog::Term::sym("bike"),
+                magic_datalog::Term::var("S"),
+            ],
         ));
         let indexed = |view: &MaterializedView| {
             let total = view.database().relation(&PredName::plain("total"));
@@ -1380,9 +1104,9 @@ mod tests {
     }
 
     #[test]
-    fn mixed_cone_routes_by_predicate() {
+    fn mixed_cone_retracts_through_either_predicate() {
         // par feeds the recursive anc; tag only feeds the non-recursive
-        // label: the two base predicates get different strategies.
+        // label.  Both retract by delete-and-rederive.
         let program = parse_program(
             "anc(X, Y) :- par(X, Y).
              anc(X, Y) :- par(X, Z), anc(Z, Y).
@@ -1393,16 +1117,35 @@ mod tests {
         db.insert_pair("par", "a", "b");
         db.insert_pair("tag", "a", "red");
         let mut view = MaterializedView::new(&program, &db).unwrap();
-        assert_eq!(
-            view.retract_strategy(&PredName::plain("par")),
-            RetractStrategy::DRed
-        );
-        assert_eq!(
-            view.retract_strategy(&PredName::plain("tag")),
-            RetractStrategy::Counting
-        );
         view.retract(&fact2("tag", "a", "red")).unwrap();
         assert!(!view.database().contains(&fact2("label", "a", "red")));
-        assert_matches_oracle(&view, "after counting retraction");
+        assert_matches_oracle(&view, "after retracting a tag");
+        view.retract(&fact2("par", "a", "b")).unwrap();
+        assert!(!view.database().contains(&fact2("anc", "a", "b")));
+        assert_matches_oracle(&view, "after retracting a par edge");
+    }
+
+    #[test]
+    fn retracting_a_predicate_no_body_reads_only_removes_its_row() {
+        // note is stored beside the program's relations but read by no
+        // rule: its retraction runs no evaluation at all.
+        let program = parse_program(
+            "anc(X, Y) :- par(X, Y).
+             anc(X, Y) :- par(X, Z), anc(Z, Y).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.insert_pair("par", "a", "b");
+        db.insert_pair("note", "a", "b");
+        let mut view = MaterializedView::new(&program, &db).unwrap();
+        let before = view.stats().clone();
+        assert!(view.retract(&fact2("note", "a", "b")).unwrap());
+        assert_eq!(view.stats(), &before);
+        assert!(!view.database().contains(&fact2("note", "a", "b")));
+        assert!(view
+            .database()
+            .iter()
+            .all(|(pred, _)| !pred.to_string().starts_with("~od~")));
+        assert_matches_oracle(&view, "after retracting a note");
     }
 }

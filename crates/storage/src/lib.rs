@@ -87,7 +87,6 @@
 pub mod database;
 pub mod fxhash;
 pub mod relation;
-pub mod support;
 
 /// The value arena (defined in `magic_datalog::arena`, re-exported here as
 /// the storage-facing interning API).
@@ -97,4 +96,3 @@ pub use magic_datalog::ValId;
 pub use database::Database;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use relation::{cow_clones, IndexRef, Relation, Row};
-pub use support::SupportTable;

@@ -12,12 +12,11 @@
 //! `apply_all`.  A last stream maintains the unrewritten ancestor program
 //! over a wide layered graph, where seeds are `a` axioms.
 //!
-//! After every step one line records three fnv1a-64 digests:
+//! After every step one line records two fnv1a-64 digests:
 //! * `rows=` — the rows of every predicate and, on the catalog path,
 //!   `ApplyAllOutcome`'s applied count with its moved and evicted
 //!   bindings, the number of materialized views and the answers of every
 //!   live binding: what maintenance leaves behind;
-//! * `support=` — the support count of every row, in row order;
 //! * `stats=` — the cumulative maintenance counters (`EvalStats`:
 //!   iterations, firings, new and duplicate facts, probes, per-rule
 //!   firings and per-predicate facts, where overdeleted rows show under
@@ -193,41 +192,31 @@ fn layered(width: usize) -> Database {
     db
 }
 
-/// What one step left behind, rendered for the three digests of its line.
-#[derive(Default)]
+/// What one step left behind, rendered for the two digests of its line.
 struct Rendering {
     rows: String,
-    support: String,
     stats: String,
 }
 
 impl Rendering {
     fn line(&self, name: &str, step: usize, op: &str) -> String {
         format!(
-            "{name} {step:02} {op:<7} rows={:016x} support={:016x} stats={:016x}\n",
+            "{name} {step:02} {op:<7} rows={:016x} stats={:016x}\n",
             fnv1a64(&self.rows),
-            fnv1a64(&self.support),
             fnv1a64(&self.stats)
         )
     }
 
-    /// Every row of `view` in name order, with its support count in the
-    /// support column.
+    /// Every row of `view`, in name order.
     fn add_view(&mut self, view: &MaterializedView) {
-        let mut rows: Vec<(String, u64)> = Vec::new();
+        let mut rows: Vec<String> = Vec::new();
         for (pred, relation) in view.database().iter() {
             for row in relation.iter() {
-                let fact = Fact::new(pred.clone(), row);
-                let support = view.support_of(&fact);
-                rows.push((fact.to_string(), support));
+                rows.push(Fact::new(pred.clone(), row).to_string() + "\n");
             }
         }
         rows.sort_unstable();
-        for (fact, support) in rows {
-            self.rows += &fact;
-            self.rows += "\n";
-            self.support += &format!("{support}\n");
-        }
+        self.rows.extend(rows);
     }
 }
 
@@ -346,8 +335,8 @@ fn direct_stream(
     let mut seeds: Vec<Fact> = Vec::new();
     let line = |out: &mut String, step: usize, op: &str, view: &MaterializedView| {
         let mut rendering = Rendering {
+            rows: String::new(),
             stats: render_stats(view.stats()),
-            ..Rendering::default()
         };
         rendering.add_view(view);
         *out += &rendering.line(name, step, op);
@@ -396,7 +385,6 @@ fn catalog_stream(out: &mut String, family: &Family, rng: &mut SplitMix64) {
         let mut rendering = Rendering {
             rows: format!("{moved}materialized={}\n", catalog.materialized()),
             stats: render_stats(&catalog.aggregate_stats()),
-            ..Rendering::default()
         };
         let mut rendered: Vec<*const MaterializedView> = Vec::new();
         for key in catalog.keys() {

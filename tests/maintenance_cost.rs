@@ -1,8 +1,8 @@
 //! What a maintenance operation costs, pinned by counters and held to the
 //! oracles: the body-ordering helper behind every maintenance plan, the
 //! probe budget of a delete-and-rederive retraction, the dedup-backed
-//! access path of a fully bound atom, and the row-id support column
-//! through repeated compactions.
+//! access path of a fully bound atom, and the view through repeated
+//! compactions.
 
 use power_of_magic::engine::{
     evaluate_rule_windows, sip_order, DeltaWindow, Evaluator, Limits, RulePlan,
@@ -288,13 +288,12 @@ fn assert_matches_scratch(view: &MaterializedView, edb: &Database, label: &str) 
 }
 
 #[test]
-fn support_counts_follow_their_rows_through_repeated_compactions() {
+fn views_match_the_oracle_through_repeated_compactions() {
     // Mid-chain cuts overdelete more than half of the view's `a` rows at
     // once, so every cut compacts the relation and renumbers the
     // survivors; leaves come and go in between, and each cut is healed
-    // again.  The support column is indexed by row id: after every
-    // compaction it must still hold, for every row, the count a fresh
-    // head-bound recount gives — and the view must equal the oracle.
+    // again.  After every compaction the view must equal the oracle, and
+    // every derived row must still be founded.
     let n = 40;
     let leaf = |i: usize, j: usize| {
         Fact::plain(

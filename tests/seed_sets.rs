@@ -13,8 +13,8 @@
 //!
 //! after **every** step of a seeded random interleaving of base
 //! inserts/retracts, materializations of new bindings and evictions of old
-//! ones — and the shared view's derivation counts must survive a recount
-//! (`verify_support`).  The named tests below pin the edge cases.
+//! ones — and every derived row of the shared view must keep a one-step
+//! derivation or be a seed (`verify_support`).  The named tests below pin the edge cases.
 
 use power_of_magic::engine::answers::project_answers;
 use power_of_magic::incr::{MaterializedView, Update, ViewCatalog};
@@ -95,8 +95,8 @@ impl Harness {
     }
 
     /// Every live binding: shared view ≡ single-binding view ≡ from
-    /// scratch, live and through a snapshot; every shared view's support
-    /// counts recount.
+    /// scratch, live and through a snapshot; every shared view's derived
+    /// rows are founded.
     fn check(&self, label: &str) {
         assert_eq!(
             self.catalog.len(),
