@@ -79,7 +79,7 @@ pub fn match_atom(db: &Database, atom: &Atom) -> Vec<Bindings> {
             relation.find_id(&key).into_iter().for_each(&mut match_id);
         } else {
             match relation.lookup(&positions, &key) {
-                Some(ids) => ids.iter().for_each(|&id| match_id(id)),
+                Some(ids) => ids.iter().for_each(|&id| match_id(id as usize)),
                 None => relation
                     .scan_select(&positions, &key)
                     .into_iter()

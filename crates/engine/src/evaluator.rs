@@ -150,7 +150,10 @@ pub struct FixpointRunner {
     delta_plans: Vec<Vec<DeltaVariant>>,
     /// Per plan: the head-bound variant (head variables treated as bound
     /// when access paths are chosen), used by the incremental layer's
-    /// support oracle (`count_derivations`).  Empty on run-only runners.
+    /// support oracle: delete-and-rederive recounts every overdeleted row
+    /// of a predicate with one `count_derivations_batch` call per deriving
+    /// plan.  `prepare` ensures their indexes with the forward plans'.
+    /// Empty on run-only runners.
     head_bound_plans: Vec<RulePlan>,
     /// Predicate arities of the program (used by `prepare`).
     arities: Vec<(PredName, usize)>,
@@ -365,7 +368,9 @@ impl FixpointRunner {
 
     /// The head-bound variant of plan `plan_idx` (see
     /// [`RulePlan::compile_head_bound`]) — the plan to hand to
-    /// [`count_derivations`](crate::join::count_derivations).  Only
+    /// [`count_derivations_batch`](crate::join::count_derivations_batch)
+    /// (or its one-row call,
+    /// [`count_derivations`](crate::join::count_derivations)).  Only
     /// available on runners built with [`FixpointRunner::compile`].
     pub fn head_bound_plan(&self, plan_idx: usize) -> &RulePlan {
         &self.head_bound_plans[plan_idx]

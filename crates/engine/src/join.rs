@@ -38,15 +38,20 @@
 //!   is what lets the fixpoint loop run the textbook *disjoint* semi-naive
 //!   discipline (delta at occurrence *j*, old facts at earlier tracked
 //!   occurrences) and thereby enumerate each derivation exactly once.
-//! * [`count_derivations`] — the *head-bound* join: match a concrete head
-//!   row against the rule head, then count the body instantiations
-//!   consistent with it.  This is the support oracle behind
-//!   delete-and-rederive.
+//! * [`count_derivations_batch`] — the *head-bound* join: match each
+//!   concrete head row of a packed batch against the rule head, then count
+//!   the body instantiations consistent with it.  This is the support
+//!   oracle behind delete-and-rederive, which asks it once per (deleted
+//!   predicate, deriving rule) for every deleted row: the atoms, negated
+//!   relations and index handles are bound and the scratch allocated once
+//!   per batch, so a row costs its probes and nothing else.
+//!   [`count_derivations`] is its one-row call.
 
 use crate::error::EvalError;
 use crate::limits::Limits;
 use crate::plan::{AtomPlan, RulePlan};
 use magic_datalog::{Frame, PredName, Trail, ValId};
+use magic_storage::relation::tail_partition_point;
 use magic_storage::{Database, IndexRef, Relation};
 
 /// Restriction of one body occurrence to a "delta" window of its relation
@@ -246,36 +251,32 @@ fn bind_atoms<'a>(
     Ok((bound.len() == plan.atoms.len()).then_some(bound))
 }
 
-/// Drive the join for `plan` with the given sink over the (pre-bound)
-/// frame of `scratch`.
-fn run_join<S: MatchSink>(
-    plan: &RulePlan,
-    db: &Database,
-    windows: &[DeltaWindow],
-    limits: &Limits,
-    scratch: &mut JoinScratch,
-    sink: &mut S,
-) -> Result<JoinCounters, EvalError> {
-    let mut counters = JoinCounters::default();
-    // Resolve the negated atoms' relations.  An absent relation is kept as
-    // `None`: the complement of an empty relation always holds, so it must
-    // not abort the join the way an absent positive relation does.
-    let neg_relations = plan
-        .neg_atoms
-        .iter()
-        .map(|atom| resolve_relation(db, &atom.pred, atom.arity))
-        .collect::<Result<_, _>>()?;
-    let Some(atoms) = bind_atoms(plan, db, windows)? else {
-        return Ok(counters);
-    };
-    let ctx = JoinCtx {
-        plan,
-        atoms,
-        neg_relations,
-        limits,
-    };
-    descend(&ctx, 0, scratch, sink, &mut counters)?;
-    Ok(counters)
+impl<'a> JoinCtx<'a> {
+    /// Bind `plan` to `db` for one or more joins: resolve the negated
+    /// atoms' relations and bind the positive atoms ([`bind_atoms`]).
+    /// `None` when some positive relation is absent (the body cannot
+    /// match).
+    fn bind(
+        plan: &'a RulePlan,
+        db: &'a Database,
+        windows: &[DeltaWindow],
+        limits: &'a Limits,
+    ) -> Result<Option<JoinCtx<'a>>, EvalError> {
+        // An absent negated relation is kept as `None`: the complement of
+        // an empty relation always holds, so it must not abort the join the
+        // way an absent positive relation does.
+        let neg_relations = plan
+            .neg_atoms
+            .iter()
+            .map(|atom| resolve_relation(db, &atom.pred, atom.arity))
+            .collect::<Result<_, _>>()?;
+        Ok(bind_atoms(plan, db, windows)?.map(|atoms| JoinCtx {
+            plan,
+            atoms,
+            neg_relations,
+            limits,
+        }))
+    }
 }
 
 /// Evaluate one rule against `db`, appending the packed head row of every
@@ -323,47 +324,85 @@ pub(crate) fn evaluate_rule_scratch(
     scratch: &mut JoinScratch,
     out: &mut Vec<ValId>,
 ) -> Result<JoinCounters, EvalError> {
-    scratch.reset(plan);
-    run_join(plan, db, windows, limits, scratch, &mut RowSink { out })
+    let mut counters = JoinCounters::default();
+    if let Some(ctx) = JoinCtx::bind(plan, db, windows, limits)? {
+        scratch.reset(plan);
+        descend(&ctx, 0, scratch, &mut RowSink { out }, &mut counters)?;
+    }
+    Ok(counters)
 }
 
 /// The head-bound join: count the body instantiations of `plan` (against
-/// `db`) whose head row equals the packed `row`.  Matching the head terms
-/// first binds the head variables, so the body join runs with those
-/// positions fixed — with the indexes the evaluator maintains this is a
-/// narrow probe, not a rule-wide scan.
-///
-/// Returns 0 when the head does not match `row` at all (wrong constants or
-/// non-invertible terms).  This is the one-step support oracle used by
-/// delete-and-rederive: a deleted row with a positive count from the
-/// remaining database has an alternative derivation and must survive.
+/// `db`) whose head row equals the packed `row`.  The one-row call of
+/// [`count_derivations_batch`].
 pub fn count_derivations(
     plan: &RulePlan,
     db: &Database,
     row: &[ValId],
     limits: &Limits,
 ) -> Result<usize, EvalError> {
-    Ok(head_bound_join(plan, db, row, limits)?.matches)
+    let mut count = [0];
+    count_derivations_batch(plan, db, row.len(), row, limits, &mut count)?;
+    Ok(count[0])
 }
 
-/// [`count_derivations`] with the join's probe count beside its matches.
-fn head_bound_join(
+/// The head-bound join over a batch: for every row of `rows` (`arity` ids
+/// per row, one row per element of `counts`), add to its count the body
+/// instantiations of `plan` (against `db`) whose head row equals it.
+/// Returns the join's probes and matches over the whole batch.
+///
+/// Matching the head terms first binds the head variables, so each row's
+/// body join runs with those positions fixed — with the indexes the
+/// evaluator maintains this is a narrow probe, not a rule-wide scan.  A
+/// row the head does not match at all (wrong constants, non-invertible
+/// terms, another arity) gains nothing.  The plan is bound to `db` once
+/// for the batch, like a forward rule evaluation: an arity mismatch
+/// between a body atom and its stored relation is reported whether or not
+/// a row reaches the atom.
+///
+/// This is the one-step support oracle used by delete-and-rederive: a
+/// deleted row with a positive count from the remaining database has an
+/// alternative derivation and must survive.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != arity * counts.len()`.
+pub fn count_derivations_batch(
     plan: &RulePlan,
     db: &Database,
-    row: &[ValId],
+    arity: usize,
+    rows: &[ValId],
     limits: &Limits,
+    counts: &mut [usize],
 ) -> Result<JoinCounters, EvalError> {
-    if plan.head_terms.len() != row.len() {
-        return Ok(JoinCounters::default());
+    assert_eq!(
+        rows.len(),
+        arity * counts.len(),
+        "a batch of {} rows of arity {arity} holds {} ids",
+        counts.len(),
+        rows.len()
+    );
+    let mut counters = JoinCounters::default();
+    if plan.head_terms.len() != arity || counts.is_empty() {
+        return Ok(counters);
     }
+    let Some(ctx) = JoinCtx::bind(plan, db, &[], limits)? else {
+        return Ok(counters);
+    };
     let mut scratch = JoinScratch::default();
-    scratch.reset(plan);
-    for (term, value) in plan.head_terms.iter().zip(row) {
-        if !term.match_value_slots(*value, &mut scratch.frame, &mut scratch.trail) {
-            return Ok(JoinCounters::default());
+    for (r, count) in counts.iter_mut().enumerate() {
+        scratch.reset(plan);
+        let row = &rows[r * arity..(r + 1) * arity];
+        let head_matches = plan.head_terms.iter().zip(row).all(|(term, value)| {
+            term.match_value_slots(*value, &mut scratch.frame, &mut scratch.trail)
+        });
+        if head_matches {
+            let before = counters.matches;
+            descend(&ctx, 0, &mut scratch, &mut CountSink, &mut counters)?;
+            *count += counters.matches - before;
         }
     }
-    run_join(plan, db, &[], limits, &mut scratch, &mut CountSink)
+    Ok(counters)
 }
 
 /// Clamp `range` to a delta window.
@@ -382,39 +421,30 @@ fn window_range(len: usize, window: Option<DeltaWindow>) -> std::ops::Range<usiz
 /// the list's last id.  The common outcomes are then decided where the
 /// list ends: the last id is below `from` (no delta rows under this key —
 /// one comparison), or the delta is the short run that a backwards gallop
-/// from the end brackets in O(log |delta|) steps over the cache lines
-/// already touched.  Only a window whose `to` cuts below the last id (the
-/// *old-rows* windows of the disjoint discipline) pays a binary search
-/// for its upper end.
-fn window_slice(ids: &[usize], window: Option<DeltaWindow>) -> &[usize] {
+/// from the end ([`tail_partition_point`]) brackets in O(log |delta|)
+/// steps over the cache lines already touched.  Only a window whose `to`
+/// cuts below the last id (the *old-rows* windows of the disjoint
+/// discipline) pays a binary search for its upper end.
+fn window_slice(ids: &[u32], window: Option<DeltaWindow>) -> &[u32] {
     let Some(w) = window else {
         return ids;
     };
     let Some(&last) = ids.last() else {
         return ids;
     };
-    if last < w.from {
+    if (last as usize) < w.from {
         return &[];
     }
-    let ids = if last < w.to {
+    let ids = if (last as usize) < w.to {
         ids
     } else {
-        &ids[..ids.partition_point(|&id| id < w.to)]
+        &ids[..ids.partition_point(|&id| (id as usize) < w.to)]
     };
     if w.from == 0 {
         return ids;
     }
-    // Gallop: `ids[lo..]` is known to be `>= from`; double the step back
-    // until an id below `from` (or the front) is passed, then pin the
-    // boundary inside that last step.
-    let mut lo = ids.len();
-    let mut step = 1;
-    while step <= lo && ids[lo - step] >= w.from {
-        lo -= step;
-        step *= 2;
-    }
-    let floor = lo.saturating_sub(step);
-    &ids[floor + ids[floor..lo].partition_point(|&id| id < w.from)..]
+    // `from <= last` here, so it fits a row id.
+    &ids[tail_partition_point(ids, w.from as u32)..]
 }
 
 fn descend<S: MatchSink>(
@@ -483,23 +513,28 @@ fn descend<S: MatchSink>(
     // contain live rows only (removal drops ids eagerly); a full-row key
     // yields its one candidate (or none), which the delta window then
     // admits or not like any other id list.
-    let (found, scanned): ([usize; 1], Vec<usize>);
-    let ids: &[usize] = match keyed {
+    // Index ids are `u32`; an id widens to `usize` only at `probe`.
+    let (found, scanned): ([u32; 1], Vec<u32>);
+    let ids: &[u32] = match keyed {
         KeyedAccess::Index(index) => index.get(&scratch.key),
         KeyedAccess::Row => match relation.find_id(&scratch.key) {
             Some(id) => {
-                found = [id];
+                found = [id as u32];
                 &found
             }
             None => &[],
         },
         KeyedAccess::Unindexed => {
-            scanned = relation.scan_select(&atom.plan.key_positions, &scratch.key);
+            scanned = relation
+                .scan_select(&atom.plan.key_positions, &scratch.key)
+                .into_iter()
+                .map(|id| id as u32)
+                .collect();
             &scanned
         }
     };
     for &id in window_slice(ids, atom.window) {
-        probe(ctx, depth, atom, id, scratch, sink, counters)?;
+        probe(ctx, depth, atom, id as usize, scratch, sink, counters)?;
     }
     Ok(())
 }
@@ -602,9 +637,9 @@ mod tests {
     }
 
     /// What a window means: the ids in `from..to`, by two binary searches.
-    fn window_slice_reference(ids: &[usize], w: DeltaWindow) -> &[usize] {
-        let lo = ids.partition_point(|&id| id < w.from);
-        let hi = ids.partition_point(|&id| id < w.to);
+    fn window_slice_reference(ids: &[u32], w: DeltaWindow) -> &[u32] {
+        let lo = ids.partition_point(|&id| (id as usize) < w.from);
+        let hi = ids.partition_point(|&id| (id as usize) < w.to);
         &ids[lo..hi]
     }
 
@@ -624,10 +659,10 @@ mod tests {
             // An ascending id list with random gaps (dense, sparse, empty).
             let len = [0, 1, 2, 3, 17, 64, 300][next(7)];
             let gap = [1, 2, 9][next(3)];
-            let mut ids = Vec::with_capacity(len);
+            let mut ids: Vec<u32> = Vec::with_capacity(len);
             let mut id = next(5);
             for _ in 0..len {
-                ids.push(id);
+                ids.push(id as u32);
                 id += 1 + next(gap);
             }
             // A watermark past every id.
@@ -782,7 +817,9 @@ mod tests {
             );
             db.relation_mut(&PredName::plain("par"), 2)
                 .ensure_index(&[1]);
-            let counters = head_bound_join(&plan, &db, &target, &Limits::default()).unwrap();
+            let counters =
+                count_derivations_batch(&plan, &db, 1, &target, &Limits::default(), &mut [0])
+                    .unwrap();
             assert_eq!(counters.matches, 2);
             assert_eq!(
                 count_derivations(&plan, &db, &target, &Limits::default()).unwrap(),

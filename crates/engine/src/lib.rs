@@ -44,7 +44,8 @@ pub use evaluator::{
     EvalResult, Evaluator, FiringObserver, FixpointRunner, IterationScheme, WindowDiscipline,
 };
 pub use join::{
-    count_derivations, evaluate_rule, evaluate_rule_windows, DeltaWindow, JoinCounters,
+    count_derivations, count_derivations_batch, evaluate_rule, evaluate_rule_windows, DeltaWindow,
+    JoinCounters,
 };
 pub use limits::Limits;
 pub use metrics::EvalStats;

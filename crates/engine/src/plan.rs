@@ -168,12 +168,13 @@ impl RulePlan {
     /// [`sip_order`] with every head variable given, and the access plans
     /// are computed as if those variables were already bound when the body
     /// starts.  This is the right plan for the head-bound join
-    /// (`count_derivations`): the caller matches a concrete row against the
-    /// head first, so `magic(Z) :- magic(X), par(X, Z)` with `Z` given
-    /// probes `par` on `Z` and then `magic` on the `X` that binds, instead
-    /// of scanning `magic`.  The *number* of matches is the forward plan's
-    /// — a conjunction's match set does not depend on the order its atoms
-    /// are visited in; only the access paths (and body positions) differ.
+    /// (`count_derivations_batch`): the caller matches a concrete row
+    /// against the head first, so `magic(Z) :- magic(X), par(X, Z)` with
+    /// `Z` given probes `par` on `Z` and then `magic` on the `X` that
+    /// binds, instead of scanning `magic`.  The *number* of matches is the
+    /// forward plan's — a conjunction's match set does not depend on the
+    /// order its atoms are visited in; only the access paths (and body
+    /// positions) differ.
     pub fn compile_head_bound(
         rule: &Rule,
         rule_idx: usize,

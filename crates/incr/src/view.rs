@@ -26,13 +26,20 @@
 //! keeps itself alive) rules out reference counting anyway.  An
 //! *overdeletion* shadow program computes the overapproximate deleted set,
 //! those rows are removed in one batch, rows with a surviving alternative
-//! one-step derivation (per the head-bound [`count_derivations`] join) are
-//! re-inserted as seeds, and the fixpoint is resumed to propagate
-//! re-derivations.  Every plan on this path — shadow rules, head-bound
+//! one-step derivation are re-inserted as seeds, and the fixpoint is
+//! resumed to propagate re-derivations.  The recount is one head-bound
+//! [`count_derivations_batch`] join per (overdeleted predicate, deriving
+//! rule) over the packed rows the overdeletion collected: the plan is
+//! bound to the database once, and each row pays only its own probes.
+//! [`MaterializedView::verify_support`] checks foundedness through the
+//! same batch join.  Every plan on this path — shadow rules, head-bound
 //! recounts, the resumed delta variants — takes its body order from
 //! [`sip_order`], so each step costs in proportion to the rows it moves,
-//! not to the relations it reads.  A retracted predicate that no rule body
-//! reads cannot affect any derived fact: its row is simply removed.
+//! not to the relations it reads.  Removal is cheap at the tail too: the
+//! overdeleted rows are nearly always the newest, and storage finds an
+//! index victim by galloping back from the end of its posting list.  A
+//! retracted predicate that no rule body reads cannot affect any derived
+//! fact: its row is simply removed.
 //!
 //! Maintenance leaves the database bit-for-bit equal (as a fact set) to a
 //! from-scratch evaluation of the program over the updated base facts —
@@ -42,7 +49,7 @@
 use crate::error::IncrError;
 use magic_datalog::{arena::intern_row, Atom, Fact, PredName, Program, ValId};
 use magic_engine::{
-    count_derivations, sip_order, with_body_order, EvalStats, FixpointRunner, Limits,
+    count_derivations_batch, sip_order, with_body_order, EvalStats, FixpointRunner, Limits,
     WindowDiscipline,
 };
 use magic_storage::Database;
@@ -672,16 +679,18 @@ impl MaterializedView {
 
         // 4. Re-derivation seeds: removed rows with at least one surviving
         //    one-step derivation from the remaining database.  All counts
-        //    are taken against the seed-free database, then the seeds are
-        //    appended after the marks so the resumed windows propagate
-        //    from the re-inserted rows.
-        let mut seed_counts: Vec<Vec<u64>> = Vec::with_capacity(overdeleted.len());
+        //    are taken against the seed-free database — one batch join per
+        //    (predicate, deriving rule) over the packed rows — then the
+        //    seeds are appended after the marks so the resumed windows
+        //    propagate from the re-inserted rows.
+        let mut seed_counts: Vec<Vec<usize>> = Vec::with_capacity(overdeleted.len());
         for hit in &overdeleted {
-            let counts = hit
-                .removed()
-                .map(|row| self.one_step_support(&hit.pred, row))
-                .collect::<Result<_, _>>()?;
-            seed_counts.push(counts);
+            seed_counts.push(self.support_counts(
+                &hit.pred,
+                hit.arity,
+                &hit.rows,
+                hit.ids.len(),
+            )?);
         }
         let marks = self.runner.marks(&self.db);
         for (hit, counts) in overdeleted.iter().zip(&seed_counts) {
@@ -715,22 +724,32 @@ impl Overdeleted {
 }
 
 impl MaterializedView {
-    /// Sum of `count_derivations` over the rules deriving `pred` — the
-    /// current one-step support of a (packed) row, computed from the
-    /// database as it stands.  Runs on the head-bound plan variants, whose
-    /// access paths exploit the bindings the matched head row provides
-    /// (the forward plans would scan their leading atoms instead).
-    fn one_step_support(&self, pred: &PredName, row: &[ValId]) -> Result<u64, IncrError> {
-        let mut count = 0u64;
+    /// The current one-step support of each of the `n` packed rows of
+    /// `rows` (`arity` ids per row, all of `pred`), computed from the
+    /// database as it stands: per row, the sum over the rules deriving
+    /// `pred` of their head-bound join counts.  One
+    /// [`count_derivations_batch`] per rule covers every row, on the
+    /// head-bound plan variants, whose access paths exploit the bindings a
+    /// matched head row provides (the forward plans would scan their
+    /// leading atoms instead).  The join's probes stay out of
+    /// [`EvalStats`]: the recount is an oracle, not evaluation.
+    fn support_counts(
+        &self,
+        pred: &PredName,
+        arity: usize,
+        rows: &[ValId],
+        n: usize,
+    ) -> Result<Vec<usize>, IncrError> {
+        let mut counts = vec![0; n];
         for (plan_idx, plan) in self.runner.plans().iter().enumerate() {
             if &plan.head_pred != pred {
                 continue;
             }
             let plan = self.runner.head_bound_plan(plan_idx);
-            count += count_derivations(plan, &self.db, row, &self.limits)
-                .map_err(IncrError::Eval)? as u64;
+            count_derivations_batch(plan, &self.db, arity, rows, &self.limits, &mut counts)
+                .map_err(IncrError::Eval)?;
         }
-        Ok(count)
+        Ok(counts)
     }
 
     /// Check foundedness: every stored derived row has a one-step
@@ -747,18 +766,21 @@ impl MaterializedView {
             let Some(rel) = self.db.relation(pred) else {
                 continue;
             };
+            let (mut rows, mut n) = (Vec::new(), 0);
             for (_, row) in rel.iter_ids() {
-                if self.is_exogenous(pred, row) {
-                    continue;
+                if !self.is_exogenous(pred, row) {
+                    rows.extend_from_slice(row);
+                    n += 1;
                 }
-                let support = self
-                    .one_step_support(pred, row)
-                    .map_err(|e| e.to_string())?;
-                if support == 0 {
-                    return Err(format!(
-                        "unfounded row {pred}{row:?}: present with zero support"
-                    ));
-                }
+            }
+            let counts = self
+                .support_counts(pred, rel.arity(), &rows, n)
+                .map_err(|e| e.to_string())?;
+            if let Some(r) = counts.iter().position(|&count| count == 0) {
+                let row = &rows[r * rel.arity()..(r + 1) * rel.arity()];
+                return Err(format!(
+                    "unfounded row {pred}{row:?}: present with zero support"
+                ));
             }
         }
         Ok(())

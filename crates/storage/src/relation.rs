@@ -8,6 +8,7 @@
 use crate::fxhash::{FxBuildHasher, FxHashMap};
 use magic_datalog::arena::{decode_row, intern_row};
 use magic_datalog::{ValId, Value};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,12 +211,34 @@ impl DedupShard {
 /// One copy-on-write shard of a *narrow* index: keys of ≤ 2 positions
 /// packed into a single `u64` (two inline-tagged [`ValId`] raw words, the
 /// second `NULL`-padded for unary keys) — no per-key allocation, no
-/// node-table indirection, and a one-word hash per probe.
-type SmallShard = FxHashMap<u64, Vec<usize>>;
+/// node-table indirection, and a one-word hash per probe.  Posting lists
+/// hold `u32` row ids: ids stop below [`MAX_ROWS`].
+type SmallShard = FxHashMap<u64, Vec<u32>>;
 
 /// One copy-on-write shard of a *wide* index (3+ key positions): boxed
 /// packed key → ascending live row ids.
-type WideShard = FxHashMap<Box<[ValId]>, Vec<usize>>;
+type WideShard = FxHashMap<Box<[ValId]>, Vec<u32>>;
+
+/// The number of ids in the ascending `ids` that are below `bound` (the
+/// `partition_point` of `id < bound`), searched from the **tail**: gallop
+/// back from the end, doubling the step until an id below `bound` (or the
+/// front) is passed, then binary-search inside that last step.
+///
+/// Row ids are append-only, so the ids a caller looks for — a semi-naive
+/// delta's first row, the victim of a delete-and-rederive removal — are
+/// nearly always the newest few.  Galloping finds them in O(log distance
+/// from the tail) steps over cache lines the list's end already brought
+/// in, where a front-anchored binary search pays O(log len) cold probes.
+pub fn tail_partition_point(ids: &[u32], bound: u32) -> usize {
+    let mut hi = ids.len();
+    let mut step = 1;
+    while step <= hi && ids[hi - step] >= bound {
+        hi -= step;
+        step *= 2;
+    }
+    let lo = hi.saturating_sub(step);
+    lo + ids[lo..hi].partition_point(|&id| id < bound)
+}
 
 /// A secondary index on one bound-position pattern, split into [`SHARDS`]
 /// copy-on-write shards by key hash.  The representation is chosen once
@@ -269,7 +292,7 @@ impl ShardedIndex {
 
     /// Append `id` to the ascending id list of `key` (the incremental
     /// index-maintenance step of an insert).
-    fn insert_row(&mut self, key: &[ValId], id: usize) {
+    fn insert_row(&mut self, key: &[ValId], id: u32) {
         let shard = self.shard_for(key);
         match self {
             ShardedIndex::Small(shards) => {
@@ -289,45 +312,40 @@ impl ShardedIndex {
         }
     }
 
-    /// Drop `id` from the id list of `key` (ids are ascending, so the
-    /// victim is found by binary search); empty lists drop their key.
-    fn remove_row(&mut self, key: &[ValId], id: usize) {
-        fn drop_id<K: std::hash::Hash + Eq + Clone>(
-            map: &mut FxHashMap<K, Vec<usize>>,
-            key: K,
-            id: usize,
-        ) {
-            if let Some(ids) = map.get_mut(&key) {
-                if let Ok(pos) = ids.binary_search(&id) {
+    /// Drop `id` from the id list of `key`; empty lists drop their key.
+    /// The victim is found by [`tail_partition_point`]: removal victims are
+    /// nearly always the newest rows (delete-and-rederive removes what the
+    /// last insert derived).
+    fn remove_row(&mut self, key: &[ValId], id: u32) {
+        fn drop_id<K, Q>(map: &mut FxHashMap<K, Vec<u32>>, key: &Q, id: u32)
+        where
+            K: Borrow<Q> + Hash + Eq,
+            Q: Hash + Eq + ?Sized,
+        {
+            if let Some(ids) = map.get_mut(key) {
+                let pos = tail_partition_point(ids, id);
+                if ids.get(pos) == Some(&id) {
                     ids.remove(pos);
                 }
                 if ids.is_empty() {
-                    map.remove(&key);
+                    map.remove(key);
                 }
             }
         }
         let shard = self.shard_for(key);
         match self {
             ShardedIndex::Small(shards) => {
-                drop_id(cow_mut(&mut shards[shard]), pack_key2(key), id);
+                drop_id(cow_mut(&mut shards[shard]), &pack_key2(key), id);
             }
             ShardedIndex::Wide(shards) => {
-                let map = cow_mut(&mut shards[shard]);
-                if let Some(ids) = map.get_mut(key) {
-                    if let Ok(pos) = ids.binary_search(&id) {
-                        ids.remove(pos);
-                    }
-                    if ids.is_empty() {
-                        map.remove(key);
-                    }
-                }
+                drop_id(cow_mut(&mut shards[shard]), key, id);
             }
         }
     }
 
     /// The ascending live row ids of `key` (empty when the key is absent).
     #[inline]
-    fn get(&self, key: &[ValId]) -> &[usize] {
+    fn get(&self, key: &[ValId]) -> &[u32] {
         let shard = self.shard_for(key);
         match self {
             ShardedIndex::Small(shards) => shards[shard].get(&pack_key2(key)),
@@ -351,9 +369,10 @@ impl<'a> IndexRef<'a> {
     /// The live row ids matching the packed `key`: borrowed, in
     /// **ascending order** (rows are append-only and removal deletes in
     /// place), empty when no row has the key.  `key` must have one id per
-    /// position of the pattern the handle was resolved for.
+    /// position of the pattern the handle was resolved for.  Ids are `u32`
+    /// (they stop below the row ceiling), half the bytes of a `usize` list.
     #[inline]
-    pub fn get(&self, key: &[ValId]) -> &'a [usize] {
+    pub fn get(&self, key: &[ValId]) -> &'a [u32] {
         self.index.get(key)
     }
 }
@@ -545,7 +564,7 @@ impl Relation {
         for (positions, index) in self.indexes.iter_mut() {
             scratch.clear();
             scratch.extend(positions.iter().map(|&p| row[p]));
-            index.insert_row(&scratch, id);
+            index.insert_row(&scratch, id as u32);
         }
         self.key_scratch = scratch;
         self.append_row_slot(row);
@@ -644,7 +663,9 @@ impl Relation {
         self.ensure_index(positions);
         self.lookup(positions, &intern_row(key))
             .expect("index was just ensured")
-            .to_vec()
+            .iter()
+            .map(|&id| id as usize)
+            .collect()
     }
 
     /// True iff `positions` is every position of the row, in order: a key
@@ -685,7 +706,7 @@ impl Relation {
             for (id, row) in self.iter_ids() {
                 key.clear();
                 key.extend(positions.iter().map(|&p| row[p]));
-                index.insert_row(&key, id);
+                index.insert_row(&key, id as u32);
             }
             index
         };
@@ -697,11 +718,11 @@ impl Relation {
     /// keeps each group's ids in ascending order — the invariant the
     /// join's delta-window slicing relies on.
     fn build_index_bulk(&self, positions: &[usize]) -> ShardedIndex {
-        let key_of = |id: usize| {
-            let row = self.row_ids(id);
+        let key_of = |id: u32| {
+            let row = self.row_ids(id as usize);
             positions.iter().map(move |&p| row[p].raw())
         };
-        let mut ids: Vec<usize> = self.iter_ids().map(|(id, _)| id).collect();
+        let mut ids: Vec<u32> = self.iter_ids().map(|(id, _)| id as u32).collect();
         ids.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
         // Collect the group boundaries first so every shard map is
         // allocated once at its final size (no rehashing while 30M ids
@@ -720,7 +741,7 @@ impl Relation {
         let mut per_shard = [0usize; SHARDS];
         let mut key = Vec::with_capacity(positions.len());
         for &(start, _) in &groups {
-            let row = self.row_ids(ids[start]);
+            let row = self.row_ids(ids[start] as usize);
             key.clear();
             key.extend(positions.iter().map(|&p| row[p]));
             per_shard[index.shard_for(&key)] += 1;
@@ -738,7 +759,7 @@ impl Relation {
             }
         }
         for &(start, end) in &groups {
-            let row = self.row_ids(ids[start]);
+            let row = self.row_ids(ids[start] as usize);
             key.clear();
             key.extend(positions.iter().map(|&p| row[p]));
             let shard = index.shard_for(&key);
@@ -764,7 +785,7 @@ impl Relation {
     /// on `positions` (callers fall back to [`Relation::scan_select`]).
     /// A thin wrapper over [`Relation::index_ref`], which is what repeated
     /// probes of one pattern should hold instead.
-    pub fn lookup(&self, positions: &[usize], key: &[ValId]) -> Option<&[usize]> {
+    pub fn lookup(&self, positions: &[usize], key: &[ValId]) -> Option<&[u32]> {
         Some(self.index_ref(positions)?.get(key))
     }
 
@@ -846,7 +867,7 @@ impl Relation {
         for (positions, index) in self.indexes.iter_mut() {
             scratch.clear();
             scratch.extend(positions.iter().map(|&p| row[p]));
-            index.remove_row(&scratch, id);
+            index.remove_row(&scratch, id as u32);
         }
         self.key_scratch = scratch;
         true
@@ -984,6 +1005,14 @@ mod tests {
         Value::sym(s)
     }
 
+    /// [`Relation::scan_select`] in the element type of an index list.
+    fn scanned(r: &Relation, positions: &[usize], key: &[ValId]) -> Vec<u32> {
+        r.scan_select(positions, key)
+            .into_iter()
+            .map(|id| id as u32)
+            .collect()
+    }
+
     #[test]
     fn insert_and_dedup() {
         let mut r = Relation::new(2);
@@ -1060,11 +1089,110 @@ mod tests {
         let ids = r.lookup(&[0, 1, 2], &key).unwrap().to_vec();
         assert!(!ids.is_empty());
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(ids, r.scan_select(&[0, 1, 2], &key));
+        assert_eq!(ids, scanned(&r, &[0, 1, 2], &key));
         let (id, _) = r.iter_ids().next().unwrap();
         r.remove_id(id);
         let after = r.lookup(&[0, 1, 2], &key).unwrap();
-        assert!(!after.contains(&id));
+        assert!(!after.contains(&(id as u32)));
+    }
+
+    #[test]
+    fn tail_partition_point_matches_the_binary_search_reference() {
+        // SplitMix64, inline: the storage crate has no dev-dependency to
+        // borrow a generator from.
+        let mut state = 0x5EED_0037_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for case in 0..4000 {
+            // An ascending id list with random gaps (dense, sparse, empty).
+            let len = [0, 1, 2, 3, 17, 64, 300][next(7)];
+            let gap = [1, 2, 9][next(3)];
+            let mut ids: Vec<u32> = Vec::with_capacity(len);
+            let mut id = next(5) as u32;
+            for _ in 0..len {
+                ids.push(id);
+                id += 1 + next(gap) as u32;
+            }
+            // Victims at the front and the back, absent ids below, between
+            // and past the listed ones, and random bounds.
+            let mut bounds = vec![0, id, id + 3];
+            if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
+                bounds.extend([first, last, first.saturating_sub(1), last + 1]);
+                bounds.extend(ids.get(1).map(|&second| second - 1));
+                bounds.extend(ids.len().checked_sub(2).map(|i| ids[i]));
+            }
+            for _ in 0..6 {
+                bounds.push(next(id as usize + 4) as u32);
+            }
+            for bound in bounds {
+                let pos = tail_partition_point(&ids, bound);
+                assert_eq!(
+                    pos,
+                    ids.partition_point(|&id| id < bound),
+                    "case {case}: ids {ids:?}, bound {bound}"
+                );
+                // The removal test reads the same position as a search.
+                let found = if ids.get(pos) == Some(&bound) {
+                    Ok(pos)
+                } else {
+                    Err(pos)
+                };
+                assert_eq!(found, ids.binary_search(&bound), "case {case}: {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn index_removal_from_either_end_matches_the_scan() {
+        // A narrow and a wide index under removal, oldest rows first and
+        // then newest first: after every step each key's posting list is
+        // exactly what a scan selects.
+        let mut r = Relation::new(4);
+        r.ensure_index(&[0]);
+        r.ensure_index(&[0, 1, 2]);
+        let row = |k: i64| {
+            vec![
+                Value::Int(k % 3),
+                Value::Int(k % 2),
+                Value::Int(k % 5),
+                Value::Int(k),
+            ]
+        };
+        for k in 0..300 {
+            r.insert(row(k));
+        }
+        let check = |r: &Relation, step: &str| {
+            for k in 0..30 {
+                let full = intern_row(&row(k));
+                for positions in [&[0][..], &[0, 1, 2]] {
+                    let key: Vec<ValId> = positions.iter().map(|&p| full[p]).collect();
+                    assert_eq!(
+                        r.lookup(positions, &key).unwrap(),
+                        scanned(r, positions, &key),
+                        "{step}: key {key:?} on {positions:?}"
+                    );
+                }
+            }
+        };
+        for id in 0..150 {
+            assert!(r.remove_id(id));
+            check(&r, &format!("oldest-first, removed id {id}"));
+        }
+        for id in (150..300).rev() {
+            assert!(r.remove_id(id));
+            check(&r, &format!("newest-first, removed id {id}"));
+        }
+        assert!(r.is_empty());
+        // Emptied lists dropped their keys.
+        match &r.indexes[&vec![0]] {
+            ShardedIndex::Small(shards) => assert!(shards.iter().all(|s| s.is_empty())),
+            ShardedIndex::Wide(_) => unreachable!("one position is a narrow key"),
+        }
     }
 
     #[test]
@@ -1334,14 +1462,8 @@ mod tests {
         assert!(snap.contains(&[Value::Int(0), Value::Int(0)]));
         assert!(!r.contains(&[Value::Int(0), Value::Int(0)]));
         let key = intern_row(&[Value::Int(3)]);
-        assert_eq!(
-            snap.lookup(&[0], &key).unwrap(),
-            snap.scan_select(&[0], &key).as_slice()
-        );
-        assert_eq!(
-            r.lookup(&[0], &key).unwrap(),
-            r.scan_select(&[0], &key).as_slice()
-        );
+        assert_eq!(snap.lookup(&[0], &key).unwrap(), scanned(&snap, &[0], &key));
+        assert_eq!(r.lookup(&[0], &key).unwrap(), scanned(&r, &[0], &key));
     }
 
     #[test]
@@ -1395,7 +1517,7 @@ mod tests {
             let key = intern_row(&[Value::Int(k)]);
             let ids = bulk.lookup(&[0], &key).unwrap();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
-            assert_eq!(ids, bulk.scan_select(&[0], &key), "bulk != scan");
+            assert_eq!(ids, scanned(&bulk, &[0], &key), "bulk != scan");
             assert_eq!(ids, incremental.lookup(&[0], &key).unwrap());
         }
     }

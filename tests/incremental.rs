@@ -11,15 +11,20 @@
 //! After every phase every derived row must still have a one-step
 //! derivation or be an axiom (`MaterializedView::verify_support`).
 
-use power_of_magic::engine::Evaluator;
+use power_of_magic::engine::{
+    count_derivations, count_derivations_batch, Evaluator, FixpointRunner, Limits,
+};
 use power_of_magic::incr::{MaterializedView, Update};
-use power_of_magic::lang::{Fact, Program, Value};
+use power_of_magic::lang::{Fact, PredName, Program, Value};
 use power_of_magic::workloads::{
     ancestor_update_stream, chain, cycle, programs, same_generation_grid,
     same_generation_update_stream, SgConfig, SplitMix64, UpdateOp,
 };
 use power_of_magic::{Database, Planner, Strategy};
 use std::collections::BTreeSet;
+
+mod common;
+use common::random_stratified;
 
 fn fact_set(db: &Database) -> BTreeSet<String> {
     db.facts().map(|f| f.to_string()).collect()
@@ -279,4 +284,83 @@ fn batched_apply_agrees_with_singleton_ops() {
         "batched apply and singleton ops disagree"
     );
     batched.verify_support().expect("batched rows founded");
+}
+
+/// Per head-bound plan of `runner`, recount every stored row of the plan's
+/// head predicate in `db` twice — one batch, and one-row calls — and
+/// require the same count per row and the same probes in total.
+fn assert_batch_recount_is_per_row(runner: &FixpointRunner, db: &Database, label: &str) {
+    let limits = Limits::default();
+    for (plan_idx, forward) in runner.plans().iter().enumerate() {
+        let Some(rel) = db.relation(&forward.head_pred) else {
+            continue;
+        };
+        let plan = runner.head_bound_plan(plan_idx);
+        let mut rows = Vec::new();
+        for (_, row) in rel.iter_ids() {
+            rows.extend_from_slice(row);
+        }
+        let mut counts = vec![0; rel.len()];
+        let batch = count_derivations_batch(plan, db, rel.arity(), &rows, &limits, &mut counts)
+            .expect("batch recount");
+        let (mut matches, mut probes) = (0, 0);
+        for ((_, row), &count) in rel.iter_ids().zip(&counts) {
+            let one = count_derivations(plan, db, row, &limits).expect("one-row recount");
+            assert_eq!(count, one, "{label}: rule {} on {row:?}", plan.rule);
+            let alone = count_derivations_batch(plan, db, row.len(), row, &limits, &mut [0])
+                .expect("one-row batch");
+            matches += one;
+            probes += alone.probes;
+        }
+        assert_eq!(
+            (batch.matches, batch.probes),
+            (matches, probes),
+            "{label}: rule {}",
+            plan.rule
+        );
+    }
+}
+
+#[test]
+fn batch_recount_equals_the_one_row_recount() {
+    // Random positive programs, plus rules the generator never writes: a
+    // head constant (rows of the other `hub` rule fail its head match), a
+    // zero-arity head, and a body relation that is absent from the
+    // database (`nowhere`, which no rule or fact defines).
+    let extra = power_of_magic::parse_program(
+        "hub(c0, Y) :- edge(X, Y).
+         hub(X, Y) :- edge(X, Y), node(Y).
+         hub(X, Y) :- edge(X, Y), nowhere(X, Y).
+         linked :- edge(X, Y), node(X).",
+    )
+    .unwrap();
+    let nowhere = PredName::plain("nowhere");
+    let mut rng = SplitMix64::seed_from_u64(0x0037_BA7C);
+    for case in 0..30 {
+        let (_, mut program, edb) = random_stratified(&mut rng, true);
+        program.rules.extend(extra.rules.iter().cloned());
+        let mut view = MaterializedView::new(&program, &edb).expect("view materializes");
+        let runner = FixpointRunner::compile(&program, &program.derived_preds());
+        for step in 0..3 {
+            let label = format!("case {case} step {step}");
+            let db = view.database();
+            assert!(db
+                .relation(&PredName::plain("linked"))
+                .is_some_and(|r| r.len() == 1));
+            assert_batch_recount_is_per_row(&runner, db, &label);
+            let mut absent = db.clone();
+            absent.remove_relation(&nowhere);
+            assert_batch_recount_is_per_row(&runner, &absent, &format!("{label}, absent"));
+            // Retract an edge, so the next step recounts a DRed-maintained
+            // database.
+            let edges: Vec<Fact> = db
+                .facts()
+                .filter(|f| f.pred == PredName::plain("edge"))
+                .collect();
+            let victim = edges[rng.random_range(0..edges.len())].clone();
+            view.retract(&victim).expect("retraction maintains");
+            view.verify_support()
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
 }

@@ -114,7 +114,7 @@ fn randomized_insert_remove_compact_matches_hashset_oracle() {
                         .lookup(&[0], &key)
                         .expect("index ensured up front")
                         .iter()
-                        .map(|&id| rel.row_values(id))
+                        .map(|&id| rel.row_values(id as usize))
                         .collect();
                     let expected: HashSet<Vec<Value>> =
                         oracle.iter().filter(|r| r[0] == row[0]).cloned().collect();
@@ -196,7 +196,12 @@ fn tombstone_heavy_churn_matches_hashset_oracle() {
         let key = intern_row(&[Value::Int((wave * 7) as i64)]);
         let ids = rel.lookup(&[0], &key).expect("index ensured up front");
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
-        assert_eq!(ids, rel.scan_select(&[0], &key));
+        let scanned: Vec<u32> = rel
+            .scan_select(&[0], &key)
+            .into_iter()
+            .map(|id| id as u32)
+            .collect();
+        assert_eq!(ids, scanned);
         if wave == 3 {
             // One compaction mid-way: the table is rebuilt from scratch
             // and the churn continues on renumbered ids.

@@ -37,7 +37,7 @@ fn merge_dedups_preserves_ids_and_maintains_indexes() {
 
     // The index answers reflect the merged rows, ascending by id.
     let a_key = intern_row(&[Value::sym("a")]);
-    assert_eq!(target.lookup(&[0], &a_key), Some(&[0usize, 3][..]));
+    assert_eq!(target.lookup(&[0], &a_key), Some(&[0u32, 3][..]));
 
     // Dedup after merge: every merged row is a duplicate now.
     for (a, b) in [("b", "c"), ("c", "d"), ("a", "d")] {
