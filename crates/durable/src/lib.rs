@@ -3,9 +3,9 @@
 //! them back into a warm [`ViewCatalog`](magic_incr::ViewCatalog).
 //!
 //! The serving story so far (PR 5/6) kept everything in memory: the
-//! writer thread applied update batches to the base database, streamed
-//! them through the catalog's incremental maintenance, and published
-//! immutable snapshots for readers.  This crate makes that loop
+//! writer thread applied update batches to the catalog's base facts,
+//! maintained the views over them, and published immutable snapshots
+//! for readers.  This crate makes that loop
 //! durable with the classic ARIES-shaped split, sized down to the
 //! paper's workloads:
 //!

@@ -6,19 +6,23 @@
 //! The owning writer (one per store — the serve writer thread) drives
 //! the store in a strict order:
 //!
-//! 1. apply an update batch to the in-memory base database;
-//! 2. [`DurableStore::log_batch`] the *state-changing* updates — the
-//!    batch is durable (to the configured fsync degree) from here, and
-//!    only now may the writer publish and ack;
-//! 3. when [`DurableStore::should_checkpoint`] says the WAL has grown
+//! 1. decide, against the catalog's base read-only, which updates of a
+//!    batch change state;
+//! 2. [`DurableStore::log_batch`] those *state-changing* updates — the
+//!    batch is durable (to the configured fsync degree) from here;
+//! 3. only now apply them ([`ViewCatalog::apply_all`]), publish and ack.
+//!    Memory moves after the log accepted the batch, so a failed append
+//!    leaves nothing to undo;
+//! 4. when [`DurableStore::should_checkpoint`] says the WAL has grown
 //!    past the configured cadence, [`DurableStore::checkpoint`] the
-//!    whole database and empty the WAL.
+//!    catalog's whole base and empty the WAL.
 //!
 //! [`DurableStore::recover`] inverts the writes: load the newest valid
-//! checkpoint (if any), re-materialize each exported view binding
-//! through the ordinary planner/fixpoint path, replay the WAL frames
-//! the checkpoint doesn't already cover, and truncate a torn final
-//! frame if a crash left one.  The sequence numbers stitched through
+//! checkpoint (if any) as the catalog's base, re-materialize each
+//! exported view binding through the ordinary planner/fixpoint path,
+//! replay the WAL frames the checkpoint doesn't already cover through
+//! [`ViewCatalog::apply_all`], and truncate a torn final frame if a
+//! crash left one.  The sequence numbers stitched through
 //! both files make every interleaving of crash and recovery safe:
 //!
 //! * crash mid-append → torn frame, detected by CRC, truncated (it was
@@ -121,10 +125,12 @@ impl DurableConfig {
 /// What [`DurableStore::recover`] produced.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The recovered base database (checkpoint + replayed WAL tail).
+    /// A copy-on-write clone of `catalog.base()`, for callers that compare
+    /// it against what they logged; nothing maintains it.
     pub db: Database,
-    /// The catalog, warm: every recoverable binding re-materialized
-    /// over the recovered base and maintained through the replay.
+    /// The catalog, warm: its base is the recovered base database
+    /// (checkpoint + replayed WAL tail), and every recoverable binding is
+    /// re-materialized over it and maintained through the replay.
     pub catalog: ViewCatalog,
     /// WAL frames replayed on top of the checkpoint.
     pub replayed_frames: u64,
@@ -198,10 +204,11 @@ impl DurableStore {
             None
         };
         let restored_from_checkpoint = checkpoint.is_some();
-        let (mut db, bindings, base_seq) = match &checkpoint {
+        let (base, bindings, base_seq) = match &checkpoint {
             Some(ckpt) => (ckpt.restore_database()?, ckpt.bindings.clone(), ckpt.seq),
             None => (seed.clone(), Vec::new(), 0),
         };
+        let mut catalog = catalog.with_base(base);
 
         // Re-materialize the exported bindings over the checkpointed
         // base, *before* replay, so the WAL tail streams through view
@@ -209,13 +216,12 @@ impl DurableStore {
         // query no longer plans (the caller changed the rules between
         // runs) is dropped, not fatal: views are caches, and the next
         // first-sight query rebuilds under the new rules.
-        let mut catalog = catalog;
         let mut rebuilt_views = Vec::new();
         for (key, text) in &bindings {
             let Ok(query) = parse_query(text) else {
                 continue;
             };
-            if catalog.materialize(program, &query, &db).is_ok() {
+            if catalog.materialize_keyed(program, &query).is_ok() {
                 rebuilt_views.push(key.clone());
             }
         }
@@ -224,38 +230,23 @@ impl DurableStore {
         if scan.torn {
             self.wal.truncate_to(scan.valid_len)?;
         }
-        let mut replayed_frames = 0u64;
-        let mut seq = base_seq;
-        for frame in &scan.frames {
-            if frame.seq <= base_seq {
-                continue;
-            }
-            let changed: Vec<Update> = frame
-                .updates
-                .iter()
-                .filter(|u| match u {
-                    Update::Insert(f) => db.insert_fact(f),
-                    Update::Retract(f) => db.remove_fact(f),
-                })
-                .cloned()
-                .collect();
-            if !changed.is_empty() {
-                catalog.apply_all(&changed);
-            }
-            replayed_frames += 1;
-            seq = frame.seq;
+        let tail: Vec<_> = scan.frames.iter().filter(|f| f.seq > base_seq).collect();
+        for frame in &tail {
+            catalog.apply_all(&frame.updates);
         }
+        let replayed_frames = tail.len() as u64;
+        let seq = tail.last().map_or(base_seq, |frame| frame.seq);
 
         self.seq = seq;
         self.last_checkpoint_seq = base_seq;
         self.frames_since_checkpoint = replayed_frames;
 
         if !restored_from_checkpoint {
-            self.checkpoint(&db, &catalog.export_bindings())?;
+            self.checkpoint(catalog.base(), &catalog.export_bindings())?;
         }
 
         Ok(Recovered {
-            db,
+            db: catalog.base().clone(),
             catalog,
             replayed_frames,
             torn_tail_truncated: scan.torn,
@@ -271,7 +262,7 @@ impl DurableStore {
     /// On failure the frame is scrubbed (best effort) back off the
     /// log.  Without the scrub, an append whose *fsync* failed could
     /// leave a fully-written, CRC-valid frame behind: the client was
-    /// told the write failed, the owner rolled it back in memory, and
+    /// told the write failed, the owner never applied it in memory, and
     /// yet recovery would replay it — a ghost write.  `Err` from here
     /// therefore means the batch is gone from the log to the best of
     /// the store's ability, and [`DurableStore::probe`] re-verifies
@@ -387,8 +378,8 @@ mod tests {
         ViewCatalog::new(Strategy::MagicSets)
     }
 
-    /// Apply a batch to `db` the way the serve writer does (keeping
-    /// only state-changing updates) and log it.
+    /// Mirror a batch's state-changing updates into `db` — the ones the
+    /// serve writer would log — and log them.
     fn apply_and_log(store: &mut DurableStore, db: &mut Database, batch: &[Update]) {
         let changed: Vec<Update> = batch
             .iter()
@@ -407,7 +398,7 @@ mod tests {
         let program = parse_program(RULES).unwrap();
         let mut store = DurableStore::open(&DurableConfig::new(&dir)).unwrap();
         let rec = store.recover(&program, catalog(), &seed()).unwrap();
-        assert_eq!(rec.db, seed());
+        assert_eq!(rec.catalog.base(), &seed());
         assert!(!rec.restored_from_checkpoint);
         assert_eq!(rec.replayed_frames, 0);
         // The seed is now durable: a second recovery ignores a
@@ -418,7 +409,7 @@ mod tests {
             .recover(&program, catalog(), &Database::new())
             .unwrap();
         assert!(rec.restored_from_checkpoint);
-        assert_eq!(rec.db, seed());
+        assert_eq!(rec.catalog.base(), &seed());
     }
 
     #[test]
@@ -429,7 +420,12 @@ mod tests {
             &DurableConfig::new(&dir).with_checkpoint_every(0), // no auto checkpoints
         )
         .unwrap();
-        let mut db = store.recover(&program, catalog(), &seed()).unwrap().db;
+        let mut db = store
+            .recover(&program, catalog(), &seed())
+            .unwrap()
+            .catalog
+            .base()
+            .clone();
         let batches = vec![
             vec![Update::Insert(pair("par", "ann", "zoe"))],
             vec![
@@ -455,8 +451,8 @@ mod tests {
         let rec = store
             .recover(&program, catalog(), &Database::new())
             .unwrap();
-        assert_eq!(rec.db, oracle);
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &oracle);
+        assert_eq!(rec.catalog.base(), &db);
         assert_eq!(rec.replayed_frames, 3);
         assert_eq!(store.seq(), 3);
         // Logging continues from the recovered sequence.
@@ -469,7 +465,12 @@ mod tests {
         let program = parse_program(RULES).unwrap();
         let config = DurableConfig::new(&dir).with_checkpoint_every(2);
         let mut store = DurableStore::open(&config).unwrap();
-        let mut db = store.recover(&program, catalog(), &seed()).unwrap().db;
+        let mut db = store
+            .recover(&program, catalog(), &seed())
+            .unwrap()
+            .catalog
+            .base()
+            .clone();
 
         apply_and_log(
             &mut store,
@@ -509,7 +510,7 @@ mod tests {
         // still converge here, so assert the *count*, which proves the
         // sequence filter works.
         assert_eq!(rec.replayed_frames, 1);
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &db);
     }
 
     #[test]
@@ -518,7 +519,12 @@ mod tests {
         let program = parse_program(RULES).unwrap();
         let config = DurableConfig::new(&dir).with_checkpoint_every(0);
         let mut store = DurableStore::open(&config).unwrap();
-        let mut db = store.recover(&program, catalog(), &seed()).unwrap().db;
+        let mut db = store
+            .recover(&program, catalog(), &seed())
+            .unwrap()
+            .catalog
+            .base()
+            .clone();
         apply_and_log(
             &mut store,
             &mut db,
@@ -540,7 +546,7 @@ mod tests {
             .unwrap();
         assert!(rec.torn_tail_truncated);
         assert_eq!(rec.replayed_frames, 1);
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &db);
         // The heal is persistent: a third open scans clean.
         drop(store);
         let mut store = DurableStore::open(&config).unwrap();
@@ -548,7 +554,7 @@ mod tests {
             .recover(&program, catalog(), &Database::new())
             .unwrap();
         assert!(!rec.torn_tail_truncated);
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &db);
     }
 
     #[test]
@@ -564,7 +570,12 @@ mod tests {
             .with_checkpoint_every(0)
             .with_faults(Arc::clone(&plan));
         let mut store = DurableStore::open(&config).unwrap();
-        let mut db = store.recover(&program, catalog(), &seed()).unwrap().db;
+        let mut db = store
+            .recover(&program, catalog(), &seed())
+            .unwrap()
+            .catalog
+            .base()
+            .clone();
 
         let batch = vec![Update::Insert(pair("par", "a", "b"))];
         db.insert_fact(batch[0].fact());
@@ -589,7 +600,7 @@ mod tests {
             .unwrap();
         let mut expected = seed();
         expected.insert_fact(&pair("par", "b", "c"));
-        assert_eq!(rec.db, expected);
+        assert_eq!(rec.catalog.base(), &expected);
     }
 
     #[test]
@@ -601,7 +612,12 @@ mod tests {
             .with_checkpoint_every(0)
             .with_faults(plan);
         let mut store = DurableStore::open(&config).unwrap();
-        let mut db = store.recover(&program, catalog(), &seed()).unwrap().db;
+        let mut db = store
+            .recover(&program, catalog(), &seed())
+            .unwrap()
+            .catalog
+            .base()
+            .clone();
         apply_and_log(
             &mut store,
             &mut db,
@@ -624,7 +640,7 @@ mod tests {
         let rec = store
             .recover(&program, catalog(), &Database::new())
             .unwrap();
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &db);
     }
 
     /// Every file in `dir` with its bytes.
@@ -692,7 +708,7 @@ mod tests {
         let config = DurableConfig::new(&dir).with_checkpoint_every(0);
         let mut store = DurableStore::open(&config).unwrap();
         let rec = store.recover(&program, catalog(), &seed()).unwrap();
-        let mut db = rec.db;
+        let mut db = rec.catalog.base().clone();
         let mut cat = rec.catalog;
 
         // Materialize a view, checkpoint with its binding exported,
@@ -717,7 +733,7 @@ mod tests {
         // including the post-checkpoint insert (zoe is john's
         // descendant only via the logged batch).
         assert_eq!(rec.catalog.answers(&key).unwrap(), live_answers);
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &db);
     }
 
     #[test]
@@ -728,7 +744,12 @@ mod tests {
         let program = parse_program(RULES).unwrap();
         let config = DurableConfig::new(&dir).with_checkpoint_every(0);
         let mut store = DurableStore::open(&config).unwrap();
-        let mut db = store.recover(&program, catalog(), &seed()).unwrap().db;
+        let mut db = store
+            .recover(&program, catalog(), &seed())
+            .unwrap()
+            .catalog
+            .base()
+            .clone();
         let batch = vec![
             Update::Insert(pair("par", "ann", "New York")),
             Update::Insert(pair("par", "X", "")),
@@ -742,15 +763,15 @@ mod tests {
             .recover(&program, catalog(), &Database::new())
             .unwrap();
         assert_eq!(rec.replayed_frames, 1);
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &db);
         // The same state through a checkpoint.
-        store.checkpoint(&rec.db, &[]).unwrap();
+        store.checkpoint(rec.catalog.base(), &[]).unwrap();
         drop(store);
         let rec = DurableStore::open(&config)
             .unwrap()
             .recover(&program, catalog(), &Database::new())
             .unwrap();
         assert!(rec.restored_from_checkpoint);
-        assert_eq!(rec.db, db);
+        assert_eq!(rec.catalog.base(), &db);
     }
 }

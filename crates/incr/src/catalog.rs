@@ -23,12 +23,16 @@
 //! under the counting strategies (indices are distances from *one* seed)
 //! and for guarded programs (recompute-on-update, not monotone).
 //!
-//! One behavioural note: `edb` is read only when a view is *built*.  A
-//! binding added to an existing view reads the base facts that view has
-//! maintained since.
+//! Every view is a function of the same base facts plus its seeds, so the
+//! catalog holds those facts once, [`ViewCatalog::base`], given by
+//! [`ViewCatalog::with_base`] or by the first [`ViewCatalog::materialize`]
+//! (whose `edb` is ignored after that).  [`ViewCatalog::apply_all`]
+//! writes each update to it once, and each view adopts the written
+//! relation — an `Arc` clone sharing its storage — after reading what
+//! needs the pre-update base off the clone it still holds.
 
 use crate::error::IncrError;
-use crate::view::{MaintenanceMode, MaterializedView, Update};
+use crate::view::{write_base, Batch, MaintenanceMode, MaterializedView, Update};
 use magic_core::planner::{Plan, PlanError, Planner, Strategy};
 use magic_datalog::{Atom, Fact, PredName, Program, Query, Rule, Value, Variable};
 use magic_engine::{answers::project_answers, EvalStats, Limits};
@@ -88,10 +92,9 @@ pub struct ApplyAllOutcome {
 #[derive(Clone, Debug)]
 struct SharedView {
     view: MaterializedView,
-    /// The predicates the view's program derives: updates on them are not
-    /// for this view.  Kept beside the view so a batch can be filtered
-    /// while the view is borrowed mutably.
-    derived: BTreeSet<PredName>,
+    /// The base predicates whose relation the view keeps to itself, never
+    /// shared with the base: its program's facts' and its seeds'.
+    private: BTreeSet<PredName>,
     /// What [`ViewCatalog::snapshot_view`] hands out, frozen on the first
     /// request after the view last moved: every binding of the view shares
     /// one copy-on-write clone.
@@ -221,6 +224,8 @@ impl ViewSnapshot {
 pub struct ViewCatalog {
     strategy: Strategy,
     limits: Limits,
+    /// The base facts every view shares, once given.
+    base: Option<Database>,
     views: BTreeMap<u64, SharedView>,
     bindings: BTreeMap<String, Binding>,
     /// Id of the view built last.
@@ -238,6 +243,7 @@ impl ViewCatalog {
         ViewCatalog {
             strategy,
             limits: Limits::default(),
+            base: None,
             views: BTreeMap::new(),
             bindings: BTreeMap::new(),
             last_view: 0,
@@ -245,6 +251,13 @@ impl ViewCatalog {
             view_ttl: None,
             clock: 0,
         }
+    }
+
+    /// Give a catalog with no view yet its base facts (see the module docs).
+    pub fn with_base(mut self, base: Database) -> ViewCatalog {
+        assert!(self.views.is_empty(), "a catalog with views has its base");
+        self.base = Some(base);
+        self
     }
 
     /// Override the evaluation limits applied to every view.
@@ -268,17 +281,18 @@ impl ViewCatalog {
     /// cap.  Expired bindings are dropped whenever
     /// [`ViewCatalog::materialize_keyed`] adds a binding and whenever the
     /// owner calls [`ViewCatalog::evict_expired`] (the serving writer does
-    /// so once per maintenance cycle); they re-materialize on next sight.
+    /// so whenever a sweep is due); they re-materialize on next sight.
     pub fn with_view_ttl(mut self, ttl: Duration) -> ViewCatalog {
         self.view_ttl = (ttl > Duration::ZERO).then_some(ttl);
         self
     }
 
     /// Plan `(program, query)` under the catalog's strategy and make its
-    /// binding live: build the view of the planned program over `edb` if
-    /// no view maintains that program yet, then seed the binding into it.
-    /// A binding already live *under the same planned program* is a cache
-    /// hit and `edb` is ignored; one whose view maintains a different
+    /// binding live: build the view of the planned program over the base
+    /// if no view maintains that program yet, then seed the binding into
+    /// it.  `edb` becomes the base of a catalog that has none yet and is
+    /// ignored after that.  A binding already live *under the same planned
+    /// program* is a cache hit; one whose view maintains a different
     /// program (the caller changed the rules) moves to the new program's
     /// view instead of serving answers for the old rules.  Returns the key.
     pub fn materialize(
@@ -287,13 +301,14 @@ impl ViewCatalog {
         query: &Query,
         edb: &Database,
     ) -> Result<String, CatalogError> {
-        self.materialize_keyed(program, query, edb)
-            .map(|(key, _)| key)
+        self.base.get_or_insert_with(|| edb.clone());
+        self.materialize_keyed(program, query).map(|(key, _)| key)
     }
 
-    /// [`ViewCatalog::materialize`], additionally reporting whether the
-    /// binding was (re)made: `false` means a cache hit on a live binding
-    /// and an unchanged catalog — the serving layer then skips publishing.
+    /// [`ViewCatalog::materialize`] over the catalog's base, additionally
+    /// reporting whether the binding was (re)made: `false` means a cache
+    /// hit on a live binding and an unchanged catalog — the serving layer
+    /// then skips publishing.
     ///
     /// On a maintenance error the catalog stays consistent but has dropped
     /// the view the binding was headed for, with the bindings it had; they
@@ -302,7 +317,6 @@ impl ViewCatalog {
         &mut self,
         program: &Program,
         query: &Query,
-        edb: &Database,
     ) -> Result<(String, bool), CatalogError> {
         let mut plan = self.plan(program, query)?;
         let key = self.key_of(&plan, query);
@@ -321,9 +335,21 @@ impl ViewCatalog {
         let id = match self.views.iter().find(|(_, v)| v.view.program() == program) {
             Some((id, _)) => *id,
             None => {
+                let base = self.base.get_or_insert_with(Database::new);
+                let view = MaterializedView::with_limits(program, base, self.limits)?;
+                let facts = program.rules.iter().filter(|r| r.is_fact());
+                let mut private: BTreeSet<PredName> = facts.map(|r| r.head.pred.clone()).collect();
+                private.extend(seed.iter().map(|s| s.pred.clone()));
+                // Adopt the new view's base relations back, so the base
+                // carries every index and relation the view prepared.
+                for (pred, relation) in view.database().iter() {
+                    if !program.is_derived(pred) && !private.contains(pred) {
+                        base.insert_relation(pred.clone(), relation.clone());
+                    }
+                }
                 let shared = SharedView {
-                    view: MaterializedView::with_limits(program, edb, self.limits)?,
-                    derived: program.derived_preds(),
+                    view,
+                    private,
                     frozen: OnceLock::new(),
                 };
                 self.last_view += 1;
@@ -433,6 +459,15 @@ impl ViewCatalog {
         expired
     }
 
+    /// The base facts every view shares: what a checkpoint persists
+    /// (empty while the catalog has none).
+    pub fn base(&self) -> &Database {
+        static NONE: OnceLock<Database> = OnceLock::new();
+        self.base
+            .as_ref()
+            .unwrap_or_else(|| NONE.get_or_init(Database::new))
+    }
+
     /// The live bindings as `(key, query text)` pairs, in key order — what
     /// a checkpoint persists so recovery can re-plan each query and seed
     /// it back into a view over the restored base facts.  (Views are
@@ -513,31 +548,70 @@ impl ViewCatalog {
         })
     }
 
-    /// Apply a whole batch of updates to every view — once per view,
-    /// however many bindings read it; each view coalesces consecutive
-    /// insertions into one fixpoint re-entry (see
-    /// [`MaterializedView::apply`]).  The serving layer's write path.
+    /// Apply a whole batch of updates: each is written to the base once,
+    /// and every view is maintained once, however many bindings read it;
+    /// each view coalesces consecutive insertions into one fixpoint
+    /// re-entry (see [`MaterializedView::apply`]).  The serving layer's
+    /// write path; a catalog with no base yet has nothing to maintain.
     ///
     /// Updates whose predicate a view *derives* are filtered out for that
     /// view, so a heterogeneous catalog never aborts a batch midway: every
-    /// view sees exactly the subsequence it can accept, in order.
+    /// view sees exactly the subsequence it can accept, in order.  A fact
+    /// whose arity disagrees with the base is not written, and fails the
+    /// views that store its predicate.
     ///
     /// A view whose maintenance *fails* (a limits budget, an arity
     /// mismatch) is **evicted** with its bindings, never left behind:
-    /// every surviving view stays consistent with the same update prefix
-    /// and the failed bindings re-materialize from the base facts on next
-    /// sight, where aborting midway would leave some views with the batch
-    /// applied and others without, permanently.
+    /// every surviving view stays consistent with the base and the failed
+    /// bindings re-materialize from it on next sight, where aborting
+    /// midway would leave some views with the batch applied and others
+    /// without, permanently.
     pub fn apply_all(&mut self, updates: &[Update]) -> ApplyAllOutcome {
         let mut outcome = ApplyAllOutcome::default();
+        let Some(base) = self.base.as_mut() else {
+            return outcome;
+        };
+        // Per view, in `views` order: its batch so far, or why it failed.
+        let mut runs: Vec<Result<Batch, IncrError>> =
+            self.views.keys().map(|_| Ok(Batch::default())).collect();
+        for update in updates {
+            let fact = update.fact();
+            let stored = base.relation(&fact.pred).map(|rel| rel.arity());
+            let fits = stored.is_none_or(|arity| arity == fact.arity());
+            // First halves on the base as it stands, each view handing back
+            // its clone of the relation, so the one write finds it unshared.
+            for (shared, run) in self.views.values_mut().zip(&mut runs) {
+                let Ok(batch) = run else {
+                    continue;
+                };
+                let private = shared.private.contains(&fact.pred);
+                // Updates on a predicate the view derives are not for it.
+                let half = match (shared.view.program().is_derived(&fact.pred), fits) {
+                    (true, _) => Ok(()),
+                    (false, true) => shared.view.begin(update, batch, !private),
+                    (false, false) => shared.view.check_arity(fact),
+                };
+                if let Err(e) = half {
+                    *run = Err(e);
+                }
+            }
+            if fits {
+                write_base(base, update);
+            }
+            for (shared, run) in self.views.values_mut().zip(&mut runs) {
+                let Ok(batch) = run else {
+                    continue;
+                };
+                let shares = !shared.private.contains(&fact.pred);
+                if let Err(e) = shared.view.end(update, batch, shares.then_some(&*base)) {
+                    *run = Err(e);
+                }
+            }
+        }
         // Per view the batch moved or failed: how its maintenance went.
         let mut verdicts: BTreeMap<u64, Result<(), CatalogError>> = BTreeMap::new();
-        for (id, shared) in self.views.iter_mut() {
-            // Borrowed, and filtered as the view consumes them: nothing of
-            // the batch is copied per view.
-            let derived = &shared.derived;
-            let accepted = updates.iter().filter(|u| !derived.contains(&u.fact().pred));
-            match shared.view.apply(accepted) {
+        for ((id, shared), run) in self.views.iter_mut().zip(runs) {
+            match run.and_then(|mut batch| shared.view.finish(&mut batch)) {
                 Ok(report) if report.applied > 0 => {
                     outcome.applied += report.applied;
                     shared.frozen = OnceLock::new();
@@ -641,7 +715,7 @@ mod tests {
         // The surviving view saw the whole batch.
         assert_eq!(catalog.answers(&ka).unwrap().len(), 2);
         // The evicted binding re-materializes on next sight.
-        let (kb2, fresh) = catalog.materialize_keyed(&prog_b, &qb, &db_b).unwrap();
+        let (kb2, fresh) = catalog.materialize_keyed(&prog_b, &qb).unwrap();
         assert_eq!(kb, kb2);
         assert!(fresh);
         assert_eq!(catalog.len(), 2);
@@ -678,6 +752,31 @@ mod tests {
     }
 
     #[test]
+    fn program_facts_stay_with_their_view_while_the_base_moves() {
+        // `par(z, a)` is a fact of the program, not of the base: the view
+        // keeps its own `par` relation rather than adopting the base's.
+        let program = parse_program(
+            "par(z, a).
+             anc(X, Y) :- par(X, Y).
+             anc(X, Y) :- par(X, Z), anc(Z, Y).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.insert_pair("par", "a", "b");
+        let mut catalog = ViewCatalog::new(Strategy::SemiNaiveBottomUp).with_base(db);
+        let query = parse_query("anc(z, Y)").unwrap();
+        let (key, _) = catalog.materialize_keyed(&program, &query).unwrap();
+        assert_eq!(catalog.answers(&key).unwrap().len(), 2);
+        let edge = Fact::plain("par", vec![Value::sym("b"), Value::sym("c")]);
+        let outcome = catalog.apply_all(&[Update::Insert(edge.clone())]);
+        assert_eq!(outcome.changed, vec![key.clone()]);
+        assert_eq!(catalog.answers(&key).unwrap().len(), 3);
+        assert!(catalog.base().contains(&edge));
+        let program_fact = Fact::plain("par", vec![Value::sym("z"), Value::sym("a")]);
+        assert!(!catalog.base().contains(&program_fact));
+    }
+
+    #[test]
     fn max_views_evicts_the_least_recently_requested_binding() {
         let program = parse_program("anc(X, Y) :- par(X, Y).").unwrap();
         let mut db = Database::new();
@@ -706,7 +805,7 @@ mod tests {
         // The evicted binding re-materializes on next sight (and evicts in
         // turn).
         let (kb2, fresh) = catalog
-            .materialize_keyed(&program, &parse_query("anc(b, Y)").unwrap(), &db)
+            .materialize_keyed(&program, &parse_query("anc(b, Y)").unwrap())
             .unwrap();
         assert_eq!(kb, kb2);
         assert!(fresh);
@@ -752,7 +851,7 @@ mod tests {
         assert_eq!(catalog.len(), 1);
         // An expired binding is not an error: it re-materializes.
         let (ka2, fresh) = catalog
-            .materialize_keyed(&program, &parse_query("anc(a, Y)").unwrap(), &db)
+            .materialize_keyed(&program, &parse_query("anc(a, Y)").unwrap())
             .unwrap();
         assert_eq!(ka, ka2);
         assert!(fresh);
@@ -818,9 +917,9 @@ mod tests {
         let query = parse_query("anc(a, Y)").unwrap();
         let mut db = Database::new();
         db.insert_pair("par", "a", "b");
-        let mut catalog = ViewCatalog::new(Strategy::MagicSets);
-        let (k1, fresh1) = catalog.materialize_keyed(&program, &query, &db).unwrap();
-        let (k2, fresh2) = catalog.materialize_keyed(&program, &query, &db).unwrap();
+        let mut catalog = ViewCatalog::new(Strategy::MagicSets).with_base(db);
+        let (k1, fresh1) = catalog.materialize_keyed(&program, &query).unwrap();
+        let (k2, fresh2) = catalog.materialize_keyed(&program, &query).unwrap();
         assert_eq!(k1, k2);
         assert!(fresh1);
         assert!(!fresh2);

@@ -87,6 +87,43 @@ pub struct ApplyReport {
     pub no_ops: usize,
 }
 
+/// A batch in progress on one view, carried from one update to the next.
+#[derive(Default)]
+pub(crate) struct Batch {
+    report: ApplyReport,
+    /// Marks taken before the first base change not yet propagated, if
+    /// any (a recompute ignores them).
+    pending: Option<Vec<usize>>,
+    /// What [`MaterializedView::begin`] left for [`MaterializedView::end`].
+    begun: Option<Begun>,
+}
+
+/// The one base write, for a view's own base facts and a catalog's alike;
+/// a removal compacts the relation once enough of its slots are dead.
+pub(crate) fn write_base(db: &mut Database, update: &Update) {
+    match update {
+        Update::Insert(fact) => {
+            db.insert_fact(fact);
+        }
+        Update::Retract(fact) => {
+            db.remove_fact(fact);
+            maybe_compact(db, &fact.pred);
+        }
+    }
+}
+
+/// Reclaim tombstoned storage of `pred`'s relation once the dead-slot
+/// share crosses a threshold.  Called between maintenance operations only:
+/// compaction renumbers row ids, and fresh delta marks are taken after it.
+fn maybe_compact(db: &mut Database, pred: &PredName) {
+    const MIN_TOMBSTONES: usize = 256;
+    if let Some(rel) = db.relation_mut_opt(pred) {
+        if rel.tombstones() >= MIN_TOMBSTONES && rel.tombstones() * 2 >= rel.watermark() {
+            rel.compact();
+        }
+    }
+}
+
 /// How the view propagates base-fact updates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MaintenanceMode {
@@ -368,7 +405,8 @@ impl MaterializedView {
         self.check_arity(fact)
     }
 
-    fn check_arity(&self, fact: &Fact) -> Result<(), IncrError> {
+    /// Reject a row that disagrees with the stored relation's arity.
+    pub(crate) fn check_arity(&self, fact: &Fact) -> Result<(), IncrError> {
         if let Some(rel) = self.db.relation(&fact.pred) {
             if rel.arity() != fact.arity() {
                 return Err(IncrError::ArityMismatch {
@@ -446,7 +484,8 @@ impl MaterializedView {
         if matches!(self.mode, MaintenanceMode::Recompute { .. }) {
             self.recompute()?;
         } else {
-            self.retract_dred(seed)?;
+            let overdeleted = self.overdelete(seed)?;
+            self.rederive(overdeleted)?;
         }
         Ok(true)
     }
@@ -463,58 +502,93 @@ impl MaterializedView {
         I: IntoIterator,
         I::Item: Borrow<Update>,
     {
-        let mut report = ApplyReport::default();
-        // Marks taken before the first base change not yet propagated, if
-        // any (a recompute ignores them).
-        let mut pending: Option<Vec<usize>> = None;
-        let mut failure: Option<IncrError> = None;
-        for update in updates {
-            let step = self.apply_step(update.borrow(), &mut report, &mut pending);
-            if let Err(e) = step {
-                failure = Some(e);
-                break;
-            }
-        }
+        let mut batch = Batch::default();
+        let failure = updates.into_iter().find_map(|update| {
+            let update = update.borrow();
+            let begun = self.begin(update, &mut batch, false);
+            begun
+                .and_then(|()| self.end(update, &mut batch, None))
+                .err()
+        });
         // Flush even on the error path: pending changes are already in
         // the database, and dropping them would leave the view
         // off-fixpoint forever.
-        self.flush(&mut pending)?;
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        let report = self.finish(&mut batch)?;
+        failure.map_or(Ok(report), Err)
     }
 
-    /// One update of a batch.  Base changes accumulate under `pending`; an
-    /// incremental retraction flushes them and propagates at once.
-    fn apply_step(
+    /// The first half of one update: whatever reads the base as it stood
+    /// before the update — an insertion's delta marks, a retraction's
+    /// overdeletion — leaving the rest to [`MaterializedView::end`], once
+    /// the base is written.  With `hand_back` the view then drops its
+    /// clone of the relation, so that a catalog's one write to its base
+    /// finds the storage unshared.  Base changes accumulate under `batch`;
+    /// an incremental retraction flushes them and propagates at once.
+    pub(crate) fn begin(
         &mut self,
         update: &Update,
-        report: &mut ApplyReport,
-        pending: &mut Option<Vec<usize>>,
+        batch: &mut Batch,
+        hand_back: bool,
     ) -> Result<(), IncrError> {
         let fact = update.fact();
         self.check_updatable(fact)?;
         let present = self.db.contains(fact);
         if present == matches!(update, Update::Insert(_)) {
-            report.no_ops += 1;
+            batch.report.no_ops += 1;
             return Ok(());
         }
-        report.applied += 1;
+        batch.report.applied += 1;
         // From here on, a present fact is being retracted.
-        if present && self.mode == MaintenanceMode::Incremental {
-            self.flush(pending)?;
-            return self.retract_incremental(fact);
-        }
-        if pending.is_none() {
-            *pending = Some(self.runner.marks(&self.db));
-        }
-        if present {
-            self.db.remove(&fact.pred, &fact.values);
+        let begun = if present && self.mode == MaintenanceMode::Incremental {
+            self.flush(&mut batch.pending)?;
+            // No rule body reads a predicate outside `base_preds`: no
+            // derived fact can depend on its row.
+            if self.base_preds.contains(&fact.pred) {
+                Begun::Dred(self.overdelete(fact)?)
+            } else {
+                Begun::Plain
+            }
         } else {
-            self.db.insert_fact(fact);
+            if batch.pending.is_none() {
+                batch.pending = Some(self.runner.marks(&self.db));
+            }
+            Begun::Plain
+        };
+        if hand_back {
+            self.db.remove_relation(&fact.pred);
         }
+        batch.begun = Some(begun);
         Ok(())
+    }
+
+    /// The second half of a begun update: take the base write in — make it
+    /// in the view's own base facts, or adopt the relation it is in in the
+    /// catalog's `base`, an `Arc` clone sharing its storage — and finish a
+    /// delete-and-rederive.
+    pub(crate) fn end(
+        &mut self,
+        update: &Update,
+        batch: &mut Batch,
+        base: Option<&Database>,
+    ) -> Result<(), IncrError> {
+        let Some(begun) = batch.begun.take() else {
+            return Ok(());
+        };
+        let pred = &update.fact().pred;
+        match base.and_then(|base| base.relation(pred)) {
+            Some(relation) => self.db.insert_relation(pred.clone(), relation.clone()),
+            None => write_base(&mut self.db, update),
+        }
+        match begun {
+            Begun::Plain => Ok(()),
+            Begun::Dred(overdeleted) => self.rederive(overdeleted),
+        }
+    }
+
+    /// End a batch: propagate what it left pending and report it.
+    pub(crate) fn finish(&mut self, batch: &mut Batch) -> Result<ApplyReport, IncrError> {
+        self.flush(&mut batch.pending)?;
+        Ok(batch.report)
     }
 
     /// Propagate the base changes `pending` holds: resume the fixpoint
@@ -534,9 +608,7 @@ impl MaterializedView {
         let mut db = Database::new();
         for (pred, rel) in self.db.iter() {
             if !self.derived_preds.contains(pred) {
-                for row in rel.iter() {
-                    db.insert(pred.clone(), row);
-                }
+                db.insert_relation(pred.clone(), rel.clone());
             }
         }
         for (pred, rows) in &self.exogenous {
@@ -575,35 +647,11 @@ impl MaterializedView {
             .is_some_and(|rows| rows.contains(row))
     }
 
-    /// Reclaim tombstoned storage of `pred`'s relation once the dead-slot
-    /// share crosses a threshold.  Called between maintenance operations
-    /// only: compaction renumbers row ids, and fresh delta marks are taken
-    /// after it.
-    fn maybe_compact(&mut self, pred: &PredName) {
-        const MIN_TOMBSTONES: usize = 256;
-        if let Some(rel) = self.db.relation_mut_opt(pred) {
-            if rel.tombstones() >= MIN_TOMBSTONES && rel.tombstones() * 2 >= rel.watermark() {
-                rel.compact();
-            }
-        }
-    }
-
-    /// Retract a present base fact from an incremental view.
-    fn retract_incremental(&mut self, fact: &Fact) -> Result<(), IncrError> {
-        if self.base_preds.contains(&fact.pred) {
-            return self.retract_dred(fact);
-        }
-        // No rule body reads the predicate: no derived fact can depend on
-        // the row.
-        self.db.remove(&fact.pred, &fact.values);
-        self.maybe_compact(&fact.pred);
-        Ok(())
-    }
-
-    /// Delete-and-rederive: overdelete through the shadow program,
-    /// batch-remove, re-seed rows with surviving alternative derivations,
-    /// resume the fixpoint.
-    fn retract_dred(&mut self, fact: &Fact) -> Result<(), IncrError> {
+    /// Delete-and-rederive, first half: overdelete from `fact` — a base
+    /// fact being retracted or a withdrawn axiom — through the shadow
+    /// program, against the database before the deletion.
+    /// [`MaterializedView::rederive`] finishes once the fact is gone.
+    fn overdelete(&mut self, fact: &Fact) -> Result<Vec<Overdeleted>, IncrError> {
         if self.od.is_none() {
             self.od = Some(OdMachine::build(&self.program, self.limits));
         }
@@ -658,23 +706,25 @@ impl MaterializedView {
         for shadow in od.shadow.values() {
             self.db.remove_relation(shadow);
         }
+        Ok(overdeleted)
+    }
 
-        // 3. Physical removal: the retracted base fact plus the overdeleted
-        //    derived rows — a withdrawn axiom is one of those — (tombstone
-        //    marks; row ids stay valid until their own relation is
-        //    compacted).  Relations with enough dead slots are compacted
-        //    here, *before* the marks below are taken.
-        if !self.derived_preds.contains(&fact.pred) {
-            self.db.remove(&fact.pred, &fact.values);
-            self.maybe_compact(&fact.pred);
-        }
+    /// Delete-and-rederive, second half, once the retracted base fact is
+    /// gone: batch-remove the overdeleted rows, re-seed those with a
+    /// surviving alternative derivation, resume the fixpoint.
+    fn rederive(&mut self, overdeleted: Vec<Overdeleted>) -> Result<(), IncrError> {
+        // 3. Physical removal of the overdeleted derived rows — a
+        //    withdrawn axiom is one of those — (tombstone marks; row ids
+        //    stay valid until their own relation is compacted).  Relations
+        //    with enough dead slots are compacted here, *before* the marks
+        //    below are taken.
         for hit in &overdeleted {
             if let Some(rel) = self.db.relation_mut_opt(&hit.pred) {
                 for &id in &hit.ids {
                     rel.remove_id(id);
                 }
             }
-            self.maybe_compact(&hit.pred);
+            maybe_compact(&mut self.db, &hit.pred);
         }
 
         // 4. Re-derivation seeds: removed rows with at least one surviving
@@ -703,6 +753,15 @@ impl MaterializedView {
         }
         self.resume(marks)
     }
+}
+
+/// What [`MaterializedView::begin`] leaves for
+/// [`MaterializedView::end`] to finish once the base is written.
+enum Begun {
+    /// Nothing but the write.
+    Plain,
+    /// A delete-and-rederive: what its overdeletion reached.
+    Dred(Vec<Overdeleted>),
 }
 
 /// What one overdeletion pass reached in one derived predicate.

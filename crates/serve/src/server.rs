@@ -16,12 +16,13 @@
 //!   **only the views the batch moved**, once each, not the catalog.
 //!
 //! * **Writes are serialized through one writer.**  The writer thread
-//!   drains its queue in batches (one fixpoint re-entry per view per
-//!   batch via [`ViewCatalog::apply_all`], however many bindings read
-//!   the view), appends the batch to the write-ahead log, applies it to
-//!   the base database, maintains the views and publishes, and only
-//!   then acknowledges — so ack-after-publish and read-your-writes hold,
-//!   and the writer numbers every publish itself.
+//!   drains its queue in batches, decides against the catalog's base
+//!   which updates change state, appends those to the write-ahead log,
+//!   and only then applies them through [`ViewCatalog::apply_all`] —
+//!   one write to the one base, one fixpoint re-entry per view, however
+//!   many bindings read the view — publishes, and acknowledges — so
+//!   ack-after-publish and read-your-writes hold, and the writer
+//!   numbers every publish itself.
 //!
 //! * **Connections are pumped on readiness.**  An accept loop hands
 //!   each connection to one of a fixed pool of reader threads
@@ -71,8 +72,8 @@
 //!   unknown).  Reads are never shed.
 //!
 //! * **Durable failures degrade the server, they don't kill it.**  When
-//!   a WAL append or checkpoint fails, the writer rolls the un-logged
-//!   batch back, refuses its acks with `ERR DEGRADED …`, and flips
+//!   a WAL append or checkpoint fails, the writer leaves the un-logged
+//!   batch unapplied, refuses its acks with `ERR DEGRADED …`, and flips
 //!   read-only while a background probe retries on capped exponential
 //!   backoff (25ms → 2s).  Reads keep serving throughout; `STATS`
 //!   reports the state.
@@ -90,7 +91,7 @@ use crate::protocol::{
 };
 use crate::ready::{PollSet, Ready, Waker};
 use magic_core::planner::Strategy;
-use magic_datalog::{PredName, Program, Query, Value};
+use magic_datalog::{Fact, PredName, Program, Query, Value};
 use magic_durable::{ConnFault, DurableConfig, DurableError, DurableStore, FaultPlan};
 use magic_engine::{EvalStats, Limits};
 use magic_incr::{Update, ViewCatalog, ViewSnapshot};
@@ -169,8 +170,9 @@ pub struct ServeConfig {
     /// [`ViewCatalog::with_max_views`].
     pub max_views: usize,
     /// Idle lifetime of cached views (zero = no TTL): a binding no
-    /// query has touched for this long is evicted by the writer's
-    /// maintenance tick and re-materializes on next sight.  Composes
+    /// query has touched for this long is evicted by the writer's next
+    /// sweep — due every quarter TTL (10 ms to 1 s), whether the writer
+    /// is idle or busy — and re-materializes on next sight.  Composes
     /// with `max_views` — TTL bounds staleness in *time*, the cap in
     /// *count*.  See [`ViewCatalog::with_view_ttl`].
     pub view_ttl: Duration,
@@ -578,7 +580,6 @@ pub struct Server;
 struct WriterInit {
     rx: Receiver<WriterCmd>,
     catalog: ViewCatalog,
-    db: Database,
     store: Option<DurableStore>,
     /// Dropped once the thread is running; see [`Server::start`].
     started: Sender<()>,
@@ -588,11 +589,10 @@ impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
     /// `program` over `edb` until the returned handle is shut down.
     ///
-    /// The catalog starts empty: views materialize on demand as queries
-    /// arrive, each keyed by its adorned binding.  `edb` becomes the
-    /// authoritative base-fact database, maintained by every
-    /// acknowledged update and used to materialize late-arriving
-    /// bindings.
+    /// The catalog starts with no views: they materialize on demand as
+    /// queries arrive, each keyed by its adorned binding.  `edb` becomes
+    /// the catalog's base — the one copy of the base facts, which every
+    /// acknowledged update writes and every view shares.
     ///
     /// With [`ServeConfig::durability`] set, startup first runs
     /// recovery against the store directory — newest checkpoint load,
@@ -622,7 +622,7 @@ impl Server {
             .with_limits(config.limits)
             .with_max_views(config.max_views)
             .with_view_ttl(config.view_ttl);
-        let (catalog, db, store) = match &config.durability {
+        let (catalog, store) = match &config.durability {
             Some(durable) => {
                 let mut durable = durable.clone();
                 if durable.faults.is_none() {
@@ -632,9 +632,9 @@ impl Server {
                 let recovered = store
                     .recover(&program, catalog, &edb)
                     .map_err(durable_err)?;
-                (recovered.catalog, recovered.db, Some(store))
+                (recovered.catalog, Some(store))
             }
-            None => (catalog, edb, None),
+            None => (catalog.with_base(edb), None),
         };
 
         let (tx, rx) = channel();
@@ -689,7 +689,6 @@ impl Server {
         let init = WriterInit {
             rx,
             catalog,
-            db,
             store,
             started,
         };
@@ -805,27 +804,37 @@ impl DegradedCause {
     }
 }
 
+/// Read-only degraded mode: the durable operation that failed, and when
+/// the probe retries it next, on what backoff.
+struct Degraded {
+    cause: DegradedCause,
+    backoff: Duration,
+    next_probe: Instant,
+}
+
 /// Flip the server into read-only degraded mode (idempotent on the
 /// counters: re-entering while already degraded only updates the cause).
-fn enter_degraded(
-    shared: &Shared,
-    degraded_cause: &mut Option<DegradedCause>,
-    probe_backoff: &mut Duration,
-    next_probe: &mut Option<Instant>,
-    cause: DegradedCause,
-) {
-    if degraded_cause.is_none() {
+fn enter_degraded(shared: &Shared, degraded: &mut Option<Degraded>, cause: DegradedCause) {
+    if degraded.is_none() {
         shared.degraded.store(true, Ordering::Release);
         shared.degraded_entered.fetch_add(1, Ordering::Relaxed);
     }
-    *degraded_cause = Some(cause);
-    *probe_backoff = PROBE_BACKOFF_MIN;
-    *next_probe = Some(Instant::now() + *probe_backoff);
+    *degraded = Some(Degraded {
+        cause,
+        backoff: PROBE_BACKOFF_MIN,
+        next_probe: Instant::now() + PROBE_BACKOFF_MIN,
+    });
 }
 
-/// The maintenance writer: drains its queue in batches, applies updates
-/// to the base database and the views, materializes late bindings, and
-/// publishes a fresh snapshot after every change.
+/// The maintenance writer: drains its queue in batches, materializes
+/// late bindings, and per batch of updates decides which change state —
+/// against the catalog's base, read-only — logs those, and only then
+/// applies them through [`ViewCatalog::apply_all`], the one write to the
+/// one base.  Nothing moves in memory before the log accepted it, so a
+/// failed append leaves nothing to undo.  A TTL sweep and, while
+/// degraded, the durable-path probe run whenever due — after every
+/// command as after a timed-out wait — so neither a busy queue nor an
+/// idle one holds them off.
 ///
 /// Publishing is incremental (see [`Publisher`]): each publish cycle
 /// replaces only the bindings [`ViewCatalog::apply_all`] reported
@@ -841,7 +850,6 @@ fn writer_loop(
     let WriterInit {
         rx,
         mut catalog,
-        db: mut base_db,
         mut store,
         started,
     } = init;
@@ -861,11 +869,12 @@ fn writer_loop(
     if publisher.refresh(&catalog, &recovered) {
         publisher.publish(&catalog, version);
     }
-    // How often an idle writer wakes to sweep TTL-expired views: often
-    // enough that staleness past the deadline stays a small fraction
-    // of the TTL, bounded so tiny test TTLs don't busy-spin.
+    // How often the writer sweeps TTL-expired views, and when next:
+    // often enough that staleness past the deadline stays a small
+    // fraction of the TTL, bounded so tiny test TTLs don't busy-spin.
     let ttl_tick =
         view_ttl.map(|ttl| (ttl / 4).clamp(Duration::from_millis(10), Duration::from_secs(1)));
+    let mut next_sweep = ttl_tick.map(|tick| Instant::now() + tick);
     // Arities the program declares; facts that disagree with the program
     // or with a stored relation are rejected before they can reach
     // storage (whose insert path treats a wrong-arity row as a caller
@@ -879,102 +888,66 @@ fn writer_loop(
     // are refused and a probe retries the failing operation on a capped
     // exponential backoff.  Owned by the writer; mirrored to the shared
     // `degraded` flag for the connection-side front-door check.
-    let mut degraded_cause: Option<DegradedCause> = None;
-    let mut probe_backoff = PROBE_BACKOFF_MIN;
-    let mut next_probe: Option<Instant> = None;
-    'main: loop {
-        // While degraded, bound the blocking receive by the time until
-        // the next probe so recovery is never starved by an idle queue.
-        let probe_wait = next_probe.map(|at| {
-            at.saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(5))
-        });
-        let tick = match (probe_wait, ttl_tick) {
-            (Some(p), Some(t)) => Some(p.min(t)),
-            (Some(p), None) => Some(p),
-            (None, t) => t,
-        };
+    let mut degraded: Option<Degraded> = None;
+    loop {
+        // Wait for a command, but no later than the nearest due duty.
+        let next_probe = degraded.as_ref().map(|d| d.next_probe);
+        let due = next_probe.into_iter().chain(next_sweep).min();
         let cmd: Option<WriterCmd> = match deferred.take() {
             Some(cmd) => Some(cmd),
-            None => match tick {
-                None => match rx.recv() {
+            None => {
+                let received = match due {
+                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                };
+                match received {
                     Ok(cmd) => {
                         shared.note_pop(&cmd);
                         Some(cmd)
                     }
-                    Err(_) => break, // every sender is gone
-                },
-                Some(tick) => match rx.recv_timeout(tick) {
-                    Ok(cmd) => {
-                        shared.note_pop(&cmd);
-                        Some(cmd)
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break 'main,
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Idle maintenance: sweep views past their TTL.
-                        // Eviction is never an error — a dropped
-                        // binding re-materializes from `base_db` on
-                        // next sight.  (The probe, the other idle duty,
-                        // runs at the bottom of the loop body.)
-                        catalog.evict_expired();
-                        if publisher.refresh(&catalog, &[]) {
-                            version += 1;
-                            publisher.publish(&catalog, version);
-                        }
-                        None
-                    }
-                },
-            },
+                    Err(RecvTimeoutError::Disconnected) => break, // every sender is gone
+                    Err(RecvTimeoutError::Timeout) => None,
+                }
+            }
         };
         match cmd {
             None => {}
             Some(WriterCmd::Shutdown) => break,
             Some(WriterCmd::Materialize { query, reply }) => {
                 // First sight of a binding: the first of a program builds
-                // its view over `base_db`, the rest add their seed to it.
-                match catalog.materialize_keyed(&shared.program, &query, &base_db) {
-                    // A cache hit (two connections racing the first sight
-                    // of one binding) changes nothing — the published
-                    // snapshot already contains the binding.
-                    Ok((key, false)) => reply.send(Ok(key)),
-                    Ok((key, true)) => {
-                        // Materializing may also have evicted cold
-                        // bindings past the `max_views` cap; `refresh`
-                        // drops those.
-                        publisher.refresh(&catalog, std::slice::from_ref(&key));
-                        version += 1;
-                        publisher.publish(&catalog, version);
-                        // Under a pathologically tiny `max_views` the
-                        // eviction sweep can claw back the very binding
-                        // just materialized; that is an answerable error
-                        // (the client's retry loop re-materializes), never
-                        // a writer panic.
-                        reply.send(if catalog.contains(&key) {
-                            Ok(key)
-                        } else {
-                            Err(format!(
-                                "view {key} was evicted immediately after \
-                                 materialization (max_views is too small for \
-                                 the working set); retry"
-                            ))
-                        });
-                    }
-                    Err(e) => {
-                        // A seed its view could not take costs that view
-                        // the bindings it had.
-                        if publisher.refresh(&catalog, &[]) {
-                            version += 1;
-                            publisher.publish(&catalog, version);
-                        }
-                        reply.send(Err(e.to_string()));
-                    }
+                // its view over the catalog's base, the rest add their seed
+                // to it.  A cache hit (two connections racing the first
+                // sight of one binding) changes nothing.  A fresh binding
+                // may have evicted cold ones past the `max_views` cap, and
+                // a seed its view could not take costs that view the
+                // bindings it had; `refresh` drops those.
+                let result = catalog.materialize_keyed(&shared.program, &query);
+                let fresh = match &result {
+                    Ok((key, true)) => std::slice::from_ref(key),
+                    _ => &[],
+                };
+                if publisher.refresh(&catalog, fresh) {
+                    version += 1;
+                    publisher.publish(&catalog, version);
                 }
+                // Under a pathologically tiny `max_views` the eviction
+                // sweep can claw back the very binding just materialized;
+                // that is an answerable error (the client's retry loop
+                // re-materializes), never a writer panic.
+                reply.send(match result {
+                    Ok((key, _)) if catalog.contains(&key) => Ok(key),
+                    Ok((key, _)) => Err(format!(
+                        "view {key} was evicted immediately after materialization \
+                         (max_views is too small for the working set); retry"
+                    )),
+                    Err(e) => Err(e.to_string()),
+                });
             }
-            Some(WriterCmd::Update { update: _, reply }) if degraded_cause.is_some() => {
+            Some(WriterCmd::Update { update: _, reply }) if degraded.is_some() => {
                 // The front door refuses updates while degraded, but a
                 // command already queued when the flag rose races past
                 // it and lands here; refuse it truthfully too.
-                let cause = degraded_cause.expect("guard checked");
+                let cause = degraded.as_ref().expect("guard checked").cause;
                 reply.send(Err(format!(
                     "DEGRADED read-only: the last {} failed; updates are refused \
                      until a background probe restores the durable path",
@@ -1003,24 +976,24 @@ fn writer_loop(
                         Err(_) => break,
                     }
                 }
-                // Apply to the base database, validating each fact's
-                // arity *at application time* — against the database as
-                // the batch has mutated it so far, falling back to the
-                // program's declared arity.  (A single pre-pass would
-                // miss two same-batch inserts of a brand new predicate
-                // at different arities, and storage treats a
-                // wrong-arity row as a caller bug and panics.)
-                // Mismatches are answered immediately and dropped; the
-                // base database then decides which survivors are state
-                // changes — no-ops are acknowledged but never reach the
-                // views.
+                // Decide which updates change state: against the catalog's
+                // base, read-only, under an overlay of what earlier updates
+                // of the batch did to a fact or gave a new predicate as its
+                // arity.  A fact whose arity disagrees with the stored
+                // relation, the overlay or the program is answered at once
+                // and dropped (storage treats a wrong-arity row as a caller
+                // bug and panics); a no-op is acknowledged but neither
+                // logged nor applied.
+                let base = catalog.base();
+                let mut touched: HashMap<Fact, bool> = HashMap::new();
+                let mut new_arities: HashMap<PredName, usize> = HashMap::new();
                 let mut changed: Vec<Update> = Vec::new();
                 let mut acks: Vec<(Reply<UpdateResult>, bool)> = Vec::new();
                 for (update, reply) in batch {
                     let fact = update.fact();
-                    let expected = base_db
-                        .relation(&fact.pred)
-                        .map(|rel| rel.arity())
+                    let stored = base.relation(&fact.pred).map(|rel| rel.arity());
+                    let expected = stored
+                        .or_else(|| new_arities.get(&fact.pred).copied())
                         .or_else(|| declared_arities.get(&fact.pred).copied());
                     if let Some(arity) = expected {
                         if arity != fact.arity() {
@@ -1033,53 +1006,40 @@ fn writer_loop(
                             continue;
                         }
                     }
-                    let is_change = match &update {
-                        Update::Insert(f) => base_db.insert_fact(f),
-                        Update::Retract(f) => base_db.remove_fact(f),
-                    };
+                    let inserting = matches!(update, Update::Insert(_));
+                    let present = touched
+                        .get(fact)
+                        .copied()
+                        .unwrap_or_else(|| base.contains(fact));
+                    let is_change = present != inserting;
                     if is_change {
+                        if stored.is_none() {
+                            new_arities.insert(fact.pred.clone(), fact.arity());
+                        }
+                        touched.insert(fact.clone(), inserting);
                         changed.push(update);
                     }
                     acks.push((reply, is_change));
                 }
-                // Write-ahead: the batch must be on the log *before* its
-                // snapshot publishes and its clients are acked — "OK
-                // applied" promises the write survives a crash.  If the
-                // log itself fails, the failed append is scrubbed from
-                // the log (see [`DurableStore::log_batch`]) and the batch
-                // is rolled back out of the base database — exact
-                // inverses in reverse order, sound because `changed`
-                // holds only state-changers.  Memory, disk and the
-                // refusal acks then agree: the batch never happened.
-                // The views never see it, and the server enters
-                // read-only degraded mode.
+                // Write-ahead: the batch is logged *before* memory moves —
+                // "OK applied" promises the write survives a crash.  A
+                // failed append is scrubbed off the log (see
+                // [`DurableStore::log_batch`]) and nothing was applied, so
+                // memory, disk and the refusal acks agree that the batch
+                // never happened; the server turns read-only.
                 let mut log_failure: Option<String> = None;
-                if !changed.is_empty() {
-                    if let Some(store) = store.as_mut() {
-                        if let Err(e) = store.log_batch(&changed) {
-                            for u in changed.iter().rev() {
-                                match u {
-                                    Update::Insert(f) => {
-                                        base_db.remove_fact(f);
-                                    }
-                                    Update::Retract(f) => {
-                                        base_db.insert_fact(f);
-                                    }
-                                }
-                            }
-                            log_failure = Some(e.to_string());
-                        }
-                        shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
+                if let Some(store) = store.as_mut().filter(|_| !changed.is_empty()) {
+                    if let Err(e) = store.log_batch(&changed) {
+                        log_failure = Some(e.to_string());
                     }
+                    shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
                 }
                 if log_failure.is_none() && !changed.is_empty() {
-                    // Each view is maintained once, whatever the number
-                    // of bindings reading it.  A view whose maintenance
-                    // fails is evicted by `apply_all` with its bindings
-                    // (they re-materialize from `base_db` on next sight),
-                    // so the batch is never half-applied: every surviving
-                    // view and the base database agree on the same update
-                    // prefix, and the acknowledgments below stay truthful.
+                    // One write to the base, one maintenance per view.  A
+                    // view whose maintenance fails is evicted with its
+                    // bindings (they re-materialize on next sight), so every
+                    // surviving view agrees with the base and the acks stay
+                    // truthful.
                     let outcome = catalog.apply_all(&changed);
                     publisher.refresh(&catalog, &outcome.changed);
                     version += 1;
@@ -1096,17 +1056,11 @@ fn writer_loop(
                         "magic-serve: WAL append failed, entering read-only degraded \
                          mode: {detail}"
                     );
-                    enter_degraded(
-                        &shared,
-                        &mut degraded_cause,
-                        &mut probe_backoff,
-                        &mut next_probe,
-                        DegradedCause::Wal,
-                    );
+                    enter_degraded(&shared, &mut degraded, DegradedCause::Wal);
                     for (reply, _) in acks {
                         reply.send(Err(format!(
                             "DEGRADED update refused: WAL append failed ({detail}); \
-                             the batch was rolled back and the server is read-only \
+                             the batch was not applied and the server is read-only \
                              until the durable path recovers"
                         )));
                     }
@@ -1118,88 +1072,75 @@ fn writer_loop(
                 // Checkpoint *after* acking: the cadence check rides
                 // the batch that crossed it, but clients never wait
                 // on a whole-database freeze.
-                if log_failure.is_none() {
-                    if let Some(store) = store.as_mut() {
-                        if store.should_checkpoint() {
-                            match store.checkpoint(&base_db, &catalog.export_bindings()) {
-                                Ok(()) => {
-                                    shared
-                                        .last_checkpoint_seq
-                                        .store(store.last_checkpoint_seq(), Ordering::Relaxed);
-                                }
-                                Err(e) => {
-                                    // The WAL is intact and every ack
-                                    // sent was honest — durability still
-                                    // holds, recovery just replays a
-                                    // longer tail.  But a store that
-                                    // cannot checkpoint is sick (disk
-                                    // full, permissions), so enter
-                                    // degraded mode and let the probe
-                                    // retry on backoff rather than
-                                    // piling more acked writes onto an
-                                    // unbounded WAL tail.
-                                    eprintln!(
-                                        "magic-serve: checkpoint failed, entering \
-                                         read-only degraded mode: {e}"
-                                    );
-                                    enter_degraded(
-                                        &shared,
-                                        &mut degraded_cause,
-                                        &mut probe_backoff,
-                                        &mut next_probe,
-                                        DegradedCause::Checkpoint,
-                                    );
-                                }
-                            }
-                            shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
+                let due = log_failure.is_none()
+                    && store.as_ref().is_some_and(DurableStore::should_checkpoint);
+                if let Some(store) = store.as_mut().filter(|_| due) {
+                    match store.checkpoint(catalog.base(), &catalog.export_bindings()) {
+                        Ok(()) => shared
+                            .last_checkpoint_seq
+                            .store(store.last_checkpoint_seq(), Ordering::Relaxed),
+                        Err(e) => {
+                            // The WAL is intact and every ack sent was
+                            // honest — durability still holds, recovery
+                            // just replays a longer tail.  But a store
+                            // that cannot checkpoint is sick (disk full,
+                            // permissions), so enter degraded mode and let
+                            // the probe retry on backoff rather than piling
+                            // more acked writes onto an unbounded WAL tail.
+                            eprintln!(
+                                "magic-serve: checkpoint failed, entering \
+                                 read-only degraded mode: {e}"
+                            );
+                            enter_degraded(&shared, &mut degraded, DegradedCause::Checkpoint);
                         }
                     }
+                    shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
                 }
+            }
+        }
+        // TTL sweep, when due.  Eviction is never an error — a dropped
+        // binding re-materializes from the base on next sight.
+        if let (Some(tick), Some(at)) = (ttl_tick, next_sweep) {
+            if Instant::now() >= at {
+                catalog.evict_expired();
+                if publisher.refresh(&catalog, &[]) {
+                    version += 1;
+                    publisher.publish(&catalog, version);
+                }
+                next_sweep = Some(Instant::now() + tick);
             }
         }
         // Degraded-mode probe: when due, retry the failing durable
         // operation; on success clear the flag and resume accepting
-        // updates, on failure back off (capped exponential).  Checked
-        // after every command *and* on idle ticks, so neither a busy
-        // read path nor an empty queue can starve recovery.
-        if let Some(cause) = degraded_cause {
-            let due = next_probe.is_none_or(|at| Instant::now() >= at);
-            if due {
-                if let Some(store) = store.as_mut() {
-                    let outcome = match cause {
-                        DegradedCause::Wal => store.probe(),
-                        DegradedCause::Checkpoint => {
-                            store.checkpoint(&base_db, &catalog.export_bindings())
-                        }
-                    };
-                    match outcome {
-                        Ok(()) => {
-                            eprintln!(
-                                "magic-serve: durable path recovered ({} probe \
-                                 succeeded); leaving degraded mode",
-                                cause.noun()
-                            );
-                            degraded_cause = None;
-                            next_probe = None;
-                            probe_backoff = PROBE_BACKOFF_MIN;
-                            shared.degraded.store(false, Ordering::Release);
-                            shared
-                                .last_checkpoint_seq
-                                .store(store.last_checkpoint_seq(), Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            next_probe = Some(Instant::now() + probe_backoff);
-                            probe_backoff = (probe_backoff * 2).min(PROBE_BACKOFF_MAX);
-                        }
+        // updates, on failure back off (capped exponential).  Only a
+        // store's failure degrades the server, so there is one to probe.
+        if let (Some(d), Some(store)) = (degraded.as_mut(), store.as_mut()) {
+            if Instant::now() >= d.next_probe {
+                let outcome = match d.cause {
+                    DegradedCause::Wal => store.probe(),
+                    DegradedCause::Checkpoint => {
+                        store.checkpoint(catalog.base(), &catalog.export_bindings())
                     }
-                    shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
-                } else {
-                    // No store: degraded mode is unreachable, but be
-                    // safe and self-heal rather than probing forever.
-                    degraded_cause = None;
-                    next_probe = None;
-                    shared.degraded.store(false, Ordering::Release);
+                };
+                match outcome {
+                    Ok(()) => {
+                        eprintln!(
+                            "magic-serve: durable path recovered ({} probe \
+                             succeeded); leaving degraded mode",
+                            d.cause.noun()
+                        );
+                        degraded = None;
+                        shared.degraded.store(false, Ordering::Release);
+                        shared
+                            .last_checkpoint_seq
+                            .store(store.last_checkpoint_seq(), Ordering::Relaxed);
+                    }
+                    Err(_) => {
+                        d.next_probe = Instant::now() + d.backoff;
+                        d.backoff = (d.backoff * 2).min(PROBE_BACKOFF_MAX);
+                    }
                 }
+                shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
             }
         }
     }

@@ -7,6 +7,7 @@ use magic_serve::{ClientError, PipeClient, ServeConfig, Server, ServerHandle};
 use magic_storage::Database;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn ancestor_server() -> ServerHandle {
     let program = parse_program(
@@ -301,5 +302,39 @@ fn strict_limits_surface_as_errors_not_hangs() {
     let err = client.query("anc(n0, Y)").unwrap_err();
     assert!(matches!(err, ClientError::Server(_)), "got: {err}");
     client.ping().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn ttl_sweeps_run_while_updates_keep_the_writer_busy() {
+    // An update every few milliseconds never lets the writer wait out a
+    // sweep interval (a quarter TTL, at least 10 ms); the binding idle
+    // past its TTL must be evicted all the same.
+    let program = parse_program(
+        "anc(X, Y) :- par(X, Y).
+         anc(X, Y) :- par(X, Z), anc(Z, Y).",
+    )
+    .unwrap();
+    let mut db = Database::new();
+    for (a, b) in [("a", "b"), ("b", "c"), ("c", "d")] {
+        db.insert_pair("par", a, b);
+    }
+    let config = ServeConfig {
+        view_ttl: Duration::from_millis(40),
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(program, db, "127.0.0.1:0", config).unwrap();
+    let mut client = PipeClient::connect(server.addr()).unwrap();
+    assert_eq!(client.query("anc(a, Y)").unwrap().rows.len(), 3);
+    let start = Instant::now();
+    let mut i = 0;
+    while start.elapsed() < Duration::from_millis(300) {
+        assert!(client.insert(&format!("par(x{i}, y{i})")).unwrap().applied);
+        i += 1;
+        std::thread::sleep(Duration::from_millis(3));
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.views, 0, "idle past its TTL: {:?}", stats.per_view);
+    assert_eq!(stats.views_evicted, 1);
     server.shutdown();
 }

@@ -99,8 +99,8 @@ fn hex(name: &str, bytes: &[u8]) -> String {
     out
 }
 
-/// Apply a batch to `db` the way the serve writer does, keeping only the
-/// state-changing updates, and log those.
+/// Mirror a batch's state-changing updates into `db` — the ones the serve
+/// writer would log — and log those.
 fn apply_and_log(store: &mut DurableStore, db: &mut Database, batch: &[Update]) {
     let changed: Vec<Update> = batch
         .iter()
@@ -127,7 +127,8 @@ fn store_leg() -> String {
     let recovered = store
         .recover(&program, ViewCatalog::new(Strategy::MagicSets), &seed)
         .expect("recover fresh store");
-    let (mut db, mut catalog) = (recovered.db, recovered.catalog);
+    let mut catalog = recovered.catalog;
+    let mut db = catalog.base().clone();
     let nested = app(
         "f",
         vec![
@@ -189,7 +190,7 @@ fn store_leg() -> String {
             &Database::new(),
         )
         .expect("recover the written store");
-    assert_eq!(recovered.db, db);
+    assert_eq!(recovered.catalog.base(), &db);
     assert_eq!(recovered.replayed_frames, 2);
     assert_eq!(recovered.rebuilt_views, ["anc_bf[bf](mary)@gms"]);
     let _ = fs::remove_dir_all(&dir);

@@ -14,11 +14,14 @@
 //! after **every** step of a seeded random interleaving of base
 //! inserts/retracts, materializations of new bindings and evictions of old
 //! ones — and every derived row of the shared view must keep a one-step
-//! derivation or be a seed (`verify_support`).  The named tests below pin the edge cases.
+//! derivation or be a seed (`verify_support`).  The catalog's one copy of
+//! the base facts must equal the mirror the harness keeps, and every live
+//! view must hold exactly those facts under every predicate it does not
+//! own.  The named tests below pin the edge cases.
 
 use power_of_magic::engine::answers::project_answers;
 use power_of_magic::incr::{MaterializedView, Update, ViewCatalog};
-use power_of_magic::lang::{Atom, Fact, Rule, Term, Value};
+use power_of_magic::lang::{Atom, Fact, PredName, Rule, Term, Value};
 use power_of_magic::workloads::{
     chain, cycle, list_term, node, programs, same_generation_grid, SgConfig, SplitMix64,
 };
@@ -52,7 +55,9 @@ impl Harness {
         Harness {
             strategy,
             program,
-            catalog: ViewCatalog::new(strategy).with_max_views(max_views),
+            catalog: ViewCatalog::new(strategy)
+                .with_max_views(max_views)
+                .with_base(edb.clone()),
             edb,
             solos: BTreeMap::new(),
         }
@@ -96,13 +101,35 @@ impl Harness {
 
     /// Every live binding: shared view ≡ single-binding view ≡ from
     /// scratch, live and through a snapshot; every shared view's derived
-    /// rows are founded.
+    /// rows are founded.  The copies agree: the catalog's base is the
+    /// mirror, and every live view holds the base under each predicate it
+    /// neither derives nor has program facts or its binding's seed in.
     fn check(&self, label: &str) {
         assert_eq!(
             self.catalog.len(),
             self.solos.len(),
             "{label}: live bindings"
         );
+        let base = self.catalog.base();
+        let facts = |db: &Database| db.facts().collect::<BTreeSet<Fact>>();
+        assert_eq!(facts(base), facts(&self.edb), "{label}: base != mirror");
+        for (key, solo) in &self.solos {
+            let view = self.catalog.view(key).expect("a live binding has a view");
+            let heads = view.program().rules.iter().map(|r| r.head.pred.clone());
+            let mut owned: BTreeSet<PredName> = heads.collect();
+            let seed = solo.plan.rewritten.as_ref().and_then(|r| r.seed.as_ref());
+            owned.extend(seed.map(|s| s.pred.clone()));
+            let db = view.database();
+            let preds: BTreeSet<&PredName> = base.predicates().chain(db.predicates()).collect();
+            for pred in preds.into_iter().filter(|p| !owned.contains(*p)) {
+                let rows = |db: &Database| {
+                    db.relation(pred)
+                        .map(|rel| rel.iter().collect::<BTreeSet<_>>())
+                        .unwrap_or_default()
+                };
+                assert_eq!(rows(db), rows(base), "{label}: {key}: {pred} != base");
+            }
+        }
         for (key, solo) in &self.solos {
             let shared = self.catalog.answers(key).expect("a live binding answers");
             let twin: Answers = project_answers(
@@ -440,7 +467,7 @@ fn a_changed_program_rematerializes_only_the_binding_that_asked() {
     assert_eq!(catalog.materialized(), 1);
     // `a` is asked again under new rules: it moves to the new program's
     // view; `b` keeps reading the old one until it is asked again.
-    let (ka2, fresh) = catalog.materialize_keyed(&v2, &qa, &edb).unwrap();
+    let (ka2, fresh) = catalog.materialize_keyed(&v2, &qa).unwrap();
     assert!(fresh && ka2 == ka);
     assert_eq!((catalog.len(), catalog.materialized()), (2, 2));
     assert_eq!(catalog.answers(&ka).unwrap().len(), 3);
@@ -448,7 +475,7 @@ fn a_changed_program_rematerializes_only_the_binding_that_asked() {
     catalog.apply_all(&[Update::Insert(pair("par", "d", "e"))]);
     assert_eq!(catalog.answers(&ka).unwrap().len(), 4);
     assert_eq!(catalog.answers(&kb).unwrap().len(), 1);
-    let (_, fresh) = catalog.materialize_keyed(&v2, &qb, &edb).unwrap();
+    let (_, fresh) = catalog.materialize_keyed(&v2, &qb).unwrap();
     assert!(fresh);
     assert_eq!((catalog.len(), catalog.materialized()), (2, 1));
     assert_eq!(catalog.answers(&kb).unwrap().len(), 3);
