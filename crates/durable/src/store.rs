@@ -43,6 +43,7 @@ use magic_storage::Database;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// On-disk file names inside a store directory.
 const CHECKPOINT_FILE: &str = "checkpoint.bin";
@@ -221,7 +222,10 @@ impl DurableStore {
             let Ok(query) = parse_query(text) else {
                 continue;
             };
-            if catalog.materialize_keyed(program, &query).is_ok() {
+            if catalog
+                .materialize_keyed(program, &query, Instant::now())
+                .is_ok()
+            {
                 rebuilt_views.push(key.clone());
             }
         }

@@ -302,10 +302,12 @@ impl ViewCatalog {
         edb: &Database,
     ) -> Result<String, CatalogError> {
         self.base.get_or_insert_with(|| edb.clone());
-        self.materialize_keyed(program, query).map(|(key, _)| key)
+        self.materialize_keyed(program, query, Instant::now())
+            .map(|(key, _)| key)
     }
 
-    /// [`ViewCatalog::materialize`] over the catalog's base, additionally
+    /// [`ViewCatalog::materialize`] over the catalog's base at `now` (what
+    /// the TTL measures the binding's idle time from), additionally
     /// reporting whether the binding was (re)made: `false` means a cache
     /// hit on a live binding and an unchanged catalog — the serving layer
     /// then skips publishing.
@@ -317,16 +319,17 @@ impl ViewCatalog {
         &mut self,
         program: &Program,
         query: &Query,
+        now: Instant,
     ) -> Result<(String, bool), CatalogError> {
         let mut plan = self.plan(program, query)?;
         let key = self.key_of(&plan, query);
         let seed = take_seed(&mut plan);
         let program = &plan.program;
         self.clock += 1;
-        let now = self.clock;
+        let tick = self.clock;
         if let Some(binding) = self.bindings.get_mut(&key) {
-            binding.last_used = now;
-            binding.last_used_at = Instant::now();
+            binding.last_used = tick;
+            binding.last_used_at = now;
             if self.views[&binding.view].view.program() == program {
                 return Ok((key, false));
             }
@@ -375,15 +378,15 @@ impl ViewCatalog {
             seed,
             answer_atom: plan.answer_atom,
             projection: plan.projection,
-            last_used: now,
-            last_used_at: Instant::now(),
+            last_used: tick,
+            last_used_at: now,
             query_text: query.atom.to_string(),
         };
         self.bindings.insert(key.clone(), binding);
         // TTL expiry first (age-based), then the count cap: the binding
         // just touched carries a fresh timestamp on both scales, so it
         // survives either pass.
-        self.evict_expired();
+        self.evict_expired(now);
         self.evict_cold();
         Ok((key, true))
     }
@@ -440,17 +443,17 @@ impl ViewCatalog {
         self.bindings.retain(|_, binding| binding.view != id);
     }
 
-    /// Drop every binding whose last request is older than the
+    /// Drop every binding whose last request is older, at `now`, than the
     /// [`ViewCatalog::with_view_ttl`] window; returns the evicted keys.
     /// A no-op (returning nothing) when no TTL is configured.
-    pub fn evict_expired(&mut self) -> Vec<String> {
+    pub fn evict_expired(&mut self, now: Instant) -> Vec<String> {
         let Some(ttl) = self.view_ttl else {
             return Vec::new();
         };
         let expired: Vec<String> = self
             .bindings
             .iter()
-            .filter(|(_, b)| b.last_used_at.elapsed() > ttl)
+            .filter(|(_, b)| now.saturating_duration_since(b.last_used_at) > ttl)
             .map(|(k, _)| k.clone())
             .collect();
         for key in &expired {
@@ -715,7 +718,9 @@ mod tests {
         // The surviving view saw the whole batch.
         assert_eq!(catalog.answers(&ka).unwrap().len(), 2);
         // The evicted binding re-materializes on next sight.
-        let (kb2, fresh) = catalog.materialize_keyed(&prog_b, &qb).unwrap();
+        let (kb2, fresh) = catalog
+            .materialize_keyed(&prog_b, &qb, Instant::now())
+            .unwrap();
         assert_eq!(kb, kb2);
         assert!(fresh);
         assert_eq!(catalog.len(), 2);
@@ -765,7 +770,9 @@ mod tests {
         db.insert_pair("par", "a", "b");
         let mut catalog = ViewCatalog::new(Strategy::SemiNaiveBottomUp).with_base(db);
         let query = parse_query("anc(z, Y)").unwrap();
-        let (key, _) = catalog.materialize_keyed(&program, &query).unwrap();
+        let (key, _) = catalog
+            .materialize_keyed(&program, &query, Instant::now())
+            .unwrap();
         assert_eq!(catalog.answers(&key).unwrap().len(), 2);
         let edge = Fact::plain("par", vec![Value::sym("b"), Value::sym("c")]);
         let outcome = catalog.apply_all(&[Update::Insert(edge.clone())]);
@@ -805,7 +812,7 @@ mod tests {
         // The evicted binding re-materializes on next sight (and evicts in
         // turn).
         let (kb2, fresh) = catalog
-            .materialize_keyed(&program, &parse_query("anc(b, Y)").unwrap())
+            .materialize_keyed(&program, &parse_query("anc(b, Y)").unwrap(), Instant::now())
             .unwrap();
         assert_eq!(kb, kb2);
         assert!(fresh);
@@ -820,39 +827,35 @@ mod tests {
         db.insert_pair("par", "b", "c");
         db.insert_pair("par", "c", "d");
         let mut catalog = ViewCatalog::new(Strategy::MagicSets)
+            .with_base(db)
             .with_view_ttl(Duration::from_millis(30))
             .with_max_views(2);
-        let ka = catalog
-            .materialize(&program, &parse_query("anc(a, Y)").unwrap(), &db)
-            .unwrap();
-        let kb = catalog
-            .materialize(&program, &parse_query("anc(b, Y)").unwrap(), &db)
-            .unwrap();
+        let materialize = |catalog: &mut ViewCatalog, text: &str, now: Instant| {
+            let query = parse_query(text).unwrap();
+            catalog.materialize_keyed(&program, &query, now).unwrap()
+        };
+        let start = Instant::now();
+        let (ka, _) = materialize(&mut catalog, "anc(a, Y)", start);
+        let (kb, _) = materialize(&mut catalog, "anc(b, Y)", start);
         // Within the TTL nothing expires.
-        assert!(catalog.evict_expired().is_empty());
-        std::thread::sleep(Duration::from_millis(40));
+        assert!(catalog.evict_expired(start).is_empty());
+        let later = start + Duration::from_millis(40);
         // Re-request `a` to keep it warm; `b` goes stale.
-        catalog
-            .materialize(&program, &parse_query("anc(a, Y)").unwrap(), &db)
-            .unwrap();
-        let expired = catalog.evict_expired();
+        materialize(&mut catalog, "anc(a, Y)", later);
+        let expired = catalog.evict_expired(later);
         assert_eq!(expired, vec![kb.clone()]);
         assert!(catalog.contains(&ka));
         assert!(!catalog.contains(&kb));
         // Expiry also runs inside materialize: let `a` go cold, then
         // materialize a fresh binding — the stale one is dropped even
         // though the count cap alone would have kept both.
-        std::thread::sleep(Duration::from_millis(40));
-        let kc = catalog
-            .materialize(&program, &parse_query("anc(c, Y)").unwrap(), &db)
-            .unwrap();
+        let later = later + Duration::from_millis(40);
+        let (kc, _) = materialize(&mut catalog, "anc(c, Y)", later);
         assert!(catalog.contains(&kc));
         assert!(!catalog.contains(&ka));
         assert_eq!(catalog.len(), 1);
         // An expired binding is not an error: it re-materializes.
-        let (ka2, fresh) = catalog
-            .materialize_keyed(&program, &parse_query("anc(a, Y)").unwrap())
-            .unwrap();
+        let (ka2, fresh) = materialize(&mut catalog, "anc(a, Y)", later);
         assert_eq!(ka, ka2);
         assert!(fresh);
     }
@@ -918,8 +921,12 @@ mod tests {
         let mut db = Database::new();
         db.insert_pair("par", "a", "b");
         let mut catalog = ViewCatalog::new(Strategy::MagicSets).with_base(db);
-        let (k1, fresh1) = catalog.materialize_keyed(&program, &query).unwrap();
-        let (k2, fresh2) = catalog.materialize_keyed(&program, &query).unwrap();
+        let (k1, fresh1) = catalog
+            .materialize_keyed(&program, &query, Instant::now())
+            .unwrap();
+        let (k2, fresh2) = catalog
+            .materialize_keyed(&program, &query, Instant::now())
+            .unwrap();
         assert_eq!(k1, k2);
         assert!(fresh1);
         assert!(!fresh2);

@@ -73,6 +73,7 @@ pub mod client;
 pub mod protocol;
 mod ready;
 pub mod server;
+mod writer;
 
 pub use client::{ClientError, PipeClient, QueryReply, UpdateAck};
 pub use protocol::{Frame, Request, ServerStats, Sniff, ViewStats, BINARY_MAGIC};

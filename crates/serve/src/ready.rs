@@ -348,4 +348,119 @@ mod tests {
         assert_eq!(set.wait(Some(Duration::from_micros(300))).unwrap(), 0);
         assert!(started.elapsed() >= Duration::from_micros(300));
     }
+
+    /// One step of the model in [`lost_wake_up`].
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Sender: the reply's channel changes — `Reply::send` queues the
+        /// value, a dropped `Reply` disconnects; `try_recv` sees either.
+        Finish,
+        /// Sender, [`Waker::wake`]: swap `pending` up…
+        Swap,
+        /// …and write a byte if it was down.
+        Write,
+        /// Sleeper: take a finished reply, if any.
+        TryRecv,
+        /// Sleeper: block until a byte is pending.
+        Poll,
+        /// Sleeper, [`Waker::drain`]: read every byte…
+        Read,
+        /// …and lower `pending`.
+        Lower,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct Model {
+        /// Sender steps taken, and whether its last swap found `pending` up.
+        sent: usize,
+        was_up: bool,
+        /// The sleeper's next step; `None` once it has every reply.
+        sleeper: Option<usize>,
+        pending: bool,
+        bytes: u32,
+        /// Replies finished and not yet taken, and taken.
+        queued: u32,
+        taken: u32,
+    }
+
+    /// Explore every sequentially consistent interleaving of one sender
+    /// finishing two replies (`sender`, repeated) and one sleeper running
+    /// a reader's loop (`sleeper`), from no wake outstanding and from one
+    /// not yet drained.  Returns a state where the sender is done and the
+    /// sleeper is blocked in `poll` with a reply waiting — a lost wake-up.
+    fn lost_wake_up(sender: [Step; 3], sleeper: [Step; 4]) -> Option<Model> {
+        const REPLIES: u32 = 2;
+        let idle = Model {
+            sent: 0,
+            was_up: false,
+            sleeper: Some(0),
+            pending: false,
+            bytes: 0,
+            queued: 0,
+            taken: 0,
+        };
+        let mut todo = vec![
+            idle,
+            Model {
+                pending: true,
+                bytes: 1,
+                ..idle
+            },
+        ];
+        let mut seen = std::collections::HashSet::new();
+        while let Some(m) = todo.pop() {
+            if !seen.insert(m) {
+                continue;
+            }
+            let mut next = Vec::new();
+            if m.sent < sender.len() * REPLIES as usize {
+                let mut n = Model {
+                    sent: m.sent + 1,
+                    ..m
+                };
+                match sender[m.sent % sender.len()] {
+                    Step::Finish => n.queued += 1,
+                    Step::Swap => (n.was_up, n.pending) = (m.pending, true),
+                    Step::Write => n.bytes += u32::from(!m.was_up),
+                    step => unreachable!("{step:?} is a sleeper step"),
+                }
+                next.push(n);
+            }
+            // `poll` with no byte pending blocks: no step.
+            let blocked = |at: usize| matches!(sleeper[at], Step::Poll) && m.bytes == 0;
+            if let Some(at) = m.sleeper.filter(|&at| !blocked(at)) {
+                let mut n = Model {
+                    sleeper: Some((at + 1) % sleeper.len()),
+                    ..m
+                };
+                match sleeper[at] {
+                    Step::TryRecv if m.queued > 0 => {
+                        (n.queued, n.taken) = (m.queued - 1, m.taken + 1);
+                        n.sleeper = (n.taken < REPLIES).then_some(0);
+                    }
+                    Step::TryRecv | Step::Poll => {}
+                    Step::Read => n.bytes = 0,
+                    Step::Lower => n.pending = false,
+                    step => unreachable!("{step:?} is a sender step"),
+                }
+                next.push(n);
+            }
+            if next.is_empty() && m.sleeper.is_some() {
+                return Some(m);
+            }
+            todo.extend(next);
+        }
+        None
+    }
+
+    #[test]
+    fn no_interleaving_of_a_reply_and_a_reader_loses_the_wake_up() {
+        use Step::*;
+        let (sender, sleeper) = ([Finish, Swap, Write], [TryRecv, Poll, Read, Lower]);
+        assert_eq!(lost_wake_up(sender, sleeper), None);
+        // The model does see one when the order breaks: waking before the
+        // channel changed, or lowering the flag before reading the byte.
+        assert!(lost_wake_up([Swap, Write, Finish], sleeper).is_some());
+        assert!(lost_wake_up(sender, [TryRecv, Poll, Lower, Read]).is_some());
+    }
 }

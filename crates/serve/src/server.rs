@@ -4,25 +4,23 @@
 //! # Concurrency model
 //!
 //! * **Readers never block on maintenance.**  The writer keeps one
-//!   frozen [`ViewSnapshot`] per cached binding and publishes the set
-//!   behind an immutable [`Arc`] after every applied batch; a
-//!   connection answering a query takes the published `Arc` (one brief
-//!   mutex lock to clone the pointer, never held across any evaluation)
-//!   and reads answers out of the frozen snapshot for its key.  Every
-//!   binding of one rewritten program is a magic seed of the same
-//!   maintained view (see [`magic_incr::catalog`]), and its snapshot
-//!   shares that view's one copy-on-write database clone (pure pointer
-//!   bumps — see [`magic_storage::cow_clones`]), so a publish re-freezes
-//!   **only the views the batch moved**, once each, not the catalog.
+//!   frozen [`ViewSnapshot`] per cached binding and publishes the set,
+//!   with its counters, behind one immutable [`Arc`]; a connection
+//!   takes that `Arc` (one brief mutex lock to clone the pointer) and
+//!   reads answers out of the frozen snapshot for its key.  Every
+//!   binding of one rewritten program is a magic seed of the same view
+//!   (see [`magic_incr::catalog`]) and shares its one copy-on-write
+//!   database clone, so a publish re-freezes **only the views the batch
+//!   moved**, once each.
 //!
-//! * **Writes are serialized through one writer.**  The writer thread
-//!   drains its queue in batches, decides against the catalog's base
-//!   which updates change state, appends those to the write-ahead log,
-//!   and only then applies them through [`ViewCatalog::apply_all`] —
-//!   one write to the one base, one fixpoint re-entry per view, however
-//!   many bindings read the view — publishes, and acknowledges — so
-//!   ack-after-publish and read-your-writes hold, and the writer
-//!   numbers every publish itself.
+//! * **Writes are serialized through one writer.**  The writer is a
+//!   clock-free state machine (`writer.rs`) in a thin thread: the
+//!   thread drains its queue in batches and runs one turn per batch —
+//!   decide against the catalog's base which updates change state, log
+//!   those, apply them through [`ViewCatalog::apply_all`] (one write to
+//!   the one base, one fixpoint re-entry per view), then publish, then
+//!   acknowledge, then run whatever duty is due — so ack-after-publish
+//!   and read-your-writes hold, and the writer numbers every publish.
 //!
 //! * **Connections are pumped on readiness.**  An accept loop hands
 //!   each connection to one of a fixed pool of reader threads
@@ -56,12 +54,10 @@
 //!   from the fresh snapshot.
 //!
 //! * **Durability is optional.**  With [`ServeConfig::durability`] set,
-//!   the writer logs every batch to the WAL *before* publishing (`OK
-//!   applied` means *logged and published*) and checkpoints on the
-//!   configured cadence.  Startup recovers — checkpoint load,
-//!   re-materialization of the exported bindings (the first binding of
-//!   a program builds its view, the rest add a seed), WAL-tail replay
-//!   through maintenance — before the listener accepts a connection.
+//!   `OK applied` means *logged and published*, checkpoints follow the
+//!   configured cadence, and startup recovers (checkpoint load,
+//!   re-materialized bindings, WAL-tail replay) before the listener
+//!   accepts a connection.
 //!
 //! * **Overload sheds, it never queues without bound.**  The writer
 //!   queue carries an atomic depth gauge; at
@@ -71,12 +67,11 @@
 //!   [`ServeConfig::writer_deadline`] (`ERR TIMEOUT …` = outcome
 //!   unknown).  Reads are never shed.
 //!
-//! * **Durable failures degrade the server, they don't kill it.**  When
-//!   a WAL append or checkpoint fails, the writer leaves the un-logged
-//!   batch unapplied, refuses its acks with `ERR DEGRADED …`, and flips
-//!   read-only while a background probe retries on capped exponential
-//!   backoff (25ms → 2s).  Reads keep serving throughout; `STATS`
-//!   reports the state.
+//! * **Durable failures degrade the server, they don't kill it.**  A
+//!   failed WAL append leaves its batch unapplied and refused with `ERR
+//!   DEGRADED …`; after it or a failed checkpoint the server is
+//!   read-only until a probe on capped exponential backoff (25ms → 2s)
+//!   succeeds.  Reads keep serving; `STATS` reports the state.
 //!
 //! Every published snapshot is a program fixpoint over a prefix of the
 //! applied update sequence, so responses are transactionally
@@ -90,13 +85,14 @@ use crate::protocol::{
     Request, ServerStats, Sniff, ViewStats, BINARY_MAGIC,
 };
 use crate::ready::{PollSet, Ready, Waker};
+use crate::writer::{Answer, Command, Event, Snapshot, Writer};
 use magic_core::planner::Strategy;
-use magic_datalog::{Fact, PredName, Program, Query, Value};
+use magic_datalog::{PredName, Program, Query, Value};
 use magic_durable::{ConnFault, DurableConfig, DurableError, DurableStore, FaultPlan};
-use magic_engine::{EvalStats, Limits};
+use magic_engine::Limits;
 use magic_incr::{Update, ViewCatalog, ViewSnapshot};
 use magic_storage::Database;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,13 +106,9 @@ use std::time::{Duration, Instant};
 /// simple; clients treat it as a floor for their own backoff.
 const BUSY_RETRY_AFTER_MS: u64 = 100;
 
-/// First retry delay after entering degraded mode; doubles per failed
-/// probe up to [`PROBE_BACKOFF_MAX`].
-const PROBE_BACKOFF_MIN: Duration = Duration::from_millis(25);
-
-/// Cap on the degraded-mode probe backoff: even a long outage is
-/// re-checked at least every couple of seconds.
-const PROBE_BACKOFF_MAX: Duration = Duration::from_secs(2);
+/// Most commands the writer drains into one step (and thus one
+/// published snapshot).
+const BATCH_MAX: usize = 256;
 
 /// Upper bound on one request line; longer input is a protocol error.
 const MAX_LINE: usize = 1 << 20;
@@ -161,9 +153,6 @@ pub struct ServeConfig {
     pub strategy: Strategy,
     /// Evaluation limits applied to every view.
     pub limits: Limits,
-    /// Maximum updates coalesced into one maintenance batch (and thus one
-    /// published snapshot).
-    pub batch_max: usize,
     /// Cap on cached views (0 = unbounded): past it, the catalog
     /// evicts the least-recently-queried binding, which then
     /// re-materializes on next sight.  See
@@ -222,7 +211,6 @@ impl Default for ServeConfig {
         ServeConfig {
             strategy: Strategy::MagicSets,
             limits: Limits::default(),
-            batch_max: 256,
             max_views: 0,
             view_ttl: Duration::ZERO,
             durability: None,
@@ -232,64 +220,6 @@ impl Default for ServeConfig {
             reader_threads: 0,
             faults: None,
         }
-    }
-}
-
-/// An immutable published state: one frozen [`ViewSnapshot`] per cached
-/// binding, at one version.  Unchanged entries share their `Arc` with the
-/// previous snapshot — republishing is O(changed bindings) — and every
-/// binding of one view shares that view's frozen database.
-#[derive(Default)]
-struct Snapshot {
-    version: u64,
-    views: BTreeMap<String, Arc<ViewSnapshot>>,
-    /// The catalog's maintained fixpoints at this publish, how many of
-    /// them recompute on update, and their summed metrics: a view many
-    /// bindings read is counted once.
-    materialized: u64,
-    recompute_views: u64,
-    totals: EvalStats,
-}
-
-/// The writer's half of publishing: the frozen per-binding snapshots it
-/// last handed to readers, kept in step with its catalog.
-struct Publisher<'a> {
-    shared: &'a Shared,
-    published: BTreeMap<String, Arc<ViewSnapshot>>,
-}
-
-impl Publisher<'_> {
-    /// Re-freeze the bindings a catalog operation reported `changed` (all
-    /// bindings of one view get the same copy-on-write clone) and drop the
-    /// ones the catalog no longer holds, whichever way it lost them —
-    /// failed maintenance, TTL, the `max_views` cap; they re-materialize
-    /// on next sight.  Entries of untouched bindings keep their `Arc`.
-    /// Returns whether anything differed.
-    fn refresh(&mut self, catalog: &ViewCatalog, changed: &[String]) -> bool {
-        let before = self.published.len();
-        self.published.retain(|key, _| catalog.contains(key));
-        let dropped = before - self.published.len();
-        self.shared
-            .views_evicted
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        for key in changed {
-            if let Some(snap) = catalog.snapshot_view(key) {
-                self.published.insert(key.clone(), Arc::new(snap));
-            }
-        }
-        dropped > 0 || !changed.is_empty()
-    }
-
-    /// Hand readers the current map (one `Arc` bump per binding) as
-    /// `version`.
-    fn publish(&self, catalog: &ViewCatalog, version: u64) {
-        *self.shared.published.lock().expect("publish lock") = Arc::new(Snapshot {
-            version,
-            views: self.published.clone(),
-            materialized: catalog.materialized() as u64,
-            recompute_views: catalog.recompute_views() as u64,
-            totals: catalog.aggregate_stats(),
-        });
     }
 }
 
@@ -336,27 +266,11 @@ impl<T> Drop for Reply<T> {
 
 /// A rendered response and the published version it was rendered at.
 type CachedResponse = (u64, Arc<[u8]>);
-/// Outcome of an update: Ok((state-changed, published version)) or the
-/// rejection message.
-type UpdateResult = Result<(bool, u64), String>;
-/// Outcome of a materialization: the binding key, or why not.
-type MaterializeResult = Result<String, String>;
 
-/// Commands on the writer's queue.
+/// Commands on the writer's queue: one to run, answered through its
+/// reply once the snapshot it depends on is live, or stop.
 enum WriterCmd {
-    /// Apply one update; acknowledge with (state-changed, published
-    /// version) once the containing snapshot is live.
-    Update {
-        update: Update,
-        reply: Reply<UpdateResult>,
-    },
-    /// Plan and materialize a view for `query`; acknowledge with the
-    /// binding key once the snapshot containing it is live.
-    Materialize {
-        query: Query,
-        reply: Reply<MaterializeResult>,
-    },
-    /// Stop the writer thread.
+    Run(Command, Reply<Answer>),
     Shutdown,
 }
 
@@ -369,7 +283,8 @@ struct Shared {
     limits: Limits,
     /// The writer's command queue.
     tx: Sender<WriterCmd>,
-    /// The snapshot the writer last published.
+    /// The snapshot the writer last published: the views and everything
+    /// else readers learn from the writer.
     published: Mutex<Arc<Snapshot>>,
     /// Commands currently in flight to the writer (enqueued but not yet
     /// popped).  Incremented *before* the channel send so the gauge can
@@ -381,16 +296,6 @@ struct Shared {
     shed_updates: AtomicU64,
     /// Writer round-trips that exceeded the deadline.
     deadline_misses: AtomicU64,
-    /// Read-only degraded mode: set by the writer when the durable path
-    /// (WAL append or checkpoint) fails, cleared when a background probe
-    /// proves it healthy again.
-    degraded: AtomicBool,
-    /// Times the writer has *entered* degraded mode (lifetime count).
-    degraded_entered: AtomicU64,
-    /// Mirror of [`DurableStore::wal_bytes`].
-    wal_bytes: AtomicU64,
-    /// Mirror of [`DurableStore::last_checkpoint_seq`].
-    last_checkpoint_seq: AtomicU64,
     /// Memoized query-text → binding-key translation (one plan per
     /// distinct query text, server-wide).
     key_cache: Mutex<HashMap<String, String>>,
@@ -415,12 +320,7 @@ struct Shared {
     /// `reader_wakeups`).
     reader_wakeups: AtomicU64,
     queries_served: AtomicU64,
-    updates_applied: AtomicU64,
     connections: AtomicU64,
-    /// Views evicted because their maintenance failed (see
-    /// [`magic_incr::ViewCatalog::apply_all`]) or because they idled
-    /// past the view TTL; surfaced in `STATS`.
-    views_evicted: AtomicU64,
     /// Response writes that failed (client gone mid-response); the
     /// connection is closed and the failure counted, never ignored.
     write_errors: AtomicU64,
@@ -452,15 +352,6 @@ impl Shared {
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         }
         sent
-    }
-
-    /// Book-keeping for a command the writer popped off its queue: each
-    /// one [`Shared::send`] counted leaves the depth gauge here, once.
-    /// `Shutdown` is the server's own and was never counted.
-    fn note_pop(&self, cmd: &WriterCmd) {
-        if !matches!(cmd, WriterCmd::Shutdown) {
-            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
     }
 
     /// The cached rendered response for `(key, version)`, if the cache
@@ -509,10 +400,6 @@ impl Shared {
             .with_limits(self.limits)
             .binding_key(&self.program, query)
             .map_err(|e| e.to_string())
-    }
-
-    fn slot_deadline(&self) -> Option<Instant> {
-        (!self.writer_deadline.is_zero()).then(|| Instant::now() + self.writer_deadline)
     }
 
     fn record_batch(&self, decoded: usize) {
@@ -575,15 +462,6 @@ pub struct ServerHandle {
 
 /// Namespace for [`Server::start`].
 pub struct Server;
-
-/// Everything the writer owns, handed to its thread at spawn.
-struct WriterInit {
-    rx: Receiver<WriterCmd>,
-    catalog: ViewCatalog,
-    store: Option<DurableStore>,
-    /// Dropped once the thread is running; see [`Server::start`].
-    started: Sender<()>,
-}
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
@@ -659,12 +537,6 @@ impl Server {
             queue_depth: AtomicU64::new(0),
             shed_updates: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            degraded_entered: AtomicU64::new(0),
-            wal_bytes: AtomicU64::new(store.as_ref().map_or(0, DurableStore::wal_bytes)),
-            last_checkpoint_seq: AtomicU64::new(
-                store.as_ref().map_or(0, DurableStore::last_checkpoint_seq),
-            ),
             key_cache: Mutex::new(HashMap::new()),
             response_cache: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -672,9 +544,7 @@ impl Server {
             reader_wakers,
             reader_wakeups: AtomicU64::new(0),
             queries_served: AtomicU64::new(0),
-            updates_applied: AtomicU64::new(0),
             connections: AtomicU64::new(0),
-            views_evicted: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
             inflight_requests: AtomicU64::new(0),
             batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -684,18 +554,15 @@ impl Server {
             faults,
         });
 
-        let view_ttl = (config.view_ttl > Duration::ZERO).then_some(config.view_ttl);
         let (started, started_rx) = channel();
-        let init = WriterInit {
-            rx,
-            catalog,
-            store,
-            started,
-        };
         let writer_shared = Arc::clone(&shared);
         let writer_thread = std::thread::Builder::new()
             .name("magic-serve-writer".into())
-            .spawn(move || writer_loop(writer_shared, init, config.batch_max, view_ttl))?;
+            .spawn(move || {
+                let program = writer_shared.program.clone();
+                let writer = Writer::new(program, catalog, store, config.view_ttl, Instant::now());
+                run_writer(&writer_shared, rx, writer, started);
+            })?;
 
         // The writer takes its malloc arena before any other thread of
         // this server exists.  glibc hands a new thread the arena of the
@@ -746,11 +613,6 @@ impl ServerHandle {
         self.shared.queries_served.load(Ordering::Relaxed)
     }
 
-    /// State-changing updates applied and published so far.
-    pub fn updates_applied(&self) -> u64 {
-        self.shared.updates_applied.load(Ordering::Relaxed)
-    }
-
     /// Stop front to back and join every thread: the accept loop, then
     /// the reader pool (which drops its connections), then the writer.
     /// The writer therefore outlives every thread that can still hand it
@@ -783,373 +645,47 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Which durable operation failed — and therefore what the degraded-mode
-/// probe retries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DegradedCause {
-    /// A WAL append or fsync failed; the probe heals the log tail and
-    /// proves an empty append round-trips.
-    Wal,
-    /// A checkpoint failed (acked state is still WAL-safe); the probe
-    /// retries the checkpoint.
-    Checkpoint,
-}
-
-impl DegradedCause {
-    fn noun(self) -> &'static str {
-        match self {
-            DegradedCause::Wal => "WAL append",
-            DegradedCause::Checkpoint => "checkpoint",
-        }
-    }
-}
-
-/// Read-only degraded mode: the durable operation that failed, and when
-/// the probe retries it next, on what backoff.
-struct Degraded {
-    cause: DegradedCause,
-    backoff: Duration,
-    next_probe: Instant,
-}
-
-/// Flip the server into read-only degraded mode (idempotent on the
-/// counters: re-entering while already degraded only updates the cause).
-fn enter_degraded(shared: &Shared, degraded: &mut Option<Degraded>, cause: DegradedCause) {
-    if degraded.is_none() {
-        shared.degraded.store(true, Ordering::Release);
-        shared.degraded_entered.fetch_add(1, Ordering::Relaxed);
-    }
-    *degraded = Some(Degraded {
-        cause,
-        backoff: PROBE_BACKOFF_MIN,
-        next_probe: Instant::now() + PROBE_BACKOFF_MIN,
-    });
-}
-
-/// The maintenance writer: drains its queue in batches, materializes
-/// late bindings, and per batch of updates decides which change state —
-/// against the catalog's base, read-only — logs those, and only then
-/// applies them through [`ViewCatalog::apply_all`], the one write to the
-/// one base.  Nothing moves in memory before the log accepted it, so a
-/// failed append leaves nothing to undo.  A TTL sweep and, while
-/// degraded, the durable-path probe run whenever due — after every
-/// command as after a timed-out wait — so neither a busy queue nor an
-/// idle one holds them off.
-///
-/// Publishing is incremental (see [`Publisher`]): each publish cycle
-/// replaces only the bindings [`ViewCatalog::apply_all`] reported
-/// changed (plus drops for evicted bindings and inserts for fresh
-/// ones).  The map clone handed to readers bumps one `Arc` per binding;
-/// no view data is copied for views the batch did not move.
-fn writer_loop(
-    shared: Arc<Shared>,
-    init: WriterInit,
-    batch_max: usize,
-    view_ttl: Option<Duration>,
-) {
-    let WriterInit {
-        rx,
-        mut catalog,
-        mut store,
-        started,
-    } = init;
-    // The version of the last publish: this writer numbers every one.
-    let mut version: u64 = 0;
-    let mut publisher = Publisher {
-        shared: &shared,
-        published: BTreeMap::new(),
-    };
-    // Recovery may have handed us a warm catalog (re-materialized from
-    // a checkpoint's exported bindings).  Publish those bindings up
-    // front: a reader whose first query hits a recovered binding goes
-    // through the materialize path, gets a cache hit (`fresh == false`,
-    // so no publish happens there) and then reads the snapshot — which
-    // must therefore already contain the binding.
-    let recovered: Vec<String> = catalog.keys().map(String::from).collect();
-    if publisher.refresh(&catalog, &recovered) {
-        publisher.publish(&catalog, version);
-    }
-    // How often the writer sweeps TTL-expired views, and when next:
-    // often enough that staleness past the deadline stays a small
-    // fraction of the TTL, bounded so tiny test TTLs don't busy-spin.
-    let ttl_tick =
-        view_ttl.map(|ttl| (ttl / 4).clamp(Duration::from_millis(10), Duration::from_secs(1)));
-    let mut next_sweep = ttl_tick.map(|tick| Instant::now() + tick);
-    // Arities the program declares; facts that disagree with the program
-    // or with a stored relation are rejected before they can reach
-    // storage (whose insert path treats a wrong-arity row as a caller
-    // bug and panics).
-    let declared_arities = shared.program.predicate_arities().unwrap_or_default();
+/// The writer thread, a shell around the [`Writer`] machine: wait for a
+/// command no later than [`Writer::due`], drain up to [`BATCH_MAX`] more,
+/// and run one [`Writer::turn`] — publish, then replies, then duties.
+/// Commands queued behind `Shutdown` are dropped unanswered, which wakes
+/// their readers.
+fn run_writer(shared: &Shared, rx: Receiver<WriterCmd>, mut writer: Writer, started: Sender<()>) {
+    let publish = |snapshot| *shared.published.lock().expect("publish lock") = snapshot;
+    publish(writer.snapshot());
     // Running, and past this thread's first allocation.
     drop(started);
-    // A command popped out of a batch drain that must be handled next.
-    let mut deferred: Option<WriterCmd> = None;
-    // Degraded mode: while `Some`, the durable path is broken — updates
-    // are refused and a probe retries the failing operation on a capped
-    // exponential backoff.  Owned by the writer; mirrored to the shared
-    // `degraded` flag for the connection-side front-door check.
-    let mut degraded: Option<Degraded> = None;
-    loop {
-        // Wait for a command, but no later than the nearest due duty.
-        let next_probe = degraded.as_ref().map(|d| d.next_probe);
-        let due = next_probe.into_iter().chain(next_sweep).min();
-        let cmd: Option<WriterCmd> = match deferred.take() {
-            Some(cmd) => Some(cmd),
-            None => {
-                let received = match due {
-                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-                    None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                };
-                match received {
-                    Ok(cmd) => {
-                        shared.note_pop(&cmd);
-                        Some(cmd)
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break, // every sender is gone
-                    Err(RecvTimeoutError::Timeout) => None,
-                }
-            }
+    let mut stop = false;
+    while !stop {
+        let received = match writer.due() {
+            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-        match cmd {
-            None => {}
-            Some(WriterCmd::Shutdown) => break,
-            Some(WriterCmd::Materialize { query, reply }) => {
-                // First sight of a binding: the first of a program builds
-                // its view over the catalog's base, the rest add their seed
-                // to it.  A cache hit (two connections racing the first
-                // sight of one binding) changes nothing.  A fresh binding
-                // may have evicted cold ones past the `max_views` cap, and
-                // a seed its view could not take costs that view the
-                // bindings it had; `refresh` drops those.
-                let result = catalog.materialize_keyed(&shared.program, &query);
-                let fresh = match &result {
-                    Ok((key, true)) => std::slice::from_ref(key),
-                    _ => &[],
-                };
-                if publisher.refresh(&catalog, fresh) {
-                    version += 1;
-                    publisher.publish(&catalog, version);
+        let mut next = match received {
+            Ok(cmd) => Some(cmd),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => break, // every sender is gone
+        };
+        let mut commands = Vec::new();
+        while let Some(cmd) = next.take() {
+            match cmd {
+                // Leaves the depth gauge [`Shared::send`] counted it in.
+                WriterCmd::Run(command, reply) => {
+                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    commands.push((reply, command));
                 }
-                // Under a pathologically tiny `max_views` the eviction
-                // sweep can claw back the very binding just materialized;
-                // that is an answerable error (the client's retry loop
-                // re-materializes), never a writer panic.
-                reply.send(match result {
-                    Ok((key, _)) if catalog.contains(&key) => Ok(key),
-                    Ok((key, _)) => Err(format!(
-                        "view {key} was evicted immediately after materialization \
-                         (max_views is too small for the working set); retry"
-                    )),
-                    Err(e) => Err(e.to_string()),
-                });
+                WriterCmd::Shutdown => stop = true,
             }
-            Some(WriterCmd::Update { update: _, reply }) if degraded.is_some() => {
-                // The front door refuses updates while degraded, but a
-                // command already queued when the flag rose races past
-                // it and lands here; refuse it truthfully too.
-                let cause = degraded.as_ref().expect("guard checked").cause;
-                reply.send(Err(format!(
-                    "DEGRADED read-only: the last {} failed; updates are refused \
-                     until a background probe restores the durable path",
-                    cause.noun()
-                )));
-            }
-            Some(WriterCmd::Update { update, reply }) => {
-                // Batch: greedily drain more queued updates (writes are
-                // serialized anyway, and coalescing insertions lets each
-                // view run one fixpoint re-entry for the whole batch).
-                let mut batch = vec![(update, reply)];
-                while batch.len() < batch_max {
-                    match rx.try_recv() {
-                        Ok(cmd) => {
-                            shared.note_pop(&cmd);
-                            match cmd {
-                                WriterCmd::Update { update, reply } => {
-                                    batch.push((update, reply));
-                                }
-                                other => {
-                                    deferred = Some(other);
-                                    break;
-                                }
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-                // Decide which updates change state: against the catalog's
-                // base, read-only, under an overlay of what earlier updates
-                // of the batch did to a fact or gave a new predicate as its
-                // arity.  A fact whose arity disagrees with the stored
-                // relation, the overlay or the program is answered at once
-                // and dropped (storage treats a wrong-arity row as a caller
-                // bug and panics); a no-op is acknowledged but neither
-                // logged nor applied.
-                let base = catalog.base();
-                let mut touched: HashMap<Fact, bool> = HashMap::new();
-                let mut new_arities: HashMap<PredName, usize> = HashMap::new();
-                let mut changed: Vec<Update> = Vec::new();
-                let mut acks: Vec<(Reply<UpdateResult>, bool)> = Vec::new();
-                for (update, reply) in batch {
-                    let fact = update.fact();
-                    let stored = base.relation(&fact.pred).map(|rel| rel.arity());
-                    let expected = stored
-                        .or_else(|| new_arities.get(&fact.pred).copied())
-                        .or_else(|| declared_arities.get(&fact.pred).copied());
-                    if let Some(arity) = expected {
-                        if arity != fact.arity() {
-                            reply.send(Err(format!(
-                                "arity mismatch: {} is stored with arity {arity}, \
-                                 fact has arity {}",
-                                fact.pred,
-                                fact.arity()
-                            )));
-                            continue;
-                        }
-                    }
-                    let inserting = matches!(update, Update::Insert(_));
-                    let present = touched
-                        .get(fact)
-                        .copied()
-                        .unwrap_or_else(|| base.contains(fact));
-                    let is_change = present != inserting;
-                    if is_change {
-                        if stored.is_none() {
-                            new_arities.insert(fact.pred.clone(), fact.arity());
-                        }
-                        touched.insert(fact.clone(), inserting);
-                        changed.push(update);
-                    }
-                    acks.push((reply, is_change));
-                }
-                // Write-ahead: the batch is logged *before* memory moves —
-                // "OK applied" promises the write survives a crash.  A
-                // failed append is scrubbed off the log (see
-                // [`DurableStore::log_batch`]) and nothing was applied, so
-                // memory, disk and the refusal acks agree that the batch
-                // never happened; the server turns read-only.
-                let mut log_failure: Option<String> = None;
-                if let Some(store) = store.as_mut().filter(|_| !changed.is_empty()) {
-                    if let Err(e) = store.log_batch(&changed) {
-                        log_failure = Some(e.to_string());
-                    }
-                    shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
-                }
-                if log_failure.is_none() && !changed.is_empty() {
-                    // One write to the base, one maintenance per view.  A
-                    // view whose maintenance fails is evicted with its
-                    // bindings (they re-materialize on next sight), so every
-                    // surviving view agrees with the base and the acks stay
-                    // truthful.
-                    let outcome = catalog.apply_all(&changed);
-                    publisher.refresh(&catalog, &outcome.changed);
-                    version += 1;
-                    publisher.publish(&catalog, version);
-                    shared
-                        .updates_applied
-                        .fetch_add(changed.len() as u64, Ordering::Relaxed);
-                }
-                // Enter degraded mode *before* the refusal acks go out:
-                // a client that saw `ERR DEGRADED` must already find
-                // the flag raised when it asks `STATS`.
-                if let Some(detail) = &log_failure {
-                    eprintln!(
-                        "magic-serve: WAL append failed, entering read-only degraded \
-                         mode: {detail}"
-                    );
-                    enter_degraded(&shared, &mut degraded, DegradedCause::Wal);
-                    for (reply, _) in acks {
-                        reply.send(Err(format!(
-                            "DEGRADED update refused: WAL append failed ({detail}); \
-                             the batch was not applied and the server is read-only \
-                             until the durable path recovers"
-                        )));
-                    }
-                } else {
-                    for (reply, applied) in acks {
-                        reply.send(Ok((applied, version)));
-                    }
-                }
-                // Checkpoint *after* acking: the cadence check rides
-                // the batch that crossed it, but clients never wait
-                // on a whole-database freeze.
-                let due = log_failure.is_none()
-                    && store.as_ref().is_some_and(DurableStore::should_checkpoint);
-                if let Some(store) = store.as_mut().filter(|_| due) {
-                    match store.checkpoint(catalog.base(), &catalog.export_bindings()) {
-                        Ok(()) => shared
-                            .last_checkpoint_seq
-                            .store(store.last_checkpoint_seq(), Ordering::Relaxed),
-                        Err(e) => {
-                            // The WAL is intact and every ack sent was
-                            // honest — durability still holds, recovery
-                            // just replays a longer tail.  But a store
-                            // that cannot checkpoint is sick (disk full,
-                            // permissions), so enter degraded mode and let
-                            // the probe retry on backoff rather than piling
-                            // more acked writes onto an unbounded WAL tail.
-                            eprintln!(
-                                "magic-serve: checkpoint failed, entering \
-                                 read-only degraded mode: {e}"
-                            );
-                            enter_degraded(&shared, &mut degraded, DegradedCause::Checkpoint);
-                        }
-                    }
-                    shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
-                }
+            if !stop && commands.len() < BATCH_MAX {
+                next = rx.try_recv().ok();
             }
         }
-        // TTL sweep, when due.  Eviction is never an error — a dropped
-        // binding re-materializes from the base on next sight.
-        if let (Some(tick), Some(at)) = (ttl_tick, next_sweep) {
-            if Instant::now() >= at {
-                catalog.evict_expired();
-                if publisher.refresh(&catalog, &[]) {
-                    version += 1;
-                    publisher.publish(&catalog, version);
-                }
-                next_sweep = Some(Instant::now() + tick);
-            }
-        }
-        // Degraded-mode probe: when due, retry the failing durable
-        // operation; on success clear the flag and resume accepting
-        // updates, on failure back off (capped exponential).  Only a
-        // store's failure degrades the server, so there is one to probe.
-        if let (Some(d), Some(store)) = (degraded.as_mut(), store.as_mut()) {
-            if Instant::now() >= d.next_probe {
-                let outcome = match d.cause {
-                    DegradedCause::Wal => store.probe(),
-                    DegradedCause::Checkpoint => {
-                        store.checkpoint(catalog.base(), &catalog.export_bindings())
-                    }
-                };
-                match outcome {
-                    Ok(()) => {
-                        eprintln!(
-                            "magic-serve: durable path recovered ({} probe \
-                             succeeded); leaving degraded mode",
-                            d.cause.noun()
-                        );
-                        degraded = None;
-                        shared.degraded.store(false, Ordering::Release);
-                        shared
-                            .last_checkpoint_seq
-                            .store(store.last_checkpoint_seq(), Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        d.next_probe = Instant::now() + d.backoff;
-                        d.backoff = (d.backoff * 2).min(PROBE_BACKOFF_MAX);
-                    }
-                }
-                shared.wal_bytes.store(store.wal_bytes(), Ordering::Relaxed);
-            }
-        }
+        writer.turn(commands, Instant::now(), |event| match event {
+            Event::Publish(snapshot) => publish(snapshot),
+            Event::Reply(reply, answer) => reply.send(answer),
+        });
     }
-    // Clean exit: push whatever the fsync policy deferred to disk, so a
-    // graceful shutdown under `FsyncPolicy::Never`/`EveryN` loses
-    // nothing even to a machine crash right after.
-    if let Some(store) = store.as_mut() {
-        let _ = store.sync();
-    }
+    writer.close();
 }
 
 /// A connection on its way from the accept loop to a reader thread.
@@ -1323,17 +859,13 @@ enum SlotState {
     /// with the response cache on a hit, never copied before the send
     /// buffer.
     Ready(Arc<[u8]>),
-    /// An update in flight to the writer.
-    AwaitUpdate {
-        rx: Receiver<UpdateResult>,
+    /// A command in flight to the writer: an update, or a first-sight
+    /// query waiting for its view to materialize (with its attempt
+    /// number).
+    Await {
+        rx: Receiver<Answer>,
         deadline: Option<Instant>,
-    },
-    /// A first-sight query waiting for its view to materialize.
-    AwaitMaterialize {
-        rx: Receiver<MaterializeResult>,
-        query: Query,
-        attempts: u32,
-        deadline: Option<Instant>,
+        query: Option<(Query, u32)>,
     },
 }
 
@@ -1410,8 +942,7 @@ impl Conn {
             .iter()
             .filter_map(|slot| match slot.state {
                 SlotState::Ready(_) => None,
-                SlotState::AwaitUpdate { deadline, .. }
-                | SlotState::AwaitMaterialize { deadline, .. } => deadline,
+                SlotState::Await { deadline, .. } => deadline,
             })
             .chain(stuck_write)
             .min()
@@ -1700,26 +1231,28 @@ fn start_query(shared: &Shared, wake: &Arc<Waker>, query: Query) -> SlotState {
         // The writer's materialize path is idempotent for live bindings
         // and rebuilds evicted ones.
     }
-    issue_materialize(shared, wake, query, 1)
+    let command = Command::Materialize(query.clone());
+    issue(shared, wake, command, Some((query, 1)))
 }
 
-/// Park a query on the writer's materialize path (attempt `attempts` of
-/// 3 — materialize-then-read can race an eviction, and each retry
-/// rebuilds from the current base facts).
-fn issue_materialize(shared: &Shared, wake: &Arc<Waker>, query: Query, attempts: u32) -> SlotState {
+/// Queue `command` for the writer and park the slot on its reply.  A
+/// query's materialize is attempt `attempts` of 3: materialize-then-read
+/// can race an eviction, and each retry rebuilds from the current base.
+fn issue(
+    shared: &Shared,
+    wake: &Arc<Waker>,
+    command: Command,
+    query: Option<(Query, u32)>,
+) -> SlotState {
     let (reply, rx) = Reply::channel(wake);
-    let cmd = WriterCmd::Materialize {
-        query: query.clone(),
-        reply,
-    };
-    if !shared.send(cmd) {
+    if !shared.send(WriterCmd::Run(command, reply)) {
         return ready_err("server is shutting down");
     }
-    SlotState::AwaitMaterialize {
+    SlotState::Await {
         rx,
+        deadline: (!shared.writer_deadline.is_zero())
+            .then(|| Instant::now() + shared.writer_deadline),
         query,
-        attempts,
-        deadline: shared.slot_deadline(),
     }
 }
 
@@ -1744,7 +1277,7 @@ fn start_update(shared: &Shared, wake: &Arc<Waker>, update: Update) -> SlotState
             fact.pred
         ));
     }
-    if shared.degraded.load(Ordering::Acquire) {
+    if shared.snapshot().counters.degraded {
         return ready_err(
             "DEGRADED read-only: the durable path is failing; updates are \
              refused while a background probe retries it",
@@ -1760,94 +1293,65 @@ fn start_update(shared: &Shared, wake: &Arc<Waker>, update: Update) -> SlotState
             shared.max_queue_depth
         ));
     }
-    let (reply, rx) = Reply::channel(wake);
-    if !shared.send(WriterCmd::Update { update, reply }) {
-        return ready_err("server is shutting down");
-    }
-    SlotState::AwaitUpdate {
-        rx,
-        deadline: shared.slot_deadline(),
-    }
-}
-
-/// Deadline bookkeeping for a parked slot: `None` to keep waiting, or
-/// the `TIMEOUT` refusal once the writer deadline passes.  On expiry
-/// the command is *not* revoked — it stays queued and may apply later
-/// — so the message says "outcome unknown", and the writer's eventual
-/// reply lands on a disconnected channel (harmless).
-fn deadline_check(shared: &Shared, deadline: Option<Instant>) -> Option<SlotState> {
-    let at = deadline?;
-    if Instant::now() < at {
-        return None;
-    }
-    shared.deadline_misses.fetch_add(1, Ordering::Relaxed);
-    Some(ready_err(&format!(
-        "TIMEOUT writer did not respond within {}ms; the command is \
-         still queued and may yet apply",
-        shared.writer_deadline.as_millis()
-    )))
+    issue(shared, wake, Command::Update(update), None)
 }
 
 /// Advance one parked slot if its writer answered or its deadline
-/// passed.
+/// passed.  On expiry the command is *not* revoked — it stays queued and
+/// may apply later — so the `TIMEOUT` refusal says so, and the writer's
+/// eventual reply lands on a disconnected channel (harmless).
 fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
-    let next = match &mut slot.state {
-        SlotState::Ready(_) => None,
-        SlotState::AwaitUpdate { rx, deadline } => match rx.try_recv() {
-            Ok(Ok((applied, version))) => Some(ready(render_ack(applied, version).as_bytes())),
-            Ok(Err(e)) => Some(ready_err(&e)),
-            Err(TryRecvError::Disconnected) => Some(ready_err("server is shutting down")),
-            Err(TryRecvError::Empty) => deadline_check(shared, *deadline),
-        },
-        SlotState::AwaitMaterialize {
-            rx,
-            query,
-            attempts,
-            deadline,
-        } => match rx.try_recv() {
-            Ok(Ok(key)) => {
-                shared
-                    .key_cache
-                    .lock()
-                    .expect("key cache lock")
-                    .insert(query.atom.to_string(), key.clone());
-                let snapshot = shared.snapshot();
-                if let Some(view) = snapshot.views.get(&key) {
-                    Some(SlotState::Ready(shared.render_view(
-                        &key,
-                        snapshot.version,
-                        view,
-                    )))
-                } else if *attempts < 3 {
-                    Some(issue_materialize(
-                        shared,
-                        wake,
-                        query.clone(),
-                        *attempts + 1,
-                    ))
-                } else {
-                    Some(ready_err(&format!(
-                        "view for {} was repeatedly evicted while answering; its \
-                         maintenance is failing",
-                        query.atom
-                    )))
-                }
-            }
-            Ok(Err(e)) => Some(ready_err(&e)),
-            Err(TryRecvError::Disconnected) => Some(ready_err("server is shutting down")),
-            Err(TryRecvError::Empty) => deadline_check(shared, *deadline),
-        },
+    let SlotState::Await {
+        rx,
+        deadline,
+        query,
+    } = &mut slot.state
+    else {
+        return;
     };
-    if let Some(state) = next {
-        slot.state = state;
-    }
+    let next = match rx.try_recv() {
+        Ok(Answer::Applied { changed, version }) => ready(render_ack(changed, version).as_bytes()),
+        Ok(Answer::Materialized(key)) => {
+            let (query, attempts) = query.take().expect("only a query is answered with a view");
+            shared
+                .key_cache
+                .lock()
+                .expect("key cache lock")
+                .insert(query.atom.to_string(), key.clone());
+            let snapshot = shared.snapshot();
+            if let Some(view) = snapshot.views.get(&key) {
+                SlotState::Ready(shared.render_view(&key, snapshot.version, view))
+            } else if attempts < 3 {
+                let command = Command::Materialize(query.clone());
+                issue(shared, wake, command, Some((query, attempts + 1)))
+            } else {
+                ready_err(&format!(
+                    "view for {} was repeatedly evicted while answering; its \
+                     maintenance is failing",
+                    query.atom
+                ))
+            }
+        }
+        Ok(Answer::Refused(e)) => ready_err(&e),
+        Err(TryRecvError::Disconnected) => ready_err("server is shutting down"),
+        Err(TryRecvError::Empty) if deadline.is_some_and(|at| Instant::now() >= at) => {
+            shared.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            ready_err(&format!(
+                "TIMEOUT writer did not respond within {}ms; the command is \
+                 still queued and may yet apply",
+                shared.writer_deadline.as_millis()
+            ))
+        }
+        Err(TryRecvError::Empty) => return,
+    };
+    slot.state = next;
 }
 
 /// Assemble the `STATS` response from the shared counters and the
 /// published snapshot.
 fn gather_stats(shared: &Shared) -> ServerStats {
     let snapshot = shared.snapshot();
-    let totals = &snapshot.totals;
+    let (totals, counters) = (&snapshot.totals, &snapshot.counters);
     let per_view = snapshot
         .views
         .iter()
@@ -1865,22 +1369,22 @@ fn gather_stats(shared: &Shared) -> ServerStats {
         views: snapshot.views.len() as u64,
         materialized: snapshot.materialized,
         queries_served: shared.queries_served.load(Ordering::Relaxed),
-        updates_applied: shared.updates_applied.load(Ordering::Relaxed),
+        updates_applied: counters.updates_applied,
         connections: shared.connections.load(Ordering::Relaxed),
-        views_evicted: shared.views_evicted.load(Ordering::Relaxed),
+        views_evicted: counters.views_evicted,
         iterations: totals.iterations as u64,
         rule_firings: totals.rule_firings as u64,
         facts_derived: totals.facts_derived as u64,
         duplicate_derivations: totals.duplicate_derivations as u64,
         join_probes: totals.join_probes as u64,
-        wal_bytes: shared.wal_bytes.load(Ordering::Relaxed),
-        last_checkpoint: shared.last_checkpoint_seq.load(Ordering::Relaxed),
+        wal_bytes: counters.wal_bytes,
+        last_checkpoint: counters.last_checkpoint_seq,
         write_errors: shared.write_errors.load(Ordering::Relaxed),
         queue_depth: shared.queue_depth.load(Ordering::Relaxed),
         shed_updates: shared.shed_updates.load(Ordering::Relaxed),
         deadline_misses: shared.deadline_misses.load(Ordering::Relaxed),
-        degraded: shared.degraded.load(Ordering::Acquire) as u64,
-        degraded_entered: shared.degraded_entered.load(Ordering::Relaxed),
+        degraded: u64::from(counters.degraded),
+        degraded_entered: counters.degraded_entered,
         inflight_requests: shared.inflight_requests.load(Ordering::Relaxed),
         batch_size_p50: shared.batch_p50(),
         recompute_views: snapshot.recompute_views,

@@ -29,6 +29,7 @@ use power_of_magic::{
     parse_program, parse_query, Database, Plan, Planner, Program, Query, Strategy,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 type Answers = BTreeSet<Vec<Value>>;
 
@@ -467,7 +468,7 @@ fn a_changed_program_rematerializes_only_the_binding_that_asked() {
     assert_eq!(catalog.materialized(), 1);
     // `a` is asked again under new rules: it moves to the new program's
     // view; `b` keeps reading the old one until it is asked again.
-    let (ka2, fresh) = catalog.materialize_keyed(&v2, &qa).unwrap();
+    let (ka2, fresh) = catalog.materialize_keyed(&v2, &qa, Instant::now()).unwrap();
     assert!(fresh && ka2 == ka);
     assert_eq!((catalog.len(), catalog.materialized()), (2, 2));
     assert_eq!(catalog.answers(&ka).unwrap().len(), 3);
@@ -475,7 +476,7 @@ fn a_changed_program_rematerializes_only_the_binding_that_asked() {
     catalog.apply_all(&[Update::Insert(pair("par", "d", "e"))]);
     assert_eq!(catalog.answers(&ka).unwrap().len(), 4);
     assert_eq!(catalog.answers(&kb).unwrap().len(), 1);
-    let (_, fresh) = catalog.materialize_keyed(&v2, &qb).unwrap();
+    let (_, fresh) = catalog.materialize_keyed(&v2, &qb, Instant::now()).unwrap();
     assert!(fresh);
     assert_eq!((catalog.len(), catalog.materialized()), (2, 1));
     assert_eq!(catalog.answers(&kb).unwrap().len(), 3);
