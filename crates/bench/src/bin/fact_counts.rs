@@ -28,8 +28,10 @@ use magic_core::planner::Strategy;
 ///   (its per-level same-generation relation is cyclic, so derivation paths
 ///   grow without bound — Section 10).
 /// * The counting strategies' numeric derivation-path encoding (`K·m + i`,
-///   `H·t + j`) only represents ~60 derivation levels in an `i64`, so they
-///   are excluded from the deepest chain (see DESIGN.md, "index encodings").
+///   `H·t + j`) saturates at `i64` past level ⌊log_m 2⁶³⌋ — 63 for m = 2 —
+///   where distinct indexes collapse and deeper answers are lost, so they
+///   are excluded from the deepest chain (see ROADMAP.md, "Counting indexes
+///   are exact, or the run is refused").
 fn applicable(scenario: &Scenario) -> Vec<Strategy> {
     let magic_only =
         scenario.name.starts_with("nested_sg") || scenario.name == "ancestor/chain/256";

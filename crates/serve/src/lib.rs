@@ -14,16 +14,14 @@
 //! crate keeps a catalog of such views live under a stream of updates and
 //! serves them over TCP.
 //!
-//! * [`Server`] / [`ServerHandle`] — a pooled, pipelined TCP server: an
-//!   accept loop deals connections to a fixed pool of reader threads,
-//!   each blocked in one `poll(2)` until a socket, a writer's reply or
-//!   a timer needs it and then pumping its connections (read, decode
-//!   every buffered request, collect writer replies, write
-//!   responses), in front of one maintenance writer with a bounded
-//!   queue, an optional write-ahead log and a published snapshot slot.
-//!   Readers never block on maintenance; writes serialize through the
-//!   writer and are acknowledged only once the containing snapshot is
-//!   live.
+//! * [`Server`] / [`ServerHandle`] — a pooled, pipelined TCP server in
+//!   front of one maintenance writer (a bounded queue, an optional
+//!   write-ahead log, a published snapshot).  Both sides are clock-free
+//!   machines in thin thread shells: each connection is a `Session`
+//!   (decode → dispatch → stage, with no socket) pumped by a reader
+//!   thread blocked in one `poll(2)`, and the writer is a `Writer`
+//!   acknowledging only once the containing snapshot is live.  Readers
+//!   never block on maintenance.
 //! * [`protocol`] — one request grammar on one port, hand-rolled
 //!   in-tree because the build environment has no crates.io access:
 //!   the pipelined `MGWP01` binary framing ([`protocol::Frame`]) with
@@ -31,7 +29,7 @@
 //!   line-oriented text protocol (`QUERY anc(john, Y)`,
 //!   `INSERT par(a, b)`, `RETRACT …`, `STATS`) as its `nc`-typable
 //!   adapter, selected by a full-magic preamble sniff.  Both decode to
-//!   one [`Request`] and one server dispatch.
+//!   one [`Request`] and one session dispatch.
 //! * [`PipeClient`] — the client: submit/wait pipelining over the
 //!   binary framing, with blocking `query`/`insert`/`retract`/`stats`/
 //!   `ping` helpers that are the same client at window 1.
@@ -73,6 +71,7 @@ pub mod client;
 pub mod protocol;
 mod ready;
 pub mod server;
+mod session;
 mod writer;
 
 pub use client::{ClientError, PipeClient, QueryReply, UpdateAck};

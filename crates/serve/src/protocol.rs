@@ -402,7 +402,7 @@ impl ServerStats {
     /// Render the `STATS` response body (header, fields, views, `END`).
     pub fn render(&self) -> String {
         let mut out = String::from("OK stats\n");
-        for (name, value) in self.fields() {
+        for (name, value) in self.clone().fields() {
             out.push_str(&format!("{name}={value}\n"));
         }
         for view in &self.per_view {
@@ -470,65 +470,42 @@ impl ServerStats {
             let value: u64 = value
                 .parse()
                 .map_err(|_| format!("bad stats number {value:?} in: {line}"))?;
-            match name {
-                "version" => stats.version = value,
-                "views" => stats.views = value,
-                "materialized" => stats.materialized = value,
-                "queries" => stats.queries_served = value,
-                "updates" => stats.updates_applied = value,
-                "connections" => stats.connections = value,
-                "views_evicted" => stats.views_evicted = value,
-                "iterations" => stats.iterations = value,
-                "rule_firings" => stats.rule_firings = value,
-                "facts_derived" => stats.facts_derived = value,
-                "duplicate_derivations" => stats.duplicate_derivations = value,
-                "join_probes" => stats.join_probes = value,
-                "wal_bytes" => stats.wal_bytes = value,
-                "last_checkpoint" => stats.last_checkpoint = value,
-                "write_errors" => stats.write_errors = value,
-                "queue_depth" => stats.queue_depth = value,
-                "shed_updates" => stats.shed_updates = value,
-                "deadline_misses" => stats.deadline_misses = value,
-                "degraded" => stats.degraded = value,
-                "degraded_entered" => stats.degraded_entered = value,
-                "inflight_requests" => stats.inflight_requests = value,
-                "batch_size_p50" => stats.batch_size_p50 = value,
-                "recompute_views" => stats.recompute_views = value,
-                "reader_wakeups" => stats.reader_wakeups = value,
-                // Forward compatibility: a newer server may report more.
-                _ => {}
+            // Forward compatibility: a newer server may report more.
+            if let Some((_, field)) = stats.fields().into_iter().find(|(n, _)| *n == name) {
+                *field = value;
             }
         }
         Ok(stats)
     }
 
-    /// The scalar fields, in wire order.
-    fn fields(&self) -> [(&'static str, u64); 24] {
+    /// The scalar fields by wire name, in wire order: what `render`
+    /// prints and `parse_body` fills.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 24] {
         [
-            ("version", self.version),
-            ("views", self.views),
-            ("materialized", self.materialized),
-            ("queries", self.queries_served),
-            ("updates", self.updates_applied),
-            ("connections", self.connections),
-            ("views_evicted", self.views_evicted),
-            ("iterations", self.iterations),
-            ("rule_firings", self.rule_firings),
-            ("facts_derived", self.facts_derived),
-            ("duplicate_derivations", self.duplicate_derivations),
-            ("join_probes", self.join_probes),
-            ("wal_bytes", self.wal_bytes),
-            ("last_checkpoint", self.last_checkpoint),
-            ("write_errors", self.write_errors),
-            ("queue_depth", self.queue_depth),
-            ("shed_updates", self.shed_updates),
-            ("deadline_misses", self.deadline_misses),
-            ("degraded", self.degraded),
-            ("degraded_entered", self.degraded_entered),
-            ("inflight_requests", self.inflight_requests),
-            ("batch_size_p50", self.batch_size_p50),
-            ("recompute_views", self.recompute_views),
-            ("reader_wakeups", self.reader_wakeups),
+            ("version", &mut self.version),
+            ("views", &mut self.views),
+            ("materialized", &mut self.materialized),
+            ("queries", &mut self.queries_served),
+            ("updates", &mut self.updates_applied),
+            ("connections", &mut self.connections),
+            ("views_evicted", &mut self.views_evicted),
+            ("iterations", &mut self.iterations),
+            ("rule_firings", &mut self.rule_firings),
+            ("facts_derived", &mut self.facts_derived),
+            ("duplicate_derivations", &mut self.duplicate_derivations),
+            ("join_probes", &mut self.join_probes),
+            ("wal_bytes", &mut self.wal_bytes),
+            ("last_checkpoint", &mut self.last_checkpoint),
+            ("write_errors", &mut self.write_errors),
+            ("queue_depth", &mut self.queue_depth),
+            ("shed_updates", &mut self.shed_updates),
+            ("deadline_misses", &mut self.deadline_misses),
+            ("degraded", &mut self.degraded),
+            ("degraded_entered", &mut self.degraded_entered),
+            ("inflight_requests", &mut self.inflight_requests),
+            ("batch_size_p50", &mut self.batch_size_p50),
+            ("recompute_views", &mut self.recompute_views),
+            ("reader_wakeups", &mut self.reader_wakeups),
         ]
     }
 }

@@ -4,114 +4,85 @@
 //! # Concurrency model
 //!
 //! * **Readers never block on maintenance.**  The writer keeps one
-//!   frozen [`ViewSnapshot`] per cached binding and publishes the set,
-//!   with its counters, behind one immutable [`Arc`]; a connection
-//!   takes that `Arc` (one brief mutex lock to clone the pointer) and
-//!   reads answers out of the frozen snapshot for its key.  Every
-//!   binding of one rewritten program is a magic seed of the same view
-//!   (see [`magic_incr::catalog`]) and shares its one copy-on-write
-//!   database clone, so a publish re-freezes **only the views the batch
-//!   moved**, once each.
+//!   frozen [`ViewSnapshot`](magic_incr::ViewSnapshot) per cached
+//!   binding and publishes the set, with its counters, behind one
+//!   immutable [`Arc`]; a connection clones that `Arc` (one brief lock)
+//!   and reads answers out of the frozen snapshot.  Every binding of one
+//!   rewritten program is a magic seed of the same view (see
+//!   [`magic_incr::catalog`]), so a publish re-freezes **only the views
+//!   the batch moved**, once each.
 //!
-//! * **Writes are serialized through one writer.**  The writer is a
-//!   clock-free state machine (`writer.rs`) in a thin thread: the
-//!   thread drains its queue in batches and runs one turn per batch —
-//!   decide against the catalog's base which updates change state, log
-//!   those, apply them through [`ViewCatalog::apply_all`] (one write to
-//!   the one base, one fixpoint re-entry per view), then publish, then
-//!   acknowledge, then run whatever duty is due — so ack-after-publish
-//!   and read-your-writes hold, and the writer numbers every publish.
+//! * **Writes are serialized through one writer**, a clock-free machine
+//!   (`writer.rs`) in a thin thread: each turn decides which drained
+//!   updates change state, logs those, applies them through
+//!   [`ViewCatalog::apply_all`], then publishes, then acknowledges, then
+//!   runs whatever duty is due — so ack-after-publish and
+//!   read-your-writes hold, and every publish is numbered.
 //!
-//! * **Connections are pumped on readiness.**  An accept loop hands
-//!   each connection to one of a fixed pool of reader threads
-//!   ([`ServeConfig::reader_threads`]).  A reader blocks in one
-//!   `poll(2)` (`ready.rs`) on its sockets, its waker and the
-//!   nearest pending timer, and after every return makes one pass over
-//!   its connections — read what `poll` said is readable (bounded per
-//!   pass), decode *every* buffered request, dispatch, collect writer
-//!   replies, write completed responses.  Nothing polls on a clock to
-//!   find work: a request is picked up when its bytes arrive, a
-//!   writer's reply when the writer signals it, and an idle server
-//!   makes no wake-ups at all.  A client may pipeline: many requests
-//!   ride one syscall, and the per-request wire round-trip that bounds
-//!   a synchronous client's throughput is amortized away — a
-//!   connection that does is served a window at a time
-//!   (`PIPELINE_LINGER`).
+//! * **A connection is a machine in a readiness shell.**  An accept
+//!   loop deals each connection to one of a fixed pool of reader threads
+//!   ([`ServeConfig::reader_threads`]).  A reader blocks in one `poll(2)`
+//!   (`ready.rs`) on its sockets, its waker and the nearest timer; after
+//!   every return it reads what is readable (bounded per pass) into each
+//!   connection's `Session` (`session.rs`), runs the session's pass —
+//!   take the writer's answers, load the snapshot, decode and dispatch
+//!   *every* buffered request, stage the responses — sends the pass's
+//!   commands to the writer and writes.  Nothing polls on a clock: a
+//!   request is picked up when its bytes arrive, a writer's reply when
+//!   the writer signals it, and an idle server makes no wake-ups.  A
+//!   pipelining client is served a window at a time (`PIPELINE_LINGER`).
 //!
 //! * **Two framings share the port and one request path.**  The first
-//!   bytes of every connection are sniffed against [`BINARY_MAGIC`] *in
-//!   full*: a `MGWP01` preamble selects the length-prefixed binary
-//!   framing (request ids, batching, out-of-order responses — see
-//!   [`crate::protocol`]); anything else is the line-oriented text
-//!   protocol, answered strictly in request order.  Both decode to one
-//!   [`Request`] and go through one dispatch (`Conn::dispatch`).
-//!
-//! * **Unseen bindings materialize on demand.**  A query whose adorned
-//!   binding key is not yet cached is planned on the connection thread
-//!   (memoized per query text) and sent to the writer, which builds the
-//!   program's view if this is its first binding or else adds the
-//!   binding's seed to it, publishes, and lets the connection answer
-//!   from the fresh snapshot.
+//!   bytes are sniffed against the `MGWP01` magic *in full*: it selects
+//!   the binary framing (request ids, out-of-order responses — see
+//!   [`crate::protocol`]); anything else is the text protocol, answered
+//!   in request order.  Both decode to one request and one dispatch
+//!   (`Session::dispatch`).  A binding not in the snapshot is planned by
+//!   its session (memoized per query text) and materialized by the
+//!   writer, which publishes before it answers.
 //!
 //! * **Durability is optional.**  With [`ServeConfig::durability`] set,
 //!   `OK applied` means *logged and published*, checkpoints follow the
-//!   configured cadence, and startup recovers (checkpoint load,
-//!   re-materialized bindings, WAL-tail replay) before the listener
+//!   configured cadence, and startup recovers before the listener
 //!   accepts a connection.
 //!
-//! * **Overload sheds, it never queues without bound.**  The writer
-//!   queue carries an atomic depth gauge; at
-//!   [`ServeConfig::max_queue_depth`] new updates are refused up front
-//!   with `ERR BUSY <retry-after-ms> …` (definitely not applied), and
-//!   every writer round-trip is bounded by
-//!   [`ServeConfig::writer_deadline`] (`ERR TIMEOUT …` = outcome
-//!   unknown).  Reads are never shed.
-//!
-//! * **Durable failures degrade the server, they don't kill it.**  A
-//!   failed WAL append leaves its batch unapplied and refused with `ERR
-//!   DEGRADED …`; after it or a failed checkpoint the server is
-//!   read-only until a probe on capped exponential backoff (25ms → 2s)
-//!   succeeds.  Reads keep serving; `STATS` reports the state.
+//! * **Overload sheds; failures degrade.**  At
+//!   [`ServeConfig::max_queue_depth`] updates are refused up front with
+//!   `ERR BUSY <retry-after-ms> …` (not applied), and every writer
+//!   round-trip is bounded by [`ServeConfig::writer_deadline`] (`ERR
+//!   TIMEOUT …` = outcome unknown).  A failed WAL append or checkpoint
+//!   makes the server read-only (`ERR DEGRADED …`) until a probe on
+//!   capped exponential backoff (25ms → 2s) succeeds.  Reads are never
+//!   shed and keep serving; `STATS` reports the state.
 //!
 //! Every published snapshot is a program fixpoint over a prefix of the
-//! applied update sequence, so responses are transactionally
-//! consistent: a reader can never observe half of a batch (no torn
-//! reads) — the property `tests/serve_consistency.rs` checks against a
-//! from-scratch oracle, and `crates/serve/tests/durable_restart.rs`
-//! extends to recovered state after a mid-stream `SIGKILL`.
+//! applied update sequence, so a reader never observes half of a batch —
+//! the property `tests/serve_consistency.rs` checks against a
+//! from-scratch oracle over real sockets, `session/sim.rs` over 2 000
+//! seeded interleavings of sessions and the writer, and
+//! `crates/serve/tests/durable_restart.rs` after a mid-stream `SIGKILL`.
 
-use crate::protocol::{
-    parse_frame, parse_request, render_ack, render_answers, render_error, sniff, status, Frame,
-    Request, ServerStats, Sniff, ViewStats, BINARY_MAGIC,
-};
 use crate::ready::{PollSet, Ready, Waker};
+use crate::session::{Link, Reads, Session, MAX_LINE};
 use crate::writer::{Answer, Command, Event, Snapshot, Writer};
 use magic_core::planner::Strategy;
-use magic_datalog::{PredName, Program, Query, Value};
+use magic_datalog::Program;
 use magic_durable::{ConnFault, DurableConfig, DurableError, DurableStore, FaultPlan};
 use magic_engine::Limits;
-use magic_incr::{Update, ViewCatalog, ViewSnapshot};
+use magic_incr::ViewCatalog;
 use magic_storage::Database;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Retry hint, in milliseconds, carried by every `BUSY` shed.  A
-/// constant (rather than a measured estimate) keeps the wire contract
-/// simple; clients treat it as a floor for their own backoff.
-const BUSY_RETRY_AFTER_MS: u64 = 100;
 
 /// Most commands the writer drains into one step (and thus one
 /// published snapshot).
 const BATCH_MAX: usize = 256;
-
-/// Upper bound on one request line; longer input is a protocol error.
-const MAX_LINE: usize = 1 << 20;
 
 /// How long the accept loop stays off the listener after `accept`
 /// failed for a reason that retrying at once would only repeat (out of
@@ -132,19 +103,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// ROADMAP ("pipeline cadence") has the measurements without it and
 /// what has to change before it can go.
 const PIPELINE_LINGER: Duration = Duration::from_millis(1);
-
-/// Cap on distinct binding keys in the rendered-response cache; keys
-/// past it simply re-render (the working set of a skewed read mix is
-/// far smaller).
-const RESPONSE_CACHE_MAX_KEYS: usize = 256;
-
-/// Largest response body the cache will hold; a huge view's answer is
-/// rendered per request rather than pinned in memory.
-const RESPONSE_CACHE_MAX_BYTES: usize = 1 << 16;
-
-/// Log2 buckets of the pipelining histogram (requests decoded per
-/// connection pump); bucket `i` covers `2^i ..= 2^(i+1)-1`.
-const BATCH_BUCKETS: usize = 16;
 
 /// Server construction parameters.
 #[derive(Clone, Debug)]
@@ -245,8 +203,8 @@ impl<T> Reply<T> {
         (reply, rx)
     }
 
-    /// Answer the request (a slot that already gave up — deadline,
-    /// closed connection — has dropped its receiver; that is harmless).
+    /// Answer the request (a closed connection has dropped its
+    /// receiver, and an expired request's shell discards the answer).
     fn send(mut self, value: T) {
         if let Some(tx) = self.tx.take() {
             let _ = tx.send(value);
@@ -264,9 +222,6 @@ impl<T> Drop for Reply<T> {
     }
 }
 
-/// A rendered response and the published version it was rendered at.
-type CachedResponse = (u64, Arc<[u8]>);
-
 /// Commands on the writer's queue: one to run, answered through its
 /// reply once the snapshot it depends on is live, or stop.
 enum WriterCmd {
@@ -277,38 +232,13 @@ enum WriterCmd {
 /// State shared between the accept loop, the reader pool, the writer
 /// and the handle.
 struct Shared {
-    program: Program,
-    derived: BTreeSet<PredName>,
-    strategy: Strategy,
-    limits: Limits,
+    /// What sessions read: the program, the caches, the `STATS` counters.
+    reads: Reads,
     /// The writer's command queue.
     tx: Sender<WriterCmd>,
     /// The snapshot the writer last published: the views and everything
     /// else readers learn from the writer.
     published: Mutex<Arc<Snapshot>>,
-    /// Commands currently in flight to the writer (enqueued but not yet
-    /// popped).  Incremented *before* the channel send so the gauge can
-    /// only over-count, never under-count — the shed check errs toward
-    /// shedding at the boundary rather than letting the queue grow past
-    /// its cap.
-    queue_depth: AtomicU64,
-    /// Updates refused with `BUSY` because the queue was at capacity.
-    shed_updates: AtomicU64,
-    /// Writer round-trips that exceeded the deadline.
-    deadline_misses: AtomicU64,
-    /// Memoized query-text → binding-key translation (one plan per
-    /// distinct query text, server-wide).
-    key_cache: Mutex<HashMap<String, String>>,
-    /// Rendered-response cache: binding key → (published version, the
-    /// full rendered response at that version).  Published snapshots
-    /// are immutable, so a view's rendered answer is a pure function
-    /// of `(key, version)` — the hot keys of a skewed read mix serve
-    /// as one map probe and a pointer bump instead of re-collecting and
-    /// re-formatting hundreds of rows per request (the one copy of the
-    /// body is the one into the connection's send buffer).  Only the
-    /// latest version per key is kept; any publish that moves the view
-    /// changes the version and misses naturally.
-    response_cache: Mutex<HashMap<String, CachedResponse>>,
     shutdown: AtomicBool,
     /// Ends the accept loop's wait; only shutdown uses it.
     accept_waker: Waker,
@@ -316,24 +246,7 @@ struct Shared {
     /// reader after dealing it a connection, the writer wakes it through
     /// the [`Reply`]s it handed out, shutdown wakes them all.
     reader_wakers: Vec<Arc<Waker>>,
-    /// Returns from the readers' readiness wait (`STATS`
-    /// `reader_wakeups`).
-    reader_wakeups: AtomicU64,
-    queries_served: AtomicU64,
-    connections: AtomicU64,
-    /// Response writes that failed (client gone mid-response); the
-    /// connection is closed and the failure counted, never ignored.
-    write_errors: AtomicU64,
-    /// Decoded requests not yet answered, across every connection —
-    /// the pipelining depth the server is actually holding.
-    inflight_requests: AtomicU64,
-    /// Log2 histogram of requests decoded per connection pump; the
-    /// observed batch size the pipelined protocol achieves.
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
     write_timeout: Duration,
-    /// Overload knobs (see [`ServeConfig`]).
-    max_queue_depth: usize,
-    writer_deadline: Duration,
     /// Shared fault plan for the accept loop's connection faults.
     faults: Option<Arc<FaultPlan>>,
 }
@@ -344,92 +257,14 @@ impl Shared {
     }
 
     /// Queue a client command for the writer, counted against the depth
-    /// gauge until the writer pops it; `false` once the writer is gone.
-    fn send(&self, cmd: WriterCmd) -> bool {
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self.tx.send(cmd).is_ok();
-        if !sent {
-            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    /// gauge until the writer pops it.  Once the writer is gone the
+    /// command is dropped, and its dropped reply wakes its reader.
+    fn send(&self, cmd: WriterCmd) {
+        let depth = &self.reads.queue_depth;
+        depth.fetch_add(1, Ordering::Relaxed);
+        if self.tx.send(cmd).is_err() {
+            depth.fetch_sub(1, Ordering::Relaxed);
         }
-        sent
-    }
-
-    /// The cached rendered response for `(key, version)`, if the cache
-    /// holds exactly that version.
-    fn cached_response(&self, key: &str, version: u64) -> Option<Arc<[u8]>> {
-        let cache = self.response_cache.lock().expect("response cache lock");
-        match cache.get(key) {
-            Some((v, body)) if *v == version => Some(Arc::clone(body)),
-            _ => None,
-        }
-    }
-
-    /// Remember the rendered response for `(key, version)`, bounded in
-    /// both key count and body size — an oversized answer or an
-    /// overflowing key population degrades to per-request rendering,
-    /// never to unbounded memory.
-    fn cache_response(&self, key: &str, version: u64, body: &Arc<[u8]>) {
-        if body.len() > RESPONSE_CACHE_MAX_BYTES {
-            return;
-        }
-        let mut cache = self.response_cache.lock().expect("response cache lock");
-        if cache.len() >= RESPONSE_CACHE_MAX_KEYS && !cache.contains_key(key) {
-            return;
-        }
-        cache.insert(key.to_string(), (version, Arc::clone(body)));
-    }
-
-    /// The rendered `QUERY` response for `key` out of `snapshot`: the
-    /// cached bytes if this version's are held, else rendered now and
-    /// remembered.
-    fn render_view(&self, key: &str, version: u64, view: &ViewSnapshot) -> Arc<[u8]> {
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-        if let Some(body) = self.cached_response(key, version) {
-            return body;
-        }
-        let rows: Vec<Vec<Value>> = view.answers().into_iter().collect();
-        let body: Arc<[u8]> = render_answers(key, version, &rows).into_bytes().into();
-        self.cache_response(key, version, &body);
-        body
-    }
-
-    /// The binding key `key_cache` memoizes: what the writer's catalog
-    /// computes, by planning alone (an empty catalog is two empty maps).
-    fn binding_key(&self, query: &Query) -> Result<String, String> {
-        ViewCatalog::new(self.strategy)
-            .with_limits(self.limits)
-            .binding_key(&self.program, query)
-            .map_err(|e| e.to_string())
-    }
-
-    fn record_batch(&self, decoded: usize) {
-        let bucket = (usize::BITS - 1)
-            .saturating_sub(decoded.leading_zeros())
-            .min(BATCH_BUCKETS as u32 - 1) as usize;
-        self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Median of the batch-size histogram, reported as its bucket's
-    /// lower bound (1, 2, 4, …); 0 before any request was decoded.
-    fn batch_p50(&self) -> u64 {
-        let counts: Vec<u64> = self
-            .batch_hist
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let half = total.div_ceil(2);
-        let mut seen = 0u64;
-        for (bucket, count) in counts.iter().enumerate() {
-            seen += count;
-            if seen >= half {
-                return 1u64 << bucket;
-            }
-        }
-        0
     }
 
     /// Raise the shutdown flag and get every front-end thread to look
@@ -447,6 +282,29 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.stop_front_end();
         let _ = self.tx.send(WriterCmd::Shutdown);
+    }
+}
+
+/// A string-keyed map the reader threads share behind one lock (the
+/// sessions' two caches); a poisoned lock is taken as is.
+#[derive(Default)]
+pub(crate) struct LockedMap<V>(Mutex<HashMap<String, V>>);
+
+impl<V: Clone> LockedMap<V> {
+    pub(crate) fn get(&self, key: &str) -> Option<V> {
+        self.lock().get(key).cloned()
+    }
+
+    /// Insert, unless `cap` other keys are held already.
+    pub(crate) fn insert(&self, key: String, value: V, cap: usize) {
+        let mut map = self.lock();
+        if map.len() < cap || map.contains_key(&key) {
+            map.insert(key, value);
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, V>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -528,29 +386,13 @@ impl Server {
             .map(|_| Waker::new().map(Arc::new))
             .collect::<io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
-            derived: program.derived_preds(),
-            program,
-            strategy: config.strategy,
-            limits: config.limits,
+            reads: Reads::new(program, &config),
             tx,
             published: Mutex::new(Arc::new(Snapshot::default())),
-            queue_depth: AtomicU64::new(0),
-            shed_updates: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            key_cache: Mutex::new(HashMap::new()),
-            response_cache: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             accept_waker: Waker::new()?,
             reader_wakers,
-            reader_wakeups: AtomicU64::new(0),
-            queries_served: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            inflight_requests: AtomicU64::new(0),
-            batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             write_timeout: config.write_timeout,
-            max_queue_depth: config.max_queue_depth,
-            writer_deadline: config.writer_deadline,
             faults,
         });
 
@@ -559,7 +401,7 @@ impl Server {
         let writer_thread = std::thread::Builder::new()
             .name("magic-serve-writer".into())
             .spawn(move || {
-                let program = writer_shared.program.clone();
+                let program = writer_shared.reads.program.clone();
                 let writer = Writer::new(program, catalog, store, config.view_ttl, Instant::now());
                 run_writer(&writer_shared, rx, writer, started);
             })?;
@@ -576,7 +418,7 @@ impl Server {
         let mut reader_txs = Vec::with_capacity(reader_count);
         let mut reader_threads = Vec::with_capacity(reader_count);
         for (i, waker) in shared.reader_wakers.iter().enumerate() {
-            let (tx, rx) = channel::<NewConn>();
+            let (tx, rx) = channel::<Conn>();
             reader_txs.push(tx);
             let reader_shared = Arc::clone(&shared);
             let waker = Arc::clone(waker);
@@ -610,7 +452,7 @@ impl ServerHandle {
 
     /// Queries answered so far (across all connections).
     pub fn queries_served(&self) -> u64 {
-        self.shared.queries_served.load(Ordering::Relaxed)
+        self.shared.reads.queries_served.load(Ordering::Relaxed)
     }
 
     /// Stop front to back and join every thread: the accept loop, then
@@ -671,7 +513,7 @@ fn run_writer(shared: &Shared, rx: Receiver<WriterCmd>, mut writer: Writer, star
             match cmd {
                 // Leaves the depth gauge [`Shared::send`] counted it in.
                 WriterCmd::Run(command, reply) => {
-                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    shared.reads.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     commands.push((reply, command));
                 }
                 WriterCmd::Shutdown => stop = true,
@@ -688,18 +530,10 @@ fn run_writer(shared: &Shared, rx: Receiver<WriterCmd>, mut writer: Writer, star
     writer.close();
 }
 
-/// A connection on its way from the accept loop to a reader thread.
-struct NewConn {
-    stream: TcpStream,
-    /// Injected connection stall (tests only): the reader leaves the
-    /// connection alone until this instant, without parking the thread.
-    ready_at: Option<Instant>,
-}
-
 /// Accept connections and deal them round-robin to the reader pool,
 /// waking the reader each lands on.  Blocks on the listener and the
 /// accept waker; shutdown is the only thing that wakes the latter.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, reader_txs: Vec<Sender<NewConn>>) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, reader_txs: Vec<Sender<Conn>>) {
     let mut next = 0usize;
     let mut poll = PollSet::new();
     // Wait for the listener (unless `accept` just failed on it) or
@@ -716,7 +550,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, reader_txs: Vec<Sende
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                shared.connections.fetch_add(1, Ordering::Relaxed);
+                shared.reads.connections.fetch_add(1, Ordering::Relaxed);
                 // Injected connection faults (tests only —
                 // `shared.faults` is `None` in production).  A drop
                 // closes the socket before any request is read; a
@@ -736,7 +570,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, reader_txs: Vec<Sende
                     continue;
                 }
                 stream.set_nodelay(true).ok();
-                let mut conn = NewConn { stream, ready_at };
+                let mut conn = Conn::new(stream, ready_at);
                 // Round-robin; skip readers that already exited.
                 for _ in 0..reader_txs.len() {
                     let reader = next % reader_txs.len();
@@ -772,7 +606,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, reader_txs: Vec<Sende
 /// level-triggered, so whatever a pass leaves unfinished — unread bytes
 /// past the per-pass bound, a reply that raced the pass — ends the next
 /// wait at once; whatever needs no attention costs nothing.
-fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, waker: Arc<Waker>) {
+fn reader_loop(shared: Arc<Shared>, rx: Receiver<Conn>, waker: Arc<Waker>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut poll = PollSet::new();
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -785,7 +619,7 @@ fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, waker: Arc<Waker>) {
         }
         loop {
             match rx.try_recv() {
-                Ok(new) => conns.push(Conn::new(new)),
+                Ok(conn) => conns.push(conn),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     if conns.is_empty() {
@@ -805,12 +639,10 @@ fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, waker: Arc<Waker>) {
         }
         poll.clear();
         let waker_slot = poll.push(waker.fd(), true, false);
-        let mut timer: Option<Instant> = None;
-        for conn in &mut conns {
-            if let Some(at) = conn.watch(&shared, &mut poll) {
-                timer = Some(timer.map_or(at, |t| t.min(at)));
-            }
-        }
+        let timer = conns
+            .iter_mut()
+            .filter_map(|c| c.watch(&shared, &mut poll))
+            .min();
         let timeout = timer.map(|at| at.saturating_duration_since(Instant::now()));
         if poll.wait(timeout).is_err() {
             // `poll` itself failing (out of kernel memory) says nothing
@@ -821,7 +653,7 @@ fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, waker: Arc<Waker>) {
                 .for_each(|conn| conn.ready = Ready::UNKNOWN);
             continue;
         }
-        shared.reader_wakeups.fetch_add(1, Ordering::Relaxed);
+        shared.reads.reader_wakeups.fetch_add(1, Ordering::Relaxed);
         if poll.ready(waker_slot).read {
             waker.drain();
         }
@@ -834,56 +666,19 @@ fn reader_loop(shared: Arc<Shared>, rx: Receiver<NewConn>, waker: Arc<Waker>) {
     }
 }
 
-/// Wire protocol of one pumped connection, decided by the first bytes.
-enum ConnMode {
-    /// Nothing (or only a proper prefix of the magic) received yet.
-    Unknown,
-    /// Line-oriented text protocol; responses in strict request order.
-    Text,
-    /// `MGWP01` framed protocol; responses in completion order.
-    Binary,
-}
-
-/// One decoded request awaiting its response bytes.
-struct Slot {
-    /// Binary request id (0 and unused in text mode).
-    req_id: u64,
-    state: SlotState,
-}
-
-/// Lifecycle of a request: either its response bytes are ready, or it
-/// is parked on a writer reply channel whose [`Reply`] wakes the owning
-/// reader.
-enum SlotState {
-    /// Response bytes in text-protocol form, ready to stage — shared
-    /// with the response cache on a hit, never copied before the send
-    /// buffer.
-    Ready(Arc<[u8]>),
-    /// A command in flight to the writer: an update, or a first-sight
-    /// query waiting for its view to materialize (with its attempt
-    /// number).
-    Await {
-        rx: Receiver<Answer>,
-        deadline: Option<Instant>,
-        query: Option<(Query, u32)>,
-    },
-}
-
-/// One pumped connection: buffers, mode, and the in-flight request
-/// window.
+/// One pumped connection: the socket around its [`Session`].
 struct Conn {
     stream: TcpStream,
-    mode: ConnMode,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    pending: VecDeque<Slot>,
-    /// Leave the connection alone until then: an injected stall, or the
-    /// pause after a pipelined burst ([`PIPELINE_LINGER`]).
+    session: Session,
+    /// One channel per command in flight, under the session's token.
+    replies: Vec<(u64, Receiver<Answer>)>,
+    /// Leave the connection alone until then: an injected stall (tests
+    /// only), or the pause after a pipelined burst ([`PIPELINE_LINGER`]).
     ready_at: Option<Instant>,
     eof: bool,
-    /// `QUIT`/`SHUTDOWN` seen: stop decoding, flush, then close.
-    closing: bool,
     write_stuck_since: Option<Instant>,
+    /// The earliest writer deadline the last pass reported.
+    deadline: Option<Instant>,
     /// Where [`Conn::watch`] registered the socket for the coming wait
     /// (`None`: not registered — stalled by a fault plan).
     poll_slot: Option<usize>,
@@ -892,66 +687,80 @@ struct Conn {
     ready: Ready,
 }
 
+/// A connection's view of the writer for [`Session::pass`]: its reply
+/// channels, then the published snapshot.
+impl Link for (&mut Vec<(u64, Receiver<Answer>)>, &Shared) {
+    fn answers(&mut self) -> Vec<(u64, Answer)> {
+        let mut answers = Vec::new();
+        self.0.retain(|(token, rx)| {
+            let answer = match rx.try_recv() {
+                Ok(answer) => answer,
+                Err(TryRecvError::Empty) => return true,
+                // The writer is gone, or dropped the command at shutdown.
+                Err(TryRecvError::Disconnected) => {
+                    Answer::Refused("server is shutting down".into())
+                }
+            };
+            answers.push((*token, answer));
+            false
+        });
+        answers
+    }
+
+    fn snapshot(&mut self) -> Arc<Snapshot> {
+        self.1.snapshot()
+    }
+}
+
 impl Conn {
-    fn new(new: NewConn) -> Conn {
+    fn new(stream: TcpStream, ready_at: Option<Instant>) -> Conn {
         Conn {
-            stream: new.stream,
-            mode: ConnMode::Unknown,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            pending: VecDeque::new(),
-            ready_at: new.ready_at,
+            stream,
+            session: Session::default(),
+            replies: Vec::new(),
+            ready_at,
             eof: false,
-            closing: false,
             write_stuck_since: None,
+            deadline: None,
             poll_slot: None,
             ready: Ready::UNKNOWN,
         }
     }
 
-    /// Drop the connection, releasing whatever it still holds against
-    /// the in-flight gauge.
+    /// Drop the connection, releasing what it holds on the in-flight gauge.
     fn abandon(self, shared: &Shared) {
-        shared
-            .inflight_requests
-            .fetch_sub(self.pending.len() as u64, Ordering::Relaxed);
+        let gauge = &shared.reads.inflight_requests;
+        gauge.fetch_sub(self.session.in_flight() as u64, Ordering::Relaxed);
     }
 
     /// Register for the coming wait exactly what the next pump would
     /// act on, and return the connection's nearest timer:
     ///
-    /// * readable — unless input is over (`eof`, `closing`), where a
+    /// * readable — unless input is over (`eof`, closing), where a
     ///   level-triggered "readable" nobody reads would spin;
     /// * writable — only while staged bytes are stuck behind a full
     ///   socket;
     /// * timers — the end of an injected stall, the earliest parked
-    ///   slot's writer deadline, the stuck write's timeout.
+    ///   request's writer deadline, the stuck write's timeout.
     fn watch(&mut self, shared: &Shared, poll: &mut PollSet) -> Option<Instant> {
         if self.ready_at.is_some() {
             // Stalled: deaf to the socket until the stall ends.
             return self.ready_at;
         }
-        let read = !self.eof && !self.closing;
-        let write = !self.outbuf.is_empty();
+        let read = !self.eof && self.session.reading();
+        let write = !self.session.output().is_empty();
         self.poll_slot = Some(poll.push(&self.stream, read, write));
         let stuck_write = match self.write_stuck_since {
             Some(since) if !shared.write_timeout.is_zero() => Some(since + shared.write_timeout),
             _ => None,
         };
-        self.pending
-            .iter()
-            .filter_map(|slot| match slot.state {
-                SlotState::Ready(_) => None,
-                SlotState::Await { deadline, .. } => deadline,
-            })
-            .chain(stuck_write)
-            .min()
+        self.deadline.into_iter().chain(stuck_write).min()
     }
 
-    /// One nonblocking service pass: read, decode, dispatch, collect
-    /// writer replies, stage and write responses.  Returns whether the
-    /// connection is still alive; a dead one must be handed to
-    /// [`Conn::abandon`].
+    /// One nonblocking service pass: read, run the session's pass, send
+    /// its commands to the writer, write the staged responses.  Returns
+    /// whether the connection is still alive; a dead one must be handed
+    /// to [`Conn::abandon`].
     fn pump(&mut self, shared: &Shared, wake: &Arc<Waker>, chunk: &mut [u8]) -> bool {
         let started = Instant::now();
         if let Some(at) = self.ready_at {
@@ -965,7 +774,8 @@ impl Conn {
         // is left keeps the socket readable for the next wait).  A
         // short read means the socket is drained for now; asking again
         // would only buy an `EWOULDBLOCK`.
-        if !self.eof && !self.closing && self.ready.read {
+        if !self.eof && self.session.reading() && self.ready.read {
+            let mut read = 0;
             loop {
                 match self.stream.read(chunk) {
                     Ok(0) => {
@@ -973,8 +783,9 @@ impl Conn {
                         break;
                     }
                     Ok(n) => {
-                        self.inbuf.extend_from_slice(&chunk[..n]);
-                        if n < chunk.len() || self.inbuf.len() >= MAX_LINE {
+                        self.session.feed(&chunk[..n]);
+                        read += n;
+                        if n < chunk.len() || read >= MAX_LINE {
                             break;
                         }
                     }
@@ -984,114 +795,31 @@ impl Conn {
                 }
             }
         }
-        // Requests are decoded in place behind a cursor; the consumed
-        // prefix leaves the buffer once, after the loop.
-        let mut consumed = 0usize;
-        // Protocol sniff: match the *full* binary magic (never a
-        // first-byte heuristic — `M` is printable) before committing.
-        if matches!(self.mode, ConnMode::Unknown) && !self.inbuf.is_empty() {
-            match sniff(&self.inbuf) {
-                Sniff::Binary => {
-                    consumed = BINARY_MAGIC.len();
-                    self.mode = ConnMode::Binary;
-                }
-                Sniff::Text => self.mode = ConnMode::Text,
-                Sniff::Undecided => {
-                    if self.eof {
-                        return false;
-                    }
-                }
-            }
+        let before = self.session.in_flight() as u64;
+        let pass = self
+            .session
+            .pass(&shared.reads, &mut (&mut self.replies, shared), started);
+        for (token, command) in pass.commands {
+            let (reply, rx) = Reply::channel(wake);
+            shared.send(WriterCmd::Run(command, reply));
+            self.replies.push((token, rx));
         }
-        // Decode and dispatch every complete request in the buffer —
-        // this is the batching that amortizes the wire round-trip.
-        let inbuf = std::mem::take(&mut self.inbuf);
-        let mut decoded = 0usize;
-        match self.mode {
-            ConnMode::Text => {
-                while !self.closing {
-                    let rest = &inbuf[consumed..];
-                    let Some(end) = rest.iter().position(|&b| b == b'\n') else {
-                        if rest.len() > MAX_LINE {
-                            return false;
-                        }
-                        break;
-                    };
-                    consumed += end + 1;
-                    let line = &rest[..end];
-                    let line = String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(line));
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    decoded += 1;
-                    self.dispatch(shared, wake, 0, parse_request(&line));
-                }
-            }
-            ConnMode::Binary => loop {
-                match Frame::decode(&inbuf[consumed..]) {
-                    Ok(Some((frame, used))) => {
-                        consumed += used;
-                        decoded += 1;
-                        let request = parse_frame(frame.tag, &frame.body);
-                        self.dispatch(shared, wake, frame.req_id, request);
-                    }
-                    Ok(None) => break,
-                    // Framing is beyond resync; nothing correlatable
-                    // can be sent back.
-                    Err(_) => return false,
-                }
-            },
-            ConnMode::Unknown => {}
+        if pass.shutdown {
+            shared.begin_shutdown();
         }
-        self.inbuf = inbuf;
-        self.inbuf.drain(..consumed);
-        if decoded > 0 {
-            shared.record_batch(decoded);
-        }
-        // Advance parked requests.
-        for slot in self.pending.iter_mut() {
-            poll_slot(shared, wake, slot);
-        }
-        // Stage completed responses: text strictly in request order,
-        // binary in completion order (each framed with its id).
-        match self.mode {
-            ConnMode::Binary => {
-                let outbuf = &mut self.outbuf;
-                let mut staged = 0u64;
-                self.pending.retain_mut(|slot| {
-                    if let SlotState::Ready(bytes) = &slot.state {
-                        stage_frame(slot.req_id, bytes, outbuf);
-                        staged += 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
-                shared
-                    .inflight_requests
-                    .fetch_sub(staged, Ordering::Relaxed);
-            }
-            _ => {
-                while let Some(Slot {
-                    state: SlotState::Ready(bytes),
-                    ..
-                }) = self.pending.front()
-                {
-                    self.outbuf.extend_from_slice(bytes);
-                    self.pending.pop_front();
-                    shared.inflight_requests.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }
-        if !self.outbuf.is_empty() && self.flush(shared).is_err() {
+        self.deadline = pass.deadline;
+        let inflight = self.session.in_flight() as u64;
+        let gauge = &shared.reads.inflight_requests;
+        gauge.fetch_add(inflight.wrapping_sub(before), Ordering::Relaxed);
+        if self.flush(shared).is_err() {
             return false;
         }
-        let input_over = self.closing || self.eof;
-        let drained = self.pending.is_empty() && self.outbuf.is_empty();
+        let input_over = self.eof || !self.session.reading();
+        let drained = inflight == 0 && self.session.output().is_empty();
         if input_over && drained {
             return false;
         }
-        if decoded > 1 && drained {
+        if pass.decoded > 1 && drained {
             // From the start of this pass: a batch that took long to
             // serve (a publish emptied the response cache) has had its
             // pause already.
@@ -1106,289 +834,34 @@ impl Conn {
     /// Nonblocking write of the staged response bytes, with the
     /// stalled-client bound [`ServeConfig::write_timeout`] implements.
     fn flush(&mut self, shared: &Shared) -> Result<(), ()> {
-        while !self.outbuf.is_empty() {
-            match self.stream.write(&self.outbuf) {
-                Ok(0) => {
-                    shared.write_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(());
-                }
+        let outbuf = self.session.output();
+        let failure = loop {
+            if outbuf.is_empty() {
+                return Ok(());
+            }
+            match self.stream.write(outbuf) {
+                Ok(0) => break None,
                 Ok(n) => {
-                    self.outbuf.drain(..n);
+                    outbuf.drain(..n);
                     self.write_stuck_since = None;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     let now = Instant::now();
                     let since = *self.write_stuck_since.get_or_insert(now);
-                    if !shared.write_timeout.is_zero()
-                        && now.duration_since(since) >= shared.write_timeout
-                    {
-                        shared.write_errors.fetch_add(1, Ordering::Relaxed);
-                        eprintln!(
-                            "magic-serve: client write stalled past the write \
-                             timeout, closing connection"
-                        );
-                        return Err(());
+                    let limit = shared.write_timeout;
+                    if limit.is_zero() || now.duration_since(since) < limit {
+                        return Ok(());
                     }
-                    break;
+                    break Some("stalled past the write timeout".to_string());
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    shared.write_errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("magic-serve: client write failed, closing connection: {e}");
-                    return Err(());
-                }
+                Err(e) => break Some(format!("failed ({e})")),
             }
-        }
-        Ok(())
-    }
-
-    /// Dispatch one decoded request — from a text line or a binary
-    /// frame (`req_id` is 0 and unused in text mode) — into a slot; a
-    /// request that did not decode is answered with its `ERR`.
-    fn dispatch(
-        &mut self,
-        shared: &Shared,
-        wake: &Arc<Waker>,
-        req_id: u64,
-        request: Result<Request, String>,
-    ) {
-        let state = match request {
-            Err(e) => ready_err(&e),
-            Ok(Request::Ping) => ready(b"OK pong\n"),
-            Ok(Request::Quit) => {
-                self.closing = true;
-                ready(b"OK bye\n")
-            }
-            Ok(Request::Shutdown) => {
-                self.closing = true;
-                shared.begin_shutdown();
-                ready(b"OK bye\n")
-            }
-            Ok(Request::Query(query)) => start_query(shared, wake, query),
-            Ok(Request::Insert(fact)) => start_update(shared, wake, Update::Insert(fact)),
-            Ok(Request::Retract(fact)) => start_update(shared, wake, Update::Retract(fact)),
-            Ok(Request::Stats) => ready(gather_stats(shared).render().as_bytes()),
         };
-        shared.inflight_requests.fetch_add(1, Ordering::Relaxed);
-        self.pending.push_back(Slot { req_id, state });
-    }
-}
-
-/// Stage finished response bytes (text-protocol form) as a binary
-/// response frame for `req_id`, straight into the send buffer.
-fn stage_frame(req_id: u64, bytes: &[u8], outbuf: &mut Vec<u8>) {
-    let (tag, body) = match bytes.strip_prefix(b"ERR ") {
-        Some(msg) => (status::ERR, msg.strip_suffix(b"\n").unwrap_or(msg)),
-        None => (status::OK, bytes),
-    };
-    Frame::encode_into(req_id, tag, body, outbuf);
-}
-
-fn ready(response: &[u8]) -> SlotState {
-    SlotState::Ready(response.into())
-}
-
-fn ready_err(message: &str) -> SlotState {
-    ready(render_error(message).as_bytes())
-}
-
-/// The read path: translate the query to its binding key (planned on
-/// this thread, memoized per query text), answer from the published
-/// snapshot, materializing through the writer only on first sight of a
-/// binding.
-fn start_query(shared: &Shared, wake: &Arc<Waker>, query: Query) -> SlotState {
-    let text = query.atom.to_string();
-    let cached = shared
-        .key_cache
-        .lock()
-        .expect("key cache lock")
-        .get(&text)
-        .cloned();
-    let key = match cached {
-        Some(key) => Some(key),
-        None => match shared.binding_key(&query) {
-            Ok(key) => {
-                shared
-                    .key_cache
-                    .lock()
-                    .expect("key cache lock")
-                    .insert(text, key.clone());
-                Some(key)
-            }
-            // A query that does not plan is routed through the writer
-            // below so the refusal carries the catalog's canonical
-            // message.
-            Err(_) => None,
-        },
-    };
-    if let Some(key) = &key {
-        let snapshot = shared.snapshot();
-        if let Some(view) = snapshot.views.get(key) {
-            return SlotState::Ready(shared.render_view(key, snapshot.version, view));
+        shared.reads.write_errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(why) = failure {
+            eprintln!("magic-serve: client write {why}, closing connection");
         }
-        // Key known but the view is not in this snapshot: first sight,
-        // an eviction (failed maintenance), or a raced materialization.
-        // The writer's materialize path is idempotent for live bindings
-        // and rebuilds evicted ones.
-    }
-    let command = Command::Materialize(query.clone());
-    issue(shared, wake, command, Some((query, 1)))
-}
-
-/// Queue `command` for the writer and park the slot on its reply.  A
-/// query's materialize is attempt `attempts` of 3: materialize-then-read
-/// can race an eviction, and each retry rebuilds from the current base.
-fn issue(
-    shared: &Shared,
-    wake: &Arc<Waker>,
-    command: Command,
-    query: Option<(Query, u32)>,
-) -> SlotState {
-    let (reply, rx) = Reply::channel(wake);
-    if !shared.send(WriterCmd::Run(command, reply)) {
-        return ready_err("server is shutting down");
-    }
-    SlotState::Await {
-        rx,
-        deadline: (!shared.writer_deadline.is_zero())
-            .then(|| Instant::now() + shared.writer_deadline),
-        query,
-    }
-}
-
-/// The write path: validate against the source program, shed if the
-/// server is degraded or the writer queue is at capacity, otherwise
-/// enqueue to the writer; the slot then waits (bounded by the writer
-/// deadline) until the containing snapshot is published.
-///
-/// The three structured refusals a client can see here, and what they
-/// promise:
-/// * `ERR DEGRADED …` — not applied, and retrying now will not help;
-///   wait for the server to recover (poll `STATS degraded`).
-/// * `ERR BUSY <retry-after-ms> …` — not applied; retry after the
-///   hinted backoff.
-/// * `ERR TIMEOUT …` — outcome *unknown*: the command is still queued
-///   and may apply later.  Only idempotent retries are safe.
-fn start_update(shared: &Shared, wake: &Arc<Waker>, update: Update) -> SlotState {
-    let fact = update.fact();
-    if shared.derived.contains(&fact.pred) {
-        return ready_err(&format!(
-            "{} is derived by the program; derived predicates are maintained, not edited",
-            fact.pred
-        ));
-    }
-    if shared.snapshot().counters.degraded {
-        return ready_err(
-            "DEGRADED read-only: the durable path is failing; updates are \
-             refused while a background probe retries it",
-        );
-    }
-    if shared.max_queue_depth > 0
-        && shared.queue_depth.load(Ordering::Relaxed) >= shared.max_queue_depth as u64
-    {
-        shared.shed_updates.fetch_add(1, Ordering::Relaxed);
-        return ready_err(&format!(
-            "BUSY {BUSY_RETRY_AFTER_MS} writer queue is at capacity ({}); \
-             retry after the hinted backoff",
-            shared.max_queue_depth
-        ));
-    }
-    issue(shared, wake, Command::Update(update), None)
-}
-
-/// Advance one parked slot if its writer answered or its deadline
-/// passed.  On expiry the command is *not* revoked — it stays queued and
-/// may apply later — so the `TIMEOUT` refusal says so, and the writer's
-/// eventual reply lands on a disconnected channel (harmless).
-fn poll_slot(shared: &Shared, wake: &Arc<Waker>, slot: &mut Slot) {
-    let SlotState::Await {
-        rx,
-        deadline,
-        query,
-    } = &mut slot.state
-    else {
-        return;
-    };
-    let next = match rx.try_recv() {
-        Ok(Answer::Applied { changed, version }) => ready(render_ack(changed, version).as_bytes()),
-        Ok(Answer::Materialized(key)) => {
-            let (query, attempts) = query.take().expect("only a query is answered with a view");
-            shared
-                .key_cache
-                .lock()
-                .expect("key cache lock")
-                .insert(query.atom.to_string(), key.clone());
-            let snapshot = shared.snapshot();
-            if let Some(view) = snapshot.views.get(&key) {
-                SlotState::Ready(shared.render_view(&key, snapshot.version, view))
-            } else if attempts < 3 {
-                let command = Command::Materialize(query.clone());
-                issue(shared, wake, command, Some((query, attempts + 1)))
-            } else {
-                ready_err(&format!(
-                    "view for {} was repeatedly evicted while answering; its \
-                     maintenance is failing",
-                    query.atom
-                ))
-            }
-        }
-        Ok(Answer::Refused(e)) => ready_err(&e),
-        Err(TryRecvError::Disconnected) => ready_err("server is shutting down"),
-        Err(TryRecvError::Empty) if deadline.is_some_and(|at| Instant::now() >= at) => {
-            shared.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            ready_err(&format!(
-                "TIMEOUT writer did not respond within {}ms; the command is \
-                 still queued and may yet apply",
-                shared.writer_deadline.as_millis()
-            ))
-        }
-        Err(TryRecvError::Empty) => return,
-    };
-    slot.state = next;
-}
-
-/// Assemble the `STATS` response from the shared counters and the
-/// published snapshot.
-fn gather_stats(shared: &Shared) -> ServerStats {
-    let snapshot = shared.snapshot();
-    let (totals, counters) = (&snapshot.totals, &snapshot.counters);
-    let per_view = snapshot
-        .views
-        .iter()
-        .map(|(key, view)| ViewStats {
-            key: key.clone(),
-            facts: view.database().total_facts() as u64,
-            rule_firings: view.stats().rule_firings as u64,
-            join_probes: view.stats().join_probes as u64,
-            recomputes: view.recompute_count(),
-            recompute_reason: view.recompute_reason().unwrap_or("").to_string(),
-        })
-        .collect();
-    ServerStats {
-        version: snapshot.version,
-        views: snapshot.views.len() as u64,
-        materialized: snapshot.materialized,
-        queries_served: shared.queries_served.load(Ordering::Relaxed),
-        updates_applied: counters.updates_applied,
-        connections: shared.connections.load(Ordering::Relaxed),
-        views_evicted: counters.views_evicted,
-        iterations: totals.iterations as u64,
-        rule_firings: totals.rule_firings as u64,
-        facts_derived: totals.facts_derived as u64,
-        duplicate_derivations: totals.duplicate_derivations as u64,
-        join_probes: totals.join_probes as u64,
-        wal_bytes: counters.wal_bytes,
-        last_checkpoint: counters.last_checkpoint_seq,
-        write_errors: shared.write_errors.load(Ordering::Relaxed),
-        queue_depth: shared.queue_depth.load(Ordering::Relaxed),
-        shed_updates: shared.shed_updates.load(Ordering::Relaxed),
-        deadline_misses: shared.deadline_misses.load(Ordering::Relaxed),
-        degraded: u64::from(counters.degraded),
-        degraded_entered: counters.degraded_entered,
-        inflight_requests: shared.inflight_requests.load(Ordering::Relaxed),
-        batch_size_p50: shared.batch_p50(),
-        recompute_views: snapshot.recompute_views,
-        reader_wakeups: shared.reader_wakeups.load(Ordering::Relaxed),
-        per_view,
+        Err(())
     }
 }

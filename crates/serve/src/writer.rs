@@ -494,4 +494,4 @@ fn refuse<T>(tokens: impl Iterator<Item = T>, why: &str, replies: &mut Vec<(T, A
 }
 
 #[cfg(test)]
-mod sim;
+pub(crate) mod sim;

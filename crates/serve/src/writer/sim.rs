@@ -22,7 +22,9 @@
 //! * after the crash, acked ⊆ recovered ⊆ acked ∪ unknown, where unknown
 //!   is every command a client sent and never had answered.
 //!
-//! A failing schedule prints its seed; [`run_seed`] replays it.
+//! A failing schedule prints its seed; [`run_seed`] replays it.  The
+//! whole-server simulator (`session/sim.rs`) reuses the ledger of these
+//! invariants, the store plumbing and the oracle.
 
 use super::{Answer, Command, Event, Snapshot, Writer};
 use magic_core::planner::Strategy;
@@ -34,18 +36,19 @@ use magic_workloads::{chaos_fault_spec, SplitMix64};
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Nodes `n0 .. n5`; the seed base is the chain `n0 → n1 → n2 → n3`.
-const NODES: usize = 6;
+pub(crate) const NODES: usize = 6;
 const SEED_CHAIN: usize = 3;
 
-type Edge = (usize, usize);
+pub(crate) type Edge = (usize, usize);
 
-/// One client request.
-#[derive(Clone, Copy, Debug)]
-enum Op {
+/// One client command.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Op {
     Query(usize),
     Insert(Edge),
     Retract(Edge),
@@ -55,7 +58,7 @@ enum Op {
 
 /// Where in a turn the process dies.
 #[derive(Clone, Copy, Debug)]
-enum Crash {
+pub(crate) enum Crash {
     /// With the drained commands still queued.
     BeforeTurn,
     /// After the step logged and applied them, before its snapshot or
@@ -99,13 +102,7 @@ impl Schedule {
             updates += usize::from(!matches!(op, Op::Query(_)));
             scripts[rng.random_range(0..clients)].push(op);
         }
-        // Connection sites touch no machine code, and an append stall
-        // only sleeps.
-        let faults = chaos_fault_spec(&mut rng)
-            .split(',')
-            .filter(|rule| !rule.starts_with("conn-") && !rule.starts_with("wal-stall"))
-            .collect::<Vec<_>>()
-            .join(",");
+        let faults = store_faults(&mut rng);
         let crash = if rng.random_range(0..2) == 0 {
             Crash::BeforeTurn
         } else {
@@ -124,7 +121,17 @@ impl Schedule {
     }
 }
 
-fn program() -> Program {
+/// A seeded chaos fault spec restricted to the store's sites: connection
+/// sites touch no machine code, and an append stall only sleeps.
+pub(crate) fn store_faults(rng: &mut SplitMix64) -> String {
+    chaos_fault_spec(rng)
+        .split(',')
+        .filter(|rule| !rule.starts_with("conn-") && !rule.starts_with("wal-stall"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+pub(crate) fn program() -> Program {
     parse_program(
         "anc(X, Y) :- par(X, Y).
          anc(X, Y) :- par(X, Z), anc(Z, Y).",
@@ -132,11 +139,11 @@ fn program() -> Program {
     .expect("the ancestor program parses")
 }
 
-fn seed_edges() -> BTreeSet<Edge> {
+pub(crate) fn seed_edges() -> BTreeSet<Edge> {
     (0..SEED_CHAIN).map(|i| (i, i + 1)).collect()
 }
 
-fn seed_db() -> Database {
+pub(crate) fn seed_db() -> Database {
     let mut db = Database::new();
     for (a, b) in seed_edges() {
         db.insert_fact(&edge_fact((a, b)));
@@ -148,12 +155,12 @@ fn node(i: usize) -> Value {
     Value::sym(&format!("n{i}"))
 }
 
-fn edge_fact((a, b): Edge) -> Fact {
+pub(crate) fn edge_fact((a, b): Edge) -> Fact {
     Fact::plain("par", vec![node(a), node(b)])
 }
 
 /// The node a binding key `anc…[bf](nK)@…` binds.
-fn bound_node(key: &str) -> usize {
+pub(crate) fn bound_node(key: &str) -> usize {
     let bound = key
         .split_once("](n")
         .and_then(|(_, rest)| rest.split_once(')'));
@@ -163,7 +170,7 @@ fn bound_node(key: &str) -> usize {
 }
 
 /// The oracle: `anc(n{from}, Y)` over `edges`, by graph search.
-fn closure(edges: &BTreeSet<Edge>, from: usize) -> BTreeSet<Vec<Value>> {
+pub(crate) fn closure(edges: &BTreeSet<Edge>, from: usize) -> BTreeSet<Vec<Value>> {
     let mut seen = BTreeSet::new();
     let mut todo = vec![from];
     while let Some(x) = todo.pop() {
@@ -191,91 +198,91 @@ struct Client {
     ready_at: Instant,
 }
 
-/// What the clients have observed: the acked base, the published
-/// versions, and who is waiting for what.
-struct World {
-    seed: u64,
-    rng: SplitMix64,
-    think_ms: Range<usize>,
-    clients: Vec<Client>,
-    acked: BTreeSet<Edge>,
+/// What the writer has told its clients, checked as it lands: the acked
+/// base, the published versions and the latest snapshot.
+pub(crate) struct Ledger {
+    pub(crate) seed: u64,
+    pub(crate) acked: BTreeSet<Edge>,
     published: BTreeSet<u64>,
-    latest: Arc<Snapshot>,
+    pub(crate) latest: Arc<Snapshot>,
 }
 
-impl World {
-    /// Hand one event of a turn to the clients, checking it as it lands.
-    fn observe(&mut self, event: Event<usize>, now: Instant) {
+impl Ledger {
+    pub(crate) fn new(seed: u64, writer: &Writer) -> Ledger {
+        let ledger = Ledger {
+            seed,
+            acked: seed_edges(),
+            published: BTreeSet::from([writer.snapshot().version]),
+            latest: writer.snapshot(),
+        };
+        ledger.check(writer);
+        ledger
+    }
+
+    /// A publish: versions never go back, and a counters-only republish
+    /// moves no view (readers key cached responses by binding and
+    /// version).
+    pub(crate) fn publish(&mut self, snapshot: Arc<Snapshot>) {
+        let (seed, last) = (self.seed, &self.latest);
+        assert!(
+            snapshot.version >= last.version,
+            "seed {seed}: version went back"
+        );
+        if snapshot.version == last.version {
+            let same = snapshot.views.len() == last.views.len()
+                && snapshot
+                    .views
+                    .values()
+                    .zip(last.views.values())
+                    .all(|(a, b)| Arc::ptr_eq(a, b));
+            assert!(same, "seed {seed}: views moved without a new version");
+        }
+        self.published.insert(snapshot.version);
+        self.latest = snapshot;
+    }
+
+    /// The writer's answer to `op`: acks name a published version and
+    /// agree with the acked base, refusals are the writer's own.
+    pub(crate) fn answer(&mut self, op: Op, answer: &Answer) {
         let seed = self.seed;
-        match event {
-            Event::Publish(snapshot) => {
-                let last = &self.latest;
+        match (op, answer) {
+            (Op::Insert(e) | Op::Retract(e), &Answer::Applied { changed, version }) => {
                 assert!(
-                    snapshot.version >= last.version,
-                    "seed {seed}: version went back"
+                    self.published.contains(&version),
+                    "seed {seed}: {op:?} acked at v{version} before it was published"
                 );
-                if snapshot.version == last.version {
-                    // A counters-only republish: readers key cached
-                    // responses by (binding, version).
-                    let same = snapshot.views.len() == last.views.len()
-                        && snapshot
-                            .views
-                            .values()
-                            .zip(last.views.values())
-                            .all(|(a, b)| Arc::ptr_eq(a, b));
-                    assert!(same, "seed {seed}: views moved without a new version");
-                }
-                self.published.insert(snapshot.version);
-                self.latest = snapshot;
-            }
-            Event::Reply(client, answer) => {
-                let think = self.rng.random_range(self.think_ms.clone());
-                let client = &mut self.clients[client];
-                client.ready_at = now + Duration::from_millis(think as u64);
-                let op = client
-                    .outstanding
-                    .take()
-                    .expect("a reply to an outstanding command");
-                match (op, answer) {
-                    (Op::Insert(e) | Op::Retract(e), Answer::Applied { changed, version }) => {
-                        assert!(
-                            self.published.contains(&version),
-                            "seed {seed}: {op:?} acked at v{version} before it was published"
-                        );
-                        let inserting = matches!(op, Op::Insert(_));
-                        assert_eq!(
-                            changed,
-                            self.acked.contains(&e) != inserting,
-                            "seed {seed}: {op:?}"
-                        );
-                        if inserting {
-                            self.acked.insert(e);
-                        } else {
-                            self.acked.remove(&e);
-                        }
-                    }
-                    (Op::Insert(_) | Op::Retract(_), Answer::Refused(why)) => {
-                        assert!(
-                            why.starts_with("DEGRADED"),
-                            "seed {seed}: {op:?} refused: {why}"
-                        );
-                    }
-                    (Op::Malformed, Answer::Refused(why)) => assert!(
-                        why.starts_with("DEGRADED") || why.starts_with("arity mismatch"),
-                        "seed {seed}: {why}"
-                    ),
-                    (Op::Query(n), Answer::Materialized(key)) => {
-                        assert_eq!(bound_node(&key), n, "seed {seed}: {key}");
-                    }
-                    (op, answer) => panic!("seed {seed}: {op:?} answered {answer:?}"),
+                let inserting = matches!(op, Op::Insert(_));
+                assert_eq!(
+                    changed,
+                    self.acked.contains(&e) != inserting,
+                    "seed {seed}: {op:?}"
+                );
+                if inserting {
+                    self.acked.insert(e);
+                } else {
+                    self.acked.remove(&e);
                 }
             }
+            (Op::Insert(_) | Op::Retract(_), Answer::Refused(why)) => {
+                assert!(
+                    why.starts_with("DEGRADED"),
+                    "seed {seed}: {op:?} refused: {why}"
+                );
+            }
+            (Op::Malformed, Answer::Refused(why)) => assert!(
+                why.starts_with("DEGRADED") || why.starts_with("arity mismatch"),
+                "seed {seed}: {why}"
+            ),
+            (Op::Query(n), Answer::Materialized(key)) => {
+                assert_eq!(bound_node(key), n, "seed {seed}: {key}");
+            }
+            (op, answer) => panic!("seed {seed}: {op:?} answered {answer:?}"),
         }
     }
 
     /// After a turn every ack of it is in: the base and every published
     /// view hold exactly the acked facts.
-    fn check(&self, writer: &Writer) {
+    pub(crate) fn check(&self, writer: &Writer) {
         let seed = self.seed;
         assert_eq!(
             stored_edges(writer.catalog.base()),
@@ -297,19 +304,52 @@ impl World {
             );
         }
     }
+}
+
+/// The writer simulator's clients and the ledger they share.
+struct World {
+    ledger: Ledger,
+    rng: SplitMix64,
+    think_ms: Range<usize>,
+    clients: Vec<Client>,
+}
+
+impl World {
+    /// Hand one event of a turn to the clients, checking it as it lands.
+    fn observe(&mut self, event: Event<usize>, now: Instant) {
+        match event {
+            Event::Publish(snapshot) => self.ledger.publish(snapshot),
+            Event::Reply(client, answer) => {
+                let think = self.rng.random_range(self.think_ms.clone());
+                let client = &mut self.clients[client];
+                client.ready_at = now + Duration::from_millis(think as u64);
+                let op = client
+                    .outstanding
+                    .take()
+                    .expect("a reply to an outstanding command");
+                self.ledger.answer(op, &answer);
+            }
+        }
+    }
 
     /// Edges a sent but unanswered command may or may not have moved.
     fn unknown(&self) -> BTreeSet<Edge> {
         let ops = self.clients.iter().filter_map(|c| c.outstanding);
-        ops.filter_map(|op| match op {
-            Op::Insert(e) | Op::Retract(e) => Some(e),
-            Op::Query(_) | Op::Malformed => None,
-        })
-        .collect()
+        ops.filter_map(Op::edge).collect()
     }
 }
 
-fn command(op: Op) -> Command {
+impl Op {
+    /// The edge an update may move.
+    pub(crate) fn edge(self) -> Option<Edge> {
+        match self {
+            Op::Insert(e) | Op::Retract(e) => Some(e),
+            Op::Query(_) | Op::Malformed => None,
+        }
+    }
+}
+
+pub(crate) fn command(op: Op) -> Command {
     match op {
         Op::Query(n) => {
             Command::Materialize(parse_query(&format!("anc(n{n}, Y)")).expect("query parses"))
@@ -323,46 +363,118 @@ fn command(op: Op) -> Command {
     }
 }
 
-/// A scratch store directory of its own per schedule.
+/// A scratch store directory of its own per schedule, unique within the
+/// process however many simulations run side by side.
 fn scratch_dir(seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("magic-serve-sim-{}-{seed}", std::process::id()));
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("magic-serve-sim-{}-{seed}-{run}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A fresh store in a scratch directory of its own, opened under the
+/// fault spec `faults` and recovered from the seed base.
+pub(crate) struct Store {
+    seed: u64,
+    config: DurableConfig,
+    dir: PathBuf,
+}
+
+impl Store {
+    /// The store and a writer over it, its catalog capped at `max_views`
+    /// and swept past `view_ttl`.
+    pub(crate) fn open(
+        seed: u64,
+        faults: &str,
+        checkpoint_every: u64,
+        view_ttl: Duration,
+        max_views: usize,
+        now: Instant,
+    ) -> (Store, Writer) {
+        let dir = scratch_dir(seed);
+        let config = DurableConfig::new(&dir)
+            .with_fsync(FsyncPolicy::Never)
+            .with_checkpoint_every(checkpoint_every);
+        let plan = FaultPlan::parse(faults).expect("generated fault specs parse");
+        let mut store =
+            DurableStore::open(&config.clone().with_faults(Arc::new(plan))).expect("open");
+        let catalog = ViewCatalog::new(Strategy::MagicSets)
+            .with_max_views(max_views)
+            .with_view_ttl(view_ttl);
+        let catalog = store
+            .recover(&program(), catalog, &seed_db())
+            .expect("fresh recovery")
+            .catalog;
+        let writer = Writer::new(program(), catalog, Some(store), view_ttl, now);
+        (Store { seed, config, dir }, writer)
+    }
+
+    /// Kill `writer` (nothing is synced, nothing more is answered),
+    /// recover the store, and check acked ⊆ recovered ⊆ acked ∪ unknown
+    /// and that the recovered bindings serve the recovered base.
+    pub(crate) fn crash(self, writer: Writer, acked: &BTreeSet<Edge>, unknown: &BTreeSet<Edge>) {
+        let seed = self.seed;
+        drop(writer);
+        let mut store = DurableStore::open(&self.config).expect("reopen");
+        let catalog = ViewCatalog::new(Strategy::MagicSets);
+        let recovered = store
+            .recover(&program(), catalog, &seed_db())
+            .expect("recovery");
+        let edges = stored_edges(recovered.catalog.base());
+        let differ: BTreeSet<Edge> = edges.symmetric_difference(acked).copied().collect();
+        assert!(
+            differ.is_subset(unknown),
+            "seed {seed}: recovered {edges:?}, acked {acked:?}, unknown {unknown:?}"
+        );
+        let now = Instant::now();
+        let writer = Writer::new(
+            program(),
+            recovered.catalog,
+            Some(store),
+            Duration::ZERO,
+            now,
+        );
+        for (key, view) in &writer.snapshot().views {
+            assert_eq!(
+                view.answers(),
+                closure(&edges, bound_node(key)),
+                "seed {seed}: recovered {key}"
+            );
+        }
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 /// Run `schedule`; returns the last snapshot the first life published.
 fn run(schedule: &Schedule) -> Arc<Snapshot> {
     let seed = schedule.seed;
-    let dir = scratch_dir(seed);
-    let config = DurableConfig::new(&dir)
-        .with_fsync(FsyncPolicy::Never)
-        .with_checkpoint_every(schedule.checkpoint_every);
-    let plan = FaultPlan::parse(&schedule.faults).expect("generated fault specs parse");
-    let mut store = DurableStore::open(&config.clone().with_faults(Arc::new(plan))).expect("open");
-    let catalog = ViewCatalog::new(Strategy::MagicSets)
-        .with_max_views(schedule.max_views)
-        .with_view_ttl(schedule.view_ttl);
-    let catalog = store
-        .recover(&program(), catalog, &seed_db())
-        .expect("fresh recovery")
-        .catalog;
     let mut now = Instant::now();
-    let mut writer = Writer::new(program(), catalog, Some(store), schedule.view_ttl, now);
+    let (store, mut writer) = Store::open(
+        seed,
+        &schedule.faults,
+        schedule.checkpoint_every,
+        schedule.view_ttl,
+        schedule.max_views,
+        now,
+    );
     let clients = schedule.scripts.iter().map(|script| Client {
         script: script.iter().copied().collect(),
         outstanding: None,
         ready_at: now,
     });
     let mut world = World {
-        seed,
+        ledger: Ledger::new(seed, &writer),
         rng: SplitMix64::seed_from_u64(seed.rotate_left(17)),
         think_ms: schedule.think_ms.clone(),
         clients: clients.collect(),
-        acked: seed_edges(),
-        published: BTreeSet::from([writer.snapshot().version]),
-        latest: writer.snapshot(),
     };
-    world.check(&writer);
     let mut queue: VecDeque<(usize, Command)> = VecDeque::new();
     let mut turns = 0;
     loop {
@@ -409,44 +521,14 @@ fn run(schedule: &Schedule) -> Arc<Snapshot> {
             break;
         }
         writer.turn(commands, now, |event| world.observe(event, now));
-        world.check(&writer);
+        world.ledger.check(&writer);
         turns += 1;
         now += Duration::from_micros(world.rng.random_range(0..2000) as u64);
     }
     if schedule.crash.is_some() {
-        // The process dies: nothing is synced, nothing more is answered.
-        drop(writer);
-        let unknown = world.unknown();
-        let mut store = DurableStore::open(&config).expect("reopen");
-        let catalog = ViewCatalog::new(Strategy::MagicSets);
-        let recovered = store
-            .recover(&program(), catalog, &seed_db())
-            .expect("recovery");
-        let edges = stored_edges(recovered.catalog.base());
-        let differ: BTreeSet<Edge> = edges.symmetric_difference(&world.acked).copied().collect();
-        assert!(
-            differ.is_subset(&unknown),
-            "seed {seed}: recovered {edges:?}, acked {:?}, unknown {unknown:?}",
-            world.acked
-        );
-        // The recovered bindings serve the recovered base.
-        let writer = Writer::new(
-            program(),
-            recovered.catalog,
-            Some(store),
-            Duration::ZERO,
-            now,
-        );
-        for (key, view) in &writer.snapshot().views {
-            assert_eq!(
-                view.answers(),
-                closure(&edges, bound_node(key)),
-                "seed {seed}: recovered {key}"
-            );
-        }
+        store.crash(writer, &world.ledger.acked, &world.unknown());
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    Arc::clone(&world.latest)
+    world.ledger.latest
 }
 
 /// Run the seeded schedule `seed` (a failure names it).
