@@ -7,16 +7,19 @@
 //! none of the plan, frame or index machinery.  On randomized chain, tree
 //! and grid databases all three must derive exactly the same fact sets.
 //!
-//! A probe-count regression test pins `EvalStats::join_probes` on
-//! `ancestor_chain(64)`, so accidental regressions of the delta-window
-//! slicing or the key-extraction logic fail loudly rather than just slowly.
+//! Probe-count regression tests pin `EvalStats::join_probes` on
+//! `ancestor_chain(64)`, and answers, facts, firings and probes of gsms on
+//! `same_generation` 6x8 and gms on `reverse` of a 16-element list, so
+//! accidental regressions of the delta-window slicing or the
+//! key-extraction logic fail loudly rather than just slowly.
 
 use power_of_magic::engine::{EvalStats, Evaluator, IterationScheme};
 use power_of_magic::lang::{parse_program, Bindings, Fact, PredName, Program};
 use power_of_magic::workloads::{
-    binary_tree, chain, programs, random_dag, same_generation_grid, SgConfig, SplitMix64,
+    binary_tree, chain, list_term, programs, random_dag, reverse_database, same_generation_grid,
+    SgConfig, SplitMix64,
 };
-use power_of_magic::Database;
+use power_of_magic::{Database, Planner, Strategy};
 use std::collections::BTreeSet;
 
 /// Reference oracle: naive fixpoint evaluation with map-based bindings and
@@ -198,5 +201,60 @@ fn join_probe_counts_are_pinned_on_ancestor_chain_64() {
          (naive {} vs semi-naive {})",
         naive.join_probes,
         semi.join_probes
+    );
+}
+
+/// `(answers, facts_derived, rule_firings, join_probes)` of one rewritten
+/// query, evaluated through the planner.
+fn rewritten_counters(
+    strategy: Strategy,
+    program: &Program,
+    query: &power_of_magic::Query,
+    db: &Database,
+) -> (usize, usize, usize, usize) {
+    let result = Planner::new(strategy)
+        .evaluate(program, query, db)
+        .expect("evaluation succeeds");
+    let stats = result.stats;
+    (
+        result.answers.len(),
+        stats.facts_derived,
+        stats.rule_firings,
+        stats.join_probes,
+    )
+}
+
+#[test]
+fn join_probe_counts_are_pinned_on_the_rewritten_shapes() {
+    // The cold semi-naive loop keeps each rule's written body order, so a
+    // rewritten rule whose delta sits behind a leading magic or
+    // supplementary atom re-scans that atom and probes once per row.
+    // These pins hold the join work of the two shapes where that happens
+    // (the nonlinear gsms chain and the function-symbol gms chain): a
+    // change that filters lookups must leave every counter here alone.
+    let grid = same_generation_grid(SgConfig {
+        depth: 6,
+        width: 8,
+        flat_everywhere: true,
+    });
+    assert_eq!(
+        rewritten_counters(
+            Strategy::SupplementaryMagicSets,
+            &programs::same_generation(),
+            &programs::same_generation_query("l0c0"),
+            &grid,
+        ),
+        (4, 280, 631, 2268),
+        "gsms counters moved on same_generation 6x8"
+    );
+    assert_eq!(
+        rewritten_counters(
+            Strategy::MagicSets,
+            &programs::list_reverse(),
+            &programs::reverse_query(list_term(16)),
+            &reverse_database(),
+        ),
+        (1, 306, 306, 14890),
+        "gms counters moved on reverse of a 16-element list"
     );
 }
