@@ -15,6 +15,15 @@
 //! * the semi-naive delta window is sliced off the *tail* of the
 //!   (ascending) id slice — no per-id filtering, and no search over the
 //!   old rows a delta never reaches (see `window_slice`);
+//! * a keyed atom past depth 0 whose window starts after row 0 is guarded
+//!   by a [`KeyFilter`] over the keys of the window's live rows: a key no
+//!   delta row carries returns before the index lookup, which would have
+//!   found nothing to examine (see [`KeyFilter`]);
+//! * the atom in front of a filtered one tests that filter on each
+//!   candidate row, before binding it, when every key term of the next
+//!   atom is a plain variable and every check term of its own is one
+//!   (the *precheck*): a row whose next key no delta row carries counts its
+//!   probe and goes no further;
 //! * backtracking truncates a shared trail of slot ids — no per-term
 //!   `vars()` vectors;
 //! * output rows are appended to a **flat** `Vec<ValId>` buffer
@@ -22,9 +31,14 @@
 //!   clones anywhere between the stored relation and the inserted fact.
 //!
 //! The only remaining per-row work is the check-term matches themselves and
-//! the recursion; the frame, trail and key buffer live in a `JoinScratch`
-//! the fixpoint loop keeps for the whole run, so a steady-state rule
-//! evaluation allocates only its (small) vector of bound atoms.
+//! the recursion; the frame, trail, key buffer and key filters live in a
+//! `JoinScratch` the fixpoint loop keeps for the whole run, so a
+//! steady-state rule evaluation allocates only its (small) vector of bound
+//! atoms.
+//!
+//! Filters and prechecks only skip lookups that would examine no row: the
+//! rows, probes, matches and errors of a join are those of the unfiltered
+//! loop, by construction (a false positive falls through to the lookup).
 //!
 //! # Entry points
 //!
@@ -50,7 +64,7 @@
 use crate::error::EvalError;
 use crate::limits::Limits;
 use crate::plan::{AtomPlan, RulePlan};
-use magic_datalog::{Frame, PredName, Trail, ValId};
+use magic_datalog::{Frame, PredName, SlotTerm, Trail, ValId};
 use magic_storage::relation::tail_partition_point;
 use magic_storage::{Database, IndexRef, Relation};
 
@@ -89,6 +103,9 @@ pub(crate) struct JoinScratch {
     /// serves every depth: a key is consumed by its probe before the join
     /// descends.
     key: Vec<ValId>,
+    /// The key filter of each depth, rebuilt per rule evaluation by
+    /// [`JoinScratch::build_filters`]; an empty one filters nothing.
+    filters: Vec<KeyFilter>,
 }
 
 impl JoinScratch {
@@ -97,6 +114,139 @@ impl JoinScratch {
         self.frame.clear();
         self.frame.resize(plan.num_slots, ValId::NULL);
         self.trail.clear();
+    }
+
+    /// Build the key filter of every keyed atom past depth 0 whose delta
+    /// window starts after row 0, and the precheck of the atom in front of
+    /// it, for one evaluation of `ctx`.  Depth 0 gets none: its key is
+    /// probed once per evaluation, so a filter could save one lookup at
+    /// the price of hashing the whole window.  A window from row 0 is the
+    /// relation's old rows, as large as what the filter would spare.
+    fn build_filters(&mut self, ctx: &JoinCtx<'_>) {
+        self.filters
+            .resize_with(ctx.atoms.len(), KeyFilter::default);
+        for filter in &mut self.filters {
+            filter.bits.clear();
+            filter.sources.clear();
+        }
+        for (depth, atom) in ctx.atoms.iter().enumerate().skip(1) {
+            let Some(window) = atom.window.filter(|w| w.from > 0) else {
+                continue;
+            };
+            if atom.keyed.is_none() {
+                continue;
+            }
+            let filter = &mut self.filters[depth];
+            filter.build(atom.relation, &atom.plan.key_positions, window);
+            filter.plan_precheck(ctx.atoms[depth - 1].plan, &atom.plan.key_terms);
+        }
+    }
+}
+
+/// Where a precheck reads one position of the next atom's key.
+#[derive(Clone, Copy, Debug)]
+enum KeySource {
+    /// The candidate row at this position (a plain variable the row binds).
+    Row(usize),
+    /// This frame slot (bound before the atom being probed).
+    Frame(u32),
+}
+
+/// A one-hash bitmap over the keys of the live rows in one atom's delta
+/// window, [`KEY_FILTER_BITS_PER_ROW`] bits a row: a clear bit proves that
+/// no row of the window carries the key, so the lookup would return no
+/// candidate the window admits.  A set bit proves nothing (about one key
+/// in eight not in the window sets one) and falls through to the lookup.
+/// It works on keys of any width: a key is hashed id by id.
+#[derive(Debug, Default)]
+struct KeyFilter {
+    /// The bitmap, a power of two of bits; empty when the atom has no
+    /// filter.
+    bits: Vec<u64>,
+    /// A key hash's bit is `hash >> shift`.
+    shift: u32,
+    /// The precheck: where the probe of the atom in front reads this
+    /// atom's key, in key order.  Empty when it cannot (a key term that is
+    /// not a plain variable, or a check term of that atom that is not one).
+    sources: Vec<KeySource>,
+}
+
+/// Bits per window row of a [`KeyFilter`].
+const KEY_FILTER_BITS_PER_ROW: usize = 8;
+
+/// The filter hash of a key, id by id (FxHash's word step; the filter reads
+/// the well-mixed top bits).
+#[inline]
+fn key_hash(ids: impl Iterator<Item = ValId>) -> u64 {
+    ids.fold(0, |h: u64, id| {
+        (h.rotate_left(5) ^ u64::from(id.raw())).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+    })
+}
+
+impl KeyFilter {
+    /// Fill the bitmap with the `positions` key of every live row of
+    /// `relation` in `window`.
+    fn build(&mut self, relation: &Relation, positions: &[usize], window: DeltaWindow) {
+        let rows = window_range(relation.watermark(), Some(window));
+        let bits = (rows.len() * KEY_FILTER_BITS_PER_ROW)
+            .next_power_of_two()
+            .max(64);
+        self.shift = 64 - bits.trailing_zeros();
+        self.bits.resize(bits / 64, 0);
+        let has_dead = relation.tombstones() != 0;
+        for id in rows {
+            if has_dead && !relation.is_live(id) {
+                continue;
+            }
+            let row = relation.row_ids(id);
+            let bit = (key_hash(positions.iter().map(|&p| row[p])) >> self.shift) as usize;
+            self.bits[bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// Whether `key` may be in the window.  An atom without a filter
+    /// admits every key.
+    #[inline]
+    fn admits(&self, key: impl Iterator<Item = ValId>) -> bool {
+        if self.bits.is_empty() {
+            return true;
+        }
+        let bit = (key_hash(key) >> self.shift) as usize;
+        self.bits[bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    /// Plan the precheck of the atom in front, `prev`: read each plain
+    /// variable of `key_terms` from the row position where `prev` binds it,
+    /// or else from the frame (it was bound before `prev`).  Declines —
+    /// leaves `sources` empty — unless every key term is a plain variable
+    /// and every check term of `prev` is one too (a compound check term
+    /// binds its variables inside a structure, not at a position).
+    fn plan_precheck(&mut self, prev: &AtomPlan, key_terms: &[SlotTerm]) {
+        let plain = |term: &SlotTerm| matches!(term, SlotTerm::Slot(_));
+        if !key_terms.iter().all(plain) || !prev.check.iter().all(|(_, term)| plain(term)) {
+            return;
+        }
+        self.sources.extend(key_terms.iter().map(|term| {
+            let SlotTerm::Slot(slot) = *term else {
+                unreachable!("every key term is a plain variable")
+            };
+            prev.check
+                .iter()
+                .find(|(_, check)| *check == SlotTerm::Slot(slot))
+                .map_or(KeySource::Frame(slot), |&(pos, _)| KeySource::Row(pos))
+        }));
+    }
+
+    /// The precheck: whether the key that `row` (with `frame`) gives the
+    /// next atom may be in that atom's window.  True when there is no
+    /// precheck.
+    #[inline]
+    fn precheck(&self, row: &[ValId], frame: &Frame) -> bool {
+        self.sources.is_empty()
+            || self.admits(self.sources.iter().map(|source| match *source {
+                KeySource::Row(pos) => row[pos],
+                KeySource::Frame(slot) => frame[slot as usize],
+            }))
     }
 }
 
@@ -327,6 +477,7 @@ pub(crate) fn evaluate_rule_scratch(
     let mut counters = JoinCounters::default();
     if let Some(ctx) = JoinCtx::bind(plan, db, windows, limits)? {
         scratch.reset(plan);
+        scratch.build_filters(&ctx);
         descend(&ctx, 0, scratch, &mut RowSink { out }, &mut counters)?;
     }
     Ok(counters)
@@ -509,6 +660,12 @@ fn descend<S: MatchSink>(
         }
         scratch.key.push(v);
     }
+    // A key no row of the delta window carries finds nothing to examine.
+    if let Some(filter) = scratch.filters.get(depth) {
+        if !filter.admits(scratch.key.iter().copied()) {
+            return Ok(());
+        }
+    }
     // The borrowed-slice fast path.  Index id lists and the dedup table
     // contain live rows only (removal drops ids eagerly); a full-row key
     // yields its one candidate (or none), which the delta window then
@@ -554,6 +711,12 @@ fn probe<S: MatchSink>(
 ) -> Result<(), EvalError> {
     counters.probes += 1;
     let row = atom.relation.row_ids(id);
+    // The next atom's filter, tested on this row before binding it.
+    if let Some(next) = scratch.filters.get(depth + 1) {
+        if !next.precheck(row, &scratch.frame) {
+            return Ok(());
+        }
+    }
     let mark = scratch.trail.len();
     let mut ok = true;
     for (pos, term) in &atom.plan.check {
@@ -643,18 +806,22 @@ mod tests {
         &ids[lo..hi]
     }
 
-    #[test]
-    fn tail_anchored_window_slice_matches_the_partition_point_reference() {
-        // SplitMix64, inline: the engine has no dev-dependency to borrow
-        // a generator from.
-        let mut state = 0x5EED_0014_u64;
-        let mut next = move |bound: usize| {
+    /// A seeded draw below `bound`: SplitMix64, inline, because the engine
+    /// has no dev-dependency to borrow a generator from.
+    fn splitmix(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |bound: usize| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             ((z ^ (z >> 31)) % bound as u64) as usize
-        };
+        }
+    }
+
+    #[test]
+    fn tail_anchored_window_slice_matches_the_partition_point_reference() {
+        let mut next = splitmix(0x5EED_0014);
         for case in 0..4000 {
             // An ascending id list with random gaps (dense, sparse, empty).
             let len = [0, 1, 2, 3, 17, 64, 300][next(7)];
@@ -693,6 +860,202 @@ mod tests {
             }
             assert_eq!(window_slice(&ids, None), &ids[..]);
         }
+    }
+
+    /// One random rule over `p0..p3` (arities `arities`): 2 to 4 body
+    /// atoms over shared variables `A..D`, constants, and compound `f(_, _)`
+    /// terms; the first compound over a fresh variable is a check term (it
+    /// declines the precheck), and an atom past the first may repeat only
+    /// bound variables and constants (it is fully bound, a `Row` access).
+    fn random_rule(next: &mut impl FnMut(usize) -> usize, arities: &[usize]) -> String {
+        const VARS: [&str; 4] = ["A", "B", "C", "D"];
+        const CONSTS: [&str; 3] = ["a", "b", "f(a, b)"];
+        let atoms = 2 + next(3);
+        let fully_bound = 1 + next(2 * atoms);
+        let mut bound: Vec<&str> = Vec::new();
+        let mut body = Vec::new();
+        for depth in 0..atoms {
+            let pred = next(arities.len());
+            let mut atom_vars = Vec::new();
+            let terms: Vec<String> = (0..arities[pred])
+                .map(|_| {
+                    let var = VARS[next(VARS.len())];
+                    if depth == fully_bound && !bound.is_empty() {
+                        return match next(4) {
+                            0 => CONSTS[next(CONSTS.len())].to_string(),
+                            _ => bound[next(bound.len())].to_string(),
+                        };
+                    }
+                    match next(6) {
+                        0 => CONSTS[next(CONSTS.len())].to_string(),
+                        1 => {
+                            let other = VARS[next(VARS.len())];
+                            atom_vars.extend([var, other]);
+                            format!("f({var}, {other})")
+                        }
+                        _ => {
+                            atom_vars.push(var);
+                            var.to_string()
+                        }
+                    }
+                })
+                .collect();
+            for var in atom_vars {
+                if !bound.contains(&var) {
+                    bound.push(var);
+                }
+            }
+            body.push(format!("p{pred}({})", terms.join(", ")));
+        }
+        bound.sort_unstable();
+        let head = if bound.is_empty() {
+            "a".to_string()
+        } else {
+            bound.join(", ")
+        };
+        format!("h({head}) :- {}.", body.join(", "))
+    }
+
+    /// The rows and counters of `plan` under `windows`, through the join's
+    /// steps, with the key filters and prechecks built (`filtered`) or
+    /// cleared after building.  With the filters built, also checks that
+    /// every live key of a filtered window passes its filter.  Returns
+    /// whether some precheck was planned.
+    fn run_join(
+        plan: &RulePlan,
+        db: &Database,
+        windows: &[DeltaWindow],
+        filtered: bool,
+    ) -> (Vec<ValId>, (usize, usize), [bool; 3]) {
+        let limits = Limits::default();
+        let mut out = Vec::new();
+        let mut counters = JoinCounters::default();
+        // (a filter on a full-row key, a precheck, a declined precheck)
+        let mut seen = [false; 3];
+        if let Some(ctx) = JoinCtx::bind(plan, db, windows, &limits).unwrap() {
+            let mut scratch = JoinScratch::default();
+            scratch.reset(plan);
+            scratch.build_filters(&ctx);
+            for (depth, (atom, filter)) in ctx.atoms.iter().zip(&scratch.filters).enumerate() {
+                if filter.bits.is_empty() {
+                    continue;
+                }
+                seen[0] |= matches!(atom.keyed, Some(KeyedAccess::Row));
+                seen[1] |= !filter.sources.is_empty();
+                seen[2] |= filter.sources.is_empty()
+                    && ctx.atoms[depth - 1]
+                        .plan
+                        .check
+                        .iter()
+                        .any(|(_, term)| !matches!(term, SlotTerm::Slot(_)));
+                let relation = atom.relation;
+                for id in window_range(relation.watermark(), atom.window) {
+                    if relation.is_live(id) {
+                        let row = relation.row_ids(id);
+                        let key = atom.plan.key_positions.iter().map(|&p| row[p]);
+                        assert!(filter.admits(key), "live window row {id} fails its filter");
+                    }
+                }
+            }
+            if !filtered {
+                for filter in &mut scratch.filters {
+                    filter.bits.clear();
+                    filter.sources.clear();
+                }
+            }
+            descend(
+                &ctx,
+                0,
+                &mut scratch,
+                &mut RowSink { out: &mut out },
+                &mut counters,
+            )
+            .unwrap();
+        }
+        (out, (counters.probes, counters.matches), seen)
+    }
+
+    #[test]
+    fn key_filters_and_prechecks_change_no_row_and_no_counter() {
+        let mut next = splitmix(0xF1_17E5);
+        let universe: Vec<Value> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|s| Value::sym(s))
+            .chain([
+                Value::app("f".into(), vec![Value::sym("a"), Value::sym("b")]),
+                Value::app("f".into(), vec![Value::sym("b"), Value::sym("a")]),
+                Value::app("f".into(), vec![Value::sym("c"), Value::sym("c")]),
+            ])
+            .collect();
+        let mut seen = [false; 3];
+        let mut filtered_cases = 0;
+        for case in 0..3000 {
+            let arities: Vec<usize> = (0..4).map(|_| 1 + next(3)).collect();
+            let source = random_rule(&mut next, &arities);
+            let rule = parse_rule(&source).unwrap();
+            let plan = RulePlan::compile(&rule, 0, &BTreeSet::new());
+            // Rows of every relation, some of them then tombstoned.
+            let mut db = Database::new();
+            for (p, &arity) in arities.iter().enumerate() {
+                let pred = PredName::plain(&format!("p{p}"));
+                let mut rows = Vec::new();
+                for _ in 0..1 + next(40) {
+                    let row: Vec<Value> = (0..arity)
+                        .map(|_| universe[next(universe.len())].clone())
+                        .collect();
+                    db.insert(pred.clone(), row.clone());
+                    rows.push(row);
+                }
+                for row in &rows {
+                    if next(5) == 0 {
+                        db.remove(&pred, row);
+                    }
+                }
+            }
+            // Most key patterns indexed, the rest scanned by `scan_select`.
+            for atom in &plan.atoms {
+                let relation = db.relation_mut(&atom.pred, atom.arity);
+                if !atom.key_positions.is_empty() && next(4) != 0 {
+                    relation.ensure_index(&atom.key_positions);
+                }
+            }
+            // Windows from after row 0 and from row 0, on some occurrences.
+            let mut windows = Vec::new();
+            for (occurrence, atom) in plan.atoms.iter().enumerate() {
+                let end = db.relation(&atom.pred).map_or(0, Relation::watermark);
+                if next(3) == 0 {
+                    continue;
+                }
+                let from = if next(3) == 0 { 0 } else { 1 + next(end + 1) };
+                let to = from + next(end + 2);
+                windows.push(DeltaWindow {
+                    occurrence,
+                    from,
+                    to,
+                });
+            }
+            let (rows, counters, covered) = run_join(&plan, &db, &windows, true);
+            let (want_rows, want_counters, _) = run_join(&plan, &db, &windows, false);
+            assert_eq!(rows, want_rows, "case {case}: {source} under {windows:?}");
+            assert_eq!(
+                counters, want_counters,
+                "case {case}: {source} under {windows:?}"
+            );
+            // The public entry point runs the filtered join.
+            let mut out = Vec::new();
+            let public =
+                evaluate_rule_windows(&plan, &db, &windows, &Limits::default(), &mut out).unwrap();
+            assert_eq!((out, (public.probes, public.matches)), (rows, counters));
+            filtered_cases += usize::from(covered.iter().any(|&c| c));
+            for (seen, covered) in seen.iter_mut().zip(covered) {
+                *seen |= covered;
+            }
+        }
+        assert_eq!(
+            seen, [true; 3],
+            "no case filtered a full-row key, planned a precheck, or declined one"
+        );
+        assert!(filtered_cases > 300, "{filtered_cases} filtered cases");
     }
 
     #[test]
