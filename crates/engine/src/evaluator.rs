@@ -623,6 +623,11 @@ impl FixpointRunner {
                             // fans out from the delta instead of re-scanning
                             // the rule's leading atoms; window positions are
                             // remapped through the variant's permutation.
+                            // Cold runs keep the written order: delta-first
+                            // would move `join_probes`, which the counter
+                            // golden and the benchmark pin.  A re-scanned
+                            // leading magic atom's lookups that no delta row
+                            // answers are skipped by the join's key filters.
                             let variant = seeded.then_some(nth);
                             let map = |o: usize| match variant {
                                 Some(nth) => self.delta_plans[plan_idx][nth].pos_of_orig[o],
