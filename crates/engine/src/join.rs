@@ -16,7 +16,7 @@
 //!   (ascending) id slice — no per-id filtering, and no search over the
 //!   old rows a delta never reaches (see `window_slice`);
 //! * a keyed atom past depth 0 whose window starts after row 0 has a
-//!   [`KeyFilter`] over the keys of the window's live rows: a key it
+//!   `KeyFilter` over the keys of the window's live rows: a key it
 //!   rejects returns before the index lookup, and the atom in front tests
 //!   it on each candidate row before binding the row (the *precheck*).
 //!   Only lookups that would examine no row are skipped, so rows, probes,
@@ -143,8 +143,8 @@ enum KeySource {
 
 /// A one-hash bitmap over the keys of the live rows in one atom's delta
 /// window, 8 bits a row, for keys of any width.  A clear bit proves that no
-/// window row carries the key; a set bit (about one absent key in eight)
-/// falls through to the lookup.
+/// live window row carries the key; a set bit (about one absent key in
+/// eight) falls through to the lookup.
 #[derive(Debug, Default)]
 struct KeyFilter {
     /// A power of two of bits; empty when the atom has no filter.
