@@ -74,25 +74,6 @@ pub enum IterationScheme {
     SemiNaive,
 }
 
-/// How semi-naive delta windows are combined per rule evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WindowDiscipline {
-    /// One window per tracked occurrence; every other occurrence ranges over
-    /// the full relation.  A derivation whose body contains two facts that
-    /// are new in the same iteration is enumerated once per such occurrence.
-    /// This is the engine's historical behaviour and the cheapest complete
-    /// discipline (fewest windows per call).
-    #[default]
-    Overlapping,
-    /// The textbook disjoint discipline: when occurrence `j` reads the
-    /// delta, every *earlier* tracked occurrence is restricted to the
-    /// pre-delta rows.  Each derivation is enumerated exactly once across
-    /// the whole run.  Incremental views resume under it, but no caller
-    /// relies on the exactly-once enumeration: views keep no per-row
-    /// derivation counts.
-    Disjoint,
-}
-
 /// Observer of individual rule firings, called once per produced head row
 /// during the insertion phase of each iteration as
 /// `(plan_idx, row_id, is_new)`: `plan_idx` indexes
@@ -131,6 +112,14 @@ pub struct EvalResult {
 /// reusable across calls: build once, [`FixpointRunner::run`] to
 /// materialize, then [`FixpointRunner::resume`] any number of times with
 /// externally seeded deltas.
+///
+/// `run` and `resume` share one semi-naive discipline: a rule is
+/// evaluated once per tracked body occurrence whose relation gained rows,
+/// with that occurrence windowed to the new rows and every other
+/// occurrence over its full relation.  A derivation over facts new in the
+/// same iteration at two occurrences is therefore enumerated once per
+/// such occurrence; the extra firings are duplicates, so facts and
+/// answers are unaffected.
 #[derive(Clone, Debug)]
 pub struct FixpointRunner {
     plans: Vec<RulePlan>,
@@ -162,7 +151,6 @@ pub struct FixpointRunner {
     schedule: Schedule,
     limits: Limits,
     scheme: IterationScheme,
-    discipline: WindowDiscipline,
 }
 
 /// A delta-driven variant of a rule plan: the plan itself plus the body
@@ -332,7 +320,6 @@ impl FixpointRunner {
             schedule: Schedule::build(program),
             limits: Limits::default(),
             scheme: IterationScheme::SemiNaive,
-            discipline: WindowDiscipline::Overlapping,
         }
     }
 
@@ -345,12 +332,6 @@ impl FixpointRunner {
     /// Override the iteration scheme.
     pub fn with_scheme(mut self, scheme: IterationScheme) -> FixpointRunner {
         self.scheme = scheme;
-        self
-    }
-
-    /// Override the window discipline (see [`WindowDiscipline`]).
-    pub fn with_discipline(mut self, discipline: WindowDiscipline) -> FixpointRunner {
-        self.discipline = discipline;
         self
     }
 
@@ -470,13 +451,13 @@ impl FixpointRunner {
     }
 
     /// Evaluate plan `plan_idx` — its `variant`-th delta-driven form in
-    /// resume mode — under `windows` against the (read-only) database,
+    /// resume mode — under `delta` against the (read-only) database,
     /// appending its head rows to `out`.
     fn evaluate(
         &self,
         plan_idx: usize,
         variant: Option<usize>,
-        windows: &[DeltaWindow],
+        delta: Option<DeltaWindow>,
         db: &Database,
         scratch: &mut JoinScratch,
         out: &mut Vec<ValId>,
@@ -485,7 +466,7 @@ impl FixpointRunner {
             Some(nth) => &self.delta_plans[plan_idx][nth].plan,
             None => &self.plans[plan_idx],
         };
-        evaluate_rule_scratch(plan, db, windows, &self.limits, scratch, out)
+        evaluate_rule_scratch(plan, db, delta, &self.limits, scratch, out)
     }
 
     /// The one fixpoint loop.  `seed_marks` switches between run mode
@@ -562,8 +543,7 @@ impl FixpointRunner {
         // zero-arity heads (fully bound magic/answer predicates) it is the
         // only record of how many firings happened.
         let mut match_counts: Vec<usize> = vec![0; self.plans.len()];
-        // Reusable window and join scratch.
-        let mut windows: Vec<DeltaWindow> = Vec::new();
+        // Reusable join scratch.
         let mut scratch = JoinScratch::default();
 
         loop {
@@ -613,51 +593,28 @@ impl FixpointRunner {
                         let occurrences = &self.tracked_occurrences[plan_idx];
                         for (nth, &(occ, tracked_idx)) in occurrences.iter().enumerate() {
                             let from = prev_marks[tracked_idx];
-                            let to = cur_marks[tracked_idx];
-                            if from >= to {
+                            if from >= cur_marks[tracked_idx] {
                                 continue; // no new facts for this occurrence
                             }
                             live = true;
                             // In resume mode the delta-driven variant moves
                             // the windowed atom to the front, so the join
                             // fans out from the delta instead of re-scanning
-                            // the rule's leading atoms; window positions are
-                            // remapped through the variant's permutation.
-                            // Cold runs keep the written order: delta-first
-                            // would move `join_probes`, which the counter
-                            // golden and the benchmark pin.  A re-scanned
-                            // leading magic atom's lookups that no delta row
-                            // answers are skipped by the join's key filters.
+                            // the rule's leading atoms.  Cold runs keep the
+                            // written order: delta-first would move
+                            // `join_probes`, which the counter golden and the
+                            // benchmark pin.  A re-scanned leading magic
+                            // atom's lookups that no delta row answers are
+                            // skipped by the join's key filters.
                             let variant = seeded.then_some(nth);
-                            let map = |o: usize| match variant {
-                                Some(nth) => self.delta_plans[plan_idx][nth].pos_of_orig[o],
-                                None => o,
+                            let occurrence = match variant {
+                                Some(nth) => self.delta_plans[plan_idx][nth].pos_of_orig[occ],
+                                None => occ,
                             };
-                            windows.clear();
-                            if self.discipline == WindowDiscipline::Disjoint {
-                                // Earlier tracked occurrences read the
-                                // pre-delta rows only, so a derivation touching
-                                // several delta facts is enumerated exactly
-                                // once (at its first delta occurrence).
-                                for &(prev_occ, prev_idx) in &occurrences[..nth] {
-                                    if prev_marks[prev_idx] < cur_marks[prev_idx] {
-                                        windows.push(DeltaWindow {
-                                            occurrence: map(prev_occ),
-                                            from: 0,
-                                            to: prev_marks[prev_idx],
-                                        });
-                                    }
-                                }
-                            }
-                            windows.push(DeltaWindow {
-                                occurrence: map(occ),
-                                from,
-                                to,
-                            });
                             let counters = self.evaluate(
                                 plan_idx,
                                 variant,
-                                &windows,
+                                Some(DeltaWindow { occurrence, from }),
                                 db,
                                 &mut scratch,
                                 &mut outputs[plan_idx],
@@ -670,7 +627,7 @@ impl FixpointRunner {
                         let counters = self.evaluate(
                             plan_idx,
                             None,
-                            &[],
+                            None,
                             db,
                             &mut scratch,
                             &mut outputs[plan_idx],
@@ -796,7 +753,7 @@ impl FixpointRunner {
         let counters = evaluate_rule_scratch(
             plan,
             db,
-            &[],
+            None,
             &self.limits,
             &mut JoinScratch::default(),
             &mut scratch,
@@ -1133,8 +1090,7 @@ mod tests {
         let program = ancestor();
         let mut tracked = program.derived_preds();
         tracked.extend(program.base_preds());
-        let runner =
-            FixpointRunner::compile(&program, &tracked).with_discipline(WindowDiscipline::Disjoint);
+        let runner = FixpointRunner::compile(&program, &tracked);
         let mut db = chain_db(10);
         let mut stats = EvalStats::default();
         runner.run(&mut db, &mut stats, None).unwrap();
@@ -1172,6 +1128,46 @@ mod tests {
         assert_eq!(db, before);
         assert_eq!(resume_stats.join_probes, 0);
         assert_eq!(resume_stats.iterations, 1);
+    }
+
+    #[test]
+    fn resumed_deltas_at_two_occurrences_enumerate_a_derivation_per_occurrence() {
+        // Two inserted edges that chain: in the first resumed iteration both
+        // body occurrences carry a delta, and t(b, d) (from t(b, c) and
+        // t(c, d), both new) is enumerated once per delta occurrence.
+        let program = parse_program("t(X, Z) :- t(X, Y), t(Y, Z).").unwrap();
+        let mut tracked = program.derived_preds();
+        tracked.extend(program.base_preds());
+        let runner = FixpointRunner::compile(&program, &tracked);
+        let mut db = Database::new();
+        db.insert_pair("t", "a", "b");
+        runner
+            .run(&mut db, &mut EvalStats::default(), None)
+            .unwrap();
+
+        let marks = runner.marks(&db);
+        db.insert_pair("t", "b", "c");
+        db.insert_pair("t", "c", "d");
+        let mut scratch = db.clone();
+        let mut stats = EvalStats::default();
+        runner.resume(&mut db, marks, &mut stats, None).unwrap();
+        // Iteration 1: t(b, d) at the first occurrence, t(a, c) and t(b, d)
+        // again at the second.  Iteration 2: t(a, d) once per occurrence.
+        assert_eq!(
+            (
+                stats.rule_firings,
+                stats.facts_derived,
+                stats.duplicate_derivations
+            ),
+            (5, 3, 2)
+        );
+
+        runner
+            .run(&mut scratch, &mut EvalStats::default(), None)
+            .unwrap();
+        let rows = |db: &Database| db.facts().map(|f| f.to_string()).collect::<BTreeSet<_>>();
+        assert_eq!(rows(&db), rows(&scratch));
+        assert_eq!(db.count(&PredName::plain("t")), 6);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   borrowed index handle and its delta window — an atom visit names no
 //!   predicate and no position pattern;
 //! * index probes borrow the relation's id slice — no `to_vec()` copies;
-//! * the semi-naive delta window is sliced off the *tail* of the
-//!   (ascending) id slice — no per-id filtering, and no search over the
-//!   old rows a delta never reaches (see `window_slice`);
+//! * the semi-naive delta window is a suffix of row-id space, sliced off
+//!   the *tail* of the (ascending) id slice — no per-id filtering, and no
+//!   search over the old rows a delta never reaches (see `window_slice`);
 //! * a keyed atom past depth 0 whose window starts after row 0 has a
 //!   `KeyFilter` over the keys of the window's live rows: a key it
 //!   rejects returns before the index lookup, and the atom in front tests
@@ -39,12 +39,8 @@
 //! `MatchSink` parameter (monomorphized; the classic row-producing path
 //! compiles to exactly the code it had before the abstraction existed):
 //!
-//! * [`evaluate_rule`] / [`evaluate_rule_windows`] — forward evaluation,
-//!   appending head rows to a flat output buffer.  The `_windows` variant
-//!   takes *several* delta windows (at most one per body occurrence), which
-//!   is what lets the fixpoint loop run the textbook *disjoint* semi-naive
-//!   discipline (delta at occurrence *j*, old facts at earlier tracked
-//!   occurrences) and thereby enumerate each derivation exactly once.
+//! * [`evaluate_rule`] — forward evaluation under at most one delta
+//!   window, appending head rows to a flat output buffer.
 //! * [`count_derivations_batch`] — the *head-bound* join: match each
 //!   concrete head row of a packed batch against the rule head, then count
 //!   the body instantiations consistent with it.  This is the support
@@ -62,8 +58,10 @@ use magic_storage::relation::tail_partition_point;
 use magic_storage::{Database, FxHasher, IndexRef, Relation};
 use std::hash::Hasher;
 
-/// Restriction of one body occurrence to a "delta" window of its relation
-/// (row ids in `from..to`), used by semi-naive evaluation.
+/// Restriction of one body occurrence to the "delta" of its relation: the
+/// rows with ids from `from` up to the relation's watermark, used by
+/// semi-naive evaluation.  Rows are append-only and a rule evaluation
+/// inserts nothing, so a delta is always such a suffix.
 #[derive(Clone, Copy, Debug)]
 pub struct DeltaWindow {
     /// The body occurrence (index into the rule body) that must read the
@@ -71,8 +69,6 @@ pub struct DeltaWindow {
     pub occurrence: usize,
     /// First row id included.
     pub from: usize,
-    /// One past the last row id included.
-    pub to: usize,
 }
 
 /// Counters produced by evaluating a single rule.
@@ -353,8 +349,8 @@ fn resolve_relation<'a>(
     }
 }
 
-/// Bind each positive body atom to its relation, index handle and delta
-/// window.
+/// Bind each positive body atom to its relation, index handle and (for
+/// the windowed occurrence) delta window.
 ///
 /// Arity mismatches between a body atom and its stored relation are
 /// reported eagerly, even for atoms an empty earlier atom would have kept
@@ -365,7 +361,7 @@ fn resolve_relation<'a>(
 fn bind_atoms<'a>(
     plan: &'a RulePlan,
     db: &'a Database,
-    windows: &[DeltaWindow],
+    window: Option<DeltaWindow>,
 ) -> Result<Option<Vec<BoundAtom<'a>>>, EvalError> {
     let mut bound = Vec::with_capacity(plan.atoms.len());
     for (depth, atom) in plan.atoms.iter().enumerate() {
@@ -374,7 +370,7 @@ fn bind_atoms<'a>(
                 plan: atom,
                 relation,
                 keyed: KeyedAccess::resolve(relation, &atom.key_positions),
-                window: windows.iter().find(|w| w.occurrence == depth).copied(),
+                window: window.filter(|w| w.occurrence == depth),
             });
         }
     }
@@ -389,7 +385,7 @@ impl<'a> JoinCtx<'a> {
     fn bind(
         plan: &'a RulePlan,
         db: &'a Database,
-        windows: &[DeltaWindow],
+        window: Option<DeltaWindow>,
         limits: &'a Limits,
     ) -> Result<Option<JoinCtx<'a>>, EvalError> {
         // An absent negated relation is kept as `None`: the complement of
@@ -400,7 +396,7 @@ impl<'a> JoinCtx<'a> {
             .iter()
             .map(|atom| resolve_relation(db, &atom.pred, atom.arity))
             .collect::<Result<_, _>>()?;
-        Ok(bind_atoms(plan, db, windows)?.map(|atoms| JoinCtx {
+        Ok(bind_atoms(plan, db, window)?.map(|atoms| JoinCtx {
             plan,
             atoms,
             neg_relations,
@@ -414,7 +410,8 @@ impl<'a> JoinCtx<'a> {
 /// belong to `plan.head_pred`).
 ///
 /// If `delta` is given, the designated body occurrence only ranges over the
-/// row-id window — the semi-naive restriction.
+/// delta — the semi-naive restriction; every other occurrence ranges over
+/// the full relation.
 pub fn evaluate_rule(
     plan: &RulePlan,
     db: &Database,
@@ -422,40 +419,21 @@ pub fn evaluate_rule(
     limits: &Limits,
     out: &mut Vec<ValId>,
 ) -> Result<JoinCounters, EvalError> {
-    match delta {
-        Some(w) => evaluate_rule_windows(plan, db, &[w], limits, out),
-        None => evaluate_rule_windows(plan, db, &[], limits, out),
-    }
+    evaluate_rule_scratch(plan, db, delta, limits, &mut JoinScratch::default(), out)
 }
 
-/// Like [`evaluate_rule`], but with several delta windows — at most one per
-/// body occurrence.  An occurrence without a window ranges over the full
-/// relation.  This is the primitive behind the *disjoint* semi-naive
-/// discipline of the incremental layer: restricting occurrence `j` to the
-/// delta and earlier tracked occurrences to the pre-delta rows enumerates
-/// every new derivation exactly once.
-pub fn evaluate_rule_windows(
-    plan: &RulePlan,
-    db: &Database,
-    windows: &[DeltaWindow],
-    limits: &Limits,
-    out: &mut Vec<ValId>,
-) -> Result<JoinCounters, EvalError> {
-    evaluate_rule_scratch(plan, db, windows, limits, &mut JoinScratch::default(), out)
-}
-
-/// [`evaluate_rule_windows`] over caller-owned buffers: the form the
-/// fixpoint loop calls, once per rule evaluation.
+/// [`evaluate_rule`] over caller-owned buffers: the form the fixpoint loop
+/// calls, once per rule evaluation.
 pub(crate) fn evaluate_rule_scratch(
     plan: &RulePlan,
     db: &Database,
-    windows: &[DeltaWindow],
+    delta: Option<DeltaWindow>,
     limits: &Limits,
     scratch: &mut JoinScratch,
     out: &mut Vec<ValId>,
 ) -> Result<JoinCounters, EvalError> {
     let mut counters = JoinCounters::default();
-    if let Some(ctx) = JoinCtx::bind(plan, db, windows, limits)? {
+    if let Some(ctx) = JoinCtx::bind(plan, db, delta, limits)? {
         scratch.reset(plan);
         scratch.build_filters(&ctx);
         descend(&ctx, 0, scratch, &mut RowSink { out }, &mut counters)?;
@@ -517,7 +495,7 @@ pub fn count_derivations_batch(
     if plan.head_terms.len() != arity || counts.is_empty() {
         return Ok(counters);
     }
-    let Some(ctx) = JoinCtx::bind(plan, db, &[], limits)? else {
+    let Some(ctx) = JoinCtx::bind(plan, db, None, limits)? else {
         return Ok(counters);
     };
     let mut scratch = JoinScratch::default();
@@ -536,26 +514,21 @@ pub fn count_derivations_batch(
     Ok(counters)
 }
 
-/// Clamp `range` to a delta window.
-fn window_range(len: usize, window: Option<DeltaWindow>) -> std::ops::Range<usize> {
-    match window {
-        None => 0..len,
-        Some(w) => w.from.min(len)..w.to.min(len),
-    }
+/// The row ids `0..watermark` of a relation, cut down to a delta window.
+fn window_range(watermark: usize, window: Option<DeltaWindow>) -> std::ops::Range<usize> {
+    window.map_or(0, |w| w.from.min(watermark))..watermark
 }
 
 /// Slice an index id list down to a delta window, anchored at the tail.
 ///
 /// Relies on the storage invariant *index ids ascend, deltas are
-/// suffixes*: rows are append-only, so a semi-naive delta `from..to` is
-/// the newest stretch of row-id space and `to` is (nearly always) past
-/// the list's last id.  The common outcomes are then decided where the
-/// list ends: the last id is below `from` (no delta rows under this key —
-/// one comparison), or the delta is the short run that a backwards gallop
-/// from the end ([`tail_partition_point`]) brackets in O(log |delta|)
-/// steps over the cache lines already touched.  Only a window whose `to`
-/// cuts below the last id (the *old-rows* windows of the disjoint
-/// discipline) pays a binary search for its upper end.
+/// suffixes*: rows are append-only, so a semi-naive delta is the newest
+/// stretch of row-id space, and every id in the list is below the
+/// watermark.  The outcomes are then decided where the list ends: the last
+/// id is below `from` (no delta rows under this key — one comparison), or
+/// the delta is the short run that a backwards gallop from the end
+/// ([`tail_partition_point`]) brackets in O(log |delta|) steps over the
+/// cache lines already touched.
 fn window_slice(ids: &[u32], window: Option<DeltaWindow>) -> &[u32] {
     let Some(w) = window else {
         return ids;
@@ -566,11 +539,6 @@ fn window_slice(ids: &[u32], window: Option<DeltaWindow>) -> &[u32] {
     if (last as usize) < w.from {
         return &[];
     }
-    let ids = if (last as usize) < w.to {
-        ids
-    } else {
-        &ids[..ids.partition_point(|&id| (id as usize) < w.to)]
-    };
     if w.from == 0 {
         return ids;
     }
@@ -773,17 +741,14 @@ mod tests {
         let window = DeltaWindow {
             occurrence: 0,
             from: 1,
-            to: 3,
         };
         evaluate_rule(&plan, &db, Some(window), &Limits::default(), &mut out).unwrap();
         assert_eq!(out.len() / 2, 2);
     }
 
-    /// What a window means: the ids in `from..to`, by two binary searches.
+    /// What a window means: the ids from `from` on, by one binary search.
     fn window_slice_reference(ids: &[u32], w: DeltaWindow) -> &[u32] {
-        let lo = ids.partition_point(|&id| (id as usize) < w.from);
-        let hi = ids.partition_point(|&id| (id as usize) < w.to);
-        &ids[lo..hi]
+        &ids[ids.partition_point(|&id| (id as usize) < w.from)..]
     }
 
     /// A seeded draw below `bound`: SplitMix64, inline, because the engine
@@ -814,28 +779,28 @@ mod tests {
             }
             // A watermark past every id.
             let end = id + 3;
-            // Several windows per list, as one rule evaluation applies
-            // them: at the tail (`to` past the last id), mid-list, old
-            // rows (`from` 0), `to` below the last id, empty.
+            // Several suffix windows per list: anywhere, the whole list
+            // (`from` 0), empty (`from` at the watermark), and near the
+            // tail, on and beside a listed id.
             for _ in 0..6 {
-                let (from, to) = match next(5) {
-                    0 => (next(end + 1), end),
-                    1 => (0, next(end + 1)),
-                    2 => (end, end),
+                let from = match next(5) {
+                    0 => next(end + 1),
+                    1 => 0,
+                    2 => end,
+                    _ if ids.is_empty() => next(end + 1),
                     _ => {
-                        let from = next(end + 1);
-                        (from, from + next(end + 1 - from))
+                        let near = ids[ids.len() - 1 - next(ids.len().min(4))] as usize;
+                        (near + next(3)).saturating_sub(1)
                     }
                 };
                 let w = DeltaWindow {
                     occurrence: 0,
                     from,
-                    to,
                 };
                 assert_eq!(
                     window_slice(&ids, Some(w)),
                     window_slice_reference(&ids, w),
-                    "case {case}: ids {ids:?}, window {from}..{to}"
+                    "case {case}: ids {ids:?}, window from {from}"
                 );
             }
             assert_eq!(window_slice(&ids, None), &ids[..]);
@@ -896,7 +861,7 @@ mod tests {
         format!("h({head}) :- {}.", body.join(", "))
     }
 
-    /// The rows and counters of `plan` under `windows`, through the join's
+    /// The rows and counters of `plan` under `window`, through the join's
     /// steps, with the key filters and prechecks built (`filtered`) or
     /// cleared after building.  With the filters built, also checks that
     /// every live key of a filtered window passes its filter.  Returns
@@ -904,7 +869,7 @@ mod tests {
     fn run_join(
         plan: &RulePlan,
         db: &Database,
-        windows: &[DeltaWindow],
+        window: Option<DeltaWindow>,
         filtered: bool,
     ) -> (Vec<ValId>, (usize, usize), [bool; 3]) {
         let limits = Limits::default();
@@ -912,7 +877,7 @@ mod tests {
         let mut counters = JoinCounters::default();
         // (a filter on a full-row key, a precheck, a declined precheck)
         let mut seen = [false; 3];
-        if let Some(ctx) = JoinCtx::bind(plan, db, windows, &limits).unwrap() {
+        if let Some(ctx) = JoinCtx::bind(plan, db, window, &limits).unwrap() {
             let mut scratch = JoinScratch::default();
             scratch.reset(plan);
             scratch.build_filters(&ctx);
@@ -999,32 +964,24 @@ mod tests {
                     relation.ensure_index(&atom.key_positions);
                 }
             }
-            // Windows from after row 0 and from row 0, on some occurrences.
-            let mut windows = Vec::new();
-            for (occurrence, atom) in plan.atoms.iter().enumerate() {
-                let end = db.relation(&atom.pred).map_or(0, Relation::watermark);
-                if next(3) == 0 {
-                    continue;
-                }
-                let from = if next(3) == 0 { 0 } else { 1 + next(end + 1) };
-                let to = from + next(end + 2);
-                windows.push(DeltaWindow {
-                    occurrence,
-                    from,
-                    to,
-                });
-            }
-            let (rows, counters, covered) = run_join(&plan, &db, &windows, true);
-            let (want_rows, want_counters, _) = run_join(&plan, &db, &windows, false);
-            assert_eq!(rows, want_rows, "case {case}: {source} under {windows:?}");
+            // One window on a random occurrence, from after row 0 or from
+            // row 0.
+            let occurrence = next(plan.atoms.len());
+            let end = db
+                .relation(&plan.atoms[occurrence].pred)
+                .map_or(0, Relation::watermark);
+            let from = if next(3) == 0 { 0 } else { 1 + next(end + 1) };
+            let window = Some(DeltaWindow { occurrence, from });
+            let (rows, counters, covered) = run_join(&plan, &db, window, true);
+            let (want_rows, want_counters, _) = run_join(&plan, &db, window, false);
+            assert_eq!(rows, want_rows, "case {case}: {source} under {window:?}");
             assert_eq!(
                 counters, want_counters,
-                "case {case}: {source} under {windows:?}"
+                "case {case}: {source} under {window:?}"
             );
             // The public entry point runs the filtered join.
             let mut out = Vec::new();
-            let public =
-                evaluate_rule_windows(&plan, &db, &windows, &Limits::default(), &mut out).unwrap();
+            let public = evaluate_rule(&plan, &db, window, &Limits::default(), &mut out).unwrap();
             assert_eq!((out, (public.probes, public.matches)), (rows, counters));
             filtered_cases += usize::from(covered.iter().any(|&c| c));
             for (seen, covered) in seen.iter_mut().zip(covered) {
@@ -1052,35 +1009,9 @@ mod tests {
         let window = DeltaWindow {
             occurrence: 1,
             from: 2,
-            to: 3,
         };
         let mut out = Vec::new();
         evaluate_rule(&plan, &db, Some(window), &Limits::default(), &mut out).unwrap();
-        assert_eq!(render_flat("grand", 2, &out), vec!["grand(b, d)"]);
-    }
-
-    #[test]
-    fn multiple_windows_restrict_independent_occurrences() {
-        // Both occurrences windowed: only derivations whose first row is in
-        // [0, 2) AND second row is in [2, 3) survive.
-        let rule = parse_rule("grand(X, Z) :- par(X, Y), par(Y, Z).").unwrap();
-        let plan = RulePlan::compile(&rule, 0, &BTreeSet::new());
-        let db = db_with_par();
-        let windows = [
-            DeltaWindow {
-                occurrence: 0,
-                from: 0,
-                to: 2,
-            },
-            DeltaWindow {
-                occurrence: 1,
-                from: 2,
-                to: 3,
-            },
-        ];
-        let mut out = Vec::new();
-        evaluate_rule_windows(&plan, &db, &windows, &Limits::default(), &mut out).unwrap();
-        // Only grand(b, d): par(b, c) at id 1 joined with par(c, d) at id 2.
         assert_eq!(render_flat("grand", 2, &out), vec!["grand(b, d)"]);
     }
 

@@ -40,12 +40,9 @@ pub mod metrics;
 pub mod plan;
 
 pub use error::EvalError;
-pub use evaluator::{
-    EvalResult, Evaluator, FiringObserver, FixpointRunner, IterationScheme, WindowDiscipline,
-};
+pub use evaluator::{EvalResult, Evaluator, FiringObserver, FixpointRunner, IterationScheme};
 pub use join::{
-    count_derivations, count_derivations_batch, evaluate_rule, evaluate_rule_windows, DeltaWindow,
-    JoinCounters,
+    count_derivations, count_derivations_batch, evaluate_rule, DeltaWindow, JoinCounters,
 };
 pub use limits::Limits;
 pub use metrics::EvalStats;

@@ -50,7 +50,6 @@ use crate::error::IncrError;
 use magic_datalog::{arena::intern_row, Atom, Fact, PredName, Program, ValId};
 use magic_engine::{
     count_derivations_batch, sip_order, with_body_order, EvalStats, FixpointRunner, Limits,
-    WindowDiscipline,
 };
 use magic_storage::Database;
 use std::borrow::Borrow;
@@ -284,9 +283,7 @@ impl MaterializedView {
         let base_preds = program.base_preds();
         let mut tracked = derived_preds.clone();
         tracked.extend(base_preds.iter().cloned());
-        let runner = FixpointRunner::compile(program, &tracked)
-            .with_limits(limits)
-            .with_discipline(WindowDiscipline::Disjoint);
+        let runner = FixpointRunner::compile(program, &tracked).with_limits(limits);
 
         // Derived rows already present in the EDB are axioms: record them so
         // retraction never deletes them.

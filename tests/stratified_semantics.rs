@@ -14,9 +14,7 @@
 //! answer projection.  A counter golden pins what the engine *spends* on
 //! the same programs: see `stratified_counters_match_the_golden`.
 
-use power_of_magic::engine::{
-    EvalStats, Evaluator, FixpointRunner, IterationScheme, Limits, WindowDiscipline,
-};
+use power_of_magic::engine::{EvalStats, Evaluator, FixpointRunner, IterationScheme, Limits};
 use power_of_magic::lang::{Atom, Fact, PredName, Program, Rule, Term, Value};
 use power_of_magic::workloads::{
     bill_of_materials, bom_database, game_graph, hop_graph, shortest_paths, win_lose, SplitMix64,
@@ -361,7 +359,7 @@ fn render_rows(db: &Database) -> String {
 /// firings and per-predicate facts included) and of every derived row,
 /// under the three loops a guarded program meets — the
 /// evaluator's semi-naive and naive runs, and a view-style runner (every
-/// body predicate tracked, `Disjoint` windows).
+/// body predicate tracked).
 fn counter_line(name: &str, program: &Program, edb: &Database) -> String {
     let limits = Limits::default();
     let mut rendering = String::new();
@@ -376,9 +374,7 @@ fn counter_line(name: &str, program: &Program, edb: &Database) -> String {
     }
     let mut tracked = program.derived_preds();
     tracked.extend(program.base_preds());
-    let runner = FixpointRunner::compile(program, &tracked)
-        .with_limits(limits)
-        .with_discipline(WindowDiscipline::Disjoint);
+    let runner = FixpointRunner::compile(program, &tracked).with_limits(limits);
     let mut db = edb.clone();
     let mut stats = EvalStats::default();
     runner
