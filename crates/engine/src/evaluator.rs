@@ -46,7 +46,10 @@
 //! nothing is written.  The *insert* phase then walks the plans in
 //! program order and inserts each plan's rows, in the order they were
 //! produced, into its head relation — all dedup, row-id assignment and
-//! index maintenance happens here.  So a
+//! index maintenance happens here, one [`Relation::insert_batch`] per
+//! plan.  The batch gives each row the id and newness a row-by-row loop
+//! would, and makes each shared storage unit it writes unique once
+//! rather than once per row.  So a
 //! relation's row order, its row ids and every counter are a function of
 //! the program and the database alone, and a [`FiringObserver`] sees the
 //! firings in that same order.
@@ -185,9 +188,9 @@ fn delta_variant(
 }
 
 /// Insert the head rows one plan fired in one iteration — `rows` is its
-/// flat `arity`-chunked buffer, `matches` its body-match count — showing
-/// each row to `observer` (when installed) with whether it was new.
-/// Returns the number of new facts.
+/// flat `arity`-chunked buffer, `matches` its body-match count — as one
+/// [`Relation::insert_batch`], showing each row to `observer` (when
+/// installed) with whether it was new.  Returns the number of new facts.
 fn insert_fired_rows(
     relation: &mut Relation,
     plan_idx: usize,
@@ -203,23 +206,20 @@ fn insert_fired_rows(
         if matches == 0 {
             return 0;
         }
-        let (id, new) = relation.insert_ids_at(&[]);
+        let mut first = (0, false);
+        relation.insert_batch(&[], |id, new| first = (id, new));
         if let Some(observer) = observer {
             for nth in 0..matches {
-                observer(plan_idx, id, new && nth == 0);
+                observer(plan_idx, first.0, first.1 && nth == 0);
             }
         }
-        return usize::from(new);
+        return usize::from(first.1);
     }
-    let mut new = 0;
-    for row in rows.chunks_exact(arity) {
-        let (id, is_new) = relation.insert_ids_at(row);
+    relation.insert_batch(rows, |id, new| {
         if let Some(observer) = observer.as_deref_mut() {
-            observer(plan_idx, id, is_new);
+            observer(plan_idx, id, new);
         }
-        new += usize::from(is_new);
-    }
-    new
+    })
 }
 
 impl FixpointRunner {
@@ -772,9 +772,8 @@ impl FixpointRunner {
             }
             groups.entry(key).or_default().insert(row[agg.position]);
         }
-        let relation = db.relation_mut(&plan.head_pred, arity);
-        let mut row = vec![ValId::NULL; arity];
-        let mut new = 0;
+        // The folded rows, one per group, go in as one batch.
+        scratch.clear();
         for (key, values) in &groups {
             let result = match agg.func {
                 AggFunc::Count => ValId::from_int(values.len() as i64),
@@ -804,19 +803,20 @@ impl FixpointRunner {
                 }
             };
             let mut rest = key.iter();
-            for (i, slot) in row.iter_mut().enumerate() {
-                *slot = if i == agg.position {
+            scratch.extend((0..arity).map(|i| {
+                if i == agg.position {
                     result
                 } else {
                     *rest.next().expect("key covers the non-aggregate positions")
-                };
-            }
-            let (id, is_new) = relation.insert_ids_at(&row);
+                }
+            }));
+        }
+        let relation = db.relation_mut(&plan.head_pred, arity);
+        let new = relation.insert_batch(&scratch, |id, is_new| {
             if let Some(observer) = observer.as_deref_mut() {
                 observer(plan_idx, id, is_new);
             }
-            new += usize::from(is_new);
-        }
+        });
         stats.record_firings(plan.rule_idx, &plan.head_pred, groups.len(), new);
         Ok(new)
     }

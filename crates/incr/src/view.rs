@@ -728,8 +728,9 @@ impl MaterializedView {
         //    one-step derivation from the remaining database.  All counts
         //    are taken against the seed-free database — one batch join per
         //    (predicate, deriving rule) over the packed rows — then the
-        //    seeds are appended after the marks so the resumed windows
-        //    propagate from the re-inserted rows.
+        //    seeds are appended after the marks, one insert batch per
+        //    predicate, so the resumed windows propagate from the
+        //    re-inserted rows.
         let mut seed_counts: Vec<Vec<usize>> = Vec::with_capacity(overdeleted.len());
         for hit in &overdeleted {
             seed_counts.push(self.support_counts(
@@ -740,12 +741,20 @@ impl MaterializedView {
             )?);
         }
         let marks = self.runner.marks(&self.db);
+        let mut seeds = Vec::new();
         for (hit, counts) in overdeleted.iter().zip(&seed_counts) {
             let rel = self.db.relation_mut(&hit.pred, hit.arity);
+            seeds.clear();
+            let mut any = false;
             for (row, &count) in hit.removed().zip(counts) {
                 if count > 0 {
-                    rel.insert_ids_at(row);
+                    seeds.extend_from_slice(row);
+                    any = true;
                 }
+            }
+            // (`any`, not `seeds`: a zero-arity row adds no ids.)
+            if any {
+                rel.insert_batch(&seeds, |_, _| {});
             }
         }
         self.resume(marks)

@@ -320,11 +320,29 @@ fn window_one_round_trips_are_not_floored_by_a_sleep() {
         assert!(!pipe.wait_response_timed(id).unwrap().0.is_empty());
     });
     // Through the writer and back: two more thread hand-offs, each by
-    // wake-up, none by timer.
-    timed("INSERT", &mut |pipe, i| {
+    // wake-up, none by timer.  Its wall time in a debug build is mostly
+    // view maintenance, so the round trips are counted in reader
+    // wake-ups instead of timed: one when the request's bytes arrive,
+    // one when the writer's answer does.  A reader that naps on a timer
+    // or leaves a window-1 connection lingering wakes more often, as
+    // long as the client thinks for longer than the nap.
+    const INSERT_THINK: Duration = Duration::from_millis(2);
+    let wakeups = |pipe: &mut PipeClient| {
+        let id = pipe.submit_stats().unwrap();
+        pipe.wait_stats(id).unwrap().reader_wakeups
+    };
+    let before = wakeups(&mut pipe);
+    for i in 0..SAMPLES {
         let id = pipe.submit_insert(&format!("par(x{i}, y{i})")).unwrap();
         assert!(pipe.wait_ack(id).unwrap().applied);
-    });
+        std::thread::sleep(INSERT_THINK);
+    }
+    // The second STATS frame ends one more wait.
+    let woken = wakeups(&mut pipe) - before;
+    assert!(
+        woken <= 2 * SAMPLES as u64 + 1,
+        "INSERT: {woken} reader wake-ups over {SAMPLES} window-1 round trips"
+    );
     server.shutdown();
 }
 

@@ -59,7 +59,8 @@
 //! pointer bumps: a clone is a self-contained **copy-on-write snapshot**,
 //! and every interned `ValId` stays valid process-wide.  Writes after a
 //! clone re-copy exactly the units they touch ([`cow_clones`] counts
-//! them), so publishing a snapshot costs nothing and the writer pays
+//! them; an insert batch takes each unit's uniqueness check once), so
+//! publishing a snapshot costs nothing and the writer pays
 //! O(touched units) per publish cycle, never O(data).  The serving layer
 //! (`magic-serve`) leans on exactly this: its writer publishes cheap
 //! clones behind an `Arc` after every batch, and its readers answer from

@@ -35,6 +35,14 @@ const SHARD_BITS: usize = 4;
 /// mutated shard instead of the whole thing.
 const SHARDS: usize = 1 << SHARD_BITS;
 
+/// A table's copy-on-write shards.
+type Shards<T> = [Arc<T>; SHARDS];
+
+/// A table of empty shards.
+fn empty_shards<T: Default>() -> Shards<T> {
+    std::array::from_fn(|_| Arc::default())
+}
+
 /// The shard a 64-bit row/key hash falls into: bits 32..36.  One hash
 /// serves a whole probe — the low 32 bits pick the slot inside the shard
 /// (the dedup table's tag, the index maps' bucket), the top 7 are the
@@ -75,6 +83,81 @@ fn cow_mut<T: Clone>(arc: &mut Arc<T>) -> &mut T {
         COW_CLONES.fetch_add(1, Ordering::Relaxed);
     }
     Arc::make_mut(arc)
+}
+
+/// One insert batch's write access to a table's [`SHARDS`] copy-on-write
+/// shards.  The batch reads the shards in place, and its first write goes
+/// straight through [`cow_mut`]: a batch that writes at most once — a
+/// one-row insert, a batch of duplicates — sets up nothing.  The second
+/// write splits the table into per-shard handles.  From then on a shard is
+/// made unique ([`cow_mut`], at most one clone) on the batch's first write
+/// to it and written through the kept `&mut` after that, so a batch pays
+/// one uniqueness check per shard it writes, not one per row (the shard
+/// written before the split pays a second, clone-free one).
+struct BatchShards<'a, T> {
+    /// The table, until the batch's second write splits it.
+    whole: Option<&'a mut Shards<T>>,
+    /// Whether the batch has written a shard.
+    written: bool,
+    split: Option<Split<'a, T>>,
+}
+
+/// Per shard: its shared handle until the batch writes it, its unique
+/// unit from then on.
+struct Split<'a, T> {
+    shared: [Option<&'a mut Arc<T>>; SHARDS],
+    unique: [Option<&'a mut T>; SHARDS],
+}
+
+impl<'a, T: Clone> BatchShards<'a, T> {
+    fn new(shards: &'a mut Shards<T>) -> BatchShards<'a, T> {
+        BatchShards {
+            whole: Some(shards),
+            written: false,
+            split: None,
+        }
+    }
+
+    #[inline]
+    fn get(&self, shard: usize) -> &T {
+        match (&self.whole, &self.split) {
+            (Some(whole), _) => &whole[shard],
+            (None, Some(split)) => match &split.unique[shard] {
+                Some(unit) => unit,
+                None => split.shared[shard]
+                    .as_deref()
+                    .expect("one handle per shard"),
+            },
+            (None, None) => unreachable!("a table is whole or split"),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, shard: usize) -> &mut T {
+        if !self.written {
+            // A batch that writes once (a one-row insert) needs no split.
+            self.written = true;
+            let whole = self
+                .whole
+                .as_deref_mut()
+                .expect("whole until written twice");
+            return cow_mut(&mut whole[shard]);
+        }
+        let whole = &mut self.whole;
+        let split = self.split.get_or_insert_with(|| Split {
+            shared: whole
+                .take()
+                .expect("a table is whole or split")
+                .each_mut()
+                .map(Some),
+            unique: Default::default(),
+        });
+        let unit = &mut split.unique[shard];
+        if unit.is_none() {
+            *unit = split.shared[shard].take().map(cow_mut);
+        }
+        unit.as_deref_mut().expect("one handle per shard")
+    }
 }
 
 /// One chunk of row storage: up to [`PAGE_ROWS`] packed rows plus their
@@ -246,8 +329,8 @@ pub fn tail_partition_point(ids: &[u32], bound: u32) -> usize {
 /// `u64` ([`pack_key2`]); wider patterns box the key slice.
 #[derive(Clone, Debug)]
 enum ShardedIndex {
-    Small(Vec<Arc<SmallShard>>),
-    Wide(Vec<Arc<WideShard>>),
+    Small(Shards<SmallShard>),
+    Wide(Shards<WideShard>),
 }
 
 /// Pack a ≤ 2-position key into one `u64`: the raw words of its (inline
@@ -265,17 +348,9 @@ fn pack_key2(key: &[ValId]) -> u64 {
 impl ShardedIndex {
     fn empty(key_len: usize) -> ShardedIndex {
         if key_len <= 2 {
-            ShardedIndex::Small(
-                (0..SHARDS)
-                    .map(|_| Arc::new(SmallShard::default()))
-                    .collect(),
-            )
+            ShardedIndex::Small(empty_shards())
         } else {
-            ShardedIndex::Wide(
-                (0..SHARDS)
-                    .map(|_| Arc::new(WideShard::default()))
-                    .collect(),
-            )
+            ShardedIndex::Wide(empty_shards())
         }
     }
 
@@ -290,23 +365,40 @@ impl ShardedIndex {
         })
     }
 
-    /// Append `id` to the ascending id list of `key` (the incremental
-    /// index-maintenance step of an insert).
-    fn insert_row(&mut self, key: &[ValId], id: u32) {
-        let shard = self.shard_for(key);
+    /// Append each `(id, row)` of `rows`, ids ascending and past every id
+    /// already indexed, to the id list of the row's key on `positions`:
+    /// the index pass of [`Relation::insert_batch`].  `key` is scratch.
+    fn insert_rows<'r>(
+        &mut self,
+        positions: &[usize],
+        rows: impl Iterator<Item = (u32, &'r [ValId])>,
+        key: &mut Vec<ValId>,
+    ) {
+        let key_of = |key: &mut Vec<ValId>, row: &[ValId]| {
+            key.clear();
+            key.extend(positions.iter().map(|&p| row[p]));
+        };
         match self {
             ShardedIndex::Small(shards) => {
-                cow_mut(&mut shards[shard])
-                    .entry(pack_key2(key))
-                    .or_default()
-                    .push(id);
+                let mut shards = BatchShards::new(shards);
+                for (id, row) in rows {
+                    key_of(key, row);
+                    let packed = pack_key2(key);
+                    let shard = shard_of(fx_hash(&packed));
+                    shards.get_mut(shard).entry(packed).or_default().push(id);
+                }
             }
             ShardedIndex::Wide(shards) => {
-                let map = cow_mut(&mut shards[shard]);
-                if let Some(ids) = map.get_mut(key) {
-                    ids.push(id);
-                } else {
-                    map.insert(key.into(), vec![id]);
+                let mut shards = BatchShards::new(shards);
+                for (id, row) in rows {
+                    key_of(key, row);
+                    let key = key.as_slice();
+                    let map = shards.get_mut(shard_of(fx_hash(key)));
+                    if let Some(ids) = map.get_mut(key) {
+                        ids.push(id);
+                    } else {
+                        map.insert(key.into(), vec![id]);
+                    }
                 }
             }
         }
@@ -395,9 +487,11 @@ impl<'a> IndexRef<'a> {
 /// behind an `Arc`**, so `Relation::clone` is pure pointer bumps: a clone
 /// is an O(pages) *snapshot*, not a copy.  Writes go through
 /// `Arc::make_mut`, re-cloning exactly the units they touch when those
-/// are still shared with a snapshot (counted by [`cow_clones`]).  This is
-/// the property the serving layer's publish path and the incremental
-/// catalog's snapshots are built on.
+/// are still shared with a snapshot (counted by [`cow_clones`]).  An
+/// insert batch ([`Relation::insert_batch`]) makes each unit it touches
+/// unique once per batch and writes through that handle for the rest of
+/// it.  This is the property the serving layer's publish path and the
+/// incremental catalog's snapshots are built on.
 ///
 /// Removal marks rows dead (tombstones) and surgically drops them from the
 /// dedup table and every index — O(removed × indexes), never a rebuild of
@@ -416,11 +510,14 @@ pub struct Relation {
     /// Number of tombstoned slots (`rows - live count`).
     dead: usize,
     /// Sharded dedup table over the live rows (see [`DedupShard`]).
-    dedup: Vec<Arc<DedupShard>>,
+    dedup: Shards<DedupShard>,
     /// positions -> sharded index (key ids -> ascending live row ids).
     indexes: FxHashMap<Vec<usize>, ShardedIndex>,
     /// Reusable key buffer for incremental index maintenance.
     key_scratch: Vec<ValId>,
+    /// Reusable per-batch list of [`Relation::insert_batch`]: the batch
+    /// position of each new row, in id order.  Empty between batches.
+    fresh: Vec<usize>,
 }
 
 impl Default for Relation {
@@ -433,6 +530,13 @@ impl Default for Relation {
 #[inline]
 fn fx_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     FxBuildHasher::default().hash_one(key)
+}
+
+/// Row `id` of `arity` ids in `pages`.
+#[inline]
+fn page_row(pages: &[Arc<Page>], arity: usize, id: usize) -> &[ValId] {
+    let off = (id & PAGE_MASK) * arity;
+    &pages[id >> PAGE_SHIFT].data[off..off + arity]
 }
 
 /// The dedup hash of a packed row: its high half picks the shard
@@ -454,11 +558,10 @@ impl Relation {
             pages: Vec::new(),
             rows: 0,
             dead: 0,
-            dedup: (0..SHARDS)
-                .map(|_| Arc::new(DedupShard::default()))
-                .collect(),
+            dedup: empty_shards(),
             indexes: FxHashMap::default(),
             key_scratch: Vec::new(),
+            fresh: Vec::new(),
         }
     }
 
@@ -528,11 +631,9 @@ impl Relation {
     }
 
     /// Insert a packed row; returns the row's id — the fresh one, or the
-    /// one the duplicate probe found — and whether it was new.  The
-    /// storage hot path: one FxHash over the id slice (shard and slot both
-    /// come from it), one dedup-shard probe for the duplicate check
-    /// (duplicates touch nothing else — no copy-on-write traffic at all),
-    /// and an append into the current page for new rows.
+    /// one the duplicate probe found — and whether it was new.  A batch of
+    /// one ([`Relation::insert_batch`]): a duplicate costs one hash and
+    /// one dedup-shard probe and writes nothing.
     ///
     /// # Panics
     ///
@@ -545,53 +646,109 @@ impl Relation {
             row.len(),
             self.arity
         );
-        let hash = hash_ids(row);
-        let (shard, tag) = (shard_of(hash), hash as u32);
-        // Read-only duplicate probe: the overwhelmingly common duplicate
-        // case never takes a write path (and so never clones a shared
-        // shard).
-        let vacancy = match self.dedup[shard].probe(tag, |id| self.row_ids(id as usize) == row) {
-            Ok(slot) => return (self.dedup[shard].slots[slot] as u32 as usize, false),
-            Err(vacancy) => vacancy,
-        };
-        let id = self.rows;
-        assert!(id < MAX_ROWS, "relation exceeds {MAX_ROWS} rows");
-        cow_mut(&mut self.dedup[shard]).occupy(vacancy, tag, id as u32);
-        // Maintain every index without allocating a fresh key per index:
-        // the scratch buffer is reused, and an owned key is copied only the
-        // first time a (wide) key value is seen.
-        let mut scratch = std::mem::take(&mut self.key_scratch);
-        for (positions, index) in self.indexes.iter_mut() {
-            scratch.clear();
-            scratch.extend(positions.iter().map(|&p| row[p]));
-            index.insert_row(&scratch, id as u32);
-        }
-        self.key_scratch = scratch;
-        self.append_row_slot(row);
-        (id, true)
+        let mut at = (0, false);
+        self.insert_n(row, 1, |id, new| at = (id, new));
+        at
     }
 
-    /// Append `row` as the next (live) row slot; the shared tail of
-    /// [`Relation::insert_ids`] and [`Relation::compact`].  Dedup/index
-    /// bookkeeping is the caller's responsibility.
-    fn append_row_slot(&mut self, row: &[ValId]) -> usize {
-        let id = self.rows;
-        if id & PAGE_MASK == 0 {
-            let mut page = Page::empty();
-            // The first page grows like a plain vector (small relations
-            // stay small); once a relation overflows it, later pages are
-            // allocated at exact full-page capacity up front.
-            if id > 0 {
-                page.data.reserve_exact(PAGE_ROWS * self.arity);
+    /// Insert the packed rows of `rows`, `arity` ids per row (a zero-arity
+    /// relation reads an empty buffer as its one empty row), exactly as
+    /// inserting them one at a time would: `seen(id, new)` is called once
+    /// per row, in buffer order, with the row's id — the fresh one, or the
+    /// one the duplicate probe found — and whether it was new.  Returns
+    /// the number of new rows.
+    ///
+    /// Three passes, each writing one kind of storage unit and making each
+    /// shared unit it writes unique once per batch:
+    ///
+    /// 1. *dedup*: hash each row once and probe its dedup shard, against
+    ///    the stored rows and this batch's earlier new rows alike; a new
+    ///    row takes the next id there.  Duplicates write nothing.
+    /// 2. *index*, once per index: append each new row's id to its key's
+    ///    list (ids stay ascending: they are past every indexed id).
+    /// 3. *append*, page by page: copy the new rows into the pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not a whole number of rows of the relation's
+    /// arity.
+    pub fn insert_batch(&mut self, rows: &[ValId], seen: impl FnMut(usize, bool)) -> usize {
+        let arity = self.arity;
+        let n = if arity == 0 {
+            assert!(rows.is_empty(), "row arity does not match relation arity 0");
+            1
+        } else {
+            assert_eq!(
+                rows.len() % arity,
+                0,
+                "row arity {arity} does not divide a batch of {} ids",
+                rows.len()
+            );
+            rows.len() / arity
+        };
+        self.insert_n(rows, n, seen)
+    }
+
+    /// [`Relation::insert_batch`] of the `n` rows of `rows`; the batch of
+    /// one passes `n` itself, without dividing by the arity.
+    fn insert_n(&mut self, rows: &[ValId], n: usize, mut seen: impl FnMut(usize, bool)) -> usize {
+        let arity = self.arity;
+        let row_at = |i: usize| &rows[i * arity..(i + 1) * arity];
+        let stored = self.rows;
+        let fresh = &mut self.fresh;
+        let pages = &self.pages;
+        let mut dedup = BatchShards::new(&mut self.dedup);
+        for i in 0..n {
+            let row = row_at(i);
+            let hash = hash_ids(row);
+            let (shard, tag) = (shard_of(hash), hash as u32);
+            let is_row = |id: u32| match (id as usize).checked_sub(stored) {
+                None => page_row(pages, arity, id as usize) == row,
+                Some(pending) => row_at(fresh[pending]) == row,
+            };
+            match dedup.get(shard).probe(tag, is_row) {
+                Ok(slot) => seen(dedup.get(shard).slots[slot] as u32 as usize, false),
+                Err(vacancy) => {
+                    let id = stored + fresh.len();
+                    assert!(id < MAX_ROWS, "relation exceeds {MAX_ROWS} rows");
+                    dedup.get_mut(shard).occupy(vacancy, tag, id as u32);
+                    fresh.push(i);
+                    seen(id, true);
+                }
             }
-            self.pages.push(Arc::new(page));
         }
-        let page = cow_mut(self.pages.last_mut().expect("append page exists"));
-        page.data.extend_from_slice(row);
-        let slot = id & PAGE_MASK;
-        page.live[slot >> 6] |= 1 << (slot & 63);
-        self.rows += 1;
-        id
+        let fresh = &self.fresh;
+        if fresh.is_empty() {
+            return 0;
+        }
+        let new_rows = || (stored as u32..).zip(fresh.iter().map(|&i| row_at(i)));
+        for (positions, index) in self.indexes.iter_mut() {
+            index.insert_rows(positions, new_rows(), &mut self.key_scratch);
+        }
+        let mut appended = 0;
+        while appended < fresh.len() {
+            let slot = self.rows & PAGE_MASK;
+            if slot == 0 {
+                let mut page = Page::empty();
+                // The first page grows like a plain vector (small relations
+                // stay small); once a relation overflows it, later pages are
+                // allocated at exact full-page capacity up front.
+                if self.rows > 0 {
+                    page.data.reserve_exact(PAGE_ROWS * arity);
+                }
+                self.pages.push(Arc::new(page));
+            }
+            let take = (PAGE_ROWS - slot).min(fresh.len() - appended);
+            let page = cow_mut(self.pages.last_mut().expect("append page exists"));
+            for (slot, &i) in (slot..).zip(&fresh[appended..appended + take]) {
+                page.data.extend_from_slice(row_at(i));
+                page.live[slot >> 6] |= 1 << (slot & 63);
+            }
+            self.rows += take;
+            appended += take;
+        }
+        self.fresh.clear();
+        appended
     }
 
     /// True iff the relation contains the (value-level) row.
@@ -623,8 +780,7 @@ impl Relation {
     /// rows still decode (their slots persist until compaction).
     #[inline]
     pub fn row_ids(&self, id: usize) -> &[ValId] {
-        let off = (id & PAGE_MASK) * self.arity;
-        &self.pages[id >> PAGE_SHIFT].data[off..off + self.arity]
+        page_row(&self.pages, self.arity, id)
     }
 
     /// The row with the given id, decoded to values.
@@ -702,12 +858,8 @@ impl Relation {
             self.build_index_bulk(positions)
         } else {
             let mut index = ShardedIndex::empty(positions.len());
-            let mut key = Vec::with_capacity(positions.len());
-            for (id, row) in self.iter_ids() {
-                key.clear();
-                key.extend(positions.iter().map(|&p| row[p]));
-                index.insert_row(&key, id as u32);
-            }
+            let rows = self.iter_ids().map(|(id, row)| (id as u32, row));
+            index.insert_rows(positions, rows, &mut Vec::new());
             index
         };
         self.indexes.insert(positions.to_vec(), index);
@@ -883,47 +1035,46 @@ impl Relation {
         if self.dead == 0 {
             return;
         }
-        let old_pages = std::mem::take(&mut self.pages);
-        let old_rows = self.rows;
-        let arity = self.arity;
-        self.rows = 0;
-        self.dead = 0;
-        self.dedup = (0..SHARDS)
-            .map(|_| Arc::new(DedupShard::default()))
-            .collect();
-        for id in 0..old_rows {
-            let slot = id & PAGE_MASK;
-            let page = &old_pages[id >> PAGE_SHIFT];
-            if page.live[slot >> 6] & (1 << (slot & 63)) == 0 {
-                continue;
-            }
-            let row = &page.data[slot * arity..(slot + 1) * arity];
-            // Rows are unique (they survived the live dedup), so no
-            // duplicate check — just record the id under the row's tag.
-            let hash = hash_ids(row);
-            let shard = cow_mut(&mut self.dedup[shard_of(hash)]);
-            let vacancy = shard
-                .probe(hash as u32, |_| false)
-                .expect_err("no row is confirmed");
-            shard.occupy(vacancy, hash as u32, self.rows as u32);
-            self.append_row_slot(row);
+        let mut old = std::mem::replace(self, Relation::new(self.arity));
+        // Only the old pages are read: free the old tables first.
+        old.dedup = empty_shards();
+        let patterns: Vec<Vec<usize>> = old.indexes.drain().map(|(p, _)| p).collect();
+        for run in old.live_runs() {
+            self.insert_batch(run, |_, _| {});
         }
-        let patterns: Vec<Vec<usize>> = self.indexes.keys().cloned().collect();
-        self.indexes.clear();
-        for positions in patterns {
-            self.ensure_index(&positions);
+        for positions in &patterns {
+            self.ensure_index(positions);
         }
     }
 
     /// Merge all rows of `other` into `self`; returns the number of new rows.
     pub fn merge(&mut self, other: &Relation) -> usize {
-        let mut added = 0;
-        for (_, row) in other.iter_ids() {
-            if self.insert_ids(row) {
-                added += 1;
+        other
+            .live_runs()
+            .map(|run| self.insert_batch(run, |_, _| {}))
+            .sum()
+    }
+
+    /// The live rows as maximal runs of consecutive live ids inside one
+    /// page, each a flat `arity`-chunked slice of that page, in id order.
+    fn live_runs(&self) -> impl Iterator<Item = &[ValId]> + '_ {
+        let mut id = 0;
+        std::iter::from_fn(move || {
+            while id < self.rows && !self.is_live(id) {
+                id += 1;
             }
-        }
-        added
+            if id == self.rows {
+                return None;
+            }
+            let start = id;
+            let page_end = (start | PAGE_MASK) + 1;
+            while id < self.rows.min(page_end) && self.is_live(id) {
+                id += 1;
+            }
+            let data = &self.pages[start >> PAGE_SHIFT].data;
+            let from = (start & PAGE_MASK) * self.arity;
+            Some(&data[from..from + (id - start) * self.arity])
+        })
     }
 
     /// The live rows, packed flat in id order: `len() × arity()` ids,
@@ -936,8 +1087,8 @@ impl Relation {
     /// [`ArenaSnapshot`](magic_datalog::ArenaSnapshot) and remap on load.
     pub fn packed_live_rows(&self) -> Vec<ValId> {
         let mut out = Vec::with_capacity(self.len() * self.arity);
-        for (_, row) in self.iter_ids() {
-            out.extend_from_slice(row);
+        for run in self.live_runs() {
+            out.extend_from_slice(run);
         }
         out
     }
@@ -960,14 +1111,8 @@ impl Relation {
             ids.len()
         );
         let mut rel = Relation::new(arity);
-        if arity == 0 {
-            for _ in 0..n_rows {
-                rel.insert_ids(&[]);
-            }
-        } else {
-            for row in ids.chunks_exact(arity) {
-                rel.insert_ids(row);
-            }
+        if n_rows > 0 {
+            rel.insert_batch(ids, |_, _| {});
         }
         rel
     }
@@ -1003,6 +1148,30 @@ mod tests {
 
     fn v(s: &str) -> Value {
         Value::sym(s)
+    }
+
+    /// A seeded SplitMix64 stream of draws in `0..bound`, inline: the
+    /// storage crate has no dev-dependency to borrow the workloads crate's
+    /// generator (the same algorithm) from.
+    fn splitmix(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// `cow_clones()` is process-wide: the tests that write units shared
+    /// with a clone take this in turn, so one's count sees no other's.
+    static SHARED_WRITES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn shared_writes() -> std::sync::MutexGuard<'static, ()> {
+        SHARED_WRITES
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// [`Relation::scan_select`] in the element type of an index list.
@@ -1098,16 +1267,7 @@ mod tests {
 
     #[test]
     fn tail_partition_point_matches_the_binary_search_reference() {
-        // SplitMix64, inline: the storage crate has no dev-dependency to
-        // borrow a generator from.
-        let mut state = 0x5EED_0037_u64;
-        let mut next = move |bound: usize| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        };
+        let mut next = splitmix(0x5EED_0037);
         for case in 0..4000 {
             // An ascending id list with random gaps (dense, sparse, empty).
             let len = [0, 1, 2, 3, 17, 64, 300][next(7)];
@@ -1447,6 +1607,7 @@ mod tests {
         // The copy-on-write contract at the semantic level: a clone is a
         // self-contained snapshot, whatever the original does afterwards
         // — and vice versa.
+        let _turn = shared_writes();
         let mut r = Relation::new(2);
         r.ensure_index(&[0]);
         for i in 0..100i64 {
@@ -1464,6 +1625,163 @@ mod tests {
         let key = intern_row(&[Value::Int(3)]);
         assert_eq!(snap.lookup(&[0], &key).unwrap(), scanned(&snap, &[0], &key));
         assert_eq!(r.lookup(&[0], &key).unwrap(), scanned(&r, &[0], &key));
+    }
+
+    /// A relation's live `(id, row)`s and a list of posting lists.
+    type Contents = (Vec<(usize, Vec<ValId>)>, Vec<Vec<u32>>);
+
+    /// What a reader of `r` sees, as plain data: its live rows and, for
+    /// the key of each row of `probes` on each indexed pattern, the
+    /// posting list (checked ascending on the way).
+    fn contents(r: &Relation, probes: &[Vec<ValId>]) -> Contents {
+        let rows = r.iter_ids().map(|(id, row)| (id, row.to_vec())).collect();
+        let mut patterns: Vec<&Vec<usize>> = r.indexes.keys().collect();
+        patterns.sort();
+        let mut lists = Vec::new();
+        for positions in patterns {
+            for row in probes {
+                let key: Vec<ValId> = positions.iter().map(|&p| row[p]).collect();
+                let ids = r.lookup(positions, &key).unwrap();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
+                lists.push(ids.to_vec());
+            }
+        }
+        (rows, lists)
+    }
+
+    /// The storage units of `r` that inserting the rows `new` (all new,
+    /// in order) writes: each distinct dedup shard and index shard they
+    /// land in, and the append page if it exists already.
+    fn units_written(r: &Relation, new: &[&Vec<ValId>]) -> u64 {
+        if new.is_empty() {
+            return 0;
+        }
+        let dedup: HashSet<usize> = new.iter().map(|row| shard_of(hash_ids(row))).collect();
+        let mut units = dedup.len() + usize::from(r.watermark() & PAGE_MASK != 0);
+        for (positions, index) in &r.indexes {
+            let shards: HashSet<usize> = new
+                .iter()
+                .map(|row| {
+                    let key: Vec<ValId> = positions.iter().map(|&p| row[p]).collect();
+                    index.shard_for(&key)
+                })
+                .collect();
+            units += shards.len();
+        }
+        units as u64
+    }
+
+    #[test]
+    fn insert_batch_matches_one_row_at_a_time() {
+        // Seeded cases over arity 1–4 with a narrow and (from arity 3) a
+        // wide index.  Each batch mixes fresh rows, rows already stored,
+        // tombstoned rows coming back and repeats of its own earlier rows,
+        // and some start just short of a page boundary.  A relation given
+        // the same rows one `insert_ids_at` at a time is the reference.
+        let _turn = shared_writes();
+        let mut next = splitmix(0x5EED_0051);
+        for case in 0..64 {
+            let arity = 1 + next(4);
+            let mut patterns = vec![vec![next(arity)]];
+            if arity >= 2 {
+                patterns.push(vec![arity - 1, 0]);
+            }
+            if arity >= 3 {
+                patterns.push(vec![arity - 1, 0, 1]);
+            }
+            let mut batch = Relation::new(arity);
+            let mut reference = Relation::new(arity);
+            for positions in &patterns {
+                batch.ensure_index(positions);
+                reference.ensure_index(positions);
+            }
+            // Distinct stored rows, outside the batches' value domain.
+            for i in 0..[0, 5, 60, PAGE_ROWS - 3][next(4)] {
+                let row: Vec<ValId> = (0..arity)
+                    .map(|p| ValId::from_int(if p == 0 { 1000 + i as i64 } else { p as i64 }))
+                    .collect();
+                batch.insert_ids_at(&row);
+                reference.insert_ids_at(&row);
+            }
+            let domain = [2, 3, 40][next(3)];
+            let mut removed: Vec<Vec<ValId>> = Vec::new();
+            let mut probes: Vec<Vec<ValId>> = Vec::new();
+            for round in 0..3 {
+                for _ in 0..next(4) {
+                    if batch.watermark() > 0 {
+                        let id = next(batch.watermark());
+                        removed.push(batch.row_ids(id).to_vec());
+                        assert_eq!(batch.remove_id(id), reference.remove_id(id));
+                    }
+                }
+                let mut rows: Vec<Vec<ValId>> = Vec::new();
+                for _ in 0..[1, 2, 7, 40, 300][next(5)] {
+                    let row = match next(4) {
+                        0 if batch.watermark() > 0 => {
+                            batch.row_ids(next(batch.watermark())).to_vec()
+                        }
+                        1 if !removed.is_empty() => removed[next(removed.len())].clone(),
+                        2 if !rows.is_empty() => rows[next(rows.len())].clone(),
+                        _ => (0..arity)
+                            .map(|_| ValId::from_int(next(domain) as i64))
+                            .collect(),
+                    };
+                    rows.push(row);
+                }
+                for row in rows.iter().chain(&removed) {
+                    if !probes.contains(row) {
+                        probes.push(row.clone());
+                    }
+                }
+                let want: Vec<(usize, bool)> = rows
+                    .iter()
+                    .map(|row| reference.insert_ids_at(row))
+                    .collect();
+                let new: Vec<&Vec<ValId>> = rows
+                    .iter()
+                    .zip(&want)
+                    .filter_map(|(row, &(_, new))| new.then_some(row))
+                    .collect();
+                let snapshot = (next(2) == 0).then(|| batch.clone());
+                let frozen = snapshot.as_ref().map(|s| contents(s, &probes));
+                let written = units_written(&batch, &new);
+                let clones = cow_clones();
+                let mut got = Vec::new();
+                let added = batch.insert_batch(&rows.concat(), |id, new| got.push((id, new)));
+                let clones = cow_clones() - clones;
+                let at = format!("case {case} round {round} (arity {arity})");
+                assert_eq!(got, want, "{at}: (id, new) sequence");
+                assert_eq!(added, new.len(), "{at}");
+                assert_eq!(batch.watermark(), reference.watermark(), "{at}");
+                assert_eq!(batch.len(), reference.len(), "{at}");
+                for row in &probes {
+                    assert_eq!(batch.find_id(row), reference.find_id(row), "{at}: {row:?}");
+                }
+                let seen = contents(&batch, &probes);
+                assert!(seen == contents(&reference, &probes), "{at}: rows or lists");
+                for positions in &patterns {
+                    for row in probes.iter().take(8) {
+                        let key: Vec<ValId> = positions.iter().map(|&p| row[p]).collect();
+                        if let Some(ids) = batch.lookup(positions, &key) {
+                            assert_eq!(ids, scanned(&batch, positions, &key), "{at}");
+                        }
+                    }
+                }
+                // A clone taken before the batch reads what it read then;
+                // every unit the batch wrote was shared with it and is
+                // cloned exactly once.
+                match (snapshot, frozen) {
+                    (Some(snapshot), Some(frozen)) => {
+                        assert!(
+                            contents(&snapshot, &probes) == frozen,
+                            "{at}: snapshot moved"
+                        );
+                        assert_eq!(clones, written, "{at}: copy-on-write clones");
+                    }
+                    _ => assert_eq!(clones, 0, "{at}: clones without a snapshot"),
+                }
+            }
+        }
     }
 
     #[test]
