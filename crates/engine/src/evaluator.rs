@@ -40,6 +40,13 @@
 //!
 //! # Evaluation order
 //!
+//! A call resolves the relations of the runner's slots once, on entry —
+//! one ordered walk of the database — and the loop then reads and writes
+//! through that table: marks, rule bindings, inserts and aggregate folds
+//! name no predicate.  Per-rule firing counts accumulate per plan and are
+//! folded into [`EvalStats`] once, as the call returns, whether it
+//! reached the fixpoint or stopped on an error.
+//!
 //! An iteration has two phases.  The *read* phase evaluates the rules,
 //! stratum by stratum, against the database as the previous iteration
 //! left it, appending each plan's head rows to that plan's flat buffer;
@@ -55,7 +62,7 @@
 //! firings in that same order.
 
 use crate::error::EvalError;
-use crate::join::{evaluate_rule_scratch, DeltaWindow, JoinCounters, JoinScratch};
+use crate::join::{evaluate_rule_slots, AtomSlots, DeltaWindow, JoinCounters, JoinScratch};
 use crate::limits::Limits;
 use crate::metrics::EvalStats;
 use crate::plan::{sip_order, with_body_order, RulePlan};
@@ -111,8 +118,16 @@ pub struct EvalResult {
 /// layer tracks every body predicate so that a freshly inserted *base* fact
 /// can seed the loop too.
 ///
-/// The plans, the tracked numbering, and the prepared indexes are all
-/// reusable across calls: build once, [`FixpointRunner::run`] to
+/// Compiling also numbers the predicates the loop touches — every body
+/// atom, negated atom and head — as *relation slots*, and records the slot
+/// of each.  A call resolves the slots to relations once, with one ordered
+/// walk of the database ([`Database::relations_mut`]); from then on the
+/// loop's marks, rule bindings, inserts and aggregate folds index that
+/// table and name no predicate, and the per-rule firing counters are
+/// folded into [`EvalStats`] once, as the call returns.
+///
+/// The plans, the tracked numbering, the slots and the prepared indexes
+/// are all reusable across calls: build once, [`FixpointRunner::run`] to
 /// materialize, then [`FixpointRunner::resume`] any number of times with
 /// externally seeded deltas.
 ///
@@ -126,8 +141,17 @@ pub struct EvalResult {
 #[derive(Clone, Debug)]
 pub struct FixpointRunner {
     plans: Vec<RulePlan>,
-    /// Tracked predicates, sorted ascending (delta marks index into this).
-    tracked: Vec<PredName>,
+    /// Every predicate the plans read or write, ascending: slot `s` is
+    /// `slots[s]`.
+    slots: Vec<PredName>,
+    /// Per slot: the arity the predicate's first occurrence gives it, which
+    /// `prepare` creates a relation the database lacks with.
+    slot_arities: Vec<usize>,
+    /// Per plan: the slots of its atoms and head.
+    plan_slots: Vec<PlanSlots>,
+    /// The slots of the tracked predicates some body atom reads, ascending
+    /// (delta marks index into this).
+    tracked: Vec<usize>,
     /// Per plan: (body occurrence, index into `tracked`).
     tracked_occurrences: Vec<Vec<(usize, usize)>>,
     /// Per plan, parallel to `tracked_occurrences`: the *delta-driven*
@@ -147,13 +171,22 @@ pub struct FixpointRunner {
     /// plan.  `prepare` ensures their indexes with the forward plans'.
     /// Empty on run-only runners.
     head_bound_plans: Vec<RulePlan>,
-    /// Predicate arities of the program (used by `prepare`).
-    arities: Vec<(PredName, usize)>,
     /// The stratified schedule (dependency-ordered SCC strata) the
     /// fixpoint loop walks; shared by every run/resume of this runner.
     schedule: Schedule,
     limits: Limits,
     scheme: IterationScheme,
+}
+
+/// The relation slots of one plan (see [`FixpointRunner`]).
+#[derive(Clone, Debug)]
+struct PlanSlots {
+    /// Per body atom, in plan order.
+    atoms: Vec<usize>,
+    /// Per negated atom.
+    negated: Vec<usize>,
+    /// The head predicate's.
+    head: usize,
 }
 
 /// A delta-driven variant of a rule plan: the plan itself plus the body
@@ -164,17 +197,20 @@ struct DeltaVariant {
     /// `pos_of_orig[o]` is the variant body position of original
     /// occurrence `o` (the lead occurrence maps to 0).
     pos_of_orig: Vec<usize>,
+    /// The slot of each variant body atom, in variant order.
+    atoms: Vec<usize>,
 }
 
 /// Build the delta-driven variant of `rule` with occurrence `lead` first
 /// and the remaining atoms in [`sip_order`], so the join fans out from the
 /// delta atom through shared variables instead of re-scanning unrelated
-/// leading atoms.
+/// leading atoms.  `slots` are the original plan's atom slots.
 fn delta_variant(
     rule: &magic_datalog::Rule,
     rule_idx: usize,
     lead: usize,
     derived: &BTreeSet<PredName>,
+    slots: &[usize],
 ) -> DeltaVariant {
     let order = sip_order(rule, Some(lead), &BTreeSet::new());
     let mut pos_of_orig = vec![usize::MAX; rule.body.len()];
@@ -184,6 +220,7 @@ fn delta_variant(
     DeltaVariant {
         plan: RulePlan::compile(&with_body_order(rule, &order), rule_idx, derived),
         pos_of_orig,
+        atoms: order.iter().map(|&o| slots[o]).collect(),
     }
 }
 
@@ -221,6 +258,10 @@ fn insert_fired_rows(
         }
     })
 }
+
+/// One plan's firings over a whole call: `(fired, new)`, folded into
+/// [`EvalStats::record_firings`] once as the call returns.
+type Firings = (usize, usize);
 
 impl FixpointRunner {
     /// Compile `program` with the given tracked-predicate set.
@@ -260,22 +301,56 @@ impl FixpointRunner {
             .enumerate()
             .map(|(i, r)| RulePlan::compile(r, i, &derived))
             .collect();
-        // Dense numbering of the tracked predicates: the per-iteration delta
-        // marks are plain vectors indexed by it, so the fixpoint loop clones
-        // no `PredName`s.  The list is sorted (it comes from a `BTreeSet`),
-        // which lets the per-plan resolution below binary-search it.
-        let tracked_list: Vec<PredName> = tracked.iter().cloned().collect();
-        let tracked_occurrences: Vec<Vec<(usize, usize)>> = plans
+        // The relation slots: every predicate a plan touches, numbered in
+        // name order — the order `Database::relations_mut` walks.
+        let mut touched: BTreeMap<&PredName, usize> = BTreeMap::new();
+        for plan in &plans {
+            touched
+                .entry(&plan.head_pred)
+                .or_insert(plan.head_terms.len());
+            for atom in &plan.atoms {
+                touched.entry(&atom.pred).or_insert(atom.arity);
+            }
+            for atom in &plan.neg_atoms {
+                touched.entry(&atom.pred).or_insert(atom.arity);
+            }
+        }
+        let slots: Vec<PredName> = touched.keys().map(|&p| p.clone()).collect();
+        let slot_arities: Vec<usize> = touched.into_values().collect();
+        let slot_of = |pred: &PredName| {
+            slots
+                .binary_search(pred)
+                .expect("every plan predicate has a slot")
+        };
+        let plan_slots: Vec<PlanSlots> = plans
             .iter()
-            .map(|plan| {
-                plan.atoms
+            .map(|plan| PlanSlots {
+                atoms: plan.atoms.iter().map(|a| slot_of(&a.pred)).collect(),
+                negated: plan.neg_atoms.iter().map(|a| slot_of(&a.pred)).collect(),
+                head: slot_of(&plan.head_pred),
+            })
+            .collect();
+        // Dense numbering of the tracked predicates a body reads (a delta
+        // elsewhere re-triggers nothing): the per-iteration delta marks are
+        // plain vectors indexed by it.  It ascends, so the per-plan
+        // resolution below can binary-search it.
+        let read: BTreeSet<usize> = plan_slots
+            .iter()
+            .flat_map(|p| p.atoms.iter().copied())
+            .collect();
+        let tracked_list: Vec<usize> = read
+            .into_iter()
+            .filter(|&slot| tracked.contains(&slots[slot]))
+            .collect();
+        let tracked_occurrences: Vec<Vec<(usize, usize)>> = plan_slots
+            .iter()
+            .map(|slots| {
+                slots
+                    .atoms
                     .iter()
                     .enumerate()
-                    .filter_map(|(occ, atom)| {
-                        tracked_list
-                            .binary_search(&atom.pred)
-                            .ok()
-                            .map(|idx| (occ, idx))
+                    .filter_map(|(occ, slot)| {
+                        tracked_list.binary_search(slot).ok().map(|idx| (occ, idx))
                     })
                     .collect()
             })
@@ -289,7 +364,10 @@ impl FixpointRunner {
                 .map(|((rule_idx, rule), occurrences)| {
                     occurrences
                         .iter()
-                        .map(|&(occ, _)| delta_variant(rule, rule_idx, occ, &derived))
+                        .map(|&(occ, _)| {
+                            let slots = &plan_slots[rule_idx].atoms;
+                            delta_variant(rule, rule_idx, occ, &derived, slots)
+                        })
                         .collect()
                 })
                 .collect()
@@ -306,17 +384,15 @@ impl FixpointRunner {
         } else {
             Vec::new()
         };
-        let arities = program
-            .predicate_arities()
-            .map(|map| map.into_iter().collect())
-            .unwrap_or_default();
         FixpointRunner {
             plans,
+            slots,
+            slot_arities,
+            plan_slots,
             tracked: tracked_list,
             tracked_occurrences,
             delta_plans,
             head_bound_plans,
-            arities,
             schedule: Schedule::build(program),
             limits: Limits::default(),
             scheme: IterationScheme::SemiNaive,
@@ -357,35 +433,38 @@ impl FixpointRunner {
         &self.head_bound_plans[plan_idx]
     }
 
-    /// The current row-id **watermarks** of the tracked predicates — the
-    /// delta marks that [`FixpointRunner::resume`] measures seeded
-    /// insertions against.  Watermarks (not live counts) are the monotone
-    /// quantity: tombstoned removals leave them in place, so rows inserted
-    /// after a mark always have ids `>=` it.
+    /// The current row-id **watermarks** of the tracked predicates that
+    /// some rule body reads — the delta marks that
+    /// [`FixpointRunner::resume`] measures seeded insertions against (0
+    /// for a relation `db` lacks).  Watermarks (not live counts) are the
+    /// monotone quantity: tombstoned removals leave them in place, so rows
+    /// inserted after a mark always have ids `>=` it.
     pub fn marks(&self, db: &Database) -> Vec<usize> {
-        let mut marks = Vec::new();
-        self.marks_into(db, &mut marks);
-        marks
+        self.tracked
+            .iter()
+            .map(|&slot| {
+                db.relation(&self.slots[slot])
+                    .map_or(0, Relation::watermark)
+            })
+            .collect()
     }
 
-    /// [`FixpointRunner::marks`] into a recycled vector.
-    fn marks_into(&self, db: &Database, marks: &mut Vec<usize>) {
+    /// [`FixpointRunner::marks`] off the resolved relation table, into a
+    /// recycled vector.
+    fn marks_into(&self, relations: &[&mut Relation], marks: &mut Vec<usize>) {
         marks.clear();
-        marks.extend(
-            self.tracked
-                .iter()
-                .map(|p| db.relation(p).map_or(0, Relation::watermark)),
-        );
+        marks.extend(self.tracked.iter().map(|&slot| relations[slot].watermark()));
     }
 
     /// Create relations for every predicate of the program (so missing base
-    /// relations behave as empty) and ensure indexes for every access path
-    /// the plans will use.  Idempotent; `run` calls it, and callers that
+    /// relations behave as empty), each with the arity of the predicate's
+    /// first occurrence, and ensure indexes for every access path the plans
+    /// will use.  Idempotent; `run` calls it, and callers that
     /// mutate relations wholesale (e.g. batch row removal) need not repeat
     /// it because indexes, once ensured, are maintained by the relation.
     pub fn prepare(&self, db: &mut Database) {
-        for (pred, arity) in &self.arities {
-            db.relation_mut(pred, *arity);
+        for (pred, &arity) in self.slots.iter().zip(&self.slot_arities) {
+            db.relation_mut(pred, arity);
         }
         // A relation whose stored arity disagrees with the atom is left
         // unindexed here (indexing key positions beyond its arity would be
@@ -429,7 +508,10 @@ impl FixpointRunner {
     ///
     /// Requires `db` to be a fixpoint of the program up to the seeds (which
     /// is what [`FixpointRunner::run`] or a previous `resume` leaves
-    /// behind).
+    /// behind).  A relation of the program that `db` lacks is created
+    /// empty first, with its indexes, exactly as `run` creates every one
+    /// through [`FixpointRunner::prepare`]: the call then behaves as over a
+    /// database holding that empty relation (its mark reads 0).
     pub fn resume(
         &self,
         db: &mut Database,
@@ -451,36 +533,42 @@ impl FixpointRunner {
     }
 
     /// Evaluate plan `plan_idx` — its `variant`-th delta-driven form in
-    /// resume mode — under `delta` against the (read-only) database,
-    /// appending its head rows to `out`.
+    /// resume mode — under `delta` against the (read-only) relation
+    /// table, appending its head rows to `out`.
     fn evaluate(
         &self,
         plan_idx: usize,
         variant: Option<usize>,
         delta: Option<DeltaWindow>,
-        db: &Database,
+        relations: &[&mut Relation],
         scratch: &mut JoinScratch,
         out: &mut Vec<ValId>,
     ) -> Result<JoinCounters, EvalError> {
-        let plan = match variant {
-            Some(nth) => &self.delta_plans[plan_idx][nth].plan,
-            None => &self.plans[plan_idx],
+        let slots = &self.plan_slots[plan_idx];
+        let (plan, atoms) = match variant {
+            Some(nth) => {
+                let variant = &self.delta_plans[plan_idx][nth];
+                (&variant.plan, &variant.atoms)
+            }
+            None => (&self.plans[plan_idx], &slots.atoms),
         };
-        evaluate_rule_scratch(plan, db, delta, &self.limits, scratch, out)
+        let slots = AtomSlots {
+            atoms,
+            negated: &slots.negated,
+        };
+        evaluate_rule_slots(plan, slots, relations, delta, &self.limits, scratch, out)
     }
 
-    /// The one fixpoint loop.  `seed_marks` switches between run mode
-    /// (first iteration full) and resume mode (first iteration windowed
-    /// against the given marks).  Positive programs run every live stratum
-    /// each iteration; guarded programs run only the stratum frontier.  See
-    /// the module docs for the scheduler structure and the evaluation
-    /// order.
+    /// The one fixpoint loop's frame: refuse what cannot run, resolve the
+    /// relation slots (creating, through [`FixpointRunner::prepare`], any
+    /// the database lacks), run [`FixpointRunner::iterate`] over them and
+    /// fold the per-plan firings into `stats` however it ended.
     fn fixpoint(
         &self,
         db: &mut Database,
         stats: &mut EvalStats,
         seed_marks: Option<Vec<usize>>,
-        mut observer: Option<FiringObserver<'_>>,
+        observer: Option<FiringObserver<'_>>,
     ) -> Result<(), EvalError> {
         let guarded = self.schedule.has_guarded_strata();
         if guarded {
@@ -511,19 +599,64 @@ impl FixpointRunner {
                 }
             }
         }
+        let mut relations = match db.relations_mut(&self.slots) {
+            Ok(relations) => relations,
+            Err(_) => {
+                // Only a resume over a database that never went through
+                // `prepare` gets here.
+                self.prepare(db);
+                db.relations_mut(&self.slots)
+                    .expect("prepare creates every slot's relation")
+            }
+        };
+        let mut firings: Vec<Firings> = vec![(0, 0); self.plans.len()];
+        let outcome = self.iterate(
+            &mut relations,
+            stats,
+            seed_marks,
+            observer,
+            guarded,
+            &mut firings,
+        );
+        for (plan, &(fired, new)) in self.plans.iter().zip(&firings) {
+            stats.record_firings(plan.rule_idx, &plan.head_pred, fired, new);
+        }
+        outcome
+    }
+
+    /// The one fixpoint loop, over the relation table `relations` (indexed
+    /// by slot).  `seed_marks` switches between run mode (first iteration
+    /// full) and resume mode (first iteration windowed against the given
+    /// marks).  Positive programs run every live stratum each iteration;
+    /// guarded programs run only the stratum frontier.  Each plan's
+    /// firings accumulate in `firings`.  See the module docs for the
+    /// scheduler structure and the evaluation order.
+    fn iterate(
+        &self,
+        relations: &mut [&mut Relation],
+        stats: &mut EvalStats,
+        seed_marks: Option<Vec<usize>>,
+        mut observer: Option<FiringObserver<'_>>,
+        guarded: bool,
+        firings: &mut [Firings],
+    ) -> Result<(), EvalError> {
         let seeded = seed_marks.is_some();
         // Whether the next iteration evaluates its rules in full: the first
         // one of a run, and (guarded) the first one of every stratum.
         let mut full_pass = !seeded;
         // Row-id marks delimiting the delta of the previous iteration,
         // indexed like `tracked`.
-        let mut prev_marks = seed_marks.unwrap_or_else(|| self.marks(db));
+        let mut prev_marks = seed_marks.unwrap_or_else(|| {
+            let mut marks = Vec::new();
+            self.marks_into(relations, &mut marks);
+            marks
+        });
         // The current extents (recycled; swapped into `prev_marks` at the
         // end of every iteration).
         let mut cur_marks: Vec<usize> = Vec::with_capacity(prev_marks.len());
-        // Facts this call has derived.  Nothing else writes `db` while the
-        // loop runs, so this is `db.total_facts()` minus its value on
-        // entry — without walking every relation once per iteration.
+        // Facts this call has derived.  Nothing else writes the relations
+        // while the loop runs, so this is their total size minus its value
+        // on entry — without walking every relation once per iteration.
         let mut derived = 0usize;
         let strata = self.schedule.strata();
         // Permanently converged strata (semi-naive only): a stratum
@@ -548,8 +681,14 @@ impl FixpointRunner {
 
         loop {
             if entering {
-                frontier =
-                    self.advance_frontier(frontier, db, stats, &mut observer, &mut derived)?;
+                frontier = self.advance_frontier(
+                    frontier,
+                    relations,
+                    stats,
+                    &mut observer,
+                    &mut derived,
+                    firings,
+                )?;
                 if frontier == strata.len() {
                     break;
                 }
@@ -565,14 +704,15 @@ impl FixpointRunner {
             // Snapshot the current extents: rows in [prev_mark, cur_mark)
             // form the delta of the previous iteration (or the seeds, on
             // the first iteration of a resume).
-            self.marks_into(db, &mut cur_marks);
+            self.marks_into(relations, &mut cur_marks);
 
             let use_delta = self.scheme == IterationScheme::SemiNaive && !full_pass;
             full_pass = false;
 
             // ---- Read phase: strata in dependency order, every rule
-            // against the database as the previous iteration left it.  The
-            // first error aborts the run; the probes before it are counted. ----
+            // against the relations as the previous iteration left them.
+            // The first error aborts the run; the probes before it are
+            // counted. ----
             let mut lower_all_retired = true;
             let live_strata = if guarded {
                 frontier..frontier + 1
@@ -615,7 +755,7 @@ impl FixpointRunner {
                                 plan_idx,
                                 variant,
                                 Some(DeltaWindow { occurrence, from }),
-                                db,
+                                relations,
                                 &mut scratch,
                                 &mut outputs[plan_idx],
                             )?;
@@ -628,7 +768,7 @@ impl FixpointRunner {
                             plan_idx,
                             None,
                             None,
-                            db,
+                            relations,
                             &mut scratch,
                             &mut outputs[plan_idx],
                         )?;
@@ -652,23 +792,22 @@ impl FixpointRunner {
                 if matches == 0 {
                     continue;
                 }
-                let plan = &self.plans[plan_idx];
-                let arity = plan.head_terms.len();
-                // All rows of one plan belong to its head predicate: resolve
-                // the relation once and insert the packed chunks directly —
-                // no per-fact allocation or clone.
-                let relation = db.relation_mut(&plan.head_pred, arity);
+                // All rows of one plan belong to its head relation: insert
+                // the packed chunks directly — no per-fact allocation or
+                // clone.
                 let rows = &mut outputs[plan_idx];
                 let new = insert_fired_rows(
-                    relation,
+                    relations[self.plan_slots[plan_idx].head],
                     plan_idx,
-                    arity,
+                    self.plans[plan_idx].head_terms.len(),
                     matches,
                     rows,
                     observer.as_deref_mut(),
                 );
                 rows.clear();
-                stats.record_firings(plan.rule_idx, &plan.head_pred, matches, new);
+                let (fired, derived_here) = &mut firings[plan_idx];
+                *fired += matches;
+                *derived_here += new;
                 new_facts += new;
             }
             derived += new_facts;
@@ -696,17 +835,22 @@ impl FixpointRunner {
     fn advance_frontier(
         &self,
         mut s: usize,
-        db: &mut Database,
+        relations: &mut [&mut Relation],
         stats: &mut EvalStats,
         observer: &mut Option<FiringObserver<'_>>,
         derived: &mut usize,
+        firings: &mut [Firings],
     ) -> Result<usize, EvalError> {
         let strata = self.schedule.strata();
         while let Some(stratum) = strata.get(s) {
             let mut plain = false;
             for &plan_idx in &stratum.rules {
                 if self.plans[plan_idx].rule.aggregate.is_some() {
-                    *derived += self.run_aggregate_rule(plan_idx, db, stats, observer)?;
+                    let (groups, new) =
+                        self.run_aggregate_rule(plan_idx, relations, stats, observer)?;
+                    firings[plan_idx].0 += groups;
+                    firings[plan_idx].1 += new;
+                    *derived += new;
                 } else {
                     plain = true;
                 }
@@ -734,14 +878,14 @@ impl FixpointRunner {
     /// inputs are finished lower strata), distinct `(group, value)` pairs
     /// under set semantics, then one folded output row per group.  Groups
     /// are folded and inserted in deterministic id order.  Returns the
-    /// number of new facts.
+    /// number of groups (the rule's firings) and of new facts.
     fn run_aggregate_rule(
         &self,
         plan_idx: usize,
-        db: &mut Database,
+        relations: &mut [&mut Relation],
         stats: &mut EvalStats,
         observer: &mut Option<FiringObserver<'_>>,
-    ) -> Result<usize, EvalError> {
+    ) -> Result<Firings, EvalError> {
         let plan = &self.plans[plan_idx];
         let agg = plan
             .rule
@@ -750,11 +894,11 @@ impl FixpointRunner {
             .expect("run_aggregate_rule requires an aggregate plan");
         let arity = plan.head_terms.len();
         let mut scratch = Vec::new();
-        let counters = evaluate_rule_scratch(
-            plan,
-            db,
+        let counters = self.evaluate(
+            plan_idx,
             None,
-            &self.limits,
+            None,
+            relations,
             &mut JoinScratch::default(),
             &mut scratch,
         )?;
@@ -811,14 +955,13 @@ impl FixpointRunner {
                 }
             }));
         }
-        let relation = db.relation_mut(&plan.head_pred, arity);
+        let relation = &mut *relations[self.plan_slots[plan_idx].head];
         let new = relation.insert_batch(&scratch, |id, is_new| {
             if let Some(observer) = observer.as_deref_mut() {
                 observer(plan_idx, id, is_new);
             }
         });
-        stats.record_firings(plan.rule_idx, &plan.head_pred, groups.len(), new);
-        Ok(new)
+        Ok((groups.len(), new))
     }
 }
 
@@ -1333,6 +1476,212 @@ mod tests {
         db.insert_pair("edge", "a", "b");
         let err = runner.resume(&mut db, marks, &mut stats, None).unwrap_err();
         assert!(matches!(err, EvalError::GuardedUnsupported { .. }));
+    }
+
+    /// The counters of `stats`, with the per-predicate and per-rule
+    /// breakdowns, as one comparable line.
+    fn stats_line(stats: &EvalStats) -> String {
+        let by_pred: Vec<String> = stats
+            .facts_by_pred
+            .iter()
+            .map(|(pred, n)| format!("{pred}={n}"))
+            .collect();
+        format!(
+            "({}, {}, {}, {}, {}) {by_pred:?} {:?}",
+            stats.iterations,
+            stats.rule_firings,
+            stats.facts_derived,
+            stats.duplicate_derivations,
+            stats.join_probes,
+            stats.firings_by_rule
+        )
+    }
+
+    /// Run `program` on `db` under `limits`: the error and the stats the
+    /// failed run left.
+    fn failed_run(program: &str, mut db: Database, limits: Limits) -> (EvalError, String) {
+        let runner = FixpointRunner::for_program(&parse_program(program).unwrap());
+        let mut stats = EvalStats::default();
+        let err = runner
+            .with_limits(limits)
+            .run(&mut db, &mut stats, None)
+            .unwrap_err();
+        (err, stats_line(&stats))
+    }
+
+    const ANCESTOR: &str = "anc(X, Y) :- par(X, Y). anc(X, Y) :- par(X, Z), anc(Z, Y).";
+
+    /// Reachability from `n0` over `chain(30)`, with a stratum above it.
+    fn reach_db() -> Database {
+        let mut db = chain_db(30);
+        db.insert(PredName::plain("start"), vec![Value::sym("n0")]);
+        db
+    }
+
+    // The stats below were measured on the loop that resolved relations by
+    // name on every access; resolving them once per call must leave every
+    // counter of a failed run where it was.
+
+    #[test]
+    fn limit_errors_keep_the_stats_of_the_work_before_them() {
+        let cases = [
+            (
+                ANCESTOR,
+                chain_db(50),
+                Limits::default().with_max_iterations(3),
+                "IterationLimit { limit: 3 }",
+                "(4, 147, 147, 0, 297) [\"anc=147\"] {0: 50, 1: 97}",
+            ),
+            (
+                ANCESTOR,
+                chain_db(60),
+                Limits::default().with_max_facts(10),
+                "FactLimit { limit: 10 }",
+                "(1, 60, 60, 0, 120) [\"anc=60\"] {0: 60}",
+            ),
+            // Guarded: the frontier stops inside the recursive stratum …
+            (
+                "reach(Y) :- start(Y). reach(Y) :- reach(X), par(X, Y).
+                 size(count<Y>) :- reach(Y). big(X) :- size(X), reach(X).",
+                reach_db(),
+                Limits::default().with_max_facts(20),
+                "FactLimit { limit: 20 }",
+                "(21, 21, 21, 0, 41) [\"reach=21\"] {0: 1, 1: 20}",
+            ),
+            (
+                "reach(Y) :- start(Y). reach(Y) :- reach(X), par(X, Y).
+                 size(count<Y>) :- reach(Y). big(X) :- size(X), reach(X).",
+                reach_db(),
+                Limits::default().with_max_iterations(5),
+                "IterationLimit { limit: 5 }",
+                "(6, 5, 5, 0, 9) [\"reach=5\"] {0: 1, 1: 4}",
+            ),
+            // … or in the aggregate fold as the next stratum enters.
+            (
+                "reach(Y) :- start(Y). reach(Y) :- reach(X), par(X, Y).
+                 size(count<Y>) :- reach(Y). big(X) :- size(X), reach(X).",
+                reach_db(),
+                Limits::default().with_max_facts(31),
+                "FactLimit { limit: 31 }",
+                "(32, 32, 32, 0, 93) [\"reach=31\", \"size=1\"] {0: 1, 1: 30, 2: 1}",
+            ),
+        ];
+        for (program, db, limits, want_err, want_stats) in cases {
+            let (err, stats) = failed_run(program, db, limits);
+            assert_eq!(format!("{err:?}"), want_err, "{program}");
+            assert_eq!(stats, want_stats, "{program} under {limits:?}");
+        }
+    }
+
+    #[test]
+    fn resumed_limit_errors_keep_the_stats_of_the_work_before_them() {
+        for (limits, want_err, want_stats) in [
+            (
+                Limits::default().with_max_iterations(4),
+                "IterationLimit { limit: 4 }",
+                "(5, 160, 160, 0, 320) [\"anc=160\"] {0: 40, 1: 120}",
+            ),
+            (
+                Limits::default().with_max_facts(100),
+                "FactLimit { limit: 100 }",
+                "(3, 120, 120, 0, 240) [\"anc=120\"] {0: 40, 1: 80}",
+            ),
+        ] {
+            let program = parse_program(ANCESTOR).unwrap();
+            let mut tracked = program.derived_preds();
+            tracked.extend(program.base_preds());
+            let runner = FixpointRunner::compile(&program, &tracked);
+            let mut db = chain_db(10);
+            runner
+                .run(&mut db, &mut EvalStats::default(), None)
+                .unwrap();
+            let runner = runner.with_limits(limits);
+            let marks = runner.marks(&db);
+            for i in 10..50 {
+                db.insert_pair("par", &format!("n{i}"), &format!("n{}", i + 1));
+            }
+            let mut stats = EvalStats::default();
+            let err = runner.resume(&mut db, marks, &mut stats, None).unwrap_err();
+            assert_eq!(format!("{err:?}"), want_err);
+            assert_eq!(stats_line(&stats), want_stats, "{limits:?}");
+        }
+    }
+
+    #[test]
+    fn an_arity_mismatch_fails_where_the_join_first_binds_the_atom() {
+        // A negated atom in the top stratum: the error comes once the
+        // stratum below has finished, with its work counted.
+        let mut db = reach_db();
+        db.insert(PredName::plain("bad"), vec![Value::sym("n3")]);
+        let (err, stats) = failed_run(
+            "reach(Y) :- start(Y). reach(Y) :- reach(X), par(X, Y).
+             lone(X) :- reach(X), not bad(X, X).",
+            db,
+            Limits::default(),
+        );
+        assert_eq!(
+            format!("{err:?}"),
+            "ArityMismatch { predicate: \"bad\", rule_arity: 2, stored_arity: 1 }"
+        );
+        assert_eq!(stats, "(33, 31, 31, 0, 62) [\"reach=31\"] {0: 1, 1: 30}");
+        // A positive atom in a positive program: the first iteration's
+        // read phase fails, after the rule before it probed its one row,
+        // and nothing of that iteration is inserted or counted as fired.
+        let mut db = reach_db();
+        db.insert(PredName::plain("wide"), vec![Value::sym("n3")]);
+        let (err, stats) = failed_run(
+            "reach(Y) :- start(Y). reach(Y) :- reach(X), par(X, Y).
+             two(X, Y) :- reach(X), wide(X, Y).",
+            db,
+            Limits::default(),
+        );
+        assert_eq!(
+            format!("{err:?}"),
+            "ArityMismatch { predicate: \"wide\", rule_arity: 2, stored_arity: 1 }"
+        );
+        assert_eq!(stats, "(1, 0, 0, 0, 1) [] {}");
+    }
+
+    #[test]
+    fn resume_creates_a_missing_program_relation_as_prepare_would() {
+        // `anc` was never materialized: the database holds only `par`.
+        let program = ancestor();
+        let mut tracked = program.derived_preds();
+        tracked.extend(program.base_preds());
+        let runner = FixpointRunner::compile(&program, &tracked);
+        let anc = PredName::plain("anc");
+        let mut lacking = chain_db(5);
+        // One mark each for `anc` and `par`: the absent relation's reads 0.
+        let mut marks = runner.marks(&lacking);
+        marks.sort_unstable();
+        assert_eq!(marks, vec![0, 5]);
+        // The same database with `anc` created empty, through `prepare`.
+        let mut prepared = lacking.clone();
+        runner.prepare(&mut prepared);
+        assert_eq!(prepared.count(&anc), 0);
+
+        let mut outcomes = Vec::new();
+        for db in [&mut lacking, &mut prepared] {
+            let marks = runner.marks(db);
+            db.insert_pair("par", "n5", "n6");
+            let mut stats = EvalStats::default();
+            runner.resume(db, marks, &mut stats, None).unwrap();
+            outcomes.push(stats_line(&stats));
+        }
+        // Both behave as over an empty `anc`: only what the seeded edge
+        // reaches is derived, `anc(X, n6)` for the six `X` up the chain.
+        assert_eq!(outcomes[0], outcomes[1]);
+        assert_eq!(lacking, prepared);
+        assert_eq!(lacking.count(&anc), 6);
+        // … and the created relation carries the plans' indexes.
+        let anc_rel = lacking.relation(&anc).unwrap();
+        for plan in runner.plans() {
+            for atom in plan.atoms.iter().filter(|a| a.pred == anc) {
+                if !atom.key_positions.is_empty() {
+                    assert!(anc_rel.index_ref(&atom.key_positions).is_some());
+                }
+            }
+        }
     }
 
     use std::collections::BTreeSet;

@@ -8,9 +8,12 @@
 //! * bindings live in a flat frame of interned [`ValId`]s indexed by slot
 //!   id — binding a variable copies four bytes, comparing a constant is a
 //!   `u32` compare;
-//! * each body atom is bound once per rule evaluation to its relation, a
-//!   borrowed index handle and its delta window — an atom visit names no
-//!   predicate and no position pattern;
+//! * the fixpoint loop resolves every relation it touches once per call,
+//!   into a table indexed by the runner's relation slots, and each body
+//!   atom is bound once per rule evaluation to its slot's relation, a
+//!   borrowed index handle (a short scan of the relation's one to three
+//!   patterns) and its delta window — neither a rule evaluation nor an
+//!   atom visit names a predicate or hashes a position pattern;
 //! * index probes borrow the relation's id slice — no `to_vec()` copies;
 //! * the semi-naive delta window is a suffix of row-id space, sliced off
 //!   the *tail* of the (ascending) id slice — no per-id filtering, and no
@@ -30,8 +33,9 @@
 //! The only remaining per-row work is the check-term matches themselves and
 //! the recursion; the frame, trail, key buffer and key filters live in a
 //! `JoinScratch` the fixpoint loop keeps for the whole run, so a
-//! steady-state rule evaluation allocates only its (small) vector of bound
-//! atoms.
+//! steady-state rule evaluation allocates only its vector of bound atoms
+//! (one entry per body atom) and, for a rule with negated atoms, the
+//! vector of their relations.
 //!
 //! # Entry points
 //!
@@ -40,7 +44,10 @@
 //! compiles to exactly the code it had before the abstraction existed):
 //!
 //! * [`evaluate_rule`] — forward evaluation under at most one delta
-//!   window, appending head rows to a flat output buffer.
+//!   window, appending head rows to a flat output buffer.  The fixpoint
+//!   loop runs the same join through `evaluate_rule_slots`, over the
+//!   relations it resolved for the call; only the two public entry points
+//!   resolve relations by name (`JoinCtx::bind`).
 //! * [`count_derivations_batch`] — the *head-bound* join: match each
 //!   concrete head row of a packed batch against the rule head, then count
 //!   the body instantiations consistent with it.  This is the support
@@ -332,13 +339,13 @@ impl MatchSink for CountSink {
     }
 }
 
-/// Resolve and arity-check the relation an atom of `rule_arity` reads.
-fn resolve_relation<'a>(
-    db: &'a Database,
+/// Arity-check the relation (if any) an atom of `rule_arity` over `pred`
+/// reads.
+fn check_arity<'a>(
+    relation: Option<&'a Relation>,
     pred: &PredName,
     rule_arity: usize,
 ) -> Result<Option<&'a Relation>, EvalError> {
-    let relation = db.relation(pred);
     match relation {
         Some(relation) if relation.arity() != rule_arity => Err(EvalError::ArityMismatch {
             predicate: pred.to_string(),
@@ -349,44 +356,26 @@ fn resolve_relation<'a>(
     }
 }
 
-/// Bind each positive body atom to its relation, index handle and (for
-/// the windowed occurrence) delta window.
-///
-/// Arity mismatches between a body atom and its stored relation are
-/// reported eagerly, even for atoms an empty earlier atom would have kept
-/// the join from reaching.  A mismatch means the program and the database
-/// disagree about a predicate; failing deterministically beats failing
-/// only when the data happens to reach the inconsistent atom.  Returns
-/// `None` when some relation is absent (the body cannot match).
-fn bind_atoms<'a>(
-    plan: &'a RulePlan,
-    db: &'a Database,
-    window: Option<DeltaWindow>,
-) -> Result<Option<Vec<BoundAtom<'a>>>, EvalError> {
-    let mut bound = Vec::with_capacity(plan.atoms.len());
-    for (depth, atom) in plan.atoms.iter().enumerate() {
-        if let Some(relation) = resolve_relation(db, &atom.pred, atom.arity)? {
-            bound.push(BoundAtom {
-                plan: atom,
-                relation,
-                keyed: KeyedAccess::resolve(relation, &atom.key_positions),
-                window: window.filter(|w| w.occurrence == depth),
-            });
-        }
-    }
-    Ok((bound.len() == plan.atoms.len()).then_some(bound))
-}
-
 impl<'a> JoinCtx<'a> {
-    /// Bind `plan` to `db` for one or more joins: resolve the negated
-    /// atoms' relations and bind the positive atoms ([`bind_atoms`]).
-    /// `None` when some positive relation is absent (the body cannot
-    /// match).
-    fn bind(
+    /// Bind `plan` for one or more joins to the relations of its negated
+    /// atoms (`negated`) and its positive atoms (`positive`), in plan
+    /// order, each `None` when absent: arity-check every relation, take
+    /// each positive atom's index handle, and put the window on its
+    /// occurrence.  `None` when some positive relation is absent (the body
+    /// cannot match).
+    ///
+    /// Arity mismatches between an atom and its stored relation are
+    /// reported eagerly — the negated atoms first, then the positive ones
+    /// in body order — even for atoms an empty earlier atom would have kept
+    /// the join from reaching.  A mismatch means the program and the
+    /// database disagree about a predicate; failing deterministically beats
+    /// failing only when the data happens to reach the inconsistent atom.
+    fn bind_relations(
         plan: &'a RulePlan,
-        db: &'a Database,
         window: Option<DeltaWindow>,
         limits: &'a Limits,
+        negated: impl Iterator<Item = Option<&'a Relation>>,
+        positive: impl Iterator<Item = Option<&'a Relation>>,
     ) -> Result<Option<JoinCtx<'a>>, EvalError> {
         // An absent negated relation is kept as `None`: the complement of
         // an empty relation always holds, so it must not abort the join the
@@ -394,15 +383,78 @@ impl<'a> JoinCtx<'a> {
         let neg_relations = plan
             .neg_atoms
             .iter()
-            .map(|atom| resolve_relation(db, &atom.pred, atom.arity))
+            .zip(negated)
+            .map(|(atom, relation)| check_arity(relation, &atom.pred, atom.arity))
             .collect::<Result<_, _>>()?;
-        Ok(bind_atoms(plan, db, window)?.map(|atoms| JoinCtx {
+        let mut atoms = Vec::with_capacity(plan.atoms.len());
+        for ((depth, atom), relation) in plan.atoms.iter().enumerate().zip(positive) {
+            if let Some(relation) = check_arity(relation, &atom.pred, atom.arity)? {
+                atoms.push(BoundAtom {
+                    plan: atom,
+                    relation,
+                    keyed: KeyedAccess::resolve(relation, &atom.key_positions),
+                    window: window.filter(|w| w.occurrence == depth),
+                });
+            }
+        }
+        Ok((atoms.len() == plan.atoms.len()).then_some(JoinCtx {
             plan,
             atoms,
             neg_relations,
             limits,
         }))
     }
+
+    /// Bind `plan` to `db`, resolving each atom's relation by name: the
+    /// binding of the two public entry points, [`evaluate_rule`] and
+    /// [`count_derivations_batch`].
+    fn bind(
+        plan: &'a RulePlan,
+        db: &'a Database,
+        window: Option<DeltaWindow>,
+        limits: &'a Limits,
+    ) -> Result<Option<JoinCtx<'a>>, EvalError> {
+        let by_name = |pred: &PredName| db.relation(pred);
+        JoinCtx::bind_relations(
+            plan,
+            window,
+            limits,
+            plan.neg_atoms.iter().map(|atom| by_name(&atom.pred)),
+            plan.atoms.iter().map(|atom| by_name(&atom.pred)),
+        )
+    }
+
+    /// Bind `plan` to relations the caller resolved once for many rule
+    /// evaluations: `relations[slots.atoms[d]]` is the relation of body
+    /// atom `d`, `relations[slots.negated[i]]` that of negated atom `i`.
+    /// Every relation is present, so the only error is an arity mismatch.
+    fn bind_slots(
+        plan: &'a RulePlan,
+        slots: AtomSlots<'_>,
+        relations: &'a [&'a mut Relation],
+        window: Option<DeltaWindow>,
+        limits: &'a Limits,
+    ) -> Result<Option<JoinCtx<'a>>, EvalError> {
+        let slot = |s: &usize| Some(&*relations[*s]);
+        JoinCtx::bind_relations(
+            plan,
+            window,
+            limits,
+            slots.negated.iter().map(slot),
+            slots.atoms.iter().map(slot),
+        )
+    }
+}
+
+/// Where a rule's atoms find their relations in a resolved relation table
+/// (see [`evaluate_rule_slots`]): a table index per body atom, in plan
+/// order, and per negated atom.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AtomSlots<'s> {
+    /// Per positive body atom of the plan.
+    pub(crate) atoms: &'s [usize],
+    /// Per negated atom of the plan.
+    pub(crate) negated: &'s [usize],
 }
 
 /// Evaluate one rule against `db`, appending the packed head row of every
@@ -419,22 +471,36 @@ pub fn evaluate_rule(
     limits: &Limits,
     out: &mut Vec<ValId>,
 ) -> Result<JoinCounters, EvalError> {
-    evaluate_rule_scratch(plan, db, delta, limits, &mut JoinScratch::default(), out)
+    let ctx = JoinCtx::bind(plan, db, delta, limits)?;
+    produce_rows(ctx, &mut JoinScratch::default(), out)
 }
 
-/// [`evaluate_rule`] over caller-owned buffers: the form the fixpoint loop
-/// calls, once per rule evaluation.
-pub(crate) fn evaluate_rule_scratch(
+/// [`evaluate_rule`] over relations resolved once per fixpoint (see
+/// [`AtomSlots`]) and caller-owned buffers: the form the fixpoint loop
+/// calls, once per rule evaluation, naming no predicate.
+pub(crate) fn evaluate_rule_slots(
     plan: &RulePlan,
-    db: &Database,
+    slots: AtomSlots<'_>,
+    relations: &[&mut Relation],
     delta: Option<DeltaWindow>,
     limits: &Limits,
     scratch: &mut JoinScratch,
     out: &mut Vec<ValId>,
 ) -> Result<JoinCounters, EvalError> {
+    let ctx = JoinCtx::bind_slots(plan, slots, relations, delta, limits)?;
+    produce_rows(ctx, scratch, out)
+}
+
+/// Run a bound forward join (nothing when a positive relation is absent),
+/// appending its head rows to `out`.
+fn produce_rows(
+    ctx: Option<JoinCtx<'_>>,
+    scratch: &mut JoinScratch,
+    out: &mut Vec<ValId>,
+) -> Result<JoinCounters, EvalError> {
     let mut counters = JoinCounters::default();
-    if let Some(ctx) = JoinCtx::bind(plan, db, delta, limits)? {
-        scratch.reset(plan);
+    if let Some(ctx) = ctx {
+        scratch.reset(ctx.plan);
         scratch.build_filters(&ctx);
         descend(&ctx, 0, scratch, &mut RowSink { out }, &mut counters)?;
     }

@@ -97,8 +97,24 @@ struct SharedView {
     private: BTreeSet<PredName>,
     /// What [`ViewCatalog::snapshot_view`] hands out, frozen on the first
     /// request after the view last moved: every binding of the view shares
-    /// one copy-on-write clone.
+    /// one copy-on-write clone.  The catalog never keeps it alive by
+    /// itself across a write: before one, a snapshot no reader holds is
+    /// dropped ([`SharedView::release_unheld`]), so the write finds its
+    /// storage unshared and copies nothing.
     frozen: OnceLock<Arc<FrozenView>>,
+}
+
+impl SharedView {
+    /// Drop the cached snapshot if the catalog is its only holder.  No
+    /// reader can tell: the next [`ViewCatalog::snapshot_view`] freezes the
+    /// same state again, by `Arc` pointer bumps.  A snapshot a reader
+    /// still holds stays cached, and copy-on-write keeps it frozen while
+    /// the view moves on.
+    fn release_unheld(&mut self) {
+        if self.frozen.get().is_some_and(|f| Arc::strong_count(f) == 1) {
+            self.frozen = OnceLock::new();
+        }
+    }
 }
 
 /// A view's database and metrics at one instant.
@@ -365,6 +381,7 @@ impl ViewCatalog {
         // retract the view applies maintains it from here on, so `answers`
         // probes a warm index instead of scanning.
         shared.view.ensure_answer_index(&plan.answer_atom);
+        shared.release_unheld();
         match seed.as_ref().map_or(Ok(false), |s| shared.view.add_seed(s)) {
             Ok(true) => shared.frozen = OnceLock::new(),
             Ok(false) => {}
@@ -530,9 +547,12 @@ impl ViewCatalog {
     /// A frozen [`ViewSnapshot`] of the binding cached under `key`.
     ///
     /// The first call after a view moved clones its database —
-    /// O(relations) `Arc` pointer bumps; later writes to the live view
-    /// re-copy only the units they touch — and until the view moves again
-    /// every binding of it is handed that same clone.
+    /// O(relations) `Arc` pointer bumps — and until the view moves again
+    /// every binding of it is handed that same clone.  The catalog does
+    /// not keep that clone alive across a write on its own: once every
+    /// snapshot of it is dropped, the next write finds the view's storage
+    /// unshared and copies nothing.  While a reader holds one, writes to
+    /// the live view re-copy exactly the units they touch.
     pub fn snapshot_view(&self, key: &str) -> Option<ViewSnapshot> {
         let binding = self.bindings.get(key)?;
         let shared = &self.views[&binding.view];
@@ -574,6 +594,9 @@ impl ViewCatalog {
         let Some(base) = self.base.as_mut() else {
             return outcome;
         };
+        for shared in self.views.values_mut() {
+            shared.release_unheld();
+        }
         // Per view, in `views` order: its batch so far, or why it failed.
         let mut runs: Vec<Result<Batch, IncrError>> =
             self.views.keys().map(|_| Ok(Batch::default())).collect();

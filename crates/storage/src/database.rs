@@ -4,8 +4,10 @@
 use crate::relation::{Relation, Row};
 use magic_datalog::arena::intern_row;
 use magic_datalog::{Fact, PredName, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 /// A database: a finite set of finite relations, keyed by predicate name.
 ///
@@ -71,6 +73,60 @@ impl Database {
         self.relations
             .get_mut(pred)
             .expect("present or just inserted")
+    }
+
+    /// Mutable access to the relations of several distinct predicates at
+    /// once: element `i` is the relation of `preds[i]`, in the order given.
+    /// One ordered walk over the stored relations between the least and the
+    /// greatest name resolves them all, so a caller that reads and writes a
+    /// fixed set of relations for a while (the fixpoint loop) names each
+    /// once instead of once per access.  Creates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`AbsentRelation`] names the least predicate of `preds` the
+    /// database has no relation for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a predicate appears twice in `preds`.
+    pub fn relations_mut(
+        &mut self,
+        preds: &[PredName],
+    ) -> Result<Vec<&mut Relation>, AbsentRelation> {
+        let mut order: Vec<usize> = (0..preds.len()).collect();
+        order.sort_unstable_by(|&a, &b| preds[a].cmp(&preds[b]));
+        let mut found: Vec<Option<&mut Relation>> = preds.iter().map(|_| None).collect();
+        let mut wanted = order.iter().copied().peekable();
+        if let (Some(&least), Some(&greatest)) = (order.first(), order.last()) {
+            let span = (
+                Bound::Included(&preds[least]),
+                Bound::Included(&preds[greatest]),
+            );
+            for (pred, relation) in self.relations.range_mut::<PredName, _>(span) {
+                let Some(&next) = wanted.peek() else {
+                    break;
+                };
+                match pred.cmp(&preds[next]) {
+                    Ordering::Less => {}
+                    Ordering::Equal => {
+                        wanted.next();
+                        if wanted.peek().is_some_and(|&again| preds[again] == *pred) {
+                            panic!("relations_mut: predicate {pred} requested twice");
+                        }
+                        found[next] = Some(relation);
+                    }
+                    Ordering::Greater => return Err(AbsentRelation(preds[next].clone())),
+                }
+            }
+        }
+        if let Some(next) = wanted.next() {
+            return Err(AbsentRelation(preds[next].clone()));
+        }
+        Ok(found
+            .into_iter()
+            .map(|relation| relation.expect("every requested relation was found"))
+            .collect())
     }
 
     /// Mutable access to the relation for `pred`, if present (never
@@ -166,6 +222,19 @@ impl Database {
     }
 }
 
+/// The error of [`Database::relations_mut`]: a requested predicate has no
+/// relation in the database.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AbsentRelation(pub PredName);
+
+impl fmt::Display for AbsentRelation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "the database has no relation for predicate {}", self.0)
+    }
+}
+
+impl std::error::Error for AbsentRelation {}
+
 impl fmt::Display for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (pred, rel) in &self.relations {
@@ -238,6 +307,53 @@ mod tests {
         let mut db = Database::new();
         db.insert_pair("par", "a", "b");
         assert_eq!(db.to_string(), "par(a, b).\n");
+    }
+
+    #[test]
+    fn relations_mut_keeps_the_requested_order_and_names_an_absent_predicate() {
+        let mut db = Database::new();
+        for (pred, arity) in [("a", 1), ("c", 2), ("e", 3), ("g", 1)] {
+            db.relation_mut(&PredName::plain(pred), arity);
+        }
+        let names =
+            |list: &[&str]| -> Vec<PredName> { list.iter().map(|p| PredName::plain(p)).collect() };
+        // Out of name order, and skipping stored relations: element `i` is
+        // the relation of `preds[i]` (told apart by arity).
+        let preds = names(&["e", "a", "g", "c"]);
+        let arities: Vec<usize> = db
+            .relations_mut(&preds)
+            .unwrap()
+            .iter()
+            .map(|r| r.arity())
+            .collect();
+        assert_eq!(arities, vec![3, 1, 1, 2]);
+        // Writes through the handles land in the named relations.
+        db.relations_mut(&names(&["c"])).unwrap()[0].insert(vec![Value::sym("x"), Value::sym("y")]);
+        assert_eq!(db.count(&PredName::plain("c")), 1);
+        assert!(db.relations_mut(&[]).unwrap().is_empty());
+        // An absent predicate is named, wherever it falls in the walk:
+        // before, between and after the stored names; the least one first.
+        for (list, absent) in [
+            (&["a", "0"][..], "0"),
+            (&["c", "d", "e"][..], "d"),
+            (&["z", "a"][..], "z"),
+            (&["h", "b", "g"][..], "b"),
+        ] {
+            let err = db.relations_mut(&names(list)).unwrap_err();
+            assert_eq!(err, AbsentRelation(PredName::plain(absent)), "{list:?}");
+            assert!(err.to_string().ends_with(&err.0.to_string()), "{err}");
+        }
+        // Nothing was created on the way.
+        assert_eq!(db.predicates().count(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "requested twice")]
+    fn relations_mut_refuses_a_predicate_twice() {
+        let mut db = Database::new();
+        db.relation_mut(&PredName::plain("a"), 1);
+        let a = PredName::plain("a");
+        let _ = db.relations_mut(&[a.clone(), a]);
     }
 
     #[test]

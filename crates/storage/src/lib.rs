@@ -94,6 +94,6 @@ pub mod relation;
 pub use magic_datalog::arena;
 pub use magic_datalog::ValId;
 
-pub use database::Database;
+pub use database::{AbsentRelation, Database};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use relation::{cow_clones, IndexRef, Relation, Row};

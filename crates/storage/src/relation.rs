@@ -511,8 +511,11 @@ pub struct Relation {
     dead: usize,
     /// Sharded dedup table over the live rows (see [`DedupShard`]).
     dedup: Shards<DedupShard>,
-    /// positions -> sharded index (key ids -> ascending live row ids).
-    indexes: FxHashMap<Vec<usize>, ShardedIndex>,
+    /// `(positions, index)` pairs (key ids -> ascending live row ids), in
+    /// the order they were ensured.  A relation carries one to three
+    /// patterns, so finding one is a short slice scan, not a hash of the
+    /// position list.
+    indexes: Vec<(Vec<usize>, ShardedIndex)>,
     /// Reusable key buffer for incremental index maintenance.
     key_scratch: Vec<ValId>,
     /// Reusable per-batch list of [`Relation::insert_batch`]: the batch
@@ -559,7 +562,7 @@ impl Relation {
             rows: 0,
             dead: 0,
             dedup: empty_shards(),
-            indexes: FxHashMap::default(),
+            indexes: Vec::new(),
             key_scratch: Vec::new(),
             fresh: Vec::new(),
         }
@@ -847,9 +850,7 @@ impl Relation {
     /// The resulting index is identical (same keys, same ascending id
     /// lists) to the incremental build.
     pub fn ensure_index(&mut self, positions: &[usize]) {
-        if positions.is_empty()
-            || self.covers_row(positions)
-            || self.indexes.contains_key(positions)
+        if positions.is_empty() || self.covers_row(positions) || self.index_ref(positions).is_some()
         {
             return;
         }
@@ -862,7 +863,7 @@ impl Relation {
             index.insert_rows(positions, rows, &mut Vec::new());
             index
         };
-        self.indexes.insert(positions.to_vec(), index);
+        self.indexes.push((positions.to_vec(), index));
     }
 
     /// The bulk sorted index build over the current live rows (see
@@ -947,7 +948,10 @@ impl Relation {
     /// evaluation — pays one key probe per [`IndexRef::get`] and nothing
     /// else.
     pub fn index_ref(&self, positions: &[usize]) -> Option<IndexRef<'_>> {
-        self.indexes.get(positions).map(|index| IndexRef { index })
+        self.indexes
+            .iter()
+            .find(|(pattern, _)| pattern == positions)
+            .map(|(_, index)| IndexRef { index })
     }
 
     /// Like [`Relation::select_ids`] (packed key) but without building or
@@ -1038,7 +1042,7 @@ impl Relation {
         let mut old = std::mem::replace(self, Relation::new(self.arity));
         // Only the old pages are read: free the old tables first.
         old.dedup = empty_shards();
-        let patterns: Vec<Vec<usize>> = old.indexes.drain().map(|(p, _)| p).collect();
+        let patterns: Vec<Vec<usize>> = old.indexes.drain(..).map(|(p, _)| p).collect();
         for run in old.live_runs() {
             self.insert_batch(run, |_, _| {});
         }
@@ -1349,7 +1353,7 @@ mod tests {
         }
         assert!(r.is_empty());
         // Emptied lists dropped their keys.
-        match &r.indexes[&vec![0]] {
+        match r.index_ref(&[0]).unwrap().index {
             ShardedIndex::Small(shards) => assert!(shards.iter().all(|s| s.is_empty())),
             ShardedIndex::Wide(_) => unreachable!("one position is a narrow key"),
         }
@@ -1635,7 +1639,7 @@ mod tests {
     /// posting list (checked ascending on the way).
     fn contents(r: &Relation, probes: &[Vec<ValId>]) -> Contents {
         let rows = r.iter_ids().map(|(id, row)| (id, row.to_vec())).collect();
-        let mut patterns: Vec<&Vec<usize>> = r.indexes.keys().collect();
+        let mut patterns: Vec<&Vec<usize>> = r.indexes.iter().map(|(p, _)| p).collect();
         patterns.sort();
         let mut lists = Vec::new();
         for positions in patterns {
